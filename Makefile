@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: all build test race cover cover-check bench bench-save bench-smoke straggler-smoke scenarios-smoke scenarios-scale tail-smoke shard-smoke figures fmt vet check chaos fuzz snapshot-smoke clean
+.PHONY: all build test race cover cover-check bench bench-save bench-smoke flake-check straggler-smoke scenarios-smoke scenarios-scale tail-smoke shard-smoke figures fmt vet check chaos fuzz snapshot-smoke clean
 
 all: build test
 
 # The full verification gate CI runs: compile everything, vet, the whole
 # test suite under the race detector (the chaos soak included), an
 # uncached race pass over the concurrency-heavy platform package, the
-# compaction-restore timing smoke, the per-package coverage floor, a
+# repeated shuffled run of the once-flaky tests, the compaction-restore
+# timing smoke, the per-package coverage floor, a
 # quick contention-benchmark smoke run, and short fuzz bursts on both
 # wire codecs.
 check:
@@ -15,6 +16,7 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/platform/...
+	$(MAKE) flake-check
 	$(MAKE) snapshot-smoke
 	$(MAKE) straggler-smoke
 	$(MAKE) scenarios-smoke
@@ -94,6 +96,14 @@ bench-save:
 # would ever run.
 bench-smoke:
 	$(GO) run ./cmd/platformbench -n 600 -iters 10 -workers 1,8 -batches 16 -sweep-batch 16
+
+# The three tests that used to race two RunWorker goroutines for work (or
+# two probationers for the end of the run), now driven in a fixed order,
+# plus the verb-edge equivalence test that depends on that determinism:
+# ten shuffled runs each under the race detector, so none can quietly
+# regress into "passes most of the time".
+flake-check:
+	$(GO) test -race -count=10 -shuffle=on ./internal/platform -run 'ResolveMismatches|QuantizedMatching|ProbationExpires|VerbEdgesEquivalent'
 
 # The straggler/health acceptance tests alone, under the race detector:
 # speculative first-result-wins, the disconnect/deadline reclaim overlap,

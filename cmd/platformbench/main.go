@@ -2,7 +2,7 @@
 // axes. The batch sweep runs the same computation to completion over
 // loopback at several lease sizes with a fixed worker count and reports
 // assignments per second for each: with one round trip per assignment
-// (-batch 1, the legacy protocol) the run is RTT-bound, and batched
+// (-batch 1, the single-item verbs) the run is RTT-bound, and batched
 // leasing amortizes that round trip over the whole lease. The worker
 // sweep holds the lease size fixed and scales the number of concurrent
 // workers (-workers accepts a comma-separated list), reporting
@@ -192,8 +192,8 @@ func main() {
 	speculatePct := flag.Float64("speculate-pct", 0.85, "latency mode: completion-time percentile past which a live lease is speculatively cloned (for the spec-on runs)")
 	shardsFlag := flag.String("shards", "", "shard mode: comma-separated supervisor shard counts (e.g. 1,2,4); runs the whole workload per count with the first -workers entry as the TOTAL worker count, skipping the other sweeps")
 	ringVNodes := flag.Int("ring-vnodes", 0, "virtual nodes per shard on the consistent-hash ring (0 = library default)")
-	commitLatency := flag.Duration("commit-latency", 0, "shard mode: journal every shard (inline appends, no group commit) and model this much commit latency per append — a slow durable store; the regime where shards are independent commit streams")
-	journal := flag.String("journal", "", "journal accepted results to this file during every run (exercises the group-commit path; file is truncated per run)")
+	commitLatency := flag.Duration("commit-latency", 0, "shard mode: journal every shard and model this much commit latency per commit window — a slow durable store; the regime where shards are independent commit streams")
+	journal := flag.String("journal", "", "journal accepted results to this file during every run (file is truncated per run)")
 	journalSync := flag.Bool("journal-sync", false, "fsync journal records before acking (requires -journal)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole sweep to this file")
 	out := flag.String("out", "", "also write the JSON report to this file (empty = stdout table only)")
@@ -585,7 +585,6 @@ func (rc runConfig) run(n, iters, workers, batch int, proto string, adaptive boo
 		defer f.Close()
 		cfg.Journal = f
 		cfg.JournalSync = rc.journalSync
-		cfg.GroupCommit = true
 	}
 	if adaptive {
 		cfg.Adapt = &redundancy.AdaptConfig{

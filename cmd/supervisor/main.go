@@ -14,7 +14,7 @@
 // OBSERVABILITY.md documents both surfaces.
 //
 // The lifecycle is crash-tolerant: -journal records accepted results and
-// resumes from them on restart (-journal-sync fsyncs each record so a
+// resumes from them on restart (-journal-sync fsyncs before each ack so a
 // kill -9 loses nothing), a torn final record left by a crash is
 // truncated away on restore, SIGINT/SIGTERM triggers a graceful drain
 // bounded by -drain, -io-timeout disconnects stalled workers so their
@@ -91,8 +91,7 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress per-event logging")
 	planFile := flag.String("planfile", "", "load the plan from a JSON file written by redcalc -save (overrides -n/-eps/-scheme)")
 	journal := flag.String("journal", "", "append accepted results to this file and resume from it if it exists")
-	journalSync := flag.Bool("journal-sync", false, "fsync the journal after every accepted result (crash-safe, slower)")
-	groupCommit := flag.Bool("group-commit", false, "coalesce journal appends from all connections into one write (and, with -journal-sync, one fsync) per commit window; acks still wait for their fsync")
+	journalSync := flag.Bool("journal-sync", false, "fsync the journal before acking accepted results, once per commit window (crash-safe, slower)")
 	snapshotInterval := flag.Int("snapshot-interval", 0, "write a state snapshot into the journal every N appended records (0 = off; requires -journal and the free policy)")
 	compact := flag.Bool("compact", false, "with -snapshot-interval, each snapshot atomically replaces the journal instead of extending it, keeping journal size and restart cost proportional to live state")
 	profile := flag.Bool("profile", false, "enable mutex and block contention profiling (served at /debug/pprof on -metrics-addr)")
@@ -170,7 +169,6 @@ func main() {
 		SpeculatePct:      *speculatePct,
 		IOTimeout:         *ioTimeout,
 		JournalSync:       *journalSync,
-		GroupCommit:       *groupCommit,
 		ResolveMismatches: *resolve,
 		ResultDigits:      *digits,
 		ShardID:           *shardID,

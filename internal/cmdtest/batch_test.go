@@ -54,8 +54,7 @@ func startSupervisorCmd(t *testing.T, args ...string) (addr string, wait func() 
 
 // TestBatchFlagEndToEnd drives both daemons through a complete batched
 // run: a batch-16 supervisor serving one batch-8 worker and one -batch 1
-// compatibility-mode worker (which must speak the legacy single-assignment
-// protocol against the same supervisor).
+// worker (which speaks the single-item verbs against the same supervisor).
 func TestBatchFlagEndToEnd(t *testing.T) {
 	addr, wait := startSupervisorCmd(t,
 		"-addr", "127.0.0.1:0", "-n", "60", "-eps", "0.5",

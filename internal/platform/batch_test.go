@@ -3,8 +3,10 @@ package platform
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -77,12 +79,19 @@ func TestBatchedEndToEnd(t *testing.T) {
 	}
 }
 
-// TestBatchSizeOneStaysOnLegacyPath checks the compatibility contract:
-// BatchSize 1 (and 0) never sends get_work at all, so the wire traffic is
-// byte-for-byte today's single-assignment protocol — visible as zero
-// issued batches on the supervisor.
-func TestBatchSizeOneStaysOnLegacyPath(t *testing.T) {
-	for _, batch := range []int{0, 1} {
+// TestBatchSizeSelectsVerbPair checks the wire-compatibility contract of
+// the worker's verb adapter: BatchSize 0 and 1 speak only the single-item
+// verbs, larger sizes only the batch verbs, and either way the supervisor
+// serves the traffic as leases — one issued batch per work request.
+func TestBatchSizeSelectsVerbPair(t *testing.T) {
+	for _, tc := range []struct {
+		batch      int
+		want, none []string
+	}{
+		{0, []string{MsgRequestWork, MsgResult}, []string{MsgGetWork, MsgResultBatch}},
+		{1, []string{MsgRequestWork, MsgResult}, []string{MsgGetWork, MsgResultBatch}},
+		{4, []string{MsgGetWork, MsgResultBatch}, []string{MsgRequestWork, `"` + MsgResult + `"`}},
+	} {
 		p, err := plan.FromDistribution(dist.Simple(8), 0.5)
 		if err != nil {
 			t.Fatal(err)
@@ -98,18 +107,113 @@ func TestBatchSizeOneStaysOnLegacyPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := RunWorker(WorkerConfig{Addr: addr, Name: "legacy", BatchSize: batch})
+		var sent bytes.Buffer // JSON proto: every frame the worker wrote
+		st, err := RunWorker(WorkerConfig{Addr: addr, Name: "verbs", BatchSize: tc.batch,
+			Dial: func(a string) (net.Conn, error) {
+				conn, err := net.Dial("tcp", a)
+				return &teeConn{Conn: conn, w: &sent}, err
+			}})
 		if err != nil {
-			t.Fatalf("BatchSize=%d: %v", batch, err)
+			t.Fatalf("BatchSize=%d: %v", tc.batch, err)
 		}
 		if st.Completed != p.TotalAssignments() {
-			t.Errorf("BatchSize=%d: completed %d, want %d", batch, st.Completed, p.TotalAssignments())
+			t.Errorf("BatchSize=%d: completed %d, want %d", tc.batch, st.Completed, p.TotalAssignments())
 		}
-		if v, _ := reg.Snapshot().Value("redundancy_batches_issued_total"); v != 0 {
-			t.Errorf("BatchSize=%d: %v batches issued on the legacy path", batch, v)
+		for _, verb := range tc.want {
+			if !strings.Contains(sent.String(), verb) {
+				t.Errorf("BatchSize=%d: worker never sent %s", tc.batch, verb)
+			}
+		}
+		for _, verb := range tc.none {
+			if strings.Contains(sent.String(), verb) {
+				t.Errorf("BatchSize=%d: worker sent %s", tc.batch, verb)
+			}
+		}
+		snap := reg.Snapshot()
+		batches, _ := snap.Value("redundancy_batches_issued_total")
+		if tc.batch <= 1 && int(batches) != p.TotalAssignments() {
+			t.Errorf("BatchSize=%d: %v leases issued, want one per assignment (%d)", tc.batch, batches, p.TotalAssignments())
+		}
+		// One lease-wait observation per work request: each lease, plus
+		// the final request that was answered done.
+		if waits, _ := snap.Value("redundancy_lease_wait_seconds"); waits != batches+1 {
+			t.Errorf("BatchSize=%d: %v lease_wait observations for %v leases + 1 done", tc.batch, waits, batches)
 		}
 		sup.Close()
 	}
+}
+
+// TestVerbEdgesEquivalent fails if the single-verb edge drifts from the
+// lease core: the same seeded plan, worked by the same three participants
+// (one cheating on a seeded third of its tasks) in the same fixed order,
+// once over request_work/result and once over get_work(1)/result_batch,
+// must leave byte-identical journals, equal summaries and equal certified
+// values.
+func TestVerbEdgesEquivalent(t *testing.T) {
+	type outcome struct {
+		journal string
+		sum     Summary
+		values  []uint64
+	}
+	run := func(t *testing.T, v verbs) outcome {
+		p, err := plan.Balanced(60, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var journal bytes.Buffer
+		sup, err := NewSupervisor(SupervisorConfig{
+			Plan: p, WorkKind: "hashchain", Iters: 10, Seed: 9,
+			Journal: &journal, ResolveMismatches: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, err := sup.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sup.Close() })
+		driveRoundRobin(t, v, addr, 1, nil, NewCoalition(0.3, 5).CheatFunc(), nil)
+		sup.Wait()
+		out := outcome{journal: journal.String(), sum: sup.Summary()}
+		for task := 0; task < p.N+p.Ringers; task++ {
+			val, ok := sup.CertifiedValue(task)
+			if !ok {
+				t.Errorf("%s: task %d has no certified value", v, task)
+			}
+			out.values = append(out.values, val)
+		}
+		if got := strings.Count(out.journal, "\n"); got != p.TotalAssignments() {
+			t.Errorf("%s: journal holds %d records, want %d", v, got, p.TotalAssignments())
+		}
+		if out.sum.Verify.MismatchDetected == 0 {
+			t.Errorf("%s: the cheater was never caught; the run exercises no dispute", v)
+		}
+		return out
+	}
+	var single, batch outcome
+	t.Run(string(singleVerbs), func(t *testing.T) { single = run(t, singleVerbs) })
+	t.Run(string(batchVerbs), func(t *testing.T) { batch = run(t, batchVerbs) })
+	if single.journal != batch.journal {
+		t.Errorf("journals differ between the verb pairs:\n%s\n---\n%s", single.journal, batch.journal)
+	}
+	if !reflect.DeepEqual(single.sum, batch.sum) {
+		t.Errorf("summaries differ:\n%+v\n%+v", single.sum, batch.sum)
+	}
+	if !reflect.DeepEqual(single.values, batch.values) {
+		t.Error("certified values differ between the verb pairs")
+	}
+}
+
+// teeConn copies everything written to the connection into w.
+type teeConn struct {
+	net.Conn
+	w *bytes.Buffer
+}
+
+func (c *teeConn) Write(p []byte) (int, error) {
+	c.w.Write(p)
+	return c.Conn.Write(p)
 }
 
 // TestNegativeBatchSizeRejected: the library refuses a nonsense config
@@ -301,8 +405,8 @@ func TestResultBatchPartialRejection(t *testing.T) {
 	}
 	value := func(w WorkItem) uint64 { return fn(w.Seed, lease.Iters) }
 
-	// Submit the first item alone (legacy single-result message), so its
-	// later appearance in the batch is a duplicate.
+	// Submit the first item alone (single-result verb), so its later
+	// appearance in the batch is a duplicate.
 	first := lease.Work[0]
 	if ack := roundTrip(t, c, Message{Type: MsgResult, ParticipantID: id,
 		TaskID: first.TaskID, Copy: first.Copy, Value: value(first)}); ack.Type != MsgAck {
@@ -337,13 +441,15 @@ func TestResultBatchPartialRejection(t *testing.T) {
 	}
 }
 
-// TestBatchRequiresRegistration: the batch verbs enforce the same
-// connection-identity check as the legacy ones.
-func TestBatchRequiresRegistration(t *testing.T) {
+// TestWorkVerbsRequireRegistration: all four work verbs pass the one
+// connection-identity check at the serve edge.
+func TestWorkVerbsRequireRegistration(t *testing.T) {
 	sup, addr := startSupervisor(t, mustPlan(t), sched.Free)
 	_ = sup
 	_, c := dialCodec(t, addr)
 	for _, m := range []Message{
+		{Type: MsgRequestWork, ParticipantID: 0},
+		{Type: MsgResult, ParticipantID: 0, TaskID: 0, Copy: 0, Value: 1},
 		{Type: MsgGetWork, ParticipantID: 0, Batch: 4},
 		{Type: MsgResultBatch, ParticipantID: 0, Results: []ResultItem{{TaskID: 0, Copy: 0, Value: 1}}},
 	} {
@@ -353,9 +459,10 @@ func TestBatchRequiresRegistration(t *testing.T) {
 	}
 }
 
-// TestBatchedJournalSyncOncePerBatch: JournalSync mode pays one fsync per
-// result batch, not one per record, and every record still lands durably.
-func TestBatchedJournalSyncOncePerBatch(t *testing.T) {
+// TestJournalSyncOncePerWindow: JournalSync mode pays one fsync per commit
+// window — with one worker, per result batch — not one per record, and
+// every record still lands durably.
+func TestJournalSyncOncePerWindow(t *testing.T) {
 	p, err := plan.FromDistribution(dist.Simple(24), 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -388,18 +495,21 @@ func TestBatchedJournalSyncOncePerBatch(t *testing.T) {
 	if v, _ := snap.Value("redundancy_journal_records_total"); int(v) != total {
 		t.Errorf("journaled %v records, want %d", v, total)
 	}
-	batched, _ := snap.Value("redundancy_batched_journal_syncs_total")
-	if batched == 0 {
-		t.Error("no batched journal syncs recorded")
+	commits, _ := snap.Value("redundancy_journal_group_commits_total")
+	if commits == 0 {
+		t.Error("no commit windows recorded")
+	}
+	if sizes, _ := snap.Value("redundancy_journal_commit_batch_size"); sizes != commits {
+		t.Errorf("commit batch-size observations %v, want one per window (%v)", sizes, commits)
 	}
 	syncs, _ := snap.Value("redundancy_journal_syncs_total")
-	// One fsync per batch (+1 for the Close flush) must undercut
+	// One fsync per window (+1 for the Close flush) must undercut
 	// one-per-record by the batch factor.
 	if int(syncs) >= total {
 		t.Errorf("%v fsyncs for %d records: batching bought nothing", syncs, total)
 	}
-	if batched > syncs {
-		t.Errorf("batched syncs %v exceed total syncs %v", batched, syncs)
+	if syncs != commits+1 {
+		t.Errorf("%v fsyncs for %v commit windows, want one each plus the Close flush", syncs, commits)
 	}
 
 	// The journal is complete and replayable: a fresh supervisor restores
@@ -419,17 +529,17 @@ func TestBatchedJournalSyncOncePerBatch(t *testing.T) {
 	}
 }
 
-// TestAppendJournalBatchTornTail: a batch append that is cut off
-// mid-buffer loses only the torn final record — replay restores the
-// intact prefix, exactly the contract single-record appends give.
-func TestAppendJournalBatchTornTail(t *testing.T) {
+// TestJournalWindowTornTail: a commit window's buffer that is cut off
+// mid-write loses only the torn final record — replay restores the intact
+// prefix.
+func TestJournalWindowTornTail(t *testing.T) {
 	recs := []journalRecord{
 		{TaskID: 0, Copy: 0, Participant: 1, Value: 11},
 		{TaskID: 1, Copy: 0, Participant: 1, Value: 22},
 		{TaskID: 2, Copy: 0, Participant: 2, Value: 33},
 	}
 	var buf bytes.Buffer
-	if err := appendJournalBatch(&buf, recs); err != nil {
+	if err := encodeJournalRecords(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(buf.String(), "\n"); got != len(recs) {

@@ -1,26 +1,27 @@
 package platform
 
 import (
-	"io"
+	"bytes"
 	"testing"
 
 	"redundancy/internal/plan"
 )
 
-// BenchmarkAppendJournalBatch measures the encode path shared by the
-// legacy batch journal and the group committer's commit window: the
-// whole batch is serialized into one pooled buffer and handed to the
-// writer as a single Write. Run with -benchmem; the pooled buffer keeps
-// the per-batch allocations down to encoding/json's own scratch.
-func BenchmarkAppendJournalBatch(b *testing.B) {
+// BenchmarkEncodeJournalRecords measures the committer's encode path: a
+// whole result batch serialized into one reused buffer. Run with
+// -benchmem; the reused buffer keeps the per-batch allocations down to
+// encoding/json's own scratch.
+func BenchmarkEncodeJournalRecords(b *testing.B) {
 	recs := make([]journalRecord, 16)
 	for i := range recs {
 		recs[i] = journalRecord{TaskID: i, Copy: i % 3, Participant: 7, Value: uint64(i) * 0x9e3779b9}
 	}
+	var buf bytes.Buffer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := appendJournalBatch(io.Discard, recs); err != nil {
+		buf.Reset()
+		if err := encodeJournalRecords(&buf, recs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -35,14 +36,13 @@ func BenchmarkAppendJournalBatch(b *testing.B) {
 func BenchmarkBatchPipeline(b *testing.B) {
 	const batch = 16
 	var (
-		sup      *Supervisor
-		cs       *connState
-		id       int
-		iters    int
-		remain   int
-		fn       WorkFunc
-		kindErr  error
-		leaseMsg = Message{Type: MsgGetWork, Batch: batch}
+		sup     *Supervisor
+		cs      *connState
+		id      int
+		iters   int
+		remain  int
+		fn      WorkFunc
+		kindErr error
 	)
 	reset := func() {
 		if sup != nil {
@@ -79,7 +79,6 @@ func BenchmarkBatchPipeline(b *testing.B) {
 	}
 	reset()
 	defer func() { sup.Close() }()
-	leaseMsg.ParticipantID = id
 	results := make([]ResultItem, 0, batch)
 
 	b.ReportAllocs()
@@ -88,10 +87,9 @@ func BenchmarkBatchPipeline(b *testing.B) {
 		if remain < batch {
 			b.StopTimer()
 			reset()
-			leaseMsg.ParticipantID = id
 			b.StartTimer()
 		}
-		lease := sup.assignBatch(leaseMsg, cs)
+		lease := sup.leaseBatch(id, batch, false, cs)
 		if lease.Type != MsgWorkBatch || len(lease.Work) == 0 {
 			b.Fatalf("lease: %+v", lease)
 		}
@@ -100,9 +98,8 @@ func BenchmarkBatchPipeline(b *testing.B) {
 		for _, w := range lease.Work {
 			results = append(results, ResultItem{TaskID: w.TaskID, Copy: w.Copy, Value: fn(w.Seed, iters)})
 		}
-		ack := sup.resultBatch(Message{Type: MsgResultBatch, ParticipantID: id, Results: results}, cs)
-		if ack.Type != MsgBatchAck {
-			b.Fatalf("ack: %+v", ack)
+		if acks := sup.resultBatch(id, results, cs); len(acks) != len(results) {
+			b.Fatalf("acks: %+v", acks)
 		}
 	}
 }

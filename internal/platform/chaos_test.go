@@ -63,9 +63,9 @@ func TestChaosSoak(t *testing.T) {
 	// A small workforce that never gives up: each goroutine re-enters
 	// RunWorker (fresh identity) whenever a run ends, until told to stop.
 	// Within a run, Reconnect-mode sessions resume the same identity.
-	// Three workers lease in batches of 16 and one speaks the legacy
-	// single-assignment protocol, so the soak also proves the two protocol
-	// generations share one supervisor under fire.
+	// Three workers lease in batches of 16 and one speaks the single-item
+	// verbs, so the soak also proves both verb pairs share the one lease
+	// path under fire.
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {

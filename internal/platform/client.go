@@ -60,11 +60,12 @@ type WorkerConfig struct {
 	// MaxAssignments, when positive, stops after that many completions
 	// (simulates a participant leaving).
 	MaxAssignments int
-	// BatchSize, when greater than 1, switches to batched leasing: each
+	// BatchSize, when greater than 1, selects the batch verbs: each
 	// get_work round trip leases up to BatchSize assignments (the
 	// supervisor caps the grant at its MaxBatch) and their values return
-	// in a single result_batch. 0 or 1 keeps the single-assignment
-	// protocol byte-for-byte; negative is rejected.
+	// in a single result_batch. 0 or 1 runs the same loop over the
+	// single-item verbs (request_work/result), one assignment per lease;
+	// negative is rejected.
 	BatchSize int
 	// Throttle adds a fixed delay per assignment (simulates slow hosts,
 	// and exercises the platform's asynchrony in tests).
@@ -135,10 +136,10 @@ type workerState struct {
 	stats WorkerStats
 	id    int    // participant ID, -1 before first registration
 	token uint64 // resume credential minted by the supervisor
-	// pending is a submitted result whose ack never arrived; it is
-	// resubmitted after the next resume so a crash between send and ack
+	// pending holds the submitted results whose ack never arrived; they
+	// are resubmitted after the next resume so a crash between send and ack
 	// cannot lose (or double-count) the work.
-	pending    *Message
+	pending    []ResultItem
 	progressed bool // session made progress; resets the failure counter
 }
 
@@ -321,7 +322,7 @@ func runSession(cfg WorkerConfig, wm *workerMetrics, st *workerState, dial func(
 	if welcome.Type == MsgError && welcome.Reason == ReasonResumeRefused && st.id >= 0 {
 		// The supervisor does not know us — typically it restarted and
 		// resume tokens are in-memory. Start over with a fresh identity;
-		// the pending result names an assignment that no longer exists.
+		// the pending results name assignments that no longer exist.
 		// (Refusals arrive in JSON: the codec only switches on a registered
 		// reply, so the fresh register below re-negotiates from scratch.)
 		st.id, st.token, st.pending = -1, 0, nil
@@ -346,157 +347,105 @@ func runSession(cfg WorkerConfig, wm *workerMetrics, st *workerState, dial func(
 	st.token = welcome.Token
 	st.stats.ParticipantID = st.id
 
-	// Resubmit the result whose ack never arrived. An ack means the crash
-	// hit between send and ack and the original submission was lost; an
-	// error means it landed (the duplicate is "unassigned") or the copy was
-	// reclaimed meanwhile — either way it is out of our hands now. A
-	// pending result_batch comes back as a batch_ack: the OK items were
-	// lost in the crash window and are credited now; rejected items landed
-	// the first time (duplicates read "unassigned") or were reclaimed.
-	if st.pending != nil {
-		resub := *st.pending
-		resub.ParticipantID = st.id
-		ack, err := roundTrip(resub)
-		if err != nil {
-			return err
+	// The verb pair: BatchSize selects which wire verbs carry a lease and
+	// its results; the loop below sees only the batch shapes.
+	single := cfg.BatchSize <= 1
+	var one [1]WorkItem
+	var oneAck [1]ResultAck
+	lease := func(n int) (Message, error) {
+		if !single {
+			return roundTrip(Message{Type: MsgGetWork, ParticipantID: st.id, Batch: n})
 		}
-		switch ack.Type {
-		case MsgAck:
-			st.pending = nil
-			st.stats.Completed++
-			wm.completed.Inc()
-			st.progressed = true
-		case MsgBatchAck:
-			st.pending = nil
-			for _, a := range ack.Acks {
-				if a.OK {
-					st.stats.Completed++
-					wm.completed.Inc()
-					st.progressed = true
-				}
-			}
-		case MsgError:
-			st.pending = nil
-		default:
-			return fmt.Errorf("platform: unexpected resubmission reply %q", ack.Type)
-		}
-	}
-
-	if cfg.BatchSize > 1 {
-		return batchLoop(cfg, wm, st, roundTrip, r)
-	}
-
-	for {
-		if cfg.MaxAssignments > 0 && st.stats.Completed >= cfg.MaxAssignments {
-			return nil
-		}
-		leaseStart := time.Now()
 		m, err := roundTrip(Message{Type: MsgRequestWork, ParticipantID: st.id})
-		if err != nil {
-			return err
+		if m.Type == MsgWork {
+			one[0] = WorkItem{TaskID: m.TaskID, Copy: m.Copy, Seed: m.Seed}
+			m = Message{Type: MsgWorkBatch, Kind: m.Kind, Iters: m.Iters, Work: one[:]}
 		}
-		if cfg.OnLeaseRTT != nil {
-			cfg.OnLeaseRTT(time.Since(leaseStart))
+		return m, err
+	}
+	submit := func(results []ResultItem) (Message, error) {
+		if !single {
+			return roundTrip(Message{Type: MsgResultBatch, ParticipantID: st.id, Results: results})
 		}
-		switch m.Type {
-		case MsgDone:
-			return nil
-		case MsgNoWork:
-			wm.noWork.Inc()
-			time.Sleep(noWorkDelay(m.Wait, r))
-			continue
-		case MsgError:
-			err := errors.New("platform: supervisor refused work: " + m.Error)
-			if m.Reason == ReasonBlacklisted {
-				return &terminalError{fmt.Errorf("%w: %v", ErrBlacklisted, err)}
-			}
-			return err
-		case MsgWork:
-			// fall through to execution below
-		default:
-			return fmt.Errorf("platform: unexpected reply %q", m.Type)
+		r := results[0]
+		m, err := roundTrip(Message{Type: MsgResult, ParticipantID: st.id,
+			TaskID: r.TaskID, Copy: r.Copy, Value: r.Value})
+		if m.Type == MsgAck || m.Type == MsgError {
+			oneAck[0] = ResultAck{TaskID: r.TaskID, Copy: r.Copy, OK: m.Type == MsgAck,
+				Reason: m.Reason, Error: m.Error}
+			m = Message{Type: MsgBatchAck, Acks: oneAck[:]}
 		}
+		return m, err
+	}
 
-		if cfg.Events != nil {
-			cfg.Events.Emit(EvAssignmentReceived, map[string]any{
-				"task": m.TaskID, "copy": m.Copy, "kind": m.Kind,
-			})
-		}
-		st.progressed = true
-		work, err := Work(m.Kind)
-		if err != nil {
-			// A corrupt frame can garble Kind; reconnecting gets the
-			// assignment re-issued intact, so this is not terminal.
-			return err
-		}
-		workDelay(cfg, r)
-		value := work(m.Seed, m.Iters)
-		cheated := false
-		if cfg.Cheat != nil {
-			if v := cfg.Cheat(m.TaskID, value); v != value {
-				value = v
-				cheated = true
-				st.stats.Cheated++
-				wm.cheats.Inc()
-			}
-		}
-		result := Message{
-			Type:          MsgResult,
-			ParticipantID: st.id,
-			TaskID:        m.TaskID,
-			Copy:          m.Copy,
-			Value:         value,
-		}
-		// Record the submission before sending: if the connection dies
-		// anywhere between here and the ack, the next session resubmits.
-		st.pending = &result
-		ack, err := roundTrip(result)
+	// Resubmit the results whose ack never arrived. An OK ack means the
+	// crash hit between send and ack and the original submission was lost;
+	// a rejection means it landed (the duplicate is "unassigned") or the
+	// copy was reclaimed meanwhile — either way it is out of our hands now.
+	if st.pending != nil {
+		ack, err := submit(st.pending)
 		if err != nil {
 			return err
 		}
-		if cfg.Events != nil {
-			cfg.Events.Emit(EvResultSubmitted, map[string]any{
-				"task": m.TaskID, "copy": m.Copy, "cheated": cheated,
-			})
-		}
-		switch ack.Type {
-		case MsgAck:
-			st.pending = nil
-			st.stats.Completed++
-			wm.completed.Inc()
-			st.progressed = true
-		case MsgError:
-			st.pending = nil
-			if !cfg.Reconnect {
-				return errors.New("platform: result rejected: " + ack.Error)
-			}
-			// Rejected (reclaimed under a deadline, or a supervisor restart
-			// forgot the assignment); the copy is someone else's now.
-		default:
-			return fmt.Errorf("platform: unexpected reply %q", ack.Type)
+		if err := settle(cfg, wm, st, ack); err != nil {
+			return err
 		}
 	}
+	return batchLoop(cfg, wm, st, lease, submit, r)
 }
 
-// batchLoop is the batched-leasing analogue of runSession's
-// single-assignment loop, used when BatchSize > 1: one get_work leases up
-// to BatchSize assignments, every item is executed locally, and the
-// values go back in a single result_batch — two round trips per lease
-// instead of two per assignment. The pending-result crash window covers
-// the whole batch: the result_batch Message is recorded before it is
-// sent, and resubmitted after a resume exactly like a single pending
-// result (runSession handles the batch_ack reply shape).
-func batchLoop(cfg WorkerConfig, wm *workerMetrics, st *workerState, roundTrip func(Message) (Message, error), r *rng.Source) error {
+// settle books the supervisor's verdict on the pending results: accepted
+// ones count as completed; a rejected one (reclaimed under a deadline, or
+// forgotten by a restarted supervisor — the copy is someone else's now)
+// ends the run unless the worker is in Reconnect mode, where such races
+// are expected. Either way the results are no longer pending.
+func settle(cfg WorkerConfig, wm *workerMetrics, st *workerState, ack Message) error {
+	switch ack.Type {
+	case MsgBatchAck:
+		if len(ack.Acks) != len(st.pending) {
+			return fmt.Errorf("platform: batch_ack carries %d acks for %d results", len(ack.Acks), len(st.pending))
+		}
+		st.pending = nil
+		for _, a := range ack.Acks {
+			if a.OK {
+				st.stats.Completed++
+				wm.completed.Inc()
+				st.progressed = true
+			} else if !cfg.Reconnect {
+				return errors.New("platform: result rejected: " + a.Error)
+			}
+		}
+	case MsgError:
+		st.pending = nil
+		if !cfg.Reconnect {
+			return errors.New("platform: result batch rejected: " + ack.Error)
+		}
+	default:
+		return fmt.Errorf("platform: unexpected reply %q", ack.Type)
+	}
+	return nil
+}
+
+// batchLoop is the worker's one lease/execute/submit loop: one lease of
+// up to BatchSize assignments, every item executed locally, and the values
+// submitted together — two round trips per lease. The pending-result crash
+// window covers the whole lease: the results are recorded before they are
+// sent, and resubmitted after a resume (runSession).
+func batchLoop(cfg WorkerConfig, wm *workerMetrics, st *workerState,
+	lease func(int) (Message, error), submit func([]ResultItem) (Message, error), r *rng.Source) error {
 	// Per-lease scratch, reused across iterations: every loop-continuing
-	// path clears st.pending first, so the previous iteration's batch no
-	// longer references the backing arrays when they are rewound. (A batch
-	// recorded in st.pending at the time of a session-ending error is a
-	// different story — but then this call has returned and its locals
-	// belong to that pending Message alone.)
+	// path clears st.pending first, so the previous iteration's results no
+	// longer alias the backing array when it is rewound. (Results recorded
+	// in st.pending at the time of a session-ending error are a different
+	// story — but then this call has returned and the array belongs to
+	// that pending slice alone.)
 	var results []ResultItem
 	var cheatedOn []bool
 	for {
 		want := cfg.BatchSize
+		if want < 1 {
+			want = 1
+		}
 		if cfg.MaxAssignments > 0 {
 			remaining := cfg.MaxAssignments - st.stats.Completed
 			if remaining <= 0 {
@@ -507,7 +456,7 @@ func batchLoop(cfg WorkerConfig, wm *workerMetrics, st *workerState, roundTrip f
 			}
 		}
 		leaseStart := time.Now()
-		m, err := roundTrip(Message{Type: MsgGetWork, ParticipantID: st.id, Batch: want})
+		m, err := lease(want)
 		if err != nil {
 			return err
 		}
@@ -564,12 +513,11 @@ func batchLoop(cfg WorkerConfig, wm *workerMetrics, st *workerState, roundTrip f
 			results = append(results, ResultItem{TaskID: item.TaskID, Copy: item.Copy, Value: value})
 			cheatedOn = append(cheatedOn, cheated)
 		}
-		batch := Message{Type: MsgResultBatch, ParticipantID: st.id, Results: results}
 		// Record the submission before sending: if the connection dies
-		// anywhere between here and the batch ack, the next session
-		// resubmits the whole batch.
-		st.pending = &batch
-		ack, err := roundTrip(batch)
+		// anywhere between here and the ack, the next session resubmits
+		// the whole lease.
+		st.pending = results
+		ack, err := submit(results)
 		if err != nil {
 			return err
 		}
@@ -580,33 +528,8 @@ func batchLoop(cfg WorkerConfig, wm *workerMetrics, st *workerState, roundTrip f
 				})
 			}
 		}
-		switch ack.Type {
-		case MsgBatchAck:
-			st.pending = nil
-			if len(ack.Acks) != len(results) {
-				return fmt.Errorf("platform: batch_ack carries %d acks for %d results", len(ack.Acks), len(results))
-			}
-			for _, a := range ack.Acks {
-				if a.OK {
-					st.stats.Completed++
-					wm.completed.Inc()
-					st.progressed = true
-					continue
-				}
-				if !cfg.Reconnect {
-					return errors.New("platform: result rejected: " + a.Error)
-				}
-				// Rejected (reclaimed under a deadline, or a supervisor
-				// restart forgot the assignment); the copy is someone
-				// else's now.
-			}
-		case MsgError:
-			st.pending = nil
-			if !cfg.Reconnect {
-				return errors.New("platform: result batch rejected: " + ack.Error)
-			}
-		default:
-			return fmt.Errorf("platform: unexpected reply %q", ack.Type)
+		if err := settle(cfg, wm, st, ack); err != nil {
+			return err
 		}
 	}
 }

@@ -44,14 +44,13 @@ type ClusterConfig struct {
 	// <dir>/shard-<i>.jnl; KillShard/RestoreShard then support
 	// crash-recovery with byte-identical replay. Empty disables journals.
 	JournalDir string
-	// JournalSync, GroupCommit, and CommitLatency configure each shard's
-	// journal exactly as on SupervisorConfig. Per-shard journals are
-	// independent commit streams: a cluster of N shards sustains N
-	// concurrent commits where a single supervisor serializes them, which
-	// is what the platformbench -shards sweep measures when CommitLatency
-	// models a slow durable store.
+	// JournalSync and CommitLatency configure each shard's journal exactly
+	// as on SupervisorConfig. Per-shard journals are independent commit
+	// streams: a cluster of N shards sustains N concurrent commits where a
+	// single supervisor serializes them, which is what the platformbench
+	// -shards sweep measures when CommitLatency models a slow durable
+	// store.
 	JournalSync   bool
-	GroupCommit   bool
 	CommitLatency time.Duration
 	// Metrics, when non-nil, is shared by every shard: registration is
 	// idempotent, so the unlabeled supervisor families aggregate
@@ -198,7 +197,6 @@ func (c *Cluster) startShard(i int, restore io.Reader) error {
 		Deadline:      c.cfg.Deadline,
 		IOTimeout:     c.cfg.IOTimeout,
 		JournalSync:   c.cfg.JournalSync,
-		GroupCommit:   c.cfg.GroupCommit,
 		CommitLatency: c.cfg.CommitLatency,
 		Metrics:       c.reg,
 		Restore:       restore,

@@ -109,54 +109,48 @@ func TestClusterConfigValidation(t *testing.T) {
 }
 
 // TestCommitLatencyPacesCommits runs a tiny 2-shard cluster against a
-// modeled slow durable store (the platformbench -shards regime) on both
-// journal paths — inline appends and the group committer — and checks
+// modeled slow durable store (the platformbench -shards regime) and checks
 // the model holds the floor it promises: a shard that adjudicated its
-// subset must have spent at least one modeled commit's worth of wall
-// time per journal batch it wrote, and the run still certifies
-// everything exactly once.
+// subset must have spent at least one modeled commit's worth of wall time,
+// and the run still certifies everything exactly once.
 func TestCommitLatencyPacesCommits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paced commits; skipping in -short")
 	}
-	for _, groupCommit := range []bool{false, true} {
-		p := mustClusterPlan(t, 30)
-		const lat = 2 * time.Millisecond
-		c, err := NewCluster(ClusterConfig{
-			Plan: p, Shards: 2, WorkKind: "hashchain", Iters: 5, MaxBatch: 8,
-			JournalDir: t.TempDir(), CommitLatency: lat, GroupCommit: groupCommit,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		var wg sync.WaitGroup
-		for i := 0; i < 4; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				RunShardedWorker(WorkerConfig{
-					Name: fmt.Sprintf("lat-%d-%v", i, groupCommit), BatchSize: 8, Seed: uint64(i + 1),
-				}, c.ShardMap)
-			}(i)
-		}
-		c.Wait()
-		wg.Wait()
-		elapsed := time.Since(start)
-		merged := c.Aggregate()
-		if merged.Tasks != len(p.Tasks()) {
-			t.Errorf("groupCommit=%v: adjudicated %d tasks, want %d", groupCommit, merged.Tasks, len(p.Tasks()))
-		}
-		// The slowest shard's commit count floors the wall time. Commits
-		// per shard is at least ceil(assignments/MaxBatch) on the inline
-		// path; the group committer can coalesce concurrent batches, so
-		// only one window is guaranteed. Use the weakest common floor.
-		if elapsed < lat {
-			t.Errorf("groupCommit=%v: run finished in %v, below a single %v commit", groupCommit, elapsed, lat)
-		}
-		if err := c.Close(); err != nil {
-			t.Errorf("groupCommit=%v: Close: %v", groupCommit, err)
-		}
+	p := mustClusterPlan(t, 30)
+	const lat = 2 * time.Millisecond
+	c, err := NewCluster(ClusterConfig{
+		Plan: p, Shards: 2, WorkKind: "hashchain", Iters: 5, MaxBatch: 8,
+		JournalDir: t.TempDir(), CommitLatency: lat,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			RunShardedWorker(WorkerConfig{
+				Name: fmt.Sprintf("lat-%d", i), BatchSize: 8, Seed: uint64(i + 1),
+			}, c.ShardMap)
+		}(i)
+	}
+	c.Wait()
+	wg.Wait()
+	elapsed := time.Since(start)
+	merged := c.Aggregate()
+	if merged.Tasks != len(p.Tasks()) {
+		t.Errorf("adjudicated %d tasks, want %d", merged.Tasks, len(p.Tasks()))
+	}
+	// The committer can coalesce concurrent batches, so only one window
+	// per shard is guaranteed to floor the wall time.
+	if elapsed < lat {
+		t.Errorf("run finished in %v, below a single %v commit", elapsed, lat)
+	}
+	if err := c.Close(); err != nil {
+		t.Errorf("Close: %v", err)
 	}
 }
 
@@ -264,7 +258,7 @@ func TestShardChaosSoak(t *testing.T) {
 	dir := t.TempDir()
 	c, err := NewCluster(ClusterConfig{
 		Plan: p, Shards: 3, Seed: 11, WorkKind: "hashchain", Iters: 10,
-		JournalDir: dir, JournalSync: true, GroupCommit: true,
+		JournalDir: dir, JournalSync: true,
 		Deadline: 2 * time.Second, Metrics: reg,
 	})
 	if err != nil {

@@ -167,81 +167,76 @@ func dialAndTakeOneAssignment(t *testing.T, addr string) interface{ Close() erro
 }
 
 func TestResolveMismatchesSalvagesResults(t *testing.T) {
-	// Simple redundancy + one cheater out of two workers: mismatches
+	// Simple redundancy + one cheater out of two participants, driven in a
+	// fixed order so each provably holds copies of shared tasks: mismatches
 	// abound. With ResolveMismatches on, every disputed task ends with the
 	// supervisor's own correct value.
-	p, err := plan.FromDistribution(dist.Simple(40), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sup, err := NewSupervisor(SupervisorConfig{
-		Plan:              p,
-		WorkKind:          "hashchain",
-		Iters:             10,
-		ResolveMismatches: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := sup.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sup.Close() })
+	for _, v := range bothVerbs {
+		t.Run(string(v), func(t *testing.T) {
+			p, err := plan.FromDistribution(dist.Simple(40), 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sup, err := NewSupervisor(SupervisorConfig{
+				Plan:              p,
+				WorkKind:          "hashchain",
+				Iters:             10,
+				ResolveMismatches: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr, err := sup.Start("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { sup.Close() })
 
-	coal := NewCoalition(0.5, 11) // cheat on about half the tasks
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		var cheat CheatFunc
-		if w == 0 {
-			cheat = coal.CheatFunc()
-		}
-		go func(cheat CheatFunc) {
-			defer wg.Done()
-			_, _ = RunWorker(WorkerConfig{Addr: addr, Name: "w", Cheat: cheat})
-		}(cheat)
-	}
-	wg.Wait()
-	sup.Wait()
+			coal := NewCoalition(0.5, 11) // cheat on about half the tasks
+			driveRoundRobin(t, v, addr, 3, coal.CheatFunc(), nil)
+			sup.Wait()
 
-	sum := sup.Summary()
-	if sum.Verify.MismatchDetected == 0 {
-		t.Fatal("expected mismatches with a half-cheating worker")
-	}
-	if sum.Resolved == 0 {
-		t.Fatal("no disputes resolved despite ResolveMismatches")
-	}
-	// Every task must end with a certified value. Wrong values can survive
-	// only as unanimous lies — tasks whose two copies both landed on the
-	// cheating worker (the paper's core vulnerability; resolution cannot
-	// see them because there is no mismatch). Everything disputed must
-	// have been recomputed to the true value.
-	work, _ := Work("hashchain")
-	wrong := 0
-	for task := 0; task < 40; task++ {
-		v, ok := sup.CertifiedValue(task)
-		if !ok {
-			t.Errorf("task %d has no certified value", task)
-			continue
-		}
-		if v != work(TaskSeed(task), 10) {
-			wrong++
-		}
-	}
-	if wrong != sum.WrongResults {
-		t.Errorf("found %d wrong certified values, summary says %d", wrong, sum.WrongResults)
-	}
-	// The resolution count must cover every non-ringer mismatch.
-	if sum.Resolved != sum.Verify.MismatchDetected-sum.Verify.RingersCaught {
-		t.Errorf("resolved %d of %d disputed tasks",
-			sum.Resolved, sum.Verify.MismatchDetected-sum.Verify.RingersCaught)
+			sum := sup.Summary()
+			if sum.Verify.MismatchDetected == 0 {
+				t.Fatal("expected mismatches with a half-cheating participant")
+			}
+			if sum.Resolved == 0 {
+				t.Fatal("no disputes resolved despite ResolveMismatches")
+			}
+			// Every task must end with a certified value. Wrong values can
+			// survive only as unanimous lies — tasks whose two copies both
+			// landed on the cheater (the paper's core vulnerability;
+			// resolution cannot see them because there is no mismatch).
+			// Everything disputed must have been recomputed to the true
+			// value.
+			work, _ := Work("hashchain")
+			wrong := 0
+			for task := 0; task < 40; task++ {
+				v, ok := sup.CertifiedValue(task)
+				if !ok {
+					t.Errorf("task %d has no certified value", task)
+					continue
+				}
+				if v != work(TaskSeed(task), 10) {
+					wrong++
+				}
+			}
+			if wrong != sum.WrongResults {
+				t.Errorf("found %d wrong certified values, summary says %d", wrong, sum.WrongResults)
+			}
+			// The resolution count must cover every non-ringer mismatch.
+			if sum.Resolved != sum.Verify.MismatchDetected-sum.Verify.RingersCaught {
+				t.Errorf("resolved %d of %d disputed tasks",
+					sum.Resolved, sum.Verify.MismatchDetected-sum.Verify.RingersCaught)
+			}
+		})
 	}
 }
 
-// TestQuantizedMatchingOnPlatform runs the float workload with a worker
-// that perturbs results below the quantization threshold: exact matching
-// flags false mismatches, quantized matching certifies everything.
+// TestQuantizedMatchingOnPlatform runs the float workload with a
+// participant that perturbs results below the quantization threshold:
+// exact matching flags false mismatches, quantized matching certifies
+// everything.
 func TestQuantizedMatchingOnPlatform(t *testing.T) {
 	// Perturb the float64 result in its last few mantissa bits: well below
 	// 6 significant decimal digits.
@@ -249,7 +244,7 @@ func TestQuantizedMatchingOnPlatform(t *testing.T) {
 		f := math.Float64frombits(honest)
 		return math.Float64bits(f * (1 + 1e-12))
 	}
-	run := func(digits int) Summary {
+	run := func(t *testing.T, v verbs, digits int) Summary {
 		p, err := plan.FromDistribution(dist.Simple(40), 0.5)
 		if err != nil {
 			t.Fatal(err)
@@ -264,36 +259,28 @@ func TestQuantizedMatchingOnPlatform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sup.Close()
-		var wg sync.WaitGroup
-		for w := 0; w < 2; w++ {
-			wg.Add(1)
-			var cheat CheatFunc
-			if w == 1 {
-				cheat = noise // a "noisy FPU" host, not a cheater
-			}
-			go func(cheat CheatFunc) {
-				defer wg.Done()
-				_, _ = RunWorker(WorkerConfig{Addr: addr, Name: "w", Cheat: cheat})
-			}(cheat)
-		}
-		wg.Wait()
+		t.Cleanup(func() { sup.Close() }) // after the raw connections close
+		// The second participant is a "noisy FPU" host, not a cheater.
+		driveRoundRobin(t, v, addr, 3, nil, noise)
 		sup.Wait()
 		return sup.Summary()
 	}
-
-	exact := run(0)
-	if exact.Verify.MismatchDetected == 0 {
-		t.Error("exact matching should flag the noisy host's results")
-	}
-	quant := run(6)
-	if quant.Verify.MismatchDetected != 0 {
-		t.Errorf("quantized matching flagged %d false mismatches", quant.Verify.MismatchDetected)
-	}
-	if quant.Verify.Accepted != 40 {
-		t.Errorf("certified %d of 40 tasks", quant.Verify.Accepted)
-	}
-	if quant.WrongResults != 0 {
-		t.Errorf("%d results misreported as wrong despite tolerance", quant.WrongResults)
+	for _, v := range bothVerbs {
+		t.Run(string(v), func(t *testing.T) {
+			exact := run(t, v, 0)
+			if exact.Verify.MismatchDetected == 0 {
+				t.Error("exact matching should flag the noisy host's results")
+			}
+			quant := run(t, v, 6)
+			if quant.Verify.MismatchDetected != 0 {
+				t.Errorf("quantized matching flagged %d false mismatches", quant.Verify.MismatchDetected)
+			}
+			if quant.Verify.Accepted != 40 {
+				t.Errorf("certified %d of 40 tasks", quant.Verify.Accepted)
+			}
+			if quant.WrongResults != 0 {
+				t.Errorf("%d results misreported as wrong despite tolerance", quant.WrongResults)
+			}
+		})
 	}
 }

@@ -2,7 +2,6 @@ package platform
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"sync"
 	"time"
@@ -19,16 +18,16 @@ type commitReq struct {
 	done chan error
 }
 
-// journalCommitter is the group-commit engine (SupervisorConfig.
-// GroupCommit): a single goroutine that drains every commit request
-// queued while the previous window's write+fsync was in flight, encodes
-// them into one contiguous buffer, writes it with one Write call (so a
-// crash can tear only the buffer's tail — the damage replay already
-// tolerates), fsyncs once (JournalSync mode), and only then releases
-// every requester. Ack-after-fsync therefore holds per window: a result
-// is acked only after the fsync covering its record returned. The window
-// is adaptive with zero added latency — an uncontended request commits
-// alone immediately; windows grow exactly when fsync is the bottleneck.
+// journalCommitter is the one path result records take to the journal: a
+// single goroutine that drains every commit request queued while the
+// previous window's write+fsync was in flight, encodes them into one
+// contiguous buffer, writes it with one Write call (so a crash can tear
+// only the buffer's tail — the damage replay already tolerates), fsyncs
+// once (JournalSync mode), and only then releases every requester.
+// Ack-after-fsync therefore holds per window: a result is acked only after
+// the fsync covering its record returned. The window is adaptive with zero
+// added latency — an uncontended request commits alone immediately;
+// windows grow exactly when fsync is the bottleneck.
 type journalCommitter struct {
 	s    *Supervisor
 	reqs chan commitReq
@@ -76,23 +75,16 @@ func (c *journalCommitter) loop() {
 	for {
 		select {
 		case req := <-c.reqs:
-			batch = append(batch[:0], req)
-			c.gather(&batch)
+			batch = c.gather(append(batch[:0], req))
 			c.commitWindow(batch)
 		case <-c.quit:
 			// Drain what the handlers already queued; supervisor teardown
 			// only closes the committer after every connection goroutine
 			// has exited, so nothing new can arrive.
-			for {
-				select {
-				case req := <-c.reqs:
-					batch = append(batch[:0], req)
-					c.gather(&batch)
-					c.commitWindow(batch)
-				default:
-					return
-				}
+			if batch = c.gather(batch[:0]); len(batch) > 0 {
+				c.commitWindow(batch)
 			}
+			return
 		}
 	}
 }
@@ -100,13 +92,13 @@ func (c *journalCommitter) loop() {
 // gather extends the window with every request already queued — no timer,
 // no configured window size: the window is exactly the set of batches
 // that arrived while the previous write+fsync was in flight.
-func (c *journalCommitter) gather(batch *[]commitReq) {
+func (c *journalCommitter) gather(batch []commitReq) []commitReq {
 	for {
 		select {
 		case req := <-c.reqs:
-			*batch = append(*batch, req)
+			batch = append(batch, req)
 		default:
-			return
+			return batch
 		}
 	}
 }
@@ -116,17 +108,13 @@ func (c *journalCommitter) commitWindow(batch []commitReq) {
 	s := c.s
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	enc := json.NewEncoder(buf)
 	n := 0
 	var err error
-encode:
 	for _, req := range batch {
-		for _, rec := range req.recs {
-			if err = enc.Encode(rec); err != nil {
-				break encode
-			}
-			n++
+		if err = encodeJournalRecords(buf, req.recs); err != nil {
+			break
 		}
+		n += len(req.recs)
 	}
 	if err == nil {
 		s.jnlMu.Lock()
@@ -143,9 +131,9 @@ encode:
 			s.syncJournal()
 		}
 		if s.cfg.CommitLatency > 0 {
-			// Modeled device latency, paid once per window: group commit
-			// amortizes it across the window's records exactly as it
-			// amortizes a real fsync.
+			// Modeled device latency, paid once per window: the window
+			// amortizes it across its records exactly as it amortizes a
+			// real fsync.
 			time.Sleep(s.cfg.CommitLatency)
 		}
 		s.metrics.journalGroupCommits.Inc()

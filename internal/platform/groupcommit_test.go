@@ -80,20 +80,27 @@ func (w *cacheSimWriter) Snapshot() []byte {
 	return append([]byte(nil), w.all[:w.durableLen]...)
 }
 
-// TestGroupCommitCrashBetweenWriteAndFsync pins down the group committer's
-// durability contract at the most dangerous instant: the commit window's
-// bytes are written but the fsync has not returned. Two things must hold
-// there. First, no ack may have been released — a client that saw an ack
-// for a result the crash then ate would violate ack-after-fsync. Second,
-// a crash in that window loses only unacked results: the durable image
-// restores cleanly, and once the fsync completes and the ack is released,
-// the durable image contains every acked record with no torn tail.
-func TestGroupCommitCrashBetweenWriteAndFsync(t *testing.T) {
+// TestCommitCrashBetweenWriteAndFsync pins down the committer's durability
+// contract at the most dangerous instant: the commit window's bytes are
+// written but the fsync has not returned. Two things must hold there.
+// First, no ack may have been released — a client that saw an ack for a
+// result the crash then ate would violate ack-after-fsync. Second, a crash
+// in that window loses only unacked results: the durable image restores
+// cleanly, and once the fsync completes and the ack is released, the
+// durable image contains every acked record with no torn tail. Both verb
+// pairs commit through the same window, so both are held to it.
+func TestCommitCrashBetweenWriteAndFsync(t *testing.T) {
+	for _, v := range bothVerbs {
+		t.Run(string(v), func(t *testing.T) { testCommitCrashWindow(t, v) })
+	}
+}
+
+func testCommitCrashWindow(t *testing.T, v verbs) {
 	p := mustPlan(t)
 	w := &cacheSimWriter{}
 	sup, err := NewSupervisor(SupervisorConfig{
 		Plan: p, WorkKind: "hashchain", Iters: 5, Seed: 3,
-		Journal: w, JournalSync: true, GroupCommit: true,
+		Journal: w, JournalSync: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,42 +114,34 @@ func TestGroupCommitCrashBetweenWriteAndFsync(t *testing.T) {
 
 	_, c := dialCodec(t, addr)
 	welcome := roundTrip(t, c, Message{Type: MsgRegister, Name: "crashprobe"})
-	lease := roundTrip(t, c, Message{Type: MsgGetWork, ParticipantID: welcome.ParticipantID, Batch: 4})
+	lease := v.lease(t, c, welcome.ParticipantID, 4)
 	if lease.Type != MsgWorkBatch || len(lease.Work) == 0 {
 		t.Fatalf("lease reply %+v", lease)
 	}
-	fn, err := Work(lease.Kind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := make([]ResultItem, 0, len(lease.Work))
-	for _, item := range lease.Work {
-		results = append(results, ResultItem{TaskID: item.TaskID, Copy: item.Copy, Value: fn(item.Seed, lease.Iters)})
-	}
+	results := answer(t, lease, nil)
 
-	// Freeze the disk, submit the batch, and wait until the committer is
+	// Freeze the disk, submit the lease, and wait until the committer is
 	// provably inside the write→fsync window.
 	entered := w.block()
-	if err := c.Send(Message{Type: MsgResultBatch, ParticipantID: welcome.ParticipantID, Results: results}); err != nil {
-		t.Fatal(err)
-	}
-	ackCh := make(chan Message, 1)
+	ackCh := make(chan []ResultAck, 1)
 	go func() {
-		if reply, err := c.Recv(); err == nil {
-			ackCh <- reply
+		acks, err := v.trySubmit(c, welcome.ParticipantID, results)
+		if err != nil {
+			t.Error(err)
 		}
+		ackCh <- acks
 	}()
 	select {
 	case <-entered:
 	case <-time.After(5 * time.Second):
-		t.Fatal("committer never reached Sync for the submitted batch")
+		t.Fatal("committer never reached Sync for the submitted results")
 	}
 
 	// In the window: the records are written (volatile) but not durable,
 	// and the client must still be waiting — an ack here would be a lie.
 	select {
-	case ack := <-ackCh:
-		t.Fatalf("ack %+v released before fsync completed", ack)
+	case acks := <-ackCh:
+		t.Fatalf("acks %+v released before fsync completed", acks)
 	case <-time.After(300 * time.Millisecond):
 	}
 
@@ -165,19 +164,16 @@ func TestGroupCommitCrashBetweenWriteAndFsync(t *testing.T) {
 			sup2.RestoredJournalBytes(), len(crashed))
 	}
 
-	// Let the fsync finish; the ack must now arrive with every result
+	// Let the fsync finish; the acks must now arrive with every result
 	// accepted, and the post-ack durable image must restore all of them.
 	w.unblock()
-	var ack Message
+	var acks []ResultAck
 	select {
-	case ack = <-ackCh:
+	case acks = <-ackCh:
 	case <-time.After(5 * time.Second):
 		t.Fatal("no ack after fsync completed")
 	}
-	if ack.Type != MsgBatchAck || len(ack.Acks) != len(results) {
-		t.Fatalf("batch ack %+v", ack)
-	}
-	for _, a := range ack.Acks {
+	for _, a := range acks {
 		if !a.OK {
 			t.Errorf("task %d copy %d refused: %s", a.TaskID, a.Copy, a.Reason)
 		}
@@ -200,8 +196,8 @@ func TestGroupCommitCrashBetweenWriteAndFsync(t *testing.T) {
 }
 
 // TestGroupCommitManyWorkerSoak is the scale companion to TestChaosSoak:
-// 32 concurrent batched workers hammer one supervisor in GroupCommit +
-// JournalSync mode through a fault injector, and the run must end with
+// 32 concurrent batched workers hammer one supervisor in JournalSync mode
+// through a fault injector, and the run must end with
 // exact accounting — every assignment credited exactly once — while the
 // journal the committer wrote coalesced (group commits observed, windows
 // averaging more than one record) and replays byte-for-byte: the full
@@ -230,7 +226,7 @@ func TestGroupCommitManyWorkerSoak(t *testing.T) {
 	reg := obs.NewRegistry()
 	sup, err := NewSupervisor(SupervisorConfig{
 		Plan: p, WorkKind: "hashchain", Iters: 10, Seed: 5,
-		Journal: jf, JournalSync: true, GroupCommit: true,
+		Journal: jf, JournalSync: true,
 		IOTimeout: 2 * time.Second, Deadline: 2 * time.Second,
 		WrapListener: inj.Listener, Metrics: reg,
 	})
@@ -294,7 +290,7 @@ func TestGroupCommitManyWorkerSoak(t *testing.T) {
 	snap := reg.Snapshot()
 	commits, _ := snap.Value("redundancy_journal_group_commits_total")
 	if commits == 0 {
-		t.Error("journal_group_commits_total = 0: traffic did not take the group-commit path")
+		t.Error("journal_group_commits_total = 0: no commit window was recorded")
 	}
 	if recs, _ := snap.Value("redundancy_journal_records_total"); int(recs) != p.TotalAssignments() {
 		t.Errorf("journaled %v records, want %d", recs, p.TotalAssignments())

@@ -99,10 +99,20 @@ type journalLine struct {
 // this list, so adding a kind without documenting it fails the build.
 var journalRecordKinds = []string{"result", "revision", "snapshot"}
 
-// appendJournal writes one record; callers hold the supervisor's journal
-// lock so records are totally ordered.
-func appendJournal(w io.Writer, rec journalRecord) error {
-	return json.NewEncoder(w).Encode(rec)
+// encodeJournalRecords appends recs to buf, one JSON line each — the one
+// result-record encoder. The committer writes the buffer with a single
+// Write call, which matters for crash safety: a partial write of one
+// contiguous buffer can only truncate it, so at most the final record is
+// torn — exactly the damage replayJournal tolerates — and interleaved
+// interior corruption is impossible.
+func encodeJournalRecords(buf *bytes.Buffer, recs []journalRecord) error {
+	enc := json.NewEncoder(buf)
+	for i := range recs {
+		if err := enc.Encode(&recs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // appendJournalRevision writes one revision record. Callers hold the
@@ -111,29 +121,6 @@ func appendJournalRevision(w io.Writer, rec revisionRecord) error {
 	return json.NewEncoder(w).Encode(struct {
 		Revision *revisionRecord `json:"revision"`
 	}{&rec})
-}
-
-// appendJournalBatch writes a whole result batch's records with a single
-// Write call. Encoding into one buffer first matters for crash safety: a
-// partial write of one contiguous buffer can only truncate it, so at most
-// the final record is torn — exactly the damage replayJournal already
-// tolerates — and interleaved interior corruption is impossible. Callers
-// hold the supervisor's journal lock so batches are totally ordered. The
-// encode buffer is pooled: batch journaling is the hot path's only
-// remaining per-request buffer, and recycling it keeps the write side
-// allocation-free at steady state.
-func appendJournalBatch(w io.Writer, recs []journalRecord) error {
-	buf := bufPool.Get().(*bytes.Buffer)
-	defer bufPool.Put(buf)
-	buf.Reset()
-	enc := json.NewEncoder(buf)
-	for _, rec := range recs {
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
 }
 
 // appendJournalSnapshot encodes one snapshot record as a journal line
@@ -292,16 +279,27 @@ type replayTornError struct{ err error }
 
 func (e replayTornError) Error() string { return e.err.Error() }
 
-// supReplayer adapts a Supervisor to journalReplayer.
-type supReplayer struct{ s *Supervisor }
+// supReplayer adapts a Supervisor to journalReplayer. Under the Free
+// policy it defers the queue half of each replayed result: MarkCompleted
+// scans the ready pool per record, which made restore quadratic, so the
+// replayed copies are collected and taken out of the pool in one
+// MarkCompletedBulk pass per flush. ready indexes the pool for that — false
+// while a copy is still queued, true once its record has replayed and it
+// awaits the flush — so an unknown or duplicate record is still refused at
+// its own line. The holdback policies release copies on completion and
+// keep the per-record call.
+type supReplayer struct {
+	s        *Supervisor
+	ready    map[sched.Assignment]bool
+	deferred int
+}
 
-func (r supReplayer) replayResult(a sched.Assignment, participant int, value uint64) error {
-	s := r.s
-	if !s.lease.queue.MarkCompleted(a) {
+func (r *supReplayer) replayResult(a sched.Assignment, participant int, value uint64) error {
+	if !r.markCompleted(a) {
 		return replayTornError{fmt.Errorf("platform: journal replays unknown assignment task=%d copy=%d",
 			a.TaskID, a.Copy)}
 	}
-	if _, _, err := s.audit.collector.Submit(verify.Result{
+	if _, _, err := r.s.audit.collector.Submit(verify.Result{
 		Assignment:  a,
 		Participant: participant,
 		Value:       value,
@@ -311,8 +309,51 @@ func (r supReplayer) replayResult(a sched.Assignment, participant int, value uin
 	return nil
 }
 
-func (r supReplayer) replayRevision(rec revisionRecord) error {
+// markCompleted takes a out of the queue, now or at the next flush, and
+// reports whether it was there to take.
+func (r *supReplayer) markCompleted(a sched.Assignment) bool {
+	q := r.s.lease.queue
+	if r.s.cfg.Policy != sched.Free {
+		return q.MarkCompleted(a)
+	}
+	if r.ready == nil {
+		r.ready = make(map[sched.Assignment]bool, q.Total()-q.Issued())
+		// A pass that completes nothing: the predicate only records the pool.
+		q.MarkCompletedBulk(func(a sched.Assignment) bool {
+			r.ready[a] = false
+			return false
+		})
+	}
+	if done, queued := r.ready[a]; !queued || done {
+		return false
+	}
+	r.ready[a] = true
+	r.deferred++
+	return true
+}
+
+// flush completes the deferred copies in the queue. It runs before a
+// revision applies (the revision reads EverIssued and appends to the pool,
+// so the index is dropped and rebuilt after it) and at the end of replay.
+func (r *supReplayer) flush() error {
+	if r.deferred > 0 {
+		n, err := r.s.lease.queue.MarkCompletedBulk(func(a sched.Assignment) bool { return r.ready[a] })
+		if err != nil {
+			return err
+		}
+		if n != r.deferred {
+			return fmt.Errorf("platform: journal replay completed %d of %d queued copies", n, r.deferred)
+		}
+	}
+	r.ready, r.deferred = nil, 0
+	return nil
+}
+
+func (r *supReplayer) replayRevision(rec revisionRecord) error {
 	s := r.s
+	if err := r.flush(); err != nil {
+		return err
+	}
 	if rec.Seq != s.audit.revApplied {
 		return fmt.Errorf("revision sequence %d out of order (want %d)", rec.Seq, s.audit.revApplied)
 	}

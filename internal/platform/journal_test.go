@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"redundancy/internal/dist"
 	"redundancy/internal/plan"
@@ -193,5 +194,38 @@ func TestJournalReplayCorruption(t *testing.T) {
 				t.Errorf("valid prefix %d bytes, want %d", got, tc.valid)
 			}
 		})
+	}
+}
+
+// TestRestoreScalesLinearly: replaying a journal costs a bounded amount per
+// record however large the plan. Four times the records may take up to
+// eight times as long; a per-record scan of the ready pool (what restore
+// did before it completed replayed copies in bulk) takes sixteen.
+func TestRestoreScalesLinearly(t *testing.T) {
+	restore := func(tasks int) time.Duration {
+		journal := syntheticJournal(tasks, 0).Bytes()
+		best := time.Duration(-1)
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			sup, err := NewSupervisor(SupervisorConfig{
+				Plan: simplePlan(t, float64(tasks)), Iters: 5, Restore: bytes.NewReader(journal),
+			})
+			d := time.Since(start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sup.restored != 2*tasks || !sup.lease.queue.Done() {
+				t.Fatalf("restored %d of %d results, queue done=%v", sup.restored, 2*tasks, sup.lease.queue.Done())
+			}
+			if best < 0 || d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	small, large := restore(5000), restore(20000)
+	t.Logf("restore: 10k records %v, 40k records %v (x%.1f)", small, large, float64(large)/float64(small))
+	if large > 8*small {
+		t.Errorf("restoring 4x the records took %v, more than 8x the %v of the small journal", large, small)
 	}
 }

@@ -55,9 +55,8 @@ type supMetrics struct {
 	journalSyncs      *obs.Counter
 	turnaround        *obs.HistogramVec // worker
 
-	batchesIssued       *obs.Counter
-	batchSize           *obs.Histogram
-	batchedJournalSyncs *obs.Counter
+	batchesIssued *obs.Counter
+	batchSize     *obs.Histogram
 
 	journalGroupCommits *obs.Counter
 	journalCommitBatch  *obs.Histogram
@@ -155,19 +154,17 @@ func newSupMetrics(r *obs.Registry) *supMetrics {
 			"Seconds from issuing an assignment to accepting its result, per worker name.",
 			obs.DefBuckets, "worker"),
 		batchesIssued: r.Counter("redundancy_batches_issued_total",
-			"Non-empty work_batch leases issued in reply to get_work requests."),
+			"Non-empty leases issued (a request_work is served as a lease of one)."),
 		batchSize: r.Histogram("redundancy_batch_size",
-			"Assignments per issued work_batch lease (re-issues included).",
+			"Assignments per issued lease (re-issues included).",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128}),
-		batchedJournalSyncs: r.Counter("redundancy_batched_journal_syncs_total",
-			"Journal fsyncs amortized over a whole result_batch (one per batch, not per record)."),
 		journalGroupCommits: r.Counter("redundancy_journal_group_commits_total",
-			"Commit windows flushed by the group-commit journal goroutine (one buffered write and at most one fsync each)."),
+			"Commit windows flushed by the journal committer (one buffered write and at most one fsync each)."),
 		journalCommitBatch: r.Histogram("redundancy_journal_commit_batch_size",
-			"Journal records made durable per group-commit window (windows grow only while fsync is the bottleneck).",
+			"Journal records made durable per commit window (windows grow only while fsync is the bottleneck).",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128}),
 		leaseWait: r.Histogram("redundancy_lease_wait_seconds",
-			"Seconds a get_work request spent inside the supervisor before its lease (or no_work verdict) was returned, empty-queue parking included.",
+			"Seconds a work request spent inside the supervisor before its lease (or no_work verdict) was returned, empty-queue parking included.",
 			[]float64{0.00001, 0.0001, 0.001, 0.01, 0.1, 1, 10}),
 		adaptPHat: r.Gauge("redundancy_adapt_phat",
 			"Adaptive estimator's point estimate p̂ of the adversary's assignment share (0 until evidence arrives)."),

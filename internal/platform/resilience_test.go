@@ -95,6 +95,144 @@ func roundTrip(t *testing.T, c *Codec, m Message) Message {
 	return reply
 }
 
+// verbs names the wire verb pair a hand-driven participant speaks — the
+// table input that runs one test body over both edges of the lease core.
+// lease and submit hide the reply shapes, so the body reads the same.
+type verbs string
+
+const (
+	batchVerbs  verbs = "batch-verbs"  // get_work / result_batch
+	singleVerbs verbs = "single-verbs" // request_work / result
+)
+
+var bothVerbs = []verbs{batchVerbs, singleVerbs}
+
+// lease asks for up to n assignments (request_work has no size: one).
+// A work reply comes back as the one-item work_batch it is served as;
+// every other reply is returned as received.
+func (v verbs) lease(t *testing.T, c *Codec, id, n int) Message {
+	t.Helper()
+	if v == batchVerbs {
+		return roundTrip(t, c, Message{Type: MsgGetWork, ParticipantID: id, Batch: n})
+	}
+	m := roundTrip(t, c, Message{Type: MsgRequestWork, ParticipantID: id})
+	if m.Type == MsgWork {
+		m = Message{Type: MsgWorkBatch, Kind: m.Kind, Iters: m.Iters,
+			Work: []WorkItem{{TaskID: m.TaskID, Copy: m.Copy, Seed: m.Seed}}}
+	}
+	return m
+}
+
+// submit returns results — one result_batch, or one result message each —
+// and reports the per-item acks in the batch shape.
+func (v verbs) submit(t *testing.T, c *Codec, id int, results []ResultItem) []ResultAck {
+	t.Helper()
+	acks, err := v.trySubmit(c, id, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return acks
+}
+
+// trySubmit is submit for goroutines that may not call t.Fatal.
+func (v verbs) trySubmit(c *Codec, id int, results []ResultItem) ([]ResultAck, error) {
+	exchange := func(m Message) (Message, error) {
+		if err := c.Send(m); err != nil {
+			return Message{}, err
+		}
+		return c.Recv()
+	}
+	if v == batchVerbs {
+		ack, err := exchange(Message{Type: MsgResultBatch, ParticipantID: id, Results: results})
+		if err == nil && (ack.Type != MsgBatchAck || len(ack.Acks) != len(results)) {
+			err = fmt.Errorf("batch ack %+v for %d results", ack, len(results))
+		}
+		return ack.Acks, err
+	}
+	acks := make([]ResultAck, 0, len(results))
+	for _, r := range results {
+		m, err := exchange(Message{Type: MsgResult, ParticipantID: id,
+			TaskID: r.TaskID, Copy: r.Copy, Value: r.Value})
+		if err == nil && m.Type != MsgAck && m.Type != MsgError {
+			err = fmt.Errorf("result reply %+v", m)
+		}
+		if err != nil {
+			return acks, err
+		}
+		acks = append(acks, ResultAck{TaskID: r.TaskID, Copy: r.Copy,
+			OK: m.Type == MsgAck, Reason: m.Reason, Error: m.Error})
+	}
+	return acks, nil
+}
+
+// answer computes what a participant running cheat (nil: honest) returns
+// for a lease.
+func answer(t *testing.T, lease Message, cheat CheatFunc) []ResultItem {
+	t.Helper()
+	fn, err := Work(lease.Kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]ResultItem, 0, len(lease.Work))
+	for _, w := range lease.Work {
+		v := fn(w.Seed, lease.Iters)
+		if cheat != nil {
+			v = cheat(w.TaskID, v)
+		}
+		results = append(results, ResultItem{TaskID: w.TaskID, Copy: w.Copy, Value: v})
+	}
+	return results
+}
+
+// driveRoundRobin registers one participant per cheat function (nil:
+// honest) and runs the computation from this goroutine alone; see
+// drainRoundRobin.
+func driveRoundRobin(t *testing.T, v verbs, addr string, n int, cheats ...CheatFunc) {
+	t.Helper()
+	codecs := make([]*Codec, len(cheats))
+	ids := make([]int, len(cheats))
+	for i := range cheats {
+		_, codecs[i] = dialCodec(t, addr)
+		w := roundTrip(t, codecs[i], Message{Type: MsgRegister, Name: fmt.Sprintf("p%d", i)})
+		if w.Type != MsgRegistered {
+			t.Fatalf("register p%d: %+v", i, w)
+		}
+		ids[i] = w.ParticipantID
+	}
+	drainRoundRobin(t, v, n, codecs, ids, cheats)
+}
+
+// drainRoundRobin has the registered participants take turns leasing up to
+// n assignments and returning them, in slice order, until each has been
+// told done or been refused as blacklisted. Nothing races, so a seeded
+// supervisor deals every run the same copies to the same participants in
+// the same order.
+func drainRoundRobin(t *testing.T, v verbs, n int, codecs []*Codec, ids []int, cheats []CheatFunc) {
+	t.Helper()
+	codecs = append([]*Codec(nil), codecs...)
+	for active := len(codecs); active > 0; {
+		for i, c := range codecs {
+			if c == nil {
+				continue
+			}
+			m := v.lease(t, c, ids[i], n)
+			switch {
+			case m.Type == MsgWorkBatch:
+				for _, a := range v.submit(t, c, ids[i], answer(t, m, cheats[i])) {
+					if !a.OK {
+						t.Fatalf("p%d: task %d copy %d refused: %s", i, a.TaskID, a.Copy, a.Reason)
+					}
+				}
+			case m.Type == MsgDone, m.Type == MsgError && m.Reason == ReasonBlacklisted:
+				codecs[i] = nil
+				active--
+			default:
+				t.Fatalf("p%d: unexpected lease reply %+v", i, m)
+			}
+		}
+	}
+}
+
 // TestWorkerReconnectsAndResumes walks the resume protocol by hand: an
 // identity registered on one connection is re-attached on a second (token
 // in hand) while the first is still open — the half-open-connection case —
@@ -196,55 +334,60 @@ func (c *flakyConn) Write(p []byte) (int, error) {
 }
 
 // TestWorkerResubmitsPendingResult kills the worker's connection exactly at
-// the result submission (the third frame: register, request, result). The
+// the result submission (the third frame: register, lease, results). The
 // reconnect logic must resume the identity and resubmit, and the work must
-// be accepted exactly once.
+// be accepted exactly once — one result over the single verbs, a whole
+// lease over the batch verbs.
 func TestWorkerResubmitsPendingResult(t *testing.T) {
-	p, err := plan.FromDistribution(dist.Simple(6), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	sup, err := NewSupervisor(SupervisorConfig{
-		Plan: p, WorkKind: "hashchain", Iters: 10, Seed: 3, Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := sup.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sup.Close() })
+	for _, batch := range []int{1, 4} {
+		t.Run(fmt.Sprintf("batch-%d", batch), func(t *testing.T) {
+			p, err := plan.FromDistribution(dist.Simple(6), 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			sup, err := NewSupervisor(SupervisorConfig{
+				Plan: p, WorkKind: "hashchain", Iters: 10, Seed: 3, Metrics: reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr, err := sup.Start("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { sup.Close() })
 
-	d := &flakyDialer{writeToFail: 3}
-	wreg := obs.NewRegistry()
-	st, err := RunWorker(WorkerConfig{
-		Addr: addr, Name: "flaky", Reconnect: true, Seed: 11,
-		BackoffBase: time.Millisecond, BackoffMax: 10 * time.Millisecond,
-		Dial: d.dial, Metrics: wreg,
-	})
-	if err != nil {
-		t.Fatalf("worker did not survive the torn submission: %v", err)
-	}
-	sup.Wait()
-	sum := sup.Summary()
-	total := p.TotalAssignments()
-	if st.Completed != total {
-		t.Errorf("worker completed %d, want %d (resubmitted result must be acked)", st.Completed, total)
-	}
-	if sum.Verify.MismatchDetected != 0 || sum.WrongResults != 0 {
-		t.Errorf("resubmission corrupted state: %+v wrong=%d", sum.Verify, sum.WrongResults)
-	}
-	snap := reg.Snapshot()
-	if v, _ := snap.Value("redundancy_results_accepted_total"); int(v) != total {
-		t.Errorf("accepted %v results, want exactly %d (no double acceptance)", v, total)
-	}
-	if v, _ := snap.Value("redundancy_workers_resumed_total"); v != 1 {
-		t.Errorf("workers_resumed = %v, want 1", v)
-	}
-	if v, _ := wreg.Snapshot().Value("redundancy_worker_reconnects_total"); v != 1 {
-		t.Errorf("worker_reconnects = %v, want 1", v)
+			d := &flakyDialer{writeToFail: 3}
+			wreg := obs.NewRegistry()
+			st, err := RunWorker(WorkerConfig{
+				Addr: addr, Name: "flaky", Reconnect: true, Seed: 11, BatchSize: batch,
+				BackoffBase: time.Millisecond, BackoffMax: 10 * time.Millisecond,
+				Dial: d.dial, Metrics: wreg,
+			})
+			if err != nil {
+				t.Fatalf("worker did not survive the torn submission: %v", err)
+			}
+			sup.Wait()
+			sum := sup.Summary()
+			total := p.TotalAssignments()
+			if st.Completed != total {
+				t.Errorf("worker completed %d, want %d (resubmitted results must be acked)", st.Completed, total)
+			}
+			if sum.Verify.MismatchDetected != 0 || sum.WrongResults != 0 {
+				t.Errorf("resubmission corrupted state: %+v wrong=%d", sum.Verify, sum.WrongResults)
+			}
+			snap := reg.Snapshot()
+			if v, _ := snap.Value("redundancy_results_accepted_total"); int(v) != total {
+				t.Errorf("accepted %v results, want exactly %d (no double acceptance)", v, total)
+			}
+			if v, _ := snap.Value("redundancy_workers_resumed_total"); v != 1 {
+				t.Errorf("workers_resumed = %v, want 1", v)
+			}
+			if v, _ := wreg.Snapshot().Value("redundancy_worker_reconnects_total"); v != 1 {
+				t.Errorf("worker_reconnects = %v, want 1", v)
+			}
+		})
 	}
 }
 
@@ -391,7 +534,7 @@ func TestLeaseInvariantsUnderChaos(t *testing.T) {
 	scenarios := []struct {
 		seed    uint64
 		n       int
-		batches []int // per-worker lease size (1 = legacy protocol)
+		batches []int // per-worker lease size (1 = single-item verbs)
 	}{
 		{seed: 3, n: 30, batches: []int{1, 4, 16}},
 		{seed: 11, n: 45, batches: []int{2, 2, 7, 32}},

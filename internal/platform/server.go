@@ -52,31 +52,23 @@ type SupervisorConfig struct {
 	IOTimeout time.Duration
 	// Journal, when non-nil, receives one JSON line per accepted result;
 	// a supervisor restarted with the same plan and Restore pointed at the
-	// journal resumes without re-running completed work.
+	// journal resumes without re-running completed work. Appends from all
+	// connections go through one committer goroutine that coalesces every
+	// record arriving during a commit window into one buffered write, and a
+	// result is acked only after the window covering its record is down.
 	Journal io.Writer
 	// JournalSync, when set and Journal has a Sync method (an *os.File),
-	// fsyncs after every appended record, so even a machine crash loses at
-	// most the torn tail of the final record — which replay tolerates.
+	// fsyncs once per commit window before any of the window's acks is
+	// released, so even a machine crash loses no acked result — at most
+	// the torn tail of an unacked window, which replay tolerates.
 	JournalSync bool
-	// GroupCommit, when set (and Journal is non-nil), routes journal
-	// appends from all connections through a dedicated committer goroutine
-	// that coalesces every record arriving during a commit window into one
-	// buffered write followed by (with JournalSync) one fsync, releasing
-	// each batch's ack only after the fsync covering its records returns.
-	// Durability and ordering are unchanged — an acked result is on disk,
-	// revision records still precede any result they enable — but N
-	// concurrent result batches cost one fsync instead of N. Off, every
-	// handler writes (and syncs) inline, the pre-group-commit behavior.
-	GroupCommit bool
 	// CommitLatency, when positive, models the commit latency of the
 	// journal's backing store — networked block storage, an NFS export, a
 	// synchronous replica — by holding the journal pipeline for this long
-	// on every commit before the ack is released. Inline (non-GroupCommit)
-	// appends pay it per result batch under the journal lock, exactly
-	// where a slow device's fsync would sit; the group committer pays it
-	// once per commit window, so the windowing amortizes it the same way
-	// it amortizes a real fsync. A benchmarking and testing aid (the
-	// sharded platformbench sweep uses it to measure coordination
+	// on every commit window before the window's acks are released, exactly
+	// where a slow device's fsync would sit, so the windowing amortizes it
+	// the same way it amortizes a real fsync. A benchmarking and testing
+	// aid (the sharded platformbench sweep uses it to measure coordination
 	// throughput when durability, not CPU, is the bottleneck); leave zero
 	// to let the real device set the pace. Requires a Journal.
 	CommitLatency time.Duration
@@ -198,11 +190,10 @@ type SupervisorConfig struct {
 // Lock order is lease.mu → audit.mu → ident.mu; the only place two are
 // held at once is adaptTick (and construction, which is single-threaded),
 // which must atomically re-shape both the queue and the expectations.
-// Journal bytes are ordered by jnlMu (or the committer goroutine, which
-// writes under jnlMu too), never by a state lock: handlers append after
-// releasing state locks, which is safe because a record's content is
-// fixed once its result is claimed, and revision records are written
-// before the copies they enable can exist.
+// Journal bytes are ordered by jnlMu, never by a state lock: handlers hand
+// their records to the committer after releasing state locks, which is
+// safe because a record's content is fixed once its result is claimed, and
+// revision records are written before the copies they enable can exist.
 
 // leaseState guards the scheduler queue and the in-flight assignment
 // table. Lease-lifecycle events (assignment_issued, result_accepted,
@@ -312,10 +303,10 @@ type Supervisor struct {
 	restored      int   // results recovered from the journal
 	restoredBytes int64 // clean journal prefix length, for tail truncation
 
-	// jnlMu orders journal appends across goroutines (handlers on the
-	// legacy path, adaptTick's revision records, the snapshotter, and the
-	// group committer all write under it), so interleaved torn interior
-	// writes are impossible. It is a leaf lock below every state lock.
+	// jnlMu orders journal appends across goroutines (the committer,
+	// adaptTick's revision records, and the snapshotter all write under
+	// it), so interleaved torn interior writes are impossible. It is a leaf
+	// lock below every state lock.
 	jnlMu sync.Mutex
 	// jnlLines counts the records currently in the journal file (guarded
 	// by jnlMu) — what compaction replaces, for exact accounting.
@@ -324,8 +315,8 @@ type Supervisor struct {
 	// keeps concurrent trigger crossings from stacking snapshots.
 	jnlSince atomic.Int64
 	snapBusy atomic.Bool
-	// committer is the group-commit goroutine (GroupCommit mode), nil on
-	// the legacy inline-write path.
+	// committer is the goroutine every result record reaches the journal
+	// through; Start launches it when a Journal is configured.
 	committer *journalCommitter
 
 	// epoch is the cluster's shard-map epoch (0 when unsharded): stamped
@@ -344,6 +335,11 @@ type Supervisor struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool // no further connections are admitted
+	// busy counts requests between their Recv and the end of their reply.
+	// A claimed result has already left the in-flight table, so Shutdown's
+	// drain waits for this too before it closes the connections — or the
+	// ack of the very result it drained for could die with its connection.
+	busy atomic.Int64
 }
 
 // DefaultMaxBatch is the lease-size cap applied when
@@ -562,7 +558,11 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	if cfg.Restore != nil {
 		start := time.Now()
 		s.replaying = true
-		st, err := replayJournal(cfg.Restore, supReplayer{s})
+		rp := &supReplayer{s: s}
+		st, err := replayJournal(cfg.Restore, rp)
+		if err == nil {
+			err = rp.flush()
+		}
 		s.replaying = false
 		if err != nil {
 			return nil, err
@@ -581,9 +581,6 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 			s.lease.finished = true
 			close(s.done)
 		}
-	}
-	if cfg.GroupCommit && cfg.Journal != nil {
-		s.committer = newJournalCommitter(s)
 	}
 	return s, nil
 }
@@ -636,6 +633,9 @@ func (s *Supervisor) Start(addr string) (string, error) {
 		ln = s.cfg.WrapListener(ln)
 	}
 	s.ln = ln
+	if s.cfg.Journal != nil {
+		s.committer = newJournalCommitter(s)
+	}
 	go s.acceptLoop()
 	if s.cfg.Deadline > 0 || s.roster != nil {
 		s.loopWG.Add(1)
@@ -717,6 +717,7 @@ type connState struct {
 	acks  []ResultAck
 	pend  []pendingResult
 	recs  []journalRecord
+	one   [1]ResultItem // a single-verb result, as the batch it is served as
 }
 
 // serve handles one worker connection. When the connection ends — cleanly
@@ -757,38 +758,39 @@ func (s *Supervisor) serve(conn net.Conn) error {
 		if err != nil {
 			return err
 		}
+		s.busy.Add(1)
 		var reply Message
 		switch m.Type {
 		case MsgRegister:
 			reply = s.register(m, cs)
-		case MsgRequestWork:
+		case MsgRequestWork, MsgGetWork, MsgResult, MsgResultBatch:
 			if !cs.registered[m.ParticipantID] {
 				reply = Message{Type: MsgError, Reason: ReasonUnregistered,
 					Error: "participant not registered on this connection"}
 				break
 			}
-			reply = s.assign(m, cs)
-		case MsgResult:
-			if !cs.registered[m.ParticipantID] {
-				reply = Message{Type: MsgError, Reason: ReasonUnregistered,
-					Error: "participant not registered on this connection"}
-				break
+			// The single-item verbs are size-1 leases translated here, at
+			// the connection edge: one item in, one item out, same core.
+			switch m.Type {
+			case MsgRequestWork:
+				reply = s.leaseBatch(m.ParticipantID, 1, true, cs)
+				if reply.Type == MsgWorkBatch {
+					it := reply.Work[0]
+					reply = Message{Type: MsgWork, TaskID: it.TaskID, Copy: it.Copy,
+						Kind: reply.Kind, Seed: it.Seed, Iters: reply.Iters}
+				}
+			case MsgGetWork:
+				reply = s.leaseBatch(m.ParticipantID, m.Batch, false, cs)
+			case MsgResult:
+				cs.one[0] = ResultItem{TaskID: m.TaskID, Copy: m.Copy, Value: m.Value}
+				ack := s.resultBatch(m.ParticipantID, cs.one[:], cs)[0]
+				reply = Message{Type: MsgAck}
+				if !ack.OK {
+					reply = Message{Type: MsgError, Reason: ack.Reason, Error: ack.Error}
+				}
+			case MsgResultBatch:
+				reply = Message{Type: MsgBatchAck, Acks: s.resultBatch(m.ParticipantID, m.Results, cs)}
 			}
-			reply = s.result(m, cs)
-		case MsgGetWork:
-			if !cs.registered[m.ParticipantID] {
-				reply = Message{Type: MsgError, Reason: ReasonUnregistered,
-					Error: "participant not registered on this connection"}
-				break
-			}
-			reply = s.assignBatch(m, cs)
-		case MsgResultBatch:
-			if !cs.registered[m.ParticipantID] {
-				reply = Message{Type: MsgError, Reason: ReasonUnregistered,
-					Error: "participant not registered on this connection"}
-				break
-			}
-			reply = s.resultBatch(m, cs)
 		default:
 			reply = Message{Type: MsgError, Reason: ReasonUnknownType,
 				Error: fmt.Sprintf("unknown message type %q", m.Type)}
@@ -804,7 +806,9 @@ func (s *Supervisor) serve(conn net.Conn) error {
 		if s.cfg.IOTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
 		}
-		if err := codec.Send(reply); err != nil {
+		err = codec.Send(reply)
+		s.busy.Add(-1)
+		if err != nil {
 			return err
 		}
 		// Codec negotiation: the registered reply that echoes proto=bin is
@@ -998,124 +1002,24 @@ func (s *Supervisor) convicted(participant int) bool {
 	return s.audit.collector.Convicted(participant)
 }
 
-func (s *Supervisor) assign(m Message, cs *connState) Message {
-	if s.metrics.shardRouted != nil {
-		s.metrics.shardRouted.Inc()
-	}
-	if s.convicted(m.ParticipantID) {
-		return Message{Type: MsgError, Reason: ReasonBlacklisted, Error: "participant is blacklisted"}
-	}
-	// Unhealthy participants get nothing on the legacy path (probation's
-	// ringer-only feed is a batched-lease feature), so probation here can
-	// only end on the clock: ObserveRingerStarved re-admits once a full
-	// extra Probation period has passed with no ringer served.
-	if s.roster != nil && s.roster.AnyUnhealthy() {
-		switch s.roster.State(m.ParticipantID) {
-		case health.Quarantined:
-			return Message{Type: MsgNoWork, Wait: 0.5}
-		case health.Probation:
-			tr := s.roster.ObserveRingerStarved(m.ParticipantID, time.Now())
-			if tr == nil {
-				return Message{Type: MsgNoWork, Wait: 0.5}
-			}
-			s.pushTransition(*tr, false)
-		}
-	}
-	s.lease.mu.Lock()
-	defer s.lease.mu.Unlock()
-	if s.lease.finished {
-		return Message{Type: MsgDone}
-	}
-	// Re-issue before popping fresh work: a resumed connection first gets
-	// back the assignment it already holds, so a reconnect never duplicates
-	// queue state. Entries whose in-flight record is gone (swept, or
-	// re-issued elsewhere) are stale and dropped.
-	for key, holder := range cs.held {
-		info, ok := s.lease.inflight[key]
-		if !ok || info.participant != holder || info.owner != cs {
-			delete(cs.held, key)
-			continue
-		}
-		if holder != m.ParticipantID {
-			continue
-		}
-		info.issuedAt = time.Now()
-		s.lease.inflight[key] = info
-		s.metrics.reissued.Inc()
-		if s.events != nil {
-			s.events.Emit(EvAssignmentIssued, map[string]any{
-				"task": info.a.TaskID, "copy": info.a.Copy,
-				"participant": m.ParticipantID, "ringer": info.a.Ringer, "reissue": true,
-			})
-		}
-		return Message{
-			Type:   MsgWork,
-			TaskID: info.a.TaskID,
-			Copy:   info.a.Copy,
-			Kind:   s.cfg.WorkKind,
-			Seed:   TaskSeed(info.a.TaskID),
-			Iters:  s.cfg.Iters,
-		}
-	}
-	if s.lease.draining {
-		// Shutdown in progress: in-flight work may still land, but nothing
-		// new goes out.
-		return Message{Type: MsgNoWork, Wait: 0.2}
-	}
-	a, ok := s.lease.queue.Next()
-	if !ok {
-		if s.lease.queue.Done() {
-			return Message{Type: MsgDone}
-		}
-		// Policy is holding copies back; ask the worker to retry.
-		return Message{Type: MsgNoWork, Wait: 0.05}
-	}
-	s.trackLocked(m.ParticipantID, a, cs)
-	cs.held[outstandingKey{a.TaskID, a.Copy}] = m.ParticipantID
-	s.metrics.assignmentsIssued.Inc()
-	if s.metrics.shardIssued != nil {
-		s.metrics.shardIssued.Inc()
-	}
-	if s.events != nil {
-		s.events.Emit(EvAssignmentIssued, map[string]any{
-			"task": a.TaskID, "copy": a.Copy, "participant": m.ParticipantID, "ringer": a.Ringer,
-		})
-	}
-	return Message{
-		Type:   MsgWork,
-		TaskID: a.TaskID,
-		Copy:   a.Copy,
-		Kind:   s.cfg.WorkKind,
-		Seed:   TaskSeed(a.TaskID),
-		Iters:  s.cfg.Iters,
-	}
-}
-
-// assignBatch serves a get_work request (the batched hot path) and
-// observes the lease-wait histogram — the time the request spent inside
-// the supervisor, queue wait and parking included.
-func (s *Supervisor) assignBatch(m Message, cs *connState) Message {
-	start := time.Now()
-	reply := s.leaseBatch(m, cs)
-	s.metrics.leaseWait.Observe(time.Since(start).Seconds())
-	return reply
-}
-
-// leaseBatch fills one get_work lease: under lease.mu it first re-issues
-// every surviving assignment this participant already holds — the whole
-// lease comes back after a resume, so a reconnect never duplicates queue
-// state — then fills the remainder with fresh queue pops, up to
-// min(requested, MaxBatch). A request that finds the queue empty parks on
-// a waiter channel (up to leaseParkMax) instead of immediately bouncing a
+// leaseBatch fills one lease: under lease.mu it first re-issues every
+// surviving assignment this participant already holds — the whole lease
+// comes back after a resume, so a reconnect never duplicates queue state —
+// then fills the remainder with fresh queue pops, up to min(want,
+// MaxBatch). A request that finds the queue empty parks on a waiter
+// channel (up to leaseParkMax) instead of immediately bouncing a
 // no_work/sleep/retry cycle off the supervisor; completions, reclaims,
-// and revisions kick parked requests awake. The single-assignment
-// handlers above are untouched so -batch 1 clients see the legacy wire
-// behavior byte-for-byte.
-func (s *Supervisor) leaseBatch(m Message, cs *connState) Message {
+// and revisions kick parked requests awake. single marks a request_work,
+// whose reply has room for exactly one item. The time the request spends
+// in here, queue wait and parking included, is the lease-wait histogram.
+func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState) Message {
+	defer func(start time.Time) {
+		s.metrics.leaseWait.Observe(time.Since(start).Seconds())
+	}(time.Now())
 	if s.metrics.shardRouted != nil {
 		s.metrics.shardRouted.Inc()
 	}
-	if s.convicted(m.ParticipantID) {
+	if s.convicted(pid) {
 		return Message{Type: MsgError, Reason: ReasonBlacklisted, Error: "participant is blacklisted"}
 	}
 	// Health gate: quarantined participants lease nothing; probationary
@@ -1124,14 +1028,13 @@ func (s *Supervisor) leaseBatch(m Message, cs *connState) Message {
 	// AnyUnhealthy keeps the all-healthy hot path to one atomic-free check.
 	probation := false
 	if s.roster != nil && s.roster.AnyUnhealthy() {
-		switch s.roster.State(m.ParticipantID) {
+		switch s.roster.State(pid) {
 		case health.Quarantined:
 			return Message{Type: MsgNoWork, Wait: 0.5}
 		case health.Probation:
 			probation = true
 		}
 	}
-	want := m.Batch
 	if want < 1 {
 		want = 1
 	}
@@ -1141,20 +1044,22 @@ func (s *Supervisor) leaseBatch(m Message, cs *connState) Message {
 	items := cs.items[:0]
 	fresh, reissues, specIssued := 0, 0, 0
 	var deadline time.Time // parking budget; set on first empty pass
+	var empty Message      // the reply when the request ends empty-handed
 	s.lease.mu.Lock()
-	if s.lease.finished {
-		s.lease.mu.Unlock()
-		return Message{Type: MsgDone}
-	}
 	// Re-issues are not capped by want: the worker must learn about every
 	// assignment it still holds, or a resumed lease could silently shrink.
+	// A request_work reply carries one item, so there the rest of the held
+	// set comes back on the following requests.
 	for key, holder := range cs.held {
+		if single && len(items) == 1 {
+			break
+		}
 		info, ok := s.lease.inflight[key]
 		if !ok || info.participant != holder || info.owner != cs {
 			delete(cs.held, key)
 			continue
 		}
-		if holder != m.ParticipantID {
+		if holder != pid {
 			continue
 		}
 		info.issuedAt = time.Now()
@@ -1163,48 +1068,51 @@ func (s *Supervisor) leaseBatch(m Message, cs *connState) Message {
 		if s.events != nil {
 			s.events.Emit(EvAssignmentIssued, map[string]any{
 				"task": info.a.TaskID, "copy": info.a.Copy,
-				"participant": m.ParticipantID, "ringer": info.a.Ringer, "reissue": true,
+				"participant": pid, "ringer": info.a.Ringer, "reissue": true,
 			})
 		}
 		items = append(items, WorkItem{TaskID: info.a.TaskID, Copy: info.a.Copy, Seed: TaskSeed(info.a.TaskID)})
 	}
 	for {
+		if s.lease.finished {
+			empty = Message{Type: MsgDone}
+			break
+		}
 		// Straggler clones go out ahead of fresh queue pops — a flagged copy
 		// is the work blocking a task's certification, so it is the most
 		// valuable lease in the system. Healthy requesters only, and never
 		// back to the straggler itself.
 		if !s.lease.draining && !probation && len(items) < want {
-			specIssued += s.fillSpeculativeLocked(m.ParticipantID, cs, want, &items)
+			specIssued += s.fillSpeculativeLocked(pid, cs, want, &items)
 		}
-		if !s.lease.draining && len(items) < want && !probation {
-			fill := s.lease.queue.NextBatch(cs.fill[:0], want-len(items))
-			cs.fill = fill[:0]
-			for _, a := range fill {
-				s.trackLocked(m.ParticipantID, a, cs)
-				cs.held[outstandingKey{a.TaskID, a.Copy}] = m.ParticipantID
-				fresh++
-				if s.events != nil {
-					s.events.Emit(EvAssignmentIssued, map[string]any{
-						"task": a.TaskID, "copy": a.Copy, "participant": m.ParticipantID, "ringer": a.Ringer,
-					})
+		if !s.lease.draining && len(items) < want {
+			fill := cs.fill[:0]
+			if probation {
+				for len(items)+len(fill) < want {
+					a, ok := s.lease.queue.NextRinger()
+					if !ok {
+						break
+					}
+					fill = append(fill, a)
 				}
-				items = append(items, WorkItem{TaskID: a.TaskID, Copy: a.Copy, Seed: TaskSeed(a.TaskID)})
+			} else {
+				fill = s.lease.queue.NextBatch(fill, want-len(items))
 			}
-		}
-		if !s.lease.draining && len(items) < want && probation {
-			for len(items) < want {
-				a, ok := s.lease.queue.NextRinger()
-				if !ok {
-					break
+			cs.fill = fill[:0]
+			now := time.Now()
+			for _, a := range fill {
+				key := outstandingKey{a.TaskID, a.Copy}
+				s.lease.inflight[key] = inflightInfo{
+					participant: pid, a: a, issuedAt: now, firstIssued: now, owner: cs,
 				}
-				s.trackLocked(m.ParticipantID, a, cs)
-				cs.held[outstandingKey{a.TaskID, a.Copy}] = m.ParticipantID
+				cs.held[key] = pid
 				fresh++
 				if s.events != nil {
-					s.events.Emit(EvAssignmentIssued, map[string]any{
-						"task": a.TaskID, "copy": a.Copy, "participant": m.ParticipantID,
-						"ringer": true, "probation": true,
-					})
+					ev := map[string]any{"task": a.TaskID, "copy": a.Copy, "participant": pid, "ringer": a.Ringer}
+					if probation {
+						ev["probation"] = true
+					}
+					s.events.Emit(EvAssignmentIssued, ev)
 				}
 				items = append(items, WorkItem{TaskID: a.TaskID, Copy: a.Copy, Seed: TaskSeed(a.TaskID)})
 			}
@@ -1219,31 +1127,31 @@ func (s *Supervisor) leaseBatch(m Message, cs *connState) Message {
 			// period re-admits on the clock — otherwise a fleet-wide
 			// quarantine deadlocks the run with work still queued. On
 			// re-admission, fall through to the regular pool this pass.
-			if tr := s.roster.ObserveRingerStarved(m.ParticipantID, time.Now()); tr != nil {
+			if tr := s.roster.ObserveRingerStarved(pid, time.Now()); tr != nil {
 				s.pushTransition(*tr, false)
 				probation = false
 				continue
 			}
 			// Still on the clock; do not park a probationary worker against
 			// the regular pool, just have it retry.
-			s.lease.mu.Unlock()
-			return Message{Type: MsgNoWork, Wait: 0.5}
+			empty = Message{Type: MsgNoWork, Wait: 0.5}
+			break
 		}
 		if s.lease.draining {
-			s.lease.mu.Unlock()
-			return Message{Type: MsgNoWork, Wait: 0.2}
+			empty = Message{Type: MsgNoWork, Wait: 0.2}
+			break
 		}
 		if s.lease.queue.Done() {
-			s.lease.mu.Unlock()
-			return Message{Type: MsgDone}
+			empty = Message{Type: MsgDone}
+			break
 		}
 		if deadline.IsZero() {
 			deadline = time.Now().Add(leaseParkMax)
 		}
 		wait := time.Until(deadline)
 		if wait <= 0 {
-			s.lease.mu.Unlock()
-			return Message{Type: MsgNoWork, Wait: 0.05}
+			empty = Message{Type: MsgNoWork, Wait: 0.05}
+			break
 		}
 		ch := make(chan struct{})
 		s.lease.waiters = append(s.lease.waiters, ch)
@@ -1262,12 +1170,11 @@ func (s *Supervisor) leaseBatch(m Message, cs *connState) Message {
 			return Message{Type: MsgNoWork, Wait: 0.2}
 		}
 		s.lease.mu.Lock()
-		if s.lease.finished {
-			s.lease.mu.Unlock()
-			return Message{Type: MsgDone}
-		}
 	}
 	s.lease.mu.Unlock()
+	if len(items) == 0 {
+		return empty
+	}
 	cs.items = items // keep the grown backing array for the next lease
 	if reissues > 0 {
 		s.metrics.reissued.Add(uint64(reissues))
@@ -1339,14 +1246,6 @@ func (s *Supervisor) fillSpeculativeLocked(pid int, cs *connState, want int, ite
 // outstandingKey identifies one issued copy so results can be matched
 // back. Keyed by (task, copy).
 type outstandingKey struct{ task, copy int }
-
-// trackLocked records who holds which assignment. Callers hold lease.mu.
-func (s *Supervisor) trackLocked(participant int, a sched.Assignment, cs *connState) {
-	now := time.Now()
-	s.lease.inflight[outstandingKey{a.TaskID, a.Copy}] = inflightInfo{
-		participant: participant, a: a, issuedAt: now, firstIssued: now, owner: cs,
-	}
-}
 
 type inflightInfo struct {
 	participant int
@@ -1833,53 +1732,6 @@ func (s *Supervisor) RevisionsApplied() int {
 	return s.audit.revApplied
 }
 
-func (s *Supervisor) result(m Message, cs *connState) Message {
-	s.lease.mu.Lock()
-	info, reason, detail := s.claimLocked(m.ParticipantID, m.TaskID, m.Copy, cs)
-	s.lease.mu.Unlock()
-	if reason != "" {
-		return s.rejectResult(m, reason, detail)
-	}
-	s.audit.mu.Lock()
-	reason, detail = s.adjudicateLocked(info, m.Value)
-	s.audit.mu.Unlock()
-	if reason != "" {
-		return s.rejectResult(m, reason, detail)
-	}
-	s.lease.mu.Lock()
-	s.lease.queue.Complete(info.a)
-	if s.events != nil {
-		s.events.Emit(EvResultAccepted, map[string]any{
-			"task": m.TaskID, "copy": m.Copy, "participant": m.ParticipantID,
-		})
-	}
-	s.finishCheckLocked()
-	s.lease.mu.Unlock()
-	s.metrics.resultsAccepted.Inc()
-	if s.metrics.shardAccepted != nil {
-		s.metrics.shardAccepted.Inc()
-	}
-	s.metrics.turnaround.With(cs.names[m.ParticipantID]).
-		Observe(time.Since(info.issuedAt).Seconds())
-	if s.roster != nil {
-		s.roster.ObserveCompletion(m.ParticipantID, time.Since(info.issuedAt))
-	}
-	if s.cfg.OnTurnaround != nil {
-		s.cfg.OnTurnaround(time.Since(info.firstIssued))
-	}
-	if s.cfg.Journal != nil {
-		cs.recs = append(cs.recs[:0], journalRecord{
-			TaskID:      m.TaskID,
-			Copy:        m.Copy,
-			Ringer:      info.a.Ringer,
-			Participant: m.ParticipantID,
-			Value:       m.Value,
-		})
-		s.commitRecords(cs.recs, false)
-	}
-	return Message{Type: MsgAck}
-}
-
 // pendingResult carries one claimed result between resultBatch's phases.
 type pendingResult struct {
 	idx    int // index of this result's ack in the reply
@@ -1888,8 +1740,9 @@ type pendingResult struct {
 	failed bool // verification refused it in phase B
 }
 
-// resultBatch serves a result_batch in three phases so no phase holds
-// more than one lock and each critical section is the minimal mutation:
+// resultBatch serves one participant's results in three phases so no
+// phase holds more than one lock and each critical section is the minimal
+// mutation:
 //
 //	A (lease.mu)  claim — validate ownership and delete the in-flight
 //	              entries, so no other connection, sweep, or duplicate
@@ -1903,18 +1756,19 @@ type pendingResult struct {
 //
 // Between A and C the copies are in no map and not in the queue's ready
 // pool, so nothing can issue, reclaim, or double-accept them. Journal
-// records are committed after C — one buffered write (and, with
-// JournalSync, one fsync, amortized over the whole batch on the legacy
-// path and over every concurrent batch in GroupCommit mode) — and the
-// acks are released only after that commit returns, so the durability
-// contract (an acked result survives a crash) is unchanged.
-func (s *Supervisor) resultBatch(m Message, cs *connState) Message {
+// records are committed after C — the committer's window covers them with
+// one buffered write and, with JournalSync, one fsync amortized over every
+// concurrent batch — and the acks are released only after that commit
+// returns: an acked result survives a crash. A journal write failure is
+// logged and the acks still go out; it costs replay, not liveness. The
+// returned acks alias cs scratch and are valid until the next call.
+func (s *Supervisor) resultBatch(pid int, results []ResultItem, cs *connState) []ResultAck {
 	acks := cs.acks[:0]
 	pend := cs.pend[:0]
 	recs := cs.recs[:0]
 	s.lease.mu.Lock()
-	for _, r := range m.Results {
-		info, reason, detail := s.claimLocked(m.ParticipantID, r.TaskID, r.Copy, cs)
+	for _, r := range results {
+		info, reason, detail := s.claimLocked(pid, r.TaskID, r.Copy, cs)
 		ack := ResultAck{TaskID: r.TaskID, Copy: r.Copy, OK: reason == ""}
 		if reason != "" {
 			ack.Reason = reason
@@ -1929,20 +1783,35 @@ func (s *Supervisor) resultBatch(m Message, cs *connState) Message {
 		s.audit.mu.Lock()
 		for i := range pend {
 			p := &pend[i]
-			reason, detail := s.adjudicateLocked(p.info, p.value)
-			if reason != "" {
+			// Credits and the adaptive estimator update inside the
+			// collector's verdict callback.
+			v, adjudicated, err := s.audit.collector.Submit(verify.Result{
+				Assignment:  p.info.a,
+				Participant: p.info.participant,
+				Value:       p.value,
+			})
+			if err != nil {
 				p.failed = true
 				acks[p.idx].OK = false
-				acks[p.idx].Reason = reason
-				acks[p.idx].Error = detail
+				acks[p.idx].Reason = ReasonVerification
+				acks[p.idx].Error = err.Error()
 				continue
 			}
-			if s.cfg.Journal != nil {
+			if adjudicated && v.MismatchDetected {
+				s.logf("CHEAT DETECTED on task %d (suspects %v)", v.TaskID, v.Suspects)
+				if s.cfg.ResolveMismatches && !v.Ringer {
+					// Reactive measure: the supervisor recomputes the
+					// disputed task on trusted hardware.
+					s.audit.resolved[v.TaskID] = s.work(TaskSeed(v.TaskID), s.cfg.Iters)
+					s.logf("task %d resolved by supervisor recomputation", v.TaskID)
+				}
+			}
+			if s.committer != nil {
 				recs = append(recs, journalRecord{
 					TaskID:      p.info.a.TaskID,
 					Copy:        p.info.a.Copy,
 					Ringer:      p.info.a.Ringer,
-					Participant: m.ParticipantID,
+					Participant: pid,
 					Value:       p.value,
 				})
 			}
@@ -1959,25 +1828,33 @@ func (s *Supervisor) resultBatch(m Message, cs *connState) Message {
 			accepted++
 			if s.events != nil {
 				s.events.Emit(EvResultAccepted, map[string]any{
-					"task": p.info.a.TaskID, "copy": p.info.a.Copy, "participant": m.ParticipantID,
+					"task": p.info.a.TaskID, "copy": p.info.a.Copy, "participant": pid,
 				})
 			}
 		}
-		s.finishCheckLocked()
+		// The last completion finishes the run; any completion may have
+		// released held-back copies worth waking parked leases for.
+		if s.lease.queue.Done() && !s.lease.finished {
+			s.lease.finished = true
+			close(s.done)
+			s.kickLeaseLocked()
+		} else if len(s.lease.waiters) > 0 && s.lease.queue.Available() {
+			s.kickLeaseLocked()
+		}
 		s.lease.mu.Unlock()
 		if accepted > 0 {
 			s.metrics.resultsAccepted.Add(uint64(accepted))
 			if s.metrics.shardAccepted != nil {
 				s.metrics.shardAccepted.Add(uint64(accepted))
 			}
-			tn := s.metrics.turnaround.With(cs.names[m.ParticipantID])
+			tn := s.metrics.turnaround.With(cs.names[pid])
 			for i := range pend {
 				if pend[i].failed {
 					continue
 				}
 				tn.Observe(time.Since(pend[i].info.issuedAt).Seconds())
 				if s.roster != nil {
-					s.roster.ObserveCompletion(m.ParticipantID, time.Since(pend[i].info.issuedAt))
+					s.roster.ObserveCompletion(pid, time.Since(pend[i].info.issuedAt))
 				}
 				if s.cfg.OnTurnaround != nil {
 					s.cfg.OnTurnaround(time.Since(pend[i].info.firstIssued))
@@ -1986,13 +1863,23 @@ func (s *Supervisor) resultBatch(m Message, cs *connState) Message {
 		}
 	}
 	for _, ack := range acks {
-		if !ack.OK {
-			s.recordReject(ack.TaskID, ack.Copy, m.ParticipantID, ack.Reason)
+		if ack.OK {
+			continue
+		}
+		s.metrics.resultsRejected.With(ack.Reason).Inc()
+		if s.events != nil {
+			s.events.Emit(EvResultRejected, map[string]any{
+				"task": ack.TaskID, "copy": ack.Copy, "participant": pid, "reason": ack.Reason,
+			})
 		}
 	}
-	s.commitRecords(recs, true)
+	if len(recs) > 0 {
+		if err := s.committer.commit(recs); err != nil {
+			s.logf("journal write failed: %v", err)
+		}
+	}
 	cs.acks, cs.pend, cs.recs = acks, pend, recs
-	return Message{Type: MsgBatchAck, Acks: acks}
+	return acks
 }
 
 // claimLocked validates ownership of one submitted result and removes its
@@ -2049,118 +1936,15 @@ func (s *Supervisor) claimLocked(participant, taskID, copy int, cs *connState) (
 	return inflightInfo{}, ReasonWrongParticipant, "result from wrong participant"
 }
 
-// adjudicateLocked feeds one claimed result through the verification
-// pipeline (credits and the adaptive estimator update inside the verdict
-// callback) and handles mismatch fallout. Callers hold audit.mu.
-func (s *Supervisor) adjudicateLocked(info inflightInfo, value uint64) (reason, detail string) {
-	v, adjudicated, err := s.audit.collector.Submit(verify.Result{
-		Assignment:  info.a,
-		Participant: info.participant,
-		Value:       value,
-	})
-	if err != nil {
-		return ReasonVerification, err.Error()
-	}
-	if adjudicated && v.MismatchDetected {
-		s.logf("CHEAT DETECTED on task %d (suspects %v)", v.TaskID, v.Suspects)
-		if s.cfg.ResolveMismatches && !v.Ringer {
-			// Reactive measure: the supervisor recomputes the disputed
-			// task on trusted hardware.
-			s.audit.resolved[v.TaskID] = s.work(TaskSeed(v.TaskID), s.cfg.Iters)
-			s.logf("task %d resolved by supervisor recomputation", v.TaskID)
-		}
-	}
-	return "", ""
-}
-
-// finishCheckLocked closes done (and wakes every parked lease) when the
-// queue just completed, and kicks parked leases whenever completions may
-// have released held-back copies. Callers hold lease.mu.
-func (s *Supervisor) finishCheckLocked() {
-	if s.lease.queue.Done() && !s.lease.finished {
-		s.lease.finished = true
-		close(s.done)
-		s.kickLeaseLocked()
-	} else if len(s.lease.waiters) > 0 && s.lease.queue.Available() {
-		s.kickLeaseLocked()
-	}
-}
-
-// recordReject counts and reports a refused result.
-func (s *Supervisor) recordReject(taskID, copy, participant int, reason string) {
-	s.metrics.resultsRejected.With(reason).Inc()
-	if s.events != nil {
-		s.events.Emit(EvResultRejected, map[string]any{
-			"task": taskID, "copy": copy, "participant": participant, "reason": reason,
-		})
-	}
-}
-
-// rejectResult records a refused result (metrics + events) and builds the
-// error reply.
-func (s *Supervisor) rejectResult(m Message, reason, detail string) Message {
-	s.recordReject(m.TaskID, m.Copy, m.ParticipantID, reason)
-	return Message{Type: MsgError, Reason: reason, Error: detail}
-}
-
-// commitRecords makes recs durable under the configured journal
-// discipline and returns only when they are (or the failure is logged —
-// a journal write failure has never blocked an ack; it costs replay, not
-// liveness). GroupCommit mode hands the records to the committer
-// goroutine and blocks until the commit window covering them is written
-// and fsynced; the legacy path writes inline under jnlMu. batched selects
-// the legacy framing: one buffered write and one amortized fsync for a
-// whole result_batch (counted by batched_journal_syncs_total) versus the
-// single-record append the legacy result path has always used.
-func (s *Supervisor) commitRecords(recs []journalRecord, batched bool) {
-	if s.cfg.Journal == nil || len(recs) == 0 {
-		return
-	}
-	if s.committer != nil {
-		if err := s.committer.commit(recs); err != nil {
-			s.logf("journal write failed: %v", err)
-		}
-		return
-	}
-	s.jnlMu.Lock()
-	var err error
-	if batched {
-		err = appendJournalBatch(s.cfg.Journal, recs)
-	} else {
-		err = appendJournal(s.cfg.Journal, recs[0])
-	}
-	if err == nil {
-		s.jnlLines += int64(len(recs))
-	}
-	if err == nil && s.cfg.CommitLatency > 0 {
-		// Modeled device latency: held under jnlMu so commits serialize
-		// per supervisor, the way a slow device serializes its queue.
-		time.Sleep(s.cfg.CommitLatency)
-	}
-	s.jnlMu.Unlock()
-	if err != nil {
-		s.logf("journal write failed: %v", err)
-		return
-	}
-	s.metrics.journalRecords.Add(uint64(len(recs)))
-	if s.cfg.JournalSync {
-		s.syncJournal()
-		if batched {
-			s.metrics.batchedJournalSyncs.Inc()
-		}
-	}
-	s.noteJournaled(len(recs))
-}
-
 // syncer is the optional flushing facet of a journal writer (*os.File
 // implements it).
 type syncer interface{ Sync() error }
 
 // syncJournal fsyncs the journal if its writer supports it. Safe without
-// any lock: appends are ordered under jnlMu (or by the committer), and
-// Sync flushes everything written before the call, so a caller syncing
-// after its write still covers its own records (*os.File.Sync is
-// goroutine-safe, logf and the counter guard themselves).
+// any lock: appends are ordered under jnlMu, and Sync flushes everything
+// written before the call, so a caller syncing after its write still
+// covers its own records (*os.File.Sync is goroutine-safe, logf and the
+// counter guard themselves).
 func (s *Supervisor) syncJournal() {
 	sy, ok := s.cfg.Journal.(syncer)
 	if !ok {
@@ -2173,8 +1957,8 @@ func (s *Supervisor) syncJournal() {
 	s.metrics.journalSyncs.Inc()
 }
 
-// flushJournal ends the journal's write pipeline at teardown: the group
-// committer (when present) is drained and stopped, then a final fsync
+// flushJournal ends the journal's write pipeline at teardown: the
+// committer (when started) is drained and stopped, then a final fsync
 // covers anything still in the page cache.
 func (s *Supervisor) flushJournal() {
 	if s.committer != nil {
@@ -2214,13 +1998,16 @@ func (s *Supervisor) Shutdown(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// awaitDrain polls until no assignment is in flight or ctx expires.
+// awaitDrain polls until no assignment is in flight and no request is
+// mid-reply, or ctx expires. The in-flight table is read first: a result
+// handler raises busy before its claim empties the table and lowers it
+// only after its ack is sent.
 func (s *Supervisor) awaitDrain(ctx context.Context) bool {
 	for {
 		s.lease.mu.Lock()
 		n := len(s.lease.inflight)
 		s.lease.mu.Unlock()
-		if n == 0 {
+		if n == 0 && s.busy.Load() == 0 {
 			return true
 		}
 		select {

@@ -92,7 +92,7 @@ func (s *Supervisor) captureSnapshotLocked() *snapshotRecord {
 // element in both histories, and the verdict order — the only thing the
 // estimator's and ledger's floating-point accumulation depends on — is
 // preserved verbatim.
-func (r supReplayer) replaySnapshot(rec snapshotRecord) error {
+func (r *supReplayer) replaySnapshot(rec snapshotRecord) error {
 	s := r.s
 	for _, rev := range rec.Revisions {
 		if err := r.replayRevision(rev); err != nil {
@@ -144,11 +144,10 @@ func (r supReplayer) replaySnapshot(rec snapshotRecord) error {
 
 // noteJournaled advances the snapshot trigger by n freshly appended
 // records and takes a snapshot when the configured interval is crossed.
-// Callers must hold no supervisor locks: the trigger sites are the legacy
-// inline commit path (handlers journal after releasing state locks) and
-// the group committer's window loop. appendRevision deliberately only
-// counts (adaptTick holds lease.mu, where taking a snapshot would
-// deadlock); the revision is swept up by the next result-driven trigger.
+// Callers must hold no supervisor locks: the trigger site is the
+// committer's window loop. appendRevision deliberately only counts
+// (adaptTick holds lease.mu, where taking a snapshot would deadlock); the
+// revision is swept up by the next result-driven trigger.
 func (s *Supervisor) noteJournaled(n int) {
 	if s.cfg.SnapshotInterval <= 0 || n <= 0 {
 		return

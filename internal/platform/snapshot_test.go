@@ -215,12 +215,8 @@ func TestSnapshotSoakRestoreEquivalence(t *testing.T) {
 // restores a supervisor byte-identical to the live one — while the journal
 // stayed a fraction of the run's history.
 func TestLiveCompactionEndToEnd(t *testing.T) {
-	for _, groupCommit := range []bool{false, true} {
-		name := "inline"
-		if groupCommit {
-			name = "group-commit"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, batch := range []int{1, 8} { // both verb pairs feed the one commit path
+		t.Run(fmt.Sprintf("batch-%d", batch), func(t *testing.T) {
 			const tasks = 150 // 300 results
 			path := filepath.Join(t.TempDir(), "journal.jsonl")
 			jf, err := OpenJournalFile(path)
@@ -230,7 +226,7 @@ func TestLiveCompactionEndToEnd(t *testing.T) {
 			defer jf.Close()
 			sup, err := NewSupervisor(SupervisorConfig{
 				Plan: simplePlan(t, tasks), Iters: 5, Seed: 7,
-				Journal: jf, JournalSync: true, GroupCommit: groupCommit,
+				Journal: jf, JournalSync: true,
 				SnapshotInterval: 40, Compact: true,
 			})
 			if err != nil {
@@ -241,7 +237,7 @@ func TestLiveCompactionEndToEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, w := range []string{"a", "b"} {
-				go RunWorker(WorkerConfig{Addr: addr, Name: w})
+				go RunWorker(WorkerConfig{Addr: addr, Name: w, BatchSize: batch})
 			}
 			sup.Wait()
 			if err := sup.Close(); err != nil {

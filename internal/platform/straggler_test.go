@@ -58,8 +58,15 @@ func honestValue(t *testing.T, kind string, taskID, iters int) uint64 {
 // everything else (feeding the latency roster), the sweeper flags the
 // stuck lease, the fast participant receives the clone and wins the race,
 // and the straggler's eventual submission is rejected as a duplicate —
-// credited exactly once, end to end.
+// credited exactly once, end to end. The clone is served by the lease
+// core, so a request_work requester wins it exactly as a get_work one.
 func TestSpeculativeFirstResultWins(t *testing.T) {
+	for _, v := range bothVerbs {
+		t.Run(string(v), func(t *testing.T) { testSpeculativeFirstResultWins(t, v) })
+	}
+}
+
+func testSpeculativeFirstResultWins(t *testing.T, v verbs) {
 	p, err := plan.FromDistribution(dist.Simple(40), 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -87,17 +94,18 @@ func TestSpeculativeFirstResultWins(t *testing.T) {
 		t.Fatalf("register: %+v", w1)
 	}
 	slowID := w1.ParticipantID
-	stuck := roundTrip(t, slow, Message{Type: MsgRequestWork, ParticipantID: slowID})
-	if stuck.Type != MsgWork {
-		t.Fatalf("lease: %+v", stuck)
+	lease := v.lease(t, slow, slowID, 1)
+	if lease.Type != MsgWorkBatch || len(lease.Work) != 1 {
+		t.Fatalf("lease: %+v", lease)
 	}
+	stuck := lease.Work[0]
 
 	// The fast participant drains the pool, populating the
 	// completion-latency sample window past MinLatencySamples. Once the
-	// sweeper flags the straggler's lease, a batch will carry the
-	// speculative clone of exactly that stuck copy — parked get_work
-	// requests wake on the flagging sweep, so the clone simply shows up
-	// inside the ordinary lease loop.
+	// sweeper flags the straggler's lease, a lease will carry the
+	// speculative clone of exactly that stuck copy — parked requests wake
+	// on the flagging sweep, so the clone simply shows up inside the
+	// ordinary lease loop.
 	_, fast := dialCodec(t, addr)
 	w2 := roundTrip(t, fast, Message{Type: MsgRegister, Name: "fast"})
 	fastID := w2.ParticipantID
@@ -109,7 +117,7 @@ func TestSpeculativeFirstResultWins(t *testing.T) {
 			t.Fatalf("speculative clone never issued (completed %d, spec metric %v)",
 				completed, metricValue(reg, "redundancy_speculative_issued_total"))
 		}
-		m := roundTrip(t, fast, Message{Type: MsgGetWork, ParticipantID: fastID, Batch: 8})
+		m := v.lease(t, fast, fastID, 8)
 		if m.Type != MsgWorkBatch {
 			time.Sleep(10 * time.Millisecond)
 			continue
@@ -126,77 +134,49 @@ func TestSpeculativeFirstResultWins(t *testing.T) {
 				Value: honestValue(t, m.Kind, it.TaskID, m.Iters),
 			})
 		}
-		if len(results) > 0 {
-			ack := roundTrip(t, fast, Message{Type: MsgResultBatch, ParticipantID: fastID, Results: results})
-			if ack.Type != MsgBatchAck {
-				t.Fatalf("batch ack: %+v", ack)
+		if len(results) == 0 {
+			continue // the lease was the clone alone
+		}
+		for _, a := range v.submit(t, fast, fastID, results) {
+			if !a.OK {
+				t.Fatalf("fast result refused: %+v", a)
 			}
-			completed += len(results)
+			completed++
 		}
 	}
 	if completed < 20 {
 		t.Fatalf("clone issued after only %d completions; the quantile gate should need 20 samples", completed)
 	}
-	if v := metricValue(reg, "redundancy_speculative_issued_total"); v != 1 {
-		t.Errorf("speculative_issued = %v, want 1", v)
+	if n := metricValue(reg, "redundancy_speculative_issued_total"); n != 1 {
+		t.Errorf("speculative_issued = %v, want 1", n)
 	}
 
 	// The clone wins the race...
-	ack := roundTrip(t, fast, Message{
-		Type: MsgResult, ParticipantID: fastID,
+	if ack := v.submit(t, fast, fastID, []ResultItem{{
 		TaskID: clone.TaskID, Copy: clone.Copy,
 		Value: honestValue(t, "hashchain", clone.TaskID, 10),
-	})
-	if ack.Type != MsgAck {
+	}})[0]; !ack.OK {
 		t.Fatalf("clone result rejected: %+v", ack)
 	}
-	if v := metricValue(reg, "redundancy_speculative_wins_total"); v != 1 {
-		t.Errorf("speculative_wins = %v, want 1", v)
+	if n := metricValue(reg, "redundancy_speculative_wins_total"); n != 1 {
+		t.Errorf("speculative_wins = %v, want 1", n)
 	}
 
 	// ...and the straggler's late submission is adjudicated exactly once:
 	// rejected as a duplicate, never double-credited.
-	late := roundTrip(t, slow, Message{
-		Type: MsgResult, ParticipantID: slowID,
+	if late := v.submit(t, slow, slowID, []ResultItem{{
 		TaskID: stuck.TaskID, Copy: stuck.Copy,
 		Value: honestValue(t, "hashchain", stuck.TaskID, 10),
-	})
-	if late.Type != MsgError || late.Reason != ReasonDuplicate {
+	}})[0]; late.OK || late.Reason != ReasonDuplicate {
 		t.Fatalf("loser's submission got %+v, want %s", late, ReasonDuplicate)
 	}
-	if v := metricValue(reg, "redundancy_speculative_wasted_total"); v != 1 {
-		t.Errorf("speculative_wasted = %v, want 1", v)
+	if n := metricValue(reg, "redundancy_speculative_wasted_total"); n != 1 {
+		t.Errorf("speculative_wasted = %v, want 1", n)
 	}
 
 	// Finish whatever the pool still holds (the clone may have arrived
 	// before the drain completed).
-	deadline = time.Now().Add(30 * time.Second)
-drain:
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("final drain never reached done")
-		}
-		m := roundTrip(t, fast, Message{Type: MsgGetWork, ParticipantID: fastID, Batch: 8})
-		switch m.Type {
-		case MsgDone:
-			break drain
-		case MsgNoWork:
-			time.Sleep(10 * time.Millisecond)
-		case MsgWorkBatch:
-			results := make([]ResultItem, 0, len(m.Work))
-			for _, it := range m.Work {
-				results = append(results, ResultItem{
-					TaskID: it.TaskID, Copy: it.Copy,
-					Value: honestValue(t, m.Kind, it.TaskID, m.Iters),
-				})
-			}
-			if ack := roundTrip(t, fast, Message{Type: MsgResultBatch, ParticipantID: fastID, Results: results}); ack.Type != MsgBatchAck {
-				t.Fatalf("drain batch ack: %+v", ack)
-			}
-		default:
-			t.Fatalf("drain: unexpected %+v", m)
-		}
-	}
+	drainRoundRobin(t, v, 8, []*Codec{fast}, []int{fastID}, []CheatFunc{nil})
 
 	sup.Wait()
 	sum := sup.Summary()
@@ -320,8 +300,15 @@ func quarantinePlan(t *testing.T) *plan.Plan {
 // (regular leases refused, the outstanding lease reclaimed within one
 // sweep), the probation clock re-admits it to ringer-only work, and a
 // clean ringer streak restores full standing — with the event and metric
-// trail proving every step.
+// trail proving every step. The probation diet is served by the lease
+// core, so the probationer is fed ringers whichever verb it asks with.
 func TestQuarantineLifecycle(t *testing.T) {
+	for _, v := range bothVerbs {
+		t.Run(string(v), func(t *testing.T) { testQuarantineLifecycle(t, v) })
+	}
+}
+
+func testQuarantineLifecycle(t *testing.T, v verbs) {
 	p := quarantinePlan(t)
 	var mu sync.Mutex
 	var events bytes.Buffer
@@ -517,14 +504,16 @@ func TestQuarantineLifecycle(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	var ringers []WorkItem
-	ringerSeen := map[copyKey]bool{} // get_work re-issues held leases every call
+	// Each lease is answered before the next is asked for: a request_work
+	// reply has room for one item, and a held copy is always re-issued
+	// ahead of a fresh one.
+	ringers := 0
 	deadline = time.Now().Add(5 * time.Second)
-	for len(ringers) < 2 {
+	for ringers < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("probation fed only %d ringer copies, need 2", len(ringers))
+			t.Fatalf("probation fed only %d ringer copies, need 2", ringers)
 		}
-		m := roundTrip(t, mc, Message{Type: MsgGetWork, ParticipantID: mID, Batch: 2})
+		m := v.lease(t, mc, mID, 2)
 		if m.Type != MsgWorkBatch {
 			time.Sleep(20 * time.Millisecond)
 			continue
@@ -533,19 +522,12 @@ func TestQuarantineLifecycle(t *testing.T) {
 			if it.TaskID < p.N {
 				t.Fatalf("probation leased regular task %d (ringers start at %d)", it.TaskID, p.N)
 			}
-			if !ringerSeen[copyKey{it.TaskID, it.Copy}] {
-				ringerSeen[copyKey{it.TaskID, it.Copy}] = true
-				ringers = append(ringers, it)
-			}
 		}
-	}
-	for _, it := range ringers {
-		ack := roundTrip(t, mc, Message{
-			Type: MsgResult, ParticipantID: mID,
-			TaskID: it.TaskID, Copy: it.Copy, Value: honestValue(t, "hashchain", it.TaskID, 10),
-		})
-		if ack.Type != MsgAck {
-			t.Fatalf("probation ringer result refused: %+v", ack)
+		for _, a := range v.submit(t, mc, mID, answer(t, m, nil)) {
+			if !a.OK {
+				t.Fatalf("probation ringer result refused: %+v", a)
+			}
+			ringers++
 		}
 	}
 
@@ -869,8 +851,15 @@ func TestStallChaosSoak(t *testing.T) {
 // none) quarantines every participant at once, so nobody is left to
 // drain the regular queue and nobody can earn ringer-proven
 // re-admission. The probation clock must expire instead
-// ("probation_expired"), re-admit the fleet, and let the run finish.
+// ("probation_expired"), re-admit the fleet, and let the run finish —
+// whichever verb the starved participants keep asking with.
 func TestProbationExpiresWhenRingerStarved(t *testing.T) {
+	for _, v := range bothVerbs {
+		t.Run(string(v), func(t *testing.T) { testProbationExpires(t, v) })
+	}
+}
+
+func testProbationExpires(t *testing.T, v verbs) {
 	p, err := plan.FromDistribution(dist.Simple(6), 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -907,11 +896,12 @@ func TestProbationExpiresWhenRingerStarved(t *testing.T) {
 	}
 	w1, id1 := reg2("liar")
 	w2, id2 := reg2("honest")
+	codecs, ids := []*Codec{w1, w2}, []int{id1, id2}
 
 	// The liar takes one copy; the honest participant leases everything
 	// else and completes only the sibling copy of the liar's task,
 	// holding the rest so real work is still queued when the axe falls.
-	lease := roundTrip(t, w1, Message{Type: MsgGetWork, ParticipantID: id1, Batch: 1})
+	lease := v.lease(t, w1, id1, 1)
 	if lease.Type != MsgWorkBatch || len(lease.Work) != 1 {
 		t.Fatalf("liar lease: %+v", lease)
 	}
@@ -929,92 +919,65 @@ func TestProbationExpiresWhenRingerStarved(t *testing.T) {
 	if sibling == nil {
 		t.Fatalf("no sibling copy of task %d in the honest lease", target.TaskID)
 	}
-	ack := roundTrip(t, w2, Message{Type: MsgResultBatch, ParticipantID: id2, Results: []ResultItem{{
+	if acks := v.submit(t, w2, id2, []ResultItem{{
 		TaskID: sibling.TaskID, Copy: sibling.Copy,
 		Value: honestValue(t, "hashchain", sibling.TaskID, 10),
-	}}})
-	if ack.Type != MsgBatchAck {
-		t.Fatalf("sibling ack: %+v", ack)
+	}}); !acks[0].OK {
+		t.Fatalf("sibling ack: %+v", acks[0])
 	}
 
 	// The lie completes the tuple: a mismatch, circumstantial suspects
 	// for both holders, and — at SuspectLimit 1 — a fleet-wide
 	// quarantine with ten copies reclaimed back into the queue.
-	ack = roundTrip(t, w1, Message{
-		Type: MsgResult, ParticipantID: id1,
+	if acks := v.submit(t, w1, id1, []ResultItem{{
 		TaskID: target.TaskID, Copy: target.Copy,
 		Value: honestValue(t, "hashchain", target.TaskID, 10) ^ 0xBAD,
-	})
-	if ack.Type != MsgAck {
-		t.Fatalf("cheat ack: %+v", ack)
+	}}); !acks[0].OK {
+		t.Fatalf("cheat ack: %+v", acks[0])
 	}
 	waitMetric(t, reg, 2, 5*time.Second, "redundancy_quarantines_entered_total")
 	waitMetric(t, reg, float64(p.TotalAssignments()-2), 5*time.Second,
 		"redundancy_assignments_reclaimed_total", "quarantine")
 
 	// With no ringers to prove themselves on, both must ride the
-	// probation clock back in and then finish the run. A worker that
-	// never re-admits spins on no_work here until the test times out.
-	doneCh := make(chan struct{})
-	go func() { sup.Wait(); close(doneCh) }()
-	drain := make(chan error, 2)
-	for _, wk := range []struct {
-		c  *Codec
-		id int
-	}{{w1, id1}, {w2, id2}} {
-		go func(c *Codec, id int) {
-			deadline := time.Now().Add(30 * time.Second)
-			for {
-				if time.Now().After(deadline) {
-					drain <- fmt.Errorf("participant %d still starved after 30s", id)
-					return
-				}
-				m := roundTrip(t, c, Message{Type: MsgGetWork, ParticipantID: id, Batch: 4})
-				switch m.Type {
-				case MsgDone:
-					drain <- nil
-					return
-				case MsgNoWork:
-					time.Sleep(10 * time.Millisecond)
-				case MsgWorkBatch:
-					results := make([]ResultItem, 0, len(m.Work))
-					for _, it := range m.Work {
-						results = append(results, ResultItem{
-							TaskID: it.TaskID, Copy: it.Copy,
-							Value: honestValue(t, "hashchain", it.TaskID, 10),
-						})
-					}
-					ack := roundTrip(t, c, Message{Type: MsgResultBatch, ParticipantID: id, Results: results})
-					if ack.Type != MsgBatchAck {
-						drain <- fmt.Errorf("participant %d: batch refused: %+v", id, ack)
-						return
-					}
-				default:
-					drain <- fmt.Errorf("participant %d: unexpected %+v", id, m)
-					return
-				}
+	// probation clock back in. One goroutine, fixed order: each keeps
+	// asking — a starved probationer is answered no_work at once, never
+	// parked — until the clock re-admits it and it is dealt regular work,
+	// and then holds that lease. While the first holds copies the run
+	// cannot finish under the second, so the second is provably still
+	// asking when its own clock runs out.
+	held := make([]Message, len(codecs))
+	deadline := time.Now().Add(30 * time.Second)
+	for i, c := range codecs {
+		for held[i].Type != MsgWorkBatch {
+			if time.Now().After(deadline) {
+				t.Fatalf("participant %d still starved after 30s", ids[i])
 			}
-		}(wk.c, wk.id)
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-drain; err != nil {
-			t.Fatal(err)
+			held[i] = v.lease(t, c, ids[i], 4)
+			if held[i].Type != MsgWorkBatch && held[i].Type != MsgNoWork {
+				t.Fatalf("participant %d: unexpected %+v", ids[i], held[i])
+			}
 		}
 	}
-	select {
-	case <-doneCh:
-	case <-time.After(30 * time.Second):
-		t.Fatal("computation never completed after clock re-admission")
+	if n := metricValue(reg, "redundancy_quarantines_exited_total"); n != 2 {
+		t.Errorf("quarantines_exited = %v with both participants leasing regular work, want 2", n)
+	}
+	for _, ph := range sup.HealthSnapshot() {
+		if ph.State != health.Healthy {
+			t.Errorf("participant %d state %v, want Healthy", ph.Participant, ph.State)
+		}
 	}
 
-	waitMetric(t, reg, 2, 5*time.Second, "redundancy_quarantines_exited_total")
-	for _, id := range []int{id1, id2} {
-		for _, ph := range sup.HealthSnapshot() {
-			if ph.Participant == id && ph.State != health.Healthy {
-				t.Errorf("participant %d state %v, want Healthy", id, ph.State)
+	// Return the held leases and finish the run.
+	for i, c := range codecs {
+		for _, a := range v.submit(t, c, ids[i], answer(t, held[i], nil)) {
+			if !a.OK {
+				t.Fatalf("participant %d: task %d copy %d refused: %s", ids[i], a.TaskID, a.Copy, a.Reason)
 			}
 		}
 	}
+	drainRoundRobin(t, v, 4, codecs, ids, make([]CheatFunc, len(codecs)))
+	sup.Wait()
 
 	// Both re-admissions must carry the clock-expiry reason — no ringer
 	// existed to earn the proven kind.

@@ -6,7 +6,7 @@ package sim
 // no arena indirection — at a typical fleet-sized queue the whole heap
 // fits in L1 — while event payloads (kind, arg) live in a small arena
 // read only at pop. Equal-timestamp events pop in insertion order (seq),
-// matching the Engine's documented tie-break. pos tracks each live
+// the tie-break the scenario goldens depend on. pos tracks each live
 // event's heap slot, which makes update and remove O(log n) — the
 // "indexed" part — and a free list recycles arena slots so a
 // steady-state push/pop cycle performs zero heap allocations once the

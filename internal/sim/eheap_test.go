@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"sort"
 	"testing"
 
 	"redundancy/internal/rng"
@@ -136,32 +137,57 @@ func TestEventHeapModel(t *testing.T) {
 	}
 }
 
-// TestEventHeapMatchesEngineOrder cross-checks the typed heap against the
-// Engine's container/heap implementation on an identical event stream:
-// the replacement must preserve the (time, insertion-order) contract the
-// scenario goldens depend on.
-func TestEventHeapMatchesEngineOrder(t *testing.T) {
+// TestEventHeapMatchesStableSortOrder cross-checks the typed heap against
+// a sort.SliceStable reference on (time, insertion order) — the contract
+// the scenario goldens depend on. The second half injects equal-timestamp
+// events mid-run, between pops, the way running events schedule followers:
+// they must still pop after every earlier-pushed tie.
+func TestEventHeapMatchesStableSortOrder(t *testing.T) {
 	r := rng.New(4242)
 	h := newEventHeap(8)
-	eng := &Engine{}
-	var engOrder []int32
-	var n int32
-	for i := int32(0); i < 500; i++ {
-		at := float64(r.Intn(20))
-		h.push(at, 0, i)
-		id := i
-		eng.Schedule(at, func() { engOrder = append(engOrder, id) })
-		n++
+	var ref []refEvent // kept in push order, so a stable sort on at breaks ties by seq
+	push := func(at float64) {
+		arg := int32(len(ref))
+		h.push(at, 0, arg)
+		ref = append(ref, refEvent{at: at, arg: arg})
 	}
-	eng.Run()
-	for i := int32(0); i < n; i++ {
-		_, _, arg, ok := h.popMin()
-		if !ok {
-			t.Fatalf("heap drained early at %d", i)
+	for i := 0; i < 500; i++ {
+		push(float64(r.Intn(20)))
+	}
+	popped := 0
+	check := func(n int) {
+		t.Helper()
+		// Everything already popped precedes, in the total order, anything
+		// still queued or pushed since (pushes never go back in time), so
+		// one stable sort of the whole history gives the full expected
+		// sequence.
+		want := append([]refEvent(nil), ref...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		for ; n > 0; n-- {
+			at, _, arg, ok := h.popMin()
+			if !ok {
+				t.Fatalf("heap drained early at pop %d", popped)
+			}
+			if at != want[popped].at || arg != want[popped].arg {
+				t.Fatalf("pop %d: typed heap gave (%v,%d), stable sort gives (%v,%d)",
+					popped, at, arg, want[popped].at, want[popped].arg)
+			}
+			popped++
+			// Mid-run injection: a tie at the current instant and a later event.
+			if r.Intn(4) == 0 && len(ref) < 1000 {
+				push(at)
+				push(at + float64(r.Intn(3)))
+				want = append(want[:0:0], ref...)
+				sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+			}
 		}
-		if arg != engOrder[i] {
-			t.Fatalf("pop %d: typed heap gave %d, Engine gave %d", i, arg, engOrder[i])
-		}
+	}
+	check(250)
+	for h.len() > 0 {
+		check(h.len())
+	}
+	if popped != len(ref) {
+		t.Fatalf("popped %d of %d events", popped, len(ref))
 	}
 }
 
@@ -200,8 +226,8 @@ func TestEventHeapReset(t *testing.T) {
 	}
 }
 
-// BenchmarkEventHeap measures the steady-state push/pop cycle against the
-// container/heap Engine on the same workload shape.
+// BenchmarkEventHeap measures the steady-state push/pop cycle; compare
+// BenchmarkContainerHeapBaseline on the same workload shape.
 func BenchmarkEventHeap(b *testing.B) {
 	b.ReportAllocs()
 	h := newEventHeap(1024)

@@ -1,3 +1,13 @@
+// Package sim provides the Monte-Carlo machinery that cross-validates the
+// paper's closed-form probabilities:
+//
+//   - a discrete-event simulation (virtual clock + typed event heap) of a
+//     full supervisor/participant volunteer computation under a chosen
+//     distribution plan, scheduling policy, and adversary coalition;
+//   - a fast binomial-thinning sampler matching the exact probabilistic
+//     model used in the paper's proofs, for high-replication experiments;
+//   - the Appendix-A two-phase experiment measuring how many tasks a
+//     p-proportion adversary fully controls under simple redundancy.
 package sim
 
 import (
@@ -406,9 +416,8 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 
 	// Completion events go through a typed min-heap keyed by worker id —
 	// the worker's in-service assignment lives in its simWorker.cur — so
-	// the hot loop schedules no closures and allocates nothing. Event
-	// order (time, then insertion seq) matches the Engine the historical
-	// loop ran on exactly.
+	// the hot loop schedules no closures and allocates nothing. Events pop
+	// in (time, then insertion seq) order.
 	events := newEventHeapUnindexed(256)
 	// replArmed marks that the root event has been consumed and the next
 	// scheduled completion may overwrite it via replaceTop — one sift
