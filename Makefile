@@ -93,17 +93,25 @@ bench-save:
 # A fast CI-sized version of the contention benchmark: tiny task count,
 # 8 concurrent workers, no artifact. Catches a supervisor that deadlocks,
 # parks forever, or collapses under concurrency before the full sweep
-# would ever run.
+# would ever run. Then the wire-cost guard: one lease cycle over loopback
+# must cost the supervisor exactly one socket read and one socket write
+# (BenchmarkLoopbackLeaseCycle fails on anything else), JSON at batch 1
+# and binary at batch 16.
 bench-smoke:
 	$(GO) run ./cmd/platformbench -n 600 -iters 10 -workers 1,8 -batches 16 -sweep-batch 16
+	$(GO) test -run '^$$' -bench 'BenchmarkLoopbackLeaseCycle' -benchtime 2000x -benchmem ./internal/platform
 
 # The three tests that used to race two RunWorker goroutines for work (or
 # two probationers for the end of the run), now driven in a fixed order,
-# plus the verb-edge equivalence test that depends on that determinism:
-# ten shuffled runs each under the race detector, so none can quietly
-# regress into "passes most of the time".
+# plus the verb-edge equivalence test that depends on that determinism,
+# the Shutdown drain (strict and pipelining clients), the compaction
+# restore under two concurrent workers (journal order must equal
+# adjudication order however their connections race), and the
+# reply-ordering tests of the pipelined lease cycle: ten shuffled runs each
+# under the race detector, so none can quietly regress into "passes most
+# of the time".
 flake-check:
-	$(GO) test -race -count=10 -shuffle=on ./internal/platform -run 'ResolveMismatches|QuantizedMatching|ProbationExpires|VerbEdgesEquivalent'
+	$(GO) test -race -count=10 -shuffle=on ./internal/platform -run 'ResolveMismatches|QuantizedMatching|ProbationExpires|VerbEdgesEquivalent|ShutdownDrains|LiveCompactionEndToEnd|PipelinedCycleIsOneWrite|AckFlushedBeforeLeaseParks|StrictClientUnaffected|MaxAssignmentsNeverOverLeases|ConnectionDiesAfterPipelinedWrite|PipelinedAckSettledBeforeLeaseRead|PipelinedThenStall|AckNotHeldBehindTornRequest|FloodWithoutReadingIsBounded|QueuedReplyFlushedBeforeCommitWait'
 
 # The straggler/health acceptance tests alone, under the race detector:
 # speculative first-result-wins, the disconnect/deadline reclaim overlap,

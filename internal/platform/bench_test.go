@@ -58,11 +58,7 @@ func BenchmarkBatchPipeline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cs = &connState{
-			held:       make(map[outstandingKey]int),
-			registered: make(map[int]bool),
-			names:      make(map[int]string),
-		}
+		cs = newConnState(nil) // nothing is ever queued, so the nil conn is never written
 		welcome := sup.register(Message{Type: MsgRegister, Name: "bench"}, cs)
 		if welcome.Type != MsgRegistered {
 			b.Fatalf("register: %+v", welcome)

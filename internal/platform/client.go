@@ -107,11 +107,15 @@ type WorkerConfig struct {
 	// Metrics, when non-nil, receives the worker's runtime metrics
 	// (protocol RTT histogram, completion counters; see OBSERVABILITY.md).
 	Metrics *obs.Registry
-	// OnLeaseRTT, when non-nil, observes the wall-clock duration of every
-	// work-request round trip (request_work and get_work), including queue
-	// and lock wait inside the supervisor — the lease latency a volunteer
-	// experiences. Invoked from the worker's own goroutine; keep it cheap.
-	// cmd/platformbench uses it to report p50/p99 lease latency.
+	// OnLeaseRTT, when non-nil, observes how long the worker waited for
+	// every work-request reply (request_work and get_work), timed from the
+	// write that carried the request to the moment the reply was read. In
+	// the steady state that write also carried the previous lease's
+	// results, so the observation is the whole per-cycle wait: the
+	// supervisor's handling of the results, their ack, and the queue and
+	// lock wait of the lease itself. Invoked from the worker's own
+	// goroutine; keep it cheap. cmd/platformbench uses it to report
+	// p50/p99 lease latency.
 	OnLeaseRTT func(time.Duration)
 	// Events, when non-nil, receives one JSON line per worker event
 	// (assignment_received, result_submitted, reconnect). Nil discards
@@ -278,6 +282,111 @@ func RunWorker(cfg WorkerConfig) (WorkerStats, error) {
 	}
 }
 
+// session is one connection's worth of worker protocol state: the codec,
+// the verb pair BatchSize selected, and the clock every reply is timed
+// against.
+type session struct {
+	cfg   WorkerConfig
+	wm    *workerMetrics
+	st    *workerState
+	codec *Codec
+	// single selects the single-item verbs (request_work/result); recvLease
+	// and recvAck hand the loop the batch shapes either way.
+	single bool
+	one    [1]WorkItem
+	oneAck [1]ResultAck
+	// sent is when the last write left. Every reply is timed from the write
+	// that carried its request, so the ack and the lease answering one
+	// pipelined write share a start.
+	sent time.Time
+}
+
+// flush writes the queued frames in one Write and starts the reply clock.
+func (s *session) flush() error {
+	s.sent = time.Now()
+	return s.codec.flush()
+}
+
+// recv reads one reply and records its protocol round-trip time (network +
+// supervisor processing).
+func (s *session) recv() (Message, error) {
+	m, err := s.codec.Recv()
+	if err != nil {
+		return Message{}, err
+	}
+	s.wm.rtt.Observe(time.Since(s.sent).Seconds())
+	if m.Epoch > s.st.stats.Epoch {
+		s.st.stats.Epoch = m.Epoch
+	}
+	return m, nil
+}
+
+// roundTrip is the strict exchange the registration handshake uses: one
+// message out, its reply in.
+func (s *session) roundTrip(m Message) (Message, error) {
+	if err := s.codec.queue(m); err != nil {
+		return Message{}, err
+	}
+	if err := s.flush(); err != nil {
+		return Message{}, err
+	}
+	return s.recv()
+}
+
+// queueRequest queues a work request for up to n assignments.
+func (s *session) queueRequest(n int) error {
+	if s.single {
+		return s.codec.queue(Message{Type: MsgRequestWork, ParticipantID: s.st.id})
+	}
+	return s.codec.queue(Message{Type: MsgGetWork, ParticipantID: s.st.id, Batch: n})
+}
+
+// queueResults queues the submission of a lease's results.
+func (s *session) queueResults(results []ResultItem) error {
+	if s.single {
+		r := results[0]
+		return s.codec.queue(Message{Type: MsgResult, ParticipantID: s.st.id,
+			TaskID: r.TaskID, Copy: r.Copy, Value: r.Value})
+	}
+	return s.codec.queue(Message{Type: MsgResultBatch, ParticipantID: s.st.id, Results: results})
+}
+
+// recvLease reads the reply to a work request; a single work item comes
+// back as the one-item work_batch it is.
+func (s *session) recvLease() (Message, error) {
+	m, err := s.recv()
+	if m.Type == MsgWork {
+		s.one[0] = WorkItem{TaskID: m.TaskID, Copy: m.Copy, Seed: m.Seed}
+		m = Message{Type: MsgWorkBatch, Kind: m.Kind, Iters: m.Iters, Work: s.one[:]}
+	}
+	return m, err
+}
+
+// recvAck reads the reply to the submission of st.pending; a single ack or
+// refusal comes back as the one-item batch_ack it is. In binary mode the
+// acks alias codec scratch: settle them before the next recv.
+func (s *session) recvAck() (Message, error) {
+	m, err := s.recv()
+	if s.single && (m.Type == MsgAck || m.Type == MsgError) {
+		r := s.st.pending[0]
+		s.oneAck[0] = ResultAck{TaskID: r.TaskID, Copy: r.Copy, OK: m.Type == MsgAck,
+			Reason: m.Reason, Error: m.Error}
+		m = Message{Type: MsgBatchAck, Acks: s.oneAck[:]}
+	}
+	return m, err
+}
+
+// room is how many assignments the next work request may ask for:
+// BatchSize, capped by what MaxAssignments leaves once the submitted
+// results still awaiting their ack are all accepted.
+func (s *session) room(submitted int) int {
+	want := max(s.cfg.BatchSize, 1)
+	if s.cfg.MaxAssignments > 0 {
+		want = min(want, s.cfg.MaxAssignments-s.st.stats.Completed-submitted)
+	}
+	return max(want, 0)
+}
+
 // runSession runs one connection's worth of the worker loop: dial, register
 // (or resume), resubmit any pending result, then request/execute/submit
 // until done. A nil return ends RunWorker; errors are retried or not by the
@@ -288,25 +397,7 @@ func runSession(cfg WorkerConfig, wm *workerMetrics, st *workerState, dial func(
 		return err
 	}
 	defer conn.Close()
-	codec := NewCodec(conn)
-
-	// roundTrip sends one message, waits for the reply, and records the
-	// protocol round-trip time (network + supervisor processing).
-	roundTrip := func(m Message) (Message, error) {
-		start := time.Now()
-		if err := codec.Send(m); err != nil {
-			return Message{}, err
-		}
-		reply, err := codec.Recv()
-		if err != nil {
-			return Message{}, err
-		}
-		wm.rtt.Observe(time.Since(start).Seconds())
-		if reply.Epoch > st.stats.Epoch {
-			st.stats.Epoch = reply.Epoch
-		}
-		return reply, nil
-	}
+	s := &session{cfg: cfg, wm: wm, st: st, codec: NewCodec(conn), single: cfg.BatchSize <= 1}
 
 	// Register — or, after a reconnect, resume the identity we already hold
 	// so credit accrues to one participant and the supervisor can hand back
@@ -315,7 +406,7 @@ func runSession(cfg WorkerConfig, wm *workerMetrics, st *workerState, dial func(
 	if st.id >= 0 {
 		reg.Resume, reg.ParticipantID, reg.Token = true, st.id, st.token
 	}
-	welcome, err := roundTrip(reg)
+	welcome, err := s.roundTrip(reg)
 	if err != nil {
 		return err
 	}
@@ -326,7 +417,7 @@ func runSession(cfg WorkerConfig, wm *workerMetrics, st *workerState, dial func(
 		// (Refusals arrive in JSON: the codec only switches on a registered
 		// reply, so the fresh register below re-negotiates from scratch.)
 		st.id, st.token, st.pending = -1, 0, nil
-		welcome, err = roundTrip(Message{Type: MsgRegister, Name: cfg.Name, Proto: cfg.Proto})
+		welcome, err = s.roundTrip(Message{Type: MsgRegister, Name: cfg.Name, Proto: cfg.Proto})
 		if err != nil {
 			return err
 		}
@@ -341,49 +432,27 @@ func runSession(cfg WorkerConfig, wm *workerMetrics, st *workerState, dial func(
 	if welcome.Proto == ProtoBinary {
 		// The supervisor granted proto=bin and switched after sending this
 		// reply; everything from here on is binary-framed.
-		codec.EnableBinary()
+		s.codec.EnableBinary()
 	}
 	st.id = welcome.ParticipantID
 	st.token = welcome.Token
 	st.stats.ParticipantID = st.id
 
-	// The verb pair: BatchSize selects which wire verbs carry a lease and
-	// its results; the loop below sees only the batch shapes.
-	single := cfg.BatchSize <= 1
-	var one [1]WorkItem
-	var oneAck [1]ResultAck
-	lease := func(n int) (Message, error) {
-		if !single {
-			return roundTrip(Message{Type: MsgGetWork, ParticipantID: st.id, Batch: n})
-		}
-		m, err := roundTrip(Message{Type: MsgRequestWork, ParticipantID: st.id})
-		if m.Type == MsgWork {
-			one[0] = WorkItem{TaskID: m.TaskID, Copy: m.Copy, Seed: m.Seed}
-			m = Message{Type: MsgWorkBatch, Kind: m.Kind, Iters: m.Iters, Work: one[:]}
-		}
-		return m, err
-	}
-	submit := func(results []ResultItem) (Message, error) {
-		if !single {
-			return roundTrip(Message{Type: MsgResultBatch, ParticipantID: st.id, Results: results})
-		}
-		r := results[0]
-		m, err := roundTrip(Message{Type: MsgResult, ParticipantID: st.id,
-			TaskID: r.TaskID, Copy: r.Copy, Value: r.Value})
-		if m.Type == MsgAck || m.Type == MsgError {
-			oneAck[0] = ResultAck{TaskID: r.TaskID, Copy: r.Copy, OK: m.Type == MsgAck,
-				Reason: m.Reason, Error: m.Error}
-			m = Message{Type: MsgBatchAck, Acks: oneAck[:]}
-		}
-		return m, err
-	}
-
-	// Resubmit the results whose ack never arrived. An OK ack means the
-	// crash hit between send and ack and the original submission was lost;
-	// a rejection means it landed (the duplicate is "unassigned") or the
-	// copy was reclaimed meanwhile — either way it is out of our hands now.
+	// Resubmit the results whose ack never arrived, alone: the work request
+	// that follows a resume is a bare one, because the supervisor answers
+	// it with every assignment this identity still holds. An OK ack means
+	// the crash hit between send and ack and the original submission was
+	// lost; a rejection means it landed (the duplicate is "unassigned") or
+	// the copy was reclaimed meanwhile — either way it is out of our hands
+	// now.
 	if st.pending != nil {
-		ack, err := submit(st.pending)
+		if err := s.queueResults(st.pending); err != nil {
+			return err
+		}
+		if err := s.flush(); err != nil {
+			return err
+		}
+		ack, err := s.recvAck()
 		if err != nil {
 			return err
 		}
@@ -391,7 +460,7 @@ func runSession(cfg WorkerConfig, wm *workerMetrics, st *workerState, dial func(
 			return err
 		}
 	}
-	return batchLoop(cfg, wm, st, lease, submit, r)
+	return s.leaseLoop(r)
 }
 
 // settle books the supervisor's verdict on the pending results: accepted
@@ -426,13 +495,18 @@ func settle(cfg WorkerConfig, wm *workerMetrics, st *workerState, ack Message) e
 	return nil
 }
 
-// batchLoop is the worker's one lease/execute/submit loop: one lease of
-// up to BatchSize assignments, every item executed locally, and the values
-// submitted together — two round trips per lease. The pending-result crash
-// window covers the whole lease: the results are recorded before they are
-// sent, and resubmitted after a resume (runSession).
-func batchLoop(cfg WorkerConfig, wm *workerMetrics, st *workerState,
-	lease func(int) (Message, error), submit func([]ResultItem) (Message, error), r *rng.Source) error {
+// leaseLoop is the worker's one lease/execute/submit loop, one round trip
+// per lease: every item of a lease is executed locally, then the values
+// and the next work request leave in one write, and the supervisor's ack
+// and next lease come back behind it. The request rides with the results,
+// never ahead of them, so the supervisor never sees this worker ask for
+// work while it holds any. The first lease, the lease after a no_work, and
+// the lease after a cycle that left no room under MaxAssignments at the
+// time are asked for with a bare request. The pending-result crash window
+// covers the whole lease: the results are recorded before they are sent,
+// and resubmitted after a resume (runSession).
+func (s *session) leaseLoop(r *rng.Source) error {
+	cfg, wm, st := s.cfg, s.wm, s.st
 	// Per-lease scratch, reused across iterations: every loop-continuing
 	// path clears st.pending first, so the previous iteration's results no
 	// longer alias the backing array when it is rewound. (Results recorded
@@ -441,27 +515,27 @@ func batchLoop(cfg WorkerConfig, wm *workerMetrics, st *workerState,
 	// that pending slice alone.)
 	var results []ResultItem
 	var cheatedOn []bool
+	requested := false // a work request is on the wire, its reply not yet read
 	for {
-		want := cfg.BatchSize
-		if want < 1 {
-			want = 1
-		}
-		if cfg.MaxAssignments > 0 {
-			remaining := cfg.MaxAssignments - st.stats.Completed
-			if remaining <= 0 {
+		if !requested {
+			want := s.room(0)
+			if want == 0 {
 				return nil
 			}
-			if remaining < want {
-				want = remaining
+			if err := s.queueRequest(want); err != nil {
+				return err
+			}
+			if err := s.flush(); err != nil {
+				return err
 			}
 		}
-		leaseStart := time.Now()
-		m, err := lease(want)
+		m, err := s.recvLease()
 		if err != nil {
 			return err
 		}
+		requested = false
 		if cfg.OnLeaseRTT != nil {
-			cfg.OnLeaseRTT(time.Since(leaseStart))
+			cfg.OnLeaseRTT(time.Since(s.sent))
 		}
 		switch m.Type {
 		case MsgDone:
@@ -517,7 +591,19 @@ func batchLoop(cfg WorkerConfig, wm *workerMetrics, st *workerState,
 		// anywhere between here and the ack, the next session resubmits
 		// the whole lease.
 		st.pending = results
-		ack, err := submit(results)
+		if err := s.queueResults(results); err != nil {
+			return err
+		}
+		if want := s.room(len(results)); want > 0 {
+			if err := s.queueRequest(want); err != nil {
+				return err
+			}
+			requested = true
+		}
+		if err := s.flush(); err != nil {
+			return err
+		}
+		ack, err := s.recvAck()
 		if err != nil {
 			return err
 		}
@@ -528,6 +614,8 @@ func batchLoop(cfg WorkerConfig, wm *workerMetrics, st *workerState,
 				})
 			}
 		}
+		// The ack is settled before the lease reply is read: in binary mode
+		// its items live in codec scratch the next recv overwrites.
 		if err := settle(cfg, wm, st, ack); err != nil {
 			return err
 		}

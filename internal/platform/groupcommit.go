@@ -28,9 +28,23 @@ type commitReq struct {
 // the fsync covering its record returned. The window is adaptive with zero
 // added latency — an uncontended request commits alone immediately;
 // windows grow exactly when fsync is the bottleneck.
+//
+// Requests are written in the order they were enqueued, and handlers
+// enqueue while still holding audit.mu, so journal order is adjudication
+// order: replay feeds the verifier the sequence the live run fed it, and a
+// restored supervisor equals the live one however many connections raced.
+// enqueue therefore must never block: the queue is a slice under its own
+// leaf mutex, not a bounded channel (the committer's snapshot trigger takes
+// audit.mu, so a handler blocked on a full channel under audit.mu would
+// deadlock it).
 type journalCommitter struct {
-	s    *Supervisor
-	reqs chan commitReq
+	s *Supervisor
+
+	mu     sync.Mutex // leaf: taken under audit.mu, never above anything
+	queue  []commitReq
+	closed bool
+
+	wake chan struct{} // buffered(1): the queue went non-empty
 	quit chan struct{}
 	idle chan struct{} // closed when the loop has drained and exited
 	once sync.Once
@@ -41,7 +55,7 @@ var errCommitterClosed = errors.New("platform: journal committer closed")
 func newJournalCommitter(s *Supervisor) *journalCommitter {
 	c := &journalCommitter{
 		s:    s,
-		reqs: make(chan commitReq, 256),
+		wake: make(chan struct{}, 1),
 		quit: make(chan struct{}),
 		idle: make(chan struct{}),
 	}
@@ -49,17 +63,24 @@ func newJournalCommitter(s *Supervisor) *journalCommitter {
 	return c
 }
 
-// commit submits recs and blocks until the commit window covering them is
-// durable (or its write failed). The caller may reuse recs's backing
-// array after commit returns — the committer is done with it.
-func (c *journalCommitter) commit(recs []journalRecord) error {
-	req := commitReq{recs: recs, done: make(chan error, 1)}
-	select {
-	case c.reqs <- req:
-	case <-c.quit:
-		return errCommitterClosed
+// enqueue queues recs for the next commit window and returns at once; the
+// returned channel yields the window's outcome once it is durable (or its
+// write failed). recs must stay untouched until then.
+func (c *journalCommitter) enqueue(recs []journalRecord) <-chan error {
+	done := make(chan error, 1)
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		done <- errCommitterClosed
+		return done
 	}
-	return <-req.done
+	c.queue = append(c.queue, commitReq{recs: recs, done: done})
+	c.mu.Unlock()
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
+	return done
 }
 
 // close stops the committer after draining every queued request. Safe to
@@ -73,32 +94,24 @@ func (c *journalCommitter) loop() {
 	defer close(c.idle)
 	batch := make([]commitReq, 0, 64)
 	for {
+		final := false
 		select {
-		case req := <-c.reqs:
-			batch = c.gather(append(batch[:0], req))
-			c.commitWindow(batch)
+		case <-c.wake:
 		case <-c.quit:
-			// Drain what the handlers already queued; supervisor teardown
-			// only closes the committer after every connection goroutine
-			// has exited, so nothing new can arrive.
-			if batch = c.gather(batch[:0]); len(batch) > 0 {
-				c.commitWindow(batch)
-			}
-			return
+			final = true
 		}
-	}
-}
-
-// gather extends the window with every request already queued — no timer,
-// no configured window size: the window is exactly the set of batches
-// that arrived while the previous write+fsync was in flight.
-func (c *journalCommitter) gather(batch []commitReq) []commitReq {
-	for {
-		select {
-		case req := <-c.reqs:
-			batch = append(batch, req)
-		default:
-			return batch
+		// The window is exactly the requests that arrived while the
+		// previous write+fsync was in flight — no timer, no configured size.
+		c.mu.Lock()
+		clear(batch) // drop the last window's references before it is reused
+		batch, c.queue = c.queue, batch[:0]
+		c.closed = final
+		c.mu.Unlock()
+		if len(batch) > 0 {
+			c.commitWindow(batch)
+		}
+		if final {
+			return
 		}
 	}
 }
@@ -143,7 +156,7 @@ func (c *journalCommitter) commitWindow(batch []commitReq) {
 		req.done <- err
 	}
 	// Snapshot trigger, after the requesters are released: takeSnapshot
-	// takes lease.mu → audit.mu, which no commit() caller holds, and
+	// takes lease.mu → audit.mu, which no requester waits under, and
 	// running it here keeps the committer single-threaded with respect to
 	// its own journal writes.
 	if err == nil {

@@ -78,6 +78,7 @@ type supMetrics struct {
 	wireBytes     *obs.CounterVec // codec
 	wireBytesJSON *obs.Counter    // cached wireBytes.With(ProtoJSON)
 	wireBytesBin  *obs.Counter    // cached wireBytes.With(ProtoBinary)
+	connFlushes   *obs.Counter
 
 	journalSnapshots        *obs.Counter
 	journalCompactedRecords *obs.Counter
@@ -178,6 +179,8 @@ func newSupMetrics(r *obs.Registry) *supMetrics {
 			"Ringer tasks minted mid-run by the adaptive controller."),
 		wireBytes: r.CounterVec("redundancy_wire_bytes_total",
 			"Bytes sent and received on worker connections, by wire codec (framing overhead included).", "codec"),
+		connFlushes: r.Counter("redundancy_conn_flushes_total",
+			"Socket writes made on worker connections; each carries every reply queued since the last one."),
 		journalSnapshots: r.Counter("redundancy_journal_snapshots_total",
 			"Journal snapshot records written (periodic captures and compactions)."),
 		journalCompactedRecords: r.Counter("redundancy_journal_compacted_records_total",
@@ -229,7 +232,7 @@ type workerMetrics struct {
 func newWorkerMetrics(r *obs.Registry) *workerMetrics {
 	return &workerMetrics{
 		rtt: r.Histogram("redundancy_worker_rtt_seconds",
-			"Protocol round-trip time in seconds: request-to-work and result-to-ack exchanges.",
+			"Protocol round-trip time in seconds, one observation per reply, timed from the write that carried its request.",
 			obs.DefBuckets),
 		completed: r.Counter("redundancy_worker_assignments_completed_total",
 			"Assignments fully executed and acknowledged by the supervisor."),

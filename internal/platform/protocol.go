@@ -15,6 +15,7 @@ package platform
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -253,6 +254,11 @@ var ErrFrameTooLong = errors.New("platform: frame exceeds 1 MiB")
 // codec-owned scratch buffers: they are valid until the next Recv, which
 // is exactly the lifetime the serve and worker loops need. Copy them to
 // retain a message across receives.
+//
+// Outbound frames are encoded into one buffer and leave in one Write:
+// Send is queue + flush, and the serve and worker loops queue several
+// frames (the replies to a burst of pipelined requests; a worker's results
+// and its next work request) before one flush.
 type Codec struct {
 	w   io.Writer
 	enc *json.Encoder
@@ -262,7 +268,11 @@ type Codec struct {
 	err    error // sticky framing error; the stream is unrecoverable
 
 	line []byte // inbound scratch: JSON line / binary payload
-	ebuf []byte // outbound scratch: one whole binary frame
+	// out holds the encoded frames awaiting flush. JSON frames always
+	// precede binary ones (the switch is one-way), and outJSON is where the
+	// JSON ones end, so flush can account the bytes per codec.
+	out     []byte
+	outJSON int
 
 	// decoded-slice scratch, reused across binary Recvs.
 	work    []WorkItem
@@ -280,18 +290,17 @@ type Codec struct {
 // 1 MiB long.
 func NewCodec(rw io.ReadWriter) *Codec {
 	c := &Codec{w: rw, br: bufio.NewReaderSize(rw, 4096)}
-	c.enc = json.NewEncoder(jsonCountWriter{c})
+	c.enc = json.NewEncoder(outWriter{c})
 	return c
 }
 
-// jsonCountWriter counts the JSON encoder's output bytes on the way to
-// the underlying stream.
-type jsonCountWriter struct{ c *Codec }
+// outWriter appends the JSON encoder's output to the codec's outbound
+// buffer.
+type outWriter struct{ c *Codec }
 
-func (jw jsonCountWriter) Write(p []byte) (int, error) {
-	n, err := jw.c.w.Write(p)
-	jw.c.jsonBytes += int64(n)
-	return n, err
+func (ow outWriter) Write(p []byte) (int, error) {
+	ow.c.out = append(ow.c.out, p...)
+	return len(p), nil
 }
 
 // EnableBinary switches both directions to the binary framing. Call it
@@ -310,22 +319,78 @@ func (c *Codec) WireBytes() (jsonBytes, binBytes int64) {
 	return c.jsonBytes, c.binBytes
 }
 
-// Send writes one message: a JSON line (json.Encoder appends the
-// newline), or one binary frame in a single Write.
+// Send writes one message — a JSON line (json.Encoder appends the
+// newline) or one binary frame — in a single Write, behind any frames
+// already queued.
 func (c *Codec) Send(m Message) error {
-	if !c.binary {
-		return c.enc.Encode(m)
+	if err := c.queue(m); err != nil {
+		return err
 	}
-	buf := append(c.ebuf[:0], 0, 0, 0, 0) // length prefix, patched below
-	buf = appendBinMessage(buf, &m)
-	c.ebuf = buf
-	if len(buf)-4 > maxFrame {
+	return c.flush()
+}
+
+// queue encodes one message behind the frames already awaiting flush. A
+// message that cannot be framed leaves the queue as it was.
+func (c *Codec) queue(m Message) error {
+	start := len(c.out)
+	if !c.binary {
+		if err := c.enc.Encode(m); err != nil {
+			c.out = c.out[:start]
+			return err
+		}
+		c.outJSON = len(c.out)
+		return nil
+	}
+	c.out = append(c.out, 0, 0, 0, 0) // length prefix, patched below
+	c.out = appendBinMessage(c.out, &m)
+	n := len(c.out) - start - 4
+	if n > maxFrame {
+		c.out = c.out[:start]
 		return ErrFrameTooLong
 	}
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-	n, err := c.w.Write(buf)
-	c.binBytes += int64(n)
+	binary.LittleEndian.PutUint32(c.out[start:], uint32(n))
+	return nil
+}
+
+// flush writes every queued frame in one Write; with nothing queued it
+// does not touch the stream.
+func (c *Codec) flush() error {
+	if len(c.out) == 0 {
+		return nil
+	}
+	n, err := c.w.Write(c.out)
+	j := min(n, c.outJSON)
+	c.jsonBytes += int64(j)
+	c.binBytes += int64(n - j)
+	c.out, c.outJSON = c.out[:0], 0
 	return err
+}
+
+// pending reports the bytes queued and not yet flushed.
+func (c *Codec) pending() int { return len(c.out) }
+
+// buffered reports whether the read buffer holds a whole further frame,
+// i.e. whether the next Recv returns without reading from the stream. A
+// frame only partly received does not count, nor do blank JSON lines (Recv
+// skips them): after either, Recv would block on the peer. A frame longer
+// than the read buffer never counts, which only costs an early flush.
+func (c *Codec) buffered() bool {
+	n := c.br.Buffered()
+	if n == 0 {
+		return false
+	}
+	b, _ := c.br.Peek(n)
+	if !c.binary {
+		for len(b) > 0 && (b[0] == '\n' || b[0] == '\r') {
+			b = b[1:]
+		}
+		return bytes.IndexByte(b, '\n') >= 0
+	}
+	if n < 4 {
+		return false
+	}
+	size := int(binary.LittleEndian.Uint32(b))
+	return size > maxFrame || n >= 4+size // an oversized frame fails without reading
 }
 
 // Recv reads the next message and returns io.EOF at a clean end of

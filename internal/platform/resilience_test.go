@@ -73,7 +73,7 @@ func TestReconnectDelayBackoff(t *testing.T) {
 
 // dialCodec opens a raw protocol connection for tests that drive the wire
 // by hand.
-func dialCodec(t *testing.T, addr string) (net.Conn, *Codec) {
+func dialCodec(t testing.TB, addr string) (net.Conn, *Codec) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -115,12 +115,7 @@ func (v verbs) lease(t *testing.T, c *Codec, id, n int) Message {
 	if v == batchVerbs {
 		return roundTrip(t, c, Message{Type: MsgGetWork, ParticipantID: id, Batch: n})
 	}
-	m := roundTrip(t, c, Message{Type: MsgRequestWork, ParticipantID: id})
-	if m.Type == MsgWork {
-		m = Message{Type: MsgWorkBatch, Kind: m.Kind, Iters: m.Iters,
-			Work: []WorkItem{{TaskID: m.TaskID, Copy: m.Copy, Seed: m.Seed}}}
-	}
-	return m
+	return asLease(roundTrip(t, c, Message{Type: MsgRequestWork, ParticipantID: id}))
 }
 
 // submit returns results — one result_batch, or one result message each —

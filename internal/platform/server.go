@@ -45,10 +45,13 @@ type SupervisorConfig struct {
 	// (volunteer hosts stall, sleep, or disappear silently). A participant
 	// submitting after its assignment was reclaimed is rejected.
 	Deadline time.Duration
-	// IOTimeout, when positive, bounds each read of a request and each
-	// write of a reply on a worker connection. A peer that stalls mid-frame
-	// (or a slow-loris) is disconnected and its assignments reclaimed,
-	// instead of pinning a connection goroutine forever.
+	// IOTimeout, when positive, bounds how long a worker connection may keep
+	// the supervisor waiting: the read deadline is armed whenever the
+	// supervisor has to wait for the peer (requests already received whole
+	// are served without touching it) and the write deadline once per write
+	// of replies. A peer that stalls mid-frame (or a slow-loris) is
+	// disconnected and its assignments reclaimed, instead of pinning a
+	// connection goroutine forever.
 	IOTimeout time.Duration
 	// Journal, when non-nil, receives one JSON line per accepted result;
 	// a supervisor restarted with the same plan and Restore pointed at the
@@ -190,10 +193,12 @@ type SupervisorConfig struct {
 // Lock order is lease.mu → audit.mu → ident.mu; the only place two are
 // held at once is adaptTick (and construction, which is single-threaded),
 // which must atomically re-shape both the queue and the expectations.
-// Journal bytes are ordered by jnlMu, never by a state lock: handlers hand
-// their records to the committer after releasing state locks, which is
-// safe because a record's content is fixed once its result is claimed, and
-// revision records are written before the copies they enable can exist.
+// Journal bytes are ordered by jnlMu, and result records additionally by
+// audit.mu: a handler queues its records with the committer (a slice
+// append, never a wait) before it releases audit.mu, so the journal holds
+// results in the order they were adjudicated, which is the order replay
+// must feed them back in. It waits for durability with no lock held.
+// Revision records are written before the copies they enable can exist.
 
 // leaseState guards the scheduler queue and the in-flight assignment
 // table. Lease-lifecycle events (assignment_issued, result_accepted,
@@ -335,10 +340,11 @@ type Supervisor struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool // no further connections are admitted
-	// busy counts requests between their Recv and the end of their reply.
-	// A claimed result has already left the in-flight table, so Shutdown's
-	// drain waits for this too before it closes the connections — or the
-	// ack of the very result it drained for could die with its connection.
+	// busy counts requests between their Recv and the flush that carries
+	// their reply (a queued reply is still in user space). A claimed result
+	// has already left the in-flight table, so Shutdown's drain waits for
+	// this too before it closes the connections — or the ack of the very
+	// result it drained for could die with its connection.
 	busy atomic.Int64
 }
 
@@ -695,7 +701,7 @@ func (s *Supervisor) closeConns() {
 // (keyed by assignment, valued by the participant it was issued to), so
 // work lost to a dropped connection can be re-issued. held is shared
 // state (the sweeper and resumed connections reach into it) and is
-// guarded by lease.mu; registered and names are touched only by this
+// guarded by lease.mu; everything else is touched only by this
 // connection's serve goroutine.
 type connState struct {
 	held map[outstandingKey]int
@@ -708,10 +714,22 @@ type connState struct {
 	// the hot path never takes ident.mu just to label a metric.
 	names map[int]string
 
-	// Per-request scratch, reused across the serve loop: the previous
-	// reply is fully encoded onto the wire before the next request is
-	// read, so its backing arrays are free again. This removes the
-	// per-batch slice allocations from the hot path.
+	// The connection's write side: replies are queued in codec and leave
+	// together in flushReplies. queued counts the replies sitting in the
+	// codec, each of them a request Shutdown's drain still counts as busy;
+	// werr is the write error that ended the connection.
+	conn   net.Conn
+	codec  *Codec
+	queued int64
+	werr   error
+	// seenJSON and seenBin are the codec's wire-byte totals already folded
+	// into redundancy_wire_bytes_total.
+	seenJSON, seenBin int64
+
+	// Per-request scratch, reused across the serve loop: a reply is fully
+	// encoded into the codec's buffer before the next request is read, so
+	// its backing arrays are free again. This removes the per-batch slice
+	// allocations from the hot path.
 	items []WorkItem
 	fill  []sched.Assignment
 	acks  []ResultAck
@@ -720,38 +738,63 @@ type connState struct {
 	one   [1]ResultItem // a single-verb result, as the batch it is served as
 }
 
+// maxQueuedReplyBytes bounds the replies one connection may have queued:
+// past it serve flushes even though further requests are already buffered.
+// Far above a pipelined cycle's ack plus lease, so a conforming worker
+// never meets it.
+const maxQueuedReplyBytes = 64 << 10
+
+func newConnState(conn net.Conn) *connState {
+	return &connState{
+		held:       make(map[outstandingKey]int),
+		registered: make(map[int]bool),
+		names:      make(map[int]string),
+		conn:       conn,
+		codec:      NewCodec(conn),
+	}
+}
+
 // serve handles one worker connection. When the connection ends — cleanly
 // or not — any assignment it still holds is returned to the queue and
 // re-issued to another participant: volunteer hosts leave all the time and
 // the computation must not stall on them.
+//
+// Requests are handled strictly in arrival order and their replies queued
+// in that order. The queue is flushed whenever the goroutine is about to
+// block: here, when the read buffer does not hold a whole further request,
+// and in the handlers before a lease parks and before a commit wait. A
+// client that pipelines its results and its next work request is therefore
+// answered in one write, and one that waits for each reply gets each reply
+// alone. The queue is also flushed once it passes maxQueuedReplyBytes, so a
+// peer that keeps sending and never reads costs the supervisor that much
+// memory and then blocks it in a write, as it would have with a write per
+// reply.
 func (s *Supervisor) serve(conn net.Conn) error {
-	codec := NewCodec(conn)
-	cs := &connState{
-		held:       make(map[outstandingKey]int),
-		registered: make(map[int]bool),
-		names:      make(map[int]string),
-	}
+	cs := newConnState(conn)
+	codec := cs.codec
 	s.metrics.workersConnected.Inc()
 	defer s.metrics.workersConnected.Dec()
 	defer s.reclaim(cs)
-	// Wire-byte accounting: fold the codec's running totals into the
-	// per-codec counters as deltas, once per request round and once at
-	// disconnect, so /metrics lags a connection by at most one reply.
-	var seenJSON, seenBin int64
-	flushWire := func() {
-		j, b := codec.WireBytes()
-		if d := j - seenJSON; d > 0 {
-			s.metrics.wireBytesJSON.Add(uint64(d))
-			seenJSON = j
-		}
-		if d := b - seenBin; d > 0 {
-			s.metrics.wireBytesBin.Add(uint64(d))
-			seenBin = b
-		}
-	}
-	defer flushWire()
+	// However the connection ends, the replies already produced still go
+	// out (best effort) and Shutdown's drain stops counting its requests.
+	defer func() {
+		_ = s.flushReplies(cs) // the connection is ending either way
+		s.foldWire(cs)         // bytes received since the last flush
+		s.busy.Add(-cs.queued) // replies a dead connection never took
+	}()
 	for {
-		if s.cfg.IOTimeout > 0 {
+		if cs.werr != nil {
+			return cs.werr // a handler's flush found the connection dead
+		}
+		blocking := !codec.buffered()
+		if blocking || codec.pending() > maxQueuedReplyBytes {
+			if err := s.flushReplies(cs); err != nil {
+				return err
+			}
+		}
+		// Only a Recv that can block on the peer needs a deadline; the
+		// requests of a burst already received are served under none.
+		if blocking && s.cfg.IOTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.IOTimeout))
 		}
 		m, err := codec.Recv()
@@ -803,20 +846,53 @@ func (s *Supervisor) serve(conn net.Conn) error {
 		if e := s.epoch.Load(); e != 0 {
 			reply.Epoch = e
 		}
-		if s.cfg.IOTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
-		}
-		err = codec.Send(reply)
-		s.busy.Add(-1)
-		if err != nil {
+		if err := codec.queue(reply); err != nil {
+			s.busy.Add(-1)
 			return err
 		}
+		cs.queued++
 		// Codec negotiation: the registered reply that echoes proto=bin is
 		// the last JSON frame on the connection; both sides switch after it.
 		if reply.Type == MsgRegistered && reply.Proto == ProtoBinary && !codec.Binary() {
 			codec.EnableBinary()
 		}
-		flushWire()
+	}
+}
+
+// flushReplies writes the connection's queued replies in one socket write
+// and lowers Shutdown's busy count by the requests they answer; with
+// nothing queued it is free. Handlers call it before they block (a parked
+// lease, a commit wait), so a reply is never held behind one; the request
+// being handled stays counted as busy until its own reply is flushed. A
+// write error is sticky: serve ends the connection when the handler
+// returns.
+func (s *Supervisor) flushReplies(cs *connState) error {
+	if cs.werr != nil || cs.queued == 0 {
+		return cs.werr
+	}
+	if s.cfg.IOTimeout > 0 {
+		cs.conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
+	}
+	s.metrics.connFlushes.Inc()
+	cs.werr = cs.codec.flush()
+	s.foldWire(cs)
+	s.busy.Add(-cs.queued)
+	cs.queued = 0
+	return cs.werr
+}
+
+// foldWire adds the codec's wire-byte totals to the per-codec counters as
+// deltas, at every flush and at disconnect, so /metrics lags a connection
+// by at most one flush.
+func (s *Supervisor) foldWire(cs *connState) {
+	j, b := cs.codec.WireBytes()
+	if d := j - cs.seenJSON; d > 0 {
+		s.metrics.wireBytesJSON.Add(uint64(d))
+		cs.seenJSON = j
+	}
+	if d := b - cs.seenBin; d > 0 {
+		s.metrics.wireBytesBin.Add(uint64(d))
+		cs.seenBin = b
 	}
 }
 
@@ -1156,6 +1232,11 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState) Messa
 		ch := make(chan struct{})
 		s.lease.waiters = append(s.lease.waiters, ch)
 		s.lease.mu.Unlock()
+		// The replies queued ahead of this request (the ack of the results
+		// it was pipelined behind) must not wait out the park.
+		if s.flushReplies(cs) != nil {
+			return Message{Type: MsgNoWork, Wait: 0.2} // dead connection; serve ends it
+		}
 		t := time.NewTimer(wait)
 		stopped := false
 		select {
@@ -1756,12 +1837,15 @@ type pendingResult struct {
 //
 // Between A and C the copies are in no map and not in the queue's ready
 // pool, so nothing can issue, reclaim, or double-accept them. Journal
-// records are committed after C — the committer's window covers them with
-// one buffered write and, with JournalSync, one fsync amortized over every
-// concurrent batch — and the acks are released only after that commit
-// returns: an acked result survives a crash. A journal write failure is
-// logged and the acks still go out; it costs replay, not liveness. The
-// returned acks alias cs scratch and are valid until the next call.
+// records are queued with the committer at the end of B, still under
+// audit.mu, so journal order is adjudication order across connections;
+// the committer's window covers them with one buffered write and, with
+// JournalSync, one fsync amortized over every concurrent batch. The wait
+// for that commit comes after C, with no lock held, and the acks are
+// released only after it returns: an acked result survives a crash. A
+// journal write failure is logged and the acks still go out; it costs
+// replay, not liveness. The returned acks alias cs scratch and are valid
+// until the next call.
 func (s *Supervisor) resultBatch(pid int, results []ResultItem, cs *connState) []ResultAck {
 	acks := cs.acks[:0]
 	pend := cs.pend[:0]
@@ -1779,6 +1863,7 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, cs *connState) [
 		acks = append(acks, ack)
 	}
 	s.lease.mu.Unlock()
+	var durable <-chan error
 	if len(pend) > 0 {
 		s.audit.mu.Lock()
 		for i := range pend {
@@ -1815,6 +1900,9 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, cs *connState) [
 					Value:       p.value,
 				})
 			}
+		}
+		if len(recs) > 0 {
+			durable = s.committer.enqueue(recs)
 		}
 		s.audit.mu.Unlock()
 		accepted := 0
@@ -1873,8 +1961,12 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, cs *connState) [
 			})
 		}
 	}
-	if len(recs) > 0 {
-		if err := s.committer.commit(recs); err != nil {
+	if durable != nil {
+		// Nothing already answered waits out the commit. A failed write is
+		// sticky in cs and ends the connection in serve; the claimed results
+		// are journaled regardless.
+		_ = s.flushReplies(cs)
+		if err := <-durable; err != nil {
 			s.logf("journal write failed: %v", err)
 		}
 	}
@@ -2001,7 +2093,7 @@ func (s *Supervisor) Shutdown(ctx context.Context) error {
 // awaitDrain polls until no assignment is in flight and no request is
 // mid-reply, or ctx expires. The in-flight table is read first: a result
 // handler raises busy before its claim empties the table and lowers it
-// only after its ack is sent.
+// only once its ack has been flushed.
 func (s *Supervisor) awaitDrain(ctx context.Context) bool {
 	for {
 		s.lease.mu.Lock()

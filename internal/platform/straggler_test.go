@@ -71,7 +71,7 @@ func testSpeculativeFirstResultWins(t *testing.T, v verbs) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events bytes.Buffer
+	var events syncBuffer // read while the supervisor can still emit (worker_left at cleanup)
 	reg := obs.NewRegistry()
 	sup, err := NewSupervisor(SupervisorConfig{
 		Plan: p, WorkKind: "hashchain", Iters: 10, Seed: 3,
