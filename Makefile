@@ -107,11 +107,17 @@ bench-smoke:
 # the Shutdown drain (strict and pipelining clients), the compaction
 # restore under two concurrent workers (journal order must equal
 # adjudication order however their connections race), and the
-# reply-ordering tests of the pipelined lease cycle: ten shuffled runs each
+# reply-ordering tests of the pipelined lease cycle and of the deferred
+# ack (the lease inside a frozen fsync, the shared window, the run-ahead
+# bound, the read deadline under a slow commit): ten shuffled runs each
 # under the race detector, so none can quietly regress into "passes most
-# of the time".
+# of the time". The second leg is the worker's FIFO of unacked submissions,
+# state that crosses a reconnect: resubmission after a kill, the
+# MaxAssignments cap, the drain before done, and an ack settled on the way
+# to a later lease.
 flake-check:
-	$(GO) test -race -count=10 -shuffle=on ./internal/platform -run 'ResolveMismatches|QuantizedMatching|ProbationExpires|VerbEdgesEquivalent|ShutdownDrains|LiveCompactionEndToEnd|PipelinedCycleIsOneWrite|AckFlushedBeforeLeaseParks|StrictClientUnaffected|MaxAssignmentsNeverOverLeases|ConnectionDiesAfterPipelinedWrite|PipelinedAckSettledBeforeLeaseRead|PipelinedThenStall|AckNotHeldBehindTornRequest|FloodWithoutReadingIsBounded|QueuedReplyFlushedBeforeCommitWait'
+	$(GO) test -race -count=10 -shuffle=on ./internal/platform -run 'ResolveMismatches|QuantizedMatching|ProbationExpires|VerbEdgesEquivalent|ShutdownDrains|LiveCompactionEndToEnd|PipelinedCycleIsOneWrite|AckFlushedBeforeLeaseParks|StrictClientUnaffected|MaxAssignmentsNeverOverLeases|ConnectionDiesAfterPipelinedWrite|PipelinedThenStall|AckNotHeldBehindTornRequest|FloodWithoutReadingIsBounded|QueuedReplyFlushedBeforeCommitWait|DeferredAcksShareOneWindow|DeferredAckBoundStopsReading|SlowCommitDoesNotTripIOTimeout|CommitCrashBetweenWriteAndFsync'
+	$(GO) test -race -count=10 ./internal/platform -run 'TestUnacked|PipelinedAckSettledBeforeLeaseRead|WorkerResubmitsPendingResult'
 
 # The straggler/health acceptance tests alone, under the race detector:
 # speculative first-result-wins, the disconnect/deadline reclaim overlap,

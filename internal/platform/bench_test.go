@@ -94,7 +94,7 @@ func BenchmarkBatchPipeline(b *testing.B) {
 		for _, w := range lease.Work {
 			results = append(results, ResultItem{TaskID: w.TaskID, Copy: w.Copy, Value: fn(w.Seed, iters)})
 		}
-		if acks := sup.resultBatch(id, results, cs); len(acks) != len(results) {
+		if acks, _ := sup.resultBatch(id, results, false, cs); len(acks) != len(results) {
 			b.Fatalf("acks: %+v", acks)
 		}
 	}

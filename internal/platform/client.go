@@ -84,7 +84,7 @@ type WorkerConfig struct {
 	// Reconnect makes session failures survivable: instead of returning the
 	// first network error, the worker redials with exponential backoff,
 	// resumes its identity (and any in-flight assignment) via a resume
-	// register, and resubmits a result whose ack never arrived. Off, any
+	// register, and resubmits every result whose ack never arrived. Off, any
 	// error ends the run — the pre-hardening behavior tests rely on.
 	Reconnect bool
 	// MaxReconnects caps consecutive failed sessions before giving up
@@ -112,8 +112,9 @@ type WorkerConfig struct {
 	// write that carried the request to the moment the reply was read. In
 	// the steady state that write also carried the previous lease's
 	// results, so the observation is the whole per-cycle wait: the
-	// supervisor's handling of the results, their ack, and the queue and
-	// lock wait of the lease itself. Invoked from the worker's own
+	// supervisor's handling of the results and the queue and lock wait of
+	// the lease itself — not their journal commit, which the lease does not
+	// wait for. Invoked from the worker's own
 	// goroutine; keep it cheap. cmd/platformbench uses it to report
 	// p50/p99 lease latency.
 	OnLeaseRTT func(time.Duration)
@@ -134,17 +135,52 @@ type WorkerStats struct {
 	Epoch uint64
 }
 
+// submission is one lease's results, sent and not yet acked.
+type submission struct {
+	results []ResultItem
+	// sent is when the write that carried it left: the start of its ack's
+	// round-trip sample, however many later writes the ack trails.
+	sent time.Time
+}
+
 // workerState is what survives across sessions of one RunWorker call: the
-// identity to resume, the result awaiting an ack, and the running stats.
+// identity to resume, the submissions awaiting an ack, and the running
+// stats.
 type workerState struct {
 	stats WorkerStats
 	id    int    // participant ID, -1 before first registration
 	token uint64 // resume credential minted by the supervisor
-	// pending holds the submitted results whose ack never arrived; they
-	// are resubmitted after the next resume so a crash between send and ack
+	// unacked holds, oldest first, the submissions whose ack has not
+	// arrived. A supervisor with a journal acks a submission only once the
+	// disk has it and hands out the next lease meanwhile, so several can be
+	// out at once (the supervisor bounds how many); acks come back in
+	// submission order, so each settles the oldest. All of them are
+	// resubmitted after the next resume, so a crash between send and ack
 	// cannot lose (or double-count) the work.
-	pending    []ResultItem
+	unacked []submission
+	// spare holds the result arrays of settled submissions for reuse: an
+	// unacked submission owns its array until its ack arrives.
+	spare      [][]ResultItem
 	progressed bool // session made progress; resets the failure counter
+}
+
+// outstanding counts the results sent and not yet acked.
+func (st *workerState) outstanding() int {
+	n := 0
+	for _, sub := range st.unacked {
+		n += len(sub.results)
+	}
+	return n
+}
+
+// scratch returns an empty result array no unacked submission owns.
+func (st *workerState) scratch() []ResultItem {
+	if n := len(st.spare); n > 0 {
+		r := st.spare[n-1]
+		st.spare = st.spare[:n-1]
+		return r[:0]
+	}
+	return nil
 }
 
 // terminalError marks a session error reconnecting cannot fix (e.g. the
@@ -283,21 +319,21 @@ func RunWorker(cfg WorkerConfig) (WorkerStats, error) {
 }
 
 // session is one connection's worth of worker protocol state: the codec,
-// the verb pair BatchSize selected, and the clock every reply is timed
-// against.
+// the verb pair BatchSize selected, and the clock the work request's reply
+// is timed against.
 type session struct {
 	cfg   WorkerConfig
 	wm    *workerMetrics
 	st    *workerState
 	codec *Codec
 	// single selects the single-item verbs (request_work/result); recvLease
-	// and recvAck hand the loop the batch shapes either way.
+	// and settle hand the loop the batch shapes either way.
 	single bool
 	one    [1]WorkItem
 	oneAck [1]ResultAck
-	// sent is when the last write left. Every reply is timed from the write
-	// that carried its request, so the ack and the lease answering one
-	// pipelined write share a start.
+	// sent is when the last write left. A reply is timed from the write
+	// that carried its request: the lease from this, an ack from the copy
+	// its submission took of it.
 	sent time.Time
 }
 
@@ -307,14 +343,12 @@ func (s *session) flush() error {
 	return s.codec.flush()
 }
 
-// recv reads one reply and records its protocol round-trip time (network +
-// supervisor processing).
+// recv reads one reply.
 func (s *session) recv() (Message, error) {
 	m, err := s.codec.Recv()
 	if err != nil {
 		return Message{}, err
 	}
-	s.wm.rtt.Observe(time.Since(s.sent).Seconds())
 	if m.Epoch > s.st.stats.Epoch {
 		s.st.stats.Epoch = m.Epoch
 	}
@@ -330,7 +364,11 @@ func (s *session) roundTrip(m Message) (Message, error) {
 	if err := s.flush(); err != nil {
 		return Message{}, err
 	}
-	return s.recv()
+	m, err := s.recv()
+	if err == nil {
+		s.wm.rtt.Observe(time.Since(s.sent).Seconds())
+	}
+	return m, err
 }
 
 // queueRequest queues a work request for up to n assignments.
@@ -351,46 +389,129 @@ func (s *session) queueResults(results []ResultItem) error {
 	return s.codec.queue(Message{Type: MsgResultBatch, ParticipantID: s.st.id, Results: results})
 }
 
-// recvLease reads the reply to a work request; a single work item comes
-// back as the one-item work_batch it is.
-func (s *session) recvLease() (Message, error) {
-	m, err := s.recv()
-	if m.Type == MsgWork {
-		s.one[0] = WorkItem{TaskID: m.TaskID, Copy: m.Copy, Seed: m.Seed}
-		m = Message{Type: MsgWorkBatch, Kind: m.Kind, Iters: m.Iters, Work: s.one[:]}
+// markSent stamps the newest n unacked submissions with the write that
+// just carried them.
+func (s *session) markSent(n int) {
+	u := s.st.unacked
+	for i := len(u) - n; i < len(u); i++ {
+		u[i].sent = s.sent
 	}
-	return m, err
 }
 
-// recvAck reads the reply to the submission of st.pending; a single ack or
-// refusal comes back as the one-item batch_ack it is. In binary mode the
-// acks alias codec scratch: settle them before the next recv.
-func (s *session) recvAck() (Message, error) {
-	m, err := s.recv()
-	if s.single && (m.Type == MsgAck || m.Type == MsgError) {
-		r := s.st.pending[0]
-		s.oneAck[0] = ResultAck{TaskID: r.TaskID, Copy: r.Copy, OK: m.Type == MsgAck,
-			Reason: m.Reason, Error: m.Error}
-		m = Message{Type: MsgBatchAck, Acks: s.oneAck[:]}
+// answersResults is the worker's half of PROTOCOL.md's reply-order rule: a
+// lease may overtake the ack of results sent ahead of it, so a reply is
+// matched by what it is. ack and batch_ack answer the oldest unacked
+// submission, and so does an error carrying a reason only a result can
+// draw; everything else answers the outstanding work request.
+func answersResults(m Message) bool {
+	switch m.Type {
+	case MsgAck, MsgBatchAck:
+		return true
+	case MsgError:
+		switch m.Reason {
+		case ReasonUnassigned, ReasonWrongParticipant, ReasonVerification, ReasonDuplicate:
+			return true
+		}
 	}
-	return m, err
+	return false
+}
+
+// recvLease reads up to the reply to the outstanding work request, settling
+// every ack it meets on the way; a single work item comes back as the
+// one-item work_batch it is.
+func (s *session) recvLease() (Message, error) {
+	for {
+		m, err := s.recv()
+		if err != nil {
+			return Message{}, err
+		}
+		if answersResults(m) {
+			if err := s.settle(m); err != nil {
+				return Message{}, err
+			}
+			continue
+		}
+		s.wm.rtt.Observe(time.Since(s.sent).Seconds())
+		if m.Type == MsgWork {
+			s.one[0] = WorkItem{TaskID: m.TaskID, Copy: m.Copy, Seed: m.Seed}
+			m = Message{Type: MsgWorkBatch, Kind: m.Kind, Iters: m.Iters, Work: s.one[:]}
+		}
+		return m, nil
+	}
+}
+
+// recvAcks reads acks, with no work request outstanding, until at most keep
+// submissions are still unacked.
+func (s *session) recvAcks(keep int) error {
+	for len(s.st.unacked) > keep {
+		m, err := s.recv()
+		if err != nil {
+			return err
+		}
+		if !answersResults(m) {
+			return fmt.Errorf("platform: unexpected reply %q (%s) while awaiting an ack", m.Type, m.Error)
+		}
+		if err := s.settle(m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// settle books the supervisor's verdict on the oldest unacked submission:
+// accepted results count as completed; a rejected one (reclaimed under a
+// deadline, or forgotten by a restarted supervisor — the copy is someone
+// else's now) ends the run unless the worker is in Reconnect mode, where
+// such races are expected. Either way the submission is no longer unacked.
+// A single ack or refusal is the one-item batch_ack it stands for. In
+// binary mode the acks alias codec scratch, so this runs before the next
+// recv.
+func (s *session) settle(ack Message) error {
+	st := s.st
+	if len(st.unacked) == 0 {
+		return fmt.Errorf("platform: %q with no submission awaiting an ack", ack.Type)
+	}
+	sub := st.unacked[0]
+	st.unacked = append(st.unacked[:0], st.unacked[1:]...)
+	st.spare = append(st.spare, sub.results)
+	s.wm.rtt.Observe(time.Since(sub.sent).Seconds())
+	acks := ack.Acks
+	if ack.Type != MsgBatchAck {
+		r := sub.results[0]
+		s.oneAck[0] = ResultAck{TaskID: r.TaskID, Copy: r.Copy, OK: ack.Type == MsgAck,
+			Reason: ack.Reason, Error: ack.Error}
+		acks = s.oneAck[:]
+	}
+	if len(acks) != len(sub.results) {
+		return fmt.Errorf("platform: %s carries %d acks for %d results", ack.Type, len(acks), len(sub.results))
+	}
+	for _, a := range acks {
+		if a.OK {
+			st.stats.Completed++
+			s.wm.completed.Inc()
+			st.progressed = true
+		} else if !s.cfg.Reconnect {
+			return errors.New("platform: result rejected: " + a.Error)
+		}
+	}
+	return nil
 }
 
 // room is how many assignments the next work request may ask for:
-// BatchSize, capped by what MaxAssignments leaves once the submitted
-// results still awaiting their ack are all accepted.
-func (s *session) room(submitted int) int {
+// BatchSize, capped by what MaxAssignments leaves once every result still
+// awaiting its ack is accepted.
+func (s *session) room() int {
 	want := max(s.cfg.BatchSize, 1)
 	if s.cfg.MaxAssignments > 0 {
-		want = min(want, s.cfg.MaxAssignments-s.st.stats.Completed-submitted)
+		want = min(want, s.cfg.MaxAssignments-s.st.stats.Completed-s.st.outstanding())
 	}
 	return max(want, 0)
 }
 
 // runSession runs one connection's worth of the worker loop: dial, register
-// (or resume), resubmit any pending result, then request/execute/submit
-// until done. A nil return ends RunWorker; errors are retried or not by the
-// caller.
+// (or resume), resubmit every unacked submission, then request/execute/
+// submit until done. A nil return ends RunWorker; errors are retried or not
+// by the caller.
 func runSession(cfg WorkerConfig, wm *workerMetrics, st *workerState, dial func(string) (net.Conn, error), r *rng.Source) error {
 	conn, err := dial(cfg.Addr)
 	if err != nil {
@@ -413,10 +534,10 @@ func runSession(cfg WorkerConfig, wm *workerMetrics, st *workerState, dial func(
 	if welcome.Type == MsgError && welcome.Reason == ReasonResumeRefused && st.id >= 0 {
 		// The supervisor does not know us — typically it restarted and
 		// resume tokens are in-memory. Start over with a fresh identity;
-		// the pending results name assignments that no longer exist.
+		// the unacked results name assignments that no longer exist.
 		// (Refusals arrive in JSON: the codec only switches on a registered
 		// reply, so the fresh register below re-negotiates from scratch.)
-		st.id, st.token, st.pending = -1, 0, nil
+		st.id, st.token, st.unacked = -1, 0, nil
 		welcome, err = s.roundTrip(Message{Type: MsgRegister, Name: cfg.Name, Proto: cfg.Proto})
 		if err != nil {
 			return err
@@ -438,89 +559,62 @@ func runSession(cfg WorkerConfig, wm *workerMetrics, st *workerState, dial func(
 	st.token = welcome.Token
 	st.stats.ParticipantID = st.id
 
-	// Resubmit the results whose ack never arrived, alone: the work request
-	// that follows a resume is a bare one, because the supervisor answers
-	// it with every assignment this identity still holds. An OK ack means
-	// the crash hit between send and ack and the original submission was
-	// lost; a rejection means it landed (the duplicate is "unassigned") or
-	// the copy was reclaimed meanwhile — either way it is out of our hands
-	// now.
-	if st.pending != nil {
-		if err := s.queueResults(st.pending); err != nil {
-			return err
+	// Resubmit every submission whose ack never arrived, oldest first in
+	// one write, and alone: the work request that follows a resume is a
+	// bare one, because the supervisor answers it with every assignment
+	// this identity still holds. An OK ack means the crash hit between send
+	// and ack and the original submission was lost; a rejection means it
+	// landed (the duplicate is "unassigned") or the copy was reclaimed
+	// meanwhile — either way it is out of our hands now.
+	if n := len(st.unacked); n > 0 {
+		for _, sub := range st.unacked {
+			if err := s.queueResults(sub.results); err != nil {
+				return err
+			}
 		}
 		if err := s.flush(); err != nil {
 			return err
 		}
-		ack, err := s.recvAck()
-		if err != nil {
-			return err
-		}
-		if err := settle(cfg, wm, st, ack); err != nil {
+		s.markSent(n)
+		if err := s.recvAcks(0); err != nil {
 			return err
 		}
 	}
 	return s.leaseLoop(r)
 }
 
-// settle books the supervisor's verdict on the pending results: accepted
-// ones count as completed; a rejected one (reclaimed under a deadline, or
-// forgotten by a restarted supervisor — the copy is someone else's now)
-// ends the run unless the worker is in Reconnect mode, where such races
-// are expected. Either way the results are no longer pending.
-func settle(cfg WorkerConfig, wm *workerMetrics, st *workerState, ack Message) error {
-	switch ack.Type {
-	case MsgBatchAck:
-		if len(ack.Acks) != len(st.pending) {
-			return fmt.Errorf("platform: batch_ack carries %d acks for %d results", len(ack.Acks), len(st.pending))
-		}
-		st.pending = nil
-		for _, a := range ack.Acks {
-			if a.OK {
-				st.stats.Completed++
-				wm.completed.Inc()
-				st.progressed = true
-			} else if !cfg.Reconnect {
-				return errors.New("platform: result rejected: " + a.Error)
-			}
-		}
-	case MsgError:
-		st.pending = nil
-		if !cfg.Reconnect {
-			return errors.New("platform: result batch rejected: " + ack.Error)
-		}
-	default:
-		return fmt.Errorf("platform: unexpected reply %q", ack.Type)
-	}
-	return nil
-}
-
 // leaseLoop is the worker's one lease/execute/submit loop, one round trip
 // per lease: every item of a lease is executed locally, then the values
-// and the next work request leave in one write, and the supervisor's ack
-// and next lease come back behind it. The request rides with the results,
-// never ahead of them, so the supervisor never sees this worker ask for
-// work while it holds any. The first lease, the lease after a no_work, and
-// the lease after a cycle that left no room under MaxAssignments at the
-// time are asked for with a bare request. The pending-result crash window
-// covers the whole lease: the results are recorded before they are sent,
-// and resubmitted after a resume (runSession).
+// and the next work request leave in one write, and the supervisor's next
+// lease comes back behind it. The ack comes when the supervisor's journal
+// has the results, which may be after that lease (and after later ones):
+// the loop never waits for an ack while it can work, settles acks as it
+// meets them on the way to a lease, and collects the rest before it
+// returns. The request rides with the results, never ahead of them, so the
+// supervisor never sees this worker ask for work while it holds any. The
+// first lease, the lease after a no_work, and the lease after a cycle that
+// left no room under MaxAssignments at the time are asked for with a bare
+// request. The unacked-submission crash window covers every lease sent:
+// results are recorded before they are sent, and resubmitted after a
+// resume (runSession).
 func (s *session) leaseLoop(r *rng.Source) error {
 	cfg, wm, st := s.cfg, s.wm, s.st
-	// Per-lease scratch, reused across iterations: every loop-continuing
-	// path clears st.pending first, so the previous iteration's results no
-	// longer alias the backing array when it is rewound. (Results recorded
-	// in st.pending at the time of a session-ending error are a different
-	// story — but then this call has returned and the array belongs to
-	// that pending slice alone.)
-	var results []ResultItem
-	var cheatedOn []bool
-	requested := false // a work request is on the wire, its reply not yet read
+	var cheatedOn []bool // per-lease scratch for the result_submitted events
+	requested := false   // a work request is on the wire, its reply not yet read
 	for {
 		if !requested {
-			want := s.room(0)
+			want := s.room()
 			if want == 0 {
-				return nil
+				// MaxAssignments is spoken for by the results sent. With
+				// none unacked the run is over; otherwise the oldest ack
+				// may still refuse some and leave room.
+				if len(st.unacked) == 0 {
+					return nil
+				}
+				if err := s.recvAcks(len(st.unacked) - 1); err != nil {
+					return err
+				}
+				continue
 			}
 			if err := s.queueRequest(want); err != nil {
 				return err
@@ -539,7 +633,7 @@ func (s *session) leaseLoop(r *rng.Source) error {
 		}
 		switch m.Type {
 		case MsgDone:
-			return nil
+			return s.recvAcks(0) // done overtook the last acks, as a lease would
 		case MsgNoWork:
 			wm.noWork.Inc()
 			time.Sleep(noWorkDelay(m.Wait, r))
@@ -564,7 +658,7 @@ func (s *session) leaseLoop(r *rng.Source) error {
 			// re-issued intact, so this is not terminal.
 			return err
 		}
-		results = results[:0]
+		results := st.scratch()
 		cheatedOn = cheatedOn[:0]
 		for _, item := range m.Work {
 			if cfg.Events != nil {
@@ -590,11 +684,11 @@ func (s *session) leaseLoop(r *rng.Source) error {
 		// Record the submission before sending: if the connection dies
 		// anywhere between here and the ack, the next session resubmits
 		// the whole lease.
-		st.pending = results
+		st.unacked = append(st.unacked, submission{results: results})
 		if err := s.queueResults(results); err != nil {
 			return err
 		}
-		if want := s.room(len(results)); want > 0 {
+		if want := s.room(); want > 0 {
 			if err := s.queueRequest(want); err != nil {
 				return err
 			}
@@ -603,21 +697,13 @@ func (s *session) leaseLoop(r *rng.Source) error {
 		if err := s.flush(); err != nil {
 			return err
 		}
-		ack, err := s.recvAck()
-		if err != nil {
-			return err
-		}
+		s.markSent(1)
 		if cfg.Events != nil {
 			for i, item := range results {
 				cfg.Events.Emit(EvResultSubmitted, map[string]any{
 					"task": item.TaskID, "copy": item.Copy, "cheated": cheatedOn[i],
 				})
 			}
-		}
-		// The ack is settled before the lease reply is read: in binary mode
-		// its items live in codec scratch the next recv overwrites.
-		if err := settle(cfg, wm, st, ack); err != nil {
-			return err
 		}
 	}
 }

@@ -2,8 +2,8 @@ package platform
 
 import (
 	"bytes"
-	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -11,11 +11,11 @@ import (
 // and supervisors — the frame-assembly allocation on the result hot path.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// commitReq is one handler's result batch awaiting durability. done is
-// buffered so the committer never blocks on a requester.
+// commitReq is one submission's records awaiting durability; at is when its
+// handler began, the start of its redundancy_commit_wait_seconds sample.
 type commitReq struct {
 	recs []journalRecord
-	done chan error
+	at   time.Time
 }
 
 // journalCommitter is the one path result records take to the journal: a
@@ -23,11 +23,19 @@ type commitReq struct {
 // previous window's write+fsync was in flight, encodes them into one
 // contiguous buffer, writes it with one Write call (so a crash can tear
 // only the buffer's tail — the damage replay already tolerates), fsyncs
-// once (JournalSync mode), and only then releases every requester.
-// Ack-after-fsync therefore holds per window: a result is acked only after
-// the fsync covering its record returned. The window is adaptive with zero
-// added latency — an uncontended request commits alone immediately;
-// windows grow exactly when fsync is the bottleneck.
+// once (JournalSync mode), and only then publishes the window as durable.
+// Ack-after-fsync therefore holds per window: a result's ack is produced
+// only after durable has passed its request's number, which happens only
+// after the fsync covering its records returned.
+//
+// Nobody waits for a commit on the lease path. A handler queues its records
+// and goes on to its connection's next request; the ack follows when the
+// window is down (deferredAck, server.go). A connection may run up to
+// maxDeferredAcks submissions ahead of the disk, so a window carries what
+// every connection produced during the previous fsync: the window has no
+// timer and no configured size, an idle journal commits a lone request at
+// once, and a busy one amortizes each fsync over up to maxDeferredAcks
+// submissions per connection.
 //
 // Requests are written in the order they were enqueued, and handlers
 // enqueue while still holding audit.mu, so journal order is adjudication
@@ -40,9 +48,18 @@ type commitReq struct {
 type journalCommitter struct {
 	s *Supervisor
 
-	mu     sync.Mutex // leaf: taken under audit.mu, never above anything
-	queue  []commitReq
-	closed bool
+	mu       sync.Mutex // leaf: taken under audit.mu, never above anything
+	queue    []commitReq
+	enqueued uint64 // requests accepted so far; the newest one's number
+	closed   bool
+	// tick is closed, and replaced, each time durable advances: what a
+	// waiter blocks on between two looks at durable.
+	tick chan struct{}
+
+	// durable is the number of the newest request whose window is down:
+	// every request numbered at or below it has been written and fsynced
+	// (or its write failed and was logged; an ack never waits forever).
+	durable atomic.Uint64
 
 	wake chan struct{} // buffered(1): the queue went non-empty
 	quit chan struct{}
@@ -50,11 +67,10 @@ type journalCommitter struct {
 	once sync.Once
 }
 
-var errCommitterClosed = errors.New("platform: journal committer closed")
-
 func newJournalCommitter(s *Supervisor) *journalCommitter {
 	c := &journalCommitter{
 		s:    s,
+		tick: make(chan struct{}),
 		wake: make(chan struct{}, 1),
 		quit: make(chan struct{}),
 		idle: make(chan struct{}),
@@ -63,24 +79,47 @@ func newJournalCommitter(s *Supervisor) *journalCommitter {
 	return c
 }
 
-// enqueue queues recs for the next commit window and returns at once; the
-// returned channel yields the window's outcome once it is durable (or its
-// write failed). recs must stay untouched until then.
-func (c *journalCommitter) enqueue(recs []journalRecord) <-chan error {
-	done := make(chan error, 1)
+// enqueue queues recs for the next commit window and returns at once with
+// the request's number: the records are durable once c.durable reaches it
+// (see wait). recs must stay untouched until then. ok is false when the
+// committer has been closed and the records were not taken.
+func (c *journalCommitter) enqueue(recs []journalRecord, at time.Time) (seq uint64, ok bool) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		done <- errCommitterClosed
-		return done
+		return 0, false
 	}
-	c.queue = append(c.queue, commitReq{recs: recs, done: done})
+	c.queue = append(c.queue, commitReq{recs: recs, at: at})
+	c.enqueued++
+	seq = c.enqueued
 	c.mu.Unlock()
 	select {
 	case c.wake <- struct{}{}:
 	default:
 	}
-	return done
+	return seq, true
+}
+
+// wait blocks until request seq is durable and reports true, or until gone
+// is closed and reports false (a nil gone never fires).
+func (c *journalCommitter) wait(seq uint64, gone <-chan struct{}) bool {
+	for c.durable.Load() < seq {
+		c.mu.Lock()
+		tick := c.tick
+		c.mu.Unlock()
+		// durable is stored before tick is replaced: holding the
+		// replacement, this second look sees the new durable; holding the
+		// old tick, its close wakes us.
+		if c.durable.Load() >= seq {
+			break
+		}
+		select {
+		case <-tick:
+		case <-gone:
+			return false
+		}
+	}
+	return true
 }
 
 // close stops the committer after draining every queued request. Safe to
@@ -105,10 +144,11 @@ func (c *journalCommitter) loop() {
 		c.mu.Lock()
 		clear(batch) // drop the last window's references before it is reused
 		batch, c.queue = c.queue, batch[:0]
+		upto := c.enqueued
 		c.closed = final
 		c.mu.Unlock()
 		if len(batch) > 0 {
-			c.commitWindow(batch)
+			c.commitWindow(batch, upto)
 		}
 		if final {
 			return
@@ -116,8 +156,9 @@ func (c *journalCommitter) loop() {
 	}
 }
 
-// commitWindow makes one window durable and releases its requesters.
-func (c *journalCommitter) commitWindow(batch []commitReq) {
+// commitWindow makes one window durable and publishes it: upto is the
+// number of the window's last request.
+func (c *journalCommitter) commitWindow(batch []commitReq, upto uint64) {
 	s := c.s
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -151,12 +192,22 @@ func (c *journalCommitter) commitWindow(batch []commitReq) {
 		}
 		s.metrics.journalGroupCommits.Inc()
 		s.metrics.journalCommitBatch.Observe(float64(n))
+		now := time.Now()
+		for _, req := range batch {
+			s.metrics.commitWait.Observe(now.Sub(req.at).Seconds())
+		}
+	} else {
+		// The acks still go out: a journal write failure costs replay, not
+		// liveness.
+		s.logf("journal write failed: %v", err)
 	}
-	for _, req := range batch {
-		req.done <- err
-	}
-	// Snapshot trigger, after the requesters are released: takeSnapshot
-	// takes lease.mu → audit.mu, which no requester waits under, and
+	c.durable.Store(upto)
+	c.mu.Lock()
+	close(c.tick)
+	c.tick = make(chan struct{})
+	c.mu.Unlock()
+	// Snapshot trigger, after the window is published: takeSnapshot takes
+	// lease.mu → audit.mu, which nothing waits for a commit under, and
 	// running it here keeps the committer single-threaded with respect to
 	// its own journal writes.
 	if err == nil {

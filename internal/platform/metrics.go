@@ -33,6 +33,18 @@ const (
 	EvReconnect          = "reconnect"
 )
 
+// commitWaitBuckets are powers of two from 16 µs to about a second: an
+// fsync is tens of microseconds on a battery-backed cache and hundreds of
+// milliseconds on a busy network volume, and the question the histogram
+// answers ("is it the disk") needs resolution across all of that.
+var commitWaitBuckets = func() []float64 {
+	b := make([]float64, 17)
+	for i := range b {
+		b[i] = 16e-6 * float64(uint(1)<<i)
+	}
+	return b
+}()
+
 // supMetrics bundles every metric the supervisor emits. All series are
 // registered eagerly at construction so /metrics and Snapshot show a
 // complete (if zero) picture from the first scrape, and so the
@@ -60,6 +72,7 @@ type supMetrics struct {
 
 	journalGroupCommits *obs.Counter
 	journalCommitBatch  *obs.Histogram
+	commitWait          *obs.Histogram
 	leaseWait           *obs.Histogram
 
 	speculativeIssued  *obs.Counter
@@ -162,8 +175,11 @@ func newSupMetrics(r *obs.Registry) *supMetrics {
 		journalGroupCommits: r.Counter("redundancy_journal_group_commits_total",
 			"Commit windows flushed by the journal committer (one buffered write and at most one fsync each)."),
 		journalCommitBatch: r.Histogram("redundancy_journal_commit_batch_size",
-			"Journal records made durable per commit window (windows grow only while fsync is the bottleneck).",
-			[]float64{1, 2, 4, 8, 16, 32, 64, 128}),
+			"Journal records made durable per commit window: what every connection submitted during the previous window's write and fsync, each connection at most 8 submissions ahead of the disk.",
+			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}),
+		commitWait: r.Histogram("redundancy_commit_wait_seconds",
+			"Seconds from the supervisor taking up a result submission to the fsync covering its records, one observation per submission that journaled something: what its ack waited for the disk.",
+			commitWaitBuckets),
 		leaseWait: r.Histogram("redundancy_lease_wait_seconds",
 			"Seconds a work request spent inside the supervisor before its lease (or no_work verdict) was returned, empty-queue parking included.",
 			[]float64{0.00001, 0.0001, 0.001, 0.01, 0.1, 1, 10}),
@@ -232,7 +248,7 @@ type workerMetrics struct {
 func newWorkerMetrics(r *obs.Registry) *workerMetrics {
 	return &workerMetrics{
 		rtt: r.Histogram("redundancy_worker_rtt_seconds",
-			"Protocol round-trip time in seconds, one observation per reply, timed from the write that carried its request.",
+			"Protocol round-trip time in seconds, one observation per reply, timed from the write that carried the request it answers (an ack: its own submission, however many later writes it trails).",
 			obs.DefBuckets),
 		completed: r.Counter("redundancy_worker_assignments_completed_total",
 			"Assignments fully executed and acknowledged by the supervisor."),

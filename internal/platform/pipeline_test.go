@@ -397,6 +397,23 @@ func (c *dieAfterWrite) Read(p []byte) (int, error) {
 	return c.Conn.Read(p)
 }
 
+// dialDying returns a WorkerConfig.Dial whose first connection dies right
+// after its k-th write was delivered and answered; then runs before the
+// second dial.
+func dialDying(k int, then func()) func(string) (net.Conn, error) {
+	dials := 0
+	return func(a string) (net.Conn, error) {
+		conn, err := net.Dial("tcp", a)
+		if dials++; err != nil || dials > 1 {
+			if dials == 2 {
+				then()
+			}
+			return conn, err
+		}
+		return &dieAfterWrite{Conn: conn, k: k}, nil
+	}
+}
+
 // TestConnectionDiesAfterPipelinedWrite kills the worker's connection
 // right after its first results+request write (register, first request,
 // then that). The results were accepted and a new lease granted, and the
@@ -410,17 +427,10 @@ func TestConnectionDiesAfterPipelinedWrite(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/batch-%d", proto, batch), func(t *testing.T) {
 				sup, addr, _ := startLogged(t, 6, SupervisorConfig{})
 				total := sup.cfg.Plan.TotalAssignments()
-				dials := 0
 				st, err := RunWorker(WorkerConfig{
 					Addr: addr, Name: "mortal", Proto: proto, BatchSize: batch,
 					Reconnect: true, Seed: 3, BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond,
-					Dial: func(a string) (net.Conn, error) {
-						conn, err := net.Dial("tcp", a)
-						if dials++; err != nil || dials > 1 {
-							return conn, err
-						}
-						return &dieAfterWrite{Conn: conn, k: 3}, nil
-					},
+					Dial: dialDying(3, func() {}),
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -456,24 +466,33 @@ func TestConnectionDiesAfterPipelinedWrite(t *testing.T) {
 }
 
 // TestPipelinedAckSettledBeforeLeaseRead: in binary mode a batch_ack's
-// items live in codec scratch until the next Recv, and the worker's next
-// Recv is the lease that was pipelined behind it. A refusal in the middle
-// of a batch (the copy was reclaimed under the worker while it computed)
-// must be booked as exactly that: every accepted item counted, the refused
-// one not, the reclaimed copy redone.
+// items live in codec scratch until the next Recv, and with a journal the
+// ack trails the lease that was pipelined behind its results: the worker
+// meets it on the way to a later lease and must settle it, against the
+// submission it answers and not the one sent last, before it reads on. A
+// refusal in the middle of that batch (the copy was reclaimed under the
+// worker while it computed) must be booked as exactly that: every accepted
+// item counted, the refused one not, the reclaimed copy redone.
 func TestPipelinedAckSettledBeforeLeaseRead(t *testing.T) {
+	jw := &cacheSimWriter{}
+	defer jw.unblock()
 	// One copy of a task out at a time, so the task the hook names is one
 	// lease item.
-	sup, addr, _ := startLogged(t, 6, SupervisorConfig{Deadline: time.Hour, MaxBatch: 3, Policy: sched.OneOutstanding})
+	sup, addr, _ := startLogged(t, 6, SupervisorConfig{Deadline: time.Hour, MaxBatch: 3, Policy: sched.OneOutstanding,
+		Journal: jw, JournalSync: true})
 	total := sup.cfg.Plan.TotalAssignments()
 	calls := 0
 	st, err := RunWorker(WorkerConfig{
 		Addr: addr, Name: "robbed", Proto: ProtoBinary, BatchSize: 3, Reconnect: true,
 		// The hook runs on the worker's goroutine between computing an item
-		// and submitting the lease: on the second of the first lease's three
-		// items, age that copy past the deadline and sweep.
+		// and submitting the lease. On the second of the first lease's three
+		// items, age that copy past the deadline and sweep, and freeze the
+		// journal: the first submission's ack cannot leave. On the first
+		// item of the second lease (the lease overtook that ack) thaw it, so
+		// the ack with the refusal in it arrives behind the second lease.
 		Cheat: func(taskID int, honest uint64) uint64 {
-			if calls++; calls == 2 {
+			switch calls++; calls {
+			case 2:
 				sup.lease.mu.Lock()
 				for key, info := range sup.lease.inflight {
 					if key.task == taskID {
@@ -483,6 +502,9 @@ func TestPipelinedAckSettledBeforeLeaseRead(t *testing.T) {
 				}
 				sup.lease.mu.Unlock()
 				sup.sweepExpired()
+				jw.block()
+			case 4:
+				jw.unblock()
 			}
 			return honest
 		},
@@ -766,32 +788,38 @@ func TestFloodWithoutReadingIsBounded(t *testing.T) {
 	}
 }
 
-// TestQueuedReplyFlushedBeforeCommitWait: a reply queued ahead of a result
-// does not wait out that result's commit. The client sends a work request
-// (answered by re-issuing the lease it holds) and that lease's results in
-// one write while the journal's fsync is frozen: the lease reply arrives
-// during the freeze, the ack only after it.
+// TestQueuedReplyFlushedBeforeCommitWait: nothing waits out a result's
+// commit but its own ack. The client sends a lease's results and its next
+// work request in one write while the journal's fsync is frozen: the lease
+// arrives during the freeze, alone, and the durable image holds none of the
+// records; the ack arrives only after the fsync returns, and then it does.
 func TestQueuedReplyFlushedBeforeCommitWait(t *testing.T) {
 	forEachWireCase(t, func(t *testing.T, v verbs, proto string) {
 		jw := &cacheSimWriter{}
 		defer jw.unblock() // never leave the committer wedged at teardown
 		_, addr, log := startLogged(t, 4, SupervisorConfig{Journal: jw, JournalSync: true})
 		w := dialRaw(t, addr, v, proto)
-		lease := asLease(w.exchange(w.request(1)))
+		lease := asLease(w.exchange(w.request(2)))
 		entered := jw.block()
 		_, writes := log.counts()
-		w.send(w.request(1), w.submission(answer(t, lease, nil)))
+		w.send(w.submission(answer(t, lease, nil)), w.request(2))
 		w.conn.SetReadDeadline(time.Now().Add(10 * time.Second)) // fail, not hang
-		if again := asLease(w.recv()); !reflect.DeepEqual(again.Work, lease.Work) {
-			t.Fatalf("reply during the frozen commit: %+v, want the held lease %+v re-issued", again, lease.Work)
+		if next := asLease(w.recv()); next.Type != MsgWorkBatch {
+			t.Fatalf("reply during the frozen commit: %+v, want the next lease", next)
 		}
-		<-entered // the committer is inside the fsync and the ack unproduced
+		<-entered // the committer is inside the fsync
 		if _, wr := log.counts(); wr-writes != 1 {
-			t.Fatalf("%d supervisor writes during the frozen commit, want the lease reply alone", wr-writes)
+			t.Fatalf("%d supervisor writes during the frozen commit, want the lease alone", wr-writes)
+		}
+		if img := jw.Snapshot(); len(img) != 0 {
+			t.Fatalf("%d journal bytes durable inside the frozen fsync", len(img))
 		}
 		jw.unblock()
 		if ack := w.recv(); !accepted(ack) {
-			t.Fatalf("reply after the commit: %+v", ack)
+			t.Fatalf("reply after the commit: %+v, want the ack", ack)
+		}
+		if img := jw.Snapshot(); bytes.Count(img, []byte("\n")) != len(lease.Work) {
+			t.Errorf("ack received with %d of %d records durable", bytes.Count(img, []byte("\n")), len(lease.Work))
 		}
 	})
 }

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 )
 
 // Message is the single envelope type exchanged in both directions; Type
@@ -248,7 +249,12 @@ var ErrFrameTooLong = errors.New("platform: frame exceeds 1 MiB")
 // Codec frames Messages over a byte stream: one JSON object per line by
 // default, or length-prefixed binary frames after EnableBinary (the
 // proto=bin negotiation). The zero Codec is not usable; construct with
-// NewCodec. A Codec is not safe for concurrent use by multiple goroutines.
+// NewCodec. A Codec is not safe for concurrent use, with one exception the
+// supervisor relies on: the read side (Recv, buffered) and the write side
+// (queue, flush, pending, EnableBinary) share only the wire-byte counters,
+// which are atomic, so one goroutine may receive while another, one at a
+// time, queues and flushes. EnableBinary belongs to both sides: call it
+// from the receiving goroutine, holding whatever serializes the writers.
 //
 // In binary mode the Work/Results/Acks slices of a received Message alias
 // codec-owned scratch buffers: they are valid until the next Recv, which
@@ -282,8 +288,8 @@ type Codec struct {
 	// wire accounting, split by the codec in effect at the time: bytes
 	// sent plus received, including newlines and frame headers. Read via
 	// WireBytes; feeds redundancy_wire_bytes_total.
-	jsonBytes int64
-	binBytes  int64
+	jsonBytes atomic.Int64
+	binBytes  atomic.Int64
 }
 
 // NewCodec wraps a bidirectional stream; inbound frames may be up to
@@ -316,7 +322,7 @@ func (c *Codec) Binary() bool { return c.binary }
 // JSON lines (newlines included) and binary frames (length headers
 // included).
 func (c *Codec) WireBytes() (jsonBytes, binBytes int64) {
-	return c.jsonBytes, c.binBytes
+	return c.jsonBytes.Load(), c.binBytes.Load()
 }
 
 // Send writes one message — a JSON line (json.Encoder appends the
@@ -360,8 +366,8 @@ func (c *Codec) flush() error {
 	}
 	n, err := c.w.Write(c.out)
 	j := min(n, c.outJSON)
-	c.jsonBytes += int64(j)
-	c.binBytes += int64(n - j)
+	c.jsonBytes.Add(int64(j))
+	c.binBytes.Add(int64(n - j))
 	c.out, c.outJSON = c.out[:0], 0
 	return err
 }
@@ -435,7 +441,7 @@ func (c *Codec) readLine() ([]byte, error) {
 		}
 		switch err {
 		case nil:
-			c.jsonBytes += int64(len(buf))
+			c.jsonBytes.Add(int64(len(buf)))
 			return trimEOL(buf), nil
 		case bufio.ErrBufferFull:
 			continue
@@ -443,7 +449,7 @@ func (c *Codec) readLine() ([]byte, error) {
 			if len(buf) > 0 {
 				// A torn final line: parse what is there, exactly as
 				// bufio.Scanner used to.
-				c.jsonBytes += int64(len(buf))
+				c.jsonBytes.Add(int64(len(buf)))
 				return trimEOL(buf), nil
 			}
 			return nil, io.EOF
@@ -490,7 +496,7 @@ func (c *Codec) recvBinary() (Message, error) {
 		c.err = err
 		return Message{}, err
 	}
-	c.binBytes += int64(4 + n)
+	c.binBytes.Add(int64(4 + n))
 	var m Message
 	if err := c.decodeBinMessage(c.line, &m); err != nil {
 		return Message{}, fmt.Errorf("platform: bad frame: %w", err)

@@ -59,10 +59,14 @@ type SupervisorConfig struct {
 	// connections go through one committer goroutine that coalesces every
 	// record arriving during a commit window into one buffered write, and a
 	// result is acked only after the window covering its record is down.
+	// Only the ack waits for that: the supervisor goes on serving the
+	// connection meanwhile (up to maxDeferredAcks submissions ahead), so a
+	// client that pipelines may see its next lease before the ack
+	// (PROTOCOL.md, "Pipelining and reply order").
 	Journal io.Writer
 	// JournalSync, when set and Journal has a Sync method (an *os.File),
 	// fsyncs once per commit window before any of the window's acks is
-	// released, so even a machine crash loses no acked result — at most
+	// written, so even a machine crash loses no acked result — at most
 	// the torn tail of an unacked window, which replay tolerates.
 	JournalSync bool
 	// CommitLatency, when positive, models the commit latency of the
@@ -197,7 +201,10 @@ type SupervisorConfig struct {
 // audit.mu: a handler queues its records with the committer (a slice
 // append, never a wait) before it releases audit.mu, so the journal holds
 // results in the order they were adjudicated, which is the order replay
-// must feed them back in. It waits for durability with no lock held.
+// must feed them back in. Nothing waits for durability but the ack, which
+// its connection writes once the committer has published the window
+// (connState.wmu, one per connection, orders that connection's writers and
+// is never held with a state lock).
 // Revision records are written before the copies they enable can exist.
 
 // leaseState guards the scheduler queue and the in-flight assignment
@@ -341,10 +348,11 @@ type Supervisor struct {
 	conns  map[net.Conn]struct{}
 	closed bool // no further connections are admitted
 	// busy counts requests between their Recv and the flush that carries
-	// their reply (a queued reply is still in user space). A claimed result
-	// has already left the in-flight table, so Shutdown's drain waits for
-	// this too before it closes the connections — or the ack of the very
-	// result it drained for could die with its connection.
+	// their reply (a queued reply is still in user space, and a deferred ack
+	// is not even that until its commit is down). A claimed result has
+	// already left the in-flight table, so Shutdown's drain waits for this
+	// too before it closes the connections — or the ack of the very result
+	// it drained for could die with its connection.
 	busy atomic.Int64
 }
 
@@ -701,8 +709,8 @@ func (s *Supervisor) closeConns() {
 // (keyed by assignment, valued by the participant it was issued to), so
 // work lost to a dropped connection can be re-issued. held is shared
 // state (the sweeper and resumed connections reach into it) and is
-// guarded by lease.mu; everything else is touched only by this
-// connection's serve goroutine.
+// guarded by lease.mu; the write side is guarded by wmu; everything else
+// is touched only by this connection's serve goroutine.
 type connState struct {
 	held map[outstandingKey]int
 	// registered holds the participant IDs created (or resumed) over this
@@ -714,28 +722,55 @@ type connState struct {
 	// the hot path never takes ident.mu just to label a metric.
 	names map[int]string
 
-	// The connection's write side: replies are queued in codec and leave
-	// together in flushReplies. queued counts the replies sitting in the
-	// codec, each of them a request Shutdown's drain still counts as busy;
-	// werr is the write error that ended the connection.
-	conn   net.Conn
-	codec  *Codec
+	conn  net.Conn
+	codec *Codec
+
+	// The connection's write side, one writer at a time under wmu: replies
+	// are queued in codec and leave together in flushLocked. queued counts
+	// the replies sitting in the codec, each of them a request Shutdown's
+	// drain still counts as busy; werr is the write error that ended the
+	// connection.
+	wmu    sync.Mutex
 	queued int64
 	werr   error
 	// seenJSON and seenBin are the codec's wire-byte totals already folded
 	// into redundancy_wire_bytes_total.
 	seenJSON, seenBin int64
 
+	// deferred is the ring of acks waiting for their commit: slots
+	// dhead..dtail-1 (mod its size), oldest first, both counts under wmu.
+	// serve fills slot dtail and publishes it by raising dtail; being the
+	// only one to raise it, serve may read dtail bare. Whoever flushes next
+	// after a slot's window is down pops it. Each is a request the drain
+	// still counts as busy.
+	deferred     [maxDeferredAcks]deferredAck
+	dhead, dtail uint
+	// kick (buffered 1) tells the connection's ack goroutine that the ring
+	// went non-empty; gone is closed when serve returns. Both are made with
+	// the goroutine, at the connection's first deferred ack.
+	kick chan struct{}
+	gone chan struct{}
+
 	// Per-request scratch, reused across the serve loop: a reply is fully
 	// encoded into the codec's buffer before the next request is read, so
 	// its backing arrays are free again. This removes the per-batch slice
-	// allocations from the hot path.
+	// allocations from the hot path. What outlives the request (a deferred
+	// ack and the records its commit reads) lives in the deferred ring.
 	items []WorkItem
 	fill  []sched.Assignment
-	acks  []ResultAck
 	pend  []pendingResult
-	recs  []journalRecord
 	one   [1]ResultItem // a single-verb result, as the batch it is served as
+}
+
+// deferredAck is the reply to one result submission whose records are with
+// the committer: it is written once request seq is durable. The slot owns
+// its storage because both outlive the handler: the committer reads recs
+// until the window is down, and acks are encoded only then.
+type deferredAck struct {
+	acks   []ResultAck
+	recs   []journalRecord
+	seq    uint64
+	single bool // submitted as result: the reply is ack, not batch_ack
 }
 
 // maxQueuedReplyBytes bounds the replies one connection may have queued:
@@ -743,6 +778,14 @@ type connState struct {
 // Far above a pipelined cycle's ack plus lease, so a conforming worker
 // never meets it.
 const maxQueuedReplyBytes = 64 << 10
+
+// maxDeferredAcks bounds how far one connection may run ahead of the disk:
+// with this many submissions awaiting their commit, serve waits for the
+// oldest before it reads the next request. It bounds what a peer can pin
+// (the ring), what a worker must resubmit after a crash, and how far Wait
+// can return ahead of durability (connections × maxDeferredAcks × MaxBatch
+// records). A bound of zero would be a handler that waits out every commit.
+const maxDeferredAcks = 8
 
 func newConnState(conn net.Conn) *connState {
 	return &connState{
@@ -759,43 +802,32 @@ func newConnState(conn net.Conn) *connState {
 // re-issued to another participant: volunteer hosts leave all the time and
 // the computation must not stall on them.
 //
-// Requests are handled strictly in arrival order and their replies queued
-// in that order. The queue is flushed whenever the goroutine is about to
-// block: here, when the read buffer does not hold a whole further request,
-// and in the handlers before a lease parks and before a commit wait. A
-// client that pipelines its results and its next work request is therefore
-// answered in one write, and one that waits for each reply gets each reply
-// alone. The queue is also flushed once it passes maxQueuedReplyBytes, so a
-// peer that keeps sending and never reads costs the supervisor that much
-// memory and then blocks it in a write, as it would have with a write per
-// reply.
+// Requests are handled strictly in arrival order and every reply but one
+// kind is queued in that order: the ack of a result submission that
+// journaled something is deferred until its commit window is down
+// (resultBatch), and serve goes straight on to the next request, so the
+// lease riding behind the results leaves at once and may overtake their
+// ack. Acks stay in submission order among themselves, everything else in
+// request order. The queue is flushed whenever the goroutine is about to
+// block: in beforeRecv, when the read buffer does not hold a whole further
+// request or the connection has run maxDeferredAcks commits ahead of the
+// disk, and in the handlers before a lease parks. A client that pipelines
+// its results and its next work request is therefore answered in one write
+// (two with a journal: the lease, then the ack when the disk has it), and
+// one that waits for each reply gets each reply alone. The queue is also
+// flushed once it passes maxQueuedReplyBytes, so a peer that keeps sending
+// and never reads costs the supervisor that much memory and then blocks it
+// in a write, as it would have with a write per reply.
 func (s *Supervisor) serve(conn net.Conn) error {
 	cs := newConnState(conn)
 	codec := cs.codec
 	s.metrics.workersConnected.Inc()
 	defer s.metrics.workersConnected.Dec()
 	defer s.reclaim(cs)
-	// However the connection ends, the replies already produced still go
-	// out (best effort) and Shutdown's drain stops counting its requests.
-	defer func() {
-		_ = s.flushReplies(cs) // the connection is ending either way
-		s.foldWire(cs)         // bytes received since the last flush
-		s.busy.Add(-cs.queued) // replies a dead connection never took
-	}()
+	defer s.endWrites(cs)
 	for {
-		if cs.werr != nil {
-			return cs.werr // a handler's flush found the connection dead
-		}
-		blocking := !codec.buffered()
-		if blocking || codec.pending() > maxQueuedReplyBytes {
-			if err := s.flushReplies(cs); err != nil {
-				return err
-			}
-		}
-		// Only a Recv that can block on the peer needs a deadline; the
-		// requests of a burst already received are served under none.
-		if blocking && s.cfg.IOTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.cfg.IOTimeout))
+		if err := s.beforeRecv(cs); err != nil {
+			return err
 		}
 		m, err := codec.Recv()
 		if err != nil {
@@ -824,50 +856,118 @@ func (s *Supervisor) serve(conn net.Conn) error {
 				}
 			case MsgGetWork:
 				reply = s.leaseBatch(m.ParticipantID, m.Batch, false, cs)
-			case MsgResult:
-				cs.one[0] = ResultItem{TaskID: m.TaskID, Copy: m.Copy, Value: m.Value}
-				ack := s.resultBatch(m.ParticipantID, cs.one[:], cs)[0]
-				reply = Message{Type: MsgAck}
-				if !ack.OK {
-					reply = Message{Type: MsgError, Reason: ack.Reason, Error: ack.Error}
+			case MsgResult, MsgResultBatch:
+				single := m.Type == MsgResult
+				if single {
+					cs.one[0] = ResultItem{TaskID: m.TaskID, Copy: m.Copy, Value: m.Value}
+					m.Results = cs.one[:]
 				}
-			case MsgResultBatch:
-				reply = Message{Type: MsgBatchAck, Acks: s.resultBatch(m.ParticipantID, m.Results, cs)}
+				acks, deferred := s.resultBatch(m.ParticipantID, m.Results, single, cs)
+				if deferred {
+					continue // the ack follows its commit; the request stays busy till then
+				}
+				reply = ackReply(acks, single)
 			}
 		default:
 			reply = Message{Type: MsgError, Reason: ReasonUnknownType,
 				Error: fmt.Sprintf("unknown message type %q", m.Type)}
 		}
-		// Shard-map epoch: every reply from a sharded supervisor carries
-		// the cluster's current epoch, so a worker learns of a rebalance
-		// on its very next round trip and re-resolves its routing. 0
-		// (unsharded, or a cluster that never rebalanced its bootstrap
-		// epoch) is omitted from the wire entirely.
-		if e := s.epoch.Load(); e != 0 {
-			reply.Epoch = e
-		}
-		if err := codec.queue(reply); err != nil {
+		cs.wmu.Lock()
+		err = s.queueLocked(cs, reply)
+		cs.wmu.Unlock()
+		if err != nil {
 			s.busy.Add(-1)
 			return err
-		}
-		cs.queued++
-		// Codec negotiation: the registered reply that echoes proto=bin is
-		// the last JSON frame on the connection; both sides switch after it.
-		if reply.Type == MsgRegistered && reply.Proto == ProtoBinary && !codec.Binary() {
-			codec.EnableBinary()
 		}
 	}
 }
 
-// flushReplies writes the connection's queued replies in one socket write
-// and lowers Shutdown's busy count by the requests they answer; with
-// nothing queued it is free. Handlers call it before they block (a parked
-// lease, a commit wait), so a reply is never held behind one; the request
-// being handled stays counted as busy until its own reply is flushed. A
-// write error is sticky: serve ends the connection when the handler
-// returns.
+// ackReply shapes a submission's acks as the reply its verb expects: a
+// batch_ack, or for a single result the ack or error it is re-shaped into.
+func ackReply(acks []ResultAck, single bool) Message {
+	if !single {
+		return Message{Type: MsgBatchAck, Acks: acks}
+	}
+	if a := acks[0]; !a.OK {
+		return Message{Type: MsgError, Reason: a.Reason, Error: a.Error}
+	}
+	return Message{Type: MsgAck}
+}
+
+// queueLocked encodes one reply behind those already queued. Callers hold
+// wmu.
+func (s *Supervisor) queueLocked(cs *connState, reply Message) error {
+	// Shard-map epoch: every reply from a sharded supervisor carries the
+	// cluster's current epoch, so a worker learns of a rebalance on its
+	// very next round trip and re-resolves its routing. 0 (unsharded, or a
+	// cluster that never rebalanced its bootstrap epoch) is omitted from
+	// the wire entirely.
+	if e := s.epoch.Load(); e != 0 {
+		reply.Epoch = e
+	}
+	if err := cs.codec.queue(reply); err != nil {
+		return err
+	}
+	cs.queued++
+	// Codec negotiation: the registered reply that echoes proto=bin is the
+	// last JSON frame on the connection; both sides switch after it.
+	if reply.Type == MsgRegistered && reply.Proto == ProtoBinary && !cs.codec.Binary() {
+		cs.codec.EnableBinary()
+	}
+	return nil
+}
+
+// beforeRecv readies the connection for serve's next Recv. A connection
+// that has run maxDeferredAcks commits ahead of the disk waits here for its
+// oldest. The queue is flushed if the Recv can block on the peer or the
+// queue has passed its bound. Only a Recv that can block needs a read
+// deadline (the requests of a burst already received are served under
+// none), and the peer's clock runs only while the next move is the peer's:
+// with an ack of its own still waiting for the disk, its silence is the
+// supervisor's doing, and the flush that carries its last ack starts the
+// clock (flushLocked).
+func (s *Supervisor) beforeRecv(cs *connState) error {
+	blocking := !cs.codec.buffered()
+	cs.wmu.Lock()
+	defer cs.wmu.Unlock()
+	s.awaitDeferredLocked(cs, maxDeferredAcks-1)
+	if blocking || cs.codec.pending() > maxQueuedReplyBytes {
+		s.flushLocked(cs)
+	}
+	if cs.werr != nil {
+		return cs.werr // this flush, a handler's or the ack goroutine's found the connection dead
+	}
+	if blocking && s.cfg.IOTimeout > 0 {
+		var deadline time.Time
+		if cs.dhead == cs.dtail {
+			deadline = time.Now().Add(s.cfg.IOTimeout)
+		}
+		cs.conn.SetReadDeadline(deadline)
+	}
+	return nil
+}
+
+// flushReplies writes what the connection has queued; see flushLocked.
+// Handlers call it before they park, so a reply is never held behind a
+// parked lease.
 func (s *Supervisor) flushReplies(cs *connState) error {
-	if cs.werr != nil || cs.queued == 0 {
+	cs.wmu.Lock()
+	defer cs.wmu.Unlock()
+	return s.flushLocked(cs)
+}
+
+// flushLocked writes the connection's queued replies, and every deferred
+// ack whose commit is down by now, in one socket write, and lowers
+// Shutdown's busy count by the requests they answer; with nothing to send
+// it is free. The request being handled stays counted as busy until its
+// own reply is flushed. A write error is sticky: serve ends the connection
+// at its next beforeRecv. Callers hold wmu.
+func (s *Supervisor) flushLocked(cs *connState) error {
+	if cs.werr != nil {
+		return cs.werr
+	}
+	acked := s.queueDurableLocked(cs)
+	if cs.queued == 0 {
 		return cs.werr
 	}
 	if s.cfg.IOTimeout > 0 {
@@ -878,12 +978,128 @@ func (s *Supervisor) flushReplies(cs *connState) error {
 	s.foldWire(cs)
 	s.busy.Add(-cs.queued)
 	cs.queued = 0
+	if acked > 0 && cs.dhead == cs.dtail && s.cfg.IOTimeout > 0 {
+		// The peer has its last ack: the next move is its own again. (serve
+		// may be in a Recv that beforeRecv armed with no deadline.)
+		cs.conn.SetReadDeadline(time.Now().Add(s.cfg.IOTimeout))
+	}
 	return cs.werr
+}
+
+// queueDurableLocked queues, oldest first, every deferred ack whose commit
+// window is down and reports how many. This is the one place a deferred ack
+// is encoded, and it runs only after the committer published the window:
+// no ack is ever written before the fsync covering its records returned.
+// Callers hold wmu.
+func (s *Supervisor) queueDurableLocked(cs *connState) (n int) {
+	for cs.dhead != cs.dtail && cs.werr == nil {
+		d := &cs.deferred[cs.dhead%maxDeferredAcks]
+		if s.committer.durable.Load() < d.seq {
+			break
+		}
+		if err := s.queueLocked(cs, ackReply(d.acks, d.single)); err != nil {
+			cs.werr = err // the ack cannot be framed; endWrites drops it
+			break
+		}
+		cs.dhead++
+		n++
+	}
+	return n
+}
+
+// awaitDeferredLocked blocks until at most keep of the connection's acks
+// still wait for their commit, queueing each as its window comes down.
+// What is already queued is flushed before a wait, so nothing already
+// answered waits out a commit. Called, and returns, with wmu held; the wait
+// itself holds nothing.
+func (s *Supervisor) awaitDeferredLocked(cs *connState, keep uint) {
+	for {
+		s.queueDurableLocked(cs)
+		if cs.dtail-cs.dhead <= keep || cs.werr != nil {
+			return
+		}
+		seq := cs.deferred[(cs.dtail-keep-1)%maxDeferredAcks].seq
+		s.flushLocked(cs)
+		cs.wmu.Unlock()
+		s.committer.wait(seq, nil)
+		cs.wmu.Lock()
+	}
+}
+
+// deferAck publishes the slot resultBatch just filled and wakes the
+// connection's ack goroutine, starting it at the connection's first
+// deferred ack. Only serve calls it.
+func (s *Supervisor) deferAck(cs *connState) {
+	cs.wmu.Lock()
+	cs.dtail++
+	cs.wmu.Unlock()
+	if cs.kick == nil {
+		cs.kick = make(chan struct{}, 1)
+		cs.gone = make(chan struct{})
+		s.connWG.Add(1) // under serve's own count, so never from zero
+		go func() { defer s.connWG.Done(); s.ackLoop(cs) }()
+	}
+	select {
+	case cs.kick <- struct{}{}:
+	default:
+	}
+}
+
+// ackLoop is the connection's second writer, the one that belongs to the
+// connection and not to the committer (which signals and never blocks on a
+// peer): it sleeps until the oldest deferred ack's window is down, then
+// takes the write side and flushes it, under the same write deadline as
+// every flush. serve is usually blocked in a Recv by then; when it is not,
+// whichever of the two flushes first carries the ack. It ends with the
+// connection.
+func (s *Supervisor) ackLoop(cs *connState) {
+	for {
+		cs.wmu.Lock()
+		dead := cs.werr != nil
+		pending := cs.dhead != cs.dtail
+		var seq uint64
+		if pending {
+			seq = cs.deferred[cs.dhead%maxDeferredAcks].seq
+		}
+		cs.wmu.Unlock()
+		if dead {
+			return
+		}
+		if !pending {
+			select {
+			case <-cs.kick:
+				continue
+			case <-cs.gone:
+				return
+			}
+		}
+		if !s.committer.wait(seq, cs.gone) {
+			return
+		}
+		_ = s.flushReplies(cs) // a dead connection is found at the top
+	}
+}
+
+// endWrites closes the connection's write side as serve returns: however
+// the connection ends, the replies already produced still go out (best
+// effort), and Shutdown's drain stops counting the requests whose replies a
+// dead connection never took, the acks still waiting for the disk among
+// them (their results are claimed and journaled regardless).
+func (s *Supervisor) endWrites(cs *connState) {
+	cs.wmu.Lock()
+	_ = s.flushLocked(cs) // the connection is ending either way
+	s.foldWire(cs)        // bytes received since the last flush
+	s.busy.Add(-cs.queued - int64(cs.dtail-cs.dhead))
+	cs.queued, cs.dhead = 0, cs.dtail
+	cs.wmu.Unlock()
+	if cs.gone != nil {
+		close(cs.gone)
+	}
 }
 
 // foldWire adds the codec's wire-byte totals to the per-codec counters as
 // deltas, at every flush and at disconnect, so /metrics lags a connection
-// by at most one flush.
+// by at most one flush. Callers hold wmu.
 func (s *Supervisor) foldWire(cs *connState) {
 	j, b := cs.codec.WireBytes()
 	if d := j - cs.seenJSON; d > 0 {
@@ -1840,19 +2056,29 @@ type pendingResult struct {
 // records are queued with the committer at the end of B, still under
 // audit.mu, so journal order is adjudication order across connections;
 // the committer's window covers them with one buffered write and, with
-// JournalSync, one fsync amortized over every concurrent batch. The wait
-// for that commit comes after C, with no lock held, and the acks are
-// released only after it returns: an acked result survives a crash. A
-// journal write failure is logged and the acks still go out; it costs
-// replay, not liveness. The returned acks alias cs scratch and are valid
-// until the next call.
-func (s *Supervisor) resultBatch(pid int, results []ResultItem, cs *connState) []ResultAck {
-	acks := cs.acks[:0]
+// JournalSync, one fsync amortized over every submission queued meanwhile.
+//
+// The handler never waits for that commit. A submission that journaled
+// something returns deferred: its acks and records stay in the ring slot
+// they were built in, serve sends no reply and goes on to the next request,
+// and the ack is encoded and written only after the window is down
+// (queueDurableLocked), so an acked result survives a crash. A submission
+// that journaled nothing (no journal, or every item refused) is answered
+// inline, after the acks of the submissions ahead of it: deferred replies
+// are only ever ack and batch_ack, and acks stay in submission order. The
+// clock is read once per submission. The returned acks alias the slot and
+// are valid until the next call.
+func (s *Supervisor) resultBatch(pid int, results []ResultItem, single bool, cs *connState) (acks []ResultAck, deferred bool) {
+	now := time.Now()
+	// Free by the run-ahead bound: beforeRecv let this request in with at
+	// most maxDeferredAcks-1 slots taken.
+	d := &cs.deferred[cs.dtail%maxDeferredAcks]
+	acks = d.acks[:0]
+	recs := d.recs[:0]
 	pend := cs.pend[:0]
-	recs := cs.recs[:0]
 	s.lease.mu.Lock()
 	for _, r := range results {
-		info, reason, detail := s.claimLocked(pid, r.TaskID, r.Copy, cs)
+		info, reason, detail := s.claimLocked(pid, r.TaskID, r.Copy, cs, now)
 		ack := ResultAck{TaskID: r.TaskID, Copy: r.Copy, OK: reason == ""}
 		if reason != "" {
 			ack.Reason = reason
@@ -1863,7 +2089,6 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, cs *connState) [
 		acks = append(acks, ack)
 	}
 	s.lease.mu.Unlock()
-	var durable <-chan error
 	if len(pend) > 0 {
 		s.audit.mu.Lock()
 		for i := range pend {
@@ -1902,7 +2127,9 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, cs *connState) [
 			}
 		}
 		if len(recs) > 0 {
-			durable = s.committer.enqueue(recs)
+			if d.seq, deferred = s.committer.enqueue(recs, now); !deferred {
+				s.logf("journal write failed: committer closed")
+			}
 		}
 		s.audit.mu.Unlock()
 		accepted := 0
@@ -1940,12 +2167,13 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, cs *connState) [
 				if pend[i].failed {
 					continue
 				}
-				tn.Observe(time.Since(pend[i].info.issuedAt).Seconds())
+				took := now.Sub(pend[i].info.issuedAt)
+				tn.Observe(took.Seconds())
 				if s.roster != nil {
-					s.roster.ObserveCompletion(pid, time.Since(pend[i].info.issuedAt))
+					s.roster.ObserveCompletion(pid, took)
 				}
 				if s.cfg.OnTurnaround != nil {
-					s.cfg.OnTurnaround(time.Since(pend[i].info.firstIssued))
+					s.cfg.OnTurnaround(now.Sub(pend[i].info.firstIssued))
 				}
 			}
 		}
@@ -1961,17 +2189,19 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, cs *connState) [
 			})
 		}
 	}
-	if durable != nil {
-		// Nothing already answered waits out the commit. A failed write is
-		// sticky in cs and ends the connection in serve; the claimed results
-		// are journaled regardless.
-		_ = s.flushReplies(cs)
-		if err := <-durable; err != nil {
-			s.logf("journal write failed: %v", err)
-		}
+	d.acks, d.recs, d.single = acks, recs, single
+	cs.pend = pend
+	switch {
+	case deferred:
+		s.deferAck(cs)
+	case s.committer != nil:
+		// Inline, but in order: this reply may not overtake the acks of the
+		// submissions ahead of it.
+		cs.wmu.Lock()
+		s.awaitDeferredLocked(cs, 0)
+		cs.wmu.Unlock()
 	}
-	cs.acks, cs.pend, cs.recs = acks, pend, recs
-	return acks
+	return acks, deferred
 }
 
 // claimLocked validates ownership of one submitted result and removes its
@@ -1979,7 +2209,8 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, cs *connState) [
 // hands: after it returns success, no sweep, disconnect, resume, or
 // duplicate submission can touch this (task, copy). On refusal it returns
 // the rejection reason and detail and changes nothing (beyond loser
-// bookkeeping for speculative races). Callers hold lease.mu.
+// bookkeeping for speculative races, stamped with the caller's one clock
+// reading now). Callers hold lease.mu.
 //
 // With speculative reissue a copy may be out twice — the primary in
 // inflight and a clone in spec, held by different participants. The first
@@ -1987,7 +2218,7 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, cs *connState) [
 // entries, so exactly one result per copy can ever reach adjudication
 // (phase B), and the race's loser is remembered so its late submission is
 // rejected as a duplicate, not double-credited.
-func (s *Supervisor) claimLocked(participant, taskID, copy int, cs *connState) (inflightInfo, string, string) {
+func (s *Supervisor) claimLocked(participant, taskID, copy int, cs *connState, now time.Time) (inflightInfo, string, string) {
 	key := outstandingKey{taskID, copy}
 	info, ok := s.lease.inflight[key]
 	if ok && info.participant == participant {
@@ -1999,7 +2230,7 @@ func (s *Supervisor) claimLocked(participant, taskID, copy int, cs *connState) (
 		if twin, dup := s.lease.spec[key]; dup {
 			// The primary beat its clone: record the loser.
 			delete(s.lease.spec, key)
-			s.lease.specLosers[key] = specLoser{participant: twin.participant, at: time.Now()}
+			s.lease.specLosers[key] = specLoser{participant: twin.participant, at: now}
 		}
 		return info, "", ""
 	}
@@ -2013,7 +2244,7 @@ func (s *Supervisor) claimLocked(participant, taskID, copy int, cs *connState) (
 			if info.owner != nil {
 				delete(info.owner.held, key)
 			}
-			s.lease.specLosers[key] = specLoser{participant: info.participant, at: time.Now()}
+			s.lease.specLosers[key] = specLoser{participant: info.participant, at: now}
 		}
 		s.metrics.speculativeWins.Inc()
 		return twin, "", ""
@@ -2093,7 +2324,7 @@ func (s *Supervisor) Shutdown(ctx context.Context) error {
 // awaitDrain polls until no assignment is in flight and no request is
 // mid-reply, or ctx expires. The in-flight table is read first: a result
 // handler raises busy before its claim empties the table and lowers it
-// only once its ack has been flushed.
+// only once its ack has been flushed, which is after its commit.
 func (s *Supervisor) awaitDrain(ctx context.Context) bool {
 	for {
 		s.lease.mu.Lock()

@@ -159,9 +159,9 @@ func TestSnapshotRestoredSupervisorFinishes(t *testing.T) {
 // TestSnapshotSoakRestoreEquivalence is the scale version of the
 // equivalence test — a >=100k-result journal (scaled down under the race
 // detector) — and the compaction payoff smoke: restoring from the
-// snapshot must not be slower than replaying the full history it stands
-// in for (in practice it is faster by orders of magnitude; full replay
-// pays a linear pool scan per record).
+// snapshot decodes one line and fewer bytes than the full history it
+// stands in for (in practice it is faster by orders of magnitude; full
+// replay pays a linear pool scan per record).
 func TestSnapshotSoakRestoreEquivalence(t *testing.T) {
 	full, partial := 50_000, 100 // 100_100 journaled results
 	if raceEnabled {
@@ -203,10 +203,15 @@ func TestSnapshotSoakRestoreEquivalence(t *testing.T) {
 	if want := 2*full + partial; supB.restored != want {
 		t.Errorf("soak restored %d results, want %d", supB.restored, want)
 	}
-	t.Logf("replay of %d results: full journal %v, snapshot %v (%d-byte snapshot)",
-		2*full+partial, fullReplay, snapRestore, len(snapA))
-	if snapRestore > fullReplay {
-		t.Errorf("snapshot restore (%v) slower than full replay (%v)", snapRestore, fullReplay)
+	// The payoff is asserted on what each restore had to decode, which
+	// repeats exactly; the wall clock is reported, not judged.
+	t.Logf("replay of %d results: full journal %v, snapshot %v", 2*full+partial, fullReplay, snapRestore)
+	if supB.jnlLines != 1 || supB.jnlLines >= supA.jnlLines {
+		t.Errorf("snapshot restore decoded %d journal lines, full replay %d: want 1 standing in for all of them",
+			supB.jnlLines, supA.jnlLines)
+	}
+	if len(snapA) >= journal.Len() {
+		t.Errorf("snapshot is %d bytes, the journal it stands in for %d", len(snapA), journal.Len())
 	}
 }
 
