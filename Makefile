@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race cover cover-check bench bench-save bench-smoke flake-check straggler-smoke scenarios-smoke scenarios-scale tail-smoke shard-smoke figures fmt vet check chaos fuzz snapshot-smoke clean
+.PHONY: all build test race cover cover-check bench bench-save bench-smoke flake-check straggler-smoke scenarios-smoke scenarios-scale tail-smoke alloc-check shard-smoke figures fmt vet check chaos fuzz snapshot-smoke clean
 
 all: build test
 
@@ -21,6 +21,7 @@ check:
 	$(MAKE) straggler-smoke
 	$(MAKE) scenarios-smoke
 	$(MAKE) tail-smoke
+	$(MAKE) alloc-check
 	$(MAKE) shard-smoke
 	$(MAKE) cover-check
 	$(MAKE) bench-smoke
@@ -144,6 +145,22 @@ scenarios-scale:
 # per-task allocation budget.
 tail-smoke:
 	$(GO) test -run 'TestTailSweep|TestScenarioSuiteWorkerInvariance|TestScenarioAllocsPerTask' -count=1 ./internal/experiments ./internal/sim
+
+# The result path's allocation guards: a collector's allocations are its
+# tables and chunks and not one per result, with or without Reserve; a
+# queue's do not depend on the task count; a snapshot restore allocates the
+# verdict list once; carved storage never aliases. Then the in-process
+# lease/compute/submit cycle at batch 16 (BenchmarkBatchPipeline) under
+# -benchmem: 2 allocs/op now that Submit and adjudicate allocate nothing
+# (25 before), failing above the ceiling below.
+BATCH_PIPELINE_ALLOCS ?= 4
+
+alloc-check:
+	$(GO) test -count=1 -run 'TestSubmitDoesNotAllocatePerResult|TestReserveIsTheSamePath|TestCarved|TestRestoreVerdictGrowsOnce|TestNewQueueAllocatesOnce|TestSnapshotRestoreAllocatesVerdictsOnce|TestRevisionGrowsPastPresizedTables' ./internal/verify ./internal/sched ./internal/platform
+	$(GO) test -run '^$$' -bench BenchmarkBatchPipeline -benchmem ./internal/platform | awk -v max=$(BATCH_PIPELINE_ALLOCS) \
+		'{ print } /^BenchmarkBatchPipeline/ { seen = 1; for (i = 2; i <= NF; i++) if ($$i == "allocs/op" && $$(i-1) + 0 > max) over = $$(i-1) } \
+		END { if (!seen) { print "FAIL: BenchmarkBatchPipeline did not run"; exit 1 } \
+		      if (over) { print "FAIL: BenchmarkBatchPipeline " over " allocs/op, ceiling " max; exit 1 } }'
 
 # The sharded-cluster acceptance tests at reduced scale, under the race
 # detector: the 2-shard routed smoke (epoch propagation, per-shard

@@ -323,3 +323,72 @@ func TestAdaptiveChaosResumesRevisedPlan(t *testing.T) {
 			sum.Restored, v, p2.TotalAssignments())
 	}
 }
+
+// TestRevisionGrowsPastPresizedTables: the verdict list is allocated at the
+// registered task count by the first adjudication, and a revision applied
+// after that (promotions, and more minted ringers than the list has room
+// for) must still be collected and adjudicated: the growth behind the
+// pre-sized tables is a path a live run takes, not dead code.
+func TestRevisionGrowsPastPresizedTables(t *testing.T) {
+	const tasks, mint = 40, 30
+	p := simplePlan(t, tasks)
+	sup, err := NewSupervisor(SupervisorConfig{
+		Plan: p, Policy: sched.Free, WorkKind: "hashchain", Iters: 5, Seed: 4,
+		Adapt: &adapt.Config{TargetEpsilon: 0.5, Interval: time.Hour, MinSamples: 1 << 30},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := sup.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sup.Close() })
+
+	if _, err := RunWorker(WorkerConfig{Addr: addr, Name: "before", MaxAssignments: tasks}); err != nil {
+		t.Fatal(err)
+	}
+	sup.lease.mu.Lock()
+	sup.audit.mu.Lock()
+	before := sup.audit.collector.Verdicts()
+	var rev plan.Revision
+	for id := 0; id < tasks; id++ {
+		if !sup.lease.queue.EverIssued(id) {
+			rev.Promotions = append(rev.Promotions, plan.Promotion{TaskID: id, From: 2, To: 3})
+		}
+	}
+	for i := 0; i < mint; i++ {
+		rev.Minted = append(rev.Minted, plan.Mint{TaskID: tasks + i, Copies: 2})
+	}
+	err = sup.applyRevisionLocked(rev)
+	sup.audit.mu.Unlock()
+	sup.lease.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before) == 0 || cap(before) != tasks || len(rev.Promotions) == 0 {
+		t.Fatalf("before the revision: %d verdicts in a list of capacity %d (want some, in %d), %d tasks left to promote",
+			len(before), cap(before), tasks, len(rev.Promotions))
+	}
+
+	if _, err := RunWorker(WorkerConfig{Addr: addr, Name: "after"}); err != nil {
+		t.Fatal(err)
+	}
+	sup.Wait()
+	sum := sup.Summary()
+	if sum.Verify.Tasks != tasks+mint || sum.Verify.Accepted != tasks+mint || sum.WrongResults != 0 {
+		t.Fatalf("summary after the revised run: %+v", sum)
+	}
+	sup.audit.mu.Lock()
+	defer sup.audit.mu.Unlock()
+	for _, pr := range rev.Promotions {
+		if v, ok := sup.audit.collector.VerdictFor(pr.TaskID); !ok || v.Copies != pr.To {
+			t.Errorf("promoted task %d: verdict %+v, %v; want %d copies", pr.TaskID, v, ok, pr.To)
+		}
+	}
+	for _, m := range rev.Minted {
+		if v, ok := sup.audit.collector.VerdictFor(m.TaskID); !ok || !v.Ringer || !v.Accepted {
+			t.Errorf("minted ringer %d: verdict %+v, %v", m.TaskID, v, ok)
+		}
+	}
+}

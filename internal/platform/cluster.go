@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"redundancy/internal/agg"
@@ -144,25 +145,36 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// changes (kill/restore) bump the epoch for routing but never migrate
 	// a task between shards — the shard's journal is the authority for its
 	// subset, and moving a task would fork that authority.
-	index := make(map[string]int, cfg.Shards)
+	//
+	// The plan is expanded once and walked twice: count each shard's tasks,
+	// then fill parts allocated at exactly that size. shardOf turns the
+	// ring's member index into the shard ordinal (Members() is sorted by
+	// name, where "shard-10" comes before "shard-2").
+	shardOf := make([]int, r.Len())
 	for i, n := range names {
-		index[n] = i
+		shardOf[sort.SearchStrings(r.Members(), n)] = i
 	}
-	for _, sp := range cfg.Plan.Tasks() {
-		owner, ok := r.LookupUint64(uint64(sp.ID))
+	specs := cfg.Plan.Tasks()
+	owner := make([]int32, len(specs))
+	counts := make([]int, cfg.Shards)
+	for t := range specs {
+		mi, ok := r.LookupIndexUint64(uint64(specs[t].ID))
 		if !ok {
 			return nil, errors.New("platform: ring lookup failed on non-empty ring")
 		}
-		i := index[owner]
-		c.parts[i] = append(c.parts[i], sp)
+		owner[t] = int32(shardOf[mi])
+		counts[owner[t]]++
 	}
-
-	for i, part := range c.parts {
-		if len(part) == 0 {
+	for i, n := range counts {
+		if n == 0 {
 			return nil, fmt.Errorf(
 				"platform: shard %d owns no tasks (%d tasks over %d shards); use fewer shards, more tasks, or more vnodes",
-				i, len(cfg.Plan.Tasks()), cfg.Shards)
+				i, len(specs), cfg.Shards)
 		}
+		c.parts[i] = make([]plan.TaskSpec, 0, n)
+	}
+	for t, i := range owner {
+		c.parts[i] = append(c.parts[i], specs[t])
 	}
 
 	for i := range c.sups {
@@ -395,19 +407,13 @@ func (s *Supervisor) Export() agg.ShardExport {
 	}
 	var credits []credit
 	s.audit.mu.Lock()
-	for _, v := range s.audit.collector.Verdicts() {
-		ex.Tasks++
-		ex.Assignments += v.Copies
-		ex.Bad += len(v.Suspects)
-		if v.Accepted {
-			ex.Accepted++
-		}
-		if v.MismatchDetected {
-			ex.Mismatches++
-			if v.Ringer {
-				ex.RingersCaught++
-			}
-		}
+	st := s.audit.collector.Stats()
+	ex.Tasks, ex.Accepted = st.Tasks, st.Accepted
+	ex.Mismatches, ex.RingersCaught = st.MismatchDetected, st.RingersCaught
+	verdicts := s.audit.collector.Verdicts()
+	for i := range verdicts {
+		ex.Assignments += verdicts[i].Copies
+		ex.Bad += len(verdicts[i].Suspects)
 	}
 	for _, e := range s.audit.credits.Leaderboard() {
 		credits = append(credits, credit{e.Participant, e.Credit})

@@ -558,13 +558,11 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	if cfg.ShardID != "" {
 		s.metrics.bindShard(cfg.ShardID)
 	}
-	specs := cfg.Plan.Tasks()
-	if cfg.Tasks != nil {
-		specs = cfg.Tasks
+	specs := cfg.Tasks
+	if specs == nil {
+		specs = cfg.Plan.Tasks()
 	}
-	for _, sp := range specs {
-		s.audit.collector.Expect(sp.ID, sp.Copies)
-	}
+	s.audit.collector.ExpectAll(specs)
 	s.lease.queue, err = sched.NewQueue(specs, cfg.Policy, rng.New(cfg.Seed))
 	if err != nil {
 		return nil, err
@@ -1907,8 +1905,9 @@ func (s *Supervisor) adaptTick() {
 	if est.Samples < float64(s.adaptCfg.MinSamples) || s.lease.finished || s.lease.draining {
 		return
 	}
-	var tasks []adapt.TaskState
-	for _, sp := range s.cfg.Plan.Tasks() {
+	specs := s.cfg.Plan.Tasks()
+	tasks := make([]adapt.TaskState, 0, len(specs))
+	for _, sp := range specs {
 		tasks = append(tasks, adapt.TaskState{
 			ID: sp.ID, Copies: sp.Copies, Ringer: sp.Ringer,
 			Eligible: !sp.Ringer && !s.lease.queue.EverIssued(sp.ID),
@@ -2406,7 +2405,9 @@ func (s *Supervisor) Summary() Summary {
 	if s.cfg.ResultDigits > 0 {
 		cmp = verify.Quantize{Digits: s.cfg.ResultDigits}
 	}
-	for _, v := range s.audit.collector.Verdicts() {
+	verdicts := s.audit.collector.Verdicts()
+	for i := range verdicts {
+		v := &verdicts[i]
 		truth := s.work(TaskSeed(v.TaskID), s.cfg.Iters)
 		if v.Accepted && cmp.Canonical(v.Value) != cmp.Canonical(truth) {
 			sum.WrongResults++
@@ -2424,10 +2425,8 @@ func (s *Supervisor) CertifiedValue(taskID int) (uint64, bool) {
 	if v, ok := s.audit.resolved[taskID]; ok {
 		return v, true
 	}
-	for _, v := range s.audit.collector.Verdicts() {
-		if v.TaskID == taskID && v.Accepted {
-			return v.Value, true
-		}
+	if v, ok := s.audit.collector.VerdictFor(taskID); ok && v.Accepted {
+		return v.Value, true
 	}
 	return 0, false
 }

@@ -42,7 +42,8 @@ func (s *Supervisor) captureSnapshotLocked() *snapshotRecord {
 	if len(verdicts) > 0 {
 		rec.Verdicts = make([]snapshotVerdict, 0, len(verdicts))
 	}
-	for _, v := range verdicts {
+	for i := range verdicts {
+		v := &verdicts[i]
 		rec.Verdicts = append(rec.Verdicts, snapshotVerdict{
 			TaskID:       v.TaskID,
 			Ringer:       v.Ringer,

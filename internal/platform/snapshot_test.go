@@ -509,3 +509,51 @@ func TestJournalFileReplaceWith(t *testing.T) {
 		t.Errorf("compaction left %d files in the journal directory", len(entries))
 	}
 }
+
+// TestSnapshotRestoreAllocatesVerdictsOnce: a restore from a compacted
+// journal reinstates its verdicts one RestoreVerdict at a time, and the
+// verdict list they land in is allocated by the first of them at the
+// registered task count (an append-grown list would stop at some other
+// capacity), exactly as the live path allocates it at the first
+// adjudication. The restored supervisor summarizes as the live one does.
+func TestSnapshotRestoreAllocatesVerdictsOnce(t *testing.T) {
+	const full, partial = 20_000, 40
+	live, err := NewSupervisor(SupervisorConfig{
+		Plan: simplePlan(t, full+partial), Iters: 1, Seed: 9,
+		Restore: bytes.NewReader(syntheticJournal(full, partial).Bytes()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := live.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := NewSupervisor(SupervisorConfig{
+		Plan: simplePlan(t, full+partial), Iters: 1, Seed: 9,
+		Restore: bytes.NewReader(snap),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sup := range map[string]*Supervisor{"live": live, "restored": restored} {
+		v := sup.audit.collector.Verdicts()
+		if len(v) != full || cap(v) != full+partial {
+			t.Errorf("%s: %d verdicts in a list of capacity %d, want %d in %d (one allocation at the registered count)",
+				name, len(v), cap(v), full, full+partial)
+		}
+	}
+	if a, b := live.Summary(), restored.Summary(); !reflect.DeepEqual(a, b) {
+		t.Errorf("summaries diverge:\nlive:     %+v\nrestored: %+v", a, b)
+	}
+	for _, id := range []int{0, full - 1} {
+		a, okA := live.CertifiedValue(id)
+		b, okB := restored.CertifiedValue(id)
+		if !okA || !okB || a != b {
+			t.Errorf("CertifiedValue(%d): live %d %v, restored %d %v", id, a, okA, b, okB)
+		}
+	}
+	if _, ok := restored.CertifiedValue(full); ok {
+		t.Error("a task with one of its two results in has a certified value")
+	}
+}

@@ -146,18 +146,26 @@ func (r *Ring) VNodes() int { return r.cfg.VNodes }
 // Seed reports the placement seed.
 func (r *Ring) Seed() uint64 { return r.cfg.Seed }
 
-// owner resolves a position on the circle to the owning member: the
-// first point with hash >= h, wrapping past the top back to the first
-// point. O(log n) in the total virtual-node count.
-func (r *Ring) owner(h uint64) (string, bool) {
+// ownerIndex resolves a position on the circle to the index in Members()
+// of the owning member: the first point with hash >= h, wrapping past the
+// top back to the first point. O(log n) in the total virtual-node count.
+func (r *Ring) ownerIndex(h uint64) (int, bool) {
 	if len(r.points) == 0 {
-		return "", false
+		return 0, false
 	}
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
 	}
-	return r.members[r.points[i].member], true
+	return int(r.points[i].member), true
+}
+
+func (r *Ring) owner(h uint64) (string, bool) {
+	i, ok := r.ownerIndex(h)
+	if !ok {
+		return "", false
+	}
+	return r.members[i], true
 }
 
 // Lookup routes a string key (e.g. a worker name) to its owning member.
@@ -171,6 +179,13 @@ func (r *Ring) Lookup(key string) (member string, ok bool) {
 // owning member without a string conversion.
 func (r *Ring) LookupUint64(key uint64) (member string, ok bool) {
 	return r.owner(hashUint64(r.cfg.Seed, key))
+}
+
+// LookupIndexUint64 is LookupUint64 answering with the owner's index in
+// Members() instead of its name, for callers that route many keys into a
+// table they built from Members() once.
+func (r *Ring) LookupIndexUint64(key uint64) (member int, ok bool) {
+	return r.ownerIndex(hashUint64(r.cfg.Seed, key))
 }
 
 // With returns a new ring with one member joined (a no-op copy if the

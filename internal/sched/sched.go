@@ -60,10 +60,10 @@ type Queue struct {
 
 	// ready assignments, dealt from the front.
 	ready []Assignment
-	// pending[taskID] holds copies not yet released (OneOutstanding and
-	// TwoPhase hold copies back until earlier ones complete / the phase
-	// turns).
-	pending map[int][]Assignment
+	// pending[taskID] holds the copies OneOutstanding has not yet released
+	// (each waits for the one before it to complete), in copy order. The
+	// per-task slices are cut from one array sized by NewQueue.
+	pending [][]Assignment
 	// phase2 buffers the second copies under TwoPhase.
 	phase2 []Assignment
 
@@ -96,11 +96,21 @@ func (q *Queue) markIssued(taskID int) {
 
 // NewQueue builds a queue over the tasks of a plan, shuffled with r.
 // Under TwoPhase every task must have exactly two copies (the Appendix-A
-// setting); other multiplicities cause an error.
+// setting); other multiplicities cause an error. Every table is allocated
+// once, at its final size, from a first pass that counts the copies: ready
+// has room for every assignment the policy will ever release into it, so
+// only Abandon, Promote and AddTask can make it grow.
 func NewQueue(specs []plan.TaskSpec, policy Policy, r *rng.Source) (*Queue, error) {
-	q := &Queue{policy: policy, pending: make(map[int][]Assignment)}
+	q := &Queue{policy: policy}
+	top := -1
+	for i := range specs {
+		q.total += specs[i].Copies
+		top = max(top, specs[i].ID)
+	}
+	q.everIssued = make([]bool, top+1)
 	switch policy {
 	case Free:
+		q.ready = make([]Assignment, 0, q.total)
 		for _, s := range specs {
 			for c := 0; c < s.Copies; c++ {
 				q.ready = append(q.ready, Assignment{TaskID: s.ID, Copy: c, Ringer: s.Ringer})
@@ -108,15 +118,21 @@ func NewQueue(specs []plan.TaskSpec, policy Policy, r *rng.Source) (*Queue, erro
 		}
 		shuffle(q.ready, r)
 	case OneOutstanding:
+		q.ready = make([]Assignment, 0, q.total)
+		q.pending = make([][]Assignment, top+1)
+		held := make([]Assignment, 0, max(q.total-len(specs), 0))
 		for _, s := range specs {
 			q.ready = append(q.ready, Assignment{TaskID: s.ID, Copy: 0, Ringer: s.Ringer})
+			from := len(held)
 			for c := 1; c < s.Copies; c++ {
-				q.pending[s.ID] = append(q.pending[s.ID],
-					Assignment{TaskID: s.ID, Copy: c, Ringer: s.Ringer})
+				held = append(held, Assignment{TaskID: s.ID, Copy: c, Ringer: s.Ringer})
 			}
+			q.pending[s.ID] = held[from:len(held):len(held)]
 		}
 		shuffle(q.ready, r)
 	case TwoPhase:
+		q.ready = make([]Assignment, 0, len(specs))
+		q.phase2 = make([]Assignment, 0, len(specs))
 		for _, s := range specs {
 			if s.Copies != 2 {
 				return nil, fmt.Errorf("sched: two-phase requires exactly 2 copies per task, task %d has %d", s.ID, s.Copies)
@@ -129,10 +145,16 @@ func NewQueue(specs []plan.TaskSpec, policy Policy, r *rng.Source) (*Queue, erro
 	default:
 		return nil, fmt.Errorf("sched: unknown policy %v", policy)
 	}
-	for _, s := range specs {
-		q.total += s.Copies
-	}
 	return q, nil
+}
+
+// heldBack returns the copies of taskID the policy has yet to release (none
+// outside OneOutstanding, the only policy that allocates the table).
+func (q *Queue) heldBack(taskID int) []Assignment {
+	if taskID < 0 || taskID >= len(q.pending) {
+		return nil
+	}
+	return q.pending[taskID]
 }
 
 func shuffle(a []Assignment, r *rng.Source) {
@@ -229,15 +251,9 @@ func (q *Queue) Complete(a Assignment) {
 		panic("sched: Complete without outstanding assignment")
 	}
 	q.outstanding--
-	if q.policy == OneOutstanding {
-		if rest := q.pending[a.TaskID]; len(rest) > 0 {
-			q.ready = append(q.ready, rest[0])
-			if len(rest) == 1 {
-				delete(q.pending, a.TaskID)
-			} else {
-				q.pending[a.TaskID] = rest[1:]
-			}
-		}
+	if rest := q.heldBack(a.TaskID); len(rest) > 0 {
+		q.ready = append(q.ready, rest[0])
+		q.pending[a.TaskID] = rest[1:]
 	}
 }
 
@@ -261,12 +277,8 @@ func (q *Queue) Abandon(a Assignment) {
 func (q *Queue) MarkCompleted(a Assignment) bool {
 	if removeAssignment(&q.ready, a) {
 		// fall through to completion accounting
-	} else if rest, ok := q.pending[a.TaskID]; ok && removeAssignment(&rest, a) {
-		if len(rest) == 0 {
-			delete(q.pending, a.TaskID)
-		} else {
-			q.pending[a.TaskID] = rest
-		}
+	} else if rest := q.heldBack(a.TaskID); removeAssignment(&rest, a) {
+		q.pending[a.TaskID] = rest
 	} else if !removeAssignment(&q.phase2, a) {
 		return false
 	}

@@ -569,3 +569,40 @@ func TestNextRingerNonFreePolicy(t *testing.T) {
 		t.Error("NextRinger served work under OneOutstanding")
 	}
 }
+
+// TestNewQueueAllocatesOnce: every table is sized from a counting pass
+// over the specs, so building a queue costs the same handful of
+// allocations at 500 tasks and at 50 000, and draining it (Next, Complete,
+// the held-back copies OneOutstanding releases, the TwoPhase turn) costs
+// none: ready was made with room for everything the policy puts in it.
+func TestNewQueueAllocatesOnce(t *testing.T) {
+	for _, tc := range []struct {
+		policy Policy
+		copies int
+	}{{Free, 3}, {OneOutstanding, 3}, {TwoPhase, 2}} {
+		build := func(n int) float64 {
+			sp := make([]plan.TaskSpec, n)
+			for i := range sp {
+				sp[i] = plan.TaskSpec{ID: i, Copies: tc.copies}
+			}
+			r := rng.New(7)
+			return testing.AllocsPerRun(5, func() {
+				q, err := NewQueue(sp, tc.policy, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for !q.Done() {
+					a, ok := q.Next()
+					if !ok {
+						t.Fatal("queue stalled with work remaining")
+					}
+					q.Complete(a)
+				}
+			})
+		}
+		small, large := build(500), build(50_000)
+		if small != large || large > 6 {
+			t.Errorf("%v: %.0f allocations at 500 tasks, %.0f at 50 000 (want equal, at most 6)", tc.policy, small, large)
+		}
+	}
+}

@@ -279,13 +279,7 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 	}
 
 	collector := verify.NewCollector(HonestValue)
-	for _, s := range specs {
-		collector.Expect(s.ID, s.Copies)
-	}
-	// Pre-size the collector for the whole run: result storage, verdicts
-	// and contributor lists all come from single slabs instead of a
-	// million incremental allocations.
-	collector.Reserve(queue.Total())
+	collector.ExpectAll(specs)
 
 	strategy := cfg.Strategy
 	if strategy == nil {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 
+	"redundancy/internal/plan"
 	"redundancy/internal/sched"
 )
 
@@ -45,18 +46,23 @@ type Verdict struct {
 
 // taskState is one task's collection state, indexed by task ID. Task IDs
 // are dense (plans number from 0 and minted ringers extend the range), so
-// a flat slice replaces the three per-task maps an earlier version kept —
-// Submit is the supervisor's hottest non-I/O call and paid for map
-// lookups on every result.
+// a flat slice serves where maps cost a hash on every result.
 type taskState struct {
 	// expected copies, registered up front; 0 means unregistered.
 	expected int
-	// done marks adjudicated tasks so late or duplicate results are
-	// rejected rather than silently restarting collection.
-	done bool
-	// results collected so far (nil once adjudicated).
+	// verdict is 1 + the task's index in Collector.verdicts, 0 until the
+	// task is adjudicated; late and duplicate results are rejected by it.
+	verdict int
+	// results collected so far (nil before the first and once adjudicated).
 	results []Result
 }
+
+// Result buffers and contributor lists are cut from chunks that are never
+// copied; a chunk whose tasks are all adjudicated is garbage like any other.
+const (
+	resultChunkLen  = 4096 // Results per chunk (160 KB)
+	contribChunkLen = 8192 // participant IDs per chunk (64 KB)
+)
 
 // Collector accumulates results and adjudicates tasks as their final copy
 // arrives. It is not safe for concurrent use.
@@ -67,23 +73,22 @@ type Collector struct {
 	cmp Comparator
 	// tasks holds per-task collection state, indexed by task ID.
 	tasks []taskState
+	// registered counts the tasks in the table: the verdict list's size.
+	registered int
 	// partial counts tasks with some but not all expected results.
 	partial int
-
+	// verdicts is in adjudication order (see nextVerdict); stats tallies it.
 	verdicts []Verdict
-	// resultSlab and contribArena are optional bulk storage installed by
-	// Reserve: per-task result buffers and per-verdict contributor lists
-	// are carved out of them instead of being allocated one by one, which
-	// removes the dominant allocation churn of million-task simulations.
-	resultSlab   []Result
-	contribArena []int
+	stats    Stats
+	// resultChunk and contribChunk are the unused tails of the current chunks.
+	resultChunk  []Result
+	contribChunk []int
 	blacklist    map[int]bool
 	// convicted holds participants caught by ringer evidence, which is
 	// conclusive: the supervisor precomputed the true value. Mismatch
 	// suspects on regular tasks are circumstantial (an even split cannot
 	// say who lied) and only reach the blacklist.
 	convicted map[int]bool
-
 	// onVerdict, when set, observes each verdict as it is issued.
 	onVerdict func(*Verdict)
 }
@@ -99,23 +104,32 @@ func NewCollector(truth func(taskID int) uint64) *Collector {
 	}
 }
 
+// carve cuts n elements off the front of *chunk, starting a new chunk of
+// at least size elements when the current one is too short. The cut is
+// capped at its length, so an append past it cannot reach the next cut.
+func carve[T any](chunk *[]T, n, size int) []T {
+	if n > len(*chunk) {
+		*chunk = make([]T, max(n, size))
+	}
+	out := (*chunk)[:n:n]
+	*chunk = (*chunk)[n:]
+	return out
+}
+
 // task returns the state slot for taskID, growing the table as needed
 // (geometrically, so registering n tasks one by one stays O(n)).
 func (c *Collector) task(taskID int) *taskState {
 	if taskID >= len(c.tasks) {
-		want := taskID + 1
-		if min := 2 * len(c.tasks); want < min {
-			want = min
-		}
-		grown := make([]taskState, want)
+		grown := make([]taskState, max(taskID+1, 2*len(c.tasks)))
 		copy(grown, c.tasks)
 		c.tasks = grown // tail slots read as unregistered (expected 0)
 	}
 	return &c.tasks[taskID]
 }
 
-// Expect registers that taskID will receive copies results. It must be
-// called before the task's first Submit.
+// Expect registers that taskID will receive copies results, or, for a task
+// a revision promotes, raises that number. It must be called before the
+// task's first Submit.
 func (c *Collector) Expect(taskID, copies int) {
 	if copies < 1 {
 		panic("verify: task must expect at least one copy")
@@ -123,49 +137,86 @@ func (c *Collector) Expect(taskID, copies int) {
 	if taskID < 0 {
 		panic("verify: negative task ID")
 	}
-	c.task(taskID).expected = copies
+	ts := c.task(taskID)
+	if ts.expected == 0 {
+		c.registered++
+	}
+	ts.expected = copies
 }
 
-// Reserve pre-sizes the collector for a run whose registered tasks will
-// receive `results` results in total: every task's collection buffer is
-// carved from one slab, the verdict list is pre-allocated for every
-// registered task, and contributor lists come from a shared arena. Call
-// it once, after all Expect calls and before the first Submit. Tasks
-// registered afterwards, or results beyond the reservation, fall back to
-// ordinary allocation — Reserve is a performance hint, never a limit.
+// ExpectAll registers a plan's tasks, allocating the task table once at
+// the highest ID; Expect remains for tasks a revision mints later.
+func (c *Collector) ExpectAll(specs []plan.TaskSpec) {
+	top := 0
+	for i := range specs {
+		top = max(top, specs[i].ID)
+	}
+	c.task(top)
+	for i := range specs {
+		c.Expect(specs[i].ID, specs[i].Copies)
+	}
+}
+
+// Reserve allocates now what a run of `results` results would otherwise
+// allocate as Submit goes: the verdict list, one result chunk, one
+// contributor chunk. It only moves those allocations out of a timed region.
 func (c *Collector) Reserve(results int) {
 	if results < 0 {
 		panic("verify: negative reservation")
 	}
-	registered, need := 0, 0
-	for i := range c.tasks {
-		if c.tasks[i].expected > 0 && !c.tasks[i].done {
-			registered++
-			need += c.tasks[i].expected
-		}
-	}
-	if cap(c.verdicts)-len(c.verdicts) < registered {
-		grown := make([]Verdict, len(c.verdicts), len(c.verdicts)+registered)
+	c.growVerdicts(c.registered)
+	c.resultChunk = make([]Result, results)
+	c.contribChunk = make([]int, results)
+}
+
+func (c *Collector) growVerdicts(n int) {
+	if n > cap(c.verdicts) {
+		grown := make([]Verdict, len(c.verdicts), n)
 		copy(grown, c.verdicts)
 		c.verdicts = grown
 	}
-	c.contribArena = make([]int, 0, results)
-	c.resultSlab = make([]Result, need)
-	off := 0
-	for i := range c.tasks {
-		ts := &c.tasks[i]
-		if ts.expected == 0 || ts.done || ts.results != nil {
-			continue
+}
+
+// nextVerdict extends the verdict list by one zeroed slot. The first call
+// allocates one per registered task; only tasks a revision mints after
+// that push the list into geometric growth.
+func (c *Collector) nextVerdict() *Verdict {
+	n := len(c.verdicts)
+	if n == cap(c.verdicts) {
+		c.growVerdicts(max(c.registered, n+n/2+1))
+	}
+	c.verdicts = c.verdicts[:n+1]
+	return &c.verdicts[n]
+}
+
+// issue publishes the newest verdict once filled in: the task's index
+// entry, the tallies, blacklist and convictions, then the callback.
+func (c *Collector) issue(v *Verdict) {
+	c.tasks[v.TaskID].verdict = len(c.verdicts)
+	c.stats.Tasks++
+	if v.Accepted {
+		c.stats.Accepted++
+	}
+	if v.MismatchDetected {
+		c.stats.MismatchDetected++
+		if v.Ringer {
+			c.stats.RingersCaught++
 		}
-		ts.results = c.resultSlab[off : off : off+ts.expected]
-		off += ts.expected
+	}
+	for _, s := range v.Suspects {
+		c.blacklist[s] = true
+		if v.Ringer {
+			c.convicted[s] = true
+		}
+	}
+	if c.onVerdict != nil {
+		c.onVerdict(v)
 	}
 }
 
 // OnVerdict registers a callback invoked for every adjudicated task. The
-// verdict is passed by pointer — copying the ~88-byte struct per task is
-// measurable at simulation scale — and remains owned by the collector:
-// callbacks must not retain or mutate it.
+// verdict is passed by pointer (the copy is measurable at simulation scale)
+// and stays owned by the collector: callbacks must not retain or mutate it.
 func (c *Collector) OnVerdict(fn func(*Verdict)) { c.onVerdict = fn }
 
 // SetComparator installs the value comparator (Exact by default). It must
@@ -185,16 +236,15 @@ func (c *Collector) Submit(r Result) (v Verdict, done bool, err error) {
 		return Verdict{}, false, fmt.Errorf("verify: result for unregistered task %d", id)
 	}
 	ts := &c.tasks[id]
-	if ts.done {
+	if ts.verdict != 0 {
 		return Verdict{}, false, fmt.Errorf("verify: task %d already adjudicated", id)
 	}
 	if ts.results == nil {
-		ts.results = make([]Result, 0, ts.expected)
+		ts.results = carve(&c.resultChunk, ts.expected, resultChunkLen)[:0]
 	}
 	// Speculative reissue can legitimately produce two answers for the same
-	// copy index; only the claim winner may reach adjudication. Rejecting the
-	// second here keeps a duplicate from ever counting toward the expected
-	// quorum, whatever the caller's bookkeeping missed.
+	// copy index; only the claim winner may reach adjudication, so a second
+	// never counts toward the quorum whatever the caller's bookkeeping missed.
 	for i := range ts.results {
 		if ts.results[i].Assignment.Copy == r.Assignment.Copy {
 			return Verdict{}, false, fmt.Errorf("verify: duplicate copy %d for task %d", r.Assignment.Copy, id)
@@ -209,48 +259,20 @@ func (c *Collector) Submit(r Result) (v Verdict, done bool, err error) {
 	}
 	got := ts.results
 	ts.results = nil
-	ts.done = true
 	c.partial--
 	vp := c.adjudicate(id, r.Assignment.Ringer, got)
-	for _, s := range vp.Suspects {
-		c.blacklist[s] = true
-		if vp.Ringer {
-			c.convicted[s] = true
-		}
-	}
-	if c.onVerdict != nil {
-		c.onVerdict(vp)
-	}
+	c.issue(vp)
 	return *vp, true, nil
 }
 
 // adjudicate appends the verdict for one fully-collected task to
 // c.verdicts and returns a pointer to it. The verdict is built in place
-// and results are walked by index: a Verdict is ~88 bytes and a Result
-// 40, so value returns and range-copies here dominated the scenario
-// lab's CPU profile at 10^6 tasks per template.
+// and results are walked by index: a Verdict is 88 bytes and a Result 40,
+// and copying them dominated the scenario lab's profile at 10^6 tasks.
 func (c *Collector) adjudicate(taskID int, ringer bool, results []Result) *Verdict {
-	// Extend in place when capacity allows (Reserve pre-sizes the slice
-	// for the whole run): appending a composite literal would build the
-	// 88-byte struct on the stack and copy it into the slab, doubling the
-	// write traffic on memory this size of run cannot keep in cache.
-	var v *Verdict
-	if n := len(c.verdicts); n < cap(c.verdicts) {
-		c.verdicts = c.verdicts[:n+1]
-		v = &c.verdicts[n]
-		*v = Verdict{}
-	} else {
-		c.verdicts = append(c.verdicts, Verdict{})
-		v = &c.verdicts[len(c.verdicts)-1]
-	}
+	v := c.nextVerdict()
 	v.TaskID, v.Ringer, v.Copies = taskID, ringer, len(results)
-	if n := len(results); cap(c.contribArena)-len(c.contribArena) >= n {
-		off := len(c.contribArena)
-		c.contribArena = c.contribArena[:off+n]
-		v.Contributors = c.contribArena[off : off+n : off+n]
-	} else {
-		v.Contributors = make([]int, n)
-	}
+	v.Contributors = carve(&c.contribChunk, len(results), contribChunkLen)
 	for i := range results {
 		v.Contributors[i] = results[i].Participant
 	}
@@ -316,34 +338,34 @@ func (c *Collector) adjudicate(taskID int, ringer bool, results []Result) *Verdi
 // Verdicts returns all verdicts issued so far, in adjudication order.
 func (c *Collector) Verdicts() []Verdict { return c.verdicts }
 
+// VerdictFor returns the verdict of an adjudicated task, owned by the
+// collector and valid until the next Submit or RestoreVerdict.
+func (c *Collector) VerdictFor(taskID int) (*Verdict, bool) {
+	if taskID < 0 || taskID >= len(c.tasks) || c.tasks[taskID].verdict == 0 {
+		return nil, false
+	}
+	return &c.verdicts[c.tasks[taskID].verdict-1], true
+}
+
 // RestoreVerdict reinstates a previously-issued verdict during snapshot
 // restore: the task is marked adjudicated and every downstream effect of
-// the original adjudication — verdict list, blacklist, convictions, the
-// OnVerdict callback (credits, estimator evidence) — replays exactly as
-// the live Submit performed it, without the per-copy results. The task
-// must be registered (Expect) and not yet collected.
+// the original adjudication (verdict list, tallies, blacklist, convictions,
+// the OnVerdict callback) replays exactly as the live Submit performed it,
+// without the per-copy results. The task must be registered, not collected.
 func (c *Collector) RestoreVerdict(v Verdict) error {
 	if v.TaskID < 0 || v.TaskID >= len(c.tasks) || c.tasks[v.TaskID].expected == 0 {
 		return fmt.Errorf("verify: restored verdict for unregistered task %d", v.TaskID)
 	}
 	ts := &c.tasks[v.TaskID]
-	if ts.done {
+	if ts.verdict != 0 {
 		return fmt.Errorf("verify: restored verdict for already-adjudicated task %d", v.TaskID)
 	}
 	if ts.results != nil {
 		return fmt.Errorf("verify: restored verdict for task %d with partial results", v.TaskID)
 	}
-	ts.done = true
-	c.verdicts = append(c.verdicts, v)
-	for _, s := range v.Suspects {
-		c.blacklist[s] = true
-		if v.Ringer {
-			c.convicted[s] = true
-		}
-	}
-	if c.onVerdict != nil {
-		c.onVerdict(&c.verdicts[len(c.verdicts)-1])
-	}
+	vp := c.nextVerdict()
+	*vp = v
+	c.issue(vp)
 	return nil
 }
 
@@ -353,9 +375,7 @@ func (c *Collector) RestoreVerdict(v Verdict) error {
 func (c *Collector) PendingResults() []Result {
 	out := make([]Result, 0, c.partial)
 	for i := range c.tasks {
-		if !c.tasks[i].done {
-			out = append(out, c.tasks[i].results...)
-		}
+		out = append(out, c.tasks[i].results...)
 	}
 	return out
 }
@@ -364,9 +384,11 @@ func (c *Collector) PendingResults() []Result {
 func (c *Collector) Blacklisted(participant int) bool { return c.blacklist[participant] }
 
 // Blacklist returns the implicated participants in ascending order.
-func (c *Collector) Blacklist() []int {
-	out := make([]int, 0, len(c.blacklist))
-	for p := range c.blacklist {
+func (c *Collector) Blacklist() []int { return ascending(c.blacklist) }
+
+func ascending(set map[int]bool) []int {
+	out := make([]int, 0, len(set))
+	for p := range set {
 		out = append(out, p)
 	}
 	sort.Ints(out)
@@ -378,14 +400,7 @@ func (c *Collector) Blacklist() []int {
 func (c *Collector) Convicted(participant int) bool { return c.convicted[participant] }
 
 // ConvictedList returns the conclusively-caught participants, ascending.
-func (c *Collector) ConvictedList() []int {
-	out := make([]int, 0, len(c.convicted))
-	for p := range c.convicted {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
-}
+func (c *Collector) ConvictedList() []int { return ascending(c.convicted) }
 
 // PendingTasks returns the number of tasks with partial results.
 func (c *Collector) PendingTasks() int { return c.partial }
@@ -398,20 +413,5 @@ type Stats struct {
 	RingersCaught    int // ringer tasks that exposed cheating
 }
 
-// Stats tallies the verdict stream.
-func (c *Collector) Stats() Stats {
-	var s Stats
-	for _, v := range c.verdicts {
-		s.Tasks++
-		if v.Accepted {
-			s.Accepted++
-		}
-		if v.MismatchDetected {
-			s.MismatchDetected++
-			if v.Ringer {
-				s.RingersCaught++
-			}
-		}
-	}
-	return s
-}
+// Stats returns the tallies of the verdict stream.
+func (c *Collector) Stats() Stats { return c.stats }
