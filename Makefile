@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race cover cover-check bench bench-save bench-smoke flake-check straggler-smoke scenarios-smoke scenarios-scale tail-smoke alloc-check shard-smoke figures fmt vet check chaos fuzz snapshot-smoke clean
+.PHONY: all build test race cover cover-check bench bench-smoke flake-check straggler-smoke scenarios-smoke scenarios-scale tail-smoke alloc-check shard-smoke figures fmt vet check chaos fuzz snapshot-smoke clean
 
 all: build test
 
@@ -8,9 +8,8 @@ all: build test
 # test suite under the race detector (the chaos soak included), an
 # uncached race pass over the concurrency-heavy platform package, the
 # repeated shuffled run of the once-flaky tests, the compaction-restore
-# timing smoke, the per-package coverage floor, a
-# quick contention-benchmark smoke run, and short fuzz bursts on both
-# wire codecs.
+# timing smoke, the per-package coverage floor, the concurrency and
+# wire-cost smoke, and short fuzz bursts on both wire codecs.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -57,49 +56,16 @@ cover-check:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Measure the batched-leasing hot path over loopback and commit the JSON
-# artifacts: assignments/sec at lease sizes 1, 16, and 64, and the same
-# computation with the adaptive control plane ticking. BENCH_pr5 adds the
-# concurrent-worker sweep (1, 8, 32, 128 workers at lease size 16) against
-# the recorded pre-group-commit 32-worker baseline of ~40000
-# assignments/sec; the acceptance bar is a >=2x speedup at 32 workers.
-# BENCH_pr6 sweeps both wire codecs at a task count large enough to
-# amortize setup; the bar is binary >= 2x the recorded PR5 batch-64 JSON
-# baseline of ~292000 assignments/sec.
-# BENCH_pr7 is the latency mode: completion-latency p50/p99/p999 per
-# redundancy scheme with a straggler-mixed fleet, speculative reissue off
-# vs on; the bar is speculation cutting p99 by well over half.
-# BENCH_pr10 records the allocation-free tail engine: single-threaded
-# completions/sec at fleet sizes 256 and 1000 (the bar is >= 10^7 at 256),
-# the scheme-x-speculation sweep wall clock at 10^5/10^6/10^7 tasks, and
-# the five-template 10^6 scenario suite sequential vs fanned out, against
-# the recorded pre-arena PR 8 baseline of ~33s (the bar is >= 3x
-# sequential, plus near-linear fan-out where cores exist).
-# BENCH_pr9 is the shard sweep: the same workload and worker fleet served
-# by 1, 2, and 4 consistent-hash supervisor shards with every shard
-# journaling against a modeled slow durable store (3ms commit latency —
-# a synchronously replicated cross-zone journal), the regime where each
-# shard is an independent commit stream; the bar is 4-shard aggregate
-# assignments/sec >= 2.5x the 1-shard figure at the same total worker
-# count with per-shard imbalance <= 15%.
-bench-save:
-	$(GO) run ./cmd/platformbench -out BENCH_pr3.json
-	$(GO) run ./cmd/platformbench -adapt -out BENCH_pr4.json
-	$(GO) run ./cmd/platformbench -adapt -workers 1,8,32,128 -baseline-aps32 40000 -out BENCH_pr5.json
-	$(GO) run ./cmd/platformbench -protos json,bin -batches 1,16,64 -n 80000 -baseline-aps 291955 -out BENCH_pr6.json
-	$(GO) run ./cmd/platformbench -latency -n 600 -workers 6 -out BENCH_pr7.json
-	$(GO) run ./cmd/platformbench -shards 1,2,4 -workers 64 -n 8000 -iters 10 -sweep-batch 16 -ring-vnodes 512 -commit-latency 3ms -out BENCH_pr9.json
-	$(GO) run ./cmd/redsim -tail-bench BENCH_pr10.json -scale
-
-# A fast CI-sized version of the contention benchmark: tiny task count,
-# 8 concurrent workers, no artifact. Catches a supervisor that deadlocks,
-# parks forever, or collapses under concurrency before the full sweep
-# would ever run. Then the wire-cost guard: one lease cycle over loopback
-# must cost the supervisor exactly one socket read and one socket write
-# (BenchmarkLoopbackLeaseCycle fails on anything else), JSON at batch 1
-# and binary at batch 16.
+# The concurrency smoke: the end-to-end run with 8 workers and the
+# group-commit soak with 32, under the race detector. Catches a supervisor
+# that deadlocks, parks forever, or collapses under concurrency. Then the
+# wire-cost guard: one lease cycle over loopback must cost the supervisor
+# exactly one socket read and one socket write (BenchmarkLoopbackLeaseCycle
+# fails on anything else), JSON at batch 1 and binary at batch 16. The
+# throughput numbers the docs quote come from the bench/ suite
+# (bash bench/run.sh).
 bench-smoke:
-	$(GO) run ./cmd/platformbench -n 600 -iters 10 -workers 1,8 -batches 16 -sweep-batch 16
+	$(GO) test -race -count=1 -run 'TestHonestEndToEnd|TestGroupCommitManyWorkerSoak' ./internal/platform
 	$(GO) test -run '^$$' -bench 'BenchmarkLoopbackLeaseCycle' -benchtime 2000x -benchmem ./internal/platform
 
 # The three tests that used to race two RunWorker goroutines for work (or

@@ -57,17 +57,8 @@ func main() {
 	tailTasks := flag.Int("tail-tasks", 100_000, "tasks per trial in -tail mode")
 	tailTrials := flag.Int("tail-trials", 0, "Monte-Carlo trials per sweep cell (0 = default)")
 	tailParticipants := flag.Int("tail-participants", 0, "fleet size in -tail mode (0 = default)")
-	scale := flag.Bool("scale", false, "with -tail, run the 10^7-task tier; with -tail-bench, add the 10^7 sweep and the 10^6 scenario suite")
-	tailBench := flag.String("tail-bench", "", "write the tail-engine benchmark artifact to this file ('-' = stdout) instead of running a sweep")
-	scenarioBaseline := flag.Float64("scenario-baseline", 33, "recorded sequential five-template 10^6 suite seconds for the -tail-bench comparison (0 = omit)")
+	scale := flag.Bool("scale", false, "with -tail, run the 10^7-task tier")
 	flag.Parse()
-
-	if *tailBench != "" {
-		if err := runTailBench(*tailBench, *scale, *scenarioBaseline); err != nil {
-			fail(err)
-		}
-		return
-	}
 
 	if *tail {
 		cfg := tailSweepConfig(*tailTasks, *tailTrials, *tailParticipants, *workers, *eps, *seed, *scale)

@@ -1,21 +1,13 @@
 package main
 
-// The -tail mode: the ROADMAP-item-2 tail-latency sweep on the
-// allocation-free completion-time engine, and the -tail-bench artifact
-// writer that records the engine's single-threaded throughput, the sweep
-// wall-clock at increasing scales, and the scenario lab's suite speedup.
+// The -tail mode: the tail-latency sweep on the allocation-free
+// completion-time engine.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
-	"time"
 
-	"redundancy"
 	"redundancy/internal/experiments"
-	"redundancy/internal/sim"
 )
 
 // tailSweepConfig resolves the CLI knobs into a sweep configuration.
@@ -50,237 +42,4 @@ func runTail(cfg experiments.TailSweepConfig, w io.Writer) error {
 	}
 	_, err = fmt.Fprintln(w, rep.Table().String())
 	return err
-}
-
-// Benchmark artifact types (BENCH_pr10.json).
-
-type engineRun struct {
-	Participants      int     `json:"participants"`
-	Copies            int     `json:"copies"`
-	Trials            int     `json:"trials"`
-	Seconds           float64 `json:"seconds"`
-	CompletionsPerSec float64 `json:"completions_per_sec"`
-}
-
-type sweepRun struct {
-	Tasks             int     `json:"tasks"`
-	Trials            int     `json:"trials_per_cell"`
-	Cells             int     `json:"cells"`
-	Seconds           float64 `json:"seconds"`
-	Completions       int     `json:"completions"`
-	CompletionsPerSec float64 `json:"completions_per_sec"`
-}
-
-type scenarioBench struct {
-	Tasks             int     `json:"tasks_per_template"`
-	Templates         int     `json:"templates"`
-	SecondsWorkers1   float64 `json:"seconds_workers_1"`
-	SecondsWorkersAll float64 `json:"seconds_workers_all"`
-	WorkersAll        int     `json:"workers_all"`
-	BaselineSeconds   float64 `json:"recorded_pr8_seconds,omitempty"`
-	SpeedupVsBaseline float64 `json:"speedup_vs_pr8,omitempty"`
-	SpeedupWorkersAll float64 `json:"speedup_workers_all_vs_1"`
-	ViolatedTemplates int     `json:"violated_templates"`
-}
-
-type tailBenchReport struct {
-	GoVersion   string         `json:"go_version"`
-	GOOS        string         `json:"goos"`
-	GOARCH      string         `json:"goarch"`
-	NumCPU      int            `json:"num_cpu"`
-	Engine      []engineRun    `json:"engine_single_threaded"`
-	Sweeps      []sweepRun     `json:"tail_sweeps"`
-	Scenario    *scenarioBench `json:"scenario_suite,omitempty"`
-	GeneratedAt string         `json:"generated_at"`
-}
-
-// benchEngine measures the raw single-threaded engine: a multiplicity-1
-// workload (the steady-state fast path) of `copies` copies on a fleet of
-// the given size, best-of-`reps` trials.
-func benchEngine(participants, copies, reps int) (engineRun, error) {
-	cfg := sim.TailConfig{
-		Classes:        []sim.TailClass{{Copies: 1, Tasks: copies}},
-		Participants:   participants,
-		SpeedBase:      1,
-		SpeedJitter:    0.5,
-		SpeedSpread:    0.5,
-		StragglerP:     0.02,
-		StragglerDelay: 20,
-		Seed:           2005,
-	}
-	e, err := sim.NewTailEngine(cfg)
-	if err != nil {
-		return engineRun{}, err
-	}
-	e.RunTrial(0) // warm the arenas
-	best := 0.0
-	var total float64
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		tr := e.RunTrial(r)
-		sec := time.Since(start).Seconds()
-		total += sec
-		if cps := float64(tr.Completions) / sec; cps > best {
-			best = cps
-		}
-	}
-	return engineRun{
-		Participants:      participants,
-		Copies:            copies,
-		Trials:            reps,
-		Seconds:           total,
-		CompletionsPerSec: best,
-	}, nil
-}
-
-// benchSweep times one full scheme x speculation sweep at the given size.
-func benchSweep(tasks, trials, workers int) (sweepRun, error) {
-	cfg := experiments.DefaultTailSweepConfig(tasks)
-	cfg.Trials = trials
-	cfg.Workers = workers
-	start := time.Now()
-	rep, err := experiments.TailSweep(cfg)
-	if err != nil {
-		return sweepRun{}, err
-	}
-	sec := time.Since(start).Seconds()
-	completions := 0
-	for _, row := range rep.Rows {
-		completions += row.Completions
-	}
-	return sweepRun{
-		Tasks:             tasks,
-		Trials:            trials,
-		Cells:             len(rep.Rows),
-		Seconds:           sec,
-		Completions:       completions,
-		CompletionsPerSec: float64(completions) / sec,
-	}, nil
-}
-
-// benchScenarioSuite times the five-template scenario lab at 10^6 tasks
-// per template, sequential and fanned out, against the recorded PR 8
-// sequential baseline.
-func benchScenarioSuite(tasks int, baselineSeconds float64) (*scenarioBench, error) {
-	once := func(workers int) (float64, int, error) {
-		runtime.GC()
-		start := time.Now()
-		violated := 0
-		for _, res := range redundancy.RunScenarioSuite(tasks, tasks, workers) {
-			if res.Err != nil {
-				return 0, 0, fmt.Errorf("scenario %q: %w", res.Name, res.Err)
-			}
-			if len(res.Report.Violations) > 0 {
-				violated++
-			}
-		}
-		return time.Since(start).Seconds(), violated, nil
-	}
-	// Best of two: the suite is deterministic, so the spread between reps
-	// is GC and scheduling noise, not workload.
-	run := func(workers int) (float64, int, error) {
-		best, violated, err := once(workers)
-		if err != nil {
-			return 0, 0, err
-		}
-		again, _, err := once(workers)
-		if err != nil {
-			return 0, 0, err
-		}
-		if again < best {
-			best = again
-		}
-		return best, violated, nil
-	}
-	sec1, violated, err := run(1)
-	if err != nil {
-		return nil, err
-	}
-	secAll, _, err := run(0)
-	if err != nil {
-		return nil, err
-	}
-	b := &scenarioBench{
-		Tasks:             tasks,
-		Templates:         len(redundancy.ScenarioNames()),
-		SecondsWorkers1:   sec1,
-		SecondsWorkersAll: secAll,
-		WorkersAll:        runtime.GOMAXPROCS(0),
-		SpeedupWorkersAll: sec1 / secAll,
-		ViolatedTemplates: violated,
-	}
-	if baselineSeconds > 0 {
-		b.BaselineSeconds = baselineSeconds
-		b.SpeedupVsBaseline = baselineSeconds / sec1
-	}
-	return b, nil
-}
-
-// runTailBench produces the full BENCH_pr10 artifact. scale additionally
-// runs the 10^7-task sweep tier and the 10^6-task scenario suite; without
-// it the artifact stops at the 10^6 sweep and a 10^5 scenario suite, which
-// keeps a smoke invocation under a minute.
-func runTailBench(out string, scale bool, baselineSeconds float64) error {
-	rep := tailBenchReport{
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-	}
-	for _, p := range []int{256, 1000} {
-		// Best-of-5: each trial is ~0.2s, well inside scheduler-noise
-		// territory on a shared vCPU, so a few extra reps buy stability.
-		er, err := benchEngine(p, 2_000_000, 5)
-		if err != nil {
-			return err
-		}
-		rep.Engine = append(rep.Engine, er)
-		fmt.Fprintf(os.Stderr, "tail-bench: engine P=%d: %.1fM completions/s\n",
-			p, er.CompletionsPerSec/1e6)
-	}
-	// The scenario suite is timed before the big sweeps: a 10^7-task sweep
-	// leaves a heap high-water mark that would tax the suite's GC.
-	scenarioTasks := 100_000
-	if scale {
-		scenarioTasks = 1_000_000
-	}
-	sb, err := benchScenarioSuite(scenarioTasks, baselineSeconds)
-	if err != nil {
-		return err
-	}
-	rep.Scenario = sb
-	fmt.Fprintf(os.Stderr, "tail-bench: scenario suite N=%d: %.1fs sequential, %.1fs on %d workers\n",
-		sb.Tasks, sb.SecondsWorkers1, sb.SecondsWorkersAll, sb.WorkersAll)
-	sweeps := []struct {
-		tasks, trials int
-	}{{100_000, 8}, {1_000_000, 4}}
-	if scale {
-		sweeps = append(sweeps, struct{ tasks, trials int }{10_000_000, 1})
-	}
-	for _, s := range sweeps {
-		runtime.GC()
-		sr, err := benchSweep(s.tasks, s.trials, 0)
-		if err != nil {
-			return err
-		}
-		rep.Sweeps = append(rep.Sweeps, sr)
-		fmt.Fprintf(os.Stderr, "tail-bench: sweep N=%d x%d: %.1fs (%.1fM completions/s)\n",
-			s.tasks, s.trials, sr.Seconds, sr.CompletionsPerSec/1e6)
-	}
-
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if out == "-" {
-		_, err = os.Stdout.Write(b)
-		return err
-	}
-	if err := os.WriteFile(out, b, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "tail-bench: wrote %s\n", out)
-	return nil
 }

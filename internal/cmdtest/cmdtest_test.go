@@ -20,8 +20,9 @@ var (
 	buildErr  error
 )
 
-// binaries builds every cmd once per test process and returns the
-// directory holding them.
+// binaries builds every command under cmd/ once per test process and
+// returns the directory holding them. The list is read from the tree, so a
+// new command is built (and must compile) without being named here.
 func binaries(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {
@@ -29,13 +30,21 @@ func binaries(t *testing.T) string {
 		if buildErr != nil {
 			return
 		}
-		for _, name := range []string{"figures", "redcalc", "redsim", "supervisor", "worker"} {
-			cmd := exec.Command("go", "build", "-o", filepath.Join(binDir, name), "./cmd/"+name)
-			cmd.Dir = repoRoot()
-			if out, err := cmd.CombinedOutput(); err != nil {
-				buildErr = fmt.Errorf("build %s: %v\n%s", name, err, out)
-				return
+		entries, err := os.ReadDir(filepath.Join(repoRoot(), "cmd"))
+		if err != nil {
+			buildErr = err
+			return
+		}
+		args := []string{"build", "-o", binDir}
+		for _, e := range entries {
+			if e.IsDir() {
+				args = append(args, "./cmd/"+e.Name())
 			}
+		}
+		cmd := exec.Command("go", args...)
+		cmd.Dir = repoRoot()
+		if out, err := cmd.CombinedOutput(); err != nil {
+			buildErr = fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, out)
 		}
 	})
 	if buildErr != nil {

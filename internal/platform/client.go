@@ -115,8 +115,8 @@ type WorkerConfig struct {
 	// supervisor's handling of the results and the queue and lock wait of
 	// the lease itself — not their journal commit, which the lease does not
 	// wait for. Invoked from the worker's own
-	// goroutine; keep it cheap. cmd/platformbench uses it to report
-	// p50/p99 lease latency.
+	// goroutine; keep it cheap. The bench/ suite uses it to report
+	// lease_p50_us and lease_p99_us.
 	OnLeaseRTT func(time.Duration)
 	// Events, when non-nil, receives one JSON line per worker event
 	// (assignment_received, result_submitted, reconnect). Nil discards

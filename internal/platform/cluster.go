@@ -45,14 +45,11 @@ type ClusterConfig struct {
 	// <dir>/shard-<i>.jnl; KillShard/RestoreShard then support
 	// crash-recovery with byte-identical replay. Empty disables journals.
 	JournalDir string
-	// JournalSync and CommitLatency configure each shard's journal exactly
-	// as on SupervisorConfig. Per-shard journals are independent commit
-	// streams: a cluster of N shards sustains N concurrent commits where a
-	// single supervisor serializes them, which is what the platformbench
-	// -shards sweep measures when CommitLatency models a slow durable
-	// store.
-	JournalSync   bool
-	CommitLatency time.Duration
+	// JournalSync configures each shard's journal exactly as on
+	// SupervisorConfig. Per-shard journals are independent commit streams:
+	// a cluster of N shards sustains N concurrent commits where a single
+	// supervisor serializes them.
+	JournalSync bool
 	// Metrics, when non-nil, is shared by every shard: registration is
 	// idempotent, so the unlabeled supervisor families aggregate
 	// cluster-wide while the shard_id-labeled mirrors keep per-shard
@@ -199,19 +196,18 @@ func (c *Cluster) journalPath(i int) string {
 // then truncates its journal to the replayed prefix before serving.
 func (c *Cluster) startShard(i int, restore io.Reader) error {
 	scfg := SupervisorConfig{
-		Plan:          c.cfg.Plan,
-		Tasks:         c.parts[i],
-		ShardID:       ShardName(i),
-		WorkKind:      c.cfg.WorkKind,
-		Iters:         c.cfg.Iters,
-		Seed:          c.cfg.Seed + uint64(i),
-		MaxBatch:      c.cfg.MaxBatch,
-		Deadline:      c.cfg.Deadline,
-		IOTimeout:     c.cfg.IOTimeout,
-		JournalSync:   c.cfg.JournalSync,
-		CommitLatency: c.cfg.CommitLatency,
-		Metrics:       c.reg,
-		Restore:       restore,
+		Plan:        c.cfg.Plan,
+		Tasks:       c.parts[i],
+		ShardID:     ShardName(i),
+		WorkKind:    c.cfg.WorkKind,
+		Iters:       c.cfg.Iters,
+		Seed:        c.cfg.Seed + uint64(i),
+		MaxBatch:    c.cfg.MaxBatch,
+		Deadline:    c.cfg.Deadline,
+		IOTimeout:   c.cfg.IOTimeout,
+		JournalSync: c.cfg.JournalSync,
+		Metrics:     c.reg,
+		Restore:     restore,
 	}
 	if c.cfg.Logf != nil {
 		lg, shard := c.cfg.Logf, ShardName(i)

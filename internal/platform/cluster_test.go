@@ -100,58 +100,6 @@ func TestClusterConfigValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("empty Tasks accepted")
 	}
-	if _, err := NewSupervisor(SupervisorConfig{Plan: p, CommitLatency: -time.Millisecond}); err == nil {
-		t.Error("negative CommitLatency accepted")
-	}
-	if _, err := NewSupervisor(SupervisorConfig{Plan: p, CommitLatency: time.Millisecond}); err == nil {
-		t.Error("CommitLatency without a Journal accepted")
-	}
-}
-
-// TestCommitLatencyPacesCommits runs a tiny 2-shard cluster against a
-// modeled slow durable store (the platformbench -shards regime) and checks
-// the model holds the floor it promises: a shard that adjudicated its
-// subset must have spent at least one modeled commit's worth of wall time,
-// and the run still certifies everything exactly once.
-func TestCommitLatencyPacesCommits(t *testing.T) {
-	if testing.Short() {
-		t.Skip("paced commits; skipping in -short")
-	}
-	p := mustClusterPlan(t, 30)
-	const lat = 2 * time.Millisecond
-	c, err := NewCluster(ClusterConfig{
-		Plan: p, Shards: 2, WorkKind: "hashchain", Iters: 5, MaxBatch: 8,
-		JournalDir: t.TempDir(), CommitLatency: lat,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			RunShardedWorker(WorkerConfig{
-				Name: fmt.Sprintf("lat-%d", i), BatchSize: 8, Seed: uint64(i + 1),
-			}, c.ShardMap)
-		}(i)
-	}
-	c.Wait()
-	wg.Wait()
-	elapsed := time.Since(start)
-	merged := c.Aggregate()
-	if merged.Tasks != len(p.Tasks()) {
-		t.Errorf("adjudicated %d tasks, want %d", merged.Tasks, len(p.Tasks()))
-	}
-	// The committer can coalesce concurrent batches, so only one window
-	// per shard is guaranteed to floor the wall time.
-	if elapsed < lat {
-		t.Errorf("run finished in %v, below a single %v commit", elapsed, lat)
-	}
-	if err := c.Close(); err != nil {
-		t.Errorf("Close: %v", err)
-	}
 }
 
 // TestShardedSmoke runs a 2-shard cluster to completion with sharded

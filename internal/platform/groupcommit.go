@@ -184,12 +184,6 @@ func (c *journalCommitter) commitWindow(batch []commitReq, upto uint64) {
 		if s.cfg.JournalSync {
 			s.syncJournal()
 		}
-		if s.cfg.CommitLatency > 0 {
-			// Modeled device latency, paid once per window: the window
-			// amortizes it across its records exactly as it amortizes a
-			// real fsync.
-			time.Sleep(s.cfg.CommitLatency)
-		}
 		s.metrics.journalGroupCommits.Inc()
 		s.metrics.journalCommitBatch.Observe(float64(n))
 		now := time.Now()

@@ -69,16 +69,6 @@ type SupervisorConfig struct {
 	// written, so even a machine crash loses no acked result — at most
 	// the torn tail of an unacked window, which replay tolerates.
 	JournalSync bool
-	// CommitLatency, when positive, models the commit latency of the
-	// journal's backing store — networked block storage, an NFS export, a
-	// synchronous replica — by holding the journal pipeline for this long
-	// on every commit window before the window's acks are released, exactly
-	// where a slow device's fsync would sit, so the windowing amortizes it
-	// the same way it amortizes a real fsync. A benchmarking and testing
-	// aid (the sharded platformbench sweep uses it to measure coordination
-	// throughput when durability, not CPU, is the bottleneck); leave zero
-	// to let the real device set the pace. Requires a Journal.
-	CommitLatency time.Duration
 	// SnapshotInterval, when positive, captures a snapshot of the
 	// supervisor's certification state into the journal after every
 	// SnapshotInterval appended records (counted, not timed, so behavior
@@ -147,14 +137,6 @@ type SupervisorConfig struct {
 	// policy. Latency tracking uses Health's window settings when Health is
 	// set, defaults otherwise.
 	SpeculatePct float64
-	// OnTurnaround, when set, receives each accepted copy's completion
-	// latency measured from the copy's *first* issue — a speculative win
-	// reports the full time since the original (straggling) issue, so the
-	// hook measures what a client actually waited. Called from connection
-	// goroutines concurrently (outside supervisor locks); keep it cheap
-	// and goroutine-safe. platformbench's latency mode uses it to build
-	// completion-time percentiles.
-	OnTurnaround func(time.Duration)
 	// Tasks, when non-nil, overrides Plan.Tasks() as the concrete task set
 	// this supervisor owns — the sharding hook: a cluster partitions the
 	// global plan's task IDs across shards by consistent-hash lookup
@@ -390,12 +372,6 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	}
 	if cfg.SnapshotInterval < 0 {
 		return nil, errors.New("platform: negative SnapshotInterval")
-	}
-	if cfg.CommitLatency < 0 {
-		return nil, errors.New("platform: negative CommitLatency")
-	}
-	if cfg.CommitLatency > 0 && cfg.Journal == nil {
-		return nil, errors.New("platform: CommitLatency requires a Journal")
 	}
 	if cfg.SnapshotInterval > 0 {
 		if cfg.Journal == nil {
@@ -1393,7 +1369,7 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState) Messa
 			for _, a := range fill {
 				key := outstandingKey{a.TaskID, a.Copy}
 				s.lease.inflight[key] = inflightInfo{
-					participant: pid, a: a, issuedAt: now, firstIssued: now, owner: cs,
+					participant: pid, a: a, issuedAt: now, owner: cs,
 				}
 				cs.held[key] = pid
 				fresh++
@@ -1521,10 +1497,7 @@ func (s *Supervisor) fillSpeculativeLocked(pid int, cs *connState, want int, ite
 			continue
 		}
 		now := time.Now()
-		s.lease.spec[key] = inflightInfo{
-			participant: pid, a: info.a, issuedAt: now,
-			firstIssued: info.firstIssued, owner: cs,
-		}
+		s.lease.spec[key] = inflightInfo{participant: pid, a: info.a, issuedAt: now, owner: cs}
 		issued++
 		if s.events != nil {
 			s.events.Emit(EvAssignmentSpeculated, map[string]any{
@@ -1546,10 +1519,6 @@ type inflightInfo struct {
 	participant int
 	a           sched.Assignment
 	issuedAt    time.Time
-	// firstIssued survives reissues and speculative promotion: it is when
-	// this copy first left the supervisor, so completion-latency hooks see
-	// the straggler's delay, not the winner's sprint.
-	firstIssued time.Time
 	owner       *connState // connection the assignment is currently attached to
 	// speculated marks a primary that has (or had) a duplicate flagged or
 	// issued; at most one clone exists per copy, and a dropped clone
@@ -2170,9 +2139,6 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, single bool, cs 
 				tn.Observe(took.Seconds())
 				if s.roster != nil {
 					s.roster.ObserveCompletion(pid, took)
-				}
-				if s.cfg.OnTurnaround != nil {
-					s.cfg.OnTurnaround(now.Sub(pend[i].info.firstIssued))
 				}
 			}
 		}
