@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -85,15 +86,22 @@ func TestClusterConfigValidation(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{Shards: 2}); err == nil {
 		t.Error("nil plan accepted")
 	}
+	// Each config is valid but for the Tasks override, so only the Tasks
+	// check can refuse it.
+	jf, err := OpenJournalFile(filepath.Join(t.TempDir(), "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jf.Close()
 	if _, err := NewSupervisor(SupervisorConfig{
 		Plan: p, Tasks: p.Tasks(), Adapt: &adapt.Config{TargetEpsilon: 0.5},
-	}); err == nil {
-		t.Error("Tasks+Adapt accepted: a shard must not re-plan the global tail")
+	}); err == nil || !strings.Contains(err.Error(), "Tasks override is incompatible with Adapt") {
+		t.Errorf("Tasks+Adapt: err=%v, want the Tasks incompatibility (a shard must not re-plan the global tail)", err)
 	}
 	if _, err := NewSupervisor(SupervisorConfig{
-		Plan: p, Tasks: p.Tasks(), SnapshotInterval: 10,
-	}); err == nil {
-		t.Error("Tasks+SnapshotInterval accepted")
+		Plan: p, Tasks: p.Tasks(), SnapshotInterval: 10, Journal: jf,
+	}); err == nil || !strings.Contains(err.Error(), "Tasks override is incompatible with SnapshotInterval") {
+		t.Errorf("Tasks+SnapshotInterval: err=%v, want the Tasks incompatibility", err)
 	}
 	if _, err := NewSupervisor(SupervisorConfig{
 		Plan: p, Tasks: []plan.TaskSpec{},

@@ -13,7 +13,7 @@ import (
 // it, renames it over the journal path, and fsyncs the directory, so a
 // crash at any instant leaves either the old journal or the new one —
 // never a mix, never a hole. cmd/supervisor uses it for -journal
-// unconditionally; compaction is then just a config flag away.
+// unconditionally, so -snapshot-interval alone turns compaction on.
 type JournalFile struct {
 	mu   sync.Mutex
 	path string

@@ -137,7 +137,7 @@ func newSupMetrics(r *obs.Registry) *supMetrics {
 		convictions: r.Counter("redundancy_convictions_total",
 			"Participants convicted by conclusive ringer evidence (conviction events; a twice-caught participant counts twice)."),
 		reclaimed: r.CounterVec("redundancy_assignments_reclaimed_total",
-			"Assignments taken back for re-issue, by reason (disconnect, deadline, quarantine, or speculative — an expired clone).", "reason"),
+			"Holds on outstanding copies ended without a result, primary or clone, by reason (disconnect, deadline, quarantine, or speculative — an expired clone).", "reason"),
 		speculativeIssued: r.Counter("redundancy_speculative_issued_total",
 			"Speculative clones issued: still-leased copies duplicated to a second participant after exceeding the completion-time percentile."),
 		speculativeWins: r.Counter("redundancy_speculative_wins_total",

@@ -494,10 +494,10 @@ func TestPipelinedAckSettledBeforeLeaseRead(t *testing.T) {
 			switch calls++; calls {
 			case 2:
 				sup.lease.mu.Lock()
-				for key, info := range sup.lease.inflight {
+				for key, r := range sup.lease.table {
 					if key.task == taskID {
-						info.issuedAt = info.issuedAt.Add(-2 * time.Hour)
-						sup.lease.inflight[key] = info
+						r.primary.issuedAt = r.primary.issuedAt.Add(-2 * time.Hour)
+						sup.lease.table[key] = r
 					}
 				}
 				sup.lease.mu.Unlock()

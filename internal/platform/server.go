@@ -70,20 +70,16 @@ type SupervisorConfig struct {
 	// the torn tail of an unacked window, which replay tolerates.
 	JournalSync bool
 	// SnapshotInterval, when positive, captures a snapshot of the
-	// supervisor's certification state into the journal after every
-	// SnapshotInterval appended records (counted, not timed, so behavior
-	// is deterministic under test). A snapshot heading a journal replaces
-	// the replay of everything it covers. Requires Journal and the Free
-	// policy (snapshot restore bulk-completes the queue, which the
-	// holdback policies cannot express). 0 disables snapshots.
+	// supervisor's certification state after every SnapshotInterval
+	// appended records (counted, not timed, so behavior is deterministic
+	// under test) and atomically replaces the journal with it: the journal
+	// then holds one snapshot line plus the records appended since, keeping
+	// its size — and the next restore's cost — O(live state) instead of
+	// O(run history). Requires a Journal that supports crash-atomic
+	// replacement (*JournalFile) and the Free policy (snapshot restore
+	// bulk-completes the queue, which the holdback policies cannot
+	// express). 0 disables snapshots.
 	SnapshotInterval int
-	// Compact, when set (requires SnapshotInterval), makes each snapshot
-	// atomically *replace* the journal instead of extending it: the
-	// journal then holds one snapshot line plus the records appended
-	// since, keeping its size — and the next restore's cost — O(live
-	// state) instead of O(run history). Requires a Journal that supports
-	// crash-atomic replacement (*JournalFile).
-	Compact bool
 	// Restore, when non-nil, is replayed at construction (see Journal).
 	Restore io.Reader
 	// WrapListener, when non-nil, wraps the listener Start creates before
@@ -188,43 +184,6 @@ type SupervisorConfig struct {
 // (connState.wmu, one per connection, orders that connection's writers and
 // is never held with a state lock).
 // Revision records are written before the copies they enable can exist.
-
-// leaseState guards the scheduler queue and the in-flight assignment
-// table. Lease-lifecycle events (assignment_issued, result_accepted,
-// assignment_reclaimed) are emitted while holding lease.mu, so the event
-// stream is a serialization witness of lease history — the chaos property
-// test replays it through a state machine.
-type leaseState struct {
-	mu       sync.Mutex
-	queue    *sched.Queue
-	inflight map[outstandingKey]inflightInfo
-	finished bool
-	draining bool // Shutdown in progress: no new assignments
-	// waiters parks get_work requests that found the queue empty; each
-	// channel is closed (once) by kickLocked when completions, reclaims,
-	// or revisions may have made assignments available. Parking replaces
-	// most of the no_work/sleep/retry polling near queue exhaustion.
-	waiters []chan struct{}
-
-	// Speculative reissue (SpeculatePct): spec holds at most one duplicate
-	// per outstanding copy, issued to a *different* participant than the
-	// primary in inflight. Duplicates live entirely outside the queue's
-	// accounting — no pop, no Abandon, no Complete — so first-result-wins
-	// adjudication never disturbs outstanding/issued counters. specq holds
-	// copies the sweeper flagged as straggling, waiting for a second
-	// participant to lease them; specLosers remembers, for a grace window,
-	// which participant lost each race so a late duplicate submission gets
-	// a precise "duplicate" rejection instead of "unassigned".
-	spec       map[outstandingKey]inflightInfo
-	specq      []outstandingKey
-	specLosers map[outstandingKey]specLoser
-}
-
-// specLoser records the losing side of a resolved speculative race.
-type specLoser struct {
-	participant int
-	at          time.Time
-}
 
 // auditState guards verification and everything verdicts feed: the
 // credit ledger, supervisor-resolved disputes, and the adaptive
@@ -332,7 +291,7 @@ type Supervisor struct {
 	// busy counts requests between their Recv and the flush that carries
 	// their reply (a queued reply is still in user space, and a deferred ack
 	// is not even that until its commit is down). A claimed result has
-	// already left the in-flight table, so Shutdown's drain waits for this
+	// already left the lease table, so Shutdown's drain waits for this
 	// too before it closes the connections — or the ack of the very result
 	// it drained for could die with its connection.
 	busy atomic.Int64
@@ -374,19 +333,11 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		return nil, errors.New("platform: negative SnapshotInterval")
 	}
 	if cfg.SnapshotInterval > 0 {
-		if cfg.Journal == nil {
-			return nil, errors.New("platform: SnapshotInterval requires a Journal")
+		if _, ok := cfg.Journal.(journalReplacer); !ok {
+			return nil, errors.New("platform: SnapshotInterval requires a Journal supporting atomic replacement (use OpenJournalFile)")
 		}
 		if cfg.Policy != sched.Free {
 			return nil, fmt.Errorf("platform: journal snapshots require the free policy, have %v", cfg.Policy)
-		}
-	}
-	if cfg.Compact {
-		if cfg.SnapshotInterval <= 0 {
-			return nil, errors.New("platform: Compact requires SnapshotInterval")
-		}
-		if _, ok := cfg.Journal.(journalReplacer); !ok {
-			return nil, errors.New("platform: Compact requires a journal supporting atomic replacement (use OpenJournalFile)")
 		}
 	}
 	if cfg.SpeculatePct != 0 {
@@ -446,11 +397,10 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		stop:     make(chan struct{}),
 		conns:    make(map[net.Conn]struct{}),
 	}
-	s.lease.inflight = make(map[outstandingKey]inflightInfo)
+	s.lease.table = make(map[outstandingKey]leaseRecord)
 	s.roster = roster
 	s.quarantine = cfg.Health != nil
 	if cfg.SpeculatePct > 0 {
-		s.lease.spec = make(map[outstandingKey]inflightInfo)
 		s.lease.specLosers = make(map[outstandingKey]specLoser)
 	}
 	s.audit.credits = NewCreditLedger()
@@ -679,12 +629,12 @@ func (s *Supervisor) closeConns() {
 	}
 }
 
-// connState tracks the assignments a single connection currently holds
-// (keyed by assignment, valued by the participant it was issued to), so
-// work lost to a dropped connection can be re-issued. held is shared
-// state (the sweeper and resumed connections reach into it) and is
-// guarded by lease.mu; the write side is guarded by wmu; everything else
-// is touched only by this connection's serve goroutine.
+// connState is one worker connection. held indexes the lease records
+// whose primary holder this connection owns (key → that participant), so
+// a resumed lease can be re-sent and a dropped connection's work
+// re-issued; it is shared state, guarded by lease.mu and written only by
+// lease.go. The write side is guarded by wmu; everything else is touched
+// only by this connection's serve goroutine.
 type connState struct {
 	held map[outstandingKey]int
 	// registered holds the participant IDs created (or resumed) over this
@@ -1086,67 +1036,6 @@ func (s *Supervisor) foldWire(cs *connState) {
 	}
 }
 
-// reclaim re-queues every assignment a dead connection still held and
-// records the departure of every participant registered on it. An
-// assignment that the deadline sweeper already reclaimed — or that a
-// resumed connection took ownership of — is left alone: ownership is
-// verified before abandoning.
-func (s *Supervisor) reclaim(cs *connState) {
-	s.lease.mu.Lock()
-	reclaimed := 0
-	for key, holder := range cs.held {
-		info, ok := s.lease.inflight[key]
-		if !ok || info.participant != holder || info.owner != cs {
-			continue
-		}
-		delete(s.lease.inflight, key)
-		s.metrics.reclaimed.With("disconnect").Inc()
-		if s.events != nil {
-			s.events.Emit(EvAssignmentReclaimed, map[string]any{
-				"task": info.a.TaskID, "copy": info.a.Copy,
-				"participant": info.participant, "reason": "disconnect",
-			})
-		}
-		if twin, dup := s.lease.spec[key]; dup {
-			// The departed primary had a live speculative clone: hand the
-			// copy to the clone instead of re-queueing it. Abandoning here
-			// would put the copy back in the ready pool while the clone is
-			// still out — a third issue, and broken accounting when both
-			// complete.
-			delete(s.lease.spec, key)
-			twin.speculated = false
-			s.lease.inflight[key] = twin
-			reclaimed++
-			continue
-		}
-		s.lease.queue.Abandon(info.a)
-		reclaimed++
-		s.logf("reclaimed task %d copy %d from departed participant %d",
-			info.a.TaskID, info.a.Copy, info.participant)
-	}
-	// Speculative clones are tracked only in the spec map (never cs.held);
-	// drop any this connection was running and let the primary try again.
-	for key, twin := range s.lease.spec {
-		if twin.owner != cs {
-			continue
-		}
-		delete(s.lease.spec, key)
-		if info, ok := s.lease.inflight[key]; ok {
-			info.speculated = false
-			s.lease.inflight[key] = info
-		}
-	}
-	if reclaimed > 0 {
-		s.kickLeaseLocked() // abandoned copies are available again
-	}
-	s.lease.mu.Unlock()
-	if s.events != nil {
-		for id := range cs.registered {
-			s.events.Emit(EvWorkerLeft, map[string]any{"participant": id, "name": cs.names[id]})
-		}
-	}
-}
-
 // kickLeaseLocked wakes every parked get_work request; each re-checks the
 // queue under lease.mu. Called (with lease.mu held) wherever assignments
 // may have become available — completions that release held-back copies,
@@ -1192,28 +1081,8 @@ func (s *Supervisor) register(m Message, cs *connState) Message {
 			return Message{Type: MsgError, Reason: ReasonBlacklisted,
 				Error: "participant is blacklisted"}
 		}
-		moved := 0
 		s.lease.mu.Lock()
-		for key, info := range s.lease.inflight {
-			if info.participant != m.ParticipantID {
-				continue
-			}
-			if info.owner != nil && info.owner != cs {
-				delete(info.owner.held, key)
-			}
-			info.owner = cs
-			s.lease.inflight[key] = info
-			cs.held[key] = m.ParticipantID
-			moved++
-		}
-		for key, twin := range s.lease.spec {
-			if twin.participant != m.ParticipantID {
-				continue
-			}
-			twin.owner = cs
-			s.lease.spec[key] = twin
-			moved++
-		}
+		moved := s.transferLocked(m.ParticipantID, cs)
 		s.lease.mu.Unlock()
 		cs.registered[m.ParticipantID] = true
 		cs.names[m.ParticipantID] = name
@@ -1320,24 +1189,18 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState) Messa
 		if single && len(items) == 1 {
 			break
 		}
-		info, ok := s.lease.inflight[key]
-		if !ok || info.participant != holder || info.owner != cs {
-			delete(cs.held, key)
-			continue
-		}
 		if holder != pid {
 			continue
 		}
-		info.issuedAt = time.Now()
-		s.lease.inflight[key] = info
+		a := s.reissueLocked(key, time.Now())
 		reissues++
 		if s.events != nil {
 			s.events.Emit(EvAssignmentIssued, map[string]any{
-				"task": info.a.TaskID, "copy": info.a.Copy,
-				"participant": pid, "ringer": info.a.Ringer, "reissue": true,
+				"task": a.TaskID, "copy": a.Copy,
+				"participant": pid, "ringer": a.Ringer, "reissue": true,
 			})
 		}
-		items = append(items, WorkItem{TaskID: info.a.TaskID, Copy: info.a.Copy, Seed: TaskSeed(info.a.TaskID)})
+		items = append(items, WorkItem{TaskID: a.TaskID, Copy: a.Copy, Seed: TaskSeed(a.TaskID)})
 	}
 	for {
 		if s.lease.finished {
@@ -1367,11 +1230,7 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState) Messa
 			cs.fill = fill[:0]
 			now := time.Now()
 			for _, a := range fill {
-				key := outstandingKey{a.TaskID, a.Copy}
-				s.lease.inflight[key] = inflightInfo{
-					participant: pid, a: a, issuedAt: now, owner: cs,
-				}
-				cs.held[key] = pid
+				s.issueLocked(a, pid, cs, now)
 				fresh++
 				if s.events != nil {
 					ev := map[string]any{"task": a.TaskID, "copy": a.Copy, "participant": pid, "ringer": a.Ringer}
@@ -1464,68 +1323,6 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState) Messa
 	return Message{Type: MsgWorkBatch, Kind: s.cfg.WorkKind, Iters: s.cfg.Iters, Work: items}
 }
 
-// fillSpeculativeLocked serves flagged straggler copies to a second
-// participant, up to the lease's capacity and ahead of fresh queue work
-// (leaseBatch calls it first). A clone is recorded only
-// in the spec map — never cs.held, never the queue — so every existing
-// invariant over inflight+queue is untouched; the clone either wins the
-// claim race (claimLocked) or evaporates. Stale candidates (resolved,
-// reclaimed, or already cloned since flagging) are dropped; candidates
-// this participant cannot take (its own straggling lease) are kept for
-// other requesters. Callers hold lease.mu. Returns the number of clones
-// issued.
-func (s *Supervisor) fillSpeculativeLocked(pid int, cs *connState, want int, items *[]WorkItem) int {
-	if len(s.lease.specq) == 0 {
-		return 0
-	}
-	issued := 0
-	kept := s.lease.specq[:0]
-	for _, key := range s.lease.specq {
-		if len(*items) >= want {
-			kept = append(kept, key)
-			continue
-		}
-		info, ok := s.lease.inflight[key]
-		if !ok || !info.speculated {
-			continue
-		}
-		if _, dup := s.lease.spec[key]; dup {
-			continue
-		}
-		if info.participant == pid {
-			kept = append(kept, key)
-			continue
-		}
-		now := time.Now()
-		s.lease.spec[key] = inflightInfo{participant: pid, a: info.a, issuedAt: now, owner: cs}
-		issued++
-		if s.events != nil {
-			s.events.Emit(EvAssignmentSpeculated, map[string]any{
-				"task": info.a.TaskID, "copy": info.a.Copy,
-				"participant": pid, "straggler": info.participant,
-			})
-		}
-		*items = append(*items, WorkItem{TaskID: info.a.TaskID, Copy: info.a.Copy, Seed: TaskSeed(info.a.TaskID)})
-	}
-	s.lease.specq = kept
-	return issued
-}
-
-// outstandingKey identifies one issued copy so results can be matched
-// back. Keyed by (task, copy).
-type outstandingKey struct{ task, copy int }
-
-type inflightInfo struct {
-	participant int
-	a           sched.Assignment
-	issuedAt    time.Time
-	owner       *connState // connection the assignment is currently attached to
-	// speculated marks a primary that has (or had) a duplicate flagged or
-	// issued; at most one clone exists per copy, and a dropped clone
-	// clears the flag so the sweeper may try again.
-	speculated bool
-}
-
 // sweepLoop periodically reclaims assignments held past the deadline,
 // flags straggling leases for speculative reissue, and advances the
 // health roster's time-driven transitions. With no Deadline configured
@@ -1554,108 +1351,15 @@ func (s *Supervisor) sweepExpired() {
 	now := time.Now()
 	s.lease.mu.Lock()
 	defer s.lease.mu.Unlock()
-	swept := 0
 	if s.cfg.Deadline > 0 {
-		cutoff := now.Add(-s.cfg.Deadline)
-		for key, info := range s.lease.inflight {
-			if !info.issuedAt.Before(cutoff) {
-				continue
-			}
-			delete(s.lease.inflight, key)
-			if info.owner != nil {
-				delete(info.owner.held, key)
-			}
-			if s.roster != nil && s.quarantine {
-				// A hard-deadline expiry is the health signal (silent lease
-				// holding); disconnect churn deliberately is not.
-				if tr := s.roster.ObserveReclaim(info.participant, now); tr != nil {
-					s.pushTransition(*tr, false)
-				}
-			}
-			s.metrics.reclaimed.With("deadline").Inc()
-			if s.events != nil {
-				s.events.Emit(EvAssignmentReclaimed, map[string]any{
-					"task": info.a.TaskID, "copy": info.a.Copy,
-					"participant": info.participant, "reason": "deadline",
-				})
-			}
-			if twin, ok := s.lease.spec[key]; ok && !twin.issuedAt.Before(cutoff) {
-				// The straggling primary expired but its speculative clone is
-				// still within deadline: promote the clone to primary. The
-				// copy never touches the queue — it stays leased, only the
-				// holder changes — so accounting sees no reclaim/reissue.
-				delete(s.lease.spec, key)
-				twin.speculated = false
-				s.lease.inflight[key] = twin
-				s.logf("deadline exceeded: task %d copy %d promoted from participant %d to speculative holder %d",
-					info.a.TaskID, info.a.Copy, info.participant, twin.participant)
-				continue
-			}
-			if _, ok := s.lease.spec[key]; ok {
-				// Both the primary and its clone expired: one queue reclaim,
-				// and the duplicate evaporates without queue effect.
-				delete(s.lease.spec, key)
-				s.metrics.reclaimed.With("speculative").Inc()
-			}
-			s.lease.queue.Abandon(info.a)
-			swept++
-			s.logf("deadline exceeded: reclaimed task %d copy %d from participant %d",
-				info.a.TaskID, info.a.Copy, info.participant)
-		}
-		// Expired clones whose primary is still live: drop the duplicate and
-		// make the primary eligible for a fresh one.
-		for key, twin := range s.lease.spec {
-			if !twin.issuedAt.Before(cutoff) {
-				continue
-			}
-			delete(s.lease.spec, key)
-			if info, ok := s.lease.inflight[key]; ok {
-				info.speculated = false
-				s.lease.inflight[key] = info
-			}
-			if s.roster != nil && s.quarantine {
-				if tr := s.roster.ObserveReclaim(twin.participant, now); tr != nil {
-					s.pushTransition(*tr, false)
-				}
-			}
-			s.metrics.reclaimed.With("speculative").Inc()
-			if s.events != nil {
-				s.events.Emit(EvAssignmentReclaimed, map[string]any{
-					"task": twin.a.TaskID, "copy": twin.a.Copy,
-					"participant": twin.participant, "reason": "speculative",
-				})
-			}
-		}
-		// Resolved speculative races older than two deadlines can no longer
-		// produce a meaningful "duplicate" rejection; forget them.
-		if len(s.lease.specLosers) > 0 {
-			gc := now.Add(-2 * s.cfg.Deadline)
-			for key, l := range s.lease.specLosers {
-				if l.at.Before(gc) {
-					delete(s.lease.specLosers, key)
-				}
-			}
-		}
+		s.expireLocked(now)
 	}
 	// Speculative tier: flag still-leased copies whose age exceeds the
 	// configured completion-time percentile as candidates for a duplicate
 	// issue to a different participant (served by leaseBatch).
 	if s.cfg.SpeculatePct > 0 && !s.lease.draining && !s.lease.finished {
-		if q, ok := s.roster.Quantile(s.cfg.SpeculatePct); ok {
-			specCutoff := now.Add(-q)
-			flagged := 0
-			for key, info := range s.lease.inflight {
-				if info.speculated || !info.issuedAt.Before(specCutoff) {
-					continue
-				}
-				info.speculated = true
-				s.lease.inflight[key] = info
-				s.lease.specq = append(s.lease.specq, key)
-				flagged++
-			}
-			if flagged > 0 {
-				swept++ // parked leases can serve the new candidates
-			}
+		if s.flagStragglersLocked(now) > 0 {
+			s.kickLeaseLocked() // parked leases can serve the new candidates
 		}
 	}
 	if s.roster != nil {
@@ -1668,9 +1372,6 @@ func (s *Supervisor) sweepExpired() {
 		for _, ph := range s.roster.Snapshot() {
 			s.metrics.participantHealth.With(strconv.Itoa(ph.Participant)).Set(ph.Score)
 		}
-	}
-	if swept > 0 {
-		s.kickLeaseLocked()
 	}
 }
 
@@ -1744,60 +1445,6 @@ func (s *Supervisor) drainHealthLocked() {
 		if tr.To == health.Quarantined {
 			s.reclaimParticipantLocked(tr.Participant)
 		}
-	}
-}
-
-// reclaimParticipantLocked takes back everything one participant holds:
-// primaries go back to the queue (or hand off to a live speculative
-// clone), duplicates evaporate without queue effect. Callers hold
-// lease.mu.
-func (s *Supervisor) reclaimParticipantLocked(pid int) {
-	reclaimed := 0
-	for key, info := range s.lease.inflight {
-		if info.participant != pid {
-			continue
-		}
-		delete(s.lease.inflight, key)
-		if info.owner != nil {
-			delete(info.owner.held, key)
-		}
-		if twin, ok := s.lease.spec[key]; ok {
-			delete(s.lease.spec, key)
-			twin.speculated = false
-			s.lease.inflight[key] = twin
-		} else {
-			s.lease.queue.Abandon(info.a)
-		}
-		reclaimed++
-		s.metrics.reclaimed.With("quarantine").Inc()
-		if s.events != nil {
-			s.events.Emit(EvAssignmentReclaimed, map[string]any{
-				"task": info.a.TaskID, "copy": info.a.Copy,
-				"participant": pid, "reason": "quarantine",
-			})
-		}
-	}
-	for key, twin := range s.lease.spec {
-		if twin.participant != pid {
-			continue
-		}
-		delete(s.lease.spec, key)
-		if info, ok := s.lease.inflight[key]; ok {
-			info.speculated = false
-			s.lease.inflight[key] = info
-		}
-		reclaimed++
-		s.metrics.reclaimed.With("quarantine").Inc()
-		if s.events != nil {
-			s.events.Emit(EvAssignmentReclaimed, map[string]any{
-				"task": twin.a.TaskID, "copy": twin.a.Copy,
-				"participant": pid, "reason": "quarantine",
-			})
-		}
-	}
-	if reclaimed > 0 {
-		s.logf("quarantine: reclaimed %d outstanding lease(s) from participant %d", reclaimed, pid)
-		s.kickLeaseLocked()
 	}
 }
 
@@ -1999,10 +1646,11 @@ func (s *Supervisor) RevisionsApplied() int {
 
 // pendingResult carries one claimed result between resultBatch's phases.
 type pendingResult struct {
-	idx    int // index of this result's ack in the reply
-	info   inflightInfo
-	value  uint64
-	failed bool // verification refused it in phase B
+	idx      int // index of this result's ack in the reply
+	a        sched.Assignment
+	issuedAt time.Time // when the claiming holder was issued the copy
+	value    uint64
+	failed   bool // verification refused it in phase B
 }
 
 // resultBatch serves one participant's results in three phases so no
@@ -2046,13 +1694,13 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, single bool, cs 
 	pend := cs.pend[:0]
 	s.lease.mu.Lock()
 	for _, r := range results {
-		info, reason, detail := s.claimLocked(pid, r.TaskID, r.Copy, cs, now)
+		a, issuedAt, reason, detail := s.claimLocked(pid, r.TaskID, r.Copy, now)
 		ack := ResultAck{TaskID: r.TaskID, Copy: r.Copy, OK: reason == ""}
 		if reason != "" {
 			ack.Reason = reason
 			ack.Error = detail
 		} else {
-			pend = append(pend, pendingResult{idx: len(acks), info: info, value: r.Value})
+			pend = append(pend, pendingResult{idx: len(acks), a: a, issuedAt: issuedAt, value: r.Value})
 		}
 		acks = append(acks, ack)
 	}
@@ -2064,8 +1712,8 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, single bool, cs 
 			// Credits and the adaptive estimator update inside the
 			// collector's verdict callback.
 			v, adjudicated, err := s.audit.collector.Submit(verify.Result{
-				Assignment:  p.info.a,
-				Participant: p.info.participant,
+				Assignment:  p.a,
+				Participant: pid,
 				Value:       p.value,
 			})
 			if err != nil {
@@ -2086,9 +1734,9 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, single bool, cs 
 			}
 			if s.committer != nil {
 				recs = append(recs, journalRecord{
-					TaskID:      p.info.a.TaskID,
-					Copy:        p.info.a.Copy,
-					Ringer:      p.info.a.Ringer,
+					TaskID:      p.a.TaskID,
+					Copy:        p.a.Copy,
+					Ringer:      p.a.Ringer,
 					Participant: pid,
 					Value:       p.value,
 				})
@@ -2107,11 +1755,11 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, single bool, cs 
 			if p.failed {
 				continue
 			}
-			s.lease.queue.Complete(p.info.a)
+			s.lease.queue.Complete(p.a)
 			accepted++
 			if s.events != nil {
 				s.events.Emit(EvResultAccepted, map[string]any{
-					"task": p.info.a.TaskID, "copy": p.info.a.Copy, "participant": pid,
+					"task": p.a.TaskID, "copy": p.a.Copy, "participant": pid,
 				})
 			}
 		}
@@ -2135,7 +1783,7 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, single bool, cs 
 				if pend[i].failed {
 					continue
 				}
-				took := now.Sub(pend[i].info.issuedAt)
+				took := now.Sub(pend[i].issuedAt)
 				tn.Observe(took.Seconds())
 				if s.roster != nil {
 					s.roster.ObserveCompletion(pid, took)
@@ -2167,61 +1815,6 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, single bool, cs 
 		cs.wmu.Unlock()
 	}
 	return acks, deferred
-}
-
-// claimLocked validates ownership of one submitted result and removes its
-// in-flight entry, transferring the copy into the caller's exclusive
-// hands: after it returns success, no sweep, disconnect, resume, or
-// duplicate submission can touch this (task, copy). On refusal it returns
-// the rejection reason and detail and changes nothing (beyond loser
-// bookkeeping for speculative races, stamped with the caller's one clock
-// reading now). Callers hold lease.mu.
-//
-// With speculative reissue a copy may be out twice — the primary in
-// inflight and a clone in spec, held by different participants. The first
-// of the two to submit wins here: the winner's claim deletes BOTH
-// entries, so exactly one result per copy can ever reach adjudication
-// (phase B), and the race's loser is remembered so its late submission is
-// rejected as a duplicate, not double-credited.
-func (s *Supervisor) claimLocked(participant, taskID, copy int, cs *connState, now time.Time) (inflightInfo, string, string) {
-	key := outstandingKey{taskID, copy}
-	info, ok := s.lease.inflight[key]
-	if ok && info.participant == participant {
-		delete(s.lease.inflight, key)
-		delete(cs.held, key)
-		if info.owner != nil && info.owner != cs {
-			delete(info.owner.held, key)
-		}
-		if twin, dup := s.lease.spec[key]; dup {
-			// The primary beat its clone: record the loser.
-			delete(s.lease.spec, key)
-			s.lease.specLosers[key] = specLoser{participant: twin.participant, at: now}
-		}
-		return info, "", ""
-	}
-	if twin, dup := s.lease.spec[key]; dup && twin.participant == participant {
-		// The clone beat the straggling primary: it wins the claim and the
-		// primary becomes the loser. Queue accounting is untouched either
-		// way — exactly one Complete will follow for this copy.
-		delete(s.lease.spec, key)
-		if ok {
-			delete(s.lease.inflight, key)
-			if info.owner != nil {
-				delete(info.owner.held, key)
-			}
-			s.lease.specLosers[key] = specLoser{participant: info.participant, at: now}
-		}
-		s.metrics.speculativeWins.Inc()
-		return twin, "", ""
-	}
-	if !ok {
-		if l, lost := s.lease.specLosers[key]; lost && l.participant == participant {
-			s.metrics.speculativeWasted.Inc()
-			return inflightInfo{}, ReasonDuplicate, "copy already completed by the other racer"
-		}
-		return inflightInfo{}, ReasonUnassigned, "result for unassigned work"
-	}
-	return inflightInfo{}, ReasonWrongParticipant, "result from wrong participant"
 }
 
 // syncer is the optional flushing facet of a journal writer (*os.File
@@ -2287,13 +1880,13 @@ func (s *Supervisor) Shutdown(ctx context.Context) error {
 }
 
 // awaitDrain polls until no assignment is in flight and no request is
-// mid-reply, or ctx expires. The in-flight table is read first: a result
+// mid-reply, or ctx expires. The lease table is read first: a result
 // handler raises busy before its claim empties the table and lowers it
 // only once its ack has been flushed, which is after its commit.
 func (s *Supervisor) awaitDrain(ctx context.Context) bool {
 	for {
 		s.lease.mu.Lock()
-		n := len(s.lease.inflight)
+		n := len(s.lease.table)
 		s.lease.mu.Unlock()
 		if n == 0 && s.busy.Load() == 0 {
 			return true

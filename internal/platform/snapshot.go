@@ -5,9 +5,9 @@ package platform
 // revisions, issued verdicts, partial results — written as one journal
 // line. Replay installs a snapshot only when it heads the journal (the
 // compacted case); mid-stream snapshots are redundant with the records
-// before them and are skipped. With SupervisorConfig.Compact the snapshot
-// atomically *replaces* the journal instead of extending it, so restore
-// cost and journal size stay O(live state) instead of O(run history).
+// before them and are skipped. A live snapshot atomically *replaces* the
+// journal, so restore cost and journal size stay O(live state) instead of
+// O(run history).
 // DESIGN.md §12 has the correctness argument; PROTOCOL.md documents the
 // record format.
 
@@ -164,17 +164,17 @@ func (s *Supervisor) noteJournaled(n int) {
 	s.snapBusy.Store(false)
 }
 
-// takeSnapshot captures the current state and makes it durable — appended
-// as one more journal line, or, in Compact mode, atomically replacing the
-// whole journal. The journal write happens while lease.mu and audit.mu
-// are still held. That is deliberate, not an oversight: any result
-// adjudicated before the capture is covered by the snapshot (so losing
-// its record to compaction, or reading it after the snapshot line, is
-// harmless — replay's covered-set skips it), while a result adjudicated
-// after the capture is blocked on audit.mu until the snapshot bytes are
-// down, so its record can only land after them. Release the locks first
-// and that second class could slip a record in front of the snapshot —
-// ReplaceWith would silently discard an uncovered, acked result.
+// takeSnapshot captures the current state and makes it durable by
+// atomically replacing the whole journal with it. The journal write happens
+// while lease.mu and audit.mu are still held. That is deliberate, not an
+// oversight: any result adjudicated before the capture is covered by the
+// snapshot (so losing its record to compaction, or reading it after the
+// snapshot line, is harmless — replay's covered-set skips it), while a
+// result adjudicated after the capture is blocked on audit.mu until the
+// snapshot bytes are down, so its record can only land after them. Release
+// the locks first and that second class could slip a record in front of
+// the snapshot — ReplaceWith would silently discard an uncovered, acked
+// result.
 func (s *Supervisor) takeSnapshot() {
 	s.lease.mu.Lock()
 	defer s.lease.mu.Unlock()
@@ -188,44 +188,24 @@ func (s *Supervisor) takeSnapshot() {
 		s.logf("snapshot: encode failed: %v", err)
 		return
 	}
-	var compacted int64
+	// ReplaceWith fsyncs internally; the old records are gone only once the
+	// rename is durable.
 	s.jnlMu.Lock()
-	var err error
-	if s.cfg.Compact {
-		// ReplaceWith fsyncs internally; the old records are gone only
-		// once the rename is durable.
-		if err = s.cfg.Journal.(journalReplacer).ReplaceWith(buf.Bytes()); err == nil {
-			compacted = s.jnlLines
-			s.jnlLines = 1
-		}
-	} else {
-		if _, err = s.cfg.Journal.Write(buf.Bytes()); err == nil {
-			s.jnlLines++
-		}
+	err := s.cfg.Journal.(journalReplacer).ReplaceWith(buf.Bytes())
+	compacted := s.jnlLines
+	if err == nil {
+		s.jnlLines = 1
 	}
 	s.jnlMu.Unlock()
 	bufPool.Put(buf)
 	if err != nil {
-		s.logf("snapshot: journal write failed: %v", err)
+		s.logf("snapshot: journal replace failed: %v", err)
 		return
 	}
-	if !s.cfg.Compact && s.cfg.JournalSync {
-		s.syncJournal()
-	}
 	s.metrics.journalSnapshots.Inc()
-	if compacted > 0 {
-		s.metrics.journalCompactedRecords.Add(uint64(compacted))
-	}
-	s.logf("snapshot: %d verdict(s), %d pending result(s), %d revision(s)%s",
-		len(rec.Verdicts), len(rec.Pending), len(rec.Revisions),
-		compactNote(compacted))
-}
-
-func compactNote(compacted int64) string {
-	if compacted == 0 {
-		return ""
-	}
-	return fmt.Sprintf("; compacted %d journal record(s)", compacted)
+	s.metrics.journalCompactedRecords.Add(uint64(compacted))
+	s.logf("snapshot: %d verdict(s), %d pending result(s), %d revision(s); compacted %d journal record(s)",
+		len(rec.Verdicts), len(rec.Pending), len(rec.Revisions), compacted)
 }
 
 // Snapshot returns the canonical encoding of the supervisor's current

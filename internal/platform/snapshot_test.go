@@ -232,7 +232,7 @@ func TestLiveCompactionEndToEnd(t *testing.T) {
 			sup, err := NewSupervisor(SupervisorConfig{
 				Plan: simplePlan(t, tasks), Iters: 5, Seed: 7,
 				Journal: jf, JournalSync: true,
-				SnapshotInterval: 40, Compact: true,
+				SnapshotInterval: 40,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -446,16 +446,20 @@ func TestSnapshotCarriesRevisions(t *testing.T) {
 // TestSnapshotConfigValidation pins the constructor's gating.
 func TestSnapshotConfigValidation(t *testing.T) {
 	var buf bytes.Buffer
+	jf, err := OpenJournalFile(filepath.Join(t.TempDir(), "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jf.Close()
 	cases := []struct {
 		name string
 		cfg  SupervisorConfig
 		want string
 	}{
 		{"negative interval", SupervisorConfig{SnapshotInterval: -1, Journal: &buf}, "negative SnapshotInterval"},
-		{"interval without journal", SupervisorConfig{SnapshotInterval: 5}, "requires a Journal"},
-		{"interval under holdback policy", SupervisorConfig{SnapshotInterval: 5, Journal: &buf, Policy: 1}, "free policy"},
-		{"compact without interval", SupervisorConfig{Compact: true, Journal: &buf}, "requires SnapshotInterval"},
-		{"compact without replaceable journal", SupervisorConfig{Compact: true, SnapshotInterval: 5, Journal: &buf}, "atomic replacement"},
+		{"interval without journal", SupervisorConfig{SnapshotInterval: 5}, "requires a Journal supporting atomic replacement"},
+		{"interval under holdback policy", SupervisorConfig{SnapshotInterval: 5, Journal: jf, Policy: 1}, "free policy"},
+		{"interval without replaceable journal", SupervisorConfig{SnapshotInterval: 5, Journal: &buf}, "requires a Journal supporting atomic replacement"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -94,7 +94,7 @@ func WorkKinds() []string { return platform.WorkKinds() }
 
 // JournalFile is a file-backed journal writer for SupervisorConfig.Journal
 // that additionally supports the crash-atomic whole-file replacement
-// journal compaction needs (SupervisorConfig.Compact).
+// journal snapshots need (SupervisorConfig.SnapshotInterval).
 type JournalFile = platform.JournalFile
 
 // OpenJournalFile opens (creating if absent) a journal file for appending.
