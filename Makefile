@@ -81,19 +81,21 @@ bench-smoke:
 # of the time". The second leg is the worker's FIFO of unacked submissions,
 # state that crosses a reconnect: resubmission after a kill, the
 # MaxAssignments cap, the drain before done, and an ack settled on the way
-# to a later lease.
+# to a later lease. The lease table's randomized reference-model test rides
+# along in the first leg.
 flake-check:
-	$(GO) test -race -count=10 -shuffle=on ./internal/platform -run 'ResolveMismatches|QuantizedMatching|ProbationExpires|VerbEdgesEquivalent|ShutdownDrains|LiveCompactionEndToEnd|PipelinedCycleIsOneWrite|AckFlushedBeforeLeaseParks|StrictClientUnaffected|MaxAssignmentsNeverOverLeases|ConnectionDiesAfterPipelinedWrite|PipelinedThenStall|AckNotHeldBehindTornRequest|FloodWithoutReadingIsBounded|QueuedReplyFlushedBeforeCommitWait|DeferredAcksShareOneWindow|DeferredAckBoundStopsReading|SlowCommitDoesNotTripIOTimeout|CommitCrashBetweenWriteAndFsync'
+	$(GO) test -race -count=10 -shuffle=on ./internal/platform -run 'LeaseTableMatchesReference|ResolveMismatches|QuantizedMatching|ProbationExpires|VerbEdgesEquivalent|ShutdownDrains|LiveCompactionEndToEnd|PipelinedCycleIsOneWrite|AckFlushedBeforeLeaseParks|StrictClientUnaffected|MaxAssignmentsNeverOverLeases|ConnectionDiesAfterPipelinedWrite|PipelinedThenStall|AckNotHeldBehindTornRequest|FloodWithoutReadingIsBounded|QueuedReplyFlushedBeforeCommitWait|DeferredAcksShareOneWindow|DeferredAckBoundStopsReading|SlowCommitDoesNotTripIOTimeout|CommitCrashBetweenWriteAndFsync'
 	$(GO) test -race -count=10 ./internal/platform -run 'TestUnacked|PipelinedAckSettledBeforeLeaseRead|WorkerResubmitsPendingResult'
 
 # The straggler/health acceptance tests alone, under the race detector:
 # the lease release table (every cause of a hold ending without a result,
-# for primary and clone), speculative first-result-wins, the
-# disconnect/deadline reclaim overlap, the quarantine lifecycle, the
-# ringer-starved probation-expiry deadlock regression, and the stall-mode
-# chaos soak.
+# for primary and clone), the lease table against its reference model
+# (every writer, clones and minted ringers included), speculative
+# first-result-wins, the disconnect/deadline reclaim overlap, the
+# quarantine lifecycle, the ringer-starved probation-expiry deadlock
+# regression, and the stall-mode chaos soak.
 straggler-smoke:
-	$(GO) test -race -run 'TestLeaseRelease|TestSpeculative|TestDisconnectDeadlineReclaimOverlap|TestQuarantine|TestProbationExpires|TestStallChaosSoak' -count=1 -v ./internal/platform
+	$(GO) test -race -run 'TestLeaseRelease|TestLeaseTableMatchesReference|TestSpeculative|TestDisconnectDeadlineReclaimOverlap|TestQuarantine|TestProbationExpires|TestStallChaosSoak' -count=1 -v ./internal/platform
 
 # The scenario lab's five pathological adversary templates at the fast
 # smoke tier (10^4 tasks each): every expected counter bound, the
@@ -117,14 +119,15 @@ tail-smoke:
 # The result path's allocation guards: a collector's allocations are its
 # tables and chunks and not one per result, with or without Reserve; a
 # queue's do not depend on the task count; a snapshot restore allocates the
-# verdict list once; carved storage never aliases. Then the in-process
+# verdict list once; carved storage never aliases; a warm lease table
+# issues and claims a 64-copy lease without allocating. Then the in-process
 # lease/compute/submit cycle at batch 16 (BenchmarkBatchPipeline) under
 # -benchmem: 2 allocs/op now that Submit and adjudicate allocate nothing
 # (25 before), failing above the ceiling below.
 BATCH_PIPELINE_ALLOCS ?= 4
 
 alloc-check:
-	$(GO) test -count=1 -run 'TestSubmitDoesNotAllocatePerResult|TestReserveIsTheSamePath|TestCarved|TestRestoreVerdictGrowsOnce|TestNewQueueAllocatesOnce|TestSnapshotRestoreAllocatesVerdictsOnce|TestRevisionGrowsPastPresizedTables' ./internal/verify ./internal/sched ./internal/platform
+	$(GO) test -count=1 -run 'TestSubmitDoesNotAllocatePerResult|TestReserveIsTheSamePath|TestCarved|TestRestoreVerdictGrowsOnce|TestNewQueueAllocatesOnce|TestSnapshotRestoreAllocatesVerdictsOnce|TestRevisionGrowsPastPresizedTables|TestLeaseCycleAllocFree' ./internal/verify ./internal/sched ./internal/platform
 	$(GO) test -run '^$$' -bench BenchmarkBatchPipeline -benchmem ./internal/platform | awk -v max=$(BATCH_PIPELINE_ALLOCS) \
 		'{ print } /^BenchmarkBatchPipeline/ { seen = 1; for (i = 2; i <= NF; i++) if ($$i == "allocs/op" && $$(i-1) + 0 > max) over = $$(i-1) } \
 		END { if (!seen) { print "FAIL: BenchmarkBatchPipeline did not run"; exit 1 } \

@@ -325,15 +325,21 @@ func TestAdaptiveChaosResumesRevisedPlan(t *testing.T) {
 }
 
 // TestRevisionGrowsPastPresizedTables: the verdict list is allocated at the
-// registered task count by the first adjudication, and a revision applied
-// after that (promotions, and more minted ringers than the list has room
-// for) must still be collected and adjudicated: the growth behind the
-// pre-sized tables is a path a live run takes, not dead code.
+// registered task count by the first adjudication, and the lease table's
+// task index at construction, and a revision applied after that
+// (promotions, and more minted ringers than either has room for) must
+// still be leased, reclaimed, collected and adjudicated: the growth behind
+// the pre-sized tables is a path a live run takes, not dead code. One
+// participant leases everything left, minted ringers included, claims one
+// copy of a minted ringer and sits on the rest past the deadline; the
+// sweep returns them, the second copy of that ringer among them, and a
+// second participant finishes the run.
 func TestRevisionGrowsPastPresizedTables(t *testing.T) {
 	const tasks, mint = 40, 30
 	p := simplePlan(t, tasks)
 	sup, err := NewSupervisor(SupervisorConfig{
 		Plan: p, Policy: sched.Free, WorkKind: "hashchain", Iters: 5, Seed: 4,
+		Deadline: time.Hour, MaxBatch: 1 << 10,
 		Adapt: &adapt.Config{TargetEpsilon: 0.5, Interval: time.Hour, MinSamples: 1 << 30},
 	})
 	if err != nil {
@@ -350,6 +356,7 @@ func TestRevisionGrowsPastPresizedTables(t *testing.T) {
 	}
 	sup.lease.mu.Lock()
 	sup.audit.mu.Lock()
+	presized := len(sup.lease.byTask)
 	before := sup.audit.collector.Verdicts()
 	var rev plan.Revision
 	for id := 0; id < tasks; id++ {
@@ -361,6 +368,7 @@ func TestRevisionGrowsPastPresizedTables(t *testing.T) {
 		rev.Minted = append(rev.Minted, plan.Mint{TaskID: tasks + i, Copies: 2})
 	}
 	err = sup.applyRevisionLocked(rev)
+	grown := len(sup.lease.byTask)
 	sup.audit.mu.Unlock()
 	sup.lease.mu.Unlock()
 	if err != nil {
@@ -369,6 +377,44 @@ func TestRevisionGrowsPastPresizedTables(t *testing.T) {
 	if len(before) == 0 || cap(before) != tasks || len(rev.Promotions) == 0 {
 		t.Fatalf("before the revision: %d verdicts in a list of capacity %d (want some, in %d), %d tasks left to promote",
 			len(before), cap(before), tasks, len(rev.Promotions))
+	}
+	if presized != tasks || grown != tasks+mint {
+		t.Fatalf("byTask covers %d tasks at construction and %d after the revision, want %d and %d", presized, grown, tasks, tasks+mint)
+	}
+
+	cs := newConnState(nil) // nothing is flushed: the lease finds work
+	stale := sup.register(Message{Type: MsgRegister, Name: "stale"}, cs).ParticipantID
+	lease := sup.leaseBatch(stale, 1<<10, false, cs)
+	ringer := rev.Minted[mint-1].TaskID
+	leased := 0
+	for _, w := range lease.Work {
+		if w.TaskID == ringer {
+			leased++
+		}
+	}
+	if lease.Type != MsgWorkBatch || leased != 2 {
+		t.Fatalf("the stale lease holds %d copies of minted ringer %d: %+v", leased, ringer, lease)
+	}
+	acks, _ := sup.resultBatch(stale, []ResultItem{{TaskID: ringer, Copy: 0, Value: sup.work(TaskSeed(ringer), sup.cfg.Iters)}}, false, cs)
+	if len(acks) != 1 || !acks[0].OK {
+		t.Fatalf("claim of minted ringer %d copy 0: %+v", ringer, acks)
+	}
+	sup.lease.mu.Lock()
+	for id := 0; id < tasks+mint; id++ {
+		for _, r := range sup.leasesOf(id) { // all of them the stale lease
+			r.primary.issuedAt = r.primary.issuedAt.Add(-2 * time.Hour)
+		}
+	}
+	sup.lease.mu.Unlock()
+	sup.sweepExpired()
+	sup.lease.mu.Lock()
+	out, outstanding := len(sup.leasesOf(ringer)), sup.lease.queue.Outstanding()
+	sup.lease.mu.Unlock()
+	if out != 0 || outstanding != 0 {
+		t.Fatalf("after the sweep %d copies of minted ringer %d and %d assignments are still out", out, ringer, outstanding)
+	}
+	if v, _ := sup.Metrics().Snapshot().Value("redundancy_assignments_reclaimed_total", "deadline"); int(v) != len(lease.Work)-1 {
+		t.Fatalf("%v copies reclaimed by deadline, want the %d left unclaimed", v, len(lease.Work)-1)
 	}
 
 	if _, err := RunWorker(WorkerConfig{Addr: addr, Name: "after"}); err != nil {

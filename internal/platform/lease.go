@@ -2,10 +2,14 @@ package platform
 
 // The lease domain: who holds each outstanding copy. Every copy out is one
 // record naming its primary holder and, while the speculative tier races
-// it, a clone holder. A copy enters the table at issue and leaves it by
-// claim (a result) or by releaseLocked (every other way a hold ends), and
-// connState.held is an index into the table written only here. DESIGN.md
-// §13 has the rules.
+// it, a clone holder. Records live in a pool (lease.recs, with its free
+// list) bounded by the copies out at once; lease.byTask finds a task's
+// first record and the records of one task are chained through
+// leaseRecord.next, so issue, claim and release touch no hash map. A copy
+// enters the table at issue and leaves it by claim (a result) or by
+// releaseLocked (every other way a hold ends), and connState.held lists the
+// record indices whose primary a connection owns, written only here.
+// DESIGN.md §13 has the rules.
 
 import (
 	"sync"
@@ -20,9 +24,19 @@ import (
 // witness of lease history — the chaos property test replays it through a
 // state machine.
 type leaseState struct {
-	mu       sync.Mutex
-	queue    *sched.Queue
-	table    map[outstandingKey]leaseRecord
+	mu    sync.Mutex
+	queue *sched.Queue
+	// The lease table. recs is the record pool: a record is in use while
+	// its primary has an owner, and free holds the indices of the others.
+	// live counts the records in use, so live+len(free) == len(recs).
+	// byTask[taskID] is 1 + the index of the task's first record, 0 for a
+	// task with no copy out; it is allocated at construction for the
+	// highest task ID and grows only when a revision mints past it.
+	recs   []leaseRecord
+	free   []int32
+	live   int
+	byTask []int32
+
 	finished bool
 	draining bool // Shutdown in progress: no new assignments
 	// waiters parks get_work requests that found the queue empty; each
@@ -59,7 +73,7 @@ type holder struct {
 }
 
 // live reports whether h holds the copy: a clone that is only a flag has
-// no owner yet.
+// no owner yet, and neither has the primary of a free record.
 func (h *holder) live() bool { return h != nil && h.owner != nil }
 
 // leaseRecord is one outstanding copy. The primary is the holder the queue
@@ -73,22 +87,97 @@ type leaseRecord struct {
 	a       sched.Assignment
 	primary holder
 	clone   *holder
+	next    int32 // 1 + the index of the task's next record, 0 ends the chain
+	at      int32 // this record's position in primary.owner.held
+}
+
+// findLocked returns the index of the record of the copy at key, or -1
+// when that copy is not out. key may come off the wire, so any task ID is
+// accepted. Callers hold lease.mu.
+func (s *Supervisor) findLocked(key outstandingKey) int32 {
+	if key.task < 0 || key.task >= len(s.lease.byTask) {
+		return -1
+	}
+	for j := s.lease.byTask[key.task]; j != 0; j = s.lease.recs[j-1].next {
+		if s.lease.recs[j-1].a.Copy == key.copy {
+			return j - 1
+		}
+	}
+	return -1
+}
+
+// growByTaskLocked extends byTask to cover task IDs up to top, for the
+// ringers a revision mints past the end of the plan. Callers hold
+// lease.mu.
+func (s *Supervisor) growByTaskLocked(top int) {
+	if n := top + 1; n > len(s.lease.byTask) {
+		s.lease.byTask = append(s.lease.byTask, make([]int32, n-len(s.lease.byTask))...)
+	}
+}
+
+// holdLocked lists record i in cs's held index and makes cs its primary's
+// owner. Callers hold lease.mu.
+func (s *Supervisor) holdLocked(i int32, cs *connState) {
+	r := &s.lease.recs[i]
+	r.primary.owner = cs
+	r.at = int32(len(cs.held))
+	cs.held = append(cs.held, i)
+}
+
+// unholdLocked removes record i from its primary owner's held index by
+// moving the index's last entry into its place. Callers hold lease.mu.
+func (s *Supervisor) unholdLocked(i int32) {
+	r := &s.lease.recs[i]
+	held := r.primary.owner.held
+	last := held[len(held)-1]
+	held[r.at] = last
+	s.lease.recs[last].at = r.at
+	r.primary.owner.held = held[:len(held)-1]
+}
+
+// dropLocked removes record i from the table: off its owner's held index,
+// out of its task's chain, and back on the free list. Callers hold
+// lease.mu.
+func (s *Supervisor) dropLocked(i int32) {
+	s.unholdLocked(i)
+	r := &s.lease.recs[i]
+	link := &s.lease.byTask[r.a.TaskID]
+	for *link != i+1 {
+		link = &s.lease.recs[*link-1].next
+	}
+	*link = r.next
+	*r = leaseRecord{} // free, and holding no connection or clone alive
+	s.lease.free = append(s.lease.free, i)
+	s.lease.live--
 }
 
 // issueLocked records a fresh queue pop as held by pid over cs. Callers
 // hold lease.mu.
 func (s *Supervisor) issueLocked(a sched.Assignment, pid int, cs *connState, now time.Time) {
-	key := outstandingKey{a.TaskID, a.Copy}
-	s.lease.table[key] = leaseRecord{a: a, primary: holder{participant: pid, owner: cs, issuedAt: now}}
-	cs.held[key] = pid
+	var i int32
+	if n := len(s.lease.free); n > 0 {
+		i = s.lease.free[n-1]
+		s.lease.free = s.lease.free[:n-1]
+	} else {
+		i = int32(len(s.lease.recs))
+		s.lease.recs = append(s.lease.recs, leaseRecord{})
+	}
+	// Field by field: a free record is zero, and copying a whole record in
+	// would cost a block copy per issue.
+	r, head := &s.lease.recs[i], &s.lease.byTask[a.TaskID]
+	r.a, r.next = a, *head
+	r.primary.participant, r.primary.issuedAt = pid, now
+	*head = i + 1
+	s.lease.live++
+	s.holdLocked(i, cs)
 }
 
-// reissueLocked restarts the clock of a copy its primary holder is sent
-// again (a resumed lease) and returns the copy. Callers hold lease.mu.
-func (s *Supervisor) reissueLocked(key outstandingKey, now time.Time) sched.Assignment {
-	r := s.lease.table[key]
+// reissueLocked restarts the clock of record i, a copy its primary holder
+// is sent again (a resumed lease), and returns the copy. Callers hold
+// lease.mu.
+func (s *Supervisor) reissueLocked(i int32, now time.Time) sched.Assignment {
+	r := &s.lease.recs[i]
 	r.primary.issuedAt = now
-	s.lease.table[key] = r
 	return r.a
 }
 
@@ -96,13 +185,14 @@ func (s *Supervisor) reissueLocked(key outstandingKey, now time.Time) sched.Assi
 // has just resumed on, and reports how many it moved: the copies stay out,
 // only their owner changes. Callers hold lease.mu.
 func (s *Supervisor) transferLocked(pid int, cs *connState) (moved int) {
-	for key, r := range s.lease.table {
+	for i := range s.lease.recs {
+		r := &s.lease.recs[i]
 		switch {
+		case !r.primary.live():
+			continue
 		case r.primary.participant == pid:
-			delete(r.primary.owner.held, key)
-			r.primary.owner = cs
-			s.lease.table[key] = r
-			cs.held[key] = pid
+			s.unholdLocked(int32(i))
+			s.holdLocked(int32(i), cs)
 		case r.clone.live() && r.clone.participant == pid:
 			r.clone.owner = cs
 		default:
@@ -123,20 +213,21 @@ func (s *Supervisor) transferLocked(pid int, cs *connState) (moved int) {
 // lease.mu.
 //
 // With a live clone the copy is out twice, and the first of its two
-// holders to submit wins: one delete removes both holds, so exactly one
+// holders to submit wins: one drop removes both holds, so exactly one
 // result per copy can ever reach adjudication (phase B), and the race's
 // loser is remembered so its late submission is rejected as a duplicate,
 // not double-credited.
 func (s *Supervisor) claimLocked(participant, taskID, copy int, now time.Time) (a sched.Assignment, issuedAt time.Time, reason, detail string) {
 	key := outstandingKey{taskID, copy}
-	r, ok := s.lease.table[key]
-	if !ok {
+	i := s.findLocked(key)
+	if i < 0 {
 		if l, lost := s.lease.specLosers[key]; lost && l.participant == participant {
 			s.metrics.speculativeWasted.Inc()
 			return a, issuedAt, ReasonDuplicate, "copy already completed by the other racer"
 		}
 		return a, issuedAt, ReasonUnassigned, "result for unassigned work"
 	}
+	r := &s.lease.recs[i]
 	won, lost := r.primary, r.clone
 	if won.participant != participant {
 		if !lost.live() || lost.participant != participant {
@@ -145,43 +236,43 @@ func (s *Supervisor) claimLocked(participant, taskID, copy int, now time.Time) (
 		won, lost = *lost, &r.primary
 		s.metrics.speculativeWins.Inc()
 	}
-	delete(s.lease.table, key)
-	delete(r.primary.owner.held, key)
 	if lost.live() {
 		s.lease.specLosers[key] = specLoser{participant: lost.participant, at: now}
 	}
-	return r.a, won.issuedAt, "", ""
+	a = r.a
+	s.dropLocked(i)
+	return a, won.issuedAt, "", ""
 }
 
-// releaseLocked ends pid's hold on the copy at key without a result. A
-// dropped clone leaves the primary holding the copy, free to be flagged
+// releaseLocked ends pid's hold on the copy of record i without a result.
+// A dropped clone leaves the primary holding the copy, free to be flagged
 // again; a dropped primary hands the copy to its live clone, or, with none,
 // returns it to the queue. Each drop is one reclaimed{reason} count, one
 // assignment_reclaimed event and one log line, and a deadline or
-// speculative drop is also health evidence against pid. A key pid holds
-// nothing of is left alone. Callers hold lease.mu.
-func (s *Supervisor) releaseLocked(key outstandingKey, pid int, reason string, now time.Time) {
-	r, ok := s.lease.table[key]
-	switch {
-	case !ok:
+// speculative drop is also health evidence against pid. A free record, or
+// one pid holds nothing of, is left alone. Callers hold lease.mu.
+func (s *Supervisor) releaseLocked(i int32, pid int, reason string, now time.Time) {
+	r := &s.lease.recs[i]
+	if !r.primary.live() {
 		return
+	}
+	key := outstandingKey{r.a.TaskID, r.a.Copy}
+	switch {
 	case r.clone.live() && r.clone.participant == pid:
 		r.clone = nil
-		s.lease.table[key] = r
 		s.logf("%s: dropped participant %d's clone of task %d copy %d", reason, pid, key.task, key.copy)
 	case r.primary.participant != pid:
 		return
 	case r.clone.live():
-		delete(r.primary.owner.held, key)
+		s.unholdLocked(i)
 		r.primary, r.clone = *r.clone, nil
-		r.primary.owner.held[key] = r.primary.participant
-		s.lease.table[key] = r
+		s.holdLocked(i, r.primary.owner)
 		s.logf("%s: task %d copy %d passed from participant %d to its clone holder %d",
 			reason, key.task, key.copy, pid, r.primary.participant)
 	default:
-		delete(r.primary.owner.held, key)
-		delete(s.lease.table, key)
-		s.lease.queue.Abandon(r.a)
+		a := r.a
+		s.dropLocked(i)
+		s.lease.queue.Abandon(a)
 		s.kickLeaseLocked()
 		s.logf("%s: reclaimed task %d copy %d from participant %d", reason, key.task, key.copy, pid)
 	}
@@ -203,19 +294,21 @@ func (s *Supervisor) releaseLocked(key outstandingKey, pid int, reason string, n
 // reclaim ends every hold a dead connection still has and records the
 // departure of every participant registered on it. Clones go first, so a
 // copy whose two holders were both on this connection returns to the
-// queue rather than passing from one to the other.
+// queue rather than passing from one to the other; then every primary
+// leaves cs.held, which therefore drains from the back.
 func (s *Supervisor) reclaim(cs *connState) {
 	now := time.Now()
 	s.lease.mu.Lock()
 	if s.cfg.SpeculatePct > 0 {
-		for key, r := range s.lease.table {
-			if r.clone.live() && r.clone.owner == cs {
-				s.releaseLocked(key, r.clone.participant, "disconnect", now)
+		for i := range s.lease.recs {
+			if c := s.lease.recs[i].clone; c.live() && c.owner == cs {
+				s.releaseLocked(int32(i), c.participant, "disconnect", now)
 			}
 		}
 	}
-	for key, pid := range cs.held {
-		s.releaseLocked(key, pid, "disconnect", now)
+	for n := len(cs.held); n > 0; n = len(cs.held) {
+		i := cs.held[n-1]
+		s.releaseLocked(i, s.lease.recs[i].primary.participant, "disconnect", now)
 	}
 	s.lease.mu.Unlock()
 	if s.events != nil {
@@ -233,12 +326,16 @@ func (s *Supervisor) reclaim(cs *connState) {
 // rejection and are forgotten. Callers hold lease.mu.
 func (s *Supervisor) expireLocked(now time.Time) {
 	cutoff := now.Add(-s.cfg.Deadline)
-	for key, r := range s.lease.table {
+	for i := range s.lease.recs {
+		r := &s.lease.recs[i]
+		if !r.primary.live() {
+			continue
+		}
 		if r.clone.live() && r.clone.issuedAt.Before(cutoff) {
-			s.releaseLocked(key, r.clone.participant, "speculative", now)
+			s.releaseLocked(int32(i), r.clone.participant, "speculative", now)
 		}
 		if r.primary.issuedAt.Before(cutoff) {
-			s.releaseLocked(key, r.primary.participant, "deadline", now)
+			s.releaseLocked(int32(i), r.primary.participant, "deadline", now)
 		}
 	}
 	gc := now.Add(-2 * s.cfg.Deadline)
@@ -253,8 +350,8 @@ func (s *Supervisor) expireLocked(now time.Time) {
 // participant. Callers hold lease.mu.
 func (s *Supervisor) reclaimParticipantLocked(pid int) {
 	now := time.Now()
-	for key := range s.lease.table {
-		s.releaseLocked(key, pid, "quarantine", now)
+	for i := range s.lease.recs {
+		s.releaseLocked(int32(i), pid, "quarantine", now)
 	}
 }
 
@@ -268,29 +365,28 @@ func (s *Supervisor) flagStragglersLocked(now time.Time) (flagged int) {
 		return 0
 	}
 	cutoff := now.Add(-q)
-	for key, r := range s.lease.table {
-		if r.clone != nil || !r.primary.issuedAt.Before(cutoff) {
+	for i := range s.lease.recs {
+		r := &s.lease.recs[i]
+		if !r.primary.live() || r.clone != nil || !r.primary.issuedAt.Before(cutoff) {
 			continue
 		}
 		r.clone = &holder{}
-		s.lease.table[key] = r
-		s.lease.specq = append(s.lease.specq, key)
+		s.lease.specq = append(s.lease.specq, outstandingKey{r.a.TaskID, r.a.Copy})
 		flagged++
 	}
 	return flagged
 }
 
-// fillSpeculativeLocked serves flagged copies as clones to pid, up to the
-// lease's capacity and ahead of fresh queue work (leaseBatch calls it
-// first). Stale candidates (resolved, released, or already cloned since
-// flagging) are dropped; candidates pid cannot take (its own straggling
-// lease) are kept for other requesters. Callers hold lease.mu. Returns the
-// number of clones issued.
-func (s *Supervisor) fillSpeculativeLocked(pid int, cs *connState, want int, items *[]WorkItem) int {
+// fillSpeculativeLocked serves flagged copies as clones to pid, issued at
+// now, up to the lease's capacity and ahead of fresh queue work
+// (leaseBatch calls it first). Stale candidates (resolved, released, or
+// already cloned since flagging) are dropped; candidates pid cannot take
+// (its own straggling lease) are kept for other requesters. Callers hold
+// lease.mu. Returns the number of clones issued.
+func (s *Supervisor) fillSpeculativeLocked(pid int, cs *connState, want int, items *[]WorkItem, now time.Time) int {
 	if len(s.lease.specq) == 0 {
 		return 0
 	}
-	now := time.Now()
 	issued := 0
 	kept := s.lease.specq[:0]
 	for _, key := range s.lease.specq {
@@ -298,8 +394,12 @@ func (s *Supervisor) fillSpeculativeLocked(pid int, cs *connState, want int, ite
 			kept = append(kept, key)
 			continue
 		}
-		r, ok := s.lease.table[key]
-		if !ok || r.clone == nil || r.clone.live() {
+		i := s.findLocked(key)
+		if i < 0 {
+			continue
+		}
+		r := &s.lease.recs[i]
+		if r.clone == nil || r.clone.live() {
 			continue
 		}
 		if r.primary.participant == pid {

@@ -494,11 +494,8 @@ func TestPipelinedAckSettledBeforeLeaseRead(t *testing.T) {
 			switch calls++; calls {
 			case 2:
 				sup.lease.mu.Lock()
-				for key, r := range sup.lease.table {
-					if key.task == taskID {
-						r.primary.issuedAt = r.primary.issuedAt.Add(-2 * time.Hour)
-						sup.lease.table[key] = r
-					}
+				for _, r := range sup.leasesOf(taskID) {
+					r.primary.issuedAt = r.primary.issuedAt.Add(-2 * time.Hour)
 				}
 				sup.lease.mu.Unlock()
 				sup.sweepExpired()

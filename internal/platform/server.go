@@ -397,7 +397,6 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		stop:     make(chan struct{}),
 		conns:    make(map[net.Conn]struct{}),
 	}
-	s.lease.table = make(map[outstandingKey]leaseRecord)
 	s.roster = roster
 	s.quarantine = cfg.Health != nil
 	if cfg.SpeculatePct > 0 {
@@ -493,6 +492,11 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	if err != nil {
 		return nil, err
 	}
+	top := -1
+	for i := range specs {
+		top = max(top, specs[i].ID)
+	}
+	s.lease.byTask = make([]int32, top+1)
 	if cfg.Restore != nil {
 		start := time.Now()
 		s.replaying = true
@@ -629,14 +633,14 @@ func (s *Supervisor) closeConns() {
 	}
 }
 
-// connState is one worker connection. held indexes the lease records
-// whose primary holder this connection owns (key → that participant), so
-// a resumed lease can be re-sent and a dropped connection's work
-// re-issued; it is shared state, guarded by lease.mu and written only by
-// lease.go. The write side is guarded by wmu; everything else is touched
-// only by this connection's serve goroutine.
+// connState is one worker connection. held lists the indices of the lease
+// records whose primary holder this connection owns (each record's at is
+// its position here), so a resumed lease can be re-sent and a dropped
+// connection's work re-issued; it is shared state, guarded by lease.mu and
+// written only by lease.go. The write side is guarded by wmu; everything
+// else is touched only by this connection's serve goroutine.
 type connState struct {
-	held map[outstandingKey]int
+	held []int32
 	// registered holds the participant IDs created (or resumed) over this
 	// connection; work requests and results must name one of them, so a
 	// client cannot impersonate another participant (e.g. by guessing a
@@ -713,7 +717,6 @@ const maxDeferredAcks = 8
 
 func newConnState(conn net.Conn) *connState {
 	return &connState{
-		held:       make(map[outstandingKey]int),
 		registered: make(map[int]bool),
 		names:      make(map[int]string),
 		conn:       conn,
@@ -1147,10 +1150,13 @@ func (s *Supervisor) convicted(participant int) bool {
 // and revisions kick parked requests awake. single marks a request_work,
 // whose reply has room for exactly one item. The time the request spends
 // in here, queue wait and parking included, is the lease-wait histogram.
+// The clock is read once on entry and again only after a park wakes, so
+// the copies of one reply, re-issued or fresh, share one issue time.
 func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState) Message {
+	now := time.Now()
 	defer func(start time.Time) {
 		s.metrics.leaseWait.Observe(time.Since(start).Seconds())
-	}(time.Now())
+	}(now)
 	if s.metrics.shardRouted != nil {
 		s.metrics.shardRouted.Inc()
 	}
@@ -1185,14 +1191,14 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState) Messa
 	// assignment it still holds, or a resumed lease could silently shrink.
 	// A request_work reply carries one item, so there the rest of the held
 	// set comes back on the following requests.
-	for key, holder := range cs.held {
+	for _, i := range cs.held {
 		if single && len(items) == 1 {
 			break
 		}
-		if holder != pid {
+		if s.lease.recs[i].primary.participant != pid {
 			continue
 		}
-		a := s.reissueLocked(key, time.Now())
+		a := s.reissueLocked(i, now)
 		reissues++
 		if s.events != nil {
 			s.events.Emit(EvAssignmentIssued, map[string]any{
@@ -1212,7 +1218,7 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState) Messa
 		// valuable lease in the system. Healthy requesters only, and never
 		// back to the straggler itself.
 		if !s.lease.draining && !probation && len(items) < want {
-			specIssued += s.fillSpeculativeLocked(pid, cs, want, &items)
+			specIssued += s.fillSpeculativeLocked(pid, cs, want, &items, now)
 		}
 		if !s.lease.draining && len(items) < want {
 			fill := cs.fill[:0]
@@ -1228,7 +1234,6 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState) Messa
 				fill = s.lease.queue.NextBatch(fill, want-len(items))
 			}
 			cs.fill = fill[:0]
-			now := time.Now()
 			for _, a := range fill {
 				s.issueLocked(a, pid, cs, now)
 				fresh++
@@ -1252,7 +1257,7 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState) Messa
 			// period re-admits on the clock — otherwise a fleet-wide
 			// quarantine deadlocks the run with work still queued. On
 			// re-admission, fall through to the regular pool this pass.
-			if tr := s.roster.ObserveRingerStarved(pid, time.Now()); tr != nil {
+			if tr := s.roster.ObserveRingerStarved(pid, now); tr != nil {
 				s.pushTransition(*tr, false)
 				probation = false
 				continue
@@ -1271,9 +1276,9 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState) Messa
 			break
 		}
 		if deadline.IsZero() {
-			deadline = time.Now().Add(leaseParkMax)
+			deadline = now.Add(leaseParkMax)
 		}
-		wait := time.Until(deadline)
+		wait := deadline.Sub(now)
 		if wait <= 0 {
 			empty = Message{Type: MsgNoWork, Wait: 0.05}
 			break
@@ -1300,6 +1305,7 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState) Messa
 			return Message{Type: MsgNoWork, Wait: 0.2}
 		}
 		s.lease.mu.Lock()
+		now = time.Now()
 	}
 	s.lease.mu.Unlock()
 	if len(items) == 0 {
@@ -1449,7 +1455,8 @@ func (s *Supervisor) drainHealthLocked() {
 }
 
 // applyRevisionLocked applies one plan revision to the supervisor's live
-// state — plan, queue, and verification expectations — in that order. It
+// state — plan, queue, and verification expectations (and the lease
+// table's task index, for minted ringers past its end) — in that order. It
 // does NOT journal; the caller either just wrote the record (live tick) or
 // is replaying one (restore). Callers hold lease.mu and audit.mu (or are
 // single-threaded construction). Revisions are validated against the plan
@@ -1481,6 +1488,7 @@ func (s *Supervisor) applyRevisionLocked(rev plan.Revision) error {
 			return fmt.Errorf("platform: revision %d: %w", s.audit.revApplied, err)
 		}
 		s.audit.collector.Expect(m.TaskID, m.Copies)
+		s.growByTaskLocked(m.TaskID)
 	}
 	s.audit.revApplied++
 	return nil
@@ -1667,10 +1675,10 @@ type pendingResult struct {
 //	              serialization the chaos test replays), and wake parked
 //	              leases if copies were released or the run finished.
 //
-// Between A and C the copies are in no map and not in the queue's ready
-// pool, so nothing can issue, reclaim, or double-accept them. Journal
-// records are queued with the committer at the end of B, still under
-// audit.mu, so journal order is adjudication order across connections;
+// Between A and C the copies have no lease record and are not in the
+// queue's ready pool, so nothing can issue, reclaim, or double-accept
+// them. Journal records are queued with the committer at the end of B,
+// still under audit.mu, so journal order is adjudication order across connections;
 // the committer's window covers them with one buffered write and, with
 // JournalSync, one fsync amortized over every submission queued meanwhile.
 //
@@ -1886,7 +1894,7 @@ func (s *Supervisor) Shutdown(ctx context.Context) error {
 func (s *Supervisor) awaitDrain(ctx context.Context) bool {
 	for {
 		s.lease.mu.Lock()
-		n := len(s.lease.table)
+		n := s.lease.live
 		s.lease.mu.Unlock()
 		if n == 0 && s.busy.Load() == 0 {
 			return true
