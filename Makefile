@@ -39,13 +39,14 @@ cover:
 	$(GO) test -coverprofile=cover.out ./internal/... .
 	$(GO) tool cover -func=cover.out | tail -1
 
-# Per-package coverage floor for the packages that carry the paper's math
-# and the wire protocol. A new feature that lands without tests drops the
+# Per-package coverage floor for the packages that carry the paper's math,
+# the wire protocol, and the hand-laid result path (the verifier's runs and
+# the scheduler's queue). A new feature that lands without tests drops the
 # percentage and fails the gate.
 COVER_FLOOR ?= 75.0
 
 cover-check:
-	@for pkg in ./internal/dist ./internal/platform ./internal/adapt ./internal/health ./internal/sim ./internal/adversary ./internal/ring ./internal/stats; do \
+	@for pkg in ./internal/dist ./internal/platform ./internal/adapt ./internal/health ./internal/sim ./internal/adversary ./internal/ring ./internal/stats ./internal/verify ./internal/sched; do \
 		$(GO) test -coverprofile=cover-check.out $$pkg >/dev/null || exit 1; \
 		pct=$$($(GO) tool cover -func=cover-check.out | tail -1 | awk '{sub(/%/, "", $$3); print $$3}'); \
 		echo "coverage $$pkg: $$pct% (floor $(COVER_FLOOR)%)"; \
@@ -118,8 +119,9 @@ tail-smoke:
 
 # The result path's allocation guards: a collector's allocations are its
 # tables and chunks and not one per result, with or without Reserve; a
-# queue's do not depend on the task count; a snapshot restore allocates the
-# verdict list once; carved storage never aliases; a warm lease table
+# warm 64-result SubmitBatch allocates nothing; a queue's do not depend on
+# the task count; a snapshot restore allocates the verdict list once;
+# carved storage never aliases; a warm lease table
 # issues and claims a 64-copy lease without allocating. Then the in-process
 # lease/compute/submit cycle at batch 16 (BenchmarkBatchPipeline) under
 # -benchmem: 2 allocs/op now that Submit and adjudicate allocate nothing
@@ -127,7 +129,7 @@ tail-smoke:
 BATCH_PIPELINE_ALLOCS ?= 4
 
 alloc-check:
-	$(GO) test -count=1 -run 'TestSubmitDoesNotAllocatePerResult|TestReserveIsTheSamePath|TestCarved|TestRestoreVerdictGrowsOnce|TestNewQueueAllocatesOnce|TestSnapshotRestoreAllocatesVerdictsOnce|TestRevisionGrowsPastPresizedTables|TestLeaseCycleAllocFree' ./internal/verify ./internal/sched ./internal/platform
+	$(GO) test -count=1 -run 'TestSubmitDoesNotAllocatePerResult|TestSubmitBatchAllocFree|TestReserveIsTheSamePath|TestCarved|TestRestoreVerdictGrowsOnce|TestNewQueueAllocatesOnce|TestSnapshotRestoreAllocatesVerdictsOnce|TestRevisionGrowsPastPresizedTables|TestLeaseCycleAllocFree' ./internal/verify ./internal/sched ./internal/platform
 	$(GO) test -run '^$$' -bench BenchmarkBatchPipeline -benchmem ./internal/platform | awk -v max=$(BATCH_PIPELINE_ALLOCS) \
 		'{ print } /^BenchmarkBatchPipeline/ { seen = 1; for (i = 2; i <= NF; i++) if ($$i == "allocs/op" && $$(i-1) + 0 > max) over = $$(i-1) } \
 		END { if (!seen) { print "FAIL: BenchmarkBatchPipeline did not run"; exit 1 } \

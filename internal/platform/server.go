@@ -687,7 +687,9 @@ type connState struct {
 	items []WorkItem
 	fill  []sched.Assignment
 	pend  []pendingResult
-	one   [1]ResultItem // a single-verb result, as the batch it is served as
+	subs  []verify.Result  // pend's claimed results, as the collector takes them
+	outs  []verify.Outcome // the collector's outcome for each
+	one   [1]ResultItem    // a single-verb result, as the batch it is served as
 }
 
 // deferredAck is the reply to one result submission whose records are with
@@ -1652,13 +1654,12 @@ func (s *Supervisor) RevisionsApplied() int {
 	return s.audit.revApplied
 }
 
-// pendingResult carries one claimed result between resultBatch's phases.
+// pendingResult carries one claimed result between resultBatch's phases,
+// next to the verify.Result at the same index of the submission's subs.
 type pendingResult struct {
-	idx      int // index of this result's ack in the reply
-	a        sched.Assignment
+	idx      int       // index of this result's ack in the reply
 	issuedAt time.Time // when the claiming holder was issued the copy
-	value    uint64
-	failed   bool // verification refused it in phase B
+	failed   bool      // verification refused it in phase B
 }
 
 // resultBatch serves one participant's results in three phases so no
@@ -1668,8 +1669,10 @@ type pendingResult struct {
 //	A (lease.mu)  claim — validate ownership and delete the in-flight
 //	              entries, so no other connection, sweep, or duplicate
 //	              submission can race on these copies;
-//	B (audit.mu)  adjudicate — feed each claimed result through the
-//	              verification pipeline and build its journal record;
+//	B (audit.mu)  adjudicate — feed the claimed results through the
+//	              verification pipeline in one SubmitBatch, which resolves
+//	              their task slots before adjudicating any, and build
+//	              their journal records from its outcomes in order;
 //	C (lease.mu)  complete — mark the queue, emit the accepted events
 //	              (under the lease lock, preserving the event-stream
 //	              serialization the chaos test replays), and wake parked
@@ -1699,7 +1702,7 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, single bool, cs 
 	d := &cs.deferred[cs.dtail%maxDeferredAcks]
 	acks = d.acks[:0]
 	recs := d.recs[:0]
-	pend := cs.pend[:0]
+	pend, subs := cs.pend[:0], cs.subs[:0]
 	s.lease.mu.Lock()
 	for _, r := range results {
 		a, issuedAt, reason, detail := s.claimLocked(pid, r.TaskID, r.Copy, now)
@@ -1708,30 +1711,28 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, single bool, cs 
 			ack.Reason = reason
 			ack.Error = detail
 		} else {
-			pend = append(pend, pendingResult{idx: len(acks), a: a, issuedAt: issuedAt, value: r.Value})
+			pend = append(pend, pendingResult{idx: len(acks), issuedAt: issuedAt})
+			subs = append(subs, verify.Result{Assignment: a, Participant: pid, Value: r.Value})
 		}
 		acks = append(acks, ack)
 	}
 	s.lease.mu.Unlock()
 	if len(pend) > 0 {
 		s.audit.mu.Lock()
+		// One call adjudicates the whole submission, in order. Credits and
+		// the adaptive estimator update inside the collector's verdict
+		// callback, result by result.
+		outs := s.audit.collector.SubmitBatch(subs, cs.outs[:0])
 		for i := range pend {
 			p := &pend[i]
-			// Credits and the adaptive estimator update inside the
-			// collector's verdict callback.
-			v, adjudicated, err := s.audit.collector.Submit(verify.Result{
-				Assignment:  p.a,
-				Participant: pid,
-				Value:       p.value,
-			})
-			if err != nil {
+			if err := outs[i].Err; err != nil {
 				p.failed = true
 				acks[p.idx].OK = false
 				acks[p.idx].Reason = ReasonVerification
 				acks[p.idx].Error = err.Error()
 				continue
 			}
-			if adjudicated && v.MismatchDetected {
+			if v := outs[i].Verdict; v != nil && v.MismatchDetected {
 				s.logf("CHEAT DETECTED on task %d (suspects %v)", v.TaskID, v.Suspects)
 				if s.cfg.ResolveMismatches && !v.Ringer {
 					// Reactive measure: the supervisor recomputes the
@@ -1741,12 +1742,13 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, single bool, cs 
 				}
 			}
 			if s.committer != nil {
+				a := &subs[i].Assignment
 				recs = append(recs, journalRecord{
-					TaskID:      p.a.TaskID,
-					Copy:        p.a.Copy,
-					Ringer:      p.a.Ringer,
+					TaskID:      a.TaskID,
+					Copy:        a.Copy,
+					Ringer:      a.Ringer,
 					Participant: pid,
-					Value:       p.value,
+					Value:       subs[i].Value,
 				})
 			}
 		}
@@ -1756,6 +1758,7 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, single bool, cs 
 			}
 		}
 		s.audit.mu.Unlock()
+		cs.outs = outs
 		accepted := 0
 		s.lease.mu.Lock()
 		for i := range pend {
@@ -1763,11 +1766,12 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, single bool, cs 
 			if p.failed {
 				continue
 			}
-			s.lease.queue.Complete(p.a)
+			a := subs[i].Assignment
+			s.lease.queue.Complete(a)
 			accepted++
 			if s.events != nil {
 				s.events.Emit(EvResultAccepted, map[string]any{
-					"task": p.a.TaskID, "copy": p.a.Copy, "participant": pid,
+					"task": a.TaskID, "copy": a.Copy, "participant": pid,
 				})
 			}
 		}
@@ -1811,7 +1815,7 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, single bool, cs 
 		}
 	}
 	d.acks, d.recs, d.single = acks, recs, single
-	cs.pend = pend
+	cs.pend, cs.subs = pend, subs
 	switch {
 	case deferred:
 		s.deferAck(cs)

@@ -1,10 +1,13 @@
 package verify
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"redundancy/internal/plan"
 	"redundancy/internal/rng"
@@ -165,16 +168,38 @@ func (rc *refCollector) submit(r Result) {
 	rc.verdicts = append(rc.verdicts, v)
 }
 
-// TestCarvedBufferCannotReachItsNeighbour: the one way a buffer is appended
-// to past its cut is an Expect that raises a task after its first result
-// (outside the contract). The buffer must move, not run on into the cut
-// after it.
+// TestCompactLayout: a task slot and a stored result are 16 bytes each, so
+// four slots share a cache line and a run entry keeps a Result's value,
+// participant and copy in a quarter of a line.
+func TestCompactLayout(t *testing.T) {
+	if got := unsafe.Sizeof(taskState{}); got != 16 {
+		t.Errorf("taskState is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(entry{}); got != 16 {
+		t.Errorf("a stored result is %d bytes, want 16", got)
+	}
+}
+
+// TestCarvedBufferCannotReachItsNeighbour: the one way a run would be
+// written past its cut is an Expect that raises a task after its first
+// result (outside the contract). The run must move, not run on into the
+// run cut after it.
 func TestCarvedBufferCannotReachItsNeighbour(t *testing.T) {
 	c := NewCollector(nil)
 	c.ExpectAll([]plan.TaskSpec{{ID: 0, Copies: 2}, {ID: 1, Copies: 2}})
-	c.Submit(res(0, 0, 10, 5, false)) // cuts task 0's two slots
+	c.Submit(res(0, 0, 10, 5, false)) // cuts task 0's two entries
 	c.Submit(res(1, 0, 20, 6, false)) // and task 1's right behind them
+	if c.tasks[1].at != c.tasks[0].at+2 {
+		t.Fatalf("task 1's run is at %#x, want right behind task 0's at %#x", c.tasks[1].at, c.tasks[0].at)
+	}
+	was := c.tasks[0].at
 	c.Expect(0, 3)
+	if c.tasks[0].at == was {
+		t.Fatal("raising task 0 after its first result left its run where the raise overflows it")
+	}
+	if got := c.appendStored(nil, 0); !slices.Equal(got, []Result{res(0, 0, 10, 5, false)}) {
+		t.Fatalf("task 0's moved run holds %+v", got)
+	}
 	c.Submit(res(0, 1, 11, 5, false))
 	if _, done, err := c.Submit(res(0, 2, 12, 5, false)); !done || err != nil {
 		t.Fatalf("third copy of the raised task: done=%v err=%v", done, err)
@@ -197,9 +222,9 @@ func sameVerdict(a, b *Verdict) bool {
 // TestCarvedStorageNeverAliases replays a randomized run (1 to 5 copies,
 // ringers, liars, a promoted task, tasks minted mid-run, enough results to
 // cross several chunks) and after every Submit compares every verdict
-// issued so far and every partial task's buffer with the reference: a
-// carved buffer or contributor list that spilled into its neighbour would
-// change one of them after the fact.
+// issued so far and every partial task's run with the reference: a run or
+// contributor list that spilled into its neighbour would change one of them
+// after the fact.
 func TestCarvedStorageNeverAliases(t *testing.T) {
 	const tasks = 3000
 	r := rng.New(23)
@@ -230,7 +255,7 @@ func TestCarvedStorageNeverAliases(t *testing.T) {
 		add(sp)
 	}
 	r.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
-	if len(queue) < 2*resultChunkLen {
+	if len(queue) < 2*runChunkLen {
 		t.Fatalf("%d results do not cross a chunk boundary twice", len(queue))
 	}
 
@@ -257,8 +282,8 @@ func TestCarvedStorageNeverAliases(t *testing.T) {
 			}
 		}
 		for id, buffered := range ref.results {
-			if !slices.Equal(c.tasks[id].results, buffered) {
-				t.Fatalf("after %d results task %d buffers %+v, reference %+v", n+1, id, c.tasks[id].results, buffered)
+			if got := c.appendStored(nil, id); !slices.Equal(got, buffered) {
+				t.Fatalf("after %d results task %d's run holds %+v, reference %+v", n+1, id, got, buffered)
 			}
 		}
 		if n%64 == 0 || n == len(queue)-1 { // the same buffers through the API, which copies them all
@@ -289,8 +314,15 @@ func TestRestoreVerdictGrowsOnce(t *testing.T) {
 	specs, _ := balancedRun(t, 5000, 3)
 	c := NewCollector(truthOf)
 	c.ExpectAll(specs)
+	accepted := func(sp plan.TaskSpec) Verdict {
+		v := Verdict{TaskID: sp.ID, Ringer: sp.Ringer, Copies: sp.Copies, Accepted: true}
+		for k := 0; k < sp.Copies; k++ {
+			v.Contributors = append(v.Contributors, k)
+		}
+		return v
+	}
 	for i, sp := range specs {
-		if err := c.RestoreVerdict(Verdict{TaskID: sp.ID, Ringer: sp.Ringer, Copies: sp.Copies, Accepted: true}); err != nil {
+		if err := c.RestoreVerdict(accepted(sp)); err != nil {
 			t.Fatal(err)
 		}
 		if got := cap(c.Verdicts()); got != len(specs) {
@@ -300,7 +332,257 @@ func TestRestoreVerdictGrowsOnce(t *testing.T) {
 	if st := c.Stats(); st.Tasks != len(specs) || st.Accepted != len(specs) {
 		t.Errorf("tallies after restore: %+v", st)
 	}
-	if err := c.RestoreVerdict(Verdict{TaskID: 0, Copies: 1}); err == nil {
-		t.Error("a second verdict for task 0 was accepted")
+	if err := c.RestoreVerdict(accepted(specs[0])); err == nil {
+		t.Errorf("a second verdict for task %d was accepted", specs[0].ID)
+	}
+}
+
+// TestRestoreVerdictRejects: a restored verdict must name a registered,
+// uncollected task, carry that task's copies, and list one contributor per
+// copy; a short contributor list would silently under-credit.
+func TestRestoreVerdictRejects(t *testing.T) {
+	c := NewCollector(nil)
+	c.ExpectAll([]plan.TaskSpec{{ID: 0, Copies: 2}, {ID: 1, Copies: 2}, {ID: 2, Copies: 2}, {ID: 4, Copies: 1}})
+	c.Submit(res(1, 0, 10, 5, false)) // task 1 is partial
+	c.Submit(res(4, 0, 10, 5, false)) // task 4 is adjudicated
+	for _, row := range []struct {
+		name string
+		v    Verdict
+		want string
+	}{
+		{"negative task", Verdict{TaskID: -1, Copies: 2, Contributors: []int{1, 2}}, "unregistered"},
+		{"unregistered task", Verdict{TaskID: 3, Copies: 2, Contributors: []int{1, 2}}, "unregistered"},
+		{"past the table", Verdict{TaskID: 9, Copies: 2, Contributors: []int{1, 2}}, "unregistered"},
+		{"adjudicated task", Verdict{TaskID: 4, Copies: 1, Contributors: []int{1}}, "already-adjudicated"},
+		{"partial task", Verdict{TaskID: 1, Copies: 2, Contributors: []int{1, 2}}, "partial results"},
+		{"too few copies", Verdict{TaskID: 2, Copies: 1, Contributors: []int{1}}, "has 1 copies, the task expects 2"},
+		{"too many copies", Verdict{TaskID: 2, Copies: 3, Contributors: []int{1, 2, 3}}, "has 3 copies, the task expects 2"},
+		{"short contributor list", Verdict{TaskID: 2, Copies: 2, Contributors: []int{1}}, "lists 1 contributors for 2 copies"},
+		{"long contributor list", Verdict{TaskID: 2, Copies: 2, Contributors: []int{1, 2, 3}}, "lists 3 contributors for 2 copies"},
+	} {
+		err := c.RestoreVerdict(row.v)
+		if err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("%s: err = %v, want one containing %q", row.name, err, row.want)
+		}
+	}
+	if st := c.Stats(); st.Tasks != 1 {
+		t.Errorf("rejected verdicts changed the tallies: %+v", st)
+	}
+	if err := c.RestoreVerdict(Verdict{TaskID: 2, Copies: 2, Accepted: true, Contributors: []int{1, 2}}); err != nil {
+		t.Errorf("a well-formed verdict for task 2 after the rejections: %v", err)
+	}
+}
+
+// submitStream builds the stream TestSubmitBatchMatchesSubmit feeds both
+// ways. Every regular and ringer task's copies are shuffled together, some
+// lying; a revision promotes task 7 before its first result; a 5000-copy
+// task needs a chunk of its own; and strays are mixed in: unregistered,
+// negative and 64-bit IDs, copies and participants, and replays of earlier
+// results (late or duplicate copies).
+type submitStream struct {
+	r       *rng.Source
+	specs   []plan.TaskSpec
+	results []Result
+}
+
+func (s *submitStream) add(sp plan.TaskSpec) {
+	for k := 0; k < sp.Copies; k++ {
+		val := truthOf(sp.ID)
+		if s.r.Intn(8) == 0 {
+			val += uint64(1 + s.r.Intn(2))
+		}
+		s.results = append(s.results, Result{
+			Assignment:  sched.Assignment{TaskID: sp.ID, Copy: k, Ringer: sp.Ringer},
+			Participant: s.r.Intn(30), Value: val,
+		})
+	}
+}
+
+// stray returns a result Submit must refuse, or that may collide with an
+// earlier one.
+func (s *submitStream) stray(upTo int) Result {
+	switch s.r.Intn(5) {
+	case 0:
+		return res(-1-s.r.Intn(3), 0, 1, 5, false)
+	case 1:
+		return res(len(s.specs)+1_000_000, 0, 1, 5, false)
+	case 2:
+		r := s.results[s.r.Intn(upTo)]
+		r.Assignment.Copy += 1 << 40
+		return r
+	case 3:
+		r := s.results[s.r.Intn(upTo)]
+		r.Participant = -1 << 33
+		return r
+	default:
+		return s.results[s.r.Intn(upTo)] // late, or a duplicate copy
+	}
+}
+
+// TestSubmitBatchMatchesSubmit feeds one randomized stream to a collector
+// through SubmitBatch, in batches of 1 to 70, and to another through Submit
+// one result at a time: every result's error and verdict, the callback
+// order, and the collectors' verdicts, tallies, blacklists, convictions and
+// pending results must be identical. The batches carry duplicate copies
+// and late results of tasks the same batch adjudicated, and the run mints
+// tasks past the chunks Reserve presized.
+func TestSubmitBatchMatchesSubmit(t *testing.T) {
+	s := &submitStream{r: rng.New(31)}
+	for id := 0; id < 2500; id++ {
+		sp := plan.TaskSpec{ID: id, Copies: 1 + s.r.Intn(5), Ringer: s.r.Intn(15) == 0}
+		if id == 1234 {
+			sp.Copies = runChunkLen + 904
+		}
+		s.specs = append(s.specs, sp)
+	}
+	batched, single := NewCollector(truthOf), NewCollector(truthOf)
+	var batchedSeen, singleSeen []int
+	batched.OnVerdict(func(v *Verdict) { batchedSeen = append(batchedSeen, v.TaskID) })
+	single.OnVerdict(func(v *Verdict) { singleSeen = append(singleSeen, v.TaskID) })
+	for _, c := range []*Collector{batched, single} {
+		c.ExpectAll(s.specs)
+		c.Expect(7, s.specs[7].Copies+2) // promoted before its first result
+	}
+	s.specs[7].Copies += 2
+	for _, sp := range s.specs {
+		s.add(sp)
+	}
+	s.r.Shuffle(len(s.results), func(i, j int) { s.results[i], s.results[j] = s.results[j], s.results[i] })
+	for _, c := range []*Collector{batched, single} {
+		c.Reserve(len(s.results))
+	}
+
+	errs := map[string]int{}
+	var out []Outcome
+	minted := len(s.specs)
+	for n, batches := 0, 0; n < len(s.results); batches++ {
+		if batches%20 == 19 { // a revision mints a ringer; its copies join the back
+			sp := plan.TaskSpec{ID: minted, Copies: 1 + s.r.Intn(3), Ringer: true}
+			minted++
+			batched.Expect(sp.ID, sp.Copies)
+			single.Expect(sp.ID, sp.Copies)
+			s.add(sp)
+		}
+		size := min(1+s.r.Intn(70), len(s.results)-n)
+		batch := slices.Clone(s.results[n : n+size])
+		n += size
+		for k := s.r.Intn(4); k > 0; k-- {
+			if s.r.Intn(2) == 0 {
+				batch = append(batch, batch[s.r.Intn(len(batch))]) // in this batch: late or duplicate
+			} else {
+				batch = append(batch, s.stray(n))
+			}
+		}
+		s.r.Shuffle(len(batch)-size, func(i, j int) { batch[size+i], batch[size+j] = batch[size+j], batch[size+i] })
+
+		out = batched.SubmitBatch(batch, out[:0])
+		if len(out) != len(batch) {
+			t.Fatalf("SubmitBatch reported %d outcomes for %d results", len(out), len(batch))
+		}
+		for i := range batch {
+			v, done, err := single.Submit(batch[i])
+			if fmt.Sprint(err) != fmt.Sprint(out[i].Err) {
+				t.Fatalf("result %+v: SubmitBatch err %v, Submit err %v", batch[i], out[i].Err, err)
+			}
+			if err != nil {
+				errs[strings.SplitN(err.Error(), " ", 3)[1]]++
+			}
+			if done != (out[i].Verdict != nil) || done && !reflect.DeepEqual(*out[i].Verdict, v) {
+				t.Fatalf("result %+v: SubmitBatch verdict %+v, Submit %+v (done=%v)", batch[i], out[i].Verdict, v, done)
+			}
+		}
+		if batches%16 == 0 && !slices.Equal(batched.PendingResults(), single.PendingResults()) {
+			t.Fatalf("after batch %d the pending results differ", batches)
+		}
+	}
+	for _, kind := range []string{"result", "task", "duplicate", "copy", "participant"} {
+		if errs[kind] == 0 {
+			t.Errorf("the stream never drew a %q error: %v", kind, errs)
+		}
+	}
+	if batched.PendingTasks() != 0 || batched.Stats().Tasks != minted {
+		t.Errorf("after the stream: %d pending, %+v over %d tasks", batched.PendingTasks(), batched.Stats(), minted)
+	}
+	if !reflect.DeepEqual(batched.Verdicts(), single.Verdicts()) || !slices.Equal(batchedSeen, singleSeen) {
+		t.Error("the verdict lists or the callback order differ")
+	}
+	if batched.Stats() != single.Stats() || batched.Stats().RingersCaught == 0 {
+		t.Errorf("stats: %+v vs %+v", batched.Stats(), single.Stats())
+	}
+	if !slices.Equal(batched.Blacklist(), single.Blacklist()) || !slices.Equal(batched.ConvictedList(), single.ConvictedList()) {
+		t.Error("the blacklists or the convicted lists differ")
+	}
+	if !slices.Equal(batched.PendingResults(), single.PendingResults()) {
+		t.Error("the pending results differ")
+	}
+}
+
+// TestSubmitBatchAllocFree: once the verdict list and the chunks exist, a
+// 64-result batch of a clean run allocates nothing.
+func TestSubmitBatchAllocFree(t *testing.T) {
+	specs, results := balancedRun(t, 20_000, 7)
+	c := NewCollector(truthOf)
+	c.ExpectAll(specs)
+	c.Reserve(len(results))
+	out := make([]Outcome, 0, 64)
+	next := 0
+	batch := func() {
+		out = c.SubmitBatch(results[next:next+64], out[:0])
+		next += 64
+		for i := range out {
+			if out[i].Err != nil {
+				t.Fatal(out[i].Err)
+			}
+		}
+	}
+	batch()
+	if allocs := testing.AllocsPerRun(100, batch); allocs != 0 {
+		t.Errorf("a warm 64-result SubmitBatch makes %.1f allocations, want 0", allocs)
+	}
+}
+
+// BenchmarkSubmit adjudicates plan.Balanced(250 000, 0.5) in queue order,
+// one result at a time (one) and 64 at a time (batch64), and reports the
+// cost per result. Building the collector is not timed; its run chunks are
+// allocated as the results arrive, as on a supervisor.
+func BenchmarkSubmit(b *testing.B) {
+	specs, results := balancedRun(b, 250_000, 12)
+	for _, bm := range []struct {
+		name   string
+		submit func(c *Collector) error
+	}{
+		{"one", func(c *Collector) error {
+			for i := range results {
+				if _, _, err := c.Submit(results[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"batch64", func(c *Collector) error {
+			out := make([]Outcome, 0, 64)
+			for i := 0; i < len(results); i += 64 {
+				out = c.SubmitBatch(results[i:min(i+64, len(results))], out[:0])
+				for j := range out {
+					if out[j].Err != nil {
+						return out[j].Err
+					}
+				}
+			}
+			return nil
+		}},
+	} {
+		b.Run(bm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := NewCollector(truthOf)
+				c.ExpectAll(specs)
+				b.StartTimer()
+				if err := bm.submit(c); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(results)), "ns/result")
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -134,6 +135,28 @@ func TestExpectPanicsOnZeroCopies(t *testing.T) {
 		}
 	}()
 	c.Expect(1, 0)
+}
+
+// TestExpectPanicsOutOfRange: task slots hold 32-bit IDs and counts, so a
+// value past them panics rather than wrap.
+func TestExpectPanicsOutOfRange(t *testing.T) {
+	for _, row := range []struct {
+		name           string
+		taskID, copies int
+	}{
+		{"negative task ID", -1, 1},
+		{"task ID above MaxInt32", math.MaxInt32 + 1, 1},
+		{"copies above MaxInt32", 1, math.MaxInt32 + 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Expect(%d, %d) did not panic", row.name, row.taskID, row.copies)
+				}
+			}()
+			NewCollector(nil).Expect(row.taskID, row.copies)
+		}()
+	}
 }
 
 func TestBlacklistAccumulates(t *testing.T) {
