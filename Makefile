@@ -77,15 +77,17 @@ bench-smoke:
 # adjudication order however their connections race), and the
 # reply-ordering tests of the pipelined lease cycle and of the deferred
 # ack (the lease inside a frozen fsync, the shared window, the run-ahead
-# bound, the read deadline under a slow commit): ten shuffled runs each
-# under the race detector, so none can quietly regress into "passes most
-# of the time". The second leg is the worker's FIFO of unacked submissions,
-# state that crosses a reconnect: resubmission after a kill, the
-# MaxAssignments cap, the drain before done, and an ack settled on the way
-# to a later lease. The lease table's randomized reference-model test rides
-# along in the first leg.
+# bound, the read deadline under a slow commit), and the journal's one
+# writer (a revision queued in apply order and never waiting on a frozen
+# fsync, covered revisions skipped after a head snapshot, a revised plan
+# resumed across a crash): ten shuffled runs each under the race detector,
+# so none can quietly regress into "passes most of the time". The second
+# leg is the worker's FIFO of unacked submissions, state that crosses a
+# reconnect: resubmission after a kill, the MaxAssignments cap, the drain
+# before done, and an ack settled on the way to a later lease. The lease
+# table's randomized reference-model test rides along in the first leg.
 flake-check:
-	$(GO) test -race -count=10 -shuffle=on ./internal/platform -run 'LeaseTableMatchesReference|ResolveMismatches|QuantizedMatching|ProbationExpires|VerbEdgesEquivalent|ShutdownDrains|LiveCompactionEndToEnd|PipelinedCycleIsOneWrite|AckFlushedBeforeLeaseParks|StrictClientUnaffected|MaxAssignmentsNeverOverLeases|ConnectionDiesAfterPipelinedWrite|PipelinedThenStall|AckNotHeldBehindTornRequest|FloodWithoutReadingIsBounded|QueuedReplyFlushedBeforeCommitWait|DeferredAcksShareOneWindow|DeferredAckBoundStopsReading|SlowCommitDoesNotTripIOTimeout|CommitCrashBetweenWriteAndFsync'
+	$(GO) test -race -count=10 -shuffle=on ./internal/platform -run 'LeaseTableMatchesReference|ResolveMismatches|QuantizedMatching|ProbationExpires|VerbEdgesEquivalent|ShutdownDrains|LiveCompactionEndToEnd|PipelinedCycleIsOneWrite|AckFlushedBeforeLeaseParks|StrictClientUnaffected|MaxAssignmentsNeverOverLeases|ConnectionDiesAfterPipelinedWrite|PipelinedThenStall|AckNotHeldBehindTornRequest|FloodWithoutReadingIsBounded|QueuedReplyFlushedBeforeCommitWait|DeferredAcksShareOneWindow|DeferredAckBoundStopsReading|SlowCommitDoesNotTripIOTimeout|CommitCrashBetweenWriteAndFsync|RevisionDoesNotWaitForFsync|RevisionJournaledInApplyOrder|JournalReplayCorruption|AdaptiveChaosResumesRevisedPlan'
 	$(GO) test -race -count=10 ./internal/platform -run 'TestUnacked|PipelinedAckSettledBeforeLeaseRead|WorkerResubmitsPendingResult'
 
 # The straggler/health acceptance tests alone, under the race detector:

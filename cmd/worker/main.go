@@ -44,8 +44,7 @@ func main() {
 	cheat := flag.Float64("cheat", 0, "probability of cheating on each task (0 = honest)")
 	cheatSeed := flag.Uint64("cheatseed", 1, "coalition seed; workers sharing it collude")
 	maxAssign := flag.Int("max", 0, "stop after this many assignments (0 = run to completion)")
-	throttle := flag.Duration("throttle", 0, "fixed extra delay per assignment")
-	speedBase := flag.Duration("speed-base", 0, "heterogeneous speed model: base compute time per assignment (overrides -throttle when any -speed-*/-straggler-* flag is set)")
+	speedBase := flag.Duration("speed-base", 0, "heterogeneous speed model: base compute time per assignment")
 	speedJitter := flag.Duration("speed-jitter", 0, "heterogeneous speed model: uniform extra delay in [0, jitter) per assignment")
 	stragglerP := flag.Float64("straggler-p", 0, "heterogeneous speed model: per-assignment probability of a straggler episode")
 	stragglerDelay := flag.Duration("straggler-delay", 0, "heterogeneous speed model: extra delay a straggler episode adds")
@@ -72,7 +71,6 @@ func main() {
 		Name:           *name,
 		MaxAssignments: *maxAssign,
 		BatchSize:      *batch,
-		Throttle:       *throttle,
 		Seed:           *speedSeed,
 		Reconnect:      *reconnect,
 		MaxReconnects:  *maxReconnects,

@@ -67,12 +67,10 @@ type WorkerConfig struct {
 	// single-item verbs (request_work/result), one assignment per lease;
 	// negative is rejected.
 	BatchSize int
-	// Throttle adds a fixed delay per assignment (simulates slow hosts,
-	// and exercises the platform's asynchrony in tests).
-	Throttle time.Duration
-	// Speed, when non-nil, replaces Throttle with a heterogeneous
-	// per-assignment compute-time model (base + jitter + straggler
-	// mixture), drawn from the worker's seeded jitter stream.
+	// Speed, when non-nil, delays every assignment by a simulated compute
+	// time (base + jitter + straggler mixture), drawn from the worker's
+	// seeded jitter stream. A bare Base is a fixed delay that draws
+	// nothing from the stream.
 	Speed *SpeedModel
 	// Proto selects the wire codec to request at registration: "" or
 	// ProtoJSON keeps newline-delimited JSON; ProtoBinary asks for the
@@ -228,16 +226,14 @@ func reconnectDelay(attempt int, base, max time.Duration, r *rng.Source) time.Du
 	return d/2 + time.Duration(r.Float64()*float64(d))
 }
 
-// workDelay sleeps for one assignment's simulated compute time: the Speed
-// model when configured, else the fixed Throttle.
+// workDelay sleeps for one assignment's simulated compute time under the
+// Speed model, when one is configured.
 func workDelay(cfg WorkerConfig, r *rng.Source) {
-	switch {
-	case cfg.Speed != nil:
-		if d := cfg.Speed.delay(r); d > 0 {
-			time.Sleep(d)
-		}
-	case cfg.Throttle > 0:
-		time.Sleep(cfg.Throttle)
+	if cfg.Speed == nil {
+		return
+	}
+	if d := cfg.Speed.delay(r); d > 0 {
+		time.Sleep(d)
 	}
 }
 

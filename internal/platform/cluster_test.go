@@ -251,7 +251,7 @@ func TestShardChaosSoak(t *testing.T) {
 			defer wg.Done()
 			cfg := WorkerConfig{
 				Name: fmt.Sprintf("soak-%d", i), BatchSize: 4, Seed: uint64(i + 1),
-				Throttle: 2 * time.Millisecond, Cheat: coal.CheatFunc(),
+				Speed: &SpeedModel{Base: 2 * time.Millisecond}, Cheat: coal.CheatFunc(),
 			}
 			stats[i], _ = RunShardedWorker(cfg, lookup)
 		}(i)

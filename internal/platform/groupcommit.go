@@ -11,22 +11,25 @@ import (
 // and supervisors — the frame-assembly allocation on the result hot path.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// commitReq is one submission's records awaiting durability; at is when its
+// commitReq is one queued journal write: a submission's result records, or
+// one plan revision (rev set, recs empty). at is when a submission's
 // handler began, the start of its redundancy_commit_wait_seconds sample.
 type commitReq struct {
 	recs []journalRecord
+	rev  *revisionRecord
 	at   time.Time
 }
 
-// journalCommitter is the one path result records take to the journal: a
-// single goroutine that drains every commit request queued while the
-// previous window's write+fsync was in flight, encodes them into one
-// contiguous buffer, writes it with one Write call (so a crash can tear
-// only the buffer's tail — the damage replay already tolerates), fsyncs
-// once (JournalSync mode), and only then publishes the window as durable.
-// Ack-after-fsync therefore holds per window: a result's ack is produced
-// only after durable has passed its request's number, which happens only
-// after the fsync covering its records returned.
+// journalCommitter is the journal's only writer: a single goroutine that
+// drains every commit request queued while the previous window's
+// write+fsync was in flight, encodes them into one contiguous buffer,
+// writes it with one Write call (so a crash can tear only the buffer's
+// tail — the damage replay already tolerates), fsyncs once (JournalSync
+// mode), and only then publishes the window as durable. It also takes the
+// snapshots that compact the journal, between windows. Ack-after-fsync
+// therefore holds per window: a result's ack is produced only after
+// durable has passed its request's number, which happens only after the
+// fsync covering its records returned.
 //
 // Nobody waits for a commit on the lease path. A handler queues its records
 // and goes on to its connection's next request; the ack follows when the
@@ -35,16 +38,18 @@ type commitReq struct {
 // every connection produced during the previous fsync: the window has no
 // timer and no configured size, an idle journal commits a lone request at
 // once, and a busy one amortizes each fsync over up to maxDeferredAcks
-// submissions per connection.
+// submissions per connection. adaptTick queues its revision the same way
+// and does not wait either.
 //
-// Requests are written in the order they were enqueued, and handlers
-// enqueue while still holding audit.mu, so journal order is adjudication
-// order: replay feeds the verifier the sequence the live run fed it, and a
-// restored supervisor equals the live one however many connections raced.
-// enqueue therefore must never block: the queue is a slice under its own
-// leaf mutex, not a bounded channel (the committer's snapshot trigger takes
-// audit.mu, so a handler blocked on a full channel under audit.mu would
-// deadlock it).
+// Requests are written in the order they were enqueued, and both kinds are
+// enqueued under audit.mu, so journal order is the order the live
+// supervisor applied them: replay feeds the verifier the sequence the live
+// run fed it, a revision lands ahead of every result that depends on it,
+// and a restored supervisor equals the live one however many connections
+// raced. enqueue therefore must never block: the queue is a slice under
+// its own leaf mutex, not a bounded channel (the committer's snapshot
+// takes audit.mu, so a handler blocked on a full channel under audit.mu
+// would deadlock it).
 type journalCommitter struct {
 	s *Supervisor
 
@@ -61,6 +66,11 @@ type journalCommitter struct {
 	// (or its write failed and was logged; an ack never waits forever).
 	durable atomic.Uint64
 
+	// lines counts the records in the journal file, what a compaction
+	// replaces; since counts those written since the last snapshot. Only
+	// the loop goroutine touches them.
+	lines, since int
+
 	wake chan struct{} // buffered(1): the queue went non-empty
 	quit chan struct{}
 	idle chan struct{} // closed when the loop has drained and exited
@@ -69,27 +79,28 @@ type journalCommitter struct {
 
 func newJournalCommitter(s *Supervisor) *journalCommitter {
 	c := &journalCommitter{
-		s:    s,
-		tick: make(chan struct{}),
-		wake: make(chan struct{}, 1),
-		quit: make(chan struct{}),
-		idle: make(chan struct{}),
+		s:     s,
+		lines: s.replayed.lines,
+		tick:  make(chan struct{}),
+		wake:  make(chan struct{}, 1),
+		quit:  make(chan struct{}),
+		idle:  make(chan struct{}),
 	}
 	go c.loop()
 	return c
 }
 
-// enqueue queues recs for the next commit window and returns at once with
-// the request's number: the records are durable once c.durable reaches it
-// (see wait). recs must stay untouched until then. ok is false when the
-// committer has been closed and the records were not taken.
-func (c *journalCommitter) enqueue(recs []journalRecord, at time.Time) (seq uint64, ok bool) {
+// enqueue queues req for the next commit window and returns at once with
+// the request's number: its records are durable once c.durable reaches it
+// (see wait). req's records must stay untouched until then. ok is false
+// when the committer has been closed and the request was not taken.
+func (c *journalCommitter) enqueue(req commitReq) (seq uint64, ok bool) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return 0, false
 	}
-	c.queue = append(c.queue, commitReq{recs: recs, at: at})
+	c.queue = append(c.queue, req)
 	c.enqueued++
 	seq = c.enqueued
 	c.mu.Unlock()
@@ -157,38 +168,46 @@ func (c *journalCommitter) loop() {
 }
 
 // commitWindow makes one window durable and publishes it: upto is the
-// number of the window's last request.
+// number of the window's last request. Revision lines are encoded in the
+// same pass as the result lines around them; the result metrics count
+// result records only.
 func (c *journalCommitter) commitWindow(batch []commitReq, upto uint64) {
 	s := c.s
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	n := 0
+	results, lines := 0, 0
 	var err error
-	for _, req := range batch {
-		if err = encodeJournalRecords(buf, req.recs); err != nil {
+	for i := range batch {
+		req := &batch[i]
+		if req.rev != nil {
+			err = encodeJournalRevision(buf, req.rev)
+			lines++
+		} else {
+			err = encodeJournalRecords(buf, req.recs)
+			results += len(req.recs)
+			lines += len(req.recs)
+		}
+		if err != nil {
 			break
 		}
-		n += len(req.recs)
 	}
 	if err == nil {
-		s.jnlMu.Lock()
 		_, err = s.cfg.Journal.Write(buf.Bytes())
-		if err == nil {
-			s.jnlLines += int64(n)
-		}
-		s.jnlMu.Unlock()
 	}
 	bufPool.Put(buf)
 	if err == nil {
-		s.metrics.journalRecords.Add(uint64(n))
+		c.lines += lines
+		s.metrics.journalRecords.Add(uint64(results))
 		if s.cfg.JournalSync {
 			s.syncJournal()
 		}
 		s.metrics.journalGroupCommits.Inc()
-		s.metrics.journalCommitBatch.Observe(float64(n))
+		s.metrics.journalCommitBatch.Observe(float64(results))
 		now := time.Now()
-		for _, req := range batch {
-			s.metrics.commitWait.Observe(now.Sub(req.at).Seconds())
+		for i := range batch {
+			if batch[i].rev == nil {
+				s.metrics.commitWait.Observe(now.Sub(batch[i].at).Seconds())
+			}
 		}
 	} else {
 		// The acks still go out: a journal write failure costs replay, not
@@ -201,10 +220,95 @@ func (c *journalCommitter) commitWindow(batch []commitReq, upto uint64) {
 	c.tick = make(chan struct{})
 	c.mu.Unlock()
 	// Snapshot trigger, after the window is published: takeSnapshot takes
-	// lease.mu → audit.mu, which nothing waits for a commit under, and
-	// running it here keeps the committer single-threaded with respect to
-	// its own journal writes.
+	// lease.mu → audit.mu, which nothing waits for a commit under.
 	if err == nil {
-		s.noteJournaled(n)
+		c.noteJournaled(lines)
+	}
+}
+
+// noteJournaled advances the snapshot trigger by n freshly written records
+// and takes a snapshot when the configured interval is crossed. Only the
+// committer's loop calls it, holding no lock.
+func (c *journalCommitter) noteJournaled(n int) {
+	interval := c.s.cfg.SnapshotInterval
+	if interval <= 0 {
+		return
+	}
+	if c.since += n; c.since < interval {
+		return
+	}
+	c.since = 0
+	c.takeSnapshot()
+}
+
+// takeSnapshot captures the supervisor's state under lease.mu and audit.mu,
+// then releases them and makes the capture the whole journal. Doing the
+// encode and the ReplaceWith (temp write, two fsyncs, rename) outside the
+// locks is safe because the committer is the journal's only writer and is
+// the goroutine running this. A record enqueued after the capture — applied
+// after it — cannot be written before takeSnapshot returns, so it lands
+// after the snapshot line. A record enqueued before the capture but not yet
+// written lands there too, and replay skips it as covered (a result by
+// (task, copy), a revision by seq). Everything ReplaceWith discards was
+// written before the capture, so the snapshot covers it. The capture
+// shares no memory that changes once the locks are released: issued
+// verdicts' contributor and suspect lists and applied revisions are never
+// written again, and the rest is copied.
+func (c *journalCommitter) takeSnapshot() {
+	s := c.s
+	s.lease.mu.Lock()
+	s.audit.mu.Lock()
+	rec := s.captureSnapshotLocked()
+	s.audit.mu.Unlock()
+	s.lease.mu.Unlock()
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer bufPool.Put(buf)
+	buf.Reset()
+	if err := appendJournalSnapshot(buf, rec); err != nil {
+		s.logf("snapshot: encode failed: %v", err)
+		return
+	}
+	// ReplaceWith fsyncs internally; the old records are gone only once the
+	// rename is durable.
+	if err := s.cfg.Journal.(journalReplacer).ReplaceWith(buf.Bytes()); err != nil {
+		s.logf("snapshot: journal replace failed: %v", err)
+		return
+	}
+	compacted := c.lines
+	c.lines = 1
+	s.metrics.journalSnapshots.Inc()
+	s.metrics.journalCompactedRecords.Add(uint64(compacted))
+	s.logf("snapshot: %d verdict(s), %d pending result(s), %d revision(s); compacted %d journal record(s)",
+		len(rec.Verdicts), len(rec.Pending), len(rec.Revisions), compacted)
+}
+
+// syncer is the optional flushing facet of a journal writer (*os.File
+// implements it).
+type syncer interface{ Sync() error }
+
+// syncJournal fsyncs the journal if its writer supports it. The committer
+// calls it after each window's write, and flushJournal once the committer
+// has stopped; Sync flushes everything written before the call.
+func (s *Supervisor) syncJournal() {
+	sy, ok := s.cfg.Journal.(syncer)
+	if !ok {
+		return
+	}
+	if err := sy.Sync(); err != nil {
+		s.logf("journal sync failed: %v", err)
+		return
+	}
+	s.metrics.journalSyncs.Inc()
+}
+
+// flushJournal ends the journal's write pipeline at teardown: the
+// committer (when started) is drained and stopped, then a final fsync
+// covers anything still in the page cache.
+func (s *Supervisor) flushJournal() {
+	if s.committer != nil {
+		s.committer.close()
+	}
+	if s.cfg.Journal != nil {
+		s.syncJournal()
 	}
 }

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"redundancy/internal/adapt"
 	"redundancy/internal/faults"
 	"redundancy/internal/obs"
 	"redundancy/internal/plan"
@@ -332,4 +334,186 @@ func TestGroupCommitManyWorkerSoak(t *testing.T) {
 	}
 	t.Logf("soak: %d workers, %d faults injected, %v group commits for %d records (%.1f records/window)",
 		workers, inj.Injected(), commits, p.TotalAssignments(), float64(p.TotalAssignments())/commits)
+}
+
+// startRevising starts a supervisor journaling to jw with JournalSync on,
+// whose adaptive controller revises the plan at its first tick: the
+// estimator already holds evidence of a 15 % adversary share. The
+// background tick is an hour away, so the test calls adaptTick itself.
+func startRevising(t *testing.T, jw *cacheSimWriter) (*Supervisor, *rawWorker) {
+	t.Helper()
+	p, err := plan.Balanced(150, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := NewSupervisor(SupervisorConfig{
+		Plan: p, WorkKind: "hashchain", Iters: 5, Seed: 9, MaxBatch: 1 << 10,
+		Journal: jw, JournalSync: true,
+		Adapt: &adapt.Config{TargetEpsilon: 0.5, Interval: time.Hour, MinSamples: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := sup.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sup.Close() })
+	sup.audit.mu.Lock()
+	sup.audit.est.Observe(200, 30)
+	sup.audit.mu.Unlock()
+	w := dialRaw(t, addr, batchVerbs, ProtoBinary)
+	w.conn.SetReadDeadline(time.Now().Add(10 * time.Second)) // fail, not hang
+	return sup, w
+}
+
+// within waits for ch for up to five seconds and reports whether it fired.
+func within(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	case <-time.After(5 * time.Second):
+		return false
+	}
+}
+
+// tick runs one adaptTick on its own goroutine; the channel closes when it
+// returns.
+func tick(sup *Supervisor) <-chan struct{} {
+	done := make(chan struct{})
+	go func() { sup.adaptTick(); close(done) }()
+	return done
+}
+
+// TestRevisionDoesNotWaitForFsync: a revision is queued with the committer
+// like a result, so neither the tick nor a lease behind it waits for the
+// disk. With a window frozen inside its fsync, adaptTick applies its
+// revision and returns, and a get_work on the same connection is answered;
+// the revision's line reaches the journal once the disk thaws.
+func TestRevisionDoesNotWaitForFsync(t *testing.T) {
+	jw := &cacheSimWriter{}
+	defer jw.unblock() // never leave the committer wedged at teardown
+	sup, w := startRevising(t, jw)
+	lease := asLease(w.exchange(w.request(4)))
+	entered := jw.block()
+	w.send(w.submission(answer(t, lease, nil)))
+	if !within(entered) {
+		t.Fatal("the submission's window never reached its fsync")
+	}
+	if !within(tick(sup)) {
+		t.Fatal("adaptTick is waiting on the frozen fsync")
+	}
+	if got := sup.RevisionsApplied(); got != 1 {
+		t.Fatalf("%d revisions applied, want 1", got)
+	}
+	if next := asLease(w.exchange(w.request(4))); next.Type != MsgWorkBatch {
+		t.Fatalf("reply to get_work during the frozen fsync %+v, want a lease", next)
+	}
+	jw.unblock()
+	if ack := w.recv(); !accepted(ack) {
+		t.Fatalf("ack after the thaw: %+v", ack)
+	}
+	sup.Close()
+	if n := bytes.Count(jw.Snapshot(), []byte(`{"revision":`)); n != 1 {
+		t.Errorf("%d revision lines in the journal after the thaw, want 1", n)
+	}
+}
+
+// TestRevisionJournaledInApplyOrder: the committer writes a revision where
+// the supervisor applied it. While one window is frozen in its fsync, a
+// second submission is adjudicated, then the plan is revised, then the
+// revised copies are leased and submitted. The journal must hold every
+// result adjudicated before the revision ahead of its line, and every
+// result for a copy it promoted or minted after it.
+func TestRevisionJournaledInApplyOrder(t *testing.T) {
+	jw := &cacheSimWriter{}
+	defer jw.unblock() // never leave the committer wedged at teardown
+	sup, w := startRevising(t, jw)
+	early := answer(t, asLease(w.exchange(w.request(8))), nil)
+	entered := jw.block()
+	w.send(w.submission(early[:4]))
+	if !within(entered) {
+		t.Fatal("the first submission's window never reached its fsync")
+	}
+	// The lease answers a request handled after the submission in front of
+	// it: once it is here, that submission is adjudicated and queued.
+	w.send(w.submission(early[4:]), w.request(1))
+	if m := asLease(w.recv()); m.Type != MsgWorkBatch {
+		t.Fatalf("reply during the freeze %+v, want a lease", m)
+	}
+	if ticked := tick(sup); !within(ticked) {
+		t.Error("adaptTick is waiting on the frozen fsync")
+		jw.unblock()
+		<-ticked
+	}
+	if got := sup.RevisionsApplied(); got != 1 {
+		t.Fatalf("%d revisions applied, want 1", got)
+	}
+	// Acks only overtake the lease if the tick had to thaw the disk.
+	acks := 0
+	rest := asLease(w.exchange(w.request(1 << 10)))
+	for ; accepted(rest); rest = asLease(w.recv()) {
+		acks++
+	}
+	if rest.Type != MsgWorkBatch {
+		t.Fatalf("lease after the revision %+v", rest)
+	}
+	w.send(w.submission(answer(t, rest, nil)))
+	jw.unblock()
+	for ; acks < 3; acks++ {
+		if ack := w.recv(); !accepted(ack) {
+			t.Fatalf("ack %d: %+v", acks, ack)
+		}
+	}
+
+	var lines []journalLine
+	for _, raw := range bytes.Split(bytes.TrimSpace(jw.Snapshot()), []byte("\n")) {
+		var l journalLine
+		if err := json.Unmarshal(raw, &l); err != nil {
+			t.Fatalf("journal line %q: %v", raw, err)
+		}
+		lines = append(lines, l)
+	}
+	revAt := -1
+	revised := map[int]bool{}
+	for i, l := range lines {
+		if l.Revision == nil {
+			continue
+		}
+		if revAt >= 0 {
+			t.Fatalf("second revision line at %d", i)
+		}
+		revAt = i
+		for _, pr := range l.Revision.Promotions {
+			revised[pr.TaskID] = true
+		}
+		for _, m := range l.Revision.Minted {
+			revised[m.TaskID] = true
+		}
+	}
+	if revAt < 0 || len(revised) == 0 {
+		t.Fatalf("no revision revising any task in %d journal lines", len(lines))
+	}
+	adjudicated := map[[2]int]bool{}
+	for _, r := range early {
+		adjudicated[[2]int{r.TaskID, r.Copy}] = true
+	}
+	dependent := 0
+	for i, l := range lines {
+		if l.Revision != nil {
+			continue
+		}
+		if adjudicated[[2]int{l.TaskID, l.Copy}] && i > revAt {
+			t.Errorf("task %d copy %d, adjudicated before the revision, is journaled after it (line %d > %d)", l.TaskID, l.Copy, i, revAt)
+		}
+		if revised[l.TaskID] {
+			dependent++
+			if i < revAt {
+				t.Errorf("task %d copy %d, a revised copy, is journaled ahead of the revision (line %d < %d)", l.TaskID, l.Copy, i, revAt)
+			}
+		}
+	}
+	if dependent == 0 {
+		t.Error("no result for a revised copy was journaled")
+	}
 }

@@ -26,13 +26,15 @@ type journalRecord struct {
 }
 
 // revisionRecord journals one adaptive plan revision. The supervisor
-// writes (and, in JournalSync mode, fsyncs) the record *before* applying
-// the revision to its in-memory plan, queue, and collector, so the journal
-// is never behind reality: a crash after the write replays the revision, a
-// crash that tears the line drops a revision no later record can depend on
-// (a revised copy can only be issued — and its result journaled — after
-// the apply step). Replay applies revisions at their recorded position in
-// the result stream, reconstructing the revised plan exactly.
+// queues the record with the journal committer under audit.mu, as it
+// queues results, and then applies the revision to its in-memory plan,
+// queue, and collector. The committer writes in queue order, so the record
+// lands after every result adjudicated before it and ahead of every record
+// that depends on it (a revised copy can only be issued — and its result
+// queued — after the apply step): a crash that loses or tears the line
+// loses nothing written after it. Replay applies revisions at their
+// recorded position in the result stream, reconstructing the revised plan
+// exactly.
 type revisionRecord struct {
 	// Seq numbers revisions from 0 in application order.
 	Seq int `json:"seq"`
@@ -115,17 +117,16 @@ func encodeJournalRecords(buf *bytes.Buffer, recs []journalRecord) error {
 	return nil
 }
 
-// appendJournalRevision writes one revision record. Callers hold the
-// supervisor's journal lock.
-func appendJournalRevision(w io.Writer, rec revisionRecord) error {
-	return json.NewEncoder(w).Encode(struct {
+// encodeJournalRevision appends one revision record to buf as a journal
+// line; the committer encodes it in the same pass as the results around it.
+func encodeJournalRevision(buf *bytes.Buffer, rec *revisionRecord) error {
+	return json.NewEncoder(buf).Encode(struct {
 		Revision *revisionRecord `json:"revision"`
-	}{&rec})
+	}{rec})
 }
 
 // appendJournalSnapshot encodes one snapshot record as a journal line
-// into dst (the caller writes or installs the bytes under the journal
-// lock). Encoding is canonical — encoding/json with deterministic field
+// into dst. Encoding is canonical — encoding/json with deterministic field
 // and element order — which is what lets the snapshot double as a state
 // digest.
 func appendJournalSnapshot(dst *bytes.Buffer, rec *snapshotRecord) error {
@@ -177,11 +178,14 @@ func replayJournal(r io.Reader, rp journalReplayer) (replayStats, error) {
 	st := replayStats{maxParticipant: -1}
 	var pendingErr error
 	// covered, set when a head snapshot installs, holds the (task, copy)
-	// keys the snapshot already accounts for. A result record is appended
-	// only after its apply step, so a record applied before the capture
-	// can land after the snapshot line; replaying it would double-submit,
-	// so covered duplicates are skipped (each appears at most once).
+	// keys the snapshot already accounts for, and coveredRevs the number of
+	// revisions it carries. A record is written only after it was applied,
+	// so a record applied before the capture can land after the snapshot
+	// line; replaying it would apply it twice, so covered results (each
+	// appears at most once) and revisions whose seq the snapshot carries
+	// are skipped.
 	var covered map[[2]int]bool
+	coveredRevs := 0
 	first := true
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -220,6 +224,7 @@ func replayJournal(r io.Reader, rp journalReplayer) (replayStats, error) {
 				for _, p := range s.Pending {
 					covered[[2]int{p.TaskID, p.Copy}] = true
 				}
+				coveredRevs = len(s.Revisions)
 				st.restored += s.Results
 				if s.MaxParticipant > st.maxParticipant {
 					st.maxParticipant = s.MaxParticipant
@@ -233,11 +238,14 @@ func replayJournal(r io.Reader, rp journalReplayer) (replayStats, error) {
 		first = false
 		if rec.Revision != nil {
 			// Revisions are load-bearing plan state: an inapplicable one is
-			// interior corruption even at the tail, because the write
-			// preceded the apply — a revision that once applied cleanly
-			// always replays cleanly.
-			if err := rp.replayRevision(*rec.Revision); err != nil {
-				return st, fmt.Errorf("platform: journal revision %d: %w", rec.Revision.Seq, err)
+			// interior corruption even at the tail, because it sits where
+			// the live supervisor applied it — a revision that once applied
+			// cleanly always replays cleanly. One the head snapshot carries
+			// was applied before its capture and written after its line.
+			if rec.Revision.Seq >= coveredRevs {
+				if err := rp.replayRevision(*rec.Revision); err != nil {
+					return st, fmt.Errorf("platform: journal revision %d: %w", rec.Revision.Seq, err)
+				}
 			}
 			st.validBytes += int64(len(line)) + 1
 			st.lines++

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -138,12 +139,29 @@ func TestJournalRestoreOfCompleteRun(t *testing.T) {
 func TestJournalReplayCorruption(t *testing.T) {
 	rec0 := `{"task":0,"copy":0,"participant":1,"value":7}` + "\n"
 	rec1 := `{"task":1,"copy":0,"participant":1,"value":9}` + "\n"
+	revision := func(seq, task int) string {
+		return fmt.Sprintf(`{"revision":{"seq":%d,"phat":0.2,"upper":0.4,"promotions":[{"task":%d,"from":2,"to":3}]}}`+"\n", seq, task)
+	}
+	// head is a compaction's snapshot line: revision 0 and rec0 applied
+	// before its capture. Either record may still follow the line.
+	base, err := NewSupervisor(SupervisorConfig{
+		Plan: simplePlan(t, 5), Iters: 5, Restore: strings.NewReader(revision(0, 0) + rec0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := base.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
-		name     string
-		journal  string
-		restored int   // -1: construction must fail
-		valid    int64 // clean prefix RestoredJournalBytes must report
-		errWant  []string
+		name      string
+		journal   string
+		restored  int   // -1: construction must fail
+		valid     int64 // clean prefix RestoredJournalBytes must report
+		errWant   []string
+		revisions int  // plan revisions the restore must have applied
+		isHead    bool // the restored state must encode to head
 	}{
 		{name: "clean", journal: rec0 + rec1,
 			restored: 2, valid: int64(len(rec0) + len(rec1))},
@@ -163,6 +181,17 @@ func TestJournalReplayCorruption(t *testing.T) {
 			restored: -1, errWant: []string{"unknown assignment", "task=99", "copy=5"}},
 		{name: "interior duplicate aborts", journal: rec0 + rec0 + rec1,
 			restored: -1, errWant: []string{"task=0", "copy=0"}},
+		{name: "revision and result covered by the head snapshot skipped",
+			journal:  string(head) + revision(0, 0) + rec0,
+			restored: 1, valid: int64(len(head) + len(revision(0, 0)) + len(rec0)),
+			revisions: 1, isHead: true},
+		{name: "next revision after the head snapshot applies",
+			journal:  string(head) + revision(1, 1),
+			restored: 1, valid: int64(len(head) + len(revision(1, 1))),
+			revisions: 2},
+		{name: "revision seq gap after the head snapshot aborts",
+			journal:  string(head) + revision(2, 1),
+			restored: -1, errWant: []string{"journal revision 2", "out of order"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -187,11 +216,19 @@ func TestJournalReplayCorruption(t *testing.T) {
 			if err != nil {
 				t.Fatalf("restore failed: %v", err)
 			}
-			if sup.restored != tc.restored {
-				t.Errorf("restored %d, want %d", sup.restored, tc.restored)
+			if sup.replayed.restored != tc.restored {
+				t.Errorf("restored %d, want %d", sup.replayed.restored, tc.restored)
 			}
 			if got := sup.RestoredJournalBytes(); got != tc.valid {
 				t.Errorf("valid prefix %d bytes, want %d", got, tc.valid)
+			}
+			if got := sup.RevisionsApplied(); got != tc.revisions {
+				t.Errorf("%d revisions applied, want %d", got, tc.revisions)
+			}
+			if tc.isHead {
+				if got, err := sup.Snapshot(); err != nil || !bytes.Equal(got, head) {
+					t.Errorf("restored state is not the head snapshot's (err %v):\n got %s\nwant %s", err, got, head)
+				}
 			}
 		})
 	}
@@ -214,8 +251,8 @@ func TestRestoreScalesLinearly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sup.restored != 2*tasks || !sup.lease.queue.Done() {
-				t.Fatalf("restored %d of %d results, queue done=%v", sup.restored, 2*tasks, sup.lease.queue.Done())
+			if sup.replayed.restored != 2*tasks || !sup.lease.queue.Done() {
+				t.Fatalf("restored %d of %d results, queue done=%v", sup.replayed.restored, 2*tasks, sup.lease.queue.Done())
 			}
 			if best < 0 || d < best {
 				best = d

@@ -102,8 +102,8 @@ func (j *JournalFile) ReplaceWith(contents []byte) error {
 	}
 	// The temp handle becomes the journal fd: its offset already sits at
 	// the end of the new contents, and every write is serialized under
-	// j.mu (and the supervisor's jnlMu above it), so plain writes are
-	// appends. Swapping handles instead of reopening by path avoids a
+	// j.mu (and a supervisor has one writer, its journal committer), so
+	// plain writes are appends. Swapping handles instead of reopening by path avoids a
 	// window where a failed reopen would leave j.f on the unlinked inode.
 	old := j.f
 	j.f = tmp

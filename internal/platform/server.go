@@ -53,12 +53,13 @@ type SupervisorConfig struct {
 	// disconnected and its assignments reclaimed, instead of pinning a
 	// connection goroutine forever.
 	IOTimeout time.Duration
-	// Journal, when non-nil, receives one JSON line per accepted result;
-	// a supervisor restarted with the same plan and Restore pointed at the
-	// journal resumes without re-running completed work. Appends from all
-	// connections go through one committer goroutine that coalesces every
-	// record arriving during a commit window into one buffered write, and a
-	// result is acked only after the window covering its record is down.
+	// Journal, when non-nil, receives one JSON line per accepted result and
+	// per plan revision; a supervisor restarted with the same plan and
+	// Restore pointed at the journal resumes without re-running completed
+	// work. Every record goes through one committer goroutine that
+	// coalesces what arrives during a commit window into one buffered
+	// write, and a result is acked only after the window covering its
+	// record is down.
 	// Only the ack waits for that: the supervisor goes on serving the
 	// connection meanwhile (up to maxDeferredAcks submissions ahead), so a
 	// client that pipelines may see its next lease before the ack
@@ -175,15 +176,15 @@ type SupervisorConfig struct {
 // Lock order is lease.mu → audit.mu → ident.mu; the only place two are
 // held at once is adaptTick (and construction, which is single-threaded),
 // which must atomically re-shape both the queue and the expectations.
-// Journal bytes are ordered by jnlMu, and result records additionally by
-// audit.mu: a handler queues its records with the committer (a slice
-// append, never a wait) before it releases audit.mu, so the journal holds
-// results in the order they were adjudicated, which is the order replay
-// must feed them back in. Nothing waits for durability but the ack, which
-// its connection writes once the committer has published the window
-// (connState.wmu, one per connection, orders that connection's writers and
-// is never held with a state lock).
-// Revision records are written before the copies they enable can exist.
+// The journal committer is the journal's only writer, and every record
+// reaches it the same way: a handler queues its results, and adaptTick its
+// revision, with the committer (a slice append, never a wait) before
+// releasing audit.mu. So the journal holds records in the order they were
+// applied, which is the order replay must feed them back in, and a
+// revision precedes every record of a copy it created. Nothing waits for
+// durability but the ack, which its connection writes once the committer
+// has published the window (connState.wmu, one per connection, orders that
+// connection's writers and is never held with a state lock).
 
 // auditState guards verification and everything verdicts feed: the
 // credit ledger, supervisor-resolved disputes, and the adaptive
@@ -253,23 +254,12 @@ type Supervisor struct {
 	qmu   sync.Mutex
 	qpend []health.Transition
 
-	restored      int   // results recovered from the journal
-	restoredBytes int64 // clean journal prefix length, for tail truncation
-
-	// jnlMu orders journal appends across goroutines (the committer,
-	// adaptTick's revision records, and the snapshotter all write under
-	// it), so interleaved torn interior writes are impossible. It is a leaf
-	// lock below every state lock.
-	jnlMu sync.Mutex
-	// jnlLines counts the records currently in the journal file (guarded
-	// by jnlMu) — what compaction replaces, for exact accounting.
-	jnlLines int64
-	// jnlSince counts records appended since the last snapshot; snapBusy
-	// keeps concurrent trigger crossings from stacking snapshots.
-	jnlSince atomic.Int64
-	snapBusy atomic.Bool
-	// committer is the goroutine every result record reaches the journal
-	// through; Start launches it when a Journal is configured.
+	// replayed is what the Restore replay at construction recovered (zero
+	// without Restore): the results, the clean prefix length for tail
+	// truncation, and the journal's length in records.
+	replayed replayStats
+	// committer is the journal's only writer; Start launches it when a
+	// Journal is configured.
 	committer *journalCommitter
 
 	// epoch is the cluster's shard-map epoch (0 when unsharded): stamped
@@ -509,10 +499,8 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.observeRestore(start)
-		s.restored = st.restored
-		s.restoredBytes = st.validBytes
-		s.jnlLines = int64(st.lines)
+		s.metrics.journalRestoreSeconds.Set(time.Since(start).Seconds())
+		s.replayed = st
 		s.metrics.journalRestored.Add(uint64(st.restored))
 		if st.maxParticipant >= s.ident.nextID {
 			s.ident.nextID = st.maxParticipant + 1 // never reuse a journaled participant ID
@@ -562,7 +550,7 @@ func (s *Supervisor) Epoch() uint64 { return s.epoch.Load() }
 // the same journal file for appending should truncate it to this length
 // first, removing any torn tail a crashed predecessor left behind;
 // cmd/supervisor does exactly that.
-func (s *Supervisor) RestoredJournalBytes() int64 { return s.restoredBytes }
+func (s *Supervisor) RestoredJournalBytes() int64 { return s.replayed.validBytes }
 
 // Start begins listening on addr (e.g. "127.0.0.1:0") and serving workers.
 // It returns the bound address.
@@ -1459,8 +1447,8 @@ func (s *Supervisor) drainHealthLocked() {
 // applyRevisionLocked applies one plan revision to the supervisor's live
 // state — plan, queue, and verification expectations (and the lease
 // table's task index, for minted ringers past its end) — in that order. It
-// does NOT journal; the caller either just wrote the record (live tick) or
-// is replaying one (restore). Callers hold lease.mu and audit.mu (or are
+// does NOT journal; the caller either just queued the record (live tick)
+// or is replaying one (restore). Callers hold lease.mu and audit.mu (or are
 // single-threaded construction). Revisions are validated against the plan
 // before anything mutates, so a failure leaves state untouched.
 func (s *Supervisor) applyRevisionLocked(rev plan.Revision) error {
@@ -1514,10 +1502,12 @@ func (s *Supervisor) adaptLoop() {
 
 // adaptTick is one evaluation of the control loop: refresh the p̂ gauges,
 // and if the interval's upper bound leaves any active class below the
-// target ε, journal and apply a revision. Journal-first ordering makes the
-// crash cases safe: a torn revision line is dropped on restore and no
-// later record can depend on it (revised copies are only issued after the
-// apply), while a fully written line replays exactly. This is the one
+// target ε, journal and apply a revision. The record is queued with the
+// committer under audit.mu, as results are, and the revision applied at
+// once without waiting for the disk: every result adjudicated before it is
+// ahead of it in the journal, and a revised copy can only be issued, and
+// its result queued, after the apply, so nothing that depends on the
+// revision can be written, or acked, ahead of it. This is the one
 // steady-state site that nests locks (lease.mu → audit.mu): a revision
 // must re-shape the queue and the verification expectations atomically.
 func (s *Supervisor) adaptTick() {
@@ -1551,9 +1541,9 @@ func (s *Supervisor) adaptTick() {
 		Seq: s.audit.revApplied, PHat: est.PHat, Upper: est.Upper,
 		Promotions: rev.Promotions, Minted: rev.Minted,
 	}
-	if s.cfg.Journal != nil {
-		if err := s.appendRevision(rec); err != nil {
-			s.logf("adapt: journal write failed, revision deferred: %v", err)
+	if s.committer != nil {
+		if _, ok := s.committer.enqueue(commitReq{rev: &rec}); !ok {
+			s.logf("adapt: journal committer closed, revision deferred")
 			return
 		}
 	}
@@ -1585,33 +1575,6 @@ func (s *Supervisor) adaptTick() {
 	}
 	s.logf("adapt: revision %d applied (p̂=%.4f upper=%.4f): %d promotion(s), %d minted ringer(s), %d new assignments",
 		seq, est.PHat, est.Upper, len(rev.Promotions), len(rev.Minted), rev.CopiesAdded())
-}
-
-// appendRevision writes one revision record under jnlMu, syncing inline
-// when JournalSync is on. Revisions bypass the group committer on purpose:
-// the caller holds lease.mu, so the record hits the file before any
-// revised copy can be issued — and therefore before any result depending
-// on it can reach the committer — preserving journal-first ordering in
-// both journal modes (the committer's writes take jnlMu too, so interior
-// interleaving is impossible).
-func (s *Supervisor) appendRevision(rec revisionRecord) error {
-	s.jnlMu.Lock()
-	err := appendJournalRevision(s.cfg.Journal, rec)
-	if err == nil {
-		s.jnlLines++
-	}
-	s.jnlMu.Unlock()
-	if err != nil {
-		return err
-	}
-	if s.cfg.JournalSync {
-		s.syncJournal()
-	}
-	// Count toward the snapshot trigger but never fire it here: the caller
-	// holds lease.mu, which takeSnapshot must acquire. The next
-	// result-driven noteJournaled sweeps the revision up.
-	s.jnlSince.Add(1)
-	return nil
 }
 
 // AdaptiveEstimate returns the current p̂ estimate and true when the
@@ -1753,7 +1716,7 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, single bool, cs 
 			}
 		}
 		if len(recs) > 0 {
-			if d.seq, deferred = s.committer.enqueue(recs, now); !deferred {
+			if d.seq, deferred = s.committer.enqueue(commitReq{recs: recs, at: now}); !deferred {
 				s.logf("journal write failed: committer closed")
 			}
 		}
@@ -1827,39 +1790,6 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, single bool, cs 
 		cs.wmu.Unlock()
 	}
 	return acks, deferred
-}
-
-// syncer is the optional flushing facet of a journal writer (*os.File
-// implements it).
-type syncer interface{ Sync() error }
-
-// syncJournal fsyncs the journal if its writer supports it. Safe without
-// any lock: appends are ordered under jnlMu, and Sync flushes everything
-// written before the call, so a caller syncing after its write still
-// covers its own records (*os.File.Sync is goroutine-safe, logf and the
-// counter guard themselves).
-func (s *Supervisor) syncJournal() {
-	sy, ok := s.cfg.Journal.(syncer)
-	if !ok {
-		return
-	}
-	if err := sy.Sync(); err != nil {
-		s.logf("journal sync failed: %v", err)
-		return
-	}
-	s.metrics.journalSyncs.Inc()
-}
-
-// flushJournal ends the journal's write pipeline at teardown: the
-// committer (when started) is drained and stopped, then a final fsync
-// covers anything still in the page cache.
-func (s *Supervisor) flushJournal() {
-	if s.committer != nil {
-		s.committer.close()
-	}
-	if s.cfg.Journal != nil {
-		s.syncJournal()
-	}
 }
 
 // Wait blocks until every task has been adjudicated.
@@ -1970,7 +1900,7 @@ func (s *Supervisor) Summary() Summary {
 		Convicted:    s.audit.collector.ConvictedList(),
 		Credits:      s.audit.credits.Leaderboard(),
 		Resolved:     len(s.audit.resolved),
-		Restored:     s.restored,
+		Restored:     s.replayed.restored,
 	}
 	var cmp verify.Comparator = verify.Exact{}
 	if s.cfg.ResultDigits > 0 {

@@ -14,7 +14,6 @@ package platform
 import (
 	"bytes"
 	"fmt"
-	"time"
 
 	"redundancy/internal/sched"
 	"redundancy/internal/verify"
@@ -143,71 +142,6 @@ func (r *supReplayer) replaySnapshot(rec snapshotRecord) error {
 	return nil
 }
 
-// noteJournaled advances the snapshot trigger by n freshly appended
-// records and takes a snapshot when the configured interval is crossed.
-// Callers must hold no supervisor locks: the trigger site is the
-// committer's window loop. appendRevision deliberately only counts
-// (adaptTick holds lease.mu, where taking a snapshot would deadlock); the
-// revision is swept up by the next result-driven trigger.
-func (s *Supervisor) noteJournaled(n int) {
-	if s.cfg.SnapshotInterval <= 0 || n <= 0 {
-		return
-	}
-	if s.jnlSince.Add(int64(n)) < int64(s.cfg.SnapshotInterval) {
-		return
-	}
-	if !s.snapBusy.CompareAndSwap(false, true) {
-		return // a snapshot is already in progress; its count reset covers us
-	}
-	s.jnlSince.Store(0)
-	s.takeSnapshot()
-	s.snapBusy.Store(false)
-}
-
-// takeSnapshot captures the current state and makes it durable by
-// atomically replacing the whole journal with it. The journal write happens
-// while lease.mu and audit.mu are still held. That is deliberate, not an
-// oversight: any result adjudicated before the capture is covered by the
-// snapshot (so losing its record to compaction, or reading it after the
-// snapshot line, is harmless — replay's covered-set skips it), while a
-// result adjudicated after the capture is blocked on audit.mu until the
-// snapshot bytes are down, so its record can only land after them. Release
-// the locks first and that second class could slip a record in front of
-// the snapshot — ReplaceWith would silently discard an uncovered, acked
-// result.
-func (s *Supervisor) takeSnapshot() {
-	s.lease.mu.Lock()
-	defer s.lease.mu.Unlock()
-	s.audit.mu.Lock()
-	defer s.audit.mu.Unlock()
-	rec := s.captureSnapshotLocked()
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := appendJournalSnapshot(buf, rec); err != nil {
-		bufPool.Put(buf)
-		s.logf("snapshot: encode failed: %v", err)
-		return
-	}
-	// ReplaceWith fsyncs internally; the old records are gone only once the
-	// rename is durable.
-	s.jnlMu.Lock()
-	err := s.cfg.Journal.(journalReplacer).ReplaceWith(buf.Bytes())
-	compacted := s.jnlLines
-	if err == nil {
-		s.jnlLines = 1
-	}
-	s.jnlMu.Unlock()
-	bufPool.Put(buf)
-	if err != nil {
-		s.logf("snapshot: journal replace failed: %v", err)
-		return
-	}
-	s.metrics.journalSnapshots.Inc()
-	s.metrics.journalCompactedRecords.Add(uint64(compacted))
-	s.logf("snapshot: %d verdict(s), %d pending result(s), %d revision(s); compacted %d journal record(s)",
-		len(rec.Verdicts), len(rec.Pending), len(rec.Revisions), compacted)
-}
-
 // Snapshot returns the canonical encoding of the supervisor's current
 // certification state — the exact bytes a journal snapshot would carry.
 // Two supervisors are in the same certification state iff their Snapshot
@@ -226,10 +160,4 @@ func (s *Supervisor) Snapshot() ([]byte, error) {
 	out := make([]byte, buf.Len())
 	copy(out, buf.Bytes())
 	return out, nil
-}
-
-// restoreTimer wraps the restore-duration gauge so NewSupervisor reads as
-// straight-line code.
-func (s *Supervisor) observeRestore(start time.Time) {
-	s.metrics.journalRestoreSeconds.Set(time.Since(start).Seconds())
 }

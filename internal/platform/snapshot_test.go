@@ -74,11 +74,11 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 	if !bytes.Equal(snapA, snapB) {
 		t.Fatalf("snapshot restore is not byte-identical:\nfull replay: %s\nsnapshot:    %s", snapA, snapB)
 	}
-	if supA.restored != supB.restored {
-		t.Errorf("restored counts differ: full replay %d, snapshot %d", supA.restored, supB.restored)
+	if supA.replayed.restored != supB.replayed.restored {
+		t.Errorf("restored counts differ: full replay %d, snapshot %d", supA.replayed.restored, supB.replayed.restored)
 	}
-	if want := 2*full + partial; supB.restored != want {
-		t.Errorf("restored %d results, want %d", supB.restored, want)
+	if want := 2*full + partial; supB.replayed.restored != want {
+		t.Errorf("restored %d results, want %d", supB.replayed.restored, want)
 	}
 	sumA, sumB := supA.Summary(), supB.Summary()
 	sumA.Participants, sumB.Participants = 0, 0 // compared below
@@ -200,15 +200,15 @@ func TestSnapshotSoakRestoreEquivalence(t *testing.T) {
 	if !bytes.Equal(snapA, snapB) {
 		t.Fatalf("soak: snapshot restore diverged from full replay (%d vs %d bytes)", len(snapA), len(snapB))
 	}
-	if want := 2*full + partial; supB.restored != want {
-		t.Errorf("soak restored %d results, want %d", supB.restored, want)
+	if want := 2*full + partial; supB.replayed.restored != want {
+		t.Errorf("soak restored %d results, want %d", supB.replayed.restored, want)
 	}
 	// The payoff is asserted on what each restore had to decode, which
 	// repeats exactly; the wall clock is reported, not judged.
 	t.Logf("replay of %d results: full journal %v, snapshot %v", 2*full+partial, fullReplay, snapRestore)
-	if supB.jnlLines != 1 || supB.jnlLines >= supA.jnlLines {
+	if supB.replayed.lines != 1 || supB.replayed.lines >= supA.replayed.lines {
 		t.Errorf("snapshot restore decoded %d journal lines, full replay %d: want 1 standing in for all of them",
-			supB.jnlLines, supA.jnlLines)
+			supB.replayed.lines, supA.replayed.lines)
 	}
 	if len(snapA) >= journal.Len() {
 		t.Errorf("snapshot is %d bytes, the journal it stands in for %d", len(snapA), journal.Len())
@@ -290,8 +290,8 @@ func TestLiveCompactionEndToEnd(t *testing.T) {
 				t.Errorf("compacted restore diverged from live state (%d vs %d bytes)",
 					len(liveSnap), len(restoredSnap))
 			}
-			if sup2.restored != 2*tasks {
-				t.Errorf("restored %d results from compacted journal, want %d", sup2.restored, 2*tasks)
+			if sup2.replayed.restored != 2*tasks {
+				t.Errorf("restored %d results from compacted journal, want %d", sup2.replayed.restored, 2*tasks)
 			}
 			if !sup2.lease.queue.Done() {
 				t.Error("compacted restore left assignments outstanding on a finished run")
@@ -328,8 +328,8 @@ func TestSnapshotHeadMidStreamAndTorn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sup.restored != 3 {
-			t.Errorf("restored %d, want 3 (2 covered + 1 fresh)", sup.restored)
+		if sup.replayed.restored != 3 {
+			t.Errorf("restored %d, want 3 (2 covered + 1 fresh)", sup.replayed.restored)
 		}
 		if st := sup.Summary(); st.Verify.Tasks != 1 {
 			t.Errorf("verdicts %d, want 1", st.Verify.Tasks)
@@ -344,8 +344,8 @@ func TestSnapshotHeadMidStreamAndTorn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sup.restored != 2 {
-			t.Errorf("restored %d, want 2", sup.restored)
+		if sup.replayed.restored != 2 {
+			t.Errorf("restored %d, want 2", sup.replayed.restored)
 		}
 		got, err := sup.Snapshot()
 		if err != nil {
@@ -364,8 +364,8 @@ func TestSnapshotHeadMidStreamAndTorn(t *testing.T) {
 		if err != nil {
 			t.Fatalf("torn snapshot tail not tolerated: %v", err)
 		}
-		if sup.restored != 1 {
-			t.Errorf("restored %d, want 1", sup.restored)
+		if sup.replayed.restored != 1 {
+			t.Errorf("restored %d, want 1", sup.replayed.restored)
 		}
 		if got, want := sup.RestoredJournalBytes(), int64(len(rec0)); got != want {
 			t.Errorf("valid prefix %d, want %d", got, want)

@@ -1,14 +1,14 @@
 package sim
 
-// eventHeap is an indexed binary min-heap of simulation events, built for
-// the allocation-free Monte-Carlo hot loop. Heap nodes carry their sort
-// key (at, seq) inline, so sifting compares contiguous heap memory with
-// no arena indirection — at a typical fleet-sized queue the whole heap
-// fits in L1 — while event payloads (kind, arg) live in a small arena
-// read only at pop. Equal-timestamp events pop in insertion order (seq),
-// the tie-break the scenario goldens depend on. pos tracks each live
-// event's heap slot, which makes update and remove O(log n) — the
-// "indexed" part — and a free list recycles arena slots so a
+// eventHeap is a binary min-heap of simulation events, built for the
+// allocation-free Monte-Carlo hot loop. Heap nodes carry their sort key
+// (at, seq) inline, so sifting compares contiguous heap memory with no
+// arena indirection — at a typical fleet-sized queue the whole heap fits
+// in L1 — while event payloads (kind, arg) live in a small arena read only
+// at peek. Equal-timestamp events pop in insertion order (seq), the
+// tie-break the scenario goldens depend on. A queued event is never moved
+// or cancelled (handlers re-check state instead), so the heap keeps no
+// index of where an event sits, and a free list recycles arena slots so a
 // steady-state push/pop cycle performs zero heap allocations once the
 // arena has reached its high-water mark.
 type eventHeap struct {
@@ -17,15 +17,8 @@ type eventHeap struct {
 	// meta is the caller payload arena, kind and arg packed into one word
 	// (arg<<8 | kind) so an event costs a single payload load/store.
 	meta []uint64
-	pos  []int32 // arena index -> heap slot, -1 when not queued
 	free []int32 // recycled arena slots
 	next uint64  // seq counter
-
-	// track enables pos maintenance. A caller that never updates or
-	// removes in-flight events (the tail engine cancels nothing — spawn
-	// handlers re-check state instead) runs untracked and saves a random
-	// pos write per sift level, a measurable share of the hot loop.
-	track bool
 }
 
 // heapNode packs the sort key into 16 bytes: the seq counter occupies the
@@ -58,23 +51,14 @@ func (a heapNode) before(b heapNode) bool {
 	return a.key < b.key
 }
 
-// newEventHeap returns a fully indexed heap (update/remove supported).
+// newEventHeap returns an empty heap with room for capHint events.
 func newEventHeap(capHint int) *eventHeap {
-	h := newEventHeapUnindexed(capHint)
-	h.track = true
-	return h
-}
-
-// newEventHeapUnindexed returns a heap without position tracking: push
-// and popMin only — update and remove must not be called.
-func newEventHeapUnindexed(capHint int) *eventHeap {
 	if capHint < 16 {
 		capHint = 16
 	}
 	return &eventHeap{
 		nodes: make([]heapNode, 0, capHint),
 		meta:  make([]uint64, 0, capHint),
-		pos:   make([]int32, 0, capHint),
 		free:  make([]int32, 0, capHint),
 	}
 }
@@ -91,35 +75,16 @@ func (h *eventHeap) alloc() int32 {
 	}
 	id := int32(len(h.meta))
 	h.meta = append(h.meta, 0)
-	h.pos = append(h.pos, -1)
 	return id
 }
 
-// push schedules an event and returns its arena id, valid until the event
-// pops (or is removed).
-func (h *eventHeap) push(at float64, kind int8, arg int32) int32 {
+// push schedules an event.
+func (h *eventHeap) push(at float64, kind int8, arg int32) {
 	id := h.alloc()
 	h.meta[id] = packMeta(kind, arg)
-	n := heapNode{at: at, key: h.next<<idBits | uint64(id)}
+	h.nodes = append(h.nodes, heapNode{at: at, key: h.next<<idBits | uint64(id)})
 	h.next++
-	h.nodes = append(h.nodes, n)
-	if h.track {
-		h.pos[id] = int32(len(h.nodes) - 1)
-	}
 	h.up(len(h.nodes) - 1)
-	return id
-}
-
-// popMin removes and returns the earliest event. The returned arena id is
-// recycled; callers must copy out fields before the next push.
-func (h *eventHeap) popMin() (at float64, kind int8, arg int32, ok bool) {
-	if len(h.nodes) == 0 {
-		return 0, 0, 0, false
-	}
-	root := h.nodes[0]
-	kind, arg = unpackMeta(h.meta[root.id()])
-	h.removeSlot(0)
-	return root.at, kind, arg, true
 }
 
 // peekMin returns the earliest event without removing it.
@@ -132,8 +97,17 @@ func (h *eventHeap) peekMin() (at float64, kind int8, arg int32, ok bool) {
 	return root.at, kind, arg, true
 }
 
-// dropMin removes the earliest event (the peekMin companion).
-func (h *eventHeap) dropMin() { h.removeSlot(0) }
+// dropMin removes the earliest event (the peekMin companion) and recycles
+// its arena slot. Must not be called on an empty heap.
+func (h *eventHeap) dropMin() {
+	last := len(h.nodes) - 1
+	h.free = append(h.free, h.nodes[0].id())
+	h.nodes[0] = h.nodes[last]
+	h.nodes = h.nodes[:last]
+	if last > 0 {
+		h.down(0)
+	}
+}
 
 // replaceTop replaces the earliest event with a new one in a single sift,
 // reusing the root's arena slot. This fuses the Monte-Carlo loop's
@@ -149,68 +123,19 @@ func (h *eventHeap) replaceTop(at float64, kind int8, arg int32) {
 	h.down(0)
 }
 
-// update reschedules a queued event to a new time, keeping its payload
-// and assigning a fresh seq (a moved event behaves as newly inserted
-// among equal timestamps).
-func (h *eventHeap) update(id int32, at float64) {
-	i := int(h.pos[id])
-	h.nodes[i].at = at
-	h.nodes[i].key = h.next<<idBits | uint64(id)
-	h.next++
-	if !h.up(i) {
-		h.down(i)
-	}
-}
-
-// remove cancels a queued event and recycles its slot.
-func (h *eventHeap) remove(id int32) {
-	h.removeSlot(int(h.pos[id]))
-}
-
-func (h *eventHeap) removeSlot(i int) {
-	id := h.nodes[i].id()
-	last := len(h.nodes) - 1
-	moved := h.nodes[last]
-	h.nodes = h.nodes[:last]
-	if h.track {
-		h.pos[id] = -1
-	}
-	h.free = append(h.free, id)
-	if i != last {
-		h.nodes[i] = moved
-		if h.track {
-			h.pos[moved.id()] = int32(i)
-		}
-		if !h.up(i) {
-			h.down(i)
-		}
-	}
-}
-
 // up sifts slot i toward the root with the hole technique (one final
-// write instead of pairwise swaps), reporting whether it moved.
-func (h *eventHeap) up(i int) bool {
+// write instead of pairwise swaps).
+func (h *eventHeap) up(i int) {
 	node := h.nodes[i]
-	moved := false
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !node.before(h.nodes[parent]) {
 			break
 		}
 		h.nodes[i] = h.nodes[parent]
-		if h.track {
-			h.pos[h.nodes[i].id()] = int32(i)
-		}
 		i = parent
-		moved = true
 	}
-	if moved {
-		h.nodes[i] = node
-		if h.track {
-			h.pos[node.id()] = int32(i)
-		}
-	}
-	return moved
+	h.nodes[i] = node
 }
 
 // down sifts slot i toward the leaves with the bottom-up ("bounce")
@@ -220,50 +145,14 @@ func (h *eventHeap) up(i int) bool {
 // heap bottom on the pop path, so it nearly always belongs at a leaf and
 // the ascent terminates immediately — halving the comparisons of the
 // classic two-compare descent, which dominates the Monte-Carlo hot loop.
+// It works on a local slice header so the sift loop — the single hottest
+// loop in the Monte-Carlo engine — keeps everything in registers.
 func (h *eventHeap) down(i int) {
-	if !h.track {
-		h.downUntracked(i)
-		return
-	}
-	n := len(h.nodes)
-	node := h.nodes[i]
-	start := i
-	// Descend: pull the min child up into the hole, unconditionally.
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && h.nodes[r].before(h.nodes[l]) {
-			m = r
-		}
-		h.nodes[i] = h.nodes[m]
-		h.pos[h.nodes[i].id()] = int32(i)
-		i = m
-	}
-	// Ascend from the leaf hole back toward start as far as node belongs.
-	for i > start {
-		parent := (i - 1) / 2
-		if !node.before(h.nodes[parent]) {
-			break
-		}
-		h.nodes[i] = h.nodes[parent]
-		h.pos[h.nodes[i].id()] = int32(i)
-		i = parent
-	}
-	h.nodes[i] = node
-	h.pos[node.id()] = int32(i)
-}
-
-// downUntracked is down without pos maintenance, on local slice headers so
-// the sift loop — the single hottest loop in the Monte-Carlo engine —
-// keeps everything in registers.
-func (h *eventHeap) downUntracked(i int) {
 	nodes := h.nodes
 	n := len(nodes)
 	node := nodes[i]
 	start := i
+	// Descend: pull the min child up into the hole, unconditionally.
 	for {
 		l := 2*i + 1
 		if l >= n {
@@ -276,6 +165,7 @@ func (h *eventHeap) downUntracked(i int) {
 		nodes[i] = nodes[m]
 		i = m
 	}
+	// Ascend from the leaf hole back toward start as far as node belongs.
 	for i > start {
 		parent := (i - 1) / 2
 		if !node.before(nodes[parent]) {
@@ -291,7 +181,6 @@ func (h *eventHeap) downUntracked(i int) {
 func (h *eventHeap) reset() {
 	h.nodes = h.nodes[:0]
 	h.meta = h.meta[:0]
-	h.pos = h.pos[:0]
 	h.free = h.free[:0]
 	h.next = 0
 }

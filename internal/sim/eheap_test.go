@@ -8,12 +8,23 @@ import (
 	"redundancy/internal/rng"
 )
 
-// refEvent mirrors eventHeap ordering for the model-based test.
+// refEvent mirrors eventHeap ordering for the reference-order test and
+// the container/heap baseline.
 type refEvent struct {
 	at   float64
 	seq  uint64
 	kind int8
 	arg  int32
+}
+
+// popMin removes and returns the earliest event the way the engines do:
+// peekMin, then dropMin.
+func popMin(h *eventHeap) (at float64, arg int32, ok bool) {
+	at, _, arg, ok = h.peekMin()
+	if ok {
+		h.dropMin()
+	}
+	return at, arg, ok
 }
 
 func TestEventHeapOrdering(t *testing.T) {
@@ -27,7 +38,7 @@ func TestEventHeapOrdering(t *testing.T) {
 
 	wantArgs := []int32{10, 11, 12, 20, 30}
 	for i, want := range wantArgs {
-		at, _, arg, ok := h.popMin()
+		at, arg, ok := popMin(h)
 		if !ok {
 			t.Fatalf("pop %d: heap empty", i)
 		}
@@ -35,124 +46,36 @@ func TestEventHeapOrdering(t *testing.T) {
 			t.Fatalf("pop %d: got arg %d at t=%v, want %d", i, arg, at, want)
 		}
 	}
-	if _, _, _, ok := h.popMin(); ok {
+	if _, _, ok := popMin(h); ok {
 		t.Fatalf("expected empty heap")
-	}
-}
-
-func TestEventHeapUpdateRemove(t *testing.T) {
-	h := newEventHeap(4)
-	a := h.push(5.0, 0, 1)
-	b := h.push(6.0, 0, 2)
-	c := h.push(7.0, 0, 3)
-
-	// Move c to the front, remove a entirely.
-	h.update(c, 1.0)
-	h.remove(a)
-
-	at, _, arg, _ := h.popMin()
-	if arg != 3 || at != 1.0 {
-		t.Fatalf("after update/remove: got arg %d at %v, want 3 at 1.0", arg, at)
-	}
-	at, _, arg, _ = h.popMin()
-	if arg != 2 || at != 6.0 {
-		t.Fatalf("second pop: got arg %d at %v, want 2 at 6.0", arg, at)
-	}
-	if h.len() != 0 {
-		t.Fatalf("heap should be empty, len=%d", h.len())
-	}
-	_ = b
-}
-
-// TestEventHeapModel drives the indexed heap and a sorted-slice reference
-// model with the same random operation stream and demands identical pop
-// sequences, including equal-timestamp FIFO tie-breaks and arbitrary
-// interleavings of update and remove.
-func TestEventHeapModel(t *testing.T) {
-	r := rng.New(99)
-	h := newEventHeap(8)
-	type live struct {
-		id int32
-		ev refEvent
-	}
-	var model []live
-	var seq uint64
-
-	popRef := func() refEvent {
-		best := 0
-		for i := 1; i < len(model); i++ {
-			e, b := model[i].ev, model[best].ev
-			if e.at < b.at || (e.at == b.at && e.seq < b.seq) {
-				best = i
-			}
-		}
-		ev := model[best].ev
-		model = append(model[:best], model[best+1:]...)
-		return ev
-	}
-
-	for step := 0; step < 20000; step++ {
-		switch op := r.Intn(10); {
-		case op < 5 || len(model) == 0: // push
-			at := float64(r.Intn(50)) // coarse times force ties
-			arg := int32(step)
-			id := h.push(at, 0, arg)
-			model = append(model, live{id, refEvent{at: at, seq: seq, arg: arg}})
-			seq++
-		case op < 7: // pop both
-			at, _, arg, ok := h.popMin()
-			if !ok {
-				t.Fatalf("step %d: heap empty but model has %d", step, len(model))
-			}
-			want := popRef()
-			if at != want.at || arg != want.arg {
-				t.Fatalf("step %d: pop (%v,%d) want (%v,%d)", step, at, arg, want.at, want.arg)
-			}
-		case op < 8: // update a random live event
-			i := r.Intn(len(model))
-			at := float64(r.Intn(50))
-			h.update(model[i].id, at)
-			model[i].ev.at = at
-			model[i].ev.seq = seq // update() reassigns seq
-			seq++
-		default: // remove a random live event
-			i := r.Intn(len(model))
-			h.remove(model[i].id)
-			model = append(model[:i], model[i+1:]...)
-		}
-		if h.len() != len(model) {
-			t.Fatalf("step %d: len %d vs model %d", step, h.len(), len(model))
-		}
-	}
-	// Drain and compare the full remaining order.
-	for len(model) > 0 {
-		at, _, arg, ok := h.popMin()
-		if !ok {
-			t.Fatalf("drain: heap empty early")
-		}
-		want := popRef()
-		if at != want.at || arg != want.arg {
-			t.Fatalf("drain: pop (%v,%d) want (%v,%d)", at, arg, want.at, want.arg)
-		}
 	}
 }
 
 // TestEventHeapMatchesStableSortOrder cross-checks the typed heap against
 // a sort.SliceStable reference on (time, insertion order) — the contract
-// the scenario goldens depend on. The second half injects equal-timestamp
-// events mid-run, between pops, the way running events schedule followers:
-// they must still pop after every earlier-pushed tie.
+// the scenario goldens depend on. The second half schedules events
+// mid-run, between pops, the way running events schedule followers: a
+// replaceTop of the root (a completion scheduling its worker's next), or
+// an equal-timestamp push and a later one. A replaced root takes a fresh
+// seq, so the reference records it as pushed after the pop; either way it
+// must still pop after every earlier-pushed tie.
 func TestEventHeapMatchesStableSortOrder(t *testing.T) {
 	r := rng.New(4242)
 	h := newEventHeap(8)
 	var ref []refEvent // kept in push order, so a stable sort on at breaks ties by seq
-	push := func(at float64) {
+	add := func(at float64) int32 {
 		arg := int32(len(ref))
-		h.push(at, 0, arg)
 		ref = append(ref, refEvent{at: at, arg: arg})
+		return arg
 	}
+	push := func(at float64) { h.push(at, 0, add(at)) }
 	for i := 0; i < 500; i++ {
 		push(float64(r.Intn(20)))
+	}
+	sorted := func() []refEvent {
+		want := append([]refEvent(nil), ref...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		return want
 	}
 	popped := 0
 	check := func(n int) {
@@ -161,10 +84,9 @@ func TestEventHeapMatchesStableSortOrder(t *testing.T) {
 		// still queued or pushed since (pushes never go back in time), so
 		// one stable sort of the whole history gives the full expected
 		// sequence.
-		want := append([]refEvent(nil), ref...)
-		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		want := sorted()
 		for ; n > 0; n-- {
-			at, _, arg, ok := h.popMin()
+			at, _, arg, ok := h.peekMin()
 			if !ok {
 				t.Fatalf("heap drained early at pop %d", popped)
 			}
@@ -173,12 +95,18 @@ func TestEventHeapMatchesStableSortOrder(t *testing.T) {
 					popped, at, arg, want[popped].at, want[popped].arg)
 			}
 			popped++
-			// Mid-run injection: a tie at the current instant and a later event.
-			if r.Intn(4) == 0 && len(ref) < 1000 {
+			switch op := r.Intn(8); {
+			case op == 0 && len(ref) < 1000:
+				next := at + float64(r.Intn(3))
+				h.replaceTop(next, 0, add(next))
+				want = sorted()
+			case op == 1 && len(ref) < 1000:
+				h.dropMin()
 				push(at)
 				push(at + float64(r.Intn(3)))
-				want = append(want[:0:0], ref...)
-				sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+				want = sorted()
+			default:
+				h.dropMin()
 			}
 		}
 	}
@@ -201,7 +129,7 @@ func TestEventHeapSteadyStateAllocFree(t *testing.T) {
 		h.push(r.Float64()*100, 0, i)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		at, _, arg, _ := h.popMin()
+		at, arg, _ := popMin(h)
 		h.push(at+r.Float64()*10, 0, arg)
 	})
 	if allocs != 0 {
@@ -220,8 +148,7 @@ func TestEventHeapReset(t *testing.T) {
 	}
 	h.push(2, 0, 20)
 	h.push(1, 0, 10)
-	_, _, arg, _ := h.popMin()
-	if arg != 10 {
+	if _, arg, _ := popMin(h); arg != 10 {
 		t.Fatalf("after reset: got %d want 10", arg)
 	}
 }
@@ -237,7 +164,7 @@ func BenchmarkEventHeap(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		at, _, arg, _ := h.popMin()
+		at, arg, _ := popMin(h)
 		h.push(at+r.Float64()*10, 0, arg)
 	}
 }

@@ -412,7 +412,7 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 	// the worker's in-service assignment lives in its simWorker.cur — so
 	// the hot loop schedules no closures and allocates nothing. Events pop
 	// in (time, then insertion seq) order.
-	events := newEventHeapUnindexed(256)
+	events := newEventHeap(256)
 	// replArmed marks that the root event has been consumed and the next
 	// scheduled completion may overwrite it via replaceTop — one sift
 	// instead of a pop and a push. Which worker's completion takes the

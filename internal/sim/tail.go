@@ -251,7 +251,7 @@ func NewTailEngine(cfg TailConfig) (*TailEngine, error) {
 		speed:    make([]float64, p),
 		idle:     make([]int32, p),
 
-		heap:    newEventHeapUnindexed(p + 1),
+		heap:    newEventHeap(p + 1),
 		latency: stats.NewSketchAlpha(alpha),
 		copySvc: stats.NewSketchAlpha(alpha),
 	}
