@@ -80,14 +80,16 @@ bench-smoke:
 # bound, the read deadline under a slow commit), and the journal's one
 # writer (a revision queued in apply order and never waiting on a frozen
 # fsync, covered revisions skipped after a head snapshot, a revised plan
-# resumed across a crash): ten shuffled runs each under the race detector,
-# so none can quietly regress into "passes most of the time". The second
+# resumed across a crash), and the cluster's routing state read by several
+# goroutines through kill/restore cycles: ten shuffled runs each under the
+# race detector, so none can quietly regress into "passes most of the
+# time". The second
 # leg is the worker's FIFO of unacked submissions, state that crosses a
 # reconnect: resubmission after a kill, the MaxAssignments cap, the drain
 # before done, and an ack settled on the way to a later lease. The lease
 # table's randomized reference-model test rides along in the first leg.
 flake-check:
-	$(GO) test -race -count=10 -shuffle=on ./internal/platform -run 'LeaseTableMatchesReference|ResolveMismatches|QuantizedMatching|ProbationExpires|VerbEdgesEquivalent|ShutdownDrains|LiveCompactionEndToEnd|PipelinedCycleIsOneWrite|AckFlushedBeforeLeaseParks|StrictClientUnaffected|MaxAssignmentsNeverOverLeases|ConnectionDiesAfterPipelinedWrite|PipelinedThenStall|AckNotHeldBehindTornRequest|FloodWithoutReadingIsBounded|QueuedReplyFlushedBeforeCommitWait|DeferredAcksShareOneWindow|DeferredAckBoundStopsReading|SlowCommitDoesNotTripIOTimeout|CommitCrashBetweenWriteAndFsync|RevisionDoesNotWaitForFsync|RevisionJournaledInApplyOrder|JournalReplayCorruption|AdaptiveChaosResumesRevisedPlan'
+	$(GO) test -race -count=10 -shuffle=on ./internal/platform -run 'LeaseTableMatchesReference|ResolveMismatches|QuantizedMatching|ProbationExpires|VerbEdgesEquivalent|ShutdownDrains|LiveCompactionEndToEnd|PipelinedCycleIsOneWrite|AckFlushedBeforeLeaseParks|StrictClientUnaffected|MaxAssignmentsNeverOverLeases|ConnectionDiesAfterPipelinedWrite|PipelinedThenStall|AckNotHeldBehindTornRequest|FloodWithoutReadingIsBounded|QueuedReplyFlushedBeforeCommitWait|DeferredAcksShareOneWindow|DeferredAckBoundStopsReading|SlowCommitDoesNotTripIOTimeout|CommitCrashBetweenWriteAndFsync|RevisionDoesNotWaitForFsync|RevisionJournaledInApplyOrder|JournalReplayCorruption|AdaptiveChaosResumesRevisedPlan|ClusterRoutingStateConcurrent'
 	$(GO) test -race -count=10 ./internal/platform -run 'TestUnacked|PipelinedAckSettledBeforeLeaseRead|WorkerResubmitsPendingResult'
 
 # The straggler/health acceptance tests alone, under the race detector:
@@ -140,10 +142,11 @@ alloc-check:
 # The sharded-cluster acceptance tests at reduced scale, under the race
 # detector: the 2-shard routed smoke (epoch propagation, per-shard
 # counters, exact aggregation), the kill/restore chaos soak with its
-# byte-identical replay and unsharded-reference equality checks, and the
-# cross-shard blacklist propagation case.
+# byte-identical replay and unsharded-reference equality checks, the
+# cross-shard blacklist propagation case, and the routing state read
+# concurrently through repeated kill/restore cycles.
 shard-smoke:
-	$(GO) test -race -run 'TestShardedSmoke|TestShardChaosSoak|TestShardedWorkerBanned|TestClusterPartition' -count=1 -v ./internal/platform
+	$(GO) test -race -run 'TestShardedSmoke|TestShardChaosSoak|TestShardedWorkerBanned|TestClusterPartition|TestClusterRoutingStateConcurrent' -count=1 -v ./internal/platform
 
 # The crash-tolerance acceptance test alone, under the race detector:
 # full plan to certification with every fault mode injected and the

@@ -367,7 +367,7 @@ func TestRevisionGrowsPastPresizedTables(t *testing.T) {
 	for i := 0; i < mint; i++ {
 		rev.Minted = append(rev.Minted, plan.Mint{TaskID: tasks + i, Copies: 2})
 	}
-	err = sup.applyRevisionLocked(rev)
+	err = sup.applyRevisionLocked(revisionRecord{Promotions: rev.Promotions, Minted: rev.Minted})
 	grown := len(sup.lease.byTask)
 	sup.audit.mu.Unlock()
 	sup.lease.mu.Unlock()

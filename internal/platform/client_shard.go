@@ -27,8 +27,7 @@ const shardedStallDelay = 25 * time.Millisecond
 // Replies carry the cluster's shard-map epoch; when a reply's epoch is
 // newer than the map the worker is routing by, the worker calls lookup
 // again and re-resolves before the next shard session. lookup must be
-// safe for concurrent use (it is typically Cluster.ShardMap via a lock, or
-// a snapshot refreshed by the test driver).
+// safe for concurrent use, as Cluster.ShardMap is.
 //
 // The returned stats are cumulative across shards (ParticipantID is
 // shard-local and reports the last session's ID; Epoch the newest epoch

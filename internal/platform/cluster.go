@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"time"
 
 	"redundancy/internal/agg"
@@ -85,7 +86,8 @@ type ShardMap struct {
 // identity directory, and journal — no cross-shard lock exists on any hot
 // path; the only shared object is the (idempotent, internally synchronized)
 // metrics registry. Aggregate merges the per-shard audit exports into the
-// run-wide estimate the paper's ε guarantee is stated over.
+// run-wide estimate the paper's ε guarantee is stated over. Its methods are
+// safe for concurrent use: ShardMap is a sharded worker's lookup.
 type Cluster struct {
 	cfg     ClusterConfig
 	ring    *ring.Ring
@@ -94,11 +96,12 @@ type Cluster struct {
 	// parts[i] is the global-ID task subset shard i owns.
 	parts [][]plan.TaskSpec
 
-	sups     []*Supervisor
-	journals []*JournalFile
-	addrs    []string
-	down     []bool
-	epoch    uint64
+	// mu guards the routing state below. It is never held across a
+	// supervisor's Start, Wait or Close.
+	mu    sync.Mutex
+	sups  []*Supervisor // nil while the shard is down
+	addrs []string
+	epoch uint64
 }
 
 // ShardName returns the ring member name of shard i.
@@ -123,15 +126,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{
-		cfg:      cfg,
-		ring:     r,
-		reg:      cfg.Metrics,
-		parts:    make([][]plan.TaskSpec, cfg.Shards),
-		sups:     make([]*Supervisor, cfg.Shards),
-		journals: make([]*JournalFile, cfg.Shards),
-		addrs:    make([]string, cfg.Shards),
-		down:     make([]bool, cfg.Shards),
-		epoch:    1,
+		cfg:   cfg,
+		ring:  r,
+		reg:   cfg.Metrics,
+		parts: make([][]plan.TaskSpec, cfg.Shards),
+		sups:  make([]*Supervisor, cfg.Shards),
+		addrs: make([]string, cfg.Shards),
+		epoch: 1,
 	}
 	if c.reg == nil {
 		c.reg = obs.NewRegistry()
@@ -191,9 +192,10 @@ func (c *Cluster) journalPath(i int) string {
 	return filepath.Join(c.cfg.JournalDir, fmt.Sprintf("shard-%d.jnl", i))
 }
 
-// startShard constructs and starts shard i. restore, when non-nil, is the
-// journal prefix to replay (RestoreShard's crash-recovery path); the shard
-// then truncates its journal to the replayed prefix before serving.
+// startShard constructs, starts and publishes shard i. restore, when
+// non-nil, is the journal prefix to replay (RestoreShard's crash-recovery
+// path); the shard then truncates its journal to the replayed prefix before
+// serving, and the epoch advances as it is published.
 func (c *Cluster) startShard(i int, restore io.Reader) error {
 	scfg := SupervisorConfig{
 		Plan:        c.cfg.Plan,
@@ -215,36 +217,33 @@ func (c *Cluster) startShard(i int, restore io.Reader) error {
 			lg("["+shard+"] "+format, args...)
 		}
 	}
+	var jf *JournalFile
 	if jp := c.journalPath(i); jp != "" {
-		jf, err := OpenJournalFile(jp)
-		if err != nil {
+		var err error
+		if jf, err = OpenJournalFile(jp); err != nil {
 			return err
 		}
 		scfg.Journal = jf
-		c.journals[i] = jf
 	}
 	sup, err := NewSupervisor(scfg)
+	if err == nil && restore != nil && jf != nil {
+		// Crash-recovery contract: drop the torn tail replay refused, then
+		// append after the replayed prefix.
+		if err = jf.Truncate(sup.RestoredJournalBytes()); err != nil {
+			err = fmt.Errorf("truncating journal: %w", err)
+		}
+	}
 	if err != nil {
-		if c.journals[i] != nil {
-			c.journals[i].Close()
-			c.journals[i] = nil
+		if jf != nil {
+			jf.Close()
 		}
 		return fmt.Errorf("shard %d: %w", i, err)
 	}
-	if restore != nil && c.journals[i] != nil {
-		// Crash-recovery contract: drop the torn tail replay refused, then
-		// append after the replayed prefix.
-		if err := c.journals[i].Truncate(sup.RestoredJournalBytes()); err != nil {
-			return fmt.Errorf("shard %d: truncating journal: %w", i, err)
-		}
-	}
-	sup.SetEpoch(c.epoch)
-
 	// A restored shard must come back at its old address — workers hold the
 	// map by address, and the whole point of restore is that routing state
 	// stays valid. The OS may briefly hold the port in TIME_WAIT after the
 	// old listener closed, so retry the bind.
-	addr := c.addrs[i]
+	addr := c.Addr(i)
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
@@ -255,24 +254,38 @@ func (c *Cluster) startShard(i int, restore io.Reader) error {
 			break
 		}
 		if attempt >= 100 {
-			sup.Close()
+			closeShard(sup)
 			return fmt.Errorf("shard %d: rebinding %s: %w", i, addr, err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	c.addrs[i] = bound
-	c.sups[i] = sup
-	c.down[i] = false
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.addrs[i], c.sups[i] = bound, sup
+	sup.SetEpoch(c.epoch)
+	if restore != nil {
+		c.bumpEpochLocked()
+	}
 	return nil
 }
 
-// bumpEpoch advances the shard map epoch and pushes it to every live shard,
-// so the next reply each shard sends tells its workers to re-resolve.
-func (c *Cluster) bumpEpoch() {
+// closeShard stops a shard's supervisor, then closes its Journal file.
+func closeShard(sup *Supervisor) error {
+	err := sup.Close()
+	if jf, ok := sup.cfg.Journal.(*JournalFile); ok {
+		jf.Close()
+	}
+	return err
+}
+
+// bumpEpochLocked advances the shard map epoch and pushes it to every live
+// shard, so the next reply each shard sends tells its workers to
+// re-resolve. Callers hold mu.
+func (c *Cluster) bumpEpochLocked() {
 	c.epoch++
 	c.metrics.ringRebalances.Inc()
-	for i, s := range c.sups {
-		if s != nil && !c.down[i] {
+	for _, s := range c.sups {
+		if s != nil {
 			s.SetEpoch(c.epoch)
 		}
 	}
@@ -280,40 +293,45 @@ func (c *Cluster) bumpEpoch() {
 
 // ShardMap returns the current routing table.
 func (c *Cluster) ShardMap() ShardMap {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	m := ShardMap{Epoch: c.epoch, VNodes: c.ring.VNodes(), Seed: c.ring.Seed()}
-	for i := range c.sups {
+	for i, s := range c.sups {
 		m.Shards = append(m.Shards, ShardInfo{
-			ID: i, Name: ShardName(i), Addr: c.addrs[i], Down: c.down[i],
+			ID: i, Name: ShardName(i), Addr: c.addrs[i], Down: s == nil,
 		})
 	}
 	return m
 }
 
 // Supervisor returns shard i's supervisor (nil while the shard is down).
-func (c *Cluster) Supervisor(i int) *Supervisor { return c.sups[i] }
+func (c *Cluster) Supervisor(i int) *Supervisor {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sups[i]
+}
 
 // Addr returns shard i's listen address (stable across kill/restore).
-func (c *Cluster) Addr(i int) string { return c.addrs[i] }
-
-// Epoch returns the current shard-map epoch.
-func (c *Cluster) Epoch() uint64 { return c.epoch }
+func (c *Cluster) Addr(i int) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.addrs[i]
+}
 
 // KillShard crash-stops shard i: its listener and connections drop, its
 // journal file handle closes (as a crash would), and the shard map epoch
 // bumps so surviving shards tell workers to re-resolve. The shard's tasks
 // wait — unserved, never migrated — until RestoreShard replays the journal.
 func (c *Cluster) KillShard(i int) error {
-	if c.sups[i] == nil || c.down[i] {
+	sup := c.Supervisor(i)
+	if sup == nil {
 		return fmt.Errorf("platform: shard %d is not running", i)
 	}
-	err := c.sups[i].Close()
-	if c.journals[i] != nil {
-		c.journals[i].Close()
-		c.journals[i] = nil
-	}
+	err := closeShard(sup)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.sups[i] = nil
-	c.down[i] = true
-	c.bumpEpoch()
+	c.bumpEpochLocked()
 	return err
 }
 
@@ -322,7 +340,7 @@ func (c *Cluster) KillShard(i int) error {
 // torn tail from the crash is tolerated and truncated), and the shard
 // resumes serving exactly the work its journal does not already certify.
 func (c *Cluster) RestoreShard(i int) error {
-	if !c.down[i] {
+	if c.Supervisor(i) != nil {
 		return fmt.Errorf("platform: shard %d is not down", i)
 	}
 	var restore io.Reader = bytes.NewReader(nil)
@@ -333,19 +351,15 @@ func (c *Cluster) RestoreShard(i int) error {
 		}
 		restore = bytes.NewReader(data)
 	}
-	if err := c.startShard(i, restore); err != nil {
-		return err
-	}
-	c.bumpEpoch()
-	return nil
+	return c.startShard(i, restore)
 }
 
 // Wait blocks until every live shard's task subset is fully certified. A
 // shard that is down when Wait begins (or goes down while waiting) is
 // skipped; callers restore it and Wait again.
 func (c *Cluster) Wait() {
-	for i, s := range c.sups {
-		if s != nil && !c.down[i] {
+	for i := range c.sups {
+		if s := c.Supervisor(i); s != nil {
 			s.Wait()
 		}
 	}
@@ -354,16 +368,15 @@ func (c *Cluster) Wait() {
 // Close shuts every live shard down and closes the journals.
 func (c *Cluster) Close() error {
 	var first error
-	for i, s := range c.sups {
-		if s != nil && !c.down[i] {
-			if err := s.Close(); err != nil && first == nil {
+	for i := range c.sups {
+		c.mu.Lock()
+		s := c.sups[i]
+		c.sups[i] = nil
+		c.mu.Unlock()
+		if s != nil {
+			if err := closeShard(s); err != nil && first == nil {
 				first = err
 			}
-			c.sups[i] = nil
-		}
-		if c.journals[i] != nil {
-			c.journals[i].Close()
-			c.journals[i] = nil
 		}
 	}
 	return first
@@ -372,8 +385,8 @@ func (c *Cluster) Close() error {
 // Export returns every live shard's audit export (see Supervisor.Export).
 func (c *Cluster) Export() []agg.ShardExport {
 	var out []agg.ShardExport
-	for i, s := range c.sups {
-		if s != nil && !c.down[i] {
+	for i := range c.sups {
+		if s := c.Supervisor(i); s != nil {
 			out = append(out, s.Export())
 		}
 	}
@@ -389,40 +402,4 @@ func (c *Cluster) Aggregate() agg.Merged {
 	m := agg.Merge(c.Export(), 0)
 	c.metrics.aggregateMerge.Observe(time.Since(start).Seconds())
 	return m
-}
-
-// Export snapshots this supervisor's audit state in the form the cluster
-// aggregator merges: plain sums over the verdict stream plus the credit
-// ledger keyed by participant name (IDs are shard-local; names are the
-// cross-shard identity).
-func (s *Supervisor) Export() agg.ShardExport {
-	ex := agg.ShardExport{Shard: s.cfg.ShardID, Credits: map[string]int{}}
-	type credit struct {
-		participant int
-		credit      int
-	}
-	var credits []credit
-	s.audit.mu.Lock()
-	st := s.audit.collector.Stats()
-	ex.Tasks, ex.Accepted = st.Tasks, st.Accepted
-	ex.Mismatches, ex.RingersCaught = st.MismatchDetected, st.RingersCaught
-	verdicts := s.audit.collector.Verdicts()
-	for i := range verdicts {
-		ex.Assignments += verdicts[i].Copies
-		ex.Bad += len(verdicts[i].Suspects)
-	}
-	for _, e := range s.audit.credits.Leaderboard() {
-		credits = append(credits, credit{e.Participant, e.Credit})
-	}
-	s.audit.mu.Unlock()
-	s.ident.mu.Lock()
-	for _, cr := range credits {
-		name := s.ident.names[cr.participant]
-		if name == "" {
-			name = fmt.Sprintf("participant-%d", cr.participant)
-		}
-		ex.Credits[name] += cr.credit
-	}
-	s.ident.mu.Unlock()
-	return ex
 }

@@ -235,13 +235,6 @@ func TestShardChaosSoak(t *testing.T) {
 	cheatSeed := findRegularOnlyCheatSeed(t, p, 0.25)
 	coal := NewCoalition(0.25, cheatSeed)
 
-	var mapMu sync.Mutex
-	lookup := func() ShardMap {
-		mapMu.Lock()
-		defer mapMu.Unlock()
-		return c.ShardMap()
-	}
-
 	const workers = 6
 	var wg sync.WaitGroup
 	stats := make([]WorkerStats, workers)
@@ -253,7 +246,7 @@ func TestShardChaosSoak(t *testing.T) {
 				Name: fmt.Sprintf("soak-%d", i), BatchSize: 4, Seed: uint64(i + 1),
 				Speed: &SpeedModel{Base: 2 * time.Millisecond}, Cheat: coal.CheatFunc(),
 			}
-			stats[i], _ = RunShardedWorker(cfg, lookup)
+			stats[i], _ = RunShardedWorker(cfg, c.ShardMap)
 		}(i)
 	}
 
@@ -270,12 +263,9 @@ func TestShardChaosSoak(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	mapMu.Lock()
 	if err := c.KillShard(1); err != nil {
-		mapMu.Unlock()
 		t.Fatal(err)
 	}
-	mapMu.Unlock()
 
 	// Survivors must keep serving while shard 1 is down.
 	before0, _ := reg.Snapshot().Value("redundancy_shard_results_accepted_total", ShardName(0))
@@ -312,13 +302,10 @@ func TestShardChaosSoak(t *testing.T) {
 	}
 	f.Close()
 
-	mapMu.Lock()
 	if err := c.RestoreShard(1); err != nil {
-		mapMu.Unlock()
 		t.Fatal(err)
 	}
 	restoredAddr := c.Addr(1)
-	mapMu.Unlock()
 
 	// Byte-identical replay: the restored shard consumed precisely the
 	// pre-crash journal (torn tail excluded and truncated away).
@@ -333,8 +320,8 @@ func TestShardChaosSoak(t *testing.T) {
 	if restored := sup1.Summary().Restored; restored < 10 {
 		t.Errorf("restored shard replayed %d results, want >= 10", restored)
 	}
-	if c.Epoch() != 3 {
-		t.Errorf("epoch %d after kill+restore, want 3", c.Epoch())
+	if e := c.ShardMap().Epoch; e != 3 {
+		t.Errorf("epoch %d after kill+restore, want 3", e)
 	}
 	if reb, _ := reg.Snapshot().Value("redundancy_ring_rebalances_total"); reb != 2 {
 		t.Errorf("ring_rebalances_total = %v, want 2", reb)
@@ -344,7 +331,7 @@ func TestShardChaosSoak(t *testing.T) {
 	wg.Wait()
 
 	// Routing stability: restore came back on the crashed shard's address.
-	m := lookup()
+	m := c.ShardMap()
 	if m.Shards[1].Addr != restoredAddr || m.Shards[1].Down {
 		t.Errorf("shard 1 not serving at its stable address: %+v", m.Shards[1])
 	}
@@ -461,6 +448,63 @@ func TestShardChaosSoak(t *testing.T) {
 	aggObs, _ := reg.Snapshot().Value("redundancy_aggregator_merge_seconds")
 	if aggObs == 0 {
 		t.Error("aggregator_merge_seconds recorded no observations")
+	}
+}
+
+// TestClusterRoutingStateConcurrent reads the routing state from several
+// goroutines, as sharded workers do through ShardMap, while shard 1 is
+// killed and restored over and over. Under the race detector it fails on
+// any unguarded access; on its own it checks that every map is one
+// consistent cut: shard 1 is down exactly at the even epochs, and the epoch
+// never goes back.
+func TestClusterRoutingStateConcurrent(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{
+		Plan: mustClusterPlan(t, 40), Shards: 2, Seed: 5, WorkKind: "hashchain", Iters: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last uint64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				m := c.ShardMap()
+				if m.Epoch < last || m.Shards[0].Down || m.Shards[1].Down != (m.Epoch%2 == 0) {
+					t.Errorf("torn shard map after epoch %d: %+v", last, m)
+					return
+				}
+				last = m.Epoch
+				if c.Supervisor(0) == nil {
+					t.Error("shard 0 reported down")
+					return
+				}
+				c.Supervisor(1)
+			}
+		}()
+	}
+	const cycles = 5
+	for i := 0; i < cycles; i++ {
+		if err := c.KillShard(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RestoreShard(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e := c.ShardMap().Epoch; e != 1+2*cycles {
+		t.Errorf("epoch %d after %d kill/restore cycles, want %d", e, cycles, 1+2*cycles)
 	}
 }
 

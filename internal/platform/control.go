@@ -1,0 +1,174 @@
+package platform
+
+// The supervisor's control glue: the background loops' ticker, the
+// consequences of health transitions, and the adaptive re-planner. It locks
+// no state mutex itself.
+
+import (
+	"strconv"
+	"time"
+
+	"redundancy/internal/adapt"
+	"redundancy/internal/health"
+)
+
+// every runs fn once per interval on a loop goroutine until the supervisor
+// stops or every task is adjudicated; Close and Shutdown wait for it.
+func (s *Supervisor) every(interval time.Duration, fn func()) {
+	s.loopWG.Add(1)
+	go func() {
+		defer s.loopWG.Done()
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-s.stop:
+				return
+			case <-s.done:
+				return
+			case <-tick.C:
+				fn()
+			}
+		}
+	}()
+}
+
+// pushTransition reacts to one health-state transition: metrics, events,
+// the adaptive estimator (noteQuarantine), and — for quarantine entries —
+// parking the lease-level reclaim on qpend until a lease.mu holder drains
+// it. underAudit says whether the caller already holds audit.mu (the
+// verdict callback does; the sweeper holds lease.mu instead, and lease.mu →
+// audit.mu is the legal nesting order). During journal replay the roster
+// still moves but every side effect is suppressed: counters describe live
+// observations, and a restored supervisor has no outstanding leases to
+// reclaim.
+func (s *Supervisor) pushTransition(tr health.Transition, underAudit bool) {
+	if s.replaying {
+		return
+	}
+	switch tr.To {
+	case health.Quarantined:
+		s.metrics.quarantinesEntered.Inc()
+		s.noteQuarantine(underAudit)
+		s.qmu.Lock()
+		s.qpend = append(s.qpend, tr)
+		s.qmu.Unlock()
+		if s.events != nil {
+			s.events.Emit(EvParticipantQuarantined, map[string]any{
+				"participant": tr.Participant, "reason": tr.Reason, "from": tr.From.String(),
+			})
+		}
+	case health.Probation:
+		if s.events != nil {
+			s.events.Emit(EvParticipantProbation, map[string]any{
+				"participant": tr.Participant,
+			})
+		}
+	case health.Healthy:
+		s.metrics.quarantinesExited.Inc()
+		if s.events != nil {
+			// reason distinguishes a ringer-proven re-admission
+			// ("readmitted") from the ringer-starved clock fallback
+			// ("probation_expired").
+			s.events.Emit(EvParticipantReadmitted, map[string]any{
+				"participant": tr.Participant, "reason": tr.Reason,
+			})
+		}
+	}
+	s.metrics.participantHealth.With(strconv.Itoa(tr.Participant)).Set(s.roster.Score(tr.Participant))
+	s.logf("participant %d: %s -> %s (%s)", tr.Participant, tr.From, tr.To, tr.Reason)
+}
+
+// drainHealthLocked applies the lease-level consequence of pending
+// quarantine transitions: every outstanding lease (and speculative
+// duplicate) of a newly quarantined participant is reclaimed. Callers
+// hold lease.mu.
+func (s *Supervisor) drainHealthLocked() {
+	s.qmu.Lock()
+	pend := s.qpend
+	s.qpend = nil
+	s.qmu.Unlock()
+	for _, tr := range pend {
+		if tr.To == health.Quarantined {
+			s.reclaimParticipantLocked(tr.Participant)
+		}
+	}
+}
+
+// HealthSnapshot returns the health roster's per-participant view (state,
+// score, counters), or nil when neither Health nor SpeculatePct is
+// configured. The roster locks itself, so this is safe from any goroutine.
+func (s *Supervisor) HealthSnapshot() []health.ParticipantHealth {
+	if s.roster == nil {
+		return nil
+	}
+	return s.roster.Snapshot()
+}
+
+// adaptTick is one evaluation of the control loop: refresh the p̂ gauges,
+// and if the interval's upper bound leaves any active class below the
+// target ε, journal and apply a revision, without waiting for the disk
+// (revisionRecord has the ordering argument). It runs under
+// withLeaseAndAudit: a revision must re-shape the queue and the
+// verification expectations atomically.
+func (s *Supervisor) adaptTick() {
+	s.withLeaseAndAudit(func() {
+		est := s.audit.est.Estimate()
+		s.metrics.adaptPHat.Set(est.PHat)
+		s.metrics.adaptIntervalWidth.Set(est.Width())
+		if est.Samples < float64(s.adaptCfg.MinSamples) || s.lease.finished || s.lease.draining {
+			return
+		}
+		specs := s.cfg.Plan.Tasks()
+		tasks := make([]adapt.TaskState, 0, len(specs))
+		for _, sp := range specs {
+			tasks = append(tasks, adapt.TaskState{
+				ID: sp.ID, Copies: sp.Copies, Ringer: sp.Ringer,
+				Eligible: !sp.Ringer && !s.lease.queue.EverIssued(sp.ID),
+			})
+		}
+		rev, ok := adapt.Replan(tasks, s.cfg.Plan.NextTaskID(), s.adaptCfg.TargetEpsilon, est.Upper)
+		if rev.Empty() {
+			if !ok {
+				s.logf("adapt: ε=%g unreachable at p̂ upper bound %.4f (safety cap)",
+					s.adaptCfg.TargetEpsilon, est.Upper)
+			}
+			return
+		}
+		seq := len(s.audit.revisions)
+		rec := revisionRecord{
+			Seq: seq, PHat: est.PHat, Upper: est.Upper,
+			Promotions: rev.Promotions, Minted: rev.Minted,
+		}
+		if s.committer != nil {
+			if _, ok := s.committer.enqueue(commitReq{rev: &rec}); !ok {
+				s.logf("adapt: journal committer closed, revision deferred")
+				return
+			}
+		}
+		if err := s.applyRevisionLocked(rec); err != nil {
+			// Pre-validated, so this is a genuine bug; surface loudly but keep
+			// serving — the journal record will replay (and fail) identically.
+			s.logf("adapt: BUG: journaled revision failed to apply: %v", err)
+			return
+		}
+		s.kickLeaseLocked() // the revision queued new copies
+		promoted := 0
+		for _, pr := range rev.Promotions {
+			promoted += pr.To - pr.From
+		}
+		minted := rev.CopiesAdded() - promoted
+		s.metrics.adaptRevisions.Inc()
+		s.metrics.adaptPromoted.Add(uint64(promoted))
+		s.metrics.adaptMinted.Add(uint64(len(rev.Minted)))
+		if s.events != nil {
+			s.events.Emit(EvPlanRevised, map[string]any{
+				"seq": seq, "phat": est.PHat, "upper": est.Upper,
+				"promotions": len(rev.Promotions), "promoted_copies": promoted,
+				"minted": len(rev.Minted), "minted_copies": minted, "satisfied": ok,
+			})
+		}
+		s.logf("adapt: revision %d applied (p̂=%.4f upper=%.4f): %d promotion(s), %d minted ringer(s), %d new assignments",
+			seq, est.PHat, est.Upper, len(rev.Promotions), len(rev.Minted), rev.CopiesAdded())
+	})
+}

@@ -33,7 +33,7 @@ type commitReq struct {
 //
 // Nobody waits for a commit on the lease path. A handler queues its records
 // and goes on to its connection's next request; the ack follows when the
-// window is down (deferredAck, server.go). A connection may run up to
+// window is down (deferredAck, conn.go). A connection may run up to
 // maxDeferredAcks submissions ahead of the disk, so a window carries what
 // every connection produced during the previous fsync: the window has no
 // timer and no configured size, an idle journal commits a lone request at
@@ -241,26 +241,19 @@ func (c *journalCommitter) noteJournaled(n int) {
 	c.takeSnapshot()
 }
 
-// takeSnapshot captures the supervisor's state under lease.mu and audit.mu,
-// then releases them and makes the capture the whole journal. Doing the
-// encode and the ReplaceWith (temp write, two fsyncs, rename) outside the
-// locks is safe because the committer is the journal's only writer and is
-// the goroutine running this. A record enqueued after the capture — applied
-// after it — cannot be written before takeSnapshot returns, so it lands
-// after the snapshot line. A record enqueued before the capture but not yet
-// written lands there too, and replay skips it as covered (a result by
-// (task, copy), a revision by seq). Everything ReplaceWith discards was
-// written before the capture, so the snapshot covers it. The capture
-// shares no memory that changes once the locks are released: issued
-// verdicts' contributor and suspect lists and applied revisions are never
-// written again, and the rest is copied.
+// takeSnapshot captures the supervisor's state (captureSnapshot) and makes
+// the capture the whole journal. Doing the encode and the ReplaceWith (temp
+// write, two fsyncs, rename) outside the capture's locks is safe because
+// the committer is the journal's only writer and is the goroutine running
+// this. A record enqueued after the capture — applied after it — cannot be
+// written before takeSnapshot returns, so it lands after the snapshot line.
+// A record enqueued before the capture but not yet written lands there too,
+// and replay skips it as covered (a result by (task, copy), a revision by
+// seq). Everything ReplaceWith discards was written before the capture, so
+// the snapshot covers it.
 func (c *journalCommitter) takeSnapshot() {
 	s := c.s
-	s.lease.mu.Lock()
-	s.audit.mu.Lock()
-	rec := s.captureSnapshotLocked()
-	s.audit.mu.Unlock()
-	s.lease.mu.Unlock()
+	rec := s.captureSnapshot()
 	buf := bufPool.Get().(*bytes.Buffer)
 	defer bufPool.Put(buf)
 	buf.Reset()
@@ -308,7 +301,5 @@ func (s *Supervisor) flushJournal() {
 	if s.committer != nil {
 		s.committer.close()
 	}
-	if s.cfg.Journal != nil {
-		s.syncJournal()
-	}
+	s.syncJournal() // a nil Journal is no syncer
 }

@@ -358,18 +358,8 @@ func (r *supReplayer) flush() error {
 }
 
 func (r *supReplayer) replayRevision(rec revisionRecord) error {
-	s := r.s
 	if err := r.flush(); err != nil {
 		return err
 	}
-	if rec.Seq != s.audit.revApplied {
-		return fmt.Errorf("revision sequence %d out of order (want %d)", rec.Seq, s.audit.revApplied)
-	}
-	if err := s.applyRevisionLocked(plan.Revision{Promotions: rec.Promotions, Minted: rec.Minted}); err != nil {
-		return err
-	}
-	// Retained for future snapshots, exactly as the live tick retains the
-	// revisions it applies.
-	s.audit.revisions = append(s.audit.revisions, rec)
-	return nil
+	return r.s.applyRevisionLocked(rec)
 }

@@ -9,13 +9,18 @@ package platform
 // enters the table at issue and leaves it by claim (a result) or by
 // releaseLocked (every other way a hold ends), and connState.held lists the
 // record indices whose primary a connection owns, written only here.
-// DESIGN.md §13 has the rules.
+// DESIGN.md §13 has the rules. lease.mu is locked only in this file (and by
+// withLeaseAndAudit, the one function that locks it and audit.mu).
 
 import (
+	"context"
+	"strconv"
 	"sync"
 	"time"
 
+	"redundancy/internal/health"
 	"redundancy/internal/sched"
+	"redundancy/internal/verify"
 )
 
 // leaseState guards the scheduler queue and the lease table. Lease-lifecycle
@@ -53,6 +58,13 @@ type leaseState struct {
 	specq      []outstandingKey
 	specLosers map[outstandingKey]specLoser
 }
+
+// leaseParkMax bounds how long an empty-handed get_work request may park
+// waiting for assignments before it falls back to a no_work reply. Long
+// enough to absorb the common "queue momentarily empty near the tail"
+// window, short enough that a worker still polls through pathological
+// stalls.
+const leaseParkMax = time.Second
 
 // specLoser records the losing side of a resolved speculative race.
 type specLoser struct {
@@ -181,10 +193,12 @@ func (s *Supervisor) reissueLocked(i int32, now time.Time) sched.Assignment {
 	return r.a
 }
 
-// transferLocked re-attaches every hold of pid to cs, the connection pid
-// has just resumed on, and reports how many it moved: the copies stay out,
-// only their owner changes. Callers hold lease.mu.
-func (s *Supervisor) transferLocked(pid int, cs *connState) (moved int) {
+// transfer re-attaches every hold of pid to cs, the connection pid has just
+// resumed on, and reports how many it moved: the copies stay out, only
+// their owner changes.
+func (s *Supervisor) transfer(pid int, cs *connState) (moved int) {
+	s.lease.mu.Lock()
+	defer s.lease.mu.Unlock()
 	for i := range s.lease.recs {
 		r := &s.lease.recs[i]
 		switch {
@@ -284,7 +298,7 @@ func (s *Supervisor) releaseLocked(i int32, pid int, reason string, now time.Tim
 	}
 	// Holding a lease silently past its deadline is the health signal;
 	// disconnect churn and quarantine deliberately are not.
-	if (reason == "deadline" || reason == "speculative") && s.roster != nil && s.quarantine {
+	if (reason == "deadline" || reason == "speculative") && s.cfg.Health != nil {
 		if tr := s.roster.ObserveReclaim(pid, now); tr != nil {
 			s.pushTransition(*tr, false)
 		}
@@ -312,8 +326,8 @@ func (s *Supervisor) reclaim(cs *connState) {
 	}
 	s.lease.mu.Unlock()
 	if s.events != nil {
-		for id := range cs.registered {
-			s.events.Emit(EvWorkerLeft, map[string]any{"participant": id, "name": cs.names[id]})
+		for id, name := range cs.names {
+			s.events.Emit(EvWorkerLeft, map[string]any{"participant": id, "name": name})
 		}
 	}
 }
@@ -418,4 +432,309 @@ func (s *Supervisor) fillSpeculativeLocked(pid int, cs *connState, want int, ite
 	}
 	s.lease.specq = kept
 	return issued
+}
+
+// kickLeaseLocked wakes every parked get_work request; each re-checks the
+// queue under lease.mu. Called (with lease.mu held) wherever assignments
+// may have become available — completions that release held-back copies,
+// reclaims, plan revisions — and wherever parked requests must observe a
+// state change (draining, finished). Channels are closed exactly once:
+// the slice is emptied here and each parked request appends a fresh one.
+func (s *Supervisor) kickLeaseLocked() {
+	for _, ch := range s.lease.waiters {
+		close(ch)
+	}
+	s.lease.waiters = s.lease.waiters[:0]
+}
+
+// leaseBatch fills one lease: under lease.mu it first re-issues every
+// surviving assignment this participant already holds — the whole lease
+// comes back after a resume, so a reconnect never duplicates queue state —
+// then fills the remainder with fresh queue pops, up to min(want,
+// MaxBatch). A request that finds the queue empty parks on a waiter
+// channel (up to leaseParkMax) instead of immediately bouncing a
+// no_work/sleep/retry cycle off the supervisor; completions, reclaims,
+// and revisions kick parked requests awake. single marks a request_work,
+// whose reply has room for exactly one item. The time the request spends
+// in here, queue wait and parking included, is the lease-wait histogram.
+// The clock is read once on entry and again only after a park wakes, so
+// the copies of one reply, re-issued or fresh, share one issue time.
+func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState) Message {
+	now := time.Now()
+	defer func(start time.Time) {
+		s.metrics.leaseWait.Observe(time.Since(start).Seconds())
+	}(now)
+	if s.metrics.shardRouted != nil {
+		s.metrics.shardRouted.Inc()
+	}
+	if s.convicted(pid) {
+		return Message{Type: MsgError, Reason: ReasonBlacklisted, Error: "participant is blacklisted"}
+	}
+	// Health gate: quarantined participants lease nothing; probationary
+	// ones lease only ringers (work whose answer the supervisor already
+	// knows), so re-admission can be earned without risking real results.
+	// AnyUnhealthy keeps the all-healthy hot path to one atomic-free check.
+	probation := false
+	if s.roster != nil && s.roster.AnyUnhealthy() {
+		switch s.roster.State(pid) {
+		case health.Quarantined:
+			return Message{Type: MsgNoWork, Wait: 0.5}
+		case health.Probation:
+			probation = true
+		}
+	}
+	if want < 1 {
+		want = 1
+	}
+	if want > s.cfg.MaxBatch {
+		want = s.cfg.MaxBatch
+	}
+	items := cs.items[:0]
+	fresh, reissues, specIssued := 0, 0, 0
+	var deadline time.Time // parking budget; set on first empty pass
+	var empty Message      // the reply when the request ends empty-handed
+	s.lease.mu.Lock()
+	// Re-issues are not capped by want: the worker must learn about every
+	// assignment it still holds, or a resumed lease could silently shrink.
+	// A request_work reply carries one item, so there the rest of the held
+	// set comes back on the following requests.
+	for _, i := range cs.held {
+		if single && len(items) == 1 {
+			break
+		}
+		if s.lease.recs[i].primary.participant != pid {
+			continue
+		}
+		a := s.reissueLocked(i, now)
+		reissues++
+		if s.events != nil {
+			s.events.Emit(EvAssignmentIssued, map[string]any{
+				"task": a.TaskID, "copy": a.Copy,
+				"participant": pid, "ringer": a.Ringer, "reissue": true,
+			})
+		}
+		items = append(items, WorkItem{TaskID: a.TaskID, Copy: a.Copy, Seed: TaskSeed(a.TaskID)})
+	}
+	for {
+		if s.lease.finished {
+			empty = Message{Type: MsgDone}
+			break
+		}
+		// Straggler clones go out ahead of fresh queue pops — a flagged copy
+		// is the work blocking a task's certification, so it is the most
+		// valuable lease in the system. Healthy requesters only, and never
+		// back to the straggler itself.
+		if !s.lease.draining && !probation && len(items) < want {
+			specIssued += s.fillSpeculativeLocked(pid, cs, want, &items, now)
+		}
+		if !s.lease.draining && len(items) < want {
+			fill := cs.fill[:0]
+			if probation {
+				for len(items)+len(fill) < want {
+					a, ok := s.lease.queue.NextRinger()
+					if !ok {
+						break
+					}
+					fill = append(fill, a)
+				}
+			} else {
+				fill = s.lease.queue.NextBatch(fill, want-len(items))
+			}
+			cs.fill = fill[:0]
+			for _, a := range fill {
+				s.issueLocked(a, pid, cs, now)
+				fresh++
+				if s.events != nil {
+					ev := map[string]any{"task": a.TaskID, "copy": a.Copy, "participant": pid, "ringer": a.Ringer}
+					if probation {
+						ev["probation"] = true
+					}
+					s.events.Emit(EvAssignmentIssued, ev)
+				}
+				items = append(items, WorkItem{TaskID: a.TaskID, Copy: a.Copy, Seed: TaskSeed(a.TaskID)})
+			}
+		}
+		if len(items) > 0 {
+			break
+		}
+		if probation {
+			// No ringer ready and none held. Probation is time-bounded:
+			// when the ringer supply is spent (some plans mint none at
+			// all), a participant that has sat out a full extra Probation
+			// period re-admits on the clock — otherwise a fleet-wide
+			// quarantine deadlocks the run with work still queued. On
+			// re-admission, fall through to the regular pool this pass.
+			if tr := s.roster.ObserveRingerStarved(pid, now); tr != nil {
+				s.pushTransition(*tr, false)
+				probation = false
+				continue
+			}
+			// Still on the clock; do not park a probationary worker against
+			// the regular pool, just have it retry.
+			empty = Message{Type: MsgNoWork, Wait: 0.5}
+			break
+		}
+		if s.lease.draining {
+			empty = Message{Type: MsgNoWork, Wait: 0.2}
+			break
+		}
+		if s.lease.queue.Done() {
+			empty = Message{Type: MsgDone}
+			break
+		}
+		if deadline.IsZero() {
+			deadline = now.Add(leaseParkMax)
+		}
+		wait := deadline.Sub(now)
+		if wait <= 0 {
+			empty = Message{Type: MsgNoWork, Wait: 0.05}
+			break
+		}
+		ch := make(chan struct{})
+		s.lease.waiters = append(s.lease.waiters, ch)
+		s.lease.mu.Unlock()
+		// The replies queued ahead of this request (the ack of the results
+		// it was pipelined behind) must not wait out the park.
+		if s.flushReplies(cs) != nil {
+			return Message{Type: MsgNoWork, Wait: 0.2} // dead connection; serve ends it
+		}
+		t := time.NewTimer(wait)
+		stopped := false
+		select {
+		case <-ch:
+		case <-t.C:
+		case <-s.stop:
+			stopped = true
+		}
+		t.Stop()
+		if stopped {
+			// Teardown in progress; the connection is about to be closed.
+			return Message{Type: MsgNoWork, Wait: 0.2}
+		}
+		s.lease.mu.Lock()
+		now = time.Now()
+	}
+	s.lease.mu.Unlock()
+	if len(items) == 0 {
+		return empty
+	}
+	cs.items = items // keep the grown backing array for the next lease
+	if reissues > 0 {
+		s.metrics.reissued.Add(uint64(reissues))
+	}
+	if fresh > 0 {
+		s.metrics.assignmentsIssued.Add(uint64(fresh))
+		if s.metrics.shardIssued != nil {
+			s.metrics.shardIssued.Add(uint64(fresh))
+		}
+	}
+	if specIssued > 0 {
+		s.metrics.speculativeIssued.Add(uint64(specIssued))
+	}
+	s.metrics.batchesIssued.Inc()
+	s.metrics.batchSize.Observe(float64(len(items)))
+	return Message{Type: MsgWorkBatch, Kind: s.cfg.WorkKind, Iters: s.cfg.Iters, Work: items}
+}
+
+// claimResults is phase A of resultBatch: it claims every result's copy
+// (claimLocked), answers each in d.acks, and lists the claimed ones in
+// cs.pend and cs.subs.
+func (s *Supervisor) claimResults(pid int, results []ResultItem, cs *connState, d *deferredAck, now time.Time) {
+	acks, pend, subs := d.acks[:0], cs.pend[:0], cs.subs[:0]
+	s.lease.mu.Lock()
+	for _, r := range results {
+		a, issuedAt, reason, detail := s.claimLocked(pid, r.TaskID, r.Copy, now)
+		if reason == "" {
+			pend = append(pend, pendingResult{idx: len(acks), issuedAt: issuedAt})
+			subs = append(subs, verify.Result{Assignment: a, Participant: pid, Value: r.Value})
+		}
+		acks = append(acks, ResultAck{TaskID: r.TaskID, Copy: r.Copy, OK: reason == "", Reason: reason, Error: detail})
+	}
+	s.lease.mu.Unlock()
+	d.acks, cs.pend, cs.subs = acks, pend, subs
+}
+
+// completeResults is phase C of resultBatch: it completes every copy the
+// audit phase accepted and reports how many.
+func (s *Supervisor) completeResults(pid int, cs *connState) (accepted int) {
+	s.lease.mu.Lock()
+	defer s.lease.mu.Unlock()
+	for i := range cs.pend {
+		if cs.pend[i].failed {
+			continue
+		}
+		a := cs.subs[i].Assignment
+		s.lease.queue.Complete(a)
+		accepted++
+		if s.events != nil {
+			s.events.Emit(EvResultAccepted, map[string]any{
+				"task": a.TaskID, "copy": a.Copy, "participant": pid,
+			})
+		}
+	}
+	// The last completion finishes the run; any completion may have
+	// released held-back copies worth waking parked leases for.
+	if s.lease.queue.Done() && !s.lease.finished {
+		s.lease.finished = true
+		close(s.done)
+		s.kickLeaseLocked()
+	} else if len(s.lease.waiters) > 0 && s.lease.queue.Available() {
+		s.kickLeaseLocked()
+	}
+	return accepted
+}
+
+// sweepExpired is the periodic sweep: it reclaims assignments held past the
+// deadline, flags straggling leases for speculative reissue, and advances
+// the health roster's time-driven transitions.
+func (s *Supervisor) sweepExpired() {
+	now := time.Now()
+	s.lease.mu.Lock()
+	defer s.lease.mu.Unlock()
+	if s.cfg.Deadline > 0 {
+		s.expireLocked(now)
+	}
+	// Speculative tier: flag still-leased copies whose age exceeds the
+	// configured completion-time percentile as candidates for a duplicate
+	// issue to a different participant (served by leaseBatch).
+	if s.cfg.SpeculatePct > 0 && !s.lease.draining && !s.lease.finished {
+		if s.flagStragglersLocked(now) > 0 {
+			s.kickLeaseLocked() // parked leases can serve the new candidates
+		}
+	}
+	if s.roster != nil {
+		if s.cfg.Health != nil {
+			for _, tr := range s.roster.Tick(now) {
+				s.pushTransition(tr, false)
+			}
+		}
+		s.drainHealthLocked()
+		for _, ph := range s.roster.Snapshot() {
+			s.metrics.participantHealth.With(strconv.Itoa(ph.Participant)).Set(ph.Score)
+		}
+	}
+}
+
+// drainLeases stops issuing assignments, wakes parked leases to observe
+// that, and polls until no assignment is in flight and no request is
+// mid-reply, or ctx expires. The lease table is read first: a result
+// handler raises busy before its claim empties the table and lowers it
+// only once its ack has been flushed, which is after its commit.
+func (s *Supervisor) drainLeases(ctx context.Context) bool {
+	s.lease.mu.Lock()
+	s.lease.draining = true
+	s.kickLeaseLocked()
+	for {
+		n := s.lease.live
+		s.lease.mu.Unlock()
+		if n == 0 && s.busy.Load() == 0 {
+			return true
+		}
+		select {
+		case <-ctx.Done():
+			return false
+		case <-time.After(5 * time.Millisecond):
+		}
+		s.lease.mu.Lock()
+	}
 }

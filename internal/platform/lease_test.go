@@ -378,12 +378,12 @@ func TestLeaseTableMatchesReference(t *testing.T) {
 			if next != len(sup.lease.byTask) {
 				t.Fatalf("step %d: byTask covers %d tasks, the plan's next ID is %d", step, len(sup.lease.byTask), next)
 			}
-			rev := plan.Revision{}
+			rec := revisionRecord{Seq: revisions}
 			for i := 0; i < 6; i++ {
-				rev.Minted = append(rev.Minted, plan.Mint{TaskID: next + i, Copies: 3})
+				rec.Minted = append(rec.Minted, plan.Mint{TaskID: next + i, Copies: 3})
 			}
 			sup.audit.mu.Lock()
-			err := sup.applyRevisionLocked(rev)
+			err := sup.applyRevisionLocked(rec)
 			sup.audit.mu.Unlock()
 			if err != nil {
 				t.Fatal(err)
@@ -482,7 +482,10 @@ func TestLeaseTableMatchesReference(t *testing.T) {
 					want++
 				}
 			}
-			if moved := sup.transferLocked(pid, conns[to]); moved != want {
+			sup.lease.mu.Unlock()
+			moved := sup.transfer(pid, conns[to])
+			sup.lease.mu.Lock()
+			if moved != want {
 				t.Fatalf("step %d: transfer moved %d holds of participant %d, want %d", step, moved, pid, want)
 			}
 			connOf[pid] = to

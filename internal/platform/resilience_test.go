@@ -549,7 +549,7 @@ func TestLeaseInvariantsUnderChaos(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var eventLog bytes.Buffer
+			var eventLog syncBuffer
 			sup, err := NewSupervisor(SupervisorConfig{
 				Plan: p, WorkKind: "hashchain", Iters: 5, Seed: sc.seed,
 				IOTimeout: 2 * time.Second, Deadline: time.Second,

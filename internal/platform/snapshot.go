@@ -27,56 +27,53 @@ type journalReplacer interface {
 	ReplaceWith(contents []byte) error
 }
 
-// captureSnapshotLocked captures the supervisor's certification state.
-// Callers hold lease.mu and audit.mu (or are single-threaded), so the
-// capture is a consistent cut: no result can be adjudicated and no
-// revision applied while it runs.
-func (s *Supervisor) captureSnapshotLocked() *snapshotRecord {
+// captureSnapshot captures the supervisor's certification state under
+// withLeaseAndAudit, so the capture is a consistent cut: no result can be
+// adjudicated and no revision applied while it runs. The capture shares no
+// memory that changes once the locks are released — issued verdicts'
+// contributor and suspect lists and applied revisions are never written
+// again, and the rest is copied — so callers encode it with no lock held.
+func (s *Supervisor) captureSnapshot() *snapshotRecord {
 	rec := &snapshotRecord{MaxParticipant: -1}
-	if n := len(s.audit.revisions); n > 0 {
-		rec.Revisions = make([]revisionRecord, n)
-		copy(rec.Revisions, s.audit.revisions)
-	}
-	verdicts := s.audit.collector.Verdicts()
-	if len(verdicts) > 0 {
+	s.withLeaseAndAudit(func() {
+		rec.Revisions = append([]revisionRecord(nil), s.audit.revisions...)
+		verdicts := s.audit.collector.Verdicts()
 		rec.Verdicts = make([]snapshotVerdict, 0, len(verdicts))
-	}
-	for i := range verdicts {
-		v := &verdicts[i]
-		rec.Verdicts = append(rec.Verdicts, snapshotVerdict{
-			TaskID:       v.TaskID,
-			Ringer:       v.Ringer,
-			Copies:       v.Copies,
-			Accepted:     v.Accepted,
-			Value:        v.Value,
-			Mismatch:     v.MismatchDetected,
-			Suspects:     v.Suspects,
-			Contributors: v.Contributors,
-		})
-		rec.Results += v.Copies
-		for _, p := range v.Contributors {
-			if p > rec.MaxParticipant {
-				rec.MaxParticipant = p
+		for i := range verdicts {
+			v := &verdicts[i]
+			rec.Verdicts = append(rec.Verdicts, snapshotVerdict{
+				TaskID:       v.TaskID,
+				Ringer:       v.Ringer,
+				Copies:       v.Copies,
+				Accepted:     v.Accepted,
+				Value:        v.Value,
+				Mismatch:     v.MismatchDetected,
+				Suspects:     v.Suspects,
+				Contributors: v.Contributors,
+			})
+			rec.Results += v.Copies
+			for _, p := range v.Contributors {
+				if p > rec.MaxParticipant {
+					rec.MaxParticipant = p
+				}
 			}
 		}
-	}
-	pending := s.audit.collector.PendingResults()
-	if len(pending) > 0 {
+		pending := s.audit.collector.PendingResults()
 		rec.Pending = make([]journalRecord, 0, len(pending))
-	}
-	for _, r := range pending {
-		rec.Pending = append(rec.Pending, journalRecord{
-			TaskID:      r.Assignment.TaskID,
-			Copy:        r.Assignment.Copy,
-			Ringer:      r.Assignment.Ringer,
-			Participant: r.Participant,
-			Value:       r.Value,
-		})
-		rec.Results++
-		if r.Participant > rec.MaxParticipant {
-			rec.MaxParticipant = r.Participant
+		for _, r := range pending {
+			rec.Pending = append(rec.Pending, journalRecord{
+				TaskID:      r.Assignment.TaskID,
+				Copy:        r.Assignment.Copy,
+				Ringer:      r.Assignment.Ringer,
+				Participant: r.Participant,
+				Value:       r.Value,
+			})
+			rec.Results++
+			if r.Participant > rec.MaxParticipant {
+				rec.MaxParticipant = r.Participant
+			}
 		}
-	}
+	})
 	return rec
 }
 
@@ -147,17 +144,9 @@ func (r *supReplayer) replaySnapshot(rec snapshotRecord) error {
 // Two supervisors are in the same certification state iff their Snapshot
 // bytes are equal, which is what the restore-equivalence tests assert.
 func (s *Supervisor) Snapshot() ([]byte, error) {
-	s.lease.mu.Lock()
-	defer s.lease.mu.Unlock()
-	s.audit.mu.Lock()
-	defer s.audit.mu.Unlock()
-	buf := bufPool.Get().(*bytes.Buffer)
-	defer bufPool.Put(buf)
-	buf.Reset()
-	if err := appendJournalSnapshot(buf, s.captureSnapshotLocked()); err != nil {
+	var buf bytes.Buffer
+	if err := appendJournalSnapshot(&buf, s.captureSnapshot()); err != nil {
 		return nil, err
 	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	return out, nil
+	return buf.Bytes(), nil
 }
