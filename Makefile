@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race cover cover-check bench bench-smoke flake-check straggler-smoke scenarios-smoke scenarios-scale tail-smoke alloc-check shard-smoke figures fmt vet check chaos fuzz snapshot-smoke clean
+.PHONY: all build test race cover cover-check bench bench-module bench-smoke flake-check straggler-smoke scenarios-smoke scenarios-scale tail-smoke alloc-check shard-smoke figures fmt vet check chaos fuzz snapshot-smoke clean
 
 all: build test
 
@@ -9,10 +9,12 @@ all: build test
 # uncached race pass over the concurrency-heavy platform package, the
 # repeated shuffled run of the once-flaky tests, the snapshot-restore
 # equivalence smoke, the per-package coverage floor, the concurrency and
-# wire-cost smoke, and short fuzz bursts on both wire codecs.
+# wire-cost smoke, short fuzz bursts on both wire codecs, and the bench
+# module built, vetted and short-tested against this tree.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(MAKE) bench-module
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/platform/...
 	$(MAKE) flake-check
@@ -57,6 +59,13 @@ cover-check:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
+# The bench/ module is its own Go module (replace-directed at this tree),
+# so ./... above never compiles it: a rename of any exported name it uses
+# would pass every other gate and break the benchmark. Vet it and run its
+# short tests against the tree as it is.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
 # The concurrency smoke: the end-to-end run with 8 workers and the
 # group-commit soak with 32, under the race detector. Catches a supervisor
 # that deadlocks, parks forever, or collapses under concurrency. Then the
@@ -81,7 +90,10 @@ bench-smoke:
 # writer (a revision queued in apply order and never waiting on a frozen
 # fsync, covered revisions skipped after a head snapshot, a revised plan
 # resumed across a crash), and the cluster's routing state read by several
-# goroutines through kill/restore cycles: ten shuffled runs each under the
+# goroutines through kill/restore cycles, and the cluster built from one
+# SupervisorConfig (every option on its shards, snapshots restored
+# byte-identically, an unterminated journal restored twice): ten shuffled
+# runs each under the
 # race detector, so none can quietly regress into "passes most of the
 # time". The second
 # leg is the worker's FIFO of unacked submissions, state that crosses a
@@ -89,7 +101,7 @@ bench-smoke:
 # before done, and an ack settled on the way to a later lease. The lease
 # table's randomized reference-model test rides along in the first leg.
 flake-check:
-	$(GO) test -race -count=10 -shuffle=on ./internal/platform -run 'LeaseTableMatchesReference|ResolveMismatches|QuantizedMatching|ProbationExpires|VerbEdgesEquivalent|ShutdownDrains|LiveCompactionEndToEnd|PipelinedCycleIsOneWrite|AckFlushedBeforeLeaseParks|StrictClientUnaffected|MaxAssignmentsNeverOverLeases|ConnectionDiesAfterPipelinedWrite|PipelinedThenStall|AckNotHeldBehindTornRequest|FloodWithoutReadingIsBounded|QueuedReplyFlushedBeforeCommitWait|DeferredAcksShareOneWindow|DeferredAckBoundStopsReading|SlowCommitDoesNotTripIOTimeout|CommitCrashBetweenWriteAndFsync|RevisionDoesNotWaitForFsync|RevisionJournaledInApplyOrder|JournalReplayCorruption|AdaptiveChaosResumesRevisedPlan|ClusterRoutingStateConcurrent'
+	$(GO) test -race -count=10 -shuffle=on ./internal/platform -run 'LeaseTableMatchesReference|ResolveMismatches|QuantizedMatching|ProbationExpires|VerbEdgesEquivalent|ShutdownDrains|LiveCompactionEndToEnd|PipelinedCycleIsOneWrite|AckFlushedBeforeLeaseParks|StrictClientUnaffected|MaxAssignmentsNeverOverLeases|ConnectionDiesAfterPipelinedWrite|PipelinedThenStall|AckNotHeldBehindTornRequest|FloodWithoutReadingIsBounded|QueuedReplyFlushedBeforeCommitWait|DeferredAcksShareOneWindow|DeferredAckBoundStopsReading|SlowCommitDoesNotTripIOTimeout|CommitCrashBetweenWriteAndFsync|RevisionDoesNotWaitForFsync|RevisionJournaledInApplyOrder|JournalReplayCorruption|AdaptiveChaosResumesRevisedPlan|ClusterRoutingStateConcurrent|ClusterShardsTakeEveryOption|ClusterSnapshotsRestore|ClusterRestoreUnterminatedJournal'
 	$(GO) test -race -count=10 ./internal/platform -run 'TestUnacked|PipelinedAckSettledBeforeLeaseRead|WorkerResubmitsPendingResult'
 
 # The straggler/health acceptance tests alone, under the race detector:
@@ -143,10 +155,14 @@ alloc-check:
 # detector: the 2-shard routed smoke (epoch propagation, per-shard
 # counters, exact aggregation), the kill/restore chaos soak with its
 # byte-identical replay and unsharded-reference equality checks, the
-# cross-shard blacklist propagation case, and the routing state read
-# concurrently through repeated kill/restore cycles.
+# cross-shard blacklist propagation case, the routing state read
+# concurrently through repeated kill/restore cycles, and the shards built
+# from one SupervisorConfig: health, speculation, deadlines, mismatch
+# resolution and a fault-injecting listener on every shard; compacted
+# shard journals restored to the live state; a shard journal missing its
+# final newline restored twice with nothing lost.
 shard-smoke:
-	$(GO) test -race -run 'TestShardedSmoke|TestShardChaosSoak|TestShardedWorkerBanned|TestClusterPartition|TestClusterRoutingStateConcurrent' -count=1 -v ./internal/platform
+	$(GO) test -race -run 'TestShardedSmoke|TestShardChaosSoak|TestShardedWorkerBanned|TestClusterPartition|TestClusterRoutingStateConcurrent|TestClusterShardsTakeEveryOption|TestClusterSnapshotsRestore|TestClusterRestoreUnterminatedJournal' -count=1 -v ./internal/platform
 
 # The crash-tolerance acceptance test alone, under the race detector:
 # full plan to certification with every fault mode injected and the

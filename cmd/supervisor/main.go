@@ -101,7 +101,6 @@ func main() {
 	digits := flag.Int("digits", 0, "match float64 results to this many significant digits (0 = exact)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text metrics on http://ADDR/metrics (empty = off)")
 	events := flag.String("events", "", "append one JSON line per platform event to this file (empty = off)")
-	shardID := flag.String("shard-id", "", "label this supervisor as one shard of a consistent-hash cluster: hot-path counters gain a shard_id label and the shard's audit export carries the name (empty = unsharded)")
 	adaptive := flag.Bool("adapt", false, "estimate the adversary share p̂ online and revise the plan mid-run to keep detection at the target ε (free policy only)")
 	targetEps := flag.Float64("target-eps", 0, "detection threshold the adaptive controller defends (0 = the plan's ε)")
 	adaptInterval := flag.Duration("adapt-interval", 0, "how often the adaptive controller re-evaluates p̂ (0 = 250ms)")
@@ -149,9 +148,14 @@ func main() {
 		}
 	}
 
-	pol := redundancy.PolicyFree
-	if *policy == "one-outstanding" {
+	var pol redundancy.Policy
+	switch *policy {
+	case "free":
+		pol = redundancy.PolicyFree
+	case "one-outstanding":
 		pol = redundancy.PolicyOneOutstanding
+	default:
+		log.Fatalf("supervisor: unknown -policy %q (free | one-outstanding)", *policy)
 	}
 	logf := log.Printf
 	if *quiet {
@@ -170,7 +174,6 @@ func main() {
 		JournalSync:       *journalSync,
 		ResolveMismatches: *resolve,
 		ResultDigits:      *digits,
-		ShardID:           *shardID,
 		Logf:              logf,
 	}
 	if *quarSuspects > 0 {
@@ -190,7 +193,6 @@ func main() {
 		}
 		cfg.Adapt = &redundancy.AdaptConfig{TargetEpsilon: te, Interval: *adaptInterval}
 	}
-	var journalFile *redundancy.JournalFile
 	if *journal != "" {
 		if prev, err := os.ReadFile(*journal); err == nil && len(prev) > 0 {
 			cfg.Restore = bytes.NewReader(prev)
@@ -201,7 +203,6 @@ func main() {
 		}
 		defer f.Close()
 		cfg.Journal = f
-		journalFile = f
 		cfg.SnapshotInterval = *snapshotInterval
 	} else if *snapshotInterval > 0 {
 		log.Fatal("supervisor: -snapshot-interval requires -journal")
@@ -239,20 +240,6 @@ func main() {
 	sup, err := redundancy.NewSupervisor(cfg)
 	if err != nil {
 		log.Fatal("supervisor: ", err)
-	}
-	// A crash mid-append leaves a torn final record in the journal; replay
-	// tolerates it, but appending after it would weld the next record onto
-	// the fragment and turn it into unrecoverable interior corruption on
-	// the restart after this one. Cut it off before accepting results.
-	if journalFile != nil && cfg.Restore != nil {
-		if size, err := journalFile.Size(); err == nil {
-			if valid := sup.RestoredJournalBytes(); valid < size {
-				if err := journalFile.Truncate(valid); err != nil {
-					log.Fatal("supervisor: truncating torn journal tail: ", err)
-				}
-				logf("journal: dropped torn tail (%d -> %d bytes)", size, valid)
-			}
-		}
 	}
 	bound, err := sup.Start(*addr)
 	if err != nil {

@@ -30,7 +30,8 @@ import (
 // exports survive crash/replay unchanged (journal replay rebuilds the
 // same verdicts) and merge by addition.
 type ShardExport struct {
-	// Shard labels the exporting shard (SupervisorConfig.ShardID).
+	// Shard labels the exporting shard ("shard-0", ...; empty for a lone
+	// supervisor).
 	Shard string
 	// Tasks counts adjudicated tasks (verdicts).
 	Tasks int

@@ -1,6 +1,7 @@
 package cmdtest
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -183,6 +184,25 @@ func TestBatchFlagRejectsNonPositive(t *testing.T) {
 			if !strings.Contains(string(out), "-batch") {
 				t.Errorf("%s -batch %s error does not name the flag:\n%s", bin, bad, out)
 			}
+		}
+	}
+}
+
+// TestPolicyFlagRejectsUnknown: the supervisor refuses a -policy it does
+// not implement (a typo, or the simulator-only two-phase) instead of
+// silently running the free policy.
+func TestPolicyFlagRejectsUnknown(t *testing.T) {
+	for _, bad := range []string{"two-phase", "fre"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		out, err := exec.CommandContext(ctx, filepath.Join(binaries(t), "supervisor"),
+			"-addr", "127.0.0.1:0", "-n", "10", "-policy", bad).CombinedOutput()
+		timedOut := ctx.Err() != nil
+		cancel()
+		if err == nil || timedOut {
+			t.Errorf("-policy %s was not refused (err %v):\n%s", bad, err, out)
+		}
+		if !strings.Contains(string(out), "-policy") {
+			t.Errorf("-policy %s error does not name the flag:\n%s", bad, out)
 		}
 	}
 }

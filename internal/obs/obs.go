@@ -29,6 +29,18 @@ import (
 // round-trip scales of a loopback platform through a congested WAN).
 var DefBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
+// DoublingBuckets returns n histogram bucket upper bounds doubling from
+// first: first, 2·first, 4·first, .... Every bucket has the same relative
+// width, so one ladder resolves a microsecond lease and a second-long
+// fsync alike.
+func DoublingBuckets(first float64, n int) []float64 {
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = first * float64(uint64(1)<<i)
+	}
+	return b
+}
+
 // metricName validates metric and label names against the Prometheus
 // data-model grammar.
 var metricName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)

@@ -274,9 +274,6 @@ func TestAdaptiveChaosResumesRevisedPlan(t *testing.T) {
 	if valid <= 0 || valid > int64(len(data))-int64(len(torn)) {
 		t.Fatalf("valid journal prefix %d of %d bytes does not exclude the torn revision", valid, len(data))
 	}
-	if err := jf2.Truncate(valid); err != nil {
-		t.Fatal(err)
-	}
 	addr2, err := sup2.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

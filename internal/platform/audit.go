@@ -322,7 +322,7 @@ func (s *Supervisor) CertifiedValue(taskID int) (uint64, bool) {
 // ledger keyed by participant name (IDs are shard-local; names are the
 // cross-shard identity).
 func (s *Supervisor) Export() agg.ShardExport {
-	ex := agg.ShardExport{Shard: s.cfg.ShardID, Credits: map[string]int{}}
+	ex := agg.ShardExport{Shard: s.cfg.shardID, Credits: map[string]int{}}
 	s.audit.mu.Lock()
 	st := s.audit.collector.Stats()
 	ex.Tasks, ex.Accepted = st.Tasks, st.Accepted

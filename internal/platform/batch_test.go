@@ -144,38 +144,59 @@ func TestBatchSizeSelectsVerbPair(t *testing.T) {
 }
 
 // TestVerbEdgesEquivalent fails if the single-verb edge drifts from the
-// lease core: the same seeded plan, worked by the same three participants
-// (one cheating on a seeded third of its tasks) in the same fixed order,
-// once over request_work/result and once over get_work(1)/result_batch,
-// must leave byte-identical journals, equal summaries and equal certified
-// values.
+// lease core, or a lone supervisor from a 1-shard cluster: the same seeded
+// plan, worked by the same three participants (one cheating on a seeded
+// third of its tasks) in the same fixed order, once over
+// request_work/result, once over get_work(1)/result_batch, and once over
+// get_work(1)/result_batch against shard 0 of a cluster built from the same
+// SupervisorConfig, must leave byte-identical journals, equal summaries and
+// equal certified values.
 func TestVerbEdgesEquivalent(t *testing.T) {
 	type outcome struct {
 		journal string
 		sum     Summary
 		values  []uint64
 	}
-	run := func(t *testing.T, v verbs) outcome {
+	run := func(t *testing.T, v verbs, shards int) outcome {
 		p, err := plan.Balanced(60, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var journal bytes.Buffer
-		sup, err := NewSupervisor(SupervisorConfig{
-			Plan: p, WorkKind: "hashchain", Iters: 10, Seed: 9,
-			Journal: &journal, ResolveMismatches: true,
-		})
-		if err != nil {
-			t.Fatal(err)
+		cfg := SupervisorConfig{
+			Plan: p, WorkKind: "hashchain", Iters: 10, Seed: 9, ResolveMismatches: true,
 		}
-		addr, err := sup.Start("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+		var sup *Supervisor
+		var addr string
+		var journal func() string
+		if shards == 0 {
+			var buf bytes.Buffer
+			cfg.Journal, journal = &buf, buf.String
+			if sup, err = NewSupervisor(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if addr, err = sup.Start("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { sup.Close() })
+		} else {
+			cfg.Shards, cfg.JournalDir = shards, t.TempDir()
+			c, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			sup, addr = c.Supervisor(0), c.Addr(0)
+			journal = func() string {
+				data, err := os.ReadFile(filepath.Join(cfg.JournalDir, "shard-0.jnl"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(data)
+			}
 		}
-		t.Cleanup(func() { sup.Close() })
 		driveRoundRobin(t, v, addr, 1, nil, NewCoalition(0.3, 5).CheatFunc(), nil)
 		sup.Wait()
-		out := outcome{journal: journal.String(), sum: sup.Summary()}
+		out := outcome{journal: journal(), sum: sup.Summary()}
 		for task := 0; task < p.N+p.Ringers; task++ {
 			val, ok := sup.CertifiedValue(task)
 			if !ok {
@@ -191,17 +212,23 @@ func TestVerbEdgesEquivalent(t *testing.T) {
 		}
 		return out
 	}
-	var single, batch outcome
-	t.Run(string(singleVerbs), func(t *testing.T) { single = run(t, singleVerbs) })
-	t.Run(string(batchVerbs), func(t *testing.T) { batch = run(t, batchVerbs) })
-	if single.journal != batch.journal {
-		t.Errorf("journals differ between the verb pairs:\n%s\n---\n%s", single.journal, batch.journal)
-	}
-	if !reflect.DeepEqual(single.sum, batch.sum) {
-		t.Errorf("summaries differ:\n%+v\n%+v", single.sum, batch.sum)
-	}
-	if !reflect.DeepEqual(single.values, batch.values) {
-		t.Error("certified values differ between the verb pairs")
+	var single, batch, shard outcome
+	t.Run(string(singleVerbs), func(t *testing.T) { single = run(t, singleVerbs, 0) })
+	t.Run(string(batchVerbs), func(t *testing.T) { batch = run(t, batchVerbs, 0) })
+	t.Run("1-shard-cluster", func(t *testing.T) { shard = run(t, batchVerbs, 1) })
+	for _, o := range []struct {
+		name string
+		got  outcome
+	}{{"the verb pairs", batch}, {"a supervisor and a 1-shard cluster", shard}} {
+		if single.journal != o.got.journal {
+			t.Errorf("journals differ between %s:\n%s\n---\n%s", o.name, single.journal, o.got.journal)
+		}
+		if !reflect.DeepEqual(single.sum, o.got.sum) {
+			t.Errorf("summaries differ between %s:\n%+v\n%+v", o.name, single.sum, o.got.sum)
+		}
+		if !reflect.DeepEqual(single.values, o.got.values) {
+			t.Errorf("certified values differ between %s", o.name)
+		}
 	}
 }
 

@@ -17,50 +17,10 @@ import (
 	"redundancy/internal/ring"
 )
 
-// ClusterConfig parameterizes a sharded supervisor cluster: N independent
-// supervisor shards, each owning a consistent-hash partition of one global
-// plan's task IDs (DESIGN.md §14). Fields shared by every shard mirror their
-// SupervisorConfig counterparts.
-type ClusterConfig struct {
-	// Plan is the global redundancy plan; its task set is partitioned
-	// across shards by ring lookup on the task ID. Every shard receives
-	// the full Plan (for run-wide ε bookkeeping) plus its own Tasks
-	// subset.
-	Plan *plan.Plan
-	// Shards is the number of supervisor shards (>= 1).
-	Shards int
-	// VNodes is the virtual nodes per shard on the ring (0 means
-	// ring.DefaultVNodes).
-	VNodes int
-	// Seed seeds both the ring placement and each shard's queue shuffle.
-	Seed uint64
-	// WorkKind, Iters, MaxBatch, Deadline, IOTimeout: per-shard supervisor
-	// settings, identical across shards so a task computes the same value
-	// wherever it lands.
-	WorkKind  string
-	Iters     int
-	MaxBatch  int
-	Deadline  time.Duration
-	IOTimeout time.Duration
-	// JournalDir, when non-empty, gives every shard a JournalFile at
-	// <dir>/shard-<i>.jnl; KillShard/RestoreShard then support
-	// crash-recovery with byte-identical replay. Empty disables journals.
-	JournalDir string
-	// JournalSync configures each shard's journal exactly as on
-	// SupervisorConfig. Per-shard journals are independent commit streams:
-	// a cluster of N shards sustains N concurrent commits where a single
-	// supervisor serializes them.
-	JournalSync bool
-	// Metrics, when non-nil, is shared by every shard: registration is
-	// idempotent, so the unlabeled supervisor families aggregate
-	// cluster-wide while the shard_id-labeled mirrors keep per-shard
-	// series. Nil gives the cluster one private registry (still shared
-	// by all shards).
-	Metrics *obs.Registry
-	// Logf receives progress lines from every shard (serialized per
-	// shard); nil suppresses logging.
-	Logf func(format string, args ...any)
-}
+// ClusterConfig is the config NewCluster takes: a SupervisorConfig whose
+// Shards and JournalDir say how to partition and journal the plan (see
+// SupervisorConfig.Shards and DESIGN.md §14).
+type ClusterConfig = SupervisorConfig
 
 // ShardInfo describes one shard of a running cluster to routing clients.
 type ShardInfo struct {
@@ -89,10 +49,9 @@ type ShardMap struct {
 // run-wide estimate the paper's ε guarantee is stated over. Its methods are
 // safe for concurrent use: ShardMap is a sharded worker's lookup.
 type Cluster struct {
-	cfg     ClusterConfig
+	cfg     SupervisorConfig // Metrics always set: the shards share it
 	ring    *ring.Ring
 	metrics *clusterMetrics
-	reg     *obs.Registry
 	// parts[i] is the global-ID task subset shard i owns.
 	parts [][]plan.TaskSpec
 
@@ -111,33 +70,36 @@ func ShardName(i int) string { return fmt.Sprintf("shard-%d", i) }
 // each one on a loopback address. The returned cluster is serving; callers
 // route workers with ShardMap and finish with Wait + Close.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	if cfg.Plan == nil {
+	switch {
+	case cfg.Plan == nil:
 		return nil, errors.New("platform: cluster requires a plan")
-	}
-	if cfg.Shards < 1 {
+	case cfg.Shards < 1:
 		return nil, fmt.Errorf("platform: cluster needs >= 1 shard, got %d", cfg.Shards)
+	case cfg.Adapt != nil:
+		return nil, errors.New("platform: Adapt on a cluster: the shards share one mutable Plan that a shard's revision would re-plan under the others")
+	case cfg.Journal != nil || cfg.Restore != nil:
+		return nil, errors.New("platform: cluster shards journal under JournalDir, not Journal or Restore")
 	}
 	names := make([]string, cfg.Shards)
 	for i := range names {
 		names[i] = ShardName(i)
 	}
-	r, err := ring.New(ring.Config{VNodes: cfg.VNodes, Seed: cfg.Seed}, names...)
+	r, err := ring.New(ring.Config{Seed: cfg.Seed}, names...)
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewRegistry()
+	}
 	c := &Cluster{
-		cfg:   cfg,
-		ring:  r,
-		reg:   cfg.Metrics,
-		parts: make([][]plan.TaskSpec, cfg.Shards),
-		sups:  make([]*Supervisor, cfg.Shards),
-		addrs: make([]string, cfg.Shards),
-		epoch: 1,
+		cfg:     cfg,
+		ring:    r,
+		metrics: newClusterMetrics(cfg.Metrics),
+		parts:   make([][]plan.TaskSpec, cfg.Shards),
+		sups:    make([]*Supervisor, cfg.Shards),
+		addrs:   make([]string, cfg.Shards),
+		epoch:   1,
 	}
-	if c.reg == nil {
-		c.reg = obs.NewRegistry()
-	}
-	c.metrics = newClusterMetrics(c.reg)
 
 	// Static partition: tasks stay where the ring puts them. Membership
 	// changes (kill/restore) bump the epoch for routing but never migrate
@@ -189,52 +151,32 @@ func (c *Cluster) journalPath(i int) string {
 	if c.cfg.JournalDir == "" {
 		return ""
 	}
-	return filepath.Join(c.cfg.JournalDir, fmt.Sprintf("shard-%d.jnl", i))
+	return filepath.Join(c.cfg.JournalDir, ShardName(i)+".jnl")
 }
 
-// startShard constructs, starts and publishes shard i. restore, when
-// non-nil, is the journal prefix to replay (RestoreShard's crash-recovery
-// path); the shard then truncates its journal to the replayed prefix before
-// serving, and the epoch advances as it is published.
+// startShard constructs, starts and publishes shard i from a copy of the
+// cluster's config. restore, when non-nil, is the journal to replay
+// (RestoreShard's crash-recovery path); the epoch advances as the restored
+// shard is published.
 func (c *Cluster) startShard(i int, restore io.Reader) error {
-	scfg := SupervisorConfig{
-		Plan:        c.cfg.Plan,
-		Tasks:       c.parts[i],
-		ShardID:     ShardName(i),
-		WorkKind:    c.cfg.WorkKind,
-		Iters:       c.cfg.Iters,
-		Seed:        c.cfg.Seed + uint64(i),
-		MaxBatch:    c.cfg.MaxBatch,
-		Deadline:    c.cfg.Deadline,
-		IOTimeout:   c.cfg.IOTimeout,
-		JournalSync: c.cfg.JournalSync,
-		Metrics:     c.reg,
-		Restore:     restore,
+	scfg := c.cfg
+	scfg.tasks, scfg.shardID = c.parts[i], ShardName(i)
+	scfg.Seed += uint64(i)
+	scfg.Restore = restore
+	if lg := c.cfg.Logf; lg != nil {
+		prefix := "[" + ShardName(i) + "] "
+		scfg.Logf = func(format string, args ...any) { lg(prefix+format, args...) }
 	}
-	if c.cfg.Logf != nil {
-		lg, shard := c.cfg.Logf, ShardName(i)
-		scfg.Logf = func(format string, args ...any) {
-			lg("["+shard+"] "+format, args...)
-		}
-	}
-	var jf *JournalFile
 	if jp := c.journalPath(i); jp != "" {
-		var err error
-		if jf, err = OpenJournalFile(jp); err != nil {
+		jf, err := OpenJournalFile(jp)
+		if err != nil {
 			return err
 		}
 		scfg.Journal = jf
 	}
-	sup, err := NewSupervisor(scfg)
-	if err == nil && restore != nil && jf != nil {
-		// Crash-recovery contract: drop the torn tail replay refused, then
-		// append after the replayed prefix.
-		if err = jf.Truncate(sup.RestoredJournalBytes()); err != nil {
-			err = fmt.Errorf("truncating journal: %w", err)
-		}
-	}
+	sup, err := newSupervisor(scfg)
 	if err != nil {
-		if jf != nil {
+		if jf, ok := scfg.Journal.(*JournalFile); ok {
 			jf.Close()
 		}
 		return fmt.Errorf("shard %d: %w", i, err)
@@ -262,7 +204,7 @@ func (c *Cluster) startShard(i int, restore io.Reader) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.addrs[i], c.sups[i] = bound, sup
-	sup.SetEpoch(c.epoch)
+	sup.setEpoch(c.epoch)
 	if restore != nil {
 		c.bumpEpochLocked()
 	}
@@ -286,7 +228,7 @@ func (c *Cluster) bumpEpochLocked() {
 	c.metrics.ringRebalances.Inc()
 	for _, s := range c.sups {
 		if s != nil {
-			s.SetEpoch(c.epoch)
+			s.setEpoch(c.epoch)
 		}
 	}
 }
@@ -337,7 +279,8 @@ func (c *Cluster) KillShard(i int) error {
 
 // RestoreShard brings a killed shard back at its old address: the journal
 // is read back, replayed through verification (byte-identical restore — a
-// torn tail from the crash is tolerated and truncated), and the shard
+// torn tail from the crash is tolerated and cut off by the shard's
+// construction), and the shard
 // resumes serving exactly the work its journal does not already certify.
 func (c *Cluster) RestoreShard(i int) error {
 	if c.Supervisor(i) != nil {

@@ -1,17 +1,22 @@
 package platform
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"redundancy/internal/adapt"
 	"redundancy/internal/agg"
+	"redundancy/internal/faults"
+	"redundancy/internal/health"
 	"redundancy/internal/obs"
 	"redundancy/internal/plan"
 	"redundancy/internal/ring"
@@ -75,39 +80,50 @@ func TestClusterPartition(t *testing.T) {
 	}
 }
 
-// TestClusterConfigValidation pins the guard rails: the Tasks override is
-// incompatible with per-shard adaptation and snapshots, and degenerate
-// cluster configs fail loudly.
+// TestClusterConfigValidation pins the guard rails between the two
+// constructors of one config: NewCluster refuses what shards cannot share
+// (one mutable Plan under Adapt, one Journal or Restore stream), and
+// NewSupervisor refuses the fields only a cluster uses.
 func TestClusterConfigValidation(t *testing.T) {
 	p := mustClusterPlan(t, 50)
-	if _, err := NewCluster(ClusterConfig{Plan: p, Shards: 0}); err == nil {
-		t.Error("0 shards accepted")
+	var journal bytes.Buffer
+	for _, tc := range []struct {
+		name    string
+		cluster bool
+		cfg     SupervisorConfig
+		errWant string
+	}{
+		{"cluster without shards", true, SupervisorConfig{Plan: p}, "shard"},
+		{"cluster without a plan", true, SupervisorConfig{Shards: 2}, "plan"},
+		{"cluster with Adapt", true, SupervisorConfig{Plan: p, Shards: 2,
+			Adapt: &adapt.Config{TargetEpsilon: 0.5}}, "Adapt"},
+		{"cluster with Journal", true, SupervisorConfig{Plan: p, Shards: 2,
+			Journal: &journal}, "JournalDir"},
+		{"cluster with Restore", true, SupervisorConfig{Plan: p, Shards: 2,
+			Restore: strings.NewReader("")}, "JournalDir"},
+		{"supervisor with Shards", false, SupervisorConfig{Plan: p, Shards: 2}, "NewCluster"},
+		{"supervisor with JournalDir", false, SupervisorConfig{Plan: p,
+			JournalDir: t.TempDir()}, "NewCluster"},
+	} {
+		var err error
+		if tc.cluster {
+			var c *Cluster
+			if c, err = NewCluster(tc.cfg); err == nil {
+				c.Close()
+			}
+		} else {
+			_, err = NewSupervisor(tc.cfg)
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.errWant) {
+			t.Errorf("%s: err=%v, want a refusal naming %q", tc.name, err, tc.errWant)
+		}
 	}
-	if _, err := NewCluster(ClusterConfig{Shards: 2}); err == nil {
-		t.Error("nil plan accepted")
-	}
-	// Each config is valid but for the Tasks override, so only the Tasks
-	// check can refuse it.
-	jf, err := OpenJournalFile(filepath.Join(t.TempDir(), "journal.jsonl"))
+	// The degenerate parameter: Shards 1 is a lone supervisor's own value.
+	sup, err := NewSupervisor(SupervisorConfig{Plan: p, Shards: 1})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Shards=1 refused by NewSupervisor: %v", err)
 	}
-	defer jf.Close()
-	if _, err := NewSupervisor(SupervisorConfig{
-		Plan: p, Tasks: p.Tasks(), Adapt: &adapt.Config{TargetEpsilon: 0.5},
-	}); err == nil || !strings.Contains(err.Error(), "Tasks override is incompatible with Adapt") {
-		t.Errorf("Tasks+Adapt: err=%v, want the Tasks incompatibility (a shard must not re-plan the global tail)", err)
-	}
-	if _, err := NewSupervisor(SupervisorConfig{
-		Plan: p, Tasks: p.Tasks(), SnapshotInterval: 10, Journal: jf,
-	}); err == nil || !strings.Contains(err.Error(), "Tasks override is incompatible with SnapshotInterval") {
-		t.Errorf("Tasks+SnapshotInterval: err=%v, want the Tasks incompatibility", err)
-	}
-	if _, err := NewSupervisor(SupervisorConfig{
-		Plan: p, Tasks: []plan.TaskSpec{},
-	}); err == nil {
-		t.Error("empty Tasks accepted")
-	}
+	sup.Close()
 }
 
 // TestShardedSmoke runs a 2-shard cluster to completion with sharded
@@ -629,5 +645,221 @@ func TestShardedWorkerBanned(t *testing.T) {
 	}
 	if m.RingersCaught == 0 {
 		t.Error("no ringer catches aggregated across shards")
+	}
+}
+
+// TestClusterShardsTakeEveryOption builds a cluster from a SupervisorConfig
+// carrying the options the shards used to drop — Health, SpeculatePct,
+// Deadline, ResolveMismatches and a fault-injecting WrapListener — and runs
+// it to exact merged credit: every task certified once, every copy credited
+// once, through dropped connections and speculative clones.
+func TestClusterShardsTakeEveryOption(t *testing.T) {
+	p := mustClusterPlan(t, 60)
+	inj, err := faults.New(faults.Config{
+		Seed: 3, ReadDrop: 0.02, WriteDrop: 0.02,
+		Latency: 100 * time.Microsecond, Jitter: 200 * time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wrapped atomic.Int32
+	c, err := NewCluster(SupervisorConfig{
+		Plan: p, Shards: 2, Seed: 4, WorkKind: "hashchain", Iters: 10,
+		Health: &health.Config{}, SpeculatePct: 0.9, Deadline: 2 * time.Second,
+		ResolveMismatches: true,
+		WrapListener: func(ln net.Listener) net.Listener {
+			wrapped.Add(1)
+			return inj.Listener(ln)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 2; i++ {
+		s := c.Supervisor(i)
+		if s.roster == nil || s.lease.specLosers == nil || !s.cfg.ResolveMismatches || s.cfg.Deadline == 0 {
+			t.Fatalf("shard %d lost a supervisor option: %+v", i, s.cfg)
+		}
+	}
+
+	const workers = 4
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = RunShardedWorker(WorkerConfig{
+				Name: fmt.Sprintf("opt-%d", i), BatchSize: 4, Seed: uint64(i + 1),
+				Reconnect: true, MaxReconnects: 50,
+				BackoffBase: time.Millisecond, BackoffMax: 20 * time.Millisecond,
+			}, c.ShardMap)
+		}(i)
+	}
+	c.Wait()
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("worker %d: %v", i, err)
+		}
+	}
+	if n := wrapped.Load(); n != 2 {
+		t.Errorf("WrapListener wrapped %d shard listeners, want 2", n)
+	}
+	m := c.Aggregate()
+	if m.Tasks != len(p.Tasks()) || m.Accepted != len(p.Tasks()) || m.Assignments != p.TotalAssignments() {
+		t.Errorf("merged %d tasks (%d accepted, %d copies), want %d certified over %d copies",
+			m.Tasks, m.Accepted, m.Assignments, len(p.Tasks()), p.TotalAssignments())
+	}
+	credit := 0
+	for _, cr := range m.Credits {
+		credit += cr
+	}
+	if credit != p.TotalAssignments() {
+		t.Errorf("merged credit %d, want %d (lost or double-granted work)", credit, p.TotalAssignments())
+	}
+}
+
+// TestClusterSnapshotsRestore runs a cluster whose shards compact their
+// journals, then kills and restores every shard: each journal must start
+// with a snapshot line, and each restored shard must be in the live
+// shard's certification state, byte for byte.
+func TestClusterSnapshotsRestore(t *testing.T) {
+	p := mustClusterPlan(t, 80)
+	dir := t.TempDir()
+	c, err := NewCluster(SupervisorConfig{
+		Plan: p, Shards: 2, Seed: 6, WorkKind: "hashchain", Iters: 5,
+		JournalDir: dir, SnapshotInterval: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := RunShardedWorker(WorkerConfig{
+				Name: fmt.Sprintf("snap-%d", i), BatchSize: 4, Seed: uint64(i + 1),
+			}, c.ShardMap); err != nil {
+				t.Errorf("worker %d: %v", i, err)
+			}
+		}(i)
+	}
+	c.Wait()
+	wg.Wait()
+	for i := 0; i < 2; i++ {
+		live, err := c.Supervisor(i).Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.KillShard(i); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("shard-%d.jnl", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, []byte(`{"snapshot":`)) {
+			t.Errorf("shard %d journal does not start with a snapshot: %.60s", i, data)
+		}
+		if err := c.RestoreShard(i); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := c.Supervisor(i).Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(live, restored) {
+			t.Errorf("shard %d restored state differs from the live one (%d vs %d bytes)", i, len(restored), len(live))
+		}
+	}
+}
+
+// TestClusterRestoreUnterminatedJournal kills and restores a shard whose
+// journal lost the newline after its last record, twice, with work
+// appended in between. The first restore must keep that record and leave
+// the journal at its exact length (no byte past the end), and the record
+// written next must not weld onto it: the second restore recovers every
+// result, and the run finishes with exact credit.
+func TestClusterRestoreUnterminatedJournal(t *testing.T) {
+	p := mustClusterPlan(t, 40)
+	dir := t.TempDir()
+	c, err := NewCluster(SupervisorConfig{
+		Plan: p, Shards: 2, Seed: 5, WorkKind: "hashchain", Iters: 5, JournalDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	jpath := filepath.Join(dir, "shard-1.jnl")
+	work := func(name string) {
+		t.Helper()
+		st, err := RunWorker(WorkerConfig{Addr: c.Addr(1), Name: name, MaxAssignments: 8})
+		if err != nil || st.Completed != 8 {
+			t.Fatalf("%s completed %d assignments on shard 1 (err %v), want 8", name, st.Completed, err)
+		}
+	}
+	restore := func(want int) {
+		t.Helper()
+		if err := c.KillShard(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RestoreShard(1); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Supervisor(1).Summary().Restored; got != want {
+			t.Errorf("restored %d results, want %d", got, want)
+		}
+	}
+
+	work("first")
+	if err := c.KillShard(1); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = bytes.TrimSuffix(data, []byte("\n"))
+	if err := os.WriteFile(jpath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestoreShard(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Supervisor(1).RestoredJournalBytes(); got != int64(len(data)) {
+		t.Errorf("replay consumed %d bytes of a %d-byte journal", got, len(data))
+	}
+	if got := c.Supervisor(1).Summary().Restored; got != 8 {
+		t.Errorf("restored %d results, want 8", got)
+	}
+	work("second")
+	restore(16)
+	restore(16)
+	if data, err := os.ReadFile(jpath); err != nil || bytes.IndexByte(data, 0) >= 0 {
+		t.Errorf("journal holds a NUL byte (err %v)", err)
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := RunShardedWorker(WorkerConfig{Name: fmt.Sprintf("rest-%d", i), BatchSize: 4}, c.ShardMap); err != nil {
+				t.Errorf("worker %d: %v", i, err)
+			}
+		}(i)
+	}
+	c.Wait()
+	wg.Wait()
+	credit := 0
+	for _, cr := range c.Aggregate().Credits {
+		credit += cr
+	}
+	if credit != p.TotalAssignments() {
+		t.Errorf("merged credit %d, want %d", credit, p.TotalAssignments())
 	}
 }

@@ -70,6 +70,10 @@ type journalCommitter struct {
 	// replaces; since counts those written since the last snapshot. Only
 	// the loop goroutine touches them.
 	lines, since int
+	// newline is set while the journal ends in a replayed record without
+	// its newline (replayStats.unterminated): the first window writes one
+	// before its records.
+	newline bool
 
 	wake chan struct{} // buffered(1): the queue went non-empty
 	quit chan struct{}
@@ -79,12 +83,13 @@ type journalCommitter struct {
 
 func newJournalCommitter(s *Supervisor) *journalCommitter {
 	c := &journalCommitter{
-		s:     s,
-		lines: s.replayed.lines,
-		tick:  make(chan struct{}),
-		wake:  make(chan struct{}, 1),
-		quit:  make(chan struct{}),
-		idle:  make(chan struct{}),
+		s:       s,
+		lines:   s.replayed.lines,
+		newline: s.replayed.unterminated,
+		tick:    make(chan struct{}),
+		wake:    make(chan struct{}, 1),
+		quit:    make(chan struct{}),
+		idle:    make(chan struct{}),
 	}
 	go c.loop()
 	return c
@@ -175,6 +180,9 @@ func (c *journalCommitter) commitWindow(batch []commitReq, upto uint64) {
 	s := c.s
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
+	if c.newline {
+		buf.WriteByte('\n')
+	}
 	results, lines := 0, 0
 	var err error
 	for i := range batch {
@@ -196,6 +204,7 @@ func (c *journalCommitter) commitWindow(batch []commitReq, upto uint64) {
 	}
 	bufPool.Put(buf)
 	if err == nil {
+		c.newline = false
 		c.lines += lines
 		s.metrics.journalRecords.Add(uint64(results))
 		if s.cfg.JournalSync {

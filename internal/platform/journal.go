@@ -153,12 +153,17 @@ type replayStats struct {
 	// maxParticipant is the highest participant ID seen (-1 if none).
 	maxParticipant int
 	// validBytes is the length of the journal prefix that replayed
-	// cleanly: a caller that will keep appending to the same file should
-	// truncate it to validBytes first, so a torn tail does not glue
-	// itself onto the next record and turn into interior corruption at a
-	// later restore. (A final valid line missing its newline counts the
-	// newline anyway; clamp to the file size before truncating.)
+	// cleanly, counting the bytes actually read: a final valid line missing
+	// its newline ends the prefix without one. NewSupervisor truncates a
+	// truncatable journal to it, so a torn tail does not glue itself onto
+	// the next record and turn into interior corruption at a later restore.
 	validBytes int64
+	// readBytes is every byte replay read, the refused tail included.
+	readBytes int64
+	// unterminated reports that the valid prefix ends in a record without
+	// its newline; the committer writes one before its first record, or
+	// that record would weld onto this one.
+	unterminated bool
 	// lines counts the record lines consumed (blank lines excluded) —
 	// the journal's current length in records, which compaction
 	// accounting needs exactly (replayer callbacks undercount: covered
@@ -176,6 +181,21 @@ func replayJournal(r io.Reader, rp journalReplayer) (replayStats, error) {
 	// MB), so the line cap is far above the wire protocol's maxFrame.
 	sc.Buffer(make([]byte, 0, 4096), 1<<30)
 	st := replayStats{maxParticipant: -1}
+	// The split function counts what each line consumed, so the valid
+	// prefix is measured in bytes read, not reconstructed from the token.
+	newline := false
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		if adv > 0 {
+			st.readBytes += int64(adv)
+			newline = data[adv-1] == '\n'
+		}
+		return adv, tok, err
+	})
+	// accept extends the valid prefix through the line just scanned.
+	accept := func() {
+		st.validBytes, st.unterminated = st.readBytes, !newline
+	}
 	var pendingErr error
 	// covered, set when a head snapshot installs, holds the (task, copy)
 	// keys the snapshot already accounts for, and coveredRevs the number of
@@ -190,7 +210,9 @@ func replayJournal(r io.Reader, rp journalReplayer) (replayStats, error) {
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
-			st.validBytes++ // a blank line consumed one newline byte
+			if pendingErr == nil {
+				accept() // a blank line extends the prefix by its newline
+			}
 			continue
 		}
 		if pendingErr != nil {
@@ -231,7 +253,7 @@ func replayJournal(r io.Reader, rp journalReplayer) (replayStats, error) {
 				}
 			}
 			first = false
-			st.validBytes += int64(len(line)) + 1
+			accept()
 			st.lines++
 			continue
 		}
@@ -247,7 +269,7 @@ func replayJournal(r io.Reader, rp journalReplayer) (replayStats, error) {
 					return st, fmt.Errorf("platform: journal revision %d: %w", rec.Revision.Seq, err)
 				}
 			}
-			st.validBytes += int64(len(line)) + 1
+			accept()
 			st.lines++
 			continue
 		}
@@ -255,7 +277,7 @@ func replayJournal(r io.Reader, rp journalReplayer) (replayStats, error) {
 			// Applied before the snapshot's capture, appended after its
 			// line: the snapshot already carries this result.
 			delete(covered, [2]int{rec.TaskID, rec.Copy})
-			st.validBytes += int64(len(line)) + 1
+			accept()
 			st.lines++
 			continue
 		}
@@ -271,7 +293,7 @@ func replayJournal(r io.Reader, rp journalReplayer) (replayStats, error) {
 			st.maxParticipant = rec.Participant
 		}
 		st.restored++
-		st.validBytes += int64(len(line)) + 1
+		accept()
 		st.lines++
 	}
 	if err := sc.Err(); err != nil {

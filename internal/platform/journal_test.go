@@ -167,6 +167,10 @@ func TestJournalReplayCorruption(t *testing.T) {
 			restored: 2, valid: int64(len(rec0) + len(rec1))},
 		{name: "blank lines tolerated", journal: rec0 + "\n" + rec1,
 			restored: 2, valid: int64(len(rec0) + 1 + len(rec1))},
+		{name: "blank line after a torn tail excluded", journal: rec0 + `{"task":1,"cop` + "\n\n",
+			restored: 1, valid: int64(len(rec0))},
+		{name: "valid final record without newline", journal: rec0 + strings.TrimSuffix(rec1, "\n"),
+			restored: 2, valid: int64(len(rec0) + len(rec1) - 1)},
 		{name: "torn tail tolerated", journal: rec0 + `{"task":1,"cop`,
 			restored: 1, valid: int64(len(rec0))},
 		{name: "torn unknown-assignment tail tolerated",

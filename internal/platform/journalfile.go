@@ -44,19 +44,9 @@ func (j *JournalFile) Sync() error {
 	return j.f.Sync()
 }
 
-// Size returns the journal's current length in bytes.
-func (j *JournalFile) Size() (int64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	fi, err := j.f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
-}
-
-// Truncate cuts the journal to size bytes — the torn-tail removal a
-// restart performs before appending (see RestoredJournalBytes).
+// Truncate cuts the journal to size bytes. NewSupervisor calls it on
+// restore, cutting the torn tail replay refused (see
+// SupervisorConfig.Restore).
 func (j *JournalFile) Truncate(size int64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

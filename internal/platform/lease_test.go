@@ -79,7 +79,7 @@ func TestLeaseRelease(t *testing.T) {
 			var events bytes.Buffer
 			reg := obs.NewRegistry()
 			sup, err := NewSupervisor(SupervisorConfig{
-				Plan: simplePlan(t, 1), Tasks: []plan.TaskSpec{{ID: 0, Copies: 1}}, Iters: 1,
+				Plan: simplePlan(t, 1), tasks: []plan.TaskSpec{{ID: 0, Copies: 1}}, Iters: 1,
 				Deadline: time.Hour, SpeculatePct: 0.5,
 				// One latency sample arms speculation, and one deadline or
 				// speculative drop quarantines its holder, who by then holds

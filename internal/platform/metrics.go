@@ -33,17 +33,11 @@ const (
 	EvReconnect          = "reconnect"
 )
 
-// commitWaitBuckets are powers of two from 16 µs to about a second: an
-// fsync is tens of microseconds on a battery-backed cache and hundreds of
-// milliseconds on a busy network volume, and the question the histogram
-// answers ("is it the disk") needs resolution across all of that.
-var commitWaitBuckets = func() []float64 {
-	b := make([]float64, 17)
-	for i := range b {
-		b[i] = 16e-6 * float64(uint(1)<<i)
-	}
-	return b
-}()
+// latencyBuckets are powers of two from 1 µs to about 16 s, the bounds of
+// every platform latency histogram but commit_wait: a loopback lease takes
+// tens of microseconds and a stalled WAN round trip seconds, and the
+// histograms must resolve both.
+var latencyBuckets = obs.DoublingBuckets(1e-6, 25)
 
 // supMetrics bundles every metric the supervisor emits. All series are
 // registered eagerly at construction so /metrics and Snapshot show a
@@ -99,8 +93,8 @@ type supMetrics struct {
 
 	// Sharded-cluster families (internal/ring + Cluster). The vec
 	// families register unconditionally; the bound per-shard children
-	// below are nil on unsharded supervisors (SupervisorConfig.ShardID
-	// empty), keeping the unsharded hot path free of vec lookups.
+	// below are nil on unsharded supervisors (no cluster shard name),
+	// keeping the unsharded hot path free of vec lookups.
 	shardIssuedVec   *obs.CounterVec // shard_id
 	shardAcceptedVec *obs.CounterVec // shard_id
 	shardRoutedVec   *obs.CounterVec // shard
@@ -110,8 +104,7 @@ type supMetrics struct {
 }
 
 // bindShard resolves the shard-labeled children of the hot-path counter
-// mirrors for one shard (SupervisorConfig.ShardID), enabling the
-// per-shard series.
+// mirrors for one cluster shard, enabling the per-shard series.
 func (m *supMetrics) bindShard(shardID string) {
 	m.shardIssued = m.shardIssuedVec.With(shardID)
 	m.shardAccepted = m.shardAcceptedVec.With(shardID)
@@ -166,7 +159,7 @@ func newSupMetrics(r *obs.Registry) *supMetrics {
 			"Successful journal fsyncs (JournalSync mode appends and shutdown flushes)."),
 		turnaround: r.HistogramVec("redundancy_assignment_turnaround_seconds",
 			"Seconds from issuing an assignment to accepting its result, per worker name.",
-			obs.DefBuckets, "worker"),
+			latencyBuckets, "worker"),
 		batchesIssued: r.Counter("redundancy_batches_issued_total",
 			"Non-empty leases issued (a request_work is served as a lease of one)."),
 		batchSize: r.Histogram("redundancy_batch_size",
@@ -179,10 +172,13 @@ func newSupMetrics(r *obs.Registry) *supMetrics {
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}),
 		commitWait: r.Histogram("redundancy_commit_wait_seconds",
 			"Seconds from the supervisor taking up a result submission to the fsync covering its records, one observation per submission that journaled something: what its ack waited for the disk.",
-			commitWaitBuckets),
+			// Powers of two from 16 µs to about a second: an fsync is tens of
+			// microseconds on a battery-backed cache and hundreds of
+			// milliseconds on a busy network volume.
+			obs.DoublingBuckets(16e-6, 17)),
 		leaseWait: r.Histogram("redundancy_lease_wait_seconds",
 			"Seconds a work request spent inside the supervisor before its lease (or no_work verdict) was returned, empty-queue parking included.",
-			[]float64{0.00001, 0.0001, 0.001, 0.01, 0.1, 1, 10}),
+			latencyBuckets),
 		adaptPHat: r.Gauge("redundancy_adapt_phat",
 			"Adaptive estimator's point estimate p̂ of the adversary's assignment share (0 until evidence arrives)."),
 		adaptIntervalWidth: r.Gauge("redundancy_adapt_interval_width",
@@ -231,7 +227,7 @@ func newClusterMetrics(r *obs.Registry) *clusterMetrics {
 			"Shard-map epoch bumps: ring membership changes (a shard killed or restored) that workers must re-route around."),
 		aggregateMerge: r.Histogram("redundancy_aggregator_merge_seconds",
 			"Seconds one aggregator pass took to export every live shard's audit state and merge it into the global p̂/P_k view.",
-			obs.DefBuckets),
+			latencyBuckets),
 	}
 }
 
@@ -249,7 +245,7 @@ func newWorkerMetrics(r *obs.Registry) *workerMetrics {
 	return &workerMetrics{
 		rtt: r.Histogram("redundancy_worker_rtt_seconds",
 			"Protocol round-trip time in seconds, one observation per reply, timed from the write that carried the request it answers (an ack: its own submission, however many later writes it trails).",
-			obs.DefBuckets),
+			latencyBuckets),
 		completed: r.Counter("redundancy_worker_assignments_completed_total",
 			"Assignments fully executed and acknowledged by the supervisor."),
 		cheats: r.Counter("redundancy_worker_cheats_total",

@@ -264,3 +264,38 @@ func TestGuardedLogfSurvivesFaultyHook(t *testing.T) {
 		t.Errorf("certified %d tasks despite panicking logger, want 2", sum.Verify.Accepted)
 	}
 }
+
+// TestLatencyHistogramsResolveALease: a 24 µs observation — a loopback
+// lease — must land in the 32 µs bucket of every platform latency
+// histogram, not under a millisecond floor.
+func TestLatencyHistogramsResolveALease(t *testing.T) {
+	reg := obs.NewRegistry()
+	sm, wm, cm := newSupMetrics(reg), newWorkerMetrics(reg), newClusterMetrics(reg)
+	sm.turnaround.With("w").Observe(24e-6)
+	sm.leaseWait.Observe(24e-6)
+	cm.aggregateMerge.Observe(24e-6)
+	wm.rtt.Observe(24e-6)
+	for _, name := range []string{
+		"redundancy_assignment_turnaround_seconds", "redundancy_lease_wait_seconds",
+		"redundancy_aggregator_merge_seconds", "redundancy_worker_rtt_seconds",
+	} {
+		var found bool
+		for _, f := range reg.Snapshot().Families {
+			if f.Name != name {
+				continue
+			}
+			m := f.Metrics[0]
+			for i, ub := range m.UpperBounds {
+				if m.Buckets[i] == 1 {
+					found = true
+					if ub != 32e-6 {
+						t.Errorf("%s: 24µs landed under the %gs bound, want 32µs", name, ub)
+					}
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s: the 24µs observation landed in no finite bucket", name)
+		}
+	}
+}

@@ -78,7 +78,12 @@ type SupervisorConfig struct {
 	// bulk-completes the queue, which the holdback policies cannot
 	// express). 0 disables snapshots.
 	SnapshotInterval int
-	// Restore, when non-nil, is replayed at construction (see Journal).
+	// Restore, when non-nil, is replayed at construction (see Journal). It
+	// must hold the contents of the journal Journal appends to: when Journal
+	// can be cut (it has Truncate(int64) error, as *JournalFile and an
+	// append-mode *os.File do), construction truncates it to the prefix that
+	// replayed cleanly, so the torn final record a crash left behind is not
+	// welded onto the next record and turned into interior corruption.
 	Restore io.Reader
 	// WrapListener, when non-nil, wraps the listener Start creates before
 	// any connection is accepted — the hook the fault injector
@@ -131,22 +136,6 @@ type SupervisorConfig struct {
 	// policy. Latency tracking uses Health's window settings when Health is
 	// set, defaults otherwise.
 	SpeculatePct float64
-	// Tasks, when non-nil, overrides Plan.Tasks() as the concrete task set
-	// this supervisor owns — the sharding hook: a cluster partitions the
-	// global plan's task IDs across shards by consistent-hash lookup
-	// (internal/ring) and hands each shard its subset, so global task IDs
-	// (and therefore TaskSeed inputs, ringer truth, and journal records)
-	// are preserved shard-locally. Plan is still required: it carries the
-	// run-wide ε bookkeeping the aggregator (internal/agg) evaluates.
-	// Incompatible with Adapt (one shard must not re-plan the global
-	// tail; the cluster's aggregator owns that trigger) and with
-	// SnapshotInterval (snapshots capture whole-plan state).
-	Tasks []plan.TaskSpec
-	// ShardID, when non-empty, marks this supervisor as one shard of a
-	// sharded cluster: hot-path counters gain shard_id-labeled series
-	// (redundancy_shard_* in OBSERVABILITY.md) and every reply carries
-	// the cluster's shard-map epoch once SetEpoch is called.
-	ShardID string
 	// Adapt, when non-nil, turns on the adaptive redundancy control plane
 	// (internal/adapt): the supervisor estimates the adversary share p̂
 	// from its verification verdicts and, whenever the estimate's upper
@@ -156,6 +145,31 @@ type SupervisorConfig struct {
 	// Free policy (revisions re-shape the queue) and mutates Plan in
 	// place via plan.ApplyRevision.
 	Adapt *adapt.Config
+	// Shards, when above 1, is the number of supervisors NewCluster
+	// partitions Plan across by consistent-hash lookup on the task ID
+	// (DESIGN.md §14); NewSupervisor serves the whole plan itself and
+	// refuses it. Shard i is built from a copy of this config that differs
+	// only in its task subset, its shard name, Seed+i, its journal and
+	// restore reader, and a "[shard-i] " Logf prefix, so every other option
+	// reaches every shard. Metrics, Events and WrapListener are shared by
+	// the shards (a nil Metrics gives the cluster one private registry).
+	Shards int
+	// JournalDir, when non-empty, gives every cluster shard a JournalFile at
+	// <dir>/shard-<i>.jnl; KillShard/RestoreShard then support crash
+	// recovery with byte-identical replay. NewCluster only: a lone
+	// supervisor journals to Journal and restores from Restore.
+	JournalDir string
+
+	// tasks, when non-nil, is a cluster shard's subset of Plan.Tasks(), set
+	// by NewCluster. The subset keeps global task IDs, so TaskSeed inputs,
+	// ringer truth and journal records are the same on any shard; Plan
+	// still carries the run-wide ε bookkeeping the aggregator evaluates.
+	tasks []plan.TaskSpec
+	// shardID names a cluster shard, set by NewCluster: hot-path counters
+	// gain shard_id-labeled series (redundancy_shard_* in
+	// OBSERVABILITY.md), the audit export carries the name, and every reply
+	// carries the cluster's shard-map epoch.
+	shardID string
 }
 
 // Supervisor is the trusted coordinator: it owns the assignment queue and
@@ -209,7 +223,7 @@ type Supervisor struct {
 
 	// epoch is the cluster's shard-map epoch (0 when unsharded): stamped
 	// on every reply so workers detect rebalances without polling, and
-	// bumped only by the cluster via SetEpoch.
+	// bumped only by the cluster via setEpoch.
 	epoch atomic.Uint64
 
 	done     chan struct{} // closed when every task is adjudicated
@@ -236,8 +250,21 @@ type Supervisor struct {
 // SupervisorConfig.MaxBatch is zero.
 const DefaultMaxBatch = 16
 
-// NewSupervisor validates the configuration and builds the supervisor.
+// NewSupervisor validates the configuration and builds the supervisor,
+// which serves the whole plan. The sharded fields belong to NewCluster.
 func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
+	switch {
+	case cfg.Shards > 1:
+		return nil, fmt.Errorf("platform: Shards=%d needs NewCluster (a supervisor serves the whole plan)", cfg.Shards)
+	case cfg.JournalDir != "":
+		return nil, errors.New("platform: JournalDir needs NewCluster (a supervisor journals to Journal)")
+	}
+	return newSupervisor(cfg)
+}
+
+// newSupervisor builds a supervisor, or one cluster shard when cfg.tasks
+// is set.
+func newSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	if cfg.Plan == nil {
 		return nil, errors.New("platform: nil plan")
 	}
@@ -296,17 +323,6 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 			return nil, err
 		}
 	}
-	if cfg.Tasks != nil {
-		if len(cfg.Tasks) == 0 {
-			return nil, errors.New("platform: Tasks override is empty (a shard owning no tasks should not be started)")
-		}
-		if cfg.Adapt != nil {
-			return nil, errors.New("platform: Tasks override is incompatible with Adapt (the cluster aggregator owns the global re-planning trigger)")
-		}
-		if cfg.SnapshotInterval > 0 {
-			return nil, errors.New("platform: Tasks override is incompatible with SnapshotInterval")
-		}
-	}
 	var adaptCfg adapt.Config
 	if cfg.Adapt != nil {
 		adaptCfg, err = cfg.Adapt.Normalized()
@@ -348,10 +364,10 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		s.audit.collector.SetComparator(verify.Quantize{Digits: cfg.ResultDigits})
 	}
 	s.audit.collector.OnVerdict(s.onVerdict)
-	if cfg.ShardID != "" {
-		s.metrics.bindShard(cfg.ShardID)
+	if cfg.shardID != "" {
+		s.metrics.bindShard(cfg.shardID)
 	}
-	specs := cfg.Tasks
+	specs := cfg.tasks
 	if specs == nil {
 		specs = cfg.Plan.Tasks()
 	}
@@ -379,6 +395,17 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		}
 		s.metrics.journalRestoreSeconds.Set(time.Since(start).Seconds())
 		s.replayed = st
+		if j, ok := cfg.Journal.(interface{ Truncate(int64) error }); ok {
+			// Restore read this journal's contents (see Restore): cut the
+			// torn tail replay refused, so appends follow the replayed
+			// prefix.
+			if err := j.Truncate(st.validBytes); err != nil {
+				return nil, fmt.Errorf("platform: truncating the journal to its replayed prefix: %w", err)
+			}
+			if st.validBytes < st.readBytes {
+				s.logf("journal: dropped torn tail (%d -> %d bytes)", st.readBytes, st.validBytes)
+			}
+		}
 		s.metrics.journalRestored.Add(uint64(st.restored))
 		s.ident.nextID = st.maxParticipant + 1 // never reuse a journaled participant ID
 		s.logf("restored %d results from journal (%d assignments remain)",
@@ -410,17 +437,16 @@ func (s *Supervisor) logf(format string, args ...any) {
 // nil. Safe to call and scrape at any time.
 func (s *Supervisor) Metrics() *obs.Registry { return s.registry }
 
-// SetEpoch publishes the cluster's shard-map epoch: every subsequent
+// setEpoch publishes the cluster's shard-map epoch: every subsequent
 // reply carries it, telling workers to re-resolve their routing when it
 // moves. The cluster bumps it on every shard kill/restore (rebalance);
 // unsharded supervisors leave it 0 and the field stays off the wire.
-func (s *Supervisor) SetEpoch(e uint64) { s.epoch.Store(e) }
+func (s *Supervisor) setEpoch(e uint64) { s.epoch.Store(e) }
 
 // RestoredJournalBytes reports the length of the journal prefix that
-// replayed cleanly at construction (0 without Restore). A caller reusing
-// the same journal file for appending should truncate it to this length
-// first, removing any torn tail a crashed predecessor left behind;
-// cmd/supervisor does exactly that.
+// replayed cleanly at construction (0 without Restore): the bytes of every
+// record replay accepted, the torn tail it refused excluded. A truncatable
+// Journal has already been cut to this length (see Restore).
 func (s *Supervisor) RestoredJournalBytes() int64 { return s.replayed.validBytes }
 
 // Start begins listening on addr (e.g. "127.0.0.1:0") and serving workers.

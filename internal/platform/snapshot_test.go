@@ -501,9 +501,6 @@ func TestJournalFileReplaceWith(t *testing.T) {
 	if string(data) != "snap\nnew-1\n" {
 		t.Fatalf("journal contents %q, want %q", data, "snap\nnew-1\n")
 	}
-	if size, err := jf.Size(); err != nil || size != int64(len("snap\nnew-1\n")) {
-		t.Errorf("Size()=%d,%v", size, err)
-	}
 	// No temp litter left behind.
 	entries, err := os.ReadDir(filepath.Dir(path))
 	if err != nil {

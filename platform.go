@@ -150,9 +150,10 @@ func ParseFaultConfig(s string) (FaultConfig, error) { return faults.Parse(s) }
 // NewFaultInjector validates cfg and builds an injector.
 func NewFaultInjector(cfg FaultConfig) (*FaultInjector, error) { return faults.New(cfg) }
 
-// ClusterConfig parameterizes a sharded supervisor cluster: one supervisor
-// per shard over a consistent-hash partition (internal/ring) of a single
-// global plan's task IDs, sharing one metrics registry. See DESIGN.md §14.
+// ClusterConfig is the SupervisorConfig NewCluster takes: one supervisor
+// per shard (SupervisorConfig.Shards) over a consistent-hash partition
+// (internal/ring) of a single global plan's task IDs, sharing one metrics
+// registry. See DESIGN.md §14.
 type ClusterConfig = platform.ClusterConfig
 
 // Cluster runs N supervisor shards, each owning its own queue, leases,
