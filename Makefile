@@ -98,7 +98,9 @@ bench-smoke:
 # writer (a revision queued in apply order and never waiting on a frozen
 # fsync, covered revisions skipped after a head snapshot, a revised plan
 # resumed across a crash), and the cluster's routing state read by several
-# goroutines through kill/restore cycles, and the cluster built from one
+# goroutines through kill/restore cycles, racing kills and racing restores
+# of one shard (exactly one of each wins), a sharded worker that waits out
+# both shards' restores in a bubble, and the cluster built from one
 # SupervisorConfig (every option on its shards, snapshots restored
 # byte-identically, an unterminated journal restored twice): ten shuffled
 # runs each under the
@@ -109,7 +111,7 @@ bench-smoke:
 # before done, and an ack settled on the way to a later lease. The lease
 # table's randomized reference-model test rides along in the first leg.
 flake-check:
-	$(SYNCTEST) $(GO) test -race -count=10 -shuffle=on ./internal/platform -run 'LeaseTableMatchesReference|ResolveMismatches|QuantizedMatching|ProbationExpires|VerbEdgesEquivalent|ShutdownDrains|LiveCompactionEndToEnd|PipelinedCycleIsOneWrite|AckFlushedBeforeLeaseParks|StrictClientUnaffected|MaxAssignmentsNeverOverLeases|ConnectionDiesAfterPipelinedWrite|PipelinedThenStall|AckNotHeldBehindTornRequest|FloodWithoutReadingIsBounded|QueuedReplyFlushedBeforeCommitWait|DeferredAcksShareOneWindow|DeferredAckBoundStopsReading|SlowCommitDoesNotTripIOTimeout|CommitCrashBetweenWriteAndFsync|RevisionDoesNotWaitForFsync|RevisionJournaledInApplyOrder|JournalReplayCorruption|AdaptiveChaosResumesRevisedPlan|ClusterRoutingStateConcurrent|ClusterShardsTakeEveryOption|ClusterSnapshotsRestore|ClusterRestoreUnterminatedJournal'
+	$(SYNCTEST) $(GO) test -race -count=10 -shuffle=on ./internal/platform -run 'LeaseTableMatchesReference|ResolveMismatches|QuantizedMatching|ProbationExpires|VerbEdgesEquivalent|ShutdownDrains|LiveCompactionEndToEnd|PipelinedCycleIsOneWrite|AckFlushedBeforeLeaseParks|StrictClientUnaffected|MaxAssignmentsNeverOverLeases|ConnectionDiesAfterPipelinedWrite|PipelinedThenStall|AckNotHeldBehindTornRequest|FloodWithoutReadingIsBounded|QueuedReplyFlushedBeforeCommitWait|DeferredAcksShareOneWindow|DeferredAckBoundStopsReading|SlowCommitDoesNotTripIOTimeout|CommitCrashBetweenWriteAndFsync|RevisionDoesNotWaitForFsync|RevisionJournaledInApplyOrder|JournalReplayCorruption|AdaptiveChaosResumesRevisedPlan|ClusterRoutingStateConcurrent|ClusterLifecycleSerialized|ShardedWorkerWaitsOutRestores|ClusterShardsTakeEveryOption|ClusterSnapshotsRestore|ClusterRestoreUnterminatedJournal'
 	$(GO) test -race -count=10 ./internal/platform -run 'TestUnacked|PipelinedAckSettledBeforeLeaseRead|WorkerResubmitsPendingResult'
 
 # The straggler/health acceptance tests alone, under the race detector:
@@ -164,13 +166,15 @@ alloc-check:
 # counters, exact aggregation), the kill/restore chaos soak with its
 # byte-identical replay and unsharded-reference equality checks, the
 # cross-shard blacklist propagation case, the routing state read
-# concurrently through repeated kill/restore cycles, and the shards built
+# concurrently through repeated kill/restore cycles, two kills and two
+# restores of one shard raced (one of each wins, and the loser of a
+# restore never opens the live shard's journal), and the shards built
 # from one SupervisorConfig: health, speculation, deadlines, mismatch
 # resolution and a fault-injecting listener on every shard; compacted
 # shard journals restored to the live state; a shard journal missing its
 # final newline restored twice with nothing lost.
 shard-smoke:
-	$(GO) test -race -run 'TestShardedSmoke|TestShardChaosSoak|TestShardedWorkerBanned|TestClusterPartition|TestClusterRoutingStateConcurrent|TestClusterShardsTakeEveryOption|TestClusterSnapshotsRestore|TestClusterRestoreUnterminatedJournal' -count=1 -v ./internal/platform
+	$(GO) test -race -run 'TestShardedSmoke|TestShardChaosSoak|TestShardedWorkerBanned|TestClusterPartition|TestClusterRoutingStateConcurrent|TestClusterLifecycleSerialized|TestClusterShardsTakeEveryOption|TestClusterSnapshotsRestore|TestClusterRestoreUnterminatedJournal' -count=1 -v ./internal/platform
 
 # The crash-tolerance acceptance test alone, under the race detector:
 # full plan to certification with every fault mode injected and the

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -150,13 +151,17 @@ func TestBatchSizeSelectsVerbPair(t *testing.T) {
 // request_work/result, once over get_work(1)/result_batch, and once over
 // get_work(1)/result_batch against shard 0 of a cluster built from the same
 // SupervisorConfig, must leave byte-identical journals, equal summaries and
-// equal certified values.
+// equal certified values. The two get_work arms must also send the driver
+// byte-identical replies, resume tokens aside (they are random): a cluster
+// that never changed membership stamps no epoch, just as a lone supervisor.
 func TestVerbEdgesEquivalent(t *testing.T) {
 	type outcome struct {
 		journal string
+		replies string // every byte the driver read, per connection, tokens masked
 		sum     Summary
 		values  []uint64
 	}
+	token := regexp.MustCompile(`"token":[0-9]+`)
 	run := func(t *testing.T, v verbs, shards int) outcome {
 		p, err := plan.Balanced(60, 0.5)
 		if err != nil {
@@ -194,9 +199,18 @@ func TestVerbEdgesEquivalent(t *testing.T) {
 				return string(data)
 			}
 		}
-		driveRoundRobin(t, v, addr, 1, nil, NewCoalition(0.3, 5).CheatFunc(), nil)
+		var read []*bytes.Buffer
+		dial := func(a string) (net.Conn, error) {
+			conn, err := net.Dial("tcp", a)
+			read = append(read, new(bytes.Buffer))
+			return &teeConn{Conn: conn, r: read[len(read)-1]}, err
+		}
+		driveRoundRobin(t, v, dial, addr, 1, nil, NewCoalition(0.3, 5).CheatFunc(), nil)
 		sup.Wait()
 		out := outcome{journal: journal(), sum: sup.Summary()}
+		for _, r := range read {
+			out.replies += token.ReplaceAllString(r.String(), `"token":0`) + "\n--\n"
+		}
 		for task := 0; task < p.N+p.Ringers; task++ {
 			val, ok := sup.CertifiedValue(task)
 			if !ok {
@@ -230,17 +244,31 @@ func TestVerbEdgesEquivalent(t *testing.T) {
 			t.Errorf("certified values differ between %s", o.name)
 		}
 	}
+	if batch.replies != shard.replies {
+		t.Errorf("replies differ between a supervisor and a 1-shard cluster:\n%s\n---\n%s", batch.replies, shard.replies)
+	}
 }
 
-// teeConn copies everything written to the connection into w.
+// teeConn copies everything written to the connection into w and
+// everything read from it into r, each when set.
 type teeConn struct {
 	net.Conn
-	w *bytes.Buffer
+	w, r *bytes.Buffer
 }
 
 func (c *teeConn) Write(p []byte) (int, error) {
-	c.w.Write(p)
+	if c.w != nil {
+		c.w.Write(p)
+	}
 	return c.Conn.Write(p)
+}
+
+func (c *teeConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if c.r != nil {
+		c.r.Write(p[:n])
+	}
+	return n, err
 }
 
 // TestNegativeBatchSizeRejected: the library refuses a nonsense config

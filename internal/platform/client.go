@@ -128,8 +128,9 @@ type WorkerStats struct {
 	Completed     int
 	Cheated       int
 	// Epoch is the highest shard-map epoch seen in any supervisor reply
-	// (0 against an unsharded supervisor). A sharded worker whose map is
-	// older than this re-resolves its routing (RunShardedWorker).
+	// (0 against an unsharded supervisor, or a cluster that has not yet
+	// killed or restored a shard). A sharded worker whose map is older
+	// than this re-reads it (RunShardedWorker).
 	Epoch uint64
 }
 

@@ -3,6 +3,7 @@ package platform
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"redundancy/internal/ring"
@@ -15,8 +16,8 @@ import (
 const shardedStallDelay = 25 * time.Millisecond
 
 // RunShardedWorker drives one worker identity across every shard of a
-// cluster. The worker rebuilds the cluster's consistent-hash ring locally
-// from the ShardMap (same vnode count and seed, so placement agrees with
+// cluster. The worker builds the cluster's consistent-hash ring once from
+// the first ShardMap (same vnode count and seed, so placement agrees with
 // the supervisors') and serves shards starting at its home shard — the ring
 // owner of its own name, which spreads workers across shards without any
 // central assignment. Each shard session is an ordinary RunWorker run: the
@@ -26,47 +27,47 @@ const shardedStallDelay = 25 * time.Millisecond
 //
 // Replies carry the cluster's shard-map epoch; when a reply's epoch is
 // newer than the map the worker is routing by, the worker calls lookup
-// again and re-resolves before the next shard session. lookup must be
-// safe for concurrent use, as Cluster.ShardMap is.
+// again before the next shard session. Kill and restore keep every shard's
+// ID, name, address and task subset, so a newer map only changes which
+// shards are Down: the ring and the visit order stay as built. lookup must
+// be safe for concurrent use, as Cluster.ShardMap is.
 //
 // The returned stats are cumulative across shards (ParticipantID is
 // shard-local and reports the last session's ID; Epoch the newest epoch
-// seen). The error is nil once every shard has drained; if every shard
-// that still has work has banned this worker, the ban error is returned.
+// seen, 0 if the cluster never changed membership). The error is nil once
+// every shard has drained; if every shard that still has work has banned
+// this worker, the ban error is returned.
 func RunShardedWorker(cfg WorkerConfig, lookup func() ShardMap) (WorkerStats, error) {
 	m := lookup()
 	if len(m.Shards) == 0 {
 		return WorkerStats{}, errors.New("platform: shard map is empty")
 	}
-	r, err := ring.New(ring.Config{VNodes: m.VNodes, Seed: m.Seed}, shardNames(m)...)
+	// Visit order: home shard first (ring owner of this worker's name),
+	// then the rest in ID order. Workers hash to different homes, so the
+	// fleet spreads across shards instead of stampeding shard 0.
+	order, err := shardOrder(m, cfg.Name)
 	if err != nil {
-		return WorkerStats{}, fmt.Errorf("platform: rebuilding shard ring: %w", err)
+		return WorkerStats{}, err
 	}
 
-	// Visit order: home shard first (ring owner of this worker's name),
-	// then the rest in ring order. Workers hash to different homes, so the
-	// fleet spreads across shards instead of stampeding shard 0.
-	order := shardOrder(r, m, cfg.Name)
-
-	done := make(map[string]bool, len(m.Shards))   // shard name -> drained
-	banned := make(map[string]bool, len(m.Shards)) // shard name -> blacklisted us
+	done := make([]bool, len(m.Shards))   // shard ID -> drained
+	banned := make([]bool, len(m.Shards)) // shard ID -> blacklisted us
 	var total WorkerStats
 	var lastBan error
 
 	for {
 		progressed := false
 		remaining := 0
-		for _, name := range order {
-			if done[name] || banned[name] {
+		for _, id := range order {
+			if done[id] || banned[id] {
 				continue
 			}
 			remaining++
-			info, ok := findShard(m, name)
-			if !ok || info.Down {
+			if m.Shards[id].Down {
 				continue // kill window: retry after restore
 			}
 			scfg := cfg
-			scfg.Addr = info.Addr
+			scfg.Addr = m.Shards[id].Addr
 			if cfg.MaxAssignments > 0 {
 				scfg.MaxAssignments = cfg.MaxAssignments - total.Completed
 				if scfg.MaxAssignments <= 0 {
@@ -90,10 +91,10 @@ func RunShardedWorker(cfg WorkerConfig, lookup func() ShardMap) (WorkerStats, er
 				// The shard replied done: its task subset is certified (or
 				// this worker hit its assignment cap mid-session, caught
 				// above on the next pass).
-				done[name] = true
+				done[id] = true
 				progressed = true
 			case errors.Is(err, ErrBlacklisted):
-				banned[name] = true
+				banned[id] = true
 				lastBan = err
 				progressed = true
 			default:
@@ -103,18 +104,16 @@ func RunShardedWorker(cfg WorkerConfig, lookup func() ShardMap) (WorkerStats, er
 			if cfg.MaxAssignments > 0 && total.Completed >= cfg.MaxAssignments {
 				return total, nil
 			}
-			// A newer epoch in any reply means membership changed under
-			// us: re-resolve the map before routing to the next shard.
+			// A newer epoch in any reply means a shard went down or came
+			// back: re-read the Down flags before routing to the next one.
 			if total.Epoch > m.Epoch {
 				m = lookup()
-				if nr, rerr := ring.New(ring.Config{VNodes: m.VNodes, Seed: m.Seed}, shardNames(m)...); rerr == nil {
-					r = nr
-					order = shardOrder(r, m, cfg.Name)
-				}
 			}
 		}
 		if remaining == 0 {
-			break
+			// Every shard drained or banned this worker; a ban on any of
+			// them leaves its work undone by us.
+			return total, lastBan
 		}
 		if !progressed {
 			// Every remaining shard was unreachable or idle: refresh the
@@ -123,10 +122,6 @@ func RunShardedWorker(cfg WorkerConfig, lookup func() ShardMap) (WorkerStats, er
 			time.Sleep(shardedStallDelay)
 		}
 	}
-	if len(banned) > 0 && len(done) < len(m.Shards) {
-		return total, lastBan
-	}
-	return total, nil
 }
 
 // shardNames extracts the ring member names from a shard map.
@@ -138,30 +133,20 @@ func shardNames(m ShardMap) []string {
 	return names
 }
 
-// findShard returns the ShardInfo with the given ring name.
-func findShard(m ShardMap, name string) (ShardInfo, bool) {
-	for _, s := range m.Shards {
-		if s.Name == name {
-			return s, true
-		}
+// shardOrder builds the shard ring from m and returns every shard ID
+// starting at the ring owner of key and continuing in ID order, wrapping
+// around.
+func shardOrder(m ShardMap, key string) ([]int, error) {
+	names := shardNames(m)
+	r, err := ring.New(ring.Config{VNodes: m.VNodes, Seed: m.Seed}, names...)
+	if err != nil {
+		return nil, fmt.Errorf("platform: rebuilding shard ring: %w", err)
 	}
-	return ShardInfo{}, false
-}
-
-// shardOrder returns every shard name starting at the ring owner of key
-// and continuing in shard-map order, wrapping around.
-func shardOrder(r *ring.Ring, m ShardMap, key string) []string {
 	home, _ := r.Lookup(key)
-	start := 0
-	for i, s := range m.Shards {
-		if s.Name == home {
-			start = i
-			break
-		}
+	start := slices.Index(names, home)
+	order := make([]int, len(names))
+	for i := range order {
+		order[i] = (start + i) % len(names)
 	}
-	order := make([]string, 0, len(m.Shards))
-	for i := 0; i < len(m.Shards); i++ {
-		order = append(order, m.Shards[(start+i)%len(m.Shards)].Name)
-	}
-	return order
+	return order, nil
 }

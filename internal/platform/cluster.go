@@ -31,9 +31,11 @@ type ShardInfo struct {
 }
 
 // ShardMap is the routing table a sharded worker consumes: the ring
-// parameters to rebuild placement locally plus the live shard endpoints.
-// Epoch increments on every membership change (kill or restore); replies
-// from shard supervisors carry the epoch so workers detect a stale map.
+// parameters to rebuild placement locally plus the shard endpoints. Shards
+// is indexed by ID; only Down and Epoch change between lookups. Epoch is 0
+// until the first membership change and increments on every kill or
+// restore; replies from shard supervisors carry it (a 0 is omitted, as a
+// lone supervisor omits it) so workers detect a stale map.
 type ShardMap struct {
 	Epoch  uint64
 	VNodes int
@@ -46,7 +48,9 @@ type ShardMap struct {
 // identity directory, and journal — no cross-shard lock exists on any hot
 // path; the only shared object is the (idempotent, internally synchronized)
 // metrics registry. Aggregate merges the per-shard audit exports into the
-// run-wide estimate the paper's ε guarantee is stated over. Its methods are
+// run-wide estimate the paper's ε guarantee is stated over. A cluster that
+// is never killed or restored is its supervisors: its epoch stays 0, so a
+// shard's replies are byte-identical to a lone supervisor's. Its methods are
 // safe for concurrent use: ShardMap is a sharded worker's lookup.
 type Cluster struct {
 	cfg     SupervisorConfig // Metrics always set: the shards share it
@@ -55,6 +59,10 @@ type Cluster struct {
 	// parts[i] is the global-ID task subset shard i owns.
 	parts [][]plan.TaskSpec
 
+	// life serializes KillShard, RestoreShard and Close, each for its
+	// whole body, so a shard changes state by one of them at a time. It is
+	// taken before mu and never by a lookup or a hot path.
+	life sync.Mutex
 	// mu guards the routing state below. It is never held across a
 	// supervisor's Start, Wait or Close.
 	mu    sync.Mutex
@@ -98,7 +106,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		parts:   make([][]plan.TaskSpec, cfg.Shards),
 		sups:    make([]*Supervisor, cfg.Shards),
 		addrs:   make([]string, cfg.Shards),
-		epoch:   1,
 	}
 
 	// Static partition: tasks stay where the ring puts them. Membership
@@ -183,23 +190,16 @@ func (c *Cluster) startShard(i int, restore io.Reader) error {
 	}
 	// A restored shard must come back at its old address — workers hold the
 	// map by address, and the whole point of restore is that routing state
-	// stays valid. The OS may briefly hold the port in TIME_WAIT after the
-	// old listener closed, so retry the bind.
+	// stays valid. KillShard closed the old listener before it returned,
+	// and life keeps a second restore out, so the address is free.
 	addr := c.Addr(i)
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	var bound string
-	for attempt := 0; ; attempt++ {
-		bound, err = sup.Start(addr)
-		if err == nil {
-			break
-		}
-		if attempt >= 100 {
-			closeShard(sup)
-			return fmt.Errorf("shard %d: rebinding %s: %w", i, addr, err)
-		}
-		time.Sleep(10 * time.Millisecond)
+	bound, err := sup.Start(addr)
+	if err != nil {
+		closeShard(sup)
+		return fmt.Errorf("shard %d: binding %s: %w", i, addr, err)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -265,6 +265,8 @@ func (c *Cluster) Addr(i int) string {
 // bumps so surviving shards tell workers to re-resolve. The shard's tasks
 // wait — unserved, never migrated — until RestoreShard replays the journal.
 func (c *Cluster) KillShard(i int) error {
+	c.life.Lock()
+	defer c.life.Unlock()
 	sup := c.Supervisor(i)
 	if sup == nil {
 		return fmt.Errorf("platform: shard %d is not running", i)
@@ -280,9 +282,13 @@ func (c *Cluster) KillShard(i int) error {
 // RestoreShard brings a killed shard back at its old address: the journal
 // is read back, replayed through verification (byte-identical restore — a
 // torn tail from the crash is tolerated and cut off by the shard's
-// construction), and the shard
-// resumes serving exactly the work its journal does not already certify.
+// construction), and the shard resumes serving exactly the work its
+// journal does not already certify. Restores are serialized with each
+// other and with KillShard and Close: a second restore of a shard finds
+// it up and is refused before it opens the journal.
 func (c *Cluster) RestoreShard(i int) error {
+	c.life.Lock()
+	defer c.life.Unlock()
 	if c.Supervisor(i) != nil {
 		return fmt.Errorf("platform: shard %d is not down", i)
 	}
@@ -310,6 +316,8 @@ func (c *Cluster) Wait() {
 
 // Close shuts every live shard down and closes the journals.
 func (c *Cluster) Close() error {
+	c.life.Lock()
+	defer c.life.Unlock()
 	var first error
 	for i := range c.sups {
 		c.mu.Lock()

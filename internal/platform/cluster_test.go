@@ -129,8 +129,8 @@ func TestClusterConfigValidation(t *testing.T) {
 // TestShardedSmoke runs a 2-shard cluster to completion with sharded
 // workers and checks the global ledger: every task certified exactly once
 // across the cluster, total credit equals the plan's assignment count,
-// replies carried the epoch, and the shard-labeled counters partition the
-// unlabeled totals.
+// no reply carried an epoch (none changed membership), and the
+// shard-labeled counters partition the unlabeled totals.
 func TestShardedSmoke(t *testing.T) {
 	p := mustClusterPlan(t, 120)
 	reg := obs.NewRegistry()
@@ -164,8 +164,8 @@ func TestShardedSmoke(t *testing.T) {
 		if errs[i] != nil {
 			t.Errorf("worker %d: %v", i, errs[i])
 		}
-		if stats[i].Epoch != 1 {
-			t.Errorf("worker %d saw epoch %d, want 1 (no membership change)", i, stats[i].Epoch)
+		if stats[i].Epoch != 0 {
+			t.Errorf("worker %d saw epoch %d, want 0 (no membership change)", i, stats[i].Epoch)
 		}
 		completed += stats[i].Completed
 	}
@@ -336,8 +336,8 @@ func TestShardChaosSoak(t *testing.T) {
 	if restored := sup1.Summary().Restored; restored < 10 {
 		t.Errorf("restored shard replayed %d results, want >= 10", restored)
 	}
-	if e := c.ShardMap().Epoch; e != 3 {
-		t.Errorf("epoch %d after kill+restore, want 3", e)
+	if e := c.ShardMap().Epoch; e != 2 {
+		t.Errorf("epoch %d after kill+restore, want 2", e)
 	}
 	if reb, _ := reg.Snapshot().Value("redundancy_ring_rebalances_total"); reb != 2 {
 		t.Errorf("ring_rebalances_total = %v, want 2", reb)
@@ -357,8 +357,8 @@ func TestShardChaosSoak(t *testing.T) {
 			maxEpoch = st.Epoch
 		}
 	}
-	if maxEpoch != 3 {
-		t.Errorf("workers saw max epoch %d, want 3 (rebalance not propagated)", maxEpoch)
+	if maxEpoch != 2 {
+		t.Errorf("workers saw max epoch %d, want 2 (rebalance not propagated)", maxEpoch)
 	}
 
 	// Global exactly-once accounting: every task adjudicated, every
@@ -471,7 +471,7 @@ func TestShardChaosSoak(t *testing.T) {
 // goroutines, as sharded workers do through ShardMap, while shard 1 is
 // killed and restored over and over. Under the race detector it fails on
 // any unguarded access; on its own it checks that every map is one
-// consistent cut: shard 1 is down exactly at the even epochs, and the epoch
+// consistent cut: shard 1 is down exactly at the odd epochs, and the epoch
 // never goes back.
 func TestClusterRoutingStateConcurrent(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
@@ -497,7 +497,7 @@ func TestClusterRoutingStateConcurrent(t *testing.T) {
 				default:
 				}
 				m := c.ShardMap()
-				if m.Epoch < last || m.Shards[0].Down || m.Shards[1].Down != (m.Epoch%2 == 0) {
+				if m.Epoch < last || m.Shards[0].Down || m.Shards[1].Down != (m.Epoch%2 == 1) {
 					t.Errorf("torn shard map after epoch %d: %+v", last, m)
 					return
 				}
@@ -519,8 +519,70 @@ func TestClusterRoutingStateConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e := c.ShardMap().Epoch; e != 1+2*cycles {
-		t.Errorf("epoch %d after %d kill/restore cycles, want %d", e, cycles, 1+2*cycles)
+	if e := c.ShardMap().Epoch; e != 2*cycles {
+		t.Errorf("epoch %d after %d kill/restore cycles, want %d", e, cycles, 2*cycles)
+	}
+}
+
+// TestClusterLifecycleSerialized races two KillShard calls on one shard,
+// then two RestoreShard calls, a few rounds over. Exactly one kill stops
+// the shard and the epoch moves once; the other finds it stopped. Exactly
+// one restore brings it back; the other finds it up and is refused before
+// it opens the shard's journal, so the live shard's journal is never
+// replayed and truncated under it: every restore recovers the same work.
+func TestClusterLifecycleSerialized(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{
+		Plan: mustClusterPlan(t, 40), Shards: 2, Seed: 5, WorkKind: "hashchain", Iters: 5,
+		JournalDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if st, err := RunWorker(WorkerConfig{Addr: c.Addr(1), Name: "pre", MaxAssignments: 8}); err != nil || st.Completed != 8 {
+		t.Fatalf("completed %d assignments on shard 1 (err %v), want 8", st.Completed, err)
+	}
+	race := func(what, refusal string, op func(int) error) {
+		t.Helper()
+		var errs [2]error
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for k := range errs {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				<-start
+				errs[k] = op(1)
+			}(k)
+		}
+		close(start)
+		wg.Wait()
+		ok := 0
+		for _, err := range errs {
+			if err == nil {
+				ok++
+			} else if !strings.Contains(err.Error(), refusal) {
+				t.Errorf("losing %s: %v, want %q", what, err, refusal)
+			}
+		}
+		if ok != 1 {
+			t.Errorf("%d of 2 concurrent %ss succeeded, want 1", ok, what)
+		}
+	}
+	for round := 0; round < 4; round++ {
+		e := c.ShardMap().Epoch
+		race("kill", "is not running", c.KillShard)
+		if got := c.ShardMap().Epoch; got != e+1 {
+			t.Errorf("round %d: epoch %d after two racing kills, want %d", round, got, e+1)
+		}
+		race("restore", "is not down", c.RestoreShard)
+		sup := c.Supervisor(1)
+		if sup == nil {
+			t.Fatalf("round %d: shard 1 down after a restore succeeded", round)
+		}
+		if got := sup.Summary().Restored; got != 8 {
+			t.Errorf("round %d: restored %d results, want 8", round, got)
+		}
 	}
 }
 

@@ -323,8 +323,8 @@ func (s *Supervisor) queueLocked(cs *connState, reply Message) error {
 	// Shard-map epoch: every reply from a sharded supervisor carries the
 	// cluster's current epoch, so a worker learns of a rebalance on its
 	// very next round trip and re-resolves its routing. 0 (unsharded, or a
-	// cluster that never rebalanced its bootstrap epoch) is omitted from
-	// the wire entirely.
+	// cluster before its first membership change) is omitted from the wire
+	// entirely, so a quiet cluster's replies are a lone supervisor's.
 	if e := s.epoch.Load(); e != 0 {
 		reply.Epoch = e
 	}

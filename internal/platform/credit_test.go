@@ -118,7 +118,7 @@ func TestResolveMismatchesSalvagesResults(t *testing.T) {
 			t.Cleanup(func() { sup.Close() })
 
 			coal := NewCoalition(0.5, 11) // cheat on about half the tasks
-			driveRoundRobin(t, v, addr, 3, coal.CheatFunc(), nil)
+			driveRoundRobin(t, v, dialTCP, addr, 3, coal.CheatFunc(), nil)
 			sup.Wait()
 
 			sum := sup.Summary()
@@ -186,7 +186,7 @@ func TestQuantizedMatchingOnPlatform(t *testing.T) {
 		}
 		t.Cleanup(func() { sup.Close() }) // after the raw connections close
 		// The second participant is a "noisy FPU" host, not a cheater.
-		driveRoundRobin(t, v, addr, 3, nil, noise)
+		driveRoundRobin(t, v, dialTCP, addr, 3, nil, noise)
 		sup.Wait()
 		return sup.Summary()
 	}

@@ -101,8 +101,9 @@ type Message struct {
 	// stamp it on every reply, and a worker seeing it exceed the epoch of
 	// its shard map knows the cluster rebalanced (a shard died or
 	// returned) and re-resolves its routing before the next lease.
-	// Absent (0) on unsharded supervisors, so the single-supervisor wire
-	// format is byte-identical to previous releases (all replies).
+	// Absent (0) on unsharded supervisors and on a cluster until its
+	// first membership change, so their wire format is byte-identical to
+	// previous releases (all replies).
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 

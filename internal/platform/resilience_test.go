@@ -180,14 +180,14 @@ func answer(t *testing.T, lease Message, cheat CheatFunc) []ResultItem {
 }
 
 // driveRoundRobin registers one participant per cheat function (nil:
-// honest) and runs the computation from this goroutine alone; see
-// drainRoundRobin.
-func driveRoundRobin(t *testing.T, v verbs, addr string, n int, cheats ...CheatFunc) {
+// honest), each on its own connection from dial, and runs the computation
+// from this goroutine alone; see drainRoundRobin.
+func driveRoundRobin(t *testing.T, v verbs, dial func(string) (net.Conn, error), addr string, n int, cheats ...CheatFunc) {
 	t.Helper()
 	codecs := make([]*Codec, len(cheats))
 	ids := make([]int, len(cheats))
 	for i := range cheats {
-		_, codecs[i] = dialCodec(t, dialTCP, addr)
+		_, codecs[i] = dialCodec(t, dial, addr)
 		w := roundTrip(t, codecs[i], Message{Type: MsgRegister, Name: fmt.Sprintf("p%d", i)})
 		if w.Type != MsgRegistered {
 			t.Fatalf("register p%d: %+v", i, w)

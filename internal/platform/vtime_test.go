@@ -1634,3 +1634,59 @@ func TestDeadlineReclaimKeepsComputationLive(t *testing.T) {
 		}
 	})
 }
+
+// TestShardedWorkerWaitsOutRestores starts a sharded worker on a 2-shard
+// cluster whose shards are both down, then restores shard 0 and, a virtual
+// second later, shard 1. The worker first finds no shard up, and later
+// only shard 1 left and still down, so it waits both windows out in
+// RunShardedWorker's stall branch. It finishes every assignment, the
+// cluster grants exactly one credit per copy, and the last epoch the worker
+// saw is 4: two kills, then two restores.
+func TestShardedWorkerWaitsOutRestores(t *testing.T) {
+	bubble(t, func(n *vnet) {
+		p, err := plan.Balanced(40, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewCluster(SupervisorConfig{
+			Plan: p, Shards: 2, Seed: 5, WorkKind: "hashchain", Iters: 5,
+			JournalDir: t.TempDir(), WrapListener: n.listen,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for i := 0; i < 2; i++ {
+			if err := c.KillShard(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var st WorkerStats
+		done := make(chan error)
+		go func() {
+			var err error
+			st, err = RunShardedWorker(WorkerConfig{Name: "patient", BatchSize: 4, Dial: n.dial}, c.ShardMap)
+			done <- err
+		}()
+		for i := 0; i < 2; i++ {
+			time.Sleep(time.Second)
+			if err := c.RestoreShard(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if st.Completed != p.TotalAssignments() || st.Epoch != 4 {
+			t.Errorf("worker completed %d assignments at epoch %d, want %d at epoch 4",
+				st.Completed, st.Epoch, p.TotalAssignments())
+		}
+		credit := 0
+		for _, cr := range c.Aggregate().Credits {
+			credit += cr
+		}
+		if credit != p.TotalAssignments() {
+			t.Errorf("merged credit %d, want %d", credit, p.TotalAssignments())
+		}
+	})
+}

@@ -167,15 +167,15 @@ type Cluster = platform.Cluster
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return platform.NewCluster(cfg) }
 
 // ShardMap is the routing table a sharded worker consumes: ring parameters
-// plus live shard endpoints, versioned by an epoch that increments on
-// every membership change.
+// plus shard endpoints, versioned by an epoch that is 0 until the first
+// membership change and increments on every one.
 type ShardMap = platform.ShardMap
 
 // ShardInfo describes one shard of a running cluster.
 type ShardInfo = platform.ShardInfo
 
 // RunShardedWorker drives one worker across every shard of a cluster,
-// routing by a locally rebuilt consistent-hash ring and re-resolving the
+// routing by a consistent-hash ring it builds once and re-reading the
 // shard map whenever a reply carries a newer epoch.
 func RunShardedWorker(cfg WorkerConfig, lookup func() ShardMap) (WorkerStats, error) {
 	return platform.RunShardedWorker(cfg, lookup)
