@@ -148,14 +148,17 @@ tail-smoke:
 # warm 64-result SubmitBatch allocates nothing; a queue's do not depend on
 # the task count; a snapshot restore allocates the verdict list once;
 # carved storage never aliases; a warm lease table
-# issues and claims a 64-copy lease without allocating. Then the in-process
+# issues and claims a 64-copy lease without allocating; a warm codec
+# encodes, flushes and decodes every lease-cycle frame (single-item and
+# 16-item batch, JSON and binary) without allocating, and decodes verbs,
+# reasons, protos and the work kind into strings it already holds. Then the in-process
 # lease/compute/submit cycle at batch 16 (BenchmarkBatchPipeline) under
 # -benchmem: 2 allocs/op now that Submit and adjudicate allocate nothing
 # (25 before), failing above the ceiling below.
 BATCH_PIPELINE_ALLOCS ?= 4
 
 alloc-check:
-	$(GO) test -count=1 -run 'TestSubmitDoesNotAllocatePerResult|TestSubmitBatchAllocFree|TestReserveIsTheSamePath|TestCarved|TestRestoreVerdictGrowsOnce|TestNewQueueAllocatesOnce|TestSnapshotRestoreAllocatesVerdictsOnce|TestRevisionGrowsPastPresizedTables|TestLeaseCycleAllocFree' ./internal/verify ./internal/sched ./internal/platform
+	$(GO) test -count=1 -run 'TestSubmitDoesNotAllocatePerResult|TestSubmitBatchAllocFree|TestReserveIsTheSamePath|TestCarved|TestRestoreVerdictGrowsOnce|TestNewQueueAllocatesOnce|TestSnapshotRestoreAllocatesVerdictsOnce|TestRevisionGrowsPastPresizedTables|TestLeaseCycleAllocFree|TestCodecFramesAllocFree|TestJSONDecodeInternsStrings' ./internal/verify ./internal/sched ./internal/platform
 	$(GO) test -run '^$$' -bench BenchmarkBatchPipeline -benchmem ./internal/platform | awk -v max=$(BATCH_PIPELINE_ALLOCS) \
 		'{ print } /^BenchmarkBatchPipeline/ { seen = 1; for (i = 2; i <= NF; i++) if ($$i == "allocs/op" && $$(i-1) + 0 > max) over = $$(i-1) } \
 		END { if (!seen) { print "FAIL: BenchmarkBatchPipeline did not run"; exit 1 } \
@@ -184,8 +187,11 @@ chaos:
 
 # Short-fuzz the wire codecs and the scenario-config surface (seed
 # corpora run in every plain `go test`; this explores further for 30s
-# each): FuzzCodecRecv throws hostile bytes at the JSON framing,
-# FuzzBinaryCodec at the binary decoder plus the differential
+# each): FuzzCodecRecv throws hostile bytes at the JSON framing and
+# holds every line it accepts to encoding/json's decoding of it,
+# FuzzCodecSend holds the JSON encoder to encoding/json's bytes for
+# every Message it builds, FuzzBinaryCodec throws hostile bytes at the
+# binary decoder plus the differential
 # binary-equals-JSON-round-trip property, FuzzScenarioConfig hostile
 # parameters (NaN, infinities, negatives) at the scenario lab — which
 # must error, never panic or hang — and FuzzRingLookup hostile member
@@ -193,6 +199,7 @@ chaos:
 # stay total and deterministic.
 fuzz:
 	$(GO) test -fuzz=FuzzCodecRecv -fuzztime=30s -run '^$$' ./internal/platform
+	$(GO) test -fuzz=FuzzCodecSend -fuzztime=30s -run '^$$' ./internal/platform
 	$(GO) test -fuzz=FuzzBinaryCodec -fuzztime=30s -run '^$$' ./internal/platform
 	$(GO) test -fuzz=FuzzScenarioConfig -fuzztime=30s -run '^$$' ./internal/sim
 	$(GO) test -fuzz=FuzzRingLookup -fuzztime=30s -run '^$$' ./internal/ring

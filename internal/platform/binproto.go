@@ -259,17 +259,29 @@ func (r *binReader) varint() (int64, error) {
 	return v, nil
 }
 
-func (r *binReader) str() (string, error) {
+// bytes reads a length-prefixed string's bytes, aliasing the payload.
+func (r *binReader) bytes() ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > uint64(r.remaining()) {
-		return "", fmt.Errorf("truncated string in binary frame")
+		return nil, fmt.Errorf("truncated string in binary frame")
 	}
-	s := string(r.b[r.off : r.off+int(n)])
+	b := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
-	return s, nil
+	return b, nil
+}
+
+func (r *binReader) str() (string, error) {
+	b, err := r.bytes()
+	return string(b), err
+}
+
+// internStr reads a string that takes its value from wireStrings (intern).
+func (r *binReader) internStr() (string, error) {
+	b, err := r.bytes()
+	return intern(b), err
 }
 
 func (r *binReader) f64() (float64, error) {
@@ -339,7 +351,7 @@ func (c *Codec) decodeBinMessage(payload []byte, m *Message) error {
 		}
 	}
 	if bits&binFProto != 0 {
-		if m.Proto, err = r.str(); err != nil {
+		if m.Proto, err = r.internStr(); err != nil {
 			return err
 		}
 	}
@@ -358,9 +370,11 @@ func (c *Codec) decodeBinMessage(payload []byte, m *Message) error {
 		m.Copy = int(v)
 	}
 	if bits&binFKind != 0 {
-		if m.Kind, err = r.str(); err != nil {
+		b, err := r.bytes()
+		if err != nil {
 			return err
 		}
+		m.Kind = c.internKind(b)
 	}
 	if bits&binFSeed != 0 {
 		if m.Seed, err = r.uvarint(); err != nil {
@@ -391,7 +405,7 @@ func (c *Codec) decodeBinMessage(payload []byte, m *Message) error {
 		}
 	}
 	if bits&binFReason != 0 {
-		if m.Reason, err = r.str(); err != nil {
+		if m.Reason, err = r.internStr(); err != nil {
 			return err
 		}
 	}
@@ -478,7 +492,7 @@ func (c *Codec) decodeBinMessage(payload []byte, m *Message) error {
 				return err
 			}
 			a.OK = ok != 0
-			if a.Reason, err = r.str(); err != nil {
+			if a.Reason, err = r.internStr(); err != nil {
 				return err
 			}
 			if a.Error, err = r.str(); err != nil {

@@ -461,8 +461,8 @@ func (s *session) recvAcks(keep int) error {
 // else's now) ends the run unless the worker is in Reconnect mode, where
 // such races are expected. Either way the submission is no longer unacked.
 // A single ack or refusal is the one-item batch_ack it stands for. In
-// binary mode the acks alias codec scratch, so this runs before the next
-// recv.
+// both codec modes the acks alias codec scratch, so this runs before the
+// next recv.
 func (s *session) settle(ack Message) error {
 	st := s.st
 	if len(st.unacked) == 0 {

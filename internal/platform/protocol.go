@@ -17,7 +17,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -230,6 +229,37 @@ var wireVerbs = []string{
 	MsgBatchAck,    // tag 13
 }
 
+// wireStrings holds every string a protocol field takes from a fixed set:
+// the verbs, the refusal reasons and the codec names. Both decoders take
+// verb, reason and proto strings from it (intern).
+var wireStrings = append(append(append([]string(nil), wireVerbs...),
+	ReasonBlacklisted, ReasonUnregistered, ReasonResumeRefused, ReasonUnassigned,
+	ReasonWrongParticipant, ReasonVerification, ReasonDuplicate, ReasonUnknownType),
+	ProtoJSON, ProtoBinary)
+
+// intern returns b as a string, taking it from wireStrings when it is one
+// of them, so a decoded verb, reason or proto never allocates.
+func intern(b []byte) string {
+	if len(b) == 0 { // an ack's reason, mostly
+		return ""
+	}
+	for _, s := range wireStrings {
+		if string(b) == s {
+			return s
+		}
+	}
+	return string(b)
+}
+
+// internKind returns b as a string, reusing the kind this codec decoded
+// last: a run has one work kind, so only its first frame allocates it.
+func (c *Codec) internKind(b []byte) string {
+	if string(b) != c.kind {
+		c.kind = string(b)
+	}
+	return c.kind
+}
+
 // Wire codec names carried in Message.Proto during negotiation.
 const (
 	// ProtoJSON is the default newline-delimited JSON framing; never sent
@@ -257,7 +287,7 @@ var ErrFrameTooLong = errors.New("platform: frame exceeds 1 MiB")
 // time, queues and flushes. EnableBinary belongs to both sides: call it
 // from the receiving goroutine, holding whatever serializes the writers.
 //
-// In binary mode the Work/Results/Acks slices of a received Message alias
+// In both modes the Work/Results/Acks slices of a received Message alias
 // codec-owned scratch buffers: they are valid until the next Recv, which
 // is exactly the lifetime the serve and worker loops need. Copy them to
 // retain a message across receives.
@@ -267,24 +297,26 @@ var ErrFrameTooLong = errors.New("platform: frame exceeds 1 MiB")
 // frames (the replies to a burst of pipelined requests; a worker's results
 // and its next work request) before one flush.
 type Codec struct {
-	w   io.Writer
-	enc *json.Encoder
-	br  *bufio.Reader
+	w  io.Writer
+	br *bufio.Reader
 
 	binary bool  // binary framing active (both directions)
 	err    error // sticky framing error; the stream is unrecoverable
 
-	line []byte // inbound scratch: JSON line / binary payload
+	line []byte  // inbound scratch: JSON line / binary payload
+	hdr  [4]byte // inbound scratch: binary length prefix (a local escapes)
 	// out holds the encoded frames awaiting flush. JSON frames always
 	// precede binary ones (the switch is one-way), and outJSON is where the
 	// JSON ones end, so flush can account the bytes per codec.
 	out     []byte
 	outJSON int
 
-	// decoded-slice scratch, reused across binary Recvs.
+	// decoded-slice scratch, reused across Recvs in both modes.
 	work    []WorkItem
 	results []ResultItem
 	acks    []ResultAck
+	json    jsonReader // the JSON decoder's state and string scratch
+	kind    string     // the work kind last decoded (internKind)
 
 	// wire accounting, split by the codec in effect at the time: bytes
 	// sent plus received, including newlines and frame headers. Read via
@@ -296,18 +328,7 @@ type Codec struct {
 // NewCodec wraps a bidirectional stream; inbound frames may be up to
 // 1 MiB long.
 func NewCodec(rw io.ReadWriter) *Codec {
-	c := &Codec{w: rw, br: bufio.NewReaderSize(rw, 4096)}
-	c.enc = json.NewEncoder(outWriter{c})
-	return c
-}
-
-// outWriter appends the JSON encoder's output to the codec's outbound
-// buffer.
-type outWriter struct{ c *Codec }
-
-func (ow outWriter) Write(p []byte) (int, error) {
-	ow.c.out = append(ow.c.out, p...)
-	return len(p), nil
+	return &Codec{w: rw, br: bufio.NewReaderSize(rw, 4096)}
 }
 
 // EnableBinary switches both directions to the binary framing. Call it
@@ -326,9 +347,8 @@ func (c *Codec) WireBytes() (jsonBytes, binBytes int64) {
 	return c.jsonBytes.Load(), c.binBytes.Load()
 }
 
-// Send writes one message — a JSON line (json.Encoder appends the
-// newline) or one binary frame — in a single Write, behind any frames
-// already queued.
+// Send writes one message — a JSON line or one binary frame — in a single
+// Write, behind any frames already queued.
 func (c *Codec) Send(m Message) error {
 	if err := c.queue(m); err != nil {
 		return err
@@ -339,15 +359,15 @@ func (c *Codec) Send(m Message) error {
 // queue encodes one message behind the frames already awaiting flush. A
 // message that cannot be framed leaves the queue as it was.
 func (c *Codec) queue(m Message) error {
-	start := len(c.out)
 	if !c.binary {
-		if err := c.enc.Encode(m); err != nil {
-			c.out = c.out[:start]
+		out, err := appendJSONMessage(c.out, &m)
+		if err != nil {
 			return err
 		}
-		c.outJSON = len(c.out)
+		c.out, c.outJSON = out, len(out)
 		return nil
 	}
+	start := len(c.out)
 	c.out = append(c.out, 0, 0, 0, 0) // length prefix, patched below
 	c.out = appendBinMessage(c.out, &m)
 	n := len(c.out) - start - 4
@@ -420,7 +440,7 @@ func (c *Codec) Recv() (Message, error) {
 			continue
 		}
 		var m Message
-		if err := json.Unmarshal(line, &m); err != nil {
+		if err := c.decodeJSONMessage(line, &m); err != nil {
 			return Message{}, fmt.Errorf("platform: bad frame: %w", err)
 		}
 		return m, nil
@@ -474,14 +494,14 @@ func trimEOL(line []byte) []byte {
 // recvBinary reads one length-prefixed frame. io.EOF between frames is a
 // clean end of stream; EOF inside a frame is io.ErrUnexpectedEOF.
 func (c *Codec) recvBinary() (Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	hdr := c.hdr[:]
+	if _, err := io.ReadFull(c.br, hdr); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			c.err = err
 		}
 		return Message{}, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(hdr))
 	if n > maxFrame {
 		c.err = ErrFrameTooLong
 		return Message{}, ErrFrameTooLong

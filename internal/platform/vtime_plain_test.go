@@ -42,6 +42,7 @@ func TestSlowCommitDoesNotTripIOTimeout(t *testing.T)            { virtual(t) }
 func TestMetricsAndEventsEndToEnd(t *testing.T)                  { virtual(t) }
 func TestDeadlineReclaimKeepsComputationLive(t *testing.T)       { virtual(t) }
 func TestShardedWorkerWaitsOutRestores(t *testing.T)             { virtual(t) }
+func TestStallChaosSoak(t *testing.T)                            { virtual(t) }
 
 // TestVirtualTestsNamed: every test in vtime_test.go has its name here, so
 // none runs in the child without being reported.
