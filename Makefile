@@ -147,7 +147,10 @@ tail-smoke:
 # tables and chunks and not one per result, with or without Reserve; a
 # warm 64-result SubmitBatch allocates nothing; a queue's do not depend on
 # the task count; a snapshot restore allocates the verdict list once;
-# carved storage never aliases; a warm lease table
+# carved storage never aliases; a verdict is read (by index, by task, and
+# in Summary's and Export's loops) without allocating, and a restored one
+# copies the caller's lists; a collector that has adjudicated 100 000
+# Balanced tasks holds its per-task byte budget; a warm lease table
 # issues and claims a 64-copy lease without allocating; a warm codec
 # encodes, flushes and decodes every lease-cycle frame (single-item and
 # 16-item batch, JSON and binary) without allocating, and decodes verbs,
@@ -158,7 +161,7 @@ tail-smoke:
 BATCH_PIPELINE_ALLOCS ?= 4
 
 alloc-check:
-	$(GO) test -count=1 -run 'TestSubmitDoesNotAllocatePerResult|TestSubmitBatchAllocFree|TestReserveIsTheSamePath|TestCarved|TestRestoreVerdictGrowsOnce|TestNewQueueAllocatesOnce|TestSnapshotRestoreAllocatesVerdictsOnce|TestRevisionGrowsPastPresizedTables|TestLeaseCycleAllocFree|TestCodecFramesAllocFree|TestJSONDecodeInternsStrings' ./internal/verify ./internal/sched ./internal/platform
+	$(GO) test -count=1 -run 'TestSubmitDoesNotAllocatePerResult|TestSubmitBatchAllocFree|TestReserveIsTheSamePath|TestCarved|TestRestoreVerdictGrowsOnce|TestNewQueueAllocatesOnce|TestSnapshotRestoreAllocatesVerdictsOnce|TestRevisionGrowsPastPresizedTables|TestVerdictReadsAllocFree|TestRestoreVerdictCopiesLists|TestCollectorBytesPerTask|TestLeaseCycleAllocFree|TestCodecFramesAllocFree|TestJSONDecodeInternsStrings' ./internal/verify ./internal/sched ./internal/platform
 	$(GO) test -run '^$$' -bench BenchmarkBatchPipeline -benchmem ./internal/platform | awk -v max=$(BATCH_PIPELINE_ALLOCS) \
 		'{ print } /^BenchmarkBatchPipeline/ { seen = 1; for (i = 2; i <= NF; i++) if ($$i == "allocs/op" && $$(i-1) + 0 > max) over = $$(i-1) } \
 		END { if (!seen) { print "FAIL: BenchmarkBatchPipeline did not run"; exit 1 } \

@@ -354,7 +354,7 @@ func TestRevisionGrowsPastPresizedTables(t *testing.T) {
 	sup.lease.mu.Lock()
 	sup.audit.mu.Lock()
 	presized := len(sup.lease.byTask)
-	before := sup.audit.collector.Verdicts()
+	before, beforeCap := sup.audit.collector.NumVerdicts(), sup.audit.collector.VerdictCapacity()
 	var rev plan.Revision
 	for id := 0; id < tasks; id++ {
 		if !sup.lease.queue.EverIssued(id) {
@@ -371,9 +371,9 @@ func TestRevisionGrowsPastPresizedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(before) == 0 || cap(before) != tasks || len(rev.Promotions) == 0 {
+	if before == 0 || beforeCap != tasks || len(rev.Promotions) == 0 {
 		t.Fatalf("before the revision: %d verdicts in a list of capacity %d (want some, in %d), %d tasks left to promote",
-			len(before), cap(before), tasks, len(rev.Promotions))
+			before, beforeCap, tasks, len(rev.Promotions))
 	}
 	if presized != tasks || grown != tasks+mint {
 		t.Fatalf("byTask covers %d tasks at construction and %d after the revision, want %d and %d", presized, grown, tasks, tasks+mint)

@@ -291,9 +291,9 @@ func (s *Supervisor) Summary() Summary {
 	if s.cfg.ResultDigits > 0 {
 		cmp = verify.Quantize{Digits: s.cfg.ResultDigits}
 	}
-	verdicts := s.audit.collector.Verdicts()
-	for i := range verdicts {
-		v := &verdicts[i]
+	col := s.audit.collector
+	for i := range col.NumVerdicts() {
+		v := col.VerdictAt(i)
 		truth := s.work(TaskSeed(v.TaskID), s.cfg.Iters)
 		if v.Accepted && cmp.Canonical(v.Value) != cmp.Canonical(truth) {
 			sum.WrongResults++
@@ -327,10 +327,11 @@ func (s *Supervisor) Export() agg.ShardExport {
 	st := s.audit.collector.Stats()
 	ex.Tasks, ex.Accepted = st.Tasks, st.Accepted
 	ex.Mismatches, ex.RingersCaught = st.MismatchDetected, st.RingersCaught
-	verdicts := s.audit.collector.Verdicts()
-	for i := range verdicts {
-		ex.Assignments += verdicts[i].Copies
-		ex.Bad += len(verdicts[i].Suspects)
+	col := s.audit.collector
+	for i := range col.NumVerdicts() {
+		v := col.VerdictAt(i)
+		ex.Assignments += v.Copies
+		ex.Bad += len(v.Suspects)
 	}
 	board := s.audit.credits.Leaderboard()
 	s.audit.mu.Unlock()

@@ -37,10 +37,10 @@ func (s *Supervisor) captureSnapshot() *snapshotRecord {
 	rec := &snapshotRecord{MaxParticipant: -1}
 	s.withLeaseAndAudit(func() {
 		rec.Revisions = append([]revisionRecord(nil), s.audit.revisions...)
-		verdicts := s.audit.collector.Verdicts()
-		rec.Verdicts = make([]snapshotVerdict, 0, len(verdicts))
-		for i := range verdicts {
-			v := &verdicts[i]
+		col := s.audit.collector
+		rec.Verdicts = make([]snapshotVerdict, 0, col.NumVerdicts())
+		for i := range col.NumVerdicts() {
+			v := col.VerdictAt(i)
 			rec.Verdicts = append(rec.Verdicts, snapshotVerdict{
 				TaskID:       v.TaskID,
 				Ringer:       v.Ringer,

@@ -538,10 +538,10 @@ func TestSnapshotRestoreAllocatesVerdictsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, sup := range map[string]*Supervisor{"live": live, "restored": restored} {
-		v := sup.audit.collector.Verdicts()
-		if len(v) != full || cap(v) != full+partial {
+		col := sup.audit.collector
+		if n, c := col.NumVerdicts(), col.VerdictCapacity(); n != full || c != full+partial {
 			t.Errorf("%s: %d verdicts in a list of capacity %d, want %d in %d (one allocation at the registered count)",
-				name, len(v), cap(v), full, full+partial)
+				name, n, c, full, full+partial)
 		}
 	}
 	if a, b := live.Summary(), restored.Summary(); !reflect.DeepEqual(a, b) {
@@ -556,5 +556,55 @@ func TestSnapshotRestoreAllocatesVerdictsOnce(t *testing.T) {
 	}
 	if _, ok := restored.CertifiedValue(full); ok {
 		t.Error("a task with one of its two results in has a certified value")
+	}
+}
+
+// TestVerdictReadsAllocFree: a verdict is built on read from its stored
+// record, its lists aliasing the collector's, so VerdictAt and VerdictFor
+// allocate nothing, and Summary and Export, which read every verdict,
+// allocate nothing per verdict: 1950 more verdicts cost them no more than
+// the few allocations their maps vary by from call to call under -race.
+func TestVerdictReadsAllocFree(t *testing.T) {
+	const partial = 10
+	var sups []*Supervisor
+	for _, full := range []int{50, 2000} {
+		sup, err := NewSupervisor(SupervisorConfig{
+			Plan: simplePlan(t, float64(full+partial)), Iters: 1, Seed: 9,
+			Restore: bytes.NewReader(syntheticJournal(full, partial).Bytes()),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sups = append(sups, sup)
+	}
+	small, large := sups[0], sups[1]
+	col := large.audit.collector
+	if col.NumVerdicts() != 2000 {
+		t.Fatalf("%d verdicts, want 2000", col.NumVerdicts())
+	}
+	reads := testing.AllocsPerRun(5, func() {
+		for i := range col.NumVerdicts() {
+			v := col.VerdictAt(i)
+			w, ok := col.VerdictFor(v.TaskID)
+			if !ok || w.TaskID != v.TaskID || !w.Accepted || len(w.Contributors) != 2 {
+				t.Fatalf("verdict %d reads %+v, VerdictFor(%d) %+v %v", i, v, v.TaskID, w, ok)
+			}
+		}
+	})
+	if reads != 0 {
+		t.Errorf("reading 2000 verdicts by index and by task makes %.0f allocations, want 0", reads)
+	}
+	for _, read := range []struct {
+		name string
+		fn   func(*Supervisor)
+	}{
+		{"Summary", func(s *Supervisor) { s.Summary() }},
+		{"Export", func(s *Supervisor) { s.Export() }},
+	} {
+		few := testing.AllocsPerRun(5, func() { read.fn(small) })
+		many := testing.AllocsPerRun(5, func() { read.fn(large) })
+		if many-few > 5 {
+			t.Errorf("%s makes %.0f allocations over 50 verdicts and %.0f over 2000, want none per verdict", read.name, few, many)
+		}
 	}
 }

@@ -470,7 +470,8 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 	// fact PerTuple needs replaces the verdict map a 10^6-task run paid
 	// dearly for.
 	detectedByTask := make([]bool, len(specs))
-	for _, v := range collector.Verdicts() {
+	for i := range collector.NumVerdicts() {
+		v := collector.VerdictAt(i)
 		if v.TaskID < len(detectedByTask) {
 			detectedByTask[v.TaskID] = v.MismatchDetected
 		}

@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -50,10 +51,19 @@ func collect(t testing.TB, specs []plan.TaskSpec, results []Result) *Collector {
 	return c
 }
 
+// verdicts builds every verdict c has issued, in adjudication order.
+func verdicts(c *Collector) []Verdict {
+	out := make([]Verdict, c.NumVerdicts())
+	for i := range out {
+		out[i] = c.VerdictAt(i)
+	}
+	return out
+}
+
 // TestSubmitDoesNotAllocatePerResult: a whole run's allocations are the
-// task table, the verdict list and one chunk per 4096 results and 8192
-// contributors, whatever order the results arrive in. The vote map and the
-// suspect list of a disputed task are all that is left per task.
+// task table, the verdict list and one chunk per 4096 results and per 4096
+// listed participants, whatever order the results arrive in. The vote map
+// of a disputed task is all that is left per task.
 func TestSubmitDoesNotAllocatePerResult(t *testing.T) {
 	const tasks = 20_000
 	specs, results := balancedRun(t, tasks, 5)
@@ -77,8 +87,8 @@ func TestSubmitDoesNotAllocatePerResult(t *testing.T) {
 	if st.MismatchDetected == 0 {
 		t.Fatal("the lying run exposed no mismatch")
 	}
-	// At most the suspect list's growth (three appends reach four suspects)
-	// and the vote map per disputed task, nothing on the others.
+	// At most the vote map per disputed task (and the list chunks its
+	// suspects fill sooner), nothing on the others.
 	if extra := disputed - honest; extra > 5*float64(st.MismatchDetected) {
 		t.Errorf("%d disputed tasks cost %.0f allocations beyond the honest run's %.0f",
 			st.MismatchDetected, extra, honest)
@@ -102,7 +112,7 @@ func TestReserveIsTheSamePath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !reflect.DeepEqual(plain.Verdicts(), reserved.Verdicts()) {
+	if !reflect.DeepEqual(verdicts(plain), verdicts(reserved)) {
 		t.Error("verdicts differ between a reserved and an unreserved collector")
 	}
 	if plain.Stats() != reserved.Stats() || plain.Stats().MismatchDetected == 0 {
@@ -170,13 +180,20 @@ func (rc *refCollector) submit(r Result) {
 
 // TestCompactLayout: a task slot and a stored result are 16 bytes each, so
 // four slots share a cache line and a run entry keeps a Result's value,
-// participant and copy in a quarter of a line.
+// participant and copy in a quarter of a line; a stored verdict is 24
+// bytes, a quarter of the 96 B public Verdict it is built into.
 func TestCompactLayout(t *testing.T) {
 	if got := unsafe.Sizeof(taskState{}); got != 16 {
 		t.Errorf("taskState is %d bytes, want 16", got)
 	}
 	if got := unsafe.Sizeof(entry{}); got != 16 {
 		t.Errorf("a stored result is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(stored{}); got != 24 {
+		t.Errorf("a stored verdict is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(Verdict{}); got != 96 {
+		t.Errorf("Verdict is %d bytes, want the 96 the docs quote", got)
 	}
 }
 
@@ -213,18 +230,23 @@ func TestCarvedBufferCannotReachItsNeighbour(t *testing.T) {
 	}
 }
 
+// sameVerdict compares a built verdict a with the reference's b. a's
+// lists must be capped at their length, and its suspect list nil exactly
+// when b's is.
 func sameVerdict(a, b *Verdict) bool {
 	return a.TaskID == b.TaskID && a.Ringer == b.Ringer && a.Copies == b.Copies &&
 		a.Accepted == b.Accepted && a.Value == b.Value && a.MismatchDetected == b.MismatchDetected &&
-		slices.Equal(a.Suspects, b.Suspects) && slices.Equal(a.Contributors, b.Contributors)
+		slices.Equal(a.Suspects, b.Suspects) && slices.Equal(a.Contributors, b.Contributors) &&
+		(a.Suspects == nil) == (b.Suspects == nil) &&
+		cap(a.Suspects) == len(a.Suspects) && cap(a.Contributors) == len(a.Contributors)
 }
 
 // TestCarvedStorageNeverAliases replays a randomized run (1 to 5 copies,
 // ringers, liars, a promoted task, tasks minted mid-run, enough results to
 // cross several chunks) and after every Submit compares every verdict
-// issued so far and every partial task's run with the reference: a run or
-// contributor list that spilled into its neighbour would change one of them
-// after the fact.
+// issued so far (its contributor and suspect lists included) and every
+// partial task's run with the reference: a run or list that spilled into
+// its neighbour would change one of them after the fact.
 func TestCarvedStorageNeverAliases(t *testing.T) {
 	const tasks = 3000
 	r := rng.New(23)
@@ -255,7 +277,7 @@ func TestCarvedStorageNeverAliases(t *testing.T) {
 		add(sp)
 	}
 	r.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
-	if len(queue) < 2*runChunkLen {
+	if len(queue) < 2*chunkLen {
 		t.Fatalf("%d results do not cross a chunk boundary twice", len(queue))
 	}
 
@@ -272,13 +294,12 @@ func TestCarvedStorageNeverAliases(t *testing.T) {
 		}
 		ref.submit(queue[n])
 
-		got := c.Verdicts()
-		if len(got) != len(ref.verdicts) {
-			t.Fatalf("after %d results: %d verdicts, reference has %d", n+1, len(got), len(ref.verdicts))
+		if c.NumVerdicts() != len(ref.verdicts) {
+			t.Fatalf("after %d results: %d verdicts, reference has %d", n+1, c.NumVerdicts(), len(ref.verdicts))
 		}
-		for i := range got {
-			if !sameVerdict(&got[i], &ref.verdicts[i]) {
-				t.Fatalf("after %d results verdict %d is %+v, reference %+v", n+1, i, got[i], ref.verdicts[i])
+		for i := range ref.verdicts {
+			if got := c.VerdictAt(i); !sameVerdict(&got, &ref.verdicts[i]) {
+				t.Fatalf("after %d results verdict %d is %+v, reference %+v", n+1, i, got, ref.verdicts[i])
 			}
 		}
 		for id, buffered := range ref.results {
@@ -301,9 +322,9 @@ func TestCarvedStorageNeverAliases(t *testing.T) {
 	if _, ok := c.VerdictFor(minted); ok {
 		t.Error("VerdictFor answers for a task that was never registered")
 	}
-	if cap(c.Verdicts()) <= tasks {
+	if cap(c.verdicts) <= tasks {
 		t.Errorf("verdict list holds %d with capacity %d: minted tasks never pushed it past the registered %d",
-			len(c.Verdicts()), cap(c.Verdicts()), tasks)
+			len(c.verdicts), cap(c.verdicts), tasks)
 	}
 }
 
@@ -325,7 +346,7 @@ func TestRestoreVerdictGrowsOnce(t *testing.T) {
 		if err := c.RestoreVerdict(accepted(sp)); err != nil {
 			t.Fatal(err)
 		}
-		if got := cap(c.Verdicts()); got != len(specs) {
+		if got := cap(c.verdicts); got != len(specs) {
 			t.Fatalf("after %d restored verdicts the list has capacity %d, want %d throughout", i+1, got, len(specs))
 		}
 	}
@@ -334,6 +355,77 @@ func TestRestoreVerdictGrowsOnce(t *testing.T) {
 	}
 	if err := c.RestoreVerdict(accepted(specs[0])); err == nil {
 		t.Errorf("a second verdict for task %d was accepted", specs[0].ID)
+	}
+}
+
+// TestRestoreVerdictCopiesLists: a restored verdict's lists are copied
+// into the collector's, so the caller may reuse its slices (a decoded
+// snapshot's) without changing anything stored.
+func TestRestoreVerdictCopiesLists(t *testing.T) {
+	c := NewCollector(truthOf)
+	c.ExpectAll([]plan.TaskSpec{{ID: 0, Copies: 3}, {ID: 1, Copies: 2}})
+	contributors, suspects := []int{4, 5, 6}, []int{6}
+	v := Verdict{TaskID: 0, Copies: 3, MismatchDetected: true, Contributors: contributors, Suspects: suspects}
+	var seen Verdict
+	c.OnVerdict(func(v *Verdict) { seen = *v })
+	if err := c.RestoreVerdict(v); err != nil {
+		t.Fatal(err)
+	}
+	want := Verdict{TaskID: 0, Copies: 3, MismatchDetected: true, Contributors: []int{4, 5, 6}, Suspects: []int{6}}
+	if !reflect.DeepEqual(seen, want) {
+		t.Fatalf("the callback saw %+v, want %+v", seen, want)
+	}
+	contributors[0], contributors[2], suspects[0] = 40, 60, 60
+	if got, _ := c.VerdictFor(0); !reflect.DeepEqual(got, want) {
+		t.Errorf("after the caller reused its slices the stored verdict reads %+v, want %+v", got, want)
+	}
+	if !slices.Equal(c.Blacklist(), []int{6}) {
+		t.Errorf("blacklist %v, want [6]", c.Blacklist())
+	}
+	// An accepted verdict restores with no suspect list at all.
+	if err := c.RestoreVerdict(Verdict{TaskID: 1, Copies: 2, Accepted: true, Value: 9, Suspects: []int{}, Contributors: []int{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := c.VerdictFor(1); got.Suspects != nil || !slices.Equal(got.Contributors, []int{1, 2}) || got.Value != 9 {
+		t.Errorf("the accepted verdict reads %+v", got)
+	}
+}
+
+// TestCollectorBytesPerTask holds the verifier's memory to its budget. A
+// collector that has adjudicated plan.Balanced(100 000, 0.5) keeps, per
+// task, a 16 B slot and a 24 B stored verdict, and per assignment (1.39 a
+// task) a 16 B stored result and an 8 B listed contributor: 73.4 B a task,
+// plus at most 4 B of chunk slack (the chunks' unused tails and the last
+// chunk of each kind). A 96 B stored Verdict would read about 145 B.
+func TestCollectorBytesPerTask(t *testing.T) {
+	specs, results := balancedRun(t, 100_000, 13)
+	tasks := float64(len(specs))
+	budget := 16 + 24 + float64(len(results))/tasks*(16+8) + 4
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := NewCollector(truthOf)
+	c.ExpectAll(specs)
+	out := make([]Outcome, 0, 64)
+	for i := 0; i < len(results); i += 64 {
+		out = c.SubmitBatch(results[i:min(i+64, len(results))], out[:0])
+		for j := range out {
+			if out[j].Err != nil {
+				t.Fatal(out[j].Err)
+			}
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(specs) // the plan and the results are in both readings
+	runtime.KeepAlive(results)
+	if st := c.Stats(); st.Accepted != len(specs) {
+		t.Fatalf("accepted %d of %d tasks", st.Accepted, len(specs))
+	}
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / tasks
+	t.Logf("%.1f B per task over %d tasks and %d results (budget %.1f)", per, len(specs), len(results), budget)
+	if per > budget {
+		t.Errorf("the collector holds %.1f B per task, budget %.1f", per, budget)
 	}
 }
 
@@ -431,7 +523,7 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 	for id := 0; id < 2500; id++ {
 		sp := plan.TaskSpec{ID: id, Copies: 1 + s.r.Intn(5), Ringer: s.r.Intn(15) == 0}
 		if id == 1234 {
-			sp.Copies = runChunkLen + 904
+			sp.Copies = chunkLen + 904
 		}
 		s.specs = append(s.specs, sp)
 	}
@@ -503,7 +595,7 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 	if batched.PendingTasks() != 0 || batched.Stats().Tasks != minted {
 		t.Errorf("after the stream: %d pending, %+v over %d tasks", batched.PendingTasks(), batched.Stats(), minted)
 	}
-	if !reflect.DeepEqual(batched.Verdicts(), single.Verdicts()) || !slices.Equal(batchedSeen, singleSeen) {
+	if !reflect.DeepEqual(verdicts(batched), verdicts(single)) || !slices.Equal(batchedSeen, singleSeen) {
 		t.Error("the verdict lists or the callback order differ")
 	}
 	if batched.Stats() != single.Stats() || batched.Stats().RingersCaught == 0 {

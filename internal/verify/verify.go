@@ -60,14 +60,15 @@ type Outcome struct {
 // range), so a flat slice serves where maps cost a hash on every result,
 // and four slots share a cache line.
 type taskState struct {
-	// expected copies, registered up front; 0 means unregistered.
+	// expected copies, registered up front; 0 means unregistered. Once the
+	// task is adjudicated it is the verdict's Copies and never changes.
 	expected int32
 	// got counts the results stored in the task's run; 0 means the task has
 	// no run (no result yet, or adjudicated).
 	got int32
-	// at is the address of the task's run (see Collector.run) while got > 0.
+	// at is the address of the task's run in Collector.runs while got > 0.
 	// The run holds at least expected entries.
-	at int32
+	at uint32
 	// verdict is 1 + the task's index in Collector.verdicts once adjudicated;
 	// late and duplicate results are rejected by it. Until then it is
 	// ringerRun if the run holds a ringer's results, else 0.
@@ -86,19 +87,84 @@ type entry struct {
 	copy        int32
 }
 
-// Runs are cut in arrival order, at each task's first result, from chunks
-// of runChunkLen entries; a run's address is its chunk's index shifted
-// past runShift plus its offset in the chunk, so 31 bits address 2^31
-// stored results without a pointer per task. A run longer than a chunk
-// gets a chunk of its own at offset 0. Contributor lists are cut from
-// chunks of their own at adjudication. No chunk is ever copied.
+// stored is one issued verdict as the collector keeps it, 24 bytes; the
+// public Verdict is built from it on read. Its contributor list and then
+// its suspect list lie at list in Collector.lists, and its copies are the
+// task slot's expected count.
+type stored struct {
+	value    uint64
+	task     int32
+	list     uint32
+	suspects int32
+	flags    uint8
+}
+
+// The flags of a stored verdict.
 const (
-	runShift        = 12
-	runChunkLen     = 1 << runShift // entries per run chunk (64 KB)
-	runMask         = runChunkLen - 1
-	maxRunChunks    = 1 << (31 - runShift)
-	contribChunkLen = 8192 // participant IDs per chunk (64 KB)
+	ringerFlag = 1 << iota
+	acceptedFlag
+	mismatchFlag
 )
+
+// Runs and lists are cut from chunks of chunkLen elements: 64 KB of run
+// entries, 32 KB of listed participants.
+const (
+	chunkShift = 12
+	chunkLen   = 1 << chunkShift
+	chunkMask  = chunkLen - 1
+)
+
+// chunked is storage cut in order from chunks of chunkLen elements. An
+// address is a chunk's index shifted past chunkShift plus an offset into
+// it, so 32 bits address 2^32 elements without a pointer per cut. A cut never
+// spans two chunks: when the current chunk's room is too short the cut
+// moves to the next chunk (allocated ahead by reserve, or now) and the
+// short tail stays unused; a cut longer than a chunk gets a chunk of its
+// own at offset 0. No chunk is ever copied, and a cut is capped at its
+// length, so an append past one cannot reach the next.
+type chunked[T any] struct {
+	chunks [][]T
+	// used counts the chunks cut from; any after them were allocated ahead.
+	used uint32
+	// next is the address of the next cut and room the elements left
+	// behind it in the current chunk.
+	next, room uint32
+}
+
+// cut returns the address of n fresh elements behind the last cut.
+func (s *chunked[T]) cut(n uint32) uint32 {
+	if n > s.room {
+		k := s.used
+		if k == 1<<(32-chunkShift) {
+			panic("verify: chunk storage exhausted")
+		}
+		if int(k) == len(s.chunks) {
+			s.chunks = append(s.chunks, nil)
+		}
+		if uint32(len(s.chunks[k])) < n {
+			s.chunks[k] = make([]T, max(n, chunkLen))
+		}
+		s.used++
+		s.next, s.room = k<<chunkShift, uint32(len(s.chunks[k]))
+	}
+	at := s.next
+	s.next += n
+	s.room -= n
+	return at
+}
+
+// at returns the n elements at address a.
+func (s *chunked[T]) at(a, n uint32) []T {
+	off := a & chunkMask
+	return s.chunks[a>>chunkShift][off : off+n : off+n]
+}
+
+// reserve allocates chunks ahead until n elements fit behind the ones cut.
+func (s *chunked[T]) reserve(n int) {
+	for ahead := len(s.chunks) - int(s.used); ahead*chunkLen < n; ahead++ {
+		s.chunks = append(s.chunks, make([]T, chunkLen))
+	}
+}
 
 // Collector accumulates results and adjudicates tasks as their final copy
 // arrives. It is not safe for concurrent use.
@@ -114,17 +180,18 @@ type Collector struct {
 	// partial counts tasks with some but not all expected results.
 	partial int
 	// verdicts is in adjudication order (see nextVerdict); stats tallies it.
-	verdicts []Verdict
+	verdicts []stored
 	stats    Stats
-	// runs holds the run chunks by address >> runShift. The first cutChunks
-	// have been cut from; any after them were allocated ahead by Reserve.
-	runs      [][]entry
-	cutChunks int32
-	// next is the address of the next cut and room the entries left behind
-	// it in the current chunk.
-	next, room int32
-	// contribChunk is the unused tail of the current contributor chunk.
-	contribChunk []int
+	// runs holds each task's results, cut at its first result, in arrival
+	// order; lists holds each verdict's contributors then suspects, cut at
+	// adjudication. Neither is written again once the verdict is issued, so
+	// a built Verdict's lists alias them.
+	runs  chunked[entry]
+	lists chunked[int]
+	// built holds the verdicts the last Submit, SubmitBatch or
+	// RestoreVerdict handed out, each built once from its stored record;
+	// Submit and RestoreVerdict use its first.
+	built []Verdict
 	// sink takes a value from every load SubmitBatch's resolve passes make,
 	// so the compiler cannot drop the loads as unused.
 	sink      int32
@@ -144,54 +211,14 @@ func NewCollector(truth func(taskID int) uint64) *Collector {
 	return &Collector{
 		truth:     truth,
 		cmp:       Exact{},
+		built:     make([]Verdict, 1),
 		blacklist: make(map[int]bool),
 		convicted: make(map[int]bool),
 	}
 }
 
-// carve cuts a contributor list of n off the front of the current
-// contributor chunk, starting a new chunk when the current one is too
-// short. The cut is capped at its length, so an append past it cannot
-// reach the next cut.
-func (c *Collector) carve(n int) []int {
-	if n > len(c.contribChunk) {
-		c.contribChunk = make([]int, max(n, contribChunkLen))
-	}
-	out := c.contribChunk[:n:n]
-	c.contribChunk = c.contribChunk[n:]
-	return out
-}
-
-// cut returns the address of a fresh run of n entries behind the last
-// one. A run never spans two chunks: when the current chunk's room is too
-// short the cut moves to the next chunk (reserved, or allocated now) and
-// the short tail stays unused.
-func (c *Collector) cut(n int32) int32 {
-	if n > c.room {
-		k := c.cutChunks
-		if k == maxRunChunks {
-			panic("verify: run storage exhausted")
-		}
-		if int(k) == len(c.runs) {
-			c.runs = append(c.runs, nil)
-		}
-		if len(c.runs[k]) < int(n) {
-			c.runs[k] = make([]entry, max(n, runChunkLen))
-		}
-		c.cutChunks++
-		c.next, c.room = k<<runShift, int32(len(c.runs[k]))
-	}
-	at := c.next
-	c.next += n
-	c.room -= n
-	return at
-}
-
-// run returns the n entries at address at.
-func (c *Collector) run(at, n int32) []entry {
-	off := at & runMask
-	return c.runs[at>>runShift][off : off+n : off+n]
-}
+// run returns the n entries of the run at address at.
+func (c *Collector) run(at uint32, n int32) []entry { return c.runs.at(at, uint32(n)) }
 
 // task returns the state slot for taskID, growing the table as needed
 // (geometrically, so registering n tasks one by one stays O(n)).
@@ -212,7 +239,8 @@ func (c *Collector) task(taskID int) *taskState {
 
 // Expect registers that taskID will receive copies results, or, for a task
 // a revision promotes, raises that number. It must be called before the
-// task's first Submit.
+// task's first Submit, and never for an adjudicated task, whose verdict
+// reads its copies from the registered count.
 func (c *Collector) Expect(taskID, copies int) {
 	if copies < 1 {
 		panic("verify: task must expect at least one copy")
@@ -221,13 +249,16 @@ func (c *Collector) Expect(taskID, copies int) {
 		panic("verify: copies above MaxInt32")
 	}
 	ts := c.task(taskID)
+	if ts.verdict > 0 {
+		panic("verify: Expect on an adjudicated task")
+	}
 	if ts.expected == 0 {
 		c.registered++
 	}
 	if ts.got > 0 && int32(copies) > ts.expected {
 		// A raise after the first result (outside the contract): the run was
 		// cut for fewer copies, so it moves rather than grow into the next.
-		at := c.cut(int32(copies))
+		at := c.runs.cut(uint32(copies))
 		copy(c.run(at, ts.got), c.run(ts.at, ts.got))
 		ts.at = at
 	}
@@ -250,32 +281,30 @@ func (c *Collector) ExpectAll(specs []plan.TaskSpec) {
 
 // Reserve allocates now what a run of `results` results would otherwise
 // allocate as Submit goes: the verdict list, run chunks for that many
-// stored results, one contributor chunk. It only moves those allocations
-// out of a timed region; a chunk tail too short for the next run still
-// sends that run to a chunk allocated when it is cut.
+// stored results and list chunks for that many contributors. It only
+// moves those allocations out of a timed region; a chunk tail too short
+// for the next cut still sends that cut to a chunk allocated then.
 func (c *Collector) Reserve(results int) {
 	if results < 0 {
 		panic("verify: negative reservation")
 	}
 	c.growVerdicts(c.registered)
-	for ahead := len(c.runs) - int(c.cutChunks); ahead*runChunkLen < results; ahead++ {
-		c.runs = append(c.runs, make([]entry, runChunkLen))
-	}
-	c.contribChunk = make([]int, results)
+	c.runs.reserve(results)
+	c.lists.reserve(results)
 }
 
 func (c *Collector) growVerdicts(n int) {
 	if n > cap(c.verdicts) {
-		grown := make([]Verdict, len(c.verdicts), n)
+		grown := make([]stored, len(c.verdicts), n)
 		copy(grown, c.verdicts)
 		c.verdicts = grown
 	}
 }
 
-// nextVerdict extends the verdict list by one zeroed slot. The first call
+// nextVerdict extends the verdict list by one slot. The first call
 // allocates one per registered task; only tasks a revision mints after
 // that push the list into geometric growth.
-func (c *Collector) nextVerdict() *Verdict {
+func (c *Collector) nextVerdict() *stored {
 	n := len(c.verdicts)
 	if n == cap(c.verdicts) {
 		c.growVerdicts(max(c.registered, n+n/2+1))
@@ -284,7 +313,32 @@ func (c *Collector) nextVerdict() *Verdict {
 	return &c.verdicts[n]
 }
 
-// issue publishes the newest verdict once filled in: the task's index
+// cutLists stores s's contributor list (copies long) and then its suspect
+// list in one fresh cut and returns the two for the caller to fill.
+func (c *Collector) cutLists(s *stored, copies int) (contributors, suspects []int) {
+	n := uint32(copies) + uint32(s.suspects)
+	s.list = c.lists.cut(n)
+	l := c.lists.at(s.list, n)
+	return l[:copies:copies], l[copies:]
+}
+
+// build fills v from stored verdict s. Its lists alias the list chunks,
+// and Suspects is nil when there are none.
+func (c *Collector) build(s *stored, v *Verdict) {
+	copies := uint32(c.tasks[s.task].expected)
+	l := c.lists.at(s.list, copies+uint32(s.suspects))
+	// Field by field: a composite literal is built aside and copied in.
+	v.TaskID, v.Copies, v.Value = int(s.task), int(copies), s.value
+	v.Ringer = s.flags&ringerFlag != 0
+	v.Accepted = s.flags&acceptedFlag != 0
+	v.MismatchDetected = s.flags&mismatchFlag != 0
+	v.Contributors, v.Suspects = l[:copies:copies], nil
+	if s.suspects > 0 {
+		v.Suspects = l[copies:]
+	}
+}
+
+// issue publishes the newest verdict, built into v: the task's index
 // entry, the tallies, blacklist and convictions, then the callback.
 func (c *Collector) issue(v *Verdict) {
 	c.tasks[v.TaskID].verdict = int32(len(c.verdicts))
@@ -326,11 +380,10 @@ func (c *Collector) SetComparator(cmp Comparator) {
 // Submit records one result. When the final expected copy of the task
 // arrives the task is adjudicated and the verdict returned with done=true.
 func (c *Collector) Submit(r Result) (v Verdict, done bool, err error) {
-	vp, err := c.submit(&r)
-	if vp == nil {
+	if done, err = c.submit(&r, &c.built[0]); !done {
 		return Verdict{}, false, err
 	}
-	return *vp, true, nil
+	return c.built[0], true, nil
 }
 
 // SubmitBatch submits rs in order, exactly as len(rs) calls to Submit
@@ -349,38 +402,48 @@ func (c *Collector) SubmitBatch(rs []Result, out []Outcome) []Outcome {
 	for i := range rs {
 		if id := rs[i].Assignment.TaskID; id >= 0 && id < len(c.tasks) {
 			if ts := &c.tasks[id]; ts.got > 0 {
-				sink += c.runs[ts.at>>runShift][ts.at&runMask].copy
+				sink += c.run(ts.at, 1)[0].copy
 			}
 		}
 	}
 	c.sink = sink
+	if len(c.built) < len(rs) {
+		c.built = make([]Verdict, len(rs))
+	}
+	built, k := c.built, 0
 	for i := range rs {
-		vp, err := c.submit(&rs[i])
-		out = append(out, Outcome{Err: err, Verdict: vp})
+		done, err := c.submit(&rs[i], &built[k])
+		o := Outcome{Err: err}
+		if done {
+			o.Verdict = &built[k]
+			k++
+		}
+		out = append(out, o)
 	}
 	return out
 }
 
 // submit is Submit's body: it stores r in its task's run and, when r is
-// the task's final copy, adjudicates the task and returns its verdict.
-func (c *Collector) submit(r *Result) (*Verdict, error) {
+// the task's final copy, adjudicates the task, builds its verdict into
+// into and reports done.
+func (c *Collector) submit(r *Result, into *Verdict) (done bool, err error) {
 	id := r.Assignment.TaskID
 	if id < 0 || id >= len(c.tasks) || c.tasks[id].expected == 0 {
-		return nil, fmt.Errorf("verify: result for unregistered task %d", id)
+		return false, fmt.Errorf("verify: result for unregistered task %d", id)
 	}
 	ts := &c.tasks[id]
 	if ts.verdict > 0 {
-		return nil, fmt.Errorf("verify: task %d already adjudicated", id)
+		return false, fmt.Errorf("verify: task %d already adjudicated", id)
 	}
 	cp, p := int32(r.Assignment.Copy), int32(r.Participant)
 	if int(cp) != r.Assignment.Copy {
-		return nil, fmt.Errorf("verify: copy %d of task %d does not fit in 32 bits", r.Assignment.Copy, id)
+		return false, fmt.Errorf("verify: copy %d of task %d does not fit in 32 bits", r.Assignment.Copy, id)
 	}
 	if int(p) != r.Participant {
-		return nil, fmt.Errorf("verify: participant %d does not fit in 32 bits", r.Participant)
+		return false, fmt.Errorf("verify: participant %d does not fit in 32 bits", r.Participant)
 	}
 	if ts.got == 0 {
-		ts.at = c.cut(ts.expected)
+		ts.at = c.runs.cut(uint32(ts.expected))
 		if r.Assignment.Ringer {
 			ts.verdict = ringerRun
 		}
@@ -392,102 +455,121 @@ func (c *Collector) submit(r *Result) (*Verdict, error) {
 	// never counts toward the quorum whatever the caller's bookkeeping missed.
 	for i := range run[:ts.got] {
 		if run[i].copy == cp {
-			return nil, fmt.Errorf("verify: duplicate copy %d for task %d", r.Assignment.Copy, id)
+			return false, fmt.Errorf("verify: duplicate copy %d for task %d", r.Assignment.Copy, id)
 		}
 	}
 	run[ts.got] = entry{value: r.Value, participant: p, copy: cp}
 	ts.got++
 	if ts.got < ts.expected {
-		return nil, nil
+		return false, nil
 	}
 	ts.got = 0
 	c.partial--
-	vp := c.adjudicate(id, r.Assignment.Ringer, run)
-	c.issue(vp)
-	return vp, nil
+	c.build(c.adjudicate(id, r.Assignment.Ringer, run), into)
+	c.issue(into)
+	return true, nil
 }
 
-// adjudicate appends the verdict for one fully-collected task to
-// c.verdicts and returns a pointer to it. The verdict is built in place
-// and the run walked by index: a Verdict is 88 bytes, and copying verdicts
-// and results dominated the scenario lab's profile at 10^6 tasks.
-func (c *Collector) adjudicate(taskID int, ringer bool, run []entry) *Verdict {
-	v := c.nextVerdict()
-	v.TaskID, v.Ringer, v.Copies = taskID, ringer, len(run)
-	v.Contributors = c.carve(len(run))
-	for i := range run {
-		v.Contributors[i] = int(run[i].participant)
-	}
-
+// adjudicate appends the stored verdict of one fully-collected task to
+// c.verdicts and returns it. The run is walked by index and the lists are
+// cut once the vote has counted the suspects, so nothing is allocated but
+// a disputed task's vote map.
+func (c *Collector) adjudicate(taskID int, ringer bool, run []entry) *stored {
+	s := c.nextVerdict()
+	*s = stored{task: int32(taskID)}
+	// right is the canonical value an honest copy returns; a copy that
+	// differs from it is a suspect, and so is every copy when no strict
+	// majority exists.
+	var right uint64
+	suspects, everyone := 0, false
 	if ringer {
 		if c.truth == nil {
 			panic("verify: ringer task adjudicated without a truth oracle")
 		}
-		want := c.truth(taskID)
-		wantC := c.cmp.Canonical(want)
+		s.flags, s.value = ringerFlag, c.truth(taskID)
+		right = c.cmp.Canonical(s.value)
 		for i := range run {
-			if c.cmp.Canonical(run[i].value) != wantC {
-				v.MismatchDetected = true
-				v.Suspects = append(v.Suspects, int(run[i].participant))
+			if c.cmp.Canonical(run[i].value) != right {
+				suspects++
 			}
 		}
-		v.Accepted = !v.MismatchDetected
-		v.Value = want
-		sort.Ints(v.Suspects)
-		return v
+	} else {
+		// Regular task: majority vote over canonicalized values. Unanimity
+		// is the overwhelmingly common outcome, so check it with one pass
+		// before paying for the per-task vote map.
+		right = c.cmp.Canonical(run[0].value)
+		unanimous := true
+		for i := 1; i < len(run); i++ {
+			if c.cmp.Canonical(run[i].value) != right {
+				unanimous = false
+				break
+			}
+		}
+		if unanimous {
+			s.value = run[0].value
+		} else {
+			counts := make(map[uint64]int)
+			for i := range run {
+				counts[c.cmp.Canonical(run[i].value)]++
+			}
+			// Find the majority canonical value; prefer the numerically
+			// smallest on ties so adjudication is deterministic.
+			best := -1
+			for val, n := range counts {
+				if n > best || (n == best && val < right) {
+					right, best = val, n
+				}
+			}
+			suspects = len(run) - best
+			if everyone = best*2 <= len(run); everyone {
+				suspects = len(run)
+			}
+		}
 	}
+	if suspects == 0 {
+		s.flags |= acceptedFlag
+	} else {
+		s.flags |= mismatchFlag
+	}
+	s.suspects = int32(suspects)
+	contributors, suspect := c.cutLists(s, len(run))
+	k := 0
+	for i := range run {
+		p := int(run[i].participant)
+		contributors[i] = p
+		if suspects > 0 && (everyone || c.cmp.Canonical(run[i].value) != right) {
+			suspect[k] = p
+			k++
+		}
+	}
+	if suspects > 1 {
+		sort.Ints(suspect)
+	}
+	return s
+}
 
-	// Regular task: majority vote over canonicalized values. Unanimity is
-	// the overwhelmingly common outcome, so check it with one pass before
-	// paying for the per-task vote map.
-	first := c.cmp.Canonical(run[0].value)
-	unanimous := true
-	for i := 1; i < len(run); i++ {
-		if c.cmp.Canonical(run[i].value) != first {
-			unanimous = false
-			break
-		}
-	}
-	if unanimous {
-		v.Accepted = true
-		v.Value = run[0].value
-		return v
-	}
-	counts := make(map[uint64]int)
-	for i := range run {
-		counts[c.cmp.Canonical(run[i].value)]++
-	}
-	v.MismatchDetected = true
-	// Find the majority canonical value; prefer the numerically smallest
-	// on ties so adjudication is deterministic.
-	var majority uint64
-	best := -1
-	for val, n := range counts {
-		if n > best || (n == best && val < majority) {
-			majority, best = val, n
-		}
-	}
-	strict := best*2 > len(run)
-	for i := range run {
-		if !strict || c.cmp.Canonical(run[i].value) != majority {
-			v.Suspects = append(v.Suspects, int(run[i].participant))
-		}
-	}
-	sort.Ints(v.Suspects)
+// NumVerdicts returns the number of verdicts issued so far.
+func (c *Collector) NumVerdicts() int { return len(c.verdicts) }
+
+// VerdictAt returns the i-th verdict issued, in adjudication order. Its
+// lists are the collector's, never written again: callers must not mutate
+// them.
+func (c *Collector) VerdictAt(i int) (v Verdict) {
+	c.build(&c.verdicts[i], &v)
 	return v
 }
 
-// Verdicts returns all verdicts issued so far, in adjudication order.
-func (c *Collector) Verdicts() []Verdict { return c.verdicts }
-
-// VerdictFor returns the verdict of an adjudicated task, owned by the
-// collector and valid until the next Submit, SubmitBatch or RestoreVerdict.
-func (c *Collector) VerdictFor(taskID int) (*Verdict, bool) {
+// VerdictFor returns the verdict of an adjudicated task, as VerdictAt.
+func (c *Collector) VerdictFor(taskID int) (v Verdict, ok bool) {
 	if taskID < 0 || taskID >= len(c.tasks) || c.tasks[taskID].verdict <= 0 {
-		return nil, false
+		return Verdict{}, false
 	}
-	return &c.verdicts[c.tasks[taskID].verdict-1], true
+	return c.VerdictAt(int(c.tasks[taskID].verdict - 1)), true
 }
+
+// VerdictCapacity returns how many verdicts the stored list holds before
+// it next grows.
+func (c *Collector) VerdictCapacity() int { return cap(c.verdicts) }
 
 // RestoreVerdict reinstates a previously-issued verdict during snapshot
 // restore: the task is marked adjudicated and every downstream effect of
@@ -495,6 +577,7 @@ func (c *Collector) VerdictFor(taskID int) (*Verdict, bool) {
 // the OnVerdict callback) replays exactly as the live Submit performed it,
 // without the per-copy results. The task must be registered, not collected,
 // and the verdict must have the task's copies and one contributor each.
+// Its lists are copied: the caller keeps v's slices.
 func (c *Collector) RestoreVerdict(v Verdict) error {
 	if v.TaskID < 0 || v.TaskID >= len(c.tasks) || c.tasks[v.TaskID].expected == 0 {
 		return fmt.Errorf("verify: restored verdict for unregistered task %d", v.TaskID)
@@ -514,9 +597,25 @@ func (c *Collector) RestoreVerdict(v Verdict) error {
 		return fmt.Errorf("verify: restored verdict for task %d lists %d contributors for %d copies",
 			v.TaskID, len(v.Contributors), v.Copies)
 	}
-	vp := c.nextVerdict()
-	*vp = v
-	c.issue(vp)
+	if len(v.Suspects) > math.MaxInt32 {
+		return fmt.Errorf("verify: restored verdict for task %d lists %d suspects", v.TaskID, len(v.Suspects))
+	}
+	s := c.nextVerdict()
+	*s = stored{value: v.Value, task: int32(v.TaskID), suspects: int32(len(v.Suspects))}
+	if v.Ringer {
+		s.flags |= ringerFlag
+	}
+	if v.Accepted {
+		s.flags |= acceptedFlag
+	}
+	if v.MismatchDetected {
+		s.flags |= mismatchFlag
+	}
+	contributors, suspects := c.cutLists(s, v.Copies)
+	copy(contributors, v.Contributors)
+	copy(suspects, v.Suspects)
+	c.build(s, &c.built[0])
+	c.issue(&c.built[0])
 	return nil
 }
 

@@ -137,6 +137,23 @@ func TestExpectPanicsOnZeroCopies(t *testing.T) {
 	c.Expect(1, 0)
 }
 
+// TestExpectPanicsOnAdjudicatedTask: a verdict reads its copies from the
+// task slot, so a raise after adjudication would rewrite an issued verdict.
+func TestExpectPanicsOnAdjudicatedTask(t *testing.T) {
+	c := NewCollector(nil)
+	c.Expect(1, 1)
+	c.Submit(res(1, 0, 10, 5, false))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Expect raised an adjudicated task")
+		}
+		if v, _ := c.VerdictFor(1); v.Copies != 1 || !reflect.DeepEqual(v.Contributors, []int{10}) {
+			t.Errorf("the verdict now reads %+v", v)
+		}
+	}()
+	c.Expect(1, 2)
+}
+
 // TestExpectPanicsOutOfRange: task slots hold 32-bit IDs and counts, so a
 // value past them panics rather than wrap.
 func TestExpectPanicsOutOfRange(t *testing.T) {
@@ -196,8 +213,13 @@ func TestStatsAndCallback(t *testing.T) {
 	if s.Tasks != 3 || s.Accepted != 1 || s.MismatchDetected != 2 || s.RingersCaught != 1 {
 		t.Errorf("stats = %+v", s)
 	}
-	if len(seen) != 3 || len(c.Verdicts()) != 3 {
-		t.Errorf("verdict stream: callback %d, stored %d", len(seen), len(c.Verdicts()))
+	if len(seen) != 3 || c.NumVerdicts() != 3 {
+		t.Errorf("verdict stream: callback %d, stored %d", len(seen), c.NumVerdicts())
+	}
+	for i := range seen {
+		if v := c.VerdictAt(i); !reflect.DeepEqual(v, seen[i]) {
+			t.Errorf("verdict %d reads %+v, the callback saw %+v", i, v, seen[i])
+		}
 	}
 	if c.PendingTasks() != 0 {
 		t.Errorf("pending = %d", c.PendingTasks())
