@@ -1,9 +1,10 @@
 GO ?= go
 
-# The platform tests that run on virtual time (internal/platform/vtime_test.go)
-# are built only with this experiment (go1.24). A plain `go test` reaches
-# them through one child run (vtime_plain_test.go); the targets below that
-# select them by name, measure their coverage or repeat them set it.
+# The platform tests that run on virtual time (internal/platform/vtime_test.go
+# and soak_test.go, the fault soaks among them) are built only with this
+# experiment (go1.24). A plain `go test` reaches them through one child run
+# (vtime_plain_test.go); the targets below that select them by name, measure
+# their coverage or repeat them set it.
 SYNCTEST = GOEXPERIMENT=synctest
 
 .PHONY: all build test race cover cover-check bench bench-module bench-smoke flake-check straggler-smoke scenarios-smoke scenarios-scale tail-smoke alloc-check shard-smoke figures fmt vet check chaos fuzz snapshot-smoke clean
@@ -13,11 +14,12 @@ all: build test
 # The full verification gate CI runs: compile everything, vet, the whole
 # test suite under the race detector (the chaos soak included), the
 # platform package vetted and race-tested uncached with GOEXPERIMENT=synctest
-# (SYNCTEST), so vtime_test.go's bubbles are compiled and run directly, the
-# repeated shuffled run of the once-flaky tests, the snapshot-restore
-# equivalence smoke, the per-package coverage floor, the concurrency and
-# wire-cost smoke, short fuzz bursts on both wire codecs, and the bench
-# module built, vetted and short-tested against this tree.
+# (SYNCTEST), so the bubbles of vtime_test.go and soak_test.go are compiled
+# and run directly, the platform package repeated and shuffled under the
+# race detector, the snapshot-restore equivalence smoke, the per-package
+# coverage floor, the concurrency and wire-cost smoke, short fuzz bursts on
+# both wire codecs, and the bench module built, vetted and short-tested
+# against this tree.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -83,36 +85,15 @@ bench-module:
 # throughput numbers the docs quote come from the bench/ suite
 # (bash bench/run.sh).
 bench-smoke:
-	$(GO) test -race -count=1 -run 'TestHonestEndToEnd|TestGroupCommitManyWorkerSoak' ./internal/platform
+	$(SYNCTEST) $(GO) test -race -count=1 -run 'TestHonestEndToEnd|TestGroupCommitManyWorkerSoak' ./internal/platform
 	$(GO) test -run '^$$' -bench 'BenchmarkLoopbackLeaseCycle' -benchtime 2000x -benchmem ./internal/platform
 
-# The three tests that used to race two RunWorker goroutines for work (or
-# two probationers for the end of the run), now driven in a fixed order,
-# plus the verb-edge equivalence test that depends on that determinism,
-# the Shutdown drain (strict and pipelining clients), the compaction
-# restore under two concurrent workers (journal order must equal
-# adjudication order however their connections race), and the
-# reply-ordering tests of the pipelined lease cycle and of the deferred
-# ack (the lease inside a frozen fsync, the shared window, the run-ahead
-# bound, the read deadline under a slow commit), and the journal's one
-# writer (a revision queued in apply order and never waiting on a frozen
-# fsync, covered revisions skipped after a head snapshot, a revised plan
-# resumed across a crash), and the cluster's routing state read by several
-# goroutines through kill/restore cycles, racing kills and racing restores
-# of one shard (exactly one of each wins), a sharded worker that waits out
-# both shards' restores in a bubble, and the cluster built from one
-# SupervisorConfig (every option on its shards, snapshots restored
-# byte-identically, an unterminated journal restored twice): ten shuffled
-# runs each under the
-# race detector, so none can quietly regress into "passes most of the
-# time". The second
-# leg is the worker's FIFO of unacked submissions, state that crosses a
-# reconnect: resubmission after a kill, the MaxAssignments cap, the drain
-# before done, and an ack settled on the way to a later lease. The lease
-# table's randomized reference-model test rides along in the first leg.
+# The whole platform package, twenty shuffled runs under the race detector,
+# so no test in it can quietly regress into "passes most of the time". Its
+# timing and fault tests, the five fault soaks among them, run in virtual
+# time, so a run costs about nine seconds of test time.
 flake-check:
-	$(SYNCTEST) $(GO) test -race -count=10 -shuffle=on ./internal/platform -run 'LeaseTableMatchesReference|ResolveMismatches|QuantizedMatching|ProbationExpires|VerbEdgesEquivalent|ShutdownDrains|LiveCompactionEndToEnd|PipelinedCycleIsOneWrite|AckFlushedBeforeLeaseParks|StrictClientUnaffected|MaxAssignmentsNeverOverLeases|ConnectionDiesAfterPipelinedWrite|PipelinedThenStall|AckNotHeldBehindTornRequest|FloodWithoutReadingIsBounded|QueuedReplyFlushedBeforeCommitWait|DeferredAcksShareOneWindow|DeferredAckBoundStopsReading|SlowCommitDoesNotTripIOTimeout|CommitCrashBetweenWriteAndFsync|RevisionDoesNotWaitForFsync|RevisionJournaledInApplyOrder|JournalReplayCorruption|AdaptiveChaosResumesRevisedPlan|ClusterRoutingStateConcurrent|ClusterLifecycleSerialized|ShardedWorkerWaitsOutRestores|ClusterShardsTakeEveryOption|ClusterSnapshotsRestore|ClusterRestoreUnterminatedJournal'
-	$(GO) test -race -count=10 ./internal/platform -run 'TestUnacked|PipelinedAckSettledBeforeLeaseRead|WorkerResubmitsPendingResult'
+	$(SYNCTEST) $(GO) test -race -count=20 -shuffle=on ./internal/platform
 
 # The straggler/health acceptance tests alone, under the race detector:
 # the lease release table (every cause of a hold ending without a result,
@@ -180,13 +161,14 @@ alloc-check:
 # shard journals restored to the live state; a shard journal missing its
 # final newline restored twice with nothing lost.
 shard-smoke:
-	$(GO) test -race -run 'TestShardedSmoke|TestShardChaosSoak|TestShardedWorkerBanned|TestClusterPartition|TestClusterRoutingStateConcurrent|TestClusterLifecycleSerialized|TestClusterShardsTakeEveryOption|TestClusterSnapshotsRestore|TestClusterRestoreUnterminatedJournal' -count=1 -v ./internal/platform
+	$(SYNCTEST) $(GO) test -race -run 'TestShardedSmoke|TestShardChaosSoak|TestShardedWorkerBanned|TestClusterPartition|TestClusterRoutingStateConcurrent|TestClusterLifecycleSerialized|TestClusterShardsTakeEveryOption|TestClusterSnapshotsRestore|TestClusterRestoreUnterminatedJournal' -count=1 -v ./internal/platform
 
 # The crash-tolerance acceptance test alone, under the race detector:
 # full plan to certification with every fault mode injected and the
-# supervisor killed and restored mid-run (see DESIGN.md §8).
+# supervisor killed and restored mid-run, once per fault seed, in virtual
+# time (see DESIGN.md §8).
 chaos:
-	$(GO) test -race -run TestChaosSoak -count=1 -v ./internal/platform
+	$(SYNCTEST) $(GO) test -race -run TestChaosSoak -count=1 -v ./internal/platform
 
 # Short-fuzz the wire codecs and the scenario-config surface (seed
 # corpora run in every plain `go test`; this explores further for 30s

@@ -309,7 +309,10 @@ func (c *Cluster) RestoreShard(i int) error {
 func (c *Cluster) Wait() {
 	for i := range c.sups {
 		if s := c.Supervisor(i); s != nil {
-			s.Wait()
+			select {
+			case <-s.done:
+			case <-s.stop: // killed: its done never closes
+			}
 		}
 	}
 }

@@ -213,260 +213,6 @@ func TestShardedSmoke(t *testing.T) {
 	}
 }
 
-// TestShardChaosSoak is the acceptance soak for the sharded architecture:
-// a 3-shard cluster with journaled shards and a cheating coalition loses
-// shard 1 mid-run (crash: connections dropped, journal handle closed, a
-// torn record appended), survivors keep serving, the shard is restored at
-// the same address from a byte-identical journal replay, and the finished
-// run's aggregated state — exactly-once credit, certified values, p̂ and
-// the detection floor — matches an unsharded reference run of the same
-// plan, seed, and adversary.
-func TestShardChaosSoak(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos soak in -short mode")
-	}
-	p := mustClusterPlan(t, 150)
-	reg := obs.NewRegistry()
-	dir := t.TempDir()
-	c, err := NewCluster(ClusterConfig{
-		Plan: p, Shards: 3, Seed: 11, WorkKind: "hashchain", Iters: 10,
-		JournalDir: dir, JournalSync: true,
-		Deadline: 2 * time.Second, Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// Every worker shares one coalition: the per-task cheat coin depends
-	// only on (seed, taskID), so every copy of a task yields the same
-	// value no matter which worker, shard, or schedule executed it. That
-	// makes per-task verdicts a pure function of (plan, coalition) — the
-	// property that lets an unsharded reference run reproduce the sharded
-	// run's audit state exactly. The seed is chosen so no ringer is
-	// cheat-marked: a unanimous coalition on a ringer would convict every
-	// worker and strand that shard's queue, while unanimously wrong
-	// regular tasks certify cleanly (the paper's undetectable worst case)
-	// and keep the accounting deterministic.
-	cheatSeed := findRegularOnlyCheatSeed(t, p, 0.25)
-	coal := NewCoalition(0.25, cheatSeed)
-
-	const workers = 6
-	var wg sync.WaitGroup
-	stats := make([]WorkerStats, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cfg := WorkerConfig{
-				Name: fmt.Sprintf("soak-%d", i), BatchSize: 4, Seed: uint64(i + 1),
-				Speed: &SpeedModel{Base: 2 * time.Millisecond}, Cheat: coal.CheatFunc(),
-			}
-			stats[i], _ = RunShardedWorker(cfg, c.ShardMap)
-		}(i)
-	}
-
-	// Let shard 1 accept some results, then crash it.
-	victim := ShardName(1)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		v, _ := reg.Snapshot().Value("redundancy_shard_results_accepted_total", victim)
-		if v >= 10 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("shard 1 never accepted 10 results (at %v)", v)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := c.KillShard(1); err != nil {
-		t.Fatal(err)
-	}
-
-	// Survivors must keep serving while shard 1 is down.
-	before0, _ := reg.Snapshot().Value("redundancy_shard_results_accepted_total", ShardName(0))
-	before2, _ := reg.Snapshot().Value("redundancy_shard_results_accepted_total", ShardName(2))
-	deadline = time.Now().Add(30 * time.Second)
-	for {
-		a0, _ := reg.Snapshot().Value("redundancy_shard_results_accepted_total", ShardName(0))
-		a2, _ := reg.Snapshot().Value("redundancy_shard_results_accepted_total", ShardName(2))
-		done0 := c.Supervisor(0) != nil && supDone(c.Supervisor(0))
-		done2 := c.Supervisor(2) != nil && supDone(c.Supervisor(2))
-		if (a0 > before0 || done0) && (a2 > before2 || done2) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("survivors made no progress during the kill window")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Crash realism: the dying process tore a record mid-append. Replay
-	// must consume every complete record and refuse exactly the tail.
-	jpath := filepath.Join(dir, "shard-1.jnl")
-	pre, err := os.ReadFile(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn := []byte(`{"task":0,"cop`)
-	f, err := os.OpenFile(jpath, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(torn); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	if err := c.RestoreShard(1); err != nil {
-		t.Fatal(err)
-	}
-	restoredAddr := c.Addr(1)
-
-	// Byte-identical replay: the restored shard consumed precisely the
-	// pre-crash journal (torn tail excluded and truncated away).
-	sup1 := c.Supervisor(1)
-	if got := sup1.RestoredJournalBytes(); got != int64(len(pre)) {
-		t.Errorf("replay consumed %d journal bytes, want %d (torn tail of %d must be refused)",
-			got, len(pre), len(torn))
-	}
-	if fi, err := os.Stat(jpath); err != nil || fi.Size() != int64(len(pre)) {
-		t.Errorf("journal not truncated to replayed prefix: size %v, want %d", fi.Size(), len(pre))
-	}
-	if restored := sup1.Summary().Restored; restored < 10 {
-		t.Errorf("restored shard replayed %d results, want >= 10", restored)
-	}
-	if e := c.ShardMap().Epoch; e != 2 {
-		t.Errorf("epoch %d after kill+restore, want 2", e)
-	}
-	if reb, _ := reg.Snapshot().Value("redundancy_ring_rebalances_total"); reb != 2 {
-		t.Errorf("ring_rebalances_total = %v, want 2", reb)
-	}
-
-	c.Wait()
-	wg.Wait()
-
-	// Routing stability: restore came back on the crashed shard's address.
-	m := c.ShardMap()
-	if m.Shards[1].Addr != restoredAddr || m.Shards[1].Down {
-		t.Errorf("shard 1 not serving at its stable address: %+v", m.Shards[1])
-	}
-	var maxEpoch uint64
-	for _, st := range stats {
-		if st.Epoch > maxEpoch {
-			maxEpoch = st.Epoch
-		}
-	}
-	if maxEpoch != 2 {
-		t.Errorf("workers saw max epoch %d, want 2 (rebalance not propagated)", maxEpoch)
-	}
-
-	// Global exactly-once accounting: every task adjudicated, every
-	// assignment copy credited exactly once — across a crash.
-	merged := c.Aggregate()
-	if merged.Tasks != len(p.Tasks()) {
-		t.Errorf("aggregated %d tasks, want %d", merged.Tasks, len(p.Tasks()))
-	}
-	if merged.Assignments != p.TotalAssignments() {
-		t.Errorf("aggregated %d copies, want %d (lost or duplicated adjudication)",
-			merged.Assignments, p.TotalAssignments())
-	}
-	credit := 0
-	for _, cr := range merged.Credits {
-		credit += cr
-	}
-	if credit != p.TotalAssignments() {
-		t.Errorf("merged credit %d, want %d (lost or double-granted work across the crash)",
-			credit, p.TotalAssignments())
-	}
-	for i := 0; i < 3; i++ {
-		if conv := c.Supervisor(i).Summary().Convicted; len(conv) != 0 {
-			t.Errorf("shard %d convicted %v; the regular-only cheat seed must convict nobody", i, conv)
-		}
-	}
-
-	// Unsharded reference: same plan, same coalition coin, one
-	// supervisor. Verdicts depend only on (plan, coalition), so the
-	// sharded run must reproduce its certified values, estimate, and
-	// detection floor bit-for-bit.
-	refCoal := NewCoalition(0.25, cheatSeed)
-	ref, err := NewSupervisor(SupervisorConfig{
-		Plan: p, WorkKind: "hashchain", Iters: 10, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refAddr, err := ref.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rwg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		rwg.Add(1)
-		go func(i int) {
-			defer rwg.Done()
-			cfg := WorkerConfig{
-				Addr: refAddr, Name: fmt.Sprintf("soak-%d", i),
-				BatchSize: 4, Seed: uint64(i + 1),
-			}
-			cfg.Cheat = refCoal.CheatFunc()
-			RunWorker(cfg)
-		}(i)
-	}
-	ref.Wait()
-	rwg.Wait()
-	defer ref.Close()
-
-	refMerged := agg.Merge([]agg.ShardExport{ref.Export()}, 0)
-	if merged.Estimate != refMerged.Estimate {
-		t.Errorf("aggregated estimate %+v != unsharded reference %+v",
-			merged.Estimate, refMerged.Estimate)
-	}
-	if merged.Mismatches != refMerged.Mismatches || merged.RingersCaught != refMerged.RingersCaught ||
-		merged.Accepted != refMerged.Accepted || merged.Bad != refMerged.Bad {
-		t.Errorf("aggregated verdict counts %+v != reference %+v", merged, refMerged)
-	}
-	refCredit := 0
-	for _, cr := range refMerged.Credits {
-		refCredit += cr
-	}
-	if credit != refCredit {
-		t.Errorf("merged credit %d != reference credit %d", credit, refCredit)
-	}
-	// The coalition really cheated, and redundancy really could not see
-	// it: both runs certify the same wrong values for the same tasks.
-	wrong := 0
-	for i := 0; i < 3; i++ {
-		wrong += c.Supervisor(i).Summary().WrongResults
-	}
-	refWrong := ref.Summary().WrongResults
-	if wrong == 0 || wrong != refWrong {
-		t.Errorf("sharded run certified %d wrong values, reference %d (want equal and > 0)", wrong, refWrong)
-	}
-	shardedP, shardedNeed := merged.ReplanNeeded(p, 0.5)
-	refP, refNeed := refMerged.ReplanNeeded(p, 0.5)
-	if shardedP != refP || shardedNeed != refNeed {
-		t.Errorf("detection floor (%v,%v) != reference (%v,%v)", shardedP, shardedNeed, refP, refNeed)
-	}
-	for _, sp := range p.Tasks() {
-		shard, _ := ringOwnerIndex(c, sp.ID)
-		v1, ok1 := c.Supervisor(shard).CertifiedValue(sp.ID)
-		v2, ok2 := ref.CertifiedValue(sp.ID)
-		if ok1 != ok2 || v1 != v2 {
-			t.Errorf("task %d: sharded certified %v/%v, reference %v/%v", sp.ID, v1, ok1, v2, ok2)
-		}
-	}
-	if merged.ImbalancePct > 60 {
-		t.Errorf("per-shard assignment imbalance %.1f%% (3 shards, small plan); ring badly skewed",
-			merged.ImbalancePct)
-	}
-	t.Logf("%s", merged.String())
-	aggObs, _ := reg.Snapshot().Value("redundancy_aggregator_merge_seconds")
-	if aggObs == 0 {
-		t.Error("aggregator_merge_seconds recorded no observations")
-	}
-}
-
 // TestClusterRoutingStateConcurrent reads the routing state from several
 // goroutines, as sharded workers do through ShardMap, while shard 1 is
 // killed and restored over and over. Under the race detector it fails on

@@ -3,18 +3,11 @@ package platform
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"net"
-	"os"
-	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"redundancy/internal/adapt"
-	"redundancy/internal/faults"
-	"redundancy/internal/obs"
 	"redundancy/internal/plan"
 )
 
@@ -195,145 +188,6 @@ func testCommitCrashWindow(t *testing.T, v verbs) {
 		t.Errorf("post-ack image has a torn tail: %d of %d bytes valid",
 			sup3.RestoredJournalBytes(), len(acked))
 	}
-}
-
-// TestGroupCommitManyWorkerSoak is the scale companion to TestChaosSoak:
-// 32 concurrent batched workers hammer one supervisor in JournalSync mode
-// through a fault injector, and the run must end with
-// exact accounting — every assignment credited exactly once — while the
-// journal the committer wrote coalesced (group commits observed, windows
-// averaging more than one record) and replays byte-for-byte: the full
-// file is a valid prefix, restores every accepted result, and rebuilds
-// the identical certified value for every task.
-func TestGroupCommitManyWorkerSoak(t *testing.T) {
-	p, err := plan.Balanced(96, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj, err := faults.New(faults.Config{
-		Seed:     11,
-		DialDrop: 0.02, ReadDrop: 0.01, WriteDrop: 0.01,
-		Latency: 100 * time.Microsecond, Jitter: 200 * time.Microsecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
-	jf, err := os.OpenFile(jpath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jf.Close()
-	reg := obs.NewRegistry()
-	sup, err := NewSupervisor(SupervisorConfig{
-		Plan: p, WorkKind: "hashchain", Iters: 10, Seed: 5,
-		Journal: jf, JournalSync: true,
-		IOTimeout: 2 * time.Second, Deadline: 2 * time.Second,
-		WrapListener: inj.Listener, Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := sup.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const workers = 32
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for !stop.Load() {
-				RunWorker(WorkerConfig{
-					Addr: addr, Name: fmt.Sprintf("soak-%d", i),
-					Reconnect: true, MaxReconnects: 25, BatchSize: 8,
-					BackoffBase: 2 * time.Millisecond, BackoffMax: 50 * time.Millisecond,
-					Seed: uint64(i + 1),
-					Dial: func(a string) (net.Conn, error) { return inj.Dial("tcp", a) },
-				})
-				time.Sleep(2 * time.Millisecond)
-			}
-		}(i)
-	}
-
-	waitDone := make(chan struct{})
-	go func() { sup.Wait(); close(waitDone) }()
-	select {
-	case <-waitDone:
-	case <-time.After(120 * time.Second):
-		stop.Store(true)
-		wg.Wait()
-		t.Fatalf("soak never certified (journal records: %v)",
-			func() float64 { v, _ := reg.Snapshot().Value("redundancy_journal_records_total"); return v }())
-	}
-	stop.Store(true)
-	wg.Wait()
-	sup.Close()
-
-	sum := sup.Summary()
-	tasks := p.N + p.Ringers
-	if sum.Verify.Tasks != tasks || sum.Verify.Accepted != tasks {
-		t.Errorf("certified %d/%d tasks, want all %d", sum.Verify.Accepted, sum.Verify.Tasks, tasks)
-	}
-	// Exactly-once accounting across 32 concurrent clients: a lost result
-	// leaves the credit total short, a double grant pushes it over.
-	total := 0
-	for _, e := range sum.Credits {
-		total += e.Credit
-	}
-	if total != p.TotalAssignments() {
-		t.Errorf("total credit %d, want %d (lost or double-granted work)", total, p.TotalAssignments())
-	}
-
-	snap := reg.Snapshot()
-	commits, _ := snap.Value("redundancy_journal_group_commits_total")
-	if commits == 0 {
-		t.Error("journal_group_commits_total = 0: no commit window was recorded")
-	}
-	if recs, _ := snap.Value("redundancy_journal_records_total"); int(recs) != p.TotalAssignments() {
-		t.Errorf("journaled %v records, want %d", recs, p.TotalAssignments())
-	}
-	if obsN, ok := snap.Value("redundancy_journal_commit_batch_size"); !ok || obsN != commits {
-		t.Errorf("commit batch-size observations %v, want one per group commit (%v)", obsN, commits)
-	}
-	if syncs, _ := snap.Value("redundancy_journal_syncs_total"); syncs > commits+1 {
-		t.Errorf("%v fsyncs for %v group commits: windows are not coalescing syncs", syncs, commits)
-	}
-
-	// Byte-identical replay: the whole file — written concurrently by the
-	// committer under load — must be one valid record stream that rebuilds
-	// the run. No torn tail, no lost record, identical certified values.
-	data, err := os.ReadFile(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sup2, err := NewSupervisor(SupervisorConfig{
-		Plan: p, WorkKind: "hashchain", Iters: 10, Seed: 5,
-		Restore: bytes.NewReader(data),
-	})
-	if err != nil {
-		t.Fatalf("replaying the group-committed journal: %v", err)
-	}
-	if sup2.RestoredJournalBytes() != int64(len(data)) {
-		t.Errorf("replay consumed %d of %d journal bytes: group commit tore a record",
-			sup2.RestoredJournalBytes(), len(data))
-	}
-	if got := sup2.Summary().Restored; got != p.TotalAssignments() {
-		t.Errorf("replay restored %d results, want %d", got, p.TotalAssignments())
-	}
-	for task := 0; task < p.N+p.Ringers; task++ {
-		v1, ok1 := sup.CertifiedValue(task)
-		v2, ok2 := sup2.CertifiedValue(task)
-		if ok1 != ok2 || v1 != v2 {
-			t.Errorf("task %d: certified %v/%v live, %v/%v from replay", task, v1, ok1, v2, ok2)
-		}
-	}
-	t.Logf("soak: %d workers, %d faults injected, %v group commits for %d records (%.1f records/window)",
-		workers, inj.Injected(), commits, p.TotalAssignments(), float64(p.TotalAssignments())/commits)
 }
 
 // startRevising starts a supervisor journaling to jw with JournalSync on,

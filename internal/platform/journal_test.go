@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"redundancy/internal/dist"
+	"redundancy/internal/obs"
 	"redundancy/internal/plan"
+	"redundancy/internal/sched"
 )
 
 // TestJournalRecoveryEndToEnd runs half a computation, kills the
@@ -86,6 +88,74 @@ func TestJournalRecoveryEndToEnd(t *testing.T) {
 	}
 	if total != 120 {
 		t.Errorf("total credit %d, want 120 contributions", total)
+	}
+}
+
+// TestJournalRestoreOneOutstanding restores a journal written under a
+// holdback policy: replay completes each copy through the queue's
+// MarkCompleted, releasing the copies it held back, and a second worker
+// finishes exactly the rest with exact credit. A snapshot of the same state
+// is refused under that policy.
+func TestJournalRestoreOneOutstanding(t *testing.T) {
+	p, err := plan.Balanced(40, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SupervisorConfig{Plan: p, WorkKind: "hashchain", Iters: 5, Seed: 3, Policy: sched.OneOutstanding}
+	var journal bytes.Buffer
+	cfg1 := cfg
+	cfg1.Journal = &journal
+	sup1, err := NewSupervisor(cfg1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr1, err := sup1.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := p.TotalAssignments() / 2
+	if st, err := RunWorker(WorkerConfig{Addr: addr1, Name: "early", MaxAssignments: half}); err != nil || st.Completed != half {
+		t.Fatalf("first phase completed %d of %d: %v", st.Completed, half, err)
+	}
+	sup1.Close()
+	snap, err := sup1.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg2 := cfg
+	cfg2.Restore, cfg2.Metrics = bytes.NewReader(journal.Bytes()), obs.NewRegistry()
+	cfg2.Journal = &journal
+	sup2, err := NewSupervisor(cfg2)
+	if err != nil {
+		t.Fatalf("restoring the one-outstanding journal: %v", err)
+	}
+	addr2, err := sup2.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup2.Close()
+	if _, err := RunWorker(WorkerConfig{Addr: addr2, Name: "late"}); err != nil {
+		t.Fatal(err)
+	}
+	sup2.Wait()
+	sum := sup2.Summary()
+	live, _ := cfg2.Metrics.Snapshot().Value("redundancy_journal_records_total")
+	if sum.Restored != half || sum.Restored+int(live) != p.TotalAssignments() {
+		t.Errorf("%d restored + %v live results, want %d + %d", sum.Restored, live, half, p.TotalAssignments()-half)
+	}
+	credit := 0
+	for _, e := range sum.Credits {
+		credit += e.Credit
+	}
+	if credit != p.TotalAssignments() || sum.Verify.Accepted != p.N+p.Ringers {
+		t.Errorf("credit %d for %d assignments, %d of %d tasks certified",
+			credit, p.TotalAssignments(), sum.Verify.Accepted, p.N+p.Ringers)
+	}
+
+	cfg.Restore = bytes.NewReader(snap)
+	if _, err := NewSupervisor(cfg); err == nil || !strings.Contains(err.Error(), "free policy") {
+		t.Errorf("snapshot restored under one-outstanding: err=%v, want a free-policy refusal", err)
 	}
 }
 

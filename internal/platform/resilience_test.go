@@ -1,19 +1,16 @@
 package platform
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"redundancy/internal/dist"
-	"redundancy/internal/faults"
 	"redundancy/internal/obs"
 	"redundancy/internal/plan"
 	"redundancy/internal/rng"
@@ -381,158 +378,6 @@ func TestWorkerResubmitsPendingResult(t *testing.T) {
 			}
 			if v, _ := wreg.Snapshot().Value("redundancy_worker_reconnects_total"); v != 1 {
 				t.Errorf("worker_reconnects = %v, want 1", v)
-			}
-		})
-	}
-}
-
-// TestLeaseInvariantsUnderChaos is the protocol property test for batched
-// leasing: across random batch sizes, connection kills, disconnects, and
-// resumes, (1) no (task, copy) is ever live in two leases at once — every
-// non-reissue issuance must find the copy not outstanding, every reissue
-// must find it outstanding with the same holder — and (2) total credited
-// assignments equals the plan's assignment count exactly. The supervisor
-// emits its lease-lifecycle events while holding the lease lock, so replaying the stream
-// through a live-lease state machine checks the invariant at every step
-// of the actual interleaving, not just at the end of the run.
-func TestLeaseInvariantsUnderChaos(t *testing.T) {
-	scenarios := []struct {
-		seed    uint64
-		n       int
-		batches []int // per-worker lease size (1 = single-item verbs)
-	}{
-		{seed: 3, n: 30, batches: []int{1, 4, 16}},
-		{seed: 11, n: 45, batches: []int{2, 2, 7, 32}},
-		{seed: 27, n: 25, batches: []int{64, 1}},
-	}
-	for _, sc := range scenarios {
-		t.Run(fmt.Sprintf("seed=%d", sc.seed), func(t *testing.T) {
-			t.Parallel()
-			p, err := plan.Balanced(sc.n, 0.5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inj, err := faults.New(faults.Config{
-				Seed:     sc.seed,
-				DialDrop: 0.05, ReadDrop: 0.03, WriteDrop: 0.03,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var eventLog syncBuffer
-			sup, err := NewSupervisor(SupervisorConfig{
-				Plan: p, WorkKind: "hashchain", Iters: 5, Seed: sc.seed,
-				IOTimeout: 2 * time.Second, Deadline: time.Second,
-				MaxBatch:     32, // below one worker's ask, above most: exercises the cap
-				WrapListener: inj.Listener,
-				Events:       obs.NewSink(&eventLog),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			addr, err := sup.Start("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			for i, batch := range sc.batches {
-				wg.Add(1)
-				go func(i, batch int) {
-					defer wg.Done()
-					for !stop.Load() {
-						RunWorker(WorkerConfig{
-							Addr: addr, Name: fmt.Sprintf("lease-%d", i),
-							BatchSize: batch, Reconnect: true, MaxReconnects: 25,
-							BackoffBase: time.Millisecond, BackoffMax: 20 * time.Millisecond,
-							Seed: sc.seed*100 + uint64(i+1),
-							Dial: func(a string) (net.Conn, error) { return inj.Dial("tcp", a) },
-						})
-						time.Sleep(2 * time.Millisecond)
-					}
-				}(i, batch)
-			}
-			waitDone := make(chan struct{})
-			go func() { sup.Wait(); close(waitDone) }()
-			select {
-			case <-waitDone:
-			case <-time.After(90 * time.Second):
-				stop.Store(true)
-				wg.Wait()
-				t.Fatal("run never certified under lease chaos")
-			}
-			stop.Store(true)
-			wg.Wait()
-			sup.Close()
-
-			// Exact credit accounting: one credit per plan assignment,
-			// nothing lost, nothing double-granted.
-			total := 0
-			for _, e := range sup.Summary().Credits {
-				total += e.Credit
-			}
-			if total != p.TotalAssignments() {
-				t.Errorf("total credit %d, want %d", total, p.TotalAssignments())
-			}
-
-			// Replay the event stream through the live-lease state machine.
-			type leaseEvent struct {
-				Event       string `json:"event"`
-				Task        int    `json:"task"`
-				Copy        int    `json:"copy"`
-				Participant int    `json:"participant"`
-				Reissue     bool   `json:"reissue"`
-			}
-			live := make(map[outstandingKey]int)
-			issued, accepted := 0, 0
-			for lineNo, line := range strings.Split(eventLog.String(), "\n") {
-				if line == "" {
-					continue
-				}
-				var ev leaseEvent
-				if err := json.Unmarshal([]byte(line), &ev); err != nil {
-					t.Fatalf("event line %d: %v (%q)", lineNo, err, line)
-				}
-				key := outstandingKey{ev.Task, ev.Copy}
-				switch ev.Event {
-				case EvAssignmentIssued:
-					holder, isLive := live[key]
-					if ev.Reissue {
-						if !isLive || holder != ev.Participant {
-							t.Fatalf("line %d: task %d copy %d re-issued to %d but lease is held by %d (live=%v)",
-								lineNo, ev.Task, ev.Copy, ev.Participant, holder, isLive)
-						}
-						continue
-					}
-					if isLive {
-						t.Fatalf("line %d: task %d copy %d issued to %d while live in participant %d's lease",
-							lineNo, ev.Task, ev.Copy, ev.Participant, holder)
-					}
-					live[key] = ev.Participant
-					issued++
-				case EvResultAccepted:
-					if holder, isLive := live[key]; !isLive || holder != ev.Participant {
-						t.Fatalf("line %d: accepted task %d copy %d from %d but lease is held by %d (live=%v)",
-							lineNo, ev.Task, ev.Copy, ev.Participant, holder, isLive)
-					}
-					delete(live, key)
-					accepted++
-				case EvAssignmentReclaimed:
-					if _, isLive := live[key]; !isLive {
-						t.Fatalf("line %d: reclaimed task %d copy %d which was not live", lineNo, ev.Task, ev.Copy)
-					}
-					delete(live, key)
-				}
-			}
-			if len(live) != 0 {
-				t.Errorf("run ended with %d leases still live: %v", len(live), live)
-			}
-			if accepted != p.TotalAssignments() {
-				t.Errorf("event stream accepted %d results, want %d", accepted, p.TotalAssignments())
-			}
-			if issued < accepted {
-				t.Errorf("event stream issued %d < accepted %d", issued, accepted)
 			}
 		})
 	}

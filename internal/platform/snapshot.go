@@ -81,22 +81,26 @@ func (s *Supervisor) captureSnapshot() *snapshotRecord {
 // sequence order, onto a fresh queue whose promoted tasks were never
 // issued — exactly the precondition the live apply checked), then every
 // verdict through RestoreVerdict (firing estimator and credit updates in
-// the original adjudication order), then one bulk pass completing the
-// adjudicated copies in the queue, then the partial results through the
-// ordinary replay path. The resulting state is byte-identical to replaying
-// the uncompacted prefix record by record: removals preserve the ready
-// pool's order and commute, promote/mint appends land after every original
-// element in both histories, and the verdict order — the only thing the
-// estimator's and ledger's floating-point accumulation depends on — is
-// preserved verbatim.
+// the original adjudication order) with its copies marked completed, then
+// the partial results through the ordinary replay path. Every copy joins
+// the replay's deferred set, so the replay's one flush takes them all out
+// of the queue. The resulting state is byte-identical to replaying the
+// uncompacted prefix record by record: removals preserve the ready pool's
+// order and commute, promote/mint appends land after every original element
+// in both histories, and the verdict order — the only thing the estimator's
+// and ledger's floating-point accumulation depends on — is preserved
+// verbatim. Only the Free policy defers, so a snapshot is refused under the
+// others.
 func (r *supReplayer) replaySnapshot(rec snapshotRecord) error {
 	s := r.s
+	if s.cfg.Policy != sched.Free {
+		return fmt.Errorf("snapshot restore requires the free policy, have %v", s.cfg.Policy)
+	}
 	for _, rev := range rec.Revisions {
 		if err := r.replayRevision(rev); err != nil {
 			return fmt.Errorf("revision %d: %w", rev.Seq, err)
 		}
 	}
-	covered := make(map[[2]int]bool, 2*len(rec.Verdicts))
 	total := 0
 	for _, v := range rec.Verdicts {
 		if err := s.audit.collector.RestoreVerdict(verify.Verdict{
@@ -112,21 +116,14 @@ func (r *supReplayer) replaySnapshot(rec snapshotRecord) error {
 			return err
 		}
 		for c := 0; c < v.Copies; c++ {
-			covered[[2]int{v.TaskID, c}] = true
+			if !r.markCompleted(sched.Assignment{TaskID: v.TaskID, Copy: c, Ringer: v.Ringer}) {
+				return fmt.Errorf("verdict copy task=%d copy=%d is not queued", v.TaskID, c)
+			}
 		}
 		total += v.Copies
 	}
 	if rec.Results != total+len(rec.Pending) {
 		return fmt.Errorf("snapshot claims %d results but carries %d", rec.Results, total+len(rec.Pending))
-	}
-	n, err := s.lease.queue.MarkCompletedBulk(func(a sched.Assignment) bool {
-		return covered[[2]int{a.TaskID, a.Copy}]
-	})
-	if err != nil {
-		return err
-	}
-	if n != total {
-		return fmt.Errorf("snapshot verdicts cover %d copies but only %d were queued", total, n)
 	}
 	for _, p := range rec.Pending {
 		a := sched.Assignment{TaskID: p.TaskID, Copy: p.Copy, Ringer: p.Ringer}

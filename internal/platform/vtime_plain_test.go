@@ -2,11 +2,12 @@
 
 package platform
 
-// The tests in vtime_test.go run in testing/synctest bubbles, which need
-// GOEXPERIMENT=synctest. Under a plain build each keeps its name here and
-// reports what it did in one child `go test` of that file with the
-// experiment set, so `go test ./...` runs them, and a failure carries the
-// child's output. TestVirtualTestsNamed keeps the two lists equal.
+// The tests in vtime_test.go and soak_test.go run in testing/synctest
+// bubbles, which need GOEXPERIMENT=synctest. Under a plain build each keeps
+// its name here and reports what it did in one child `go test` of those
+// files with the experiment set, so `go test ./...` runs them, and a
+// failure carries the child's output. TestVirtualTestsNamed keeps the lists
+// equal.
 
 import (
 	"encoding/json"
@@ -42,15 +43,23 @@ func TestSlowCommitDoesNotTripIOTimeout(t *testing.T)            { virtual(t) }
 func TestMetricsAndEventsEndToEnd(t *testing.T)                  { virtual(t) }
 func TestDeadlineReclaimKeepsComputationLive(t *testing.T)       { virtual(t) }
 func TestShardedWorkerWaitsOutRestores(t *testing.T)             { virtual(t) }
+func TestClusterWaitSkipsKilledShard(t *testing.T)               { virtual(t) }
+func TestChaosSoak(t *testing.T)                                 { virtual(t) }
 func TestStallChaosSoak(t *testing.T)                            { virtual(t) }
+func TestGroupCommitManyWorkerSoak(t *testing.T)                 { virtual(t) }
+func TestLeaseInvariantsUnderChaos(t *testing.T)                 { virtual(t) }
+func TestShardChaosSoak(t *testing.T)                            { virtual(t) }
 
-// TestVirtualTestsNamed: every test in vtime_test.go has its name here, so
+// gatedFiles hold the tests that run in the child.
+var gatedFiles = []string{"vtime_test.go", "soak_test.go"}
+
+// TestVirtualTestsNamed: every test in gatedFiles has its name here, so
 // none runs in the child without being reported.
 func TestVirtualTestsNamed(t *testing.T) {
-	gated, here := testFuncs(t, "vtime_test.go"), testFuncs(t, "vtime_plain_test.go")
+	gated, here := testFuncs(t, gatedFiles...), testFuncs(t, "vtime_plain_test.go")
 	here = slices.DeleteFunc(here, func(n string) bool { return n == "TestVirtualTestsNamed" })
 	if !reflect.DeepEqual(gated, here) {
-		t.Errorf("tests in vtime_test.go %v, named in vtime_plain_test.go %v", gated, here)
+		t.Errorf("tests in %v %v, named in vtime_plain_test.go %v", gatedFiles, gated, here)
 	}
 }
 
@@ -97,11 +106,11 @@ func report(t *testing.T, ct *childTest) {
 	}
 }
 
-// runChild runs vtime_test.go's tests as `GOEXPERIMENT=synctest go test
-// -json` with this binary's -count and -shuffle, under the race detector
-// when this binary has it.
+// runChild runs gatedFiles' tests as `GOEXPERIMENT=synctest go test -json`
+// with this binary's -count and -shuffle, under the race detector when this
+// binary has it.
 func runChild(t *testing.T) {
-	names := testFuncs(t, "vtime_test.go")
+	names := testFuncs(t, gatedFiles...)
 	args := []string{"test", "-json",
 		"-count=" + flag.Lookup("test.count").Value.String(),
 		"-shuffle=" + flag.Lookup("test.shuffle").Value.String(),
@@ -152,16 +161,18 @@ func runChild(t *testing.T) {
 	}
 }
 
-// testFuncs lists the Test functions declared in file, sorted.
-func testFuncs(t *testing.T, file string) []string {
-	f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatal(err)
-	}
+// testFuncs lists the Test functions declared in files, sorted.
+func testFuncs(t *testing.T, files ...string) []string {
 	var names []string
-	for _, d := range f.Decls {
-		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
-			names = append(names, fn.Name.Name)
+	for _, file := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
+				names = append(names, fn.Name.Name)
+			}
 		}
 	}
 	sort.Strings(names)

@@ -291,11 +291,12 @@ func (q *Queue) MarkCompleted(a Assignment) bool {
 
 // MarkCompletedBulk removes every ready assignment for which done returns
 // true and applies completion accounting, in one pass over the ready pool
-// — the snapshot-restore counterpart of MarkCompleted, which costs a
-// linear pool scan per call and makes restoring k of n assignments
-// O(k·n). Free policy only (snapshot restore is gated to it; the other
-// policies hold copies back and need MarkCompleted's release logic). It
-// returns how many assignments were completed.
+// — the journal-replay counterpart of MarkCompleted, which costs a linear
+// pool scan per call and makes restoring k of n assignments O(k·n).
+// Replay under the Free policy collects every replayed copy, a snapshot's
+// included, and completes them in one pass per flush. Free policy only: the
+// other policies hold copies back and need MarkCompleted's release logic.
+// It returns how many assignments were completed.
 func (q *Queue) MarkCompletedBulk(done func(Assignment) bool) (int, error) {
 	if q.policy != Free {
 		return 0, fmt.Errorf("sched: MarkCompletedBulk requires the free policy, have %v", q.policy)
