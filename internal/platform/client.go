@@ -214,10 +214,16 @@ func noWorkDelay(wait float64, r *rng.Source) time.Duration {
 }
 
 // reconnectDelay is the backoff before reconnect attempt number `attempt`
-// (1-based): base doubled per consecutive failure, capped at max, jittered
-// to [d/2, 3d/2).
-func reconnectDelay(attempt int, base, max time.Duration, r *rng.Source) time.Duration {
-	d := base
+// (1-based): cfg.BackoffBase doubled per consecutive failure, capped at
+// cfg.BackoffMax, jittered to [d/2, 3d/2).
+func reconnectDelay(attempt int, cfg WorkerConfig, r *rng.Source) time.Duration {
+	d, max := cfg.BackoffBase, cfg.BackoffMax
+	if d <= 0 {
+		d = 50 * time.Millisecond
+	}
+	if max <= 0 {
+		max = 5 * time.Second
+	}
 	for i := 1; i < attempt && d < max; i++ {
 		d *= 2
 	}
@@ -274,14 +280,6 @@ func RunWorker(cfg WorkerConfig) (WorkerStats, error) {
 	if maxReconnects <= 0 {
 		maxReconnects = 8
 	}
-	base := cfg.BackoffBase
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	maxBackoff := cfg.BackoffMax
-	if maxBackoff <= 0 {
-		maxBackoff = 5 * time.Second
-	}
 	r := rng.New(workerJitterSeed(cfg))
 	st := &workerState{id: -1}
 	failures := 0
@@ -311,7 +309,7 @@ func RunWorker(cfg WorkerConfig) (WorkerStats, error) {
 				"attempt": failures, "participant": st.id, "error": err.Error(),
 			})
 		}
-		time.Sleep(reconnectDelay(failures, base, maxBackoff, r))
+		time.Sleep(reconnectDelay(failures, cfg, r))
 	}
 }
 

@@ -7,13 +7,8 @@ import (
 	"time"
 
 	"redundancy/internal/ring"
+	"redundancy/internal/rng"
 )
-
-// shardedStallDelay paces retry passes when every remaining shard is
-// unreachable (e.g. the worker's home shard is down between KillShard and
-// RestoreShard): long enough not to spin, short enough that a restored
-// shard is picked up promptly.
-const shardedStallDelay = 25 * time.Millisecond
 
 // RunShardedWorker drives one worker identity across every shard of a
 // cluster. The worker builds the cluster's consistent-hash ring once from
@@ -31,6 +26,10 @@ const shardedStallDelay = 25 * time.Millisecond
 // ID, name, address and task subset, so a newer map only changes which
 // shards are Down: the ring and the visit order stay as built. lookup must
 // be safe for concurrent use, as Cluster.ShardMap is.
+//
+// While every shard with work left is Down, the worker blocks until the map
+// goes stale, or returns an error if it cannot (after Cluster.Close, or on a
+// hand-built map). A failed session on an up shard waits out the backoff.
 //
 // The returned stats are cumulative across shards (ParticipantID is
 // shard-local and reports the last session's ID; Epoch the newest epoch
@@ -50,16 +49,17 @@ func RunShardedWorker(cfg WorkerConfig, lookup func() ShardMap) (WorkerStats, er
 		return WorkerStats{}, err
 	}
 
-	done := make([]bool, len(m.Shards))   // shard ID -> drained
-	banned := make([]bool, len(m.Shards)) // shard ID -> blacklisted us
+	settled := make([]bool, len(m.Shards)) // shard ID -> drained, or banned us
 	var total WorkerStats
 	var lastBan error
+	r := rng.New(workerJitterSeed(cfg))
+	failures := 0 // consecutive passes with a failed session and no progress
 
 	for {
-		progressed := false
+		progressed, failed := false, false
 		remaining := 0
 		for _, id := range order {
-			if done[id] || banned[id] {
+			if settled[id] {
 				continue
 			}
 			remaining++
@@ -68,11 +68,8 @@ func RunShardedWorker(cfg WorkerConfig, lookup func() ShardMap) (WorkerStats, er
 			}
 			scfg := cfg
 			scfg.Addr = m.Shards[id].Addr
-			if cfg.MaxAssignments > 0 {
+			if cfg.MaxAssignments > 0 { // below the cap: the check after each session returns at it
 				scfg.MaxAssignments = cfg.MaxAssignments - total.Completed
-				if scfg.MaxAssignments <= 0 {
-					return total, nil
-				}
 			}
 			st, err := RunWorker(scfg)
 			total.Completed += st.Completed
@@ -80,27 +77,20 @@ func RunShardedWorker(cfg WorkerConfig, lookup func() ShardMap) (WorkerStats, er
 			if st.ParticipantID != 0 || total.ParticipantID == 0 {
 				total.ParticipantID = st.ParticipantID
 			}
-			if st.Epoch > total.Epoch {
-				total.Epoch = st.Epoch
-			}
-			if st.Completed > 0 {
-				progressed = true
-			}
+			total.Epoch = max(total.Epoch, st.Epoch)
 			switch {
 			case err == nil:
 				// The shard replied done: its task subset is certified (or
-				// this worker hit its assignment cap mid-session, caught
-				// above on the next pass).
-				done[id] = true
-				progressed = true
+				// this worker hit its assignment cap, returned on below).
+				settled[id] = true
 			case errors.Is(err, ErrBlacklisted):
-				banned[id] = true
-				lastBan = err
-				progressed = true
+				settled[id], lastBan = true, err
 			default:
 				// Transient (connection refused mid-kill, session died):
 				// leave the shard pending and move on.
+				failed = true
 			}
+			progressed = progressed || settled[id] || st.Completed > 0
 			if cfg.MaxAssignments > 0 && total.Completed >= cfg.MaxAssignments {
 				return total, nil
 			}
@@ -115,12 +105,19 @@ func RunShardedWorker(cfg WorkerConfig, lookup func() ShardMap) (WorkerStats, er
 			// them leaves its work undone by us.
 			return total, lastBan
 		}
-		if !progressed {
-			// Every remaining shard was unreachable or idle: refresh the
-			// map (a restore may have landed) and back off briefly.
-			m = lookup()
-			time.Sleep(shardedStallDelay)
+		switch {
+		case progressed:
+			failures = 0
+			continue
+		case failed:
+			failures++
+			time.Sleep(reconnectDelay(failures, cfg, r))
+		case m.changed == nil:
+			return total, errors.New("platform: every shard with work left is down, and the shard map cannot change")
+		default:
+			<-m.changed // no session ran, so every shard with work left is down in m
 		}
+		m = lookup()
 	}
 }
 

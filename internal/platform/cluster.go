@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -35,12 +36,15 @@ type ShardInfo struct {
 // is indexed by ID; only Down and Epoch change between lookups. Epoch is 0
 // until the first membership change and increments on every kill or
 // restore; replies from shard supervisors carry it (a 0 is omitted, as a
-// lone supervisor omits it) so workers detect a stale map.
+// lone supervisor omits it) so workers detect a stale map. A worker blocks
+// on a map from Cluster.ShardMap until it goes stale (RunShardedWorker); a
+// map taken after Cluster.Close, or built by hand, can never change.
 type ShardMap struct {
-	Epoch  uint64
-	VNodes int
-	Seed   uint64
-	Shards []ShardInfo
+	Epoch   uint64
+	VNodes  int
+	Seed    uint64
+	Shards  []ShardInfo
+	changed <-chan struct{} // closed at the next kill, restore or Close; nil: never
 }
 
 // Cluster runs one supervisor per shard over a consistent-hash partition of
@@ -65,10 +69,11 @@ type Cluster struct {
 	life sync.Mutex
 	// mu guards the routing state below. It is never held across a
 	// supervisor's Start, Wait or Close.
-	mu    sync.Mutex
-	sups  []*Supervisor // nil while the shard is down
-	addrs []string
-	epoch uint64
+	mu      sync.Mutex
+	sups    []*Supervisor // nil while the shard is down
+	addrs   []string
+	epoch   uint64
+	changed chan struct{} // closed and replaced at each epoch bump; nil once closed
 }
 
 // ShardName returns the ring member name of shard i.
@@ -106,6 +111,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		parts:   make([][]plan.TaskSpec, cfg.Shards),
 		sups:    make([]*Supervisor, cfg.Shards),
 		addrs:   make([]string, cfg.Shards),
+		changed: make(chan struct{}),
 	}
 
 	// Static partition: tasks stay where the ring puts them. Membership
@@ -220,9 +226,9 @@ func closeShard(sup *Supervisor) error {
 	return err
 }
 
-// bumpEpochLocked advances the shard map epoch and pushes it to every live
-// shard, so the next reply each shard sends tells its workers to
-// re-resolve. Callers hold mu.
+// bumpEpochLocked advances the shard map epoch, pushes it to every live
+// shard so the next reply each sends tells its workers to re-resolve, and
+// wakes the workers blocked on older maps. Callers hold mu; c is open.
 func (c *Cluster) bumpEpochLocked() {
 	c.epoch++
 	c.metrics.ringRebalances.Inc()
@@ -231,13 +237,15 @@ func (c *Cluster) bumpEpochLocked() {
 			s.setEpoch(c.epoch)
 		}
 	}
+	close(c.changed)
+	c.changed = make(chan struct{})
 }
 
 // ShardMap returns the current routing table.
 func (c *Cluster) ShardMap() ShardMap {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m := ShardMap{Epoch: c.epoch, VNodes: c.ring.VNodes(), Seed: c.ring.Seed()}
+	m := ShardMap{Epoch: c.epoch, VNodes: c.ring.VNodes(), Seed: c.ring.Seed(), changed: c.changed}
 	for i, s := range c.sups {
 		m.Shards = append(m.Shards, ShardInfo{
 			ID: i, Name: ShardName(i), Addr: c.addrs[i], Down: s == nil,
@@ -289,6 +297,9 @@ func (c *Cluster) KillShard(i int) error {
 func (c *Cluster) RestoreShard(i int) error {
 	c.life.Lock()
 	defer c.life.Unlock()
+	if c.ShardMap().changed == nil {
+		return errors.New("platform: cluster is closed")
+	}
 	if c.Supervisor(i) != nil {
 		return fmt.Errorf("platform: shard %d is not down", i)
 	}
@@ -317,16 +328,21 @@ func (c *Cluster) Wait() {
 	}
 }
 
-// Close shuts every live shard down and closes the journals.
+// Close shuts every live shard down and closes the journals. Its maps are
+// all down and final, so sharded workers with work left return an error.
 func (c *Cluster) Close() error {
 	c.life.Lock()
 	defer c.life.Unlock()
+	c.mu.Lock()
+	sups := slices.Clone(c.sups)
+	clear(c.sups)
+	if c.changed != nil {
+		close(c.changed)
+		c.changed = nil
+	}
+	c.mu.Unlock()
 	var first error
-	for i := range c.sups {
-		c.mu.Lock()
-		s := c.sups[i]
-		c.sups[i] = nil
-		c.mu.Unlock()
+	for _, s := range sups {
 		if s != nil {
 			if err := closeShard(s); err != nil && first == nil {
 				first = err

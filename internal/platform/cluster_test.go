@@ -456,6 +456,27 @@ func TestShardedWorkerBanned(t *testing.T) {
 	}
 }
 
+// TestShardedWorkerFinalMapAllDown: a map that cannot change (here one
+// built by hand) with every shard down can never be served, so the worker
+// returns an error instead of waiting for a restore.
+func TestShardedWorkerFinalMapAllDown(t *testing.T) {
+	m := ShardMap{Shards: []ShardInfo{
+		{ID: 0, Name: ShardName(0), Addr: "127.0.0.1:1", Down: true},
+		{ID: 1, Name: ShardName(1), Addr: "127.0.0.1:2", Down: true},
+	}}
+	lookups := 0
+	st, err := RunShardedWorker(WorkerConfig{Name: "orphan"}, func() ShardMap {
+		lookups++
+		return m
+	})
+	if err == nil || st.Completed != 0 {
+		t.Fatalf("worker on an all-down final map: %+v, %v; want an error", st, err)
+	}
+	if lookups != 1 {
+		t.Errorf("worker looked the map up %d times, want 1", lookups)
+	}
+}
+
 // TestClusterShardsTakeEveryOption builds a cluster from a SupervisorConfig
 // carrying the options the shards used to drop — Health, SpeculatePct,
 // Deadline, ResolveMismatches and a fault-injecting WrapListener — and runs

@@ -217,7 +217,7 @@ func (s *Supervisor) serve(conn net.Conn) error {
 		err = s.queueLocked(cs, reply)
 		cs.wmu.Unlock()
 		if err != nil {
-			s.busy.Add(-1)
+			s.unbusy(1)
 			return err
 		}
 	}
@@ -379,6 +379,13 @@ func (s *Supervisor) flushReplies(cs *connState) error {
 	return s.flushLocked(cs)
 }
 
+// unbusy lowers Shutdown's busy count by n, waking the drain if it empties.
+func (s *Supervisor) unbusy(n int64) {
+	if s.busy.Add(-n) == 0 && s.lease.draining.Load() {
+		signal(s.lease.drained)
+	}
+}
+
 // flushLocked writes the connection's queued replies, and every deferred
 // ack whose commit is down by now, in one socket write, and lowers
 // Shutdown's busy count by the requests they answer; with nothing to send
@@ -399,7 +406,7 @@ func (s *Supervisor) flushLocked(cs *connState) error {
 	s.metrics.connFlushes.Inc()
 	cs.werr = cs.codec.flush()
 	s.foldWire(cs)
-	s.busy.Add(-cs.queued)
+	s.unbusy(cs.queued)
 	cs.queued = 0
 	if acked > 0 && cs.dhead == cs.dtail && s.cfg.IOTimeout > 0 {
 		// The peer has its last ack: the next move is its own again. (serve
@@ -512,7 +519,7 @@ func (s *Supervisor) endWrites(cs *connState) {
 	cs.wmu.Lock()
 	_ = s.flushLocked(cs) // the connection is ending either way
 	s.foldWire(cs)        // bytes received since the last flush
-	s.busy.Add(-cs.queued - int64(cs.dtail-cs.dhead))
+	s.unbusy(cs.queued + int64(cs.dtail-cs.dhead))
 	cs.queued, cs.dhead = 0, cs.dtail
 	cs.wmu.Unlock()
 	if cs.gone != nil {

@@ -116,7 +116,7 @@ func (s *Supervisor) adaptTick() {
 		est := s.audit.est.Estimate()
 		s.metrics.adaptPHat.Set(est.PHat)
 		s.metrics.adaptIntervalWidth.Set(est.Width())
-		if est.Samples < float64(s.adaptCfg.MinSamples) || s.lease.finished || s.lease.draining {
+		if est.Samples < float64(s.adaptCfg.MinSamples) || s.lease.finished || s.lease.draining.Load() {
 			return
 		}
 		specs := s.cfg.Plan.Tasks()

@@ -1,11 +1,9 @@
 package platform
 
 import (
-	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -23,26 +21,11 @@ const maxSourceLines = 800
 // lease.mu, audit.mu and ident.mu are each locked only in their own file
 // (lease.go, audit.go, ident.go), except in lockNester.
 func TestLockDomainLayout(t *testing.T) {
-	names, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
 	fset := token.NewFileSet()
 	nesters := 0
-	for _, name := range names {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		src, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := bytes.Count(src, []byte("\n")); n > maxSourceLines {
+	for name, f := range parseSources(t, fset) {
+		if n := fset.File(f.Pos()).LineCount(); n > maxSourceLines {
 			t.Errorf("%s is %d lines, over %d", name, n, maxSourceLines)
-		}
-		f, err := parser.ParseFile(fset, name, src, 0)
-		if err != nil {
-			t.Fatal(err)
 		}
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -66,6 +49,80 @@ func TestLockDomainLayout(t *testing.T) {
 	if nesters != 1 {
 		t.Errorf("found %d functions named %s, want 1", nesters, lockNester)
 	}
+}
+
+// clockWaiters are the functions that may wait on the clock, each for a
+// time that is its subject: the speed model's compute time, the reconnect
+// backoffs, the no_work wait the supervisor asked for, a parked lease's
+// bound and the sweeper's ticker. Anything else waits on the signal that
+// ends its wait.
+var clockWaiters = map[string]bool{
+	"workDelay":        true,
+	"RunWorker":        true,
+	"RunShardedWorker": true,
+	"leaseLoop":        true,
+	"leaseBatch":       true,
+	"every":            true,
+}
+
+// TestNoPolls: every time.Sleep, After, AfterFunc, Tick, NewTimer and
+// NewTicker call in the package's non-test source sits in a clockWaiter.
+func TestNoPolls(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, f := range parseSources(t, fset) {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || clockWaiters[fn.Name.Name] {
+				continue
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if w := clockWait(call); w != "" {
+						t.Errorf("%s: %s calls time.%s; wait on a signal, or add it to clockWaiters", fset.Position(call.Pos()), fn.Name.Name, w)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// clockWait returns the function's name when call is time.Sleep, After,
+// AfterFunc, Tick, NewTimer or NewTicker, and "" for any other call.
+func clockWait(call *ast.CallExpr) string {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "time" {
+		return ""
+	}
+	switch sel.Sel.Name {
+	case "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker":
+		return sel.Sel.Name
+	}
+	return ""
+}
+
+// parseSources parses the package's non-test source files, by file name.
+func parseSources(t *testing.T, fset *token.FileSet) map[string]*ast.File {
+	t.Helper()
+	names, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]*ast.File)
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[name] = f
+	}
+	return files
 }
 
 // lockedDomain returns "lease", "audit" or "ident" when call is

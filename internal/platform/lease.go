@@ -16,6 +16,7 @@ import (
 	"context"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"redundancy/internal/health"
@@ -43,7 +44,8 @@ type leaseState struct {
 	byTask []int32
 
 	finished bool
-	draining bool // Shutdown in progress: no new assignments
+	draining atomic.Bool   // Shutdown in progress: no new assignments; set under mu, read by unbusy too
+	drained  chan struct{} // one slot: raised as live or busy reaches 0 while draining
 	// waiters parks get_work requests that found the queue empty; each
 	// channel is closed (once) by kickLeaseLocked when completions, reclaims,
 	// or revisions may have made assignments available. Parking replaces
@@ -161,6 +163,9 @@ func (s *Supervisor) dropLocked(i int32) {
 	*r = leaseRecord{} // free, and holding no connection or clone alive
 	s.lease.free = append(s.lease.free, i)
 	s.lease.live--
+	if s.lease.live == 0 && s.lease.draining.Load() {
+		signal(s.lease.drained)
+	}
 }
 
 // issueLocked records a fresh queue pop as held by pid over cs. Callers
@@ -524,10 +529,10 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState) Messa
 		// is the work blocking a task's certification, so it is the most
 		// valuable lease in the system. Healthy requesters only, and never
 		// back to the straggler itself.
-		if !s.lease.draining && !probation && len(items) < want {
+		if !s.lease.draining.Load() && !probation && len(items) < want {
 			specIssued += s.fillSpeculativeLocked(pid, cs, want, &items, now)
 		}
-		if !s.lease.draining && len(items) < want {
+		if !s.lease.draining.Load() && len(items) < want {
 			fill := cs.fill[:0]
 			if probation {
 				for len(items)+len(fill) < want {
@@ -574,7 +579,7 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState) Messa
 			empty = Message{Type: MsgNoWork, Wait: 0.5}
 			break
 		}
-		if s.lease.draining {
+		if s.lease.draining.Load() {
 			empty = Message{Type: MsgNoWork, Wait: 0.2}
 			break
 		}
@@ -697,7 +702,7 @@ func (s *Supervisor) sweepExpired() {
 	// Speculative tier: flag still-leased copies whose age exceeds the
 	// configured completion-time percentile as candidates for a duplicate
 	// issue to a different participant (served by leaseBatch).
-	if s.cfg.SpeculatePct > 0 && !s.lease.draining && !s.lease.finished {
+	if s.cfg.SpeculatePct > 0 && !s.lease.draining.Load() && !s.lease.finished {
 		if s.flagStragglersLocked(now) > 0 {
 			s.kickLeaseLocked() // parked leases can serve the new candidates
 		}
@@ -716,13 +721,13 @@ func (s *Supervisor) sweepExpired() {
 }
 
 // drainLeases stops issuing assignments, wakes parked leases to observe
-// that, and polls until no assignment is in flight and no request is
-// mid-reply, or ctx expires. The lease table is read first: a result
-// handler raises busy before its claim empties the table and lowers it
-// only once its ack has been flushed, which is after its commit.
+// that, and waits on drained until no assignment is in flight and no
+// request is mid-reply, or ctx expires. The lease table is read first: a
+// result handler raises busy before its claim empties the table and lowers
+// it only once its ack has been flushed, which is after its commit.
 func (s *Supervisor) drainLeases(ctx context.Context) bool {
 	s.lease.mu.Lock()
-	s.lease.draining = true
+	s.lease.draining.Store(true)
 	s.kickLeaseLocked()
 	for {
 		n := s.lease.live
@@ -733,8 +738,16 @@ func (s *Supervisor) drainLeases(ctx context.Context) bool {
 		select {
 		case <-ctx.Done():
 			return false
-		case <-time.After(5 * time.Millisecond):
+		case <-s.lease.drained:
 		}
 		s.lease.mu.Lock()
+	}
+}
+
+// signal raises a one-slot wake channel; a wake already pending absorbs it.
+func signal(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
 	}
 }

@@ -142,48 +142,6 @@ func TestHonestEndToEnd(t *testing.T) {
 	}
 }
 
-func TestCheatersDetectedEndToEnd(t *testing.T) {
-	p, err := plan.Balanced(200, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sup, addr := startSupervisor(t, p, sched.Free)
-
-	coal := NewCoalition(1, 7) // cheat on every task it touches
-	var wg sync.WaitGroup
-	for w := 0; w < 6; w++ {
-		wg.Add(1)
-		cheat := CheatFunc(nil)
-		name := "honest"
-		if w < 2 { // two coalition members
-			cheat = coal.CheatFunc()
-			name = "colluder"
-		}
-		go func() {
-			defer wg.Done()
-			// Cheaters may be blacklisted mid-run and refused further
-			// work; that error is expected.
-			_, _ = RunWorker(WorkerConfig{Addr: addr, Name: name, Cheat: cheat})
-		}()
-	}
-	wg.Wait()
-	sup.Wait()
-
-	sum := sup.Summary()
-	if sum.Verify.MismatchDetected == 0 {
-		t.Error("no cheats detected despite an always-cheat coalition")
-	}
-	if len(sum.Blacklist) == 0 {
-		t.Error("nobody blacklisted")
-	}
-	// Certified-but-wrong results can only come from fully-controlled
-	// tuples; with 1/3 of workers colluding some may exist, but every
-	// detection must be real:
-	if sum.Verify.MismatchDetected > sum.Verify.Tasks {
-		t.Error("impossible detection count")
-	}
-}
-
 func TestConvictedWorkerRefusedWork(t *testing.T) {
 	// A hand-built plan whose first assignments include ringers: a lone
 	// always-cheat worker inevitably lies on a ringer, is convicted by the

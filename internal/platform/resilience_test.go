@@ -48,7 +48,7 @@ func TestReconnectDelayBackoff(t *testing.T) {
 	base, max := 50*time.Millisecond, 5*time.Second
 	prevCeil := time.Duration(0)
 	for attempt := 1; attempt <= 10; attempt++ {
-		d := reconnectDelay(attempt, base, max, r)
+		d := reconnectDelay(attempt, WorkerConfig{BackoffBase: base, BackoffMax: max}, r)
 		ideal := base << (attempt - 1)
 		if ideal > max || ideal <= 0 {
 			ideal = max

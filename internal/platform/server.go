@@ -344,6 +344,7 @@ func newSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		stop:     make(chan struct{}),
 		conns:    make(map[net.Conn]struct{}),
 	}
+	s.lease.drained = make(chan struct{}, 1)
 	s.roster = roster
 	if cfg.SpeculatePct > 0 {
 		s.lease.specLosers = make(map[outstandingKey]specLoser)

@@ -576,12 +576,10 @@ func shardChaosSoak(t *testing.T, n *vnet) {
 			stats[i], _ = RunShardedWorker(cfg, c.ShardMap)
 		}(i)
 	}
-	// A sharded worker waits out a down shard for good, so a soak that
-	// fails part-way restores any shard it killed and lets them finish.
+	// A closed cluster releases its sharded workers, so a soak that fails
+	// part-way closes it and waits for them.
 	defer func() {
-		if c.Supervisor(1) == nil {
-			c.RestoreShard(1)
-		}
+		c.Close()
 		wg.Wait()
 	}()
 

@@ -42,7 +42,9 @@ func TestFloodWithoutReadingIsBounded(t *testing.T)              { virtual(t) }
 func TestSlowCommitDoesNotTripIOTimeout(t *testing.T)            { virtual(t) }
 func TestMetricsAndEventsEndToEnd(t *testing.T)                  { virtual(t) }
 func TestDeadlineReclaimKeepsComputationLive(t *testing.T)       { virtual(t) }
+func TestCheatersDetectedEndToEnd(t *testing.T)                  { virtual(t) }
 func TestShardedWorkerWaitsOutRestores(t *testing.T)             { virtual(t) }
+func TestShardedWorkerReleasedByClose(t *testing.T)              { virtual(t) }
 func TestClusterWaitSkipsKilledShard(t *testing.T)               { virtual(t) }
 func TestChaosSoak(t *testing.T)                                 { virtual(t) }
 func TestStallChaosSoak(t *testing.T)                            { virtual(t) }

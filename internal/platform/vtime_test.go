@@ -173,6 +173,7 @@ func (n *vnet) dial(addr string) (net.Conn, error) {
 		c, s = inj.Wrap(c), inj.Wrap(s)
 	}
 	client, server := newBufConn(c), newBufConn(s)
+	client.peer, server.peer = server, client
 	select {
 	case l.conns <- server:
 	case <-l.done:
@@ -225,18 +226,27 @@ func (l *pipeListener) Close() error {
 // later call, as on TCP. A bare pipe would block a writer until the peer
 // read, and one blocked holding a mutex stops the bubble's clock: a mutex
 // wait is not durably blocked. Read, the read deadline and the addresses
-// are the pipe's. Close drops what is still buffered; after the first call
-// it touches nothing, so a t.Cleanup may repeat it outside the bubble.
+// are the pipe's.
+//
+// Close is TCP's: a Read or Write here fails at once, and what is still
+// buffered reaches a peer that reads it, then EOF. A peer with bytes on
+// their way here, at Close or after it, resets the connection instead, as
+// a TCP RST: what is buffered on either end is dropped. After the first
+// call Close touches nothing, so a t.Cleanup may repeat it outside the
+// bubble.
 type bufConn struct {
 	net.Conn
+	peer *bufConn // the other end; nil for an end over a bare pipe
 
-	mu    sync.Mutex
-	buf   []byte    // written, not yet taken by the pump
-	err   error     // sticky: closed here, or the pump's write failed
-	wdl   time.Time // write deadline
-	data  chan struct{}
-	space chan struct{}
-	dead  chan struct{} // closed when err is set
+	mu      sync.Mutex
+	buf     []byte    // written, not yet taken by the pump
+	sending bool      // the pump holds bytes its pipe write has not delivered
+	closing bool      // Close was called; the pump closes the pipe once buf is delivered
+	err     error     // sticky: reset here, or the pump's write failed
+	wdl     time.Time // write deadline
+	data    chan struct{}
+	space   chan struct{}
+	dead    chan struct{} // closed when err is set
 }
 
 func newBufConn(c net.Conn) *bufConn {
@@ -245,19 +255,18 @@ func newBufConn(c net.Conn) *bufConn {
 	return b
 }
 
-func signal(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
-	}
-}
-
 func (b *bufConn) Write(p []byte) (int, error) {
+	if b.peer != nil {
+		b.peer.resetIfClosing() // before b.mu: no end's lock is held with the other's
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
 		if b.err != nil {
 			return 0, b.err
+		}
+		if b.closing {
+			return 0, net.ErrClosed
 		}
 		if !b.wdl.IsZero() && !time.Now().Before(b.wdl) {
 			return 0, os.ErrDeadlineExceeded
@@ -286,13 +295,17 @@ func (b *bufConn) Write(p []byte) (int, error) {
 func (b *bufConn) pump() {
 	for {
 		b.mu.Lock()
-		chunk, err := b.buf, b.err
-		b.buf = nil
+		chunk, err, closing := b.buf, b.err, b.closing
+		b.buf, b.sending = nil, len(chunk) > 0
 		b.mu.Unlock()
 		if err != nil {
 			return
 		}
 		if len(chunk) == 0 {
+			if closing {
+				b.Conn.Close() // all delivered: the peer reads EOF next
+				return
+			}
 			select {
 			case <-b.data:
 			case <-b.dead:
@@ -317,8 +330,66 @@ func (b *bufConn) fail(err error) {
 }
 
 func (b *bufConn) Close() error {
+	b.mu.Lock()
+	if b.closing {
+		b.mu.Unlock()
+		return net.ErrClosed
+	}
+	b.closing = true
+	flushing := b.err == nil && (len(b.buf) > 0 || b.sending)
+	signal(b.data)
+	signal(b.space)
+	b.mu.Unlock()
+	if flushing && !b.peer.hasOutbound() {
+		return b.Conn.SetReadDeadline(time.Unix(1, 0)) // ends a Read here; the pump closes the pipe
+	}
+	b.reset()
+	return nil
+}
+
+// reset drops both directions at once, as a TCP RST.
+func (b *bufConn) reset() {
 	b.fail(net.ErrClosed)
-	return b.Conn.Close()
+	b.Conn.Close()
+}
+
+func (b *bufConn) resetIfClosing() {
+	if b.closed() {
+		b.reset()
+	}
+}
+
+// hasOutbound reports whether b has bytes buffered or in a pipe write.
+func (b *bufConn) hasOutbound() bool {
+	if b == nil {
+		return false
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.buf) > 0 || b.sending
+}
+
+func (b *bufConn) Read(p []byte) (int, error) {
+	n, err := b.Conn.Read(p)
+	if err != nil && b.closed() {
+		err = net.ErrClosed
+	}
+	return n, err
+}
+
+func (b *bufConn) closed() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.closing
+}
+
+func (b *bufConn) SetReadDeadline(t time.Time) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closing {
+		return net.ErrClosed // keep the deadline Close set
+	}
+	return b.Conn.SetReadDeadline(t)
 }
 
 func (b *bufConn) SetWriteDeadline(t time.Time) error {
@@ -330,7 +401,7 @@ func (b *bufConn) SetWriteDeadline(t time.Time) error {
 
 func (b *bufConn) SetDeadline(t time.Time) error {
 	b.SetWriteDeadline(t)
-	return b.Conn.SetReadDeadline(t)
+	return b.SetReadDeadline(t)
 }
 
 // TestBufConnWriteDeadline: a Write to a full send buffer waits for space
@@ -1234,7 +1305,9 @@ func TestSlowLorisDisconnectedByIOTimeout(t *testing.T) {
 }
 
 // TestShutdownDrains checks the graceful path: Shutdown stops accepting
-// and issuing but lets the in-flight result land before returning nil.
+// and issuing but lets the in-flight result land before returning nil, at
+// the instant its ack is flushed, which a drain that polled could only
+// meet on its poll grid.
 func TestShutdownDrains(t *testing.T) {
 	bubble(t, func(n *vnet) {
 		p, err := plan.FromDistribution(dist.Simple(8), 0.5)
@@ -1260,10 +1333,13 @@ func TestShutdownDrains(t *testing.T) {
 		}
 
 		shutdownErr := make(chan error, 1)
+		var shutdownAt time.Time
 		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			shutdownErr <- sup.Shutdown(ctx)
+			err := sup.Shutdown(ctx)
+			shutdownAt = time.Now()
+			shutdownErr <- err
 		}()
 
 		// Drain visibly started: the listener refuses new connections.
@@ -1285,9 +1361,13 @@ func TestShutdownDrains(t *testing.T) {
 		if ack.Type != MsgAck {
 			t.Fatalf("in-flight result during drain: %+v", ack)
 		}
+		acked := time.Now()
 
 		if err := <-shutdownErr; err != nil {
 			t.Fatalf("drained shutdown returned %v", err)
+		}
+		if !shutdownAt.Equal(acked) {
+			t.Errorf("Shutdown returned %v after the ack, want at its instant", shutdownAt.Sub(acked))
 		}
 		snap := reg.Snapshot()
 		if v, _ := snap.Value("redundancy_results_accepted_total"); v != 1 {
@@ -1674,13 +1754,69 @@ func TestDeadlineReclaimKeepsComputationLive(t *testing.T) {
 	})
 }
 
+// TestCheatersDetectedEndToEnd: a coalition of two workers that cheats on
+// every task it touches shares a 200-task pool with four honest workers,
+// and the supervisor detects the mismatches and blacklists someone. Each
+// assignment costs a virtual millisecond of compute, so the six workers
+// share the pool instead of the first to connect draining it, and
+// colluders and honest workers meet on tasks.
+func TestCheatersDetectedEndToEnd(t *testing.T) {
+	bubble(t, func(n *vnet) {
+		p, err := plan.Balanced(200, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sup, addr := n.start(t, SupervisorConfig{
+			Plan: p, Policy: sched.Free, WorkKind: "hashchain", Iters: 25, Seed: 1,
+		})
+
+		coal := NewCoalition(1, 7) // cheat on every task it touches
+		var wg sync.WaitGroup
+		for w := 0; w < 6; w++ {
+			wg.Add(1)
+			cheat := CheatFunc(nil)
+			name := "honest"
+			if w < 2 { // two coalition members
+				cheat = coal.CheatFunc()
+				name = "colluder"
+			}
+			go func() {
+				defer wg.Done()
+				// Cheaters may be blacklisted mid-run and refused further
+				// work; that error is expected.
+				_, _ = RunWorker(WorkerConfig{
+					Addr: addr, Name: name, Cheat: cheat, Dial: n.dial,
+					Speed: &SpeedModel{Base: time.Millisecond},
+				})
+			}()
+		}
+		wg.Wait()
+		sup.Wait()
+
+		sum := sup.Summary()
+		if sum.Verify.MismatchDetected == 0 {
+			t.Error("no cheats detected despite an always-cheat coalition")
+		}
+		if len(sum.Blacklist) == 0 {
+			t.Error("nobody blacklisted")
+		}
+		// Certified-but-wrong results can only come from fully-controlled
+		// tuples; with 1/3 of workers colluding some may exist, but every
+		// detection must be real:
+		if sum.Verify.MismatchDetected > sum.Verify.Tasks {
+			t.Error("impossible detection count")
+		}
+	})
+}
+
 // TestShardedWorkerWaitsOutRestores starts a sharded worker on a 2-shard
-// cluster whose shards are both down, then restores shard 0 and, a virtual
-// second later, shard 1. The worker first finds no shard up, and later
-// only shard 1 left and still down, so it waits both windows out in
-// RunShardedWorker's stall branch. It finishes every assignment, the
-// cluster grants exactly one credit per copy, and the last epoch the worker
-// saw is 4: two kills, then two restores.
+// cluster whose shards are both down, then restores shard 0 and, 1.01
+// virtual seconds later, shard 1. The worker first finds no shard up, and
+// later only shard 1 left and still down, so it blocks on the map's change
+// both times. It finishes at the very instant of the last restore, which a
+// worker that polled could only meet on its poll grid; it finishes every
+// assignment, the cluster grants exactly one credit per copy, and the last
+// epoch the worker saw is 4: two kills, then two restores.
 func TestShardedWorkerWaitsOutRestores(t *testing.T) {
 	bubble(t, func(n *vnet) {
 		p, err := plan.Balanced(40, 0.5)
@@ -1701,20 +1837,27 @@ func TestShardedWorkerWaitsOutRestores(t *testing.T) {
 			}
 		}
 		var st WorkerStats
+		var returned time.Time
 		done := make(chan error)
 		go func() {
 			var err error
 			st, err = RunShardedWorker(WorkerConfig{Name: "patient", BatchSize: 4, Dial: n.dial}, c.ShardMap)
+			returned = time.Now()
 			done <- err
 		}()
+		var restored time.Time
 		for i := 0; i < 2; i++ {
-			time.Sleep(time.Second)
+			time.Sleep(1010 * time.Millisecond)
 			if err := c.RestoreShard(i); err != nil {
 				t.Fatal(err)
 			}
+			restored = time.Now()
 		}
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+		if !returned.Equal(restored) {
+			t.Errorf("worker returned %v after the last restore, want at its instant", returned.Sub(restored))
 		}
 		if st.Completed != p.TotalAssignments() || st.Epoch != 4 {
 			t.Errorf("worker completed %d assignments at epoch %d, want %d at epoch 4",
@@ -1726,6 +1869,62 @@ func TestShardedWorkerWaitsOutRestores(t *testing.T) {
 		}
 		if credit != p.TotalAssignments() {
 			t.Errorf("merged credit %d, want %d", credit, p.TotalAssignments())
+		}
+	})
+}
+
+// TestShardedWorkerReleasedByClose: a sharded worker that has drained the
+// one live shard of a 2-shard cluster blocks on the killed one, and
+// Cluster.Close releases it: it returns an error at the instant of Close,
+// with every assignment of the live shard done.
+func TestShardedWorkerReleasedByClose(t *testing.T) {
+	bubble(t, func(n *vnet) {
+		c, err := NewCluster(SupervisorConfig{
+			Plan: mustClusterPlan(t, 20), Shards: 2, Seed: 5, WorkKind: "hashchain", Iters: 5,
+			WrapListener: n.listen,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.KillShard(1); err != nil {
+			t.Fatal(err)
+		}
+		type result struct {
+			st  WorkerStats
+			err error
+			at  time.Time
+		}
+		done := make(chan result, 1)
+		go func() {
+			st, err := RunShardedWorker(WorkerConfig{Name: "stranded", BatchSize: 4, Dial: n.dial}, c.ShardMap)
+			done <- result{st, err, time.Now()}
+		}()
+		time.Sleep(time.Second)
+		if !supDone(c.Supervisor(0)) || len(done) != 0 {
+			t.Fatalf("after a second: shard 0 finished %v, worker returned %v; want true, false",
+				supDone(c.Supervisor(0)), len(done) != 0)
+		}
+		want := c.Aggregate().Assignments
+		closed := time.Now()
+		c.Close()
+		synctest.Wait()
+		select {
+		case r := <-done:
+			if r.err == nil {
+				t.Error("worker returned nil with shard 1's work undone")
+			}
+			if !r.at.Equal(closed) {
+				t.Errorf("worker returned %v after Close, want at its instant", r.at.Sub(closed))
+			}
+			if r.st.Completed != want {
+				t.Errorf("worker completed %d assignments, shard 0 has %d", r.st.Completed, want)
+			}
+		default:
+			t.Fatal("worker still running after Close")
+		}
+		if err := c.RestoreShard(1); err == nil {
+			t.Error("a closed cluster restored a shard")
 		}
 	})
 }

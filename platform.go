@@ -159,7 +159,9 @@ type ClusterConfig = platform.ClusterConfig
 // Cluster runs N supervisor shards, each owning its own queue, leases,
 // audit state, and journal. KillShard/RestoreShard exercise crash-recovery
 // of one shard while the others keep serving; Aggregate merges the
-// per-shard audit exports into the run-wide estimate (internal/agg).
+// per-shard audit exports into the run-wide estimate (internal/agg). Close
+// leaves every shard down for good, so a sharded worker with work left
+// returns an error rather than wait for a restore.
 type Cluster = platform.Cluster
 
 // NewCluster partitions cfg.Plan across cfg.Shards supervisors and starts
@@ -168,7 +170,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) { return platform.NewCluste
 
 // ShardMap is the routing table a sharded worker consumes: ring parameters
 // plus shard endpoints, versioned by an epoch that is 0 until the first
-// membership change and increments on every one.
+// membership change and increments on every one. A map from
+// Cluster.ShardMap knows when it goes stale, at the next kill, restore or
+// Close; one taken after Close, or built by hand, can never change.
 type ShardMap = platform.ShardMap
 
 // ShardInfo describes one shard of a running cluster.
@@ -176,7 +180,9 @@ type ShardInfo = platform.ShardInfo
 
 // RunShardedWorker drives one worker across every shard of a cluster,
 // routing by a consistent-hash ring it builds once and re-reading the
-// shard map whenever a reply carries a newer epoch.
+// shard map whenever a reply carries a newer epoch. While every shard it
+// still has work on is down it blocks until the map changes; if the map
+// cannot change (the cluster is closed) it returns an error instead.
 func RunShardedWorker(cfg WorkerConfig, lookup func() ShardMap) (WorkerStats, error) {
 	return platform.RunShardedWorker(cfg, lookup)
 }
