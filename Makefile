@@ -88,12 +88,15 @@ bench-smoke:
 	$(SYNCTEST) $(GO) test -race -count=1 -run 'TestHonestEndToEnd|TestGroupCommitManyWorkerSoak' ./internal/platform
 	$(GO) test -run '^$$' -bench 'BenchmarkLoopbackLeaseCycle' -benchtime 2000x -benchmem ./internal/platform
 
-# The whole platform package, twenty shuffled runs under the race detector,
-# so no test in it can quietly regress into "passes most of the time". Its
-# timing and fault tests, the five fault soaks among them, run in virtual
-# time, so a run costs about nine seconds of test time.
+# The whole platform package and the root package's facade tests, twenty
+# shuffled runs each under the race detector, so no test in them can
+# quietly regress into "passes most of the time". The platform's timing and
+# fault tests, the five fault soaks among them, run in virtual time, so a
+# run costs about nine seconds of test time; the root package's twenty runs
+# take about half a minute.
 flake-check:
 	$(SYNCTEST) $(GO) test -race -count=20 -shuffle=on ./internal/platform
+	$(GO) test -race -count=20 -shuffle=on .
 
 # The straggler/health acceptance tests alone, under the race detector:
 # the lease release table (every cause of a hold ending without a result,

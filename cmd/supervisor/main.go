@@ -92,7 +92,7 @@ func main() {
 	planFile := flag.String("planfile", "", "load the plan from a JSON file written by redcalc -save (overrides -n/-eps/-scheme)")
 	journal := flag.String("journal", "", "append accepted results to this file and resume from it if it exists")
 	journalSync := flag.Bool("journal-sync", false, "fsync the journal before acking accepted results, once per commit window (crash-safe, slower)")
-	snapshotInterval := flag.Int("snapshot-interval", 0, "every N appended records, atomically replace the journal with a state snapshot, keeping journal size and restart cost proportional to live state (0 = off; requires -journal and the free policy)")
+	snapshotInterval := flag.Int("snapshot-interval", 0, "every N appended records, atomically replace the journal with a state snapshot, keeping journal size and restart cost proportional to live state (0 = off; requires -journal)")
 	profile := flag.Bool("profile", false, "enable mutex and block contention profiling (served at /debug/pprof on -metrics-addr)")
 	ioTimeout := flag.Duration("io-timeout", 2*time.Minute, "per-message read/write deadline on worker connections (0 = none)")
 	drainTimeout := flag.Duration("drain", 10*time.Second, "on SIGINT/SIGTERM, wait this long for in-flight results before closing")

@@ -623,6 +623,9 @@ func TestJournalWindowTornTail(t *testing.T) {
 	if st.restored != len(recs)-1 {
 		t.Errorf("restored %d of a torn batch, want %d", st.restored, len(recs)-1)
 	}
+	if err := queue.Settle(); err != nil || queue.Issued() != len(recs)-1 {
+		t.Errorf("settled the queue to %d issued copies (err %v), want %d", queue.Issued(), err, len(recs)-1)
+	}
 	wantValid := int64(0)
 	for _, line := range strings.SplitAfter(buf.String(), "\n")[:len(recs)-1] {
 		wantValid += int64(len(line))
@@ -636,7 +639,8 @@ func TestJournalWindowTornTail(t *testing.T) {
 }
 
 // collectorQueueReplayer replays results into a bare collector/queue pair
-// (no supervisor), for journal-layer tests. Revision records are out of
+// (no supervisor), for journal-layer tests; the caller settles the queue
+// once the journal has replayed. Revision records are out of
 // scope here and fail loudly.
 type collectorQueueReplayer struct {
 	collector *verify.Collector

@@ -309,23 +309,16 @@ type replayTornError struct{ err error }
 
 func (e replayTornError) Error() string { return e.err.Error() }
 
-// supReplayer adapts a Supervisor to journalReplayer. Under the Free
-// policy it defers the queue half of each replayed result: MarkCompleted
-// scans the ready pool per record, which made restore quadratic, so the
-// replayed copies are collected and taken out of the pool in one
-// MarkCompletedBulk pass per flush. ready indexes the pool for that — false
-// while a copy is still queued, true once its record has replayed and it
-// awaits the flush — so an unknown or duplicate record is still refused at
-// its own line. The holdback policies release copies on completion and
-// keep the per-record call.
+// supReplayer adapts a Supervisor to journalReplayer. Each replayed copy is
+// marked in the queue, which refuses an unknown or duplicate record at its
+// own line; Settle completes the marked copies in one pass before a
+// revision applies and once the journal has replayed.
 type supReplayer struct {
-	s        *Supervisor
-	ready    map[sched.Assignment]bool
-	deferred int
+	s *Supervisor
 }
 
 func (r *supReplayer) replayResult(a sched.Assignment, participant int, value uint64) error {
-	if !r.markCompleted(a) {
+	if !r.s.lease.queue.MarkCompleted(a) {
 		return replayTornError{fmt.Errorf("platform: journal replays unknown assignment task=%d copy=%d",
 			a.TaskID, a.Copy)}
 	}
@@ -339,48 +332,9 @@ func (r *supReplayer) replayResult(a sched.Assignment, participant int, value ui
 	return nil
 }
 
-// markCompleted takes a out of the queue, now or at the next flush, and
-// reports whether it was there to take.
-func (r *supReplayer) markCompleted(a sched.Assignment) bool {
-	q := r.s.lease.queue
-	if r.s.cfg.Policy != sched.Free {
-		return q.MarkCompleted(a)
-	}
-	if r.ready == nil {
-		r.ready = make(map[sched.Assignment]bool, q.Total()-q.Issued())
-		// A pass that completes nothing: the predicate only records the pool.
-		q.MarkCompletedBulk(func(a sched.Assignment) bool {
-			r.ready[a] = false
-			return false
-		})
-	}
-	if done, queued := r.ready[a]; !queued || done {
-		return false
-	}
-	r.ready[a] = true
-	r.deferred++
-	return true
-}
-
-// flush completes the deferred copies in the queue. It runs before a
-// revision applies (the revision reads EverIssued and appends to the pool,
-// so the index is dropped and rebuilt after it) and at the end of replay.
-func (r *supReplayer) flush() error {
-	if r.deferred > 0 {
-		n, err := r.s.lease.queue.MarkCompletedBulk(func(a sched.Assignment) bool { return r.ready[a] })
-		if err != nil {
-			return err
-		}
-		if n != r.deferred {
-			return fmt.Errorf("platform: journal replay completed %d of %d queued copies", n, r.deferred)
-		}
-	}
-	r.ready, r.deferred = nil, 0
-	return nil
-}
-
 func (r *supReplayer) replayRevision(rec revisionRecord) error {
-	if err := r.flush(); err != nil {
+	// The revision reads EverIssued and appends to the pool.
+	if err := r.s.lease.queue.Settle(); err != nil {
 		return err
 	}
 	return r.s.applyRevisionLocked(rec)

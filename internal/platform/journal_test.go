@@ -92,10 +92,10 @@ func TestJournalRecoveryEndToEnd(t *testing.T) {
 }
 
 // TestJournalRestoreOneOutstanding restores a journal written under a
-// holdback policy: replay completes each copy through the queue's
-// MarkCompleted, releasing the copies it held back, and a second worker
-// finishes exactly the rest with exact credit. A snapshot of the same state
-// is refused under that policy.
+// holdback policy: replay marks each copy in the queue and settles them,
+// releasing the copies it held back, and a second worker finishes exactly
+// the rest with exact credit. A snapshot of the same state restores to the
+// same bytes, and a worker finishes from it too.
 func TestJournalRestoreOneOutstanding(t *testing.T) {
 	p, err := plan.Balanced(40, 0.5)
 	if err != nil {
@@ -154,8 +154,26 @@ func TestJournalRestoreOneOutstanding(t *testing.T) {
 	}
 
 	cfg.Restore = bytes.NewReader(snap)
-	if _, err := NewSupervisor(cfg); err == nil || !strings.Contains(err.Error(), "free policy") {
-		t.Errorf("snapshot restored under one-outstanding: err=%v, want a free-policy refusal", err)
+	sup3, err := NewSupervisor(cfg)
+	if err != nil {
+		t.Fatalf("restoring the one-outstanding snapshot: %v", err)
+	}
+	if got, err := sup3.Snapshot(); err != nil || !bytes.Equal(got, snap) {
+		t.Fatalf("snapshot restore is not byte-identical (err %v):\n got %s\nwant %s", err, got, snap)
+	}
+	addr3, err := sup3.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup3.Close()
+	st, err := RunWorker(WorkerConfig{Addr: addr3, Name: "after-snapshot"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup3.Wait()
+	if sum := sup3.Summary(); st.Completed != p.TotalAssignments()-half || sum.Verify.Accepted != p.N+p.Ringers {
+		t.Errorf("from the snapshot: %d assignments completed, want %d; %d of %d tasks certified",
+			st.Completed, p.TotalAssignments()-half, sum.Verify.Accepted, p.N+p.Ringers)
 	}
 }
 
@@ -309,34 +327,39 @@ func TestJournalReplayCorruption(t *testing.T) {
 }
 
 // TestRestoreScalesLinearly: replaying a journal costs a bounded amount per
-// record however large the plan. Four times the records may take up to
-// eight times as long; a per-record scan of the ready pool (what restore
-// did before it completed replayed copies in bulk) takes sixteen.
+// record however large the plan, under every release policy. Four times the
+// records may take up to eight times as long; a per-record scan of the
+// ready pool (what restore did before it completed replayed copies in one
+// pass) takes sixteen.
 func TestRestoreScalesLinearly(t *testing.T) {
-	restore := func(tasks int) time.Duration {
-		journal := syntheticJournal(tasks, 0).Bytes()
-		best := time.Duration(-1)
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			sup, err := NewSupervisor(SupervisorConfig{
-				Plan: simplePlan(t, float64(tasks)), Iters: 5, Restore: bytes.NewReader(journal),
-			})
-			d := time.Since(start)
-			if err != nil {
-				t.Fatal(err)
+	for _, pol := range []sched.Policy{sched.Free, sched.OneOutstanding, sched.TwoPhase} {
+		t.Run(pol.String(), func(t *testing.T) {
+			restore := func(tasks int) time.Duration {
+				journal := syntheticJournal(tasks, 0).Bytes()
+				best := time.Duration(-1)
+				for i := 0; i < 3; i++ {
+					start := time.Now()
+					sup, err := NewSupervisor(SupervisorConfig{
+						Plan: simplePlan(t, float64(tasks)), Iters: 5, Policy: pol, Restore: bytes.NewReader(journal),
+					})
+					d := time.Since(start)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if sup.replayed.restored != 2*tasks || !sup.lease.queue.Done() {
+						t.Fatalf("restored %d of %d results, queue done=%v", sup.replayed.restored, 2*tasks, sup.lease.queue.Done())
+					}
+					if best < 0 || d < best {
+						best = d
+					}
+				}
+				return best
 			}
-			if sup.replayed.restored != 2*tasks || !sup.lease.queue.Done() {
-				t.Fatalf("restored %d of %d results, queue done=%v", sup.replayed.restored, 2*tasks, sup.lease.queue.Done())
+			small, large := restore(5000), restore(20000)
+			t.Logf("restore: 10k records %v, 40k records %v (x%.1f)", small, large, float64(large)/float64(small))
+			if large > 8*small {
+				t.Errorf("restoring 4x the records took %v, more than 8x the %v of the small journal", large, small)
 			}
-			if best < 0 || d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	small, large := restore(5000), restore(20000)
-	t.Logf("restore: 10k records %v, 40k records %v (x%.1f)", small, large, float64(large)/float64(small))
-	if large > 8*small {
-		t.Errorf("restoring 4x the records took %v, more than 8x the %v of the small journal", large, small)
+		})
 	}
 }

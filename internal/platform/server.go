@@ -74,9 +74,7 @@ type SupervisorConfig struct {
 	// then holds one snapshot line plus the records appended since, keeping
 	// its size — and the next restore's cost — O(live state) instead of
 	// O(run history). Requires a Journal that supports crash-atomic
-	// replacement (*JournalFile) and the Free policy (snapshot restore
-	// bulk-completes the queue, which the holdback policies cannot
-	// express). 0 disables snapshots.
+	// replacement (*JournalFile). 0 disables snapshots.
 	SnapshotInterval int
 	// Restore, when non-nil, is replayed at construction (see Journal). It
 	// must hold the contents of the journal Journal appends to: when Journal
@@ -302,8 +300,6 @@ func newSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	// cannot express.
 	var freeOnly string
 	switch {
-	case cfg.SnapshotInterval > 0:
-		freeOnly = "journal snapshots" // restore bulk-completes the queue
 	case cfg.Health != nil || cfg.SpeculatePct > 0:
 		freeOnly = "participant health" // probation serves ringers out of order
 	case cfg.Adapt != nil:
@@ -385,10 +381,9 @@ func newSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	if cfg.Restore != nil {
 		start := time.Now()
 		s.replaying = true
-		rp := &supReplayer{s: s}
-		st, err := replayJournal(cfg.Restore, rp)
+		st, err := replayJournal(cfg.Restore, &supReplayer{s: s})
 		if err == nil {
-			err = rp.flush()
+			err = s.lease.queue.Settle()
 		}
 		s.replaying = false
 		if err != nil {

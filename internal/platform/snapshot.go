@@ -82,20 +82,16 @@ func (s *Supervisor) captureSnapshot() *snapshotRecord {
 // issued — exactly the precondition the live apply checked), then every
 // verdict through RestoreVerdict (firing estimator and credit updates in
 // the original adjudication order) with its copies marked completed, then
-// the partial results through the ordinary replay path. Every copy joins
-// the replay's deferred set, so the replay's one flush takes them all out
-// of the queue. The resulting state is byte-identical to replaying the
-// uncompacted prefix record by record: removals preserve the ready pool's
-// order and commute, promote/mint appends land after every original element
-// in both histories, and the verdict order — the only thing the estimator's
-// and ledger's floating-point accumulation depends on — is preserved
-// verbatim. Only the Free policy defers, so a snapshot is refused under the
-// others.
+// the partial results through the ordinary replay path. Every copy is
+// marked in the queue, so the replay's Settle takes them all out at once.
+// The resulting state is byte-identical to replaying the uncompacted
+// prefix record by record: the queue ends with the same marked set, which
+// Settle completes the same way whatever order it was marked in; its
+// removals commute with promote/mint appends, which land after every
+// original element in both histories; and the verdict order — the only thing the estimator's and
+// ledger's floating-point accumulation depends on — is preserved verbatim.
 func (r *supReplayer) replaySnapshot(rec snapshotRecord) error {
 	s := r.s
-	if s.cfg.Policy != sched.Free {
-		return fmt.Errorf("snapshot restore requires the free policy, have %v", s.cfg.Policy)
-	}
 	for _, rev := range rec.Revisions {
 		if err := r.replayRevision(rev); err != nil {
 			return fmt.Errorf("revision %d: %w", rev.Seq, err)
@@ -116,7 +112,7 @@ func (r *supReplayer) replaySnapshot(rec snapshotRecord) error {
 			return err
 		}
 		for c := 0; c < v.Copies; c++ {
-			if !r.markCompleted(sched.Assignment{TaskID: v.TaskID, Copy: c, Ringer: v.Ringer}) {
+			if !s.lease.queue.MarkCompleted(sched.Assignment{TaskID: v.TaskID, Copy: c, Ringer: v.Ringer}) {
 				return fmt.Errorf("verdict copy task=%d copy=%d is not queued", v.TaskID, c)
 			}
 		}

@@ -77,6 +77,12 @@ type Queue struct {
 	// Abandon does not clear it: once any copy has touched a participant
 	// the task is no longer safely re-plannable (Promote).
 	everIssued []bool
+
+	// replayed indexes the queued copies while a journal replays: false
+	// for a copy still queued, true once MarkCompleted has marked it for
+	// the next Settle. marked counts the true entries.
+	replayed map[Assignment]bool
+	marked   int
 }
 
 // markIssued records that a copy of taskID has been handed out, growing
@@ -161,12 +167,17 @@ func shuffle(a []Assignment, r *rng.Source) {
 	r.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
 }
 
+// phaseTurnDue reports whether phase one is fully collected and phase two
+// (buffered only under TwoPhase) is yet to be released.
+func (q *Queue) phaseTurnDue() bool {
+	return len(q.ready) == 0 && q.outstanding == 0 && len(q.phase2) > 0
+}
+
 // Next returns the next assignment to hand out. ok is false when nothing is
 // currently available — either the computation is finished (Done) or the
 // policy is holding copies back until outstanding work completes.
 func (q *Queue) Next() (a Assignment, ok bool) {
-	if len(q.ready) == 0 && q.policy == TwoPhase && q.outstanding == 0 && len(q.phase2) > 0 {
-		// Phase one fully collected; release phase two.
+	if q.phaseTurnDue() {
 		q.ready, q.phase2 = q.phase2, nil
 	}
 	if len(q.ready) == 0 {
@@ -181,32 +192,21 @@ func (q *Queue) Next() (a Assignment, ok bool) {
 }
 
 // NextBatch appends up to n assignments to dst and returns it — one
-// release decision amortized over a whole lease. Free-policy queues (the
-// platform's batched hot path) hand out a contiguous prefix of the ready
-// pool with one cut instead of n header pops; policies that hold copies
-// back fall through to Next per item, so release semantics are identical.
+// release decision amortized over a whole lease. Issuing releases nothing
+// under any policy, so the batch is the ready pool's prefix, cut once: the
+// same copies n calls of Next would pop.
 func (q *Queue) NextBatch(dst []Assignment, n int) []Assignment {
-	if q.policy == Free {
-		k := n
-		if k > len(q.ready) {
-			k = len(q.ready)
-		}
-		for _, a := range q.ready[:k] {
-			q.markIssued(a.TaskID)
-		}
-		dst = append(dst, q.ready[:k]...)
-		q.ready = q.ready[k:]
-		q.outstanding += k
-		q.issued += k
-		return dst
+	if q.phaseTurnDue() {
+		q.ready, q.phase2 = q.phase2, nil
 	}
-	for i := 0; i < n; i++ {
-		a, ok := q.Next()
-		if !ok {
-			break
-		}
-		dst = append(dst, a)
+	k := min(n, len(q.ready))
+	for _, a := range q.ready[:k] {
+		q.markIssued(a.TaskID)
 	}
+	dst = append(dst, q.ready[:k]...)
+	q.ready = q.ready[k:]
+	q.outstanding += k
+	q.issued += k
 	return dst
 }
 
@@ -238,10 +238,7 @@ func (q *Queue) NextRinger() (Assignment, bool) {
 // Callers use it to decide whether waking parked work requests is worth
 // anything.
 func (q *Queue) Available() bool {
-	if len(q.ready) > 0 {
-		return true
-	}
-	return q.policy == TwoPhase && q.outstanding == 0 && len(q.phase2) > 0
+	return len(q.ready) > 0 || q.phaseTurnDue()
 }
 
 // Complete reports that the result for a has been returned, releasing any
@@ -270,62 +267,72 @@ func (q *Queue) Abandon(a Assignment) {
 }
 
 // MarkCompleted records that assignment a was already issued and completed
-// in a previous run (journal replay during supervisor recovery). It removes
-// the assignment from whichever pool currently holds it and applies the
-// policy's completion logic, releasing held-back copies exactly as a live
-// completion would. It reports whether the assignment was found.
+// in a previous run (journal replay during supervisor recovery). It only
+// marks the copy; Settle completes every marked copy in one pass, so a
+// replay costs O(n) however many records it holds. It reports whether a is
+// queued and not yet marked. The first mark after a Settle indexes every
+// queued copy, ready and held back alike.
 func (q *Queue) MarkCompleted(a Assignment) bool {
-	if removeAssignment(&q.ready, a) {
-		// fall through to completion accounting
-	} else if rest := q.heldBack(a.TaskID); removeAssignment(&rest, a) {
-		q.pending[a.TaskID] = rest
-	} else if !removeAssignment(&q.phase2, a) {
+	if q.replayed == nil {
+		q.replayed = make(map[Assignment]bool, q.total-q.issued)
+		for _, pool := range append([][]Assignment{q.ready, q.phase2}, q.pending...) {
+			for _, x := range pool {
+				q.replayed[x] = false
+			}
+		}
+	}
+	if done, queued := q.replayed[a]; !queued || done {
 		return false
 	}
-	q.issued++
-	q.outstanding++
-	q.markIssued(a.TaskID)
-	q.Complete(a)
+	q.replayed[a] = true
+	q.marked++
 	return true
 }
 
-// MarkCompletedBulk removes every ready assignment for which done returns
-// true and applies completion accounting, in one pass over the ready pool
-// — the journal-replay counterpart of MarkCompleted, which costs a linear
-// pool scan per call and makes restoring k of n assignments O(k·n).
-// Replay under the Free policy collects every replayed copy, a snapshot's
-// included, and completes them in one pass per flush. Free policy only: the
-// other policies hold copies back and need MarkCompleted's release logic.
-// It returns how many assignments were completed.
-func (q *Queue) MarkCompletedBulk(done func(Assignment) bool) (int, error) {
-	if q.policy != Free {
-		return 0, fmt.Errorf("sched: MarkCompletedBulk requires the free policy, have %v", q.policy)
-	}
-	kept := q.ready[:0]
+// Settle completes the copies MarkCompleted has marked, each as an issue
+// immediately followed by a Complete, in one pass over the pools that keeps
+// their order. A completed copy releases the next held copy that is not
+// itself marked, to the back of the ready pool as a live Complete would; a
+// marked held copy completes in turn. It fails if a marked copy was left
+// queued — one held behind a copy that is neither marked nor issued.
+func (q *Queue) Settle() error {
+	var released []Assignment
 	n := 0
-	for _, a := range q.ready {
-		if done(a) {
+	settle := func(pool []Assignment) []Assignment {
+		kept := pool[:0]
+		for _, a := range pool {
+			if !q.replayed[a] {
+				kept = append(kept, a)
+				continue
+			}
 			q.markIssued(a.TaskID)
 			n++
-			continue
+			rest := q.heldBack(a.TaskID)
+			for len(rest) > 0 && q.replayed[rest[0]] {
+				rest, n = rest[1:], n+1
+			}
+			if len(rest) > 0 {
+				released = append(released, rest[0])
+				rest = rest[1:]
+			}
+			if a.TaskID < len(q.pending) {
+				q.pending[a.TaskID] = rest
+			}
 		}
-		kept = append(kept, a)
+		return kept
 	}
-	q.ready = kept
-	// Each removal is an issue immediately followed by a completion; under
-	// Free the net accounting is issued++ with outstanding unchanged.
+	if q.marked > 0 {
+		q.ready = settle(q.ready)
+		q.ready = append(q.ready, released...)
+		q.phase2 = settle(q.phase2)
+	}
 	q.issued += n
-	return n, nil
-}
-
-func removeAssignment(pool *[]Assignment, a Assignment) bool {
-	for i, x := range *pool {
-		if x == a {
-			*pool = append((*pool)[:i], (*pool)[i+1:]...)
-			return true
-		}
+	marked := q.marked
+	q.replayed, q.marked = nil, 0
+	if n != marked {
+		return fmt.Errorf("sched: settled %d of %d marked copies", n, marked)
 	}
-	return false
+	return nil
 }
 
 // EverIssued reports whether any copy of the task has ever been handed

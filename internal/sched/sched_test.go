@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"redundancy/internal/plan"
@@ -336,6 +337,15 @@ func TestMarkCompletedAcrossPolicies(t *testing.T) {
 		if q.MarkCompleted(Assignment{TaskID: 9, Copy: 0}) {
 			t.Fatalf("%v: unknown assignment marked", pol)
 		}
+		if err := q.Settle(); err != nil {
+			t.Fatalf("%v: %v", pol, err)
+		}
+		if q.MarkCompleted(Assignment{TaskID: 0, Copy: 0}) {
+			t.Fatalf("%v: settled assignment marked again", pol)
+		}
+		if q.Issued() != 1 || q.Outstanding() != 0 {
+			t.Fatalf("%v: issued %d, outstanding %d after settling one copy", pol, q.Issued(), q.Outstanding())
+		}
 		// The remaining three assignments must still drain normally, with
 		// no duplicate of the replayed one.
 		seen := map[Assignment]bool{{TaskID: 0, Copy: 0}: true}
@@ -357,13 +367,16 @@ func TestMarkCompletedAcrossPolicies(t *testing.T) {
 }
 
 func TestMarkCompletedReleasesPendingCopies(t *testing.T) {
-	// Under OneOutstanding, replaying copy 0 must release copy 1.
+	// Under OneOutstanding, settling copy 0 must release copy 1.
 	q, err := NewQueue(specs(2), OneOutstanding, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !q.MarkCompleted(Assignment{TaskID: 0, Copy: 0}) {
 		t.Fatal("replay failed")
+	}
+	if err := q.Settle(); err != nil {
+		t.Fatal(err)
 	}
 	a, ok := q.Next()
 	if !ok || a.Copy != 1 {
@@ -372,6 +385,49 @@ func TestMarkCompletedReleasesPendingCopies(t *testing.T) {
 	q.Complete(a)
 	if !q.Done() {
 		t.Error("queue not done")
+	}
+}
+
+// TestSettleReleasesAlongTheChain: a marked held copy settles in turn, so
+// settling copies 0 and 1 of a 3-copy task releases copy 2 — once — while
+// the other task's ready copy keeps its place in front of it.
+func TestSettleReleasesAlongTheChain(t *testing.T) {
+	q, err := NewQueue(specs(3, 1), OneOutstanding, rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < 2; c++ {
+		if !q.MarkCompleted(Assignment{TaskID: 0, Copy: c}) {
+			t.Fatalf("copy %d not marked", c)
+		}
+	}
+	if err := q.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Assignment{{TaskID: 1}, {TaskID: 0, Copy: 2}}; len(q.ready) != 2 || q.ready[0] != want[0] || q.ready[1] != want[1] {
+		t.Fatalf("ready pool %+v, want %+v", q.ready, want)
+	}
+	if len(q.heldBack(0)) != 0 || q.Issued() != 2 {
+		t.Fatalf("held back %+v, issued %d", q.heldBack(0), q.Issued())
+	}
+	if got := drain(t, q); len(got) != 2 {
+		t.Fatalf("drained %+v, want the two unsettled copies", got)
+	}
+}
+
+// TestSettleRefusesUnreachableMark: a held copy whose predecessor is
+// neither marked nor issued cannot be completed, and Settle says so
+// rather than dropping the mark.
+func TestSettleRefusesUnreachableMark(t *testing.T) {
+	q, err := NewQueue(specs(3), OneOutstanding, rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !q.MarkCompleted(Assignment{TaskID: 0, Copy: 2}) {
+		t.Fatal("held copy not marked")
+	}
+	if err := q.Settle(); err == nil {
+		t.Fatal("Settle completed a copy held behind an unsettled one")
 	}
 }
 
@@ -404,6 +460,12 @@ func TestMarkCompletedSetsEverIssued(t *testing.T) {
 	}
 	if !q.MarkCompleted(Assignment{TaskID: 1, Copy: 0}) {
 		t.Fatal("MarkCompleted failed")
+	}
+	if q.EverIssued(1) {
+		t.Fatal("a marked copy counted as issued before Settle")
+	}
+	if err := q.Settle(); err != nil {
+		t.Fatal(err)
 	}
 	if !q.EverIssued(1) {
 		t.Fatal("journal-replayed completion not tracked as issuance")
@@ -603,6 +665,58 @@ func TestNewQueueAllocatesOnce(t *testing.T) {
 		small, large := build(500), build(50_000)
 		if small != large || large > 6 {
 			t.Errorf("%v: %.0f allocations at 500 tasks, %.0f at 50 000 (want equal, at most 6)", tc.policy, small, large)
+		}
+	}
+}
+
+// TestNextBatchMatchesNext: under every policy, batches pop exactly the
+// sequence single Next calls do, the two-phase turn included, and leave
+// the same accounting behind.
+func TestNextBatchMatchesNext(t *testing.T) {
+	for _, pol := range []Policy{Free, OneOutstanding, TwoPhase} {
+		for _, batch := range []int{1, 3, 64} {
+			mk := func() *Queue {
+				q, err := NewQueue(specs(2, 2, 2, 2, 2, 2, 2), pol, rng.New(11))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return q
+			}
+			single, batched := mk(), mk()
+			var want, got []Assignment
+			for !single.Done() {
+				var round []Assignment
+				for len(round) < batch {
+					a, ok := single.Next()
+					if !ok {
+						break
+					}
+					round = append(round, a)
+				}
+				if len(round) == 0 {
+					t.Fatalf("%v batch %d: Next stalled", pol, batch)
+				}
+				want = append(want, round...)
+				for _, a := range round {
+					single.Complete(a)
+				}
+
+				n := len(got)
+				got = batched.NextBatch(got, batch)
+				if !slices.Equal(got[n:], round) {
+					t.Fatalf("%v batch %d: NextBatch popped %+v, Next %+v", pol, batch, got[n:], round)
+				}
+				for _, a := range got[n:] {
+					batched.Complete(a)
+				}
+				if single.Issued() != batched.Issued() || single.Outstanding() != batched.Outstanding() ||
+					single.Available() != batched.Available() {
+					t.Fatalf("%v batch %d: accounting diverges after %d pops", pol, batch, len(got))
+				}
+			}
+			if !batched.Done() || len(got) != len(want) {
+				t.Fatalf("%v batch %d: batched queue popped %d of %d", pol, batch, len(got), len(want))
+			}
 		}
 	}
 }

@@ -435,10 +435,10 @@ func (c *Collector) submit(r *Result, into *Verdict) (done bool, err error) {
 	if ts.verdict > 0 {
 		return false, fmt.Errorf("verify: task %d already adjudicated", id)
 	}
-	cp, p := int32(r.Assignment.Copy), int32(r.Participant)
-	if int(cp) != r.Assignment.Copy {
-		return false, fmt.Errorf("verify: copy %d of task %d does not fit in 32 bits", r.Assignment.Copy, id)
+	if r.Assignment.Copy < 0 || r.Assignment.Copy >= int(ts.expected) {
+		return false, fmt.Errorf("verify: copy %d of task %d outside its %d copies", r.Assignment.Copy, id, ts.expected)
 	}
+	cp, p := int32(r.Assignment.Copy), int32(r.Participant) // copy < expected fits in 32 bits
 	if int(p) != r.Participant {
 		return false, fmt.Errorf("verify: participant %d does not fit in 32 bits", r.Participant)
 	}

@@ -287,3 +287,23 @@ func TestDuplicateCopyRejected(t *testing.T) {
 		t.Errorf("contributors = %v, want the two distinct copies", v.Contributors)
 	}
 }
+
+// TestCopyOutOfRangeRejected: a copy index outside the task's registered
+// multiplicity is refused, and neither it nor a negative index counts
+// toward the quorum.
+func TestCopyOutOfRangeRejected(t *testing.T) {
+	c := NewCollector(nil)
+	c.Expect(0, 2)
+	for _, cp := range []int{5, -3, 2} {
+		if _, done, err := c.Submit(res(0, cp, 7, 42, false)); err == nil || done {
+			t.Fatalf("copy %d of a 2-copy task accepted: done=%v err=%v", cp, done, err)
+		}
+	}
+	if _, done, err := c.Submit(res(0, 0, 1, 42, false)); err != nil || done {
+		t.Fatalf("copy 0: done=%v err=%v", done, err)
+	}
+	v, done, err := c.Submit(res(0, 1, 2, 42, false))
+	if err != nil || !done || !v.Accepted || len(v.Contributors) != 2 || v.Contributors[0] != 1 || v.Contributors[1] != 2 {
+		t.Fatalf("in-range copies: %+v done=%v err=%v", v, done, err)
+	}
+}

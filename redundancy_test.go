@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestPublicAPIFlow walks the README quick-start end to end through the
@@ -156,7 +157,10 @@ func TestFacadePlatformEndToEnd(t *testing.T) {
 		}
 		go func() {
 			defer wg.Done()
-			_, _ = RunWorker(WorkerConfig{Addr: addr, Name: "w", Cheat: cheat})
+			// A floor on every worker's compute keeps the four sharing the
+			// pool, so the cheater cannot be starved out of it before it
+			// has leased a single copy.
+			_, _ = RunWorker(WorkerConfig{Addr: addr, Name: "w", Cheat: cheat, Speed: &SpeedModel{Base: time.Millisecond}})
 		}()
 	}
 	wg.Wait()
