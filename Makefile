@@ -130,7 +130,9 @@ tail-smoke:
 # The result path's allocation guards: a collector's allocations are its
 # tables and chunks and not one per result, with or without Reserve; a
 # warm 64-result SubmitBatch allocates nothing; a queue's do not depend on
-# the task count; a snapshot restore allocates the verdict list once;
+# the task count, drained through Next or NextBatch; a queue deals, seed
+# for seed, the permutation the closure shuffle dealt, holds 8 B per queued
+# copy, and refuses a copy its 8-byte slot cannot hold; a snapshot restore allocates the verdict list once;
 # carved storage never aliases; a verdict is read (by index, by task, and
 # in Summary's and Export's loops) without allocating, and a restored one
 # copies the caller's lists; a collector that has adjudicated 100 000
@@ -145,7 +147,7 @@ tail-smoke:
 BATCH_PIPELINE_ALLOCS ?= 4
 
 alloc-check:
-	$(GO) test -count=1 -run 'TestSubmitDoesNotAllocatePerResult|TestSubmitBatchAllocFree|TestReserveIsTheSamePath|TestCarved|TestRestoreVerdictGrowsOnce|TestNewQueueAllocatesOnce|TestSnapshotRestoreAllocatesVerdictsOnce|TestRevisionGrowsPastPresizedTables|TestVerdictReadsAllocFree|TestRestoreVerdictCopiesLists|TestCollectorBytesPerTask|TestLeaseCycleAllocFree|TestCodecFramesAllocFree|TestJSONDecodeInternsStrings' ./internal/verify ./internal/sched ./internal/platform
+	$(GO) test -count=1 -run 'TestSubmitDoesNotAllocatePerResult|TestSubmitBatchAllocFree|TestReserveIsTheSamePath|TestCarved|TestRestoreVerdictGrowsOnce|TestNewQueueAllocatesOnce|TestQueueOrderMatchesClosureShuffle|TestQueueBytesPerCopy|TestQueueRefusesUnpackable|TestSnapshotRestoreAllocatesVerdictsOnce|TestRevisionGrowsPastPresizedTables|TestVerdictReadsAllocFree|TestRestoreVerdictCopiesLists|TestCollectorBytesPerTask|TestLeaseCycleAllocFree|TestCodecFramesAllocFree|TestJSONDecodeInternsStrings' ./internal/verify ./internal/sched ./internal/platform
 	$(GO) test -run '^$$' -bench BenchmarkBatchPipeline -benchmem ./internal/platform | awk -v max=$(BATCH_PIPELINE_ALLOCS) \
 		'{ print } /^BenchmarkBatchPipeline/ { seen = 1; for (i = 2; i <= NF; i++) if ($$i == "allocs/op" && $$(i-1) + 0 > max) over = $$(i-1) } \
 		END { if (!seen) { print "FAIL: BenchmarkBatchPipeline did not run"; exit 1 } \

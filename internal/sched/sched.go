@@ -14,6 +14,8 @@ package sched
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"redundancy/internal/plan"
 	"redundancy/internal/rng"
@@ -52,20 +54,73 @@ func (p Policy) String() string {
 	}
 }
 
+// slot is one queued copy in 8 bytes, laid out as Queue describes.
+type slot struct {
+	id   uint32
+	word uint32
+}
+
+const ringerBit = 1 << 31
+
+// fits reports whether copy number index of taskID has a slot.
+func fits(taskID, index int) bool {
+	return taskID >= 0 && taskID <= math.MaxInt32 && index >= 0 && index <= math.MaxInt32
+}
+
+// newSlot packs a copy that fits.
+func newSlot(taskID, index int, ringer bool) slot {
+	s := slot{id: uint32(taskID), word: uint32(index)}
+	if ringer {
+		s.word |= ringerBit
+	}
+	return s
+}
+
+// pack returns a's slot, or false when a does not fit: a copy the queue
+// never holds, rather than an alias of one it does.
+func pack(a Assignment) (slot, bool) {
+	if !fits(a.TaskID, a.Copy) {
+		return slot{}, false
+	}
+	return newSlot(a.TaskID, a.Copy, a.Ringer), true
+}
+
+// checkFits refuses a task whose ID or highest copy index has no slot.
+// Copies below one are left to the caller's own check.
+func checkFits(taskID, copies int) error {
+	if !fits(taskID, max(copies-1, 0)) {
+		return fmt.Errorf("sched: task %d with %d copies is outside the queue's range (IDs and copy indices 0..%d)", taskID, copies, math.MaxInt32)
+	}
+	return nil
+}
+
+func (s slot) taskID() int  { return int(s.id) }
+func (s slot) ringer() bool { return s.word&ringerBit != 0 }
+func (s slot) assignment() Assignment {
+	return Assignment{TaskID: int(s.id), Copy: int(s.word &^ ringerBit), Ringer: s.ringer()}
+}
+
 // Queue releases the assignments of a plan according to a Policy. It is not
 // safe for concurrent use; the simulator drives it from a single goroutine
 // (and the network platform serializes access).
+//
+// Every pool holds its copies as 8-byte slots rather than 24-byte
+// Assignments: a uint32 task ID, and a uint32 whose low 31 bits are the
+// copy index and whose top bit is Ringer. So task IDs and copy indices run
+// from 0 to MaxInt32, the verifier's own limits; NewQueue, Promote and
+// AddTask refuse a copy outside them, MarkCompleted reports it unknown and
+// Abandon panics on it.
 type Queue struct {
 	policy Policy
 
-	// ready assignments, dealt from the front.
-	ready []Assignment
+	// ready copies, dealt from the front.
+	ready []slot
 	// pending[taskID] holds the copies OneOutstanding has not yet released
 	// (each waits for the one before it to complete), in copy order. The
 	// per-task slices are cut from one array sized by NewQueue.
-	pending [][]Assignment
+	pending [][]slot
 	// phase2 buffers the second copies under TwoPhase.
-	phase2 []Assignment
+	phase2 []slot
 
 	outstanding int
 	issued      int
@@ -81,7 +136,7 @@ type Queue struct {
 	// replayed indexes the queued copies while a journal replays: false
 	// for a copy still queued, true once MarkCompleted has marked it for
 	// the next Settle. marked counts the true entries.
-	replayed map[Assignment]bool
+	replayed map[slot]bool
 	marked   int
 }
 
@@ -110,41 +165,44 @@ func NewQueue(specs []plan.TaskSpec, policy Policy, r *rng.Source) (*Queue, erro
 	q := &Queue{policy: policy}
 	top := -1
 	for i := range specs {
+		if err := checkFits(specs[i].ID, specs[i].Copies); err != nil {
+			return nil, err
+		}
 		q.total += specs[i].Copies
 		top = max(top, specs[i].ID)
 	}
 	q.everIssued = make([]bool, top+1)
 	switch policy {
 	case Free:
-		q.ready = make([]Assignment, 0, q.total)
+		q.ready = make([]slot, 0, q.total)
 		for _, s := range specs {
 			for c := 0; c < s.Copies; c++ {
-				q.ready = append(q.ready, Assignment{TaskID: s.ID, Copy: c, Ringer: s.Ringer})
+				q.ready = append(q.ready, newSlot(s.ID, c, s.Ringer))
 			}
 		}
 		shuffle(q.ready, r)
 	case OneOutstanding:
-		q.ready = make([]Assignment, 0, q.total)
-		q.pending = make([][]Assignment, top+1)
-		held := make([]Assignment, 0, max(q.total-len(specs), 0))
+		q.ready = make([]slot, 0, q.total)
+		q.pending = make([][]slot, top+1)
+		held := make([]slot, 0, max(q.total-len(specs), 0))
 		for _, s := range specs {
-			q.ready = append(q.ready, Assignment{TaskID: s.ID, Copy: 0, Ringer: s.Ringer})
+			q.ready = append(q.ready, newSlot(s.ID, 0, s.Ringer))
 			from := len(held)
 			for c := 1; c < s.Copies; c++ {
-				held = append(held, Assignment{TaskID: s.ID, Copy: c, Ringer: s.Ringer})
+				held = append(held, newSlot(s.ID, c, s.Ringer))
 			}
 			q.pending[s.ID] = held[from:len(held):len(held)]
 		}
 		shuffle(q.ready, r)
 	case TwoPhase:
-		q.ready = make([]Assignment, 0, len(specs))
-		q.phase2 = make([]Assignment, 0, len(specs))
+		q.ready = make([]slot, 0, len(specs))
+		q.phase2 = make([]slot, 0, len(specs))
 		for _, s := range specs {
 			if s.Copies != 2 {
 				return nil, fmt.Errorf("sched: two-phase requires exactly 2 copies per task, task %d has %d", s.ID, s.Copies)
 			}
-			q.ready = append(q.ready, Assignment{TaskID: s.ID, Copy: 0, Ringer: s.Ringer})
-			q.phase2 = append(q.phase2, Assignment{TaskID: s.ID, Copy: 1, Ringer: s.Ringer})
+			q.ready = append(q.ready, newSlot(s.ID, 0, s.Ringer))
+			q.phase2 = append(q.phase2, newSlot(s.ID, 1, s.Ringer))
 		}
 		shuffle(q.ready, r)
 		shuffle(q.phase2, r)
@@ -156,15 +214,21 @@ func NewQueue(specs []plan.TaskSpec, policy Policy, r *rng.Source) (*Queue, erro
 
 // heldBack returns the copies of taskID the policy has yet to release (none
 // outside OneOutstanding, the only policy that allocates the table).
-func (q *Queue) heldBack(taskID int) []Assignment {
+func (q *Queue) heldBack(taskID int) []slot {
 	if taskID < 0 || taskID >= len(q.pending) {
 		return nil
 	}
 	return q.pending[taskID]
 }
 
-func shuffle(a []Assignment, r *rng.Source) {
-	r.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
+// shuffle permutes a by Fisher–Yates, drawing r.Intn(i+1) for i from
+// len(a)-1 down to 1: rng.Shuffle's draws in rng.Shuffle's order, so a seed
+// deals the same permutation, without Shuffle's indirect call per element.
+func shuffle(a []slot, r *rng.Source) {
+	for i := len(a) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		a[i], a[j] = a[j], a[i]
+	}
 }
 
 // phaseTurnDue reports whether phase one is fully collected and phase two
@@ -183,12 +247,12 @@ func (q *Queue) Next() (a Assignment, ok bool) {
 	if len(q.ready) == 0 {
 		return Assignment{}, false
 	}
-	a = q.ready[0]
+	s := q.ready[0]
 	q.ready = q.ready[1:]
 	q.outstanding++
 	q.issued++
-	q.markIssued(a.TaskID)
-	return a, true
+	q.markIssued(s.taskID())
+	return s.assignment(), true
 }
 
 // NextBatch appends up to n assignments to dst and returns it — one
@@ -200,10 +264,13 @@ func (q *Queue) NextBatch(dst []Assignment, n int) []Assignment {
 		q.ready, q.phase2 = q.phase2, nil
 	}
 	k := min(n, len(q.ready))
-	for _, a := range q.ready[:k] {
-		q.markIssued(a.TaskID)
+	for _, s := range q.ready[:k] {
+		q.markIssued(s.taskID())
 	}
-	dst = append(dst, q.ready[:k]...)
+	dst = slices.Grow(dst, k)
+	for _, s := range q.ready[:k] {
+		dst = append(dst, s.assignment())
+	}
 	q.ready = q.ready[k:]
 	q.outstanding += k
 	q.issued += k
@@ -220,15 +287,15 @@ func (q *Queue) NextRinger() (Assignment, bool) {
 	if q.policy != Free {
 		return Assignment{}, false
 	}
-	for i, a := range q.ready {
-		if !a.Ringer {
+	for i, s := range q.ready {
+		if !s.ringer() {
 			continue
 		}
 		q.ready = append(q.ready[:i], q.ready[i+1:]...)
 		q.outstanding++
 		q.issued++
-		q.markIssued(a.TaskID)
-		return a, true
+		q.markIssued(s.taskID())
+		return s.assignment(), true
 	}
 	return Assignment{}, false
 }
@@ -257,34 +324,45 @@ func (q *Queue) Complete(a Assignment) {
 // Abandon returns an issued-but-uncompleted assignment to the pool — the
 // participant holding it left the computation. The assignment is placed at
 // the back of the ready queue and will be re-issued to another participant.
+// An assignment outside the queue's range (see Queue) panics: no queue
+// issued it.
 func (q *Queue) Abandon(a Assignment) {
 	if q.outstanding <= 0 {
 		panic("sched: Abandon without outstanding assignment")
 	}
+	s, ok := pack(a)
+	if !ok {
+		panic("sched: Abandon of an assignment outside the queue's range")
+	}
 	q.outstanding--
 	q.issued--
-	q.ready = append(q.ready, a)
+	q.ready = append(q.ready, s)
 }
 
 // MarkCompleted records that assignment a was already issued and completed
 // in a previous run (journal replay during supervisor recovery). It only
 // marks the copy; Settle completes every marked copy in one pass, so a
 // replay costs O(n) however many records it holds. It reports whether a is
-// queued and not yet marked. The first mark after a Settle indexes every
+// queued and not yet marked; an assignment outside the queue's range (see
+// Queue) is never queued. The first mark after a Settle indexes every
 // queued copy, ready and held back alike.
 func (q *Queue) MarkCompleted(a Assignment) bool {
+	s, ok := pack(a)
+	if !ok {
+		return false
+	}
 	if q.replayed == nil {
-		q.replayed = make(map[Assignment]bool, q.total-q.issued)
-		for _, pool := range append([][]Assignment{q.ready, q.phase2}, q.pending...) {
+		q.replayed = make(map[slot]bool, q.total-q.issued)
+		for _, pool := range append([][]slot{q.ready, q.phase2}, q.pending...) {
 			for _, x := range pool {
 				q.replayed[x] = false
 			}
 		}
 	}
-	if done, queued := q.replayed[a]; !queued || done {
+	if done, queued := q.replayed[s]; !queued || done {
 		return false
 	}
-	q.replayed[a] = true
+	q.replayed[s] = true
 	q.marked++
 	return true
 }
@@ -296,18 +374,19 @@ func (q *Queue) MarkCompleted(a Assignment) bool {
 // marked held copy completes in turn. It fails if a marked copy was left
 // queued — one held behind a copy that is neither marked nor issued.
 func (q *Queue) Settle() error {
-	var released []Assignment
+	var released []slot
 	n := 0
-	settle := func(pool []Assignment) []Assignment {
+	settle := func(pool []slot) []slot {
 		kept := pool[:0]
-		for _, a := range pool {
-			if !q.replayed[a] {
-				kept = append(kept, a)
+		for _, s := range pool {
+			if !q.replayed[s] {
+				kept = append(kept, s)
 				continue
 			}
-			q.markIssued(a.TaskID)
+			id := s.taskID()
+			q.markIssued(id)
 			n++
-			rest := q.heldBack(a.TaskID)
+			rest := q.heldBack(id)
 			for len(rest) > 0 && q.replayed[rest[0]] {
 				rest, n = rest[1:], n+1
 			}
@@ -315,8 +394,8 @@ func (q *Queue) Settle() error {
 				released = append(released, rest[0])
 				rest = rest[1:]
 			}
-			if a.TaskID < len(q.pending) {
-				q.pending[a.TaskID] = rest
+			if id < len(q.pending) {
+				q.pending[id] = rest
 			}
 		}
 		return kept
@@ -354,12 +433,15 @@ func (q *Queue) Promote(taskID, from, to int) error {
 	if to <= from {
 		return fmt.Errorf("sched: Promote task %d: %d -> %d is not a raise", taskID, from, to)
 	}
+	if err := checkFits(taskID, to); err != nil {
+		return err
+	}
 	if q.EverIssued(taskID) {
 		return fmt.Errorf("sched: Promote task %d: copies already issued", taskID)
 	}
 	queued := 0
-	for _, a := range q.ready {
-		if a.TaskID == taskID {
+	for _, s := range q.ready {
+		if s.taskID() == taskID {
 			queued++
 		}
 	}
@@ -367,7 +449,7 @@ func (q *Queue) Promote(taskID, from, to int) error {
 		return fmt.Errorf("sched: Promote task %d: %d copies queued, revision expects %d", taskID, queued, from)
 	}
 	for c := from; c < to; c++ {
-		q.ready = append(q.ready, Assignment{TaskID: taskID, Copy: c})
+		q.ready = append(q.ready, newSlot(taskID, c, false))
 	}
 	q.total += to - from
 	return nil
@@ -382,11 +464,14 @@ func (q *Queue) AddTask(spec plan.TaskSpec) error {
 	if spec.Copies < 1 {
 		return fmt.Errorf("sched: AddTask task %d: invalid multiplicity %d", spec.ID, spec.Copies)
 	}
+	if err := checkFits(spec.ID, spec.Copies); err != nil {
+		return err
+	}
 	if q.EverIssued(spec.ID) {
 		return fmt.Errorf("sched: AddTask task %d: ID already in use", spec.ID)
 	}
 	for c := 0; c < spec.Copies; c++ {
-		q.ready = append(q.ready, Assignment{TaskID: spec.ID, Copy: c, Ringer: spec.Ringer})
+		q.ready = append(q.ready, newSlot(spec.ID, c, spec.Ringer))
 	}
 	q.total += spec.Copies
 	return nil

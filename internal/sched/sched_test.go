@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"math"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -404,7 +407,7 @@ func TestSettleReleasesAlongTheChain(t *testing.T) {
 	if err := q.Settle(); err != nil {
 		t.Fatal(err)
 	}
-	if want := []Assignment{{TaskID: 1}, {TaskID: 0, Copy: 2}}; len(q.ready) != 2 || q.ready[0] != want[0] || q.ready[1] != want[1] {
+	if want := []slot{newSlot(1, 0, false), newSlot(0, 2, false)}; !slices.Equal(q.ready, want) {
 		t.Fatalf("ready pool %+v, want %+v", q.ready, want)
 	}
 	if len(q.heldBack(0)) != 0 || q.Issued() != 2 {
@@ -634,38 +637,263 @@ func TestNextRingerNonFreePolicy(t *testing.T) {
 
 // TestNewQueueAllocatesOnce: every table is sized from a counting pass
 // over the specs, so building a queue costs the same handful of
-// allocations at 500 tasks and at 50 000, and draining it (Next, Complete,
-// the held-back copies OneOutstanding releases, the TwoPhase turn) costs
-// none: ready was made with room for everything the policy puts in it.
+// allocations at 500 tasks and at 50 000, and draining it (Next or
+// NextBatch into a reused dst, Complete, the held-back copies
+// OneOutstanding releases, the TwoPhase turn) costs none: ready was made
+// with room for everything the policy puts in it. The collector is off
+// while it counts: a GC cycle's own runtime allocations land in the same
+// malloc count, and whether one falls in the window depends on the heap,
+// not on the queue.
 func TestNewQueueAllocatesOnce(t *testing.T) {
 	for _, tc := range []struct {
 		policy Policy
 		copies int
 	}{{Free, 3}, {OneOutstanding, 3}, {TwoPhase, 2}} {
-		build := func(n int) float64 {
-			sp := make([]plan.TaskSpec, n)
-			for i := range sp {
-				sp[i] = plan.TaskSpec{ID: i, Copies: tc.copies}
-			}
-			r := rng.New(7)
-			return testing.AllocsPerRun(5, func() {
-				q, err := NewQueue(sp, tc.policy, r)
-				if err != nil {
-					t.Fatal(err)
+		// batch 0 drains through Next, 64 through NextBatch.
+		for _, batch := range []int{0, 64} {
+			build := func(n int) float64 {
+				sp := make([]plan.TaskSpec, n)
+				for i := range sp {
+					sp[i] = plan.TaskSpec{ID: i, Copies: tc.copies}
 				}
-				for !q.Done() {
-					a, ok := q.Next()
-					if !ok {
-						t.Fatal("queue stalled with work remaining")
+				r := rng.New(7)
+				dst := make([]Assignment, 0, 64)
+				runtime.GC()
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+				return testing.AllocsPerRun(5, func() {
+					q, err := NewQueue(sp, tc.policy, r)
+					if err != nil {
+						t.Fatal(err)
 					}
-					q.Complete(a)
+					for !q.Done() {
+						if batch == 0 {
+							a, ok := q.Next()
+							if !ok {
+								t.Fatal("queue stalled with work remaining")
+							}
+							q.Complete(a)
+							continue
+						}
+						dst = q.NextBatch(dst[:0], batch)
+						if len(dst) == 0 {
+							t.Fatal("queue stalled with work remaining")
+						}
+						for _, a := range dst {
+							q.Complete(a)
+						}
+					}
+				})
+			}
+			small, large := build(500), build(50_000)
+			if small != large || large > 6 {
+				t.Errorf("%v batch %d: %.0f allocations at 500 tasks, %.0f at 50 000 (want equal, at most 6)", tc.policy, batch, small, large)
+			}
+		}
+	}
+}
+
+// closureShuffleDrain is the queue as it was built with 24-byte
+// Assignments: the copies laid out in spec order, each pool permuted by
+// rng.Shuffle through a swap closure (ready, then phase2 under TwoPhase),
+// and drained in batches whose copies complete as they arrive, each
+// completion releasing its task's next held copy to the back of ready.
+func closureShuffleDrain(sp []plan.TaskSpec, pol Policy, seed uint64, batch int) []Assignment {
+	var ready, phase2 []Assignment
+	held := map[int][]Assignment{}
+	for _, s := range sp {
+		for c := 0; c < s.Copies; c++ {
+			a := Assignment{TaskID: s.ID, Copy: c, Ringer: s.Ringer}
+			switch {
+			case pol == Free || c == 0:
+				ready = append(ready, a)
+			case pol == TwoPhase:
+				phase2 = append(phase2, a)
+			default:
+				held[s.ID] = append(held[s.ID], a)
+			}
+		}
+	}
+	r := rng.New(seed)
+	for _, pool := range [][]Assignment{ready, phase2} {
+		r.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	}
+	var out []Assignment
+	for len(ready) > 0 || len(phase2) > 0 {
+		if len(ready) == 0 {
+			ready, phase2 = phase2, nil
+		}
+		round := ready[:min(batch, len(ready))]
+		ready = ready[len(round):]
+		out = append(out, round...)
+		for _, a := range round {
+			if rest := held[a.TaskID]; len(rest) > 0 {
+				ready = append(ready, rest[0])
+				held[a.TaskID] = rest[1:]
+			}
+		}
+	}
+	return out
+}
+
+// TestQueueOrderMatchesClosureShuffle: the slot pools and the written-out
+// Fisher–Yates deal, for every seed, policy and batch size, exactly the
+// sequence the Assignment pools shuffled through rng.Shuffle dealt — so
+// every golden and digest keyed on a seed still holds.
+func TestQueueOrderMatchesClosureShuffle(t *testing.T) {
+	balanced, err := plan.Balanced(2_000, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simple := make([]plan.TaskSpec, 2_000)
+	for i := range simple {
+		simple[i] = plan.TaskSpec{ID: i, Copies: 2, Ringer: i%50 == 0}
+	}
+	for _, tc := range []struct {
+		name  string
+		specs []plan.TaskSpec
+		pols  []Policy
+	}{
+		{"balanced", balanced.Tasks(), []Policy{Free, OneOutstanding}},
+		{"simple-x2", simple, []Policy{Free, OneOutstanding, TwoPhase}},
+	} {
+		for _, pol := range tc.pols {
+			for seed := uint64(1); seed <= 5; seed++ {
+				for _, batch := range []int{1, 7, 64} {
+					want := closureShuffleDrain(tc.specs, pol, seed, batch)
+					q, err := NewQueue(tc.specs, pol, rng.New(seed))
+					if err != nil {
+						t.Fatal(err)
+					}
+					var got []Assignment
+					for !q.Done() {
+						n := len(got)
+						got = q.NextBatch(got, batch)
+						if len(got) == n {
+							t.Fatalf("%s %v seed %d batch %d: stalled after %d copies", tc.name, pol, seed, batch, n)
+						}
+						for _, a := range got[n:] {
+							q.Complete(a)
+						}
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s %v seed %d batch %d: dealt %d copies, want %d", tc.name, pol, seed, batch, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s %v seed %d batch %d: copy %d is %+v, want %+v", tc.name, pol, seed, batch, i, got[i], want[i])
+						}
+					}
 				}
-			})
+			}
 		}
-		small, large := build(500), build(50_000)
-		if small != large || large > 6 {
-			t.Errorf("%v: %.0f allocations at 500 tasks, %.0f at 50 000 (want equal, at most 6)", tc.policy, small, large)
+	}
+}
+
+// TestQueueRefusesUnpackable: a task ID outside [0, MaxInt32] or a copy
+// index above MaxInt32 has no slot. Every entry point refuses it rather
+// than truncating it onto a copy the queue does hold.
+func TestQueueRefusesUnpackable(t *testing.T) {
+	const big = math.MaxInt32 + 1
+	for _, sp := range [][]plan.TaskSpec{
+		{{ID: -1, Copies: 1}},
+		{{ID: 0, Copies: 1}, {ID: 1 << 32, Copies: 1}},
+		{{ID: 0, Copies: big + 1}},
+	} {
+		for _, pol := range []Policy{Free, OneOutstanding, TwoPhase} {
+			if _, err := NewQueue(sp, pol, rng.New(1)); err == nil {
+				t.Errorf("%v: NewQueue accepted %+v", pol, sp)
+			}
 		}
+	}
+
+	q, err := NewQueue(specs(2, 2), Free, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []plan.TaskSpec{{ID: -1, Copies: 1}, {ID: big, Copies: 1}, {ID: 1 << 32, Copies: 1}, {ID: 5, Copies: big + 1}} {
+		if err := q.AddTask(spec); err == nil {
+			t.Errorf("AddTask accepted %+v", spec)
+		}
+	}
+	for _, p := range []struct{ task, from, to int }{{-1, 0, 1}, {1 << 32, 0, 1}, {0, 2, big + 1}} {
+		if err := q.Promote(p.task, p.from, p.to); err == nil {
+			t.Errorf("Promote(%d, %d, %d) accepted", p.task, p.from, p.to)
+		}
+	}
+	if q.Total() != 4 {
+		t.Fatalf("refusals changed the total to %d", q.Total())
+	}
+	for _, a := range []Assignment{{TaskID: 1 << 32}, {TaskID: -1}, {TaskID: 0, Copy: -1}, {TaskID: 0, Copy: 1 << 31}, {TaskID: 1, Copy: 1 << 32}} {
+		if q.MarkCompleted(a) {
+			t.Errorf("MarkCompleted(%+v) marked a copy", a)
+		}
+	}
+	// Nothing above aliased task 0's or task 1's copies: each marks once.
+	for _, a := range []Assignment{{TaskID: 0}, {TaskID: 1, Copy: 1}} {
+		if !q.MarkCompleted(a) {
+			t.Errorf("MarkCompleted(%+v) refused after the unpackable marks", a)
+		}
+	}
+	if err := q.Settle(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The edges fit: ID and copy index MaxInt32, with the ringer bit beside.
+	edge := Assignment{TaskID: math.MaxInt32, Copy: math.MaxInt32, Ringer: true}
+	if s, ok := pack(edge); !ok || s.assignment() != edge {
+		t.Errorf("pack(%+v) = %+v, %v", edge, s, ok)
+	}
+	if err := q.AddTask(plan.TaskSpec{ID: math.MaxInt32, Copies: 1}); err != nil {
+		t.Errorf("AddTask at ID MaxInt32: %v", err)
+	}
+
+	// Two plan copies are ahead of the minted task, so Next deals one of
+	// them and the issued table is not grown to MaxInt32.
+	a, ok := q.Next()
+	if !ok || a.TaskID > 1 {
+		t.Fatalf("Next = %+v, %v; want a plan copy", a, ok)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Abandon of an unpackable assignment did not panic")
+			}
+		}()
+		q.Abandon(Assignment{TaskID: 1 << 32, Copy: a.Copy})
+	}()
+	if q.Outstanding() != 1 || q.Issued() != 3 {
+		t.Errorf("the refused Abandon moved the books: outstanding %d, issued %d", q.Outstanding(), q.Issued())
+	}
+}
+
+// TestQueueBytesPerCopy holds the queue's memory to its budget. A Free
+// queue over plan.Balanced(100 000, 0.5) keeps an 8 B slot per assignment
+// (1.39 a task) and a 1 B everIssued entry per task, and may grow the heap
+// by that plus 5 %. With a 24 B Assignment per ready copy it grew the heap
+// by about 25 B per assignment.
+func TestQueueBytesPerCopy(t *testing.T) {
+	p, err := plan.Balanced(100_000, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := p.Tasks()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	q, err := NewQueue(sp, Free, rng.New(13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(sp) // the specs are in both readings
+	assignments := float64(q.Total())
+	budget := (8*assignments + float64(len(sp))) * 1.05 / assignments
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / assignments
+	runtime.KeepAlive(q)
+	t.Logf("%.2f B per assignment over %d tasks and %.0f assignments (budget %.2f)", per, len(sp), assignments, budget)
+	if per > budget {
+		t.Errorf("the queue holds %.2f B per assignment, budget %.2f", per, budget)
 	}
 }
 
