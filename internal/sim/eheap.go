@@ -1,48 +1,39 @@
 package sim
 
 // eventHeap is a binary min-heap of simulation events, built for the
-// allocation-free Monte-Carlo hot loop. Heap nodes carry their sort key
-// (at, seq) inline, so sifting compares contiguous heap memory with no
-// arena indirection — at a typical fleet-sized queue the whole heap fits
-// in L1 — while event payloads (kind, arg) live in a small arena read only
-// at peek. Equal-timestamp events pop in insertion order (seq), the
-// tie-break the scenario goldens depend on. A queued event is never moved
-// or cancelled (handlers re-check state instead), so the heap keeps no
-// index of where an event sits, and a free list recycles arena slots so a
-// steady-state push/pop cycle performs zero heap allocations once the
-// arena has reached its high-water mark.
+// allocation-free Monte-Carlo hot loop. A node is 16 bytes and carries the
+// whole event: its time, and one key word that packs the insertion seq
+// above the payload,
+//
+//	key = seq<<32 | arg<<1 | kind
+//
+// so sifting compares contiguous heap memory, a fleet-sized heap stays in
+// L1, and reading an event touches nothing but the root. Seqs are unique,
+// so comparing keys compares seqs: equal-timestamp events pop in insertion
+// order, the tie-break the scenario goldens depend on, and the payload
+// bits never decide. A queued event is never moved or cancelled (handlers
+// re-check state instead), so the heap keeps no index of where an event
+// sits, and a push/pop cycle allocates nothing once nodes has reached the
+// live-event high-water mark.
+//
+// The payload is a kind of 0 or 1 and a non-negative int32 arg. The seq
+// has 32 bits, so a heap takes at most maxSeq+1 pushes between resets;
+// push and replaceTop panic past that, and on a payload outside those
+// bounds, rather than let a field spill into its neighbour and the order
+// or the payload go silently wrong. The engines refuse, up front, a run
+// or trial that could push more.
 type eventHeap struct {
 	nodes []heapNode
-
-	// meta is the caller payload arena, kind and arg packed into one word
-	// (arg<<8 | kind) so an event costs a single payload load/store.
-	meta []uint64
-	free []int32 // recycled arena slots
-	next uint64  // seq counter
+	next  uint64 // seq of the next push
 }
 
-// heapNode packs the sort key into 16 bytes: the seq counter occupies the
-// high bits of key and the arena id the low idBits, so comparing key
-// compares seq (ids only disambiguate seq ties, which cannot happen), and
-// a fleet-sized heap stays L1-resident.
 type heapNode struct {
 	at  float64
-	key uint64 // seq<<idBits | id
+	key uint64 // seq<<32 | arg<<1 | kind
 }
 
-// idBits bounds live events at 16M — far above any fleet size — while
-// leaving 2^40 seq values per trial.
-const idBits = 24
-
-func (n heapNode) id() int32 { return int32(n.key & (1<<idBits - 1)) }
-
-func packMeta(kind int8, arg int32) uint64 {
-	return uint64(uint32(arg))<<8 | uint64(uint8(kind))
-}
-
-func unpackMeta(m uint64) (kind int8, arg int32) {
-	return int8(uint8(m)), int32(uint32(m >> 8))
-}
+// maxSeq is the last seq a push may take.
+const maxSeq = 1<<32 - 1
 
 func (a heapNode) before(b heapNode) bool {
 	if a.at != b.at {
@@ -56,34 +47,24 @@ func newEventHeap(capHint int) *eventHeap {
 	if capHint < 16 {
 		capHint = 16
 	}
-	return &eventHeap{
-		nodes: make([]heapNode, 0, capHint),
-		meta:  make([]uint64, 0, capHint),
-		free:  make([]int32, 0, capHint),
-	}
+	return &eventHeap{nodes: make([]heapNode, 0, capHint)}
 }
 
 func (h *eventHeap) len() int { return len(h.nodes) }
 
-// alloc grabs an arena slot from the free list, growing the arena only
-// when the live-event high-water mark rises.
-func (h *eventHeap) alloc() int32 {
-	if n := len(h.free); n > 0 {
-		id := h.free[n-1]
-		h.free = h.free[:n-1]
-		return id
+// node builds the next event's node and takes its seq.
+func (h *eventHeap) node(at float64, kind int8, arg int32) heapNode {
+	if h.next > maxSeq || uint8(kind) > 1 || arg < 0 {
+		panic("sim: event does not pack: past 2^32 pushes since the last reset, or a kind other than 0 and 1, or a negative arg")
 	}
-	id := int32(len(h.meta))
-	h.meta = append(h.meta, 0)
-	return id
+	n := heapNode{at: at, key: h.next<<32 | uint64(arg)<<1 | uint64(kind)}
+	h.next++
+	return n
 }
 
 // push schedules an event.
 func (h *eventHeap) push(at float64, kind int8, arg int32) {
-	id := h.alloc()
-	h.meta[id] = packMeta(kind, arg)
-	h.nodes = append(h.nodes, heapNode{at: at, key: h.next<<idBits | uint64(id)})
-	h.next++
+	h.nodes = append(h.nodes, h.node(at, kind, arg))
 	h.up(len(h.nodes) - 1)
 }
 
@@ -93,15 +74,13 @@ func (h *eventHeap) peekMin() (at float64, kind int8, arg int32, ok bool) {
 		return 0, 0, 0, false
 	}
 	root := h.nodes[0]
-	kind, arg = unpackMeta(h.meta[root.id()])
-	return root.at, kind, arg, true
+	return root.at, int8(root.key & 1), int32(uint32(root.key) >> 1), true
 }
 
-// dropMin removes the earliest event (the peekMin companion) and recycles
-// its arena slot. Must not be called on an empty heap.
+// dropMin removes the earliest event (the peekMin companion). Must not be
+// called on an empty heap.
 func (h *eventHeap) dropMin() {
 	last := len(h.nodes) - 1
-	h.free = append(h.free, h.nodes[0].id())
 	h.nodes[0] = h.nodes[last]
 	h.nodes = h.nodes[:last]
 	if last > 0 {
@@ -109,17 +88,13 @@ func (h *eventHeap) dropMin() {
 	}
 }
 
-// replaceTop replaces the earliest event with a new one in a single sift,
-// reusing the root's arena slot. This fuses the Monte-Carlo loop's
-// dominant pop-completion/push-next-completion cycle: one descent instead
-// of a removal sift plus an insertion sift plus free-list churn. The new
-// event takes a fresh seq, exactly as if it had been pushed after the
-// pop. Must not be called on an empty heap.
+// replaceTop replaces the earliest event with a new one in a single sift.
+// This fuses the Monte-Carlo loop's dominant pop-completion/push-next-
+// completion cycle: one descent instead of a removal sift plus an
+// insertion sift. The new event takes a fresh seq, exactly as if it had
+// been pushed after the pop. Must not be called on an empty heap.
 func (h *eventHeap) replaceTop(at float64, kind int8, arg int32) {
-	id := h.nodes[0].id()
-	h.meta[id] = packMeta(kind, arg)
-	h.nodes[0] = heapNode{at: at, key: h.next<<idBits | uint64(id)}
-	h.next++
+	h.nodes[0] = h.node(at, kind, arg)
 	h.down(0)
 }
 
@@ -180,7 +155,5 @@ func (h *eventHeap) down(i int) {
 // reset empties the heap for reuse without releasing memory.
 func (h *eventHeap) reset() {
 	h.nodes = h.nodes[:0]
-	h.meta = h.meta[:0]
-	h.free = h.free[:0]
 	h.next = 0
 }

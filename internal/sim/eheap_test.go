@@ -2,6 +2,8 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -29,12 +31,12 @@ func popMin(h *eventHeap) (at float64, arg int32, ok bool) {
 
 func TestEventHeapOrdering(t *testing.T) {
 	h := newEventHeap(4)
-	h.push(3.0, 1, 30)
-	h.push(1.0, 2, 10)
-	h.push(2.0, 3, 20)
+	h.push(3.0, evSpawn, 30)
+	h.push(1.0, evComplete, 10)
+	h.push(2.0, evSpawn, 20)
 	// Equal timestamps pop in insertion order.
-	h.push(1.0, 4, 11)
-	h.push(1.0, 5, 12)
+	h.push(1.0, evSpawn, 11)
+	h.push(1.0, evComplete, 12)
 
 	wantArgs := []int32{10, 11, 12, 20, 30}
 	for i, want := range wantArgs {
@@ -48,6 +50,74 @@ func TestEventHeapOrdering(t *testing.T) {
 	}
 	if _, _, ok := popMin(h); ok {
 		t.Fatalf("expected empty heap")
+	}
+}
+
+// TestEventHeapPayloadRoundTrip pins the node key's layout: the widest
+// args of both kinds come back out of seq<<32 | arg<<1 | kind intact, and
+// the payload never decides an order, so equal-time events still pop by
+// seq even when a later push carries the smaller payload.
+func TestEventHeapPayloadRoundTrip(t *testing.T) {
+	type ev struct {
+		kind int8
+		arg  int32
+	}
+	want := []ev{
+		{evSpawn, math.MaxInt32 / 2},
+		{evComplete, math.MaxInt32},
+		{evSpawn, 0},
+		{evComplete, 0},
+		{evSpawn, math.MaxInt32},
+	}
+	h := newEventHeap(4)
+	for _, e := range want {
+		h.push(7.5, e.kind, e.arg)
+	}
+	for i, e := range want {
+		at, kind, arg, ok := h.peekMin()
+		if !ok || at != 7.5 || kind != e.kind || arg != e.arg {
+			t.Fatalf("pop %d: got (%v, kind %d, arg %d, %v), want (7.5, kind %d, arg %d)",
+				i, at, kind, arg, ok, e.kind, e.arg)
+		}
+		h.dropMin()
+	}
+	// replaceTop carries its payload the same way.
+	h.push(1, evComplete, 1)
+	h.replaceTop(2, evSpawn, math.MaxInt32)
+	if at, kind, arg, _ := h.peekMin(); at != 2 || kind != evSpawn || arg != math.MaxInt32 {
+		t.Fatalf("replaceTop gave (%v, kind %d, arg %d)", at, kind, arg)
+	}
+}
+
+// TestEventHeapRefusesUnpackable: the seq has 32 bits, so the push after
+// seq maxSeq panics instead of wrapping into a wrong order, through push
+// and replaceTop alike; and a payload the key cannot hold panics rather
+// than bleed into its neighbour's bits.
+func TestEventHeapRefusesUnpackable(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	h := newEventHeap(4)
+	h.next = maxSeq
+	h.push(1, evComplete, 1) // takes the last seq
+	if _, _, arg, _ := h.peekMin(); arg != 1 {
+		t.Fatalf("last seq: got arg %d, want 1", arg)
+	}
+	mustPanic("push past maxSeq", func() { h.push(2, evComplete, 2) })
+	mustPanic("replaceTop past maxSeq", func() { h.replaceTop(2, evComplete, 2) })
+
+	h.reset()
+	mustPanic("kind 2", func() { h.push(1, 2, 0) })
+	mustPanic("negative kind", func() { h.push(1, -1, 0) })
+	mustPanic("negative arg", func() { h.push(1, evComplete, -1) })
+	if h.len() != 0 {
+		t.Fatalf("refused pushes left %d events", h.len())
 	}
 }
 
@@ -153,19 +223,25 @@ func TestEventHeapReset(t *testing.T) {
 	}
 }
 
-// BenchmarkEventHeap measures the steady-state push/pop cycle; compare
-// BenchmarkContainerHeapBaseline on the same workload shape.
+// BenchmarkEventHeap measures the steady-state push/pop cycle at a
+// fleet-sized depth and at the scenario lab's (one completion in flight
+// per busy worker, 10^5 of them); compare BenchmarkContainerHeapBaseline
+// on the same workload shape.
 func BenchmarkEventHeap(b *testing.B) {
-	b.ReportAllocs()
-	h := newEventHeap(1024)
-	r := rng.New(5)
-	for i := int32(0); i < 1024; i++ {
-		h.push(r.Float64()*100, 0, i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		at, arg, _ := popMin(h)
-		h.push(at+r.Float64()*10, 0, arg)
+	for _, depth := range []int{256, 1024, 100_000} {
+		b.Run(fmt.Sprintf("N%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			h := newEventHeap(depth)
+			r := rng.New(5)
+			for i := int32(0); i < int32(depth); i++ {
+				h.push(r.Float64()*100, 0, i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at, arg, _ := popMin(h)
+				h.push(at+r.Float64()*10, 0, arg)
+			}
+		})
 	}
 }
 

@@ -348,7 +348,10 @@ func round6(x float64) float64 {
 
 // labState is the scenario lab's accumulator threaded through the hooks.
 type labState struct {
-	rt *runtime // captured on first hook call
+	// co is the run's coalition, captured on the first verdict. It is the
+	// one piece of the runtime the report needs after the run, so the lab
+	// holds it alone and the rest (queue, collector, backlogs) can go.
+	co *adversary.Coalition
 
 	last        adapt.Estimate
 	adjudicated int
@@ -359,17 +362,27 @@ type labState struct {
 	q4credits   int
 	q4bad       int
 
-	detected []bool // per task: MismatchDetected
+	// task holds, per task ID, the census facts its verdict settled
+	// (taskDetected, taskRinger, taskPartial), one byte a task.
+	task []uint8
 
 	strikeProgress float64
 	strikeTime     float64
 
 	// Sybil-churn pool: active lists ids the supervisor still deals to,
 	// pos[id] is the id's index in active (-1 = blocked/never admitted).
-	active  []int
-	pos     []int
+	// Participant IDs are int32 (runWithHooks refuses more).
+	active  []int32
+	pos     []int32
 	churned int
 }
+
+// Census facts of a task, set from its verdict.
+const (
+	taskDetected uint8 = 1 << iota // the verdict exposed a mismatch
+	taskRinger                     // a ringer task
+	taskPartial                    // the coalition held fewer copies than the task has
+)
 
 func (l *labState) isActive(id int) bool { return id < len(l.pos) && l.pos[id] >= 0 }
 
@@ -377,8 +390,8 @@ func (l *labState) admit(id int) {
 	for len(l.pos) <= id {
 		l.pos = append(l.pos, -1)
 	}
-	l.pos[id] = len(l.active)
-	l.active = append(l.active, id)
+	l.pos[id] = int32(len(l.active))
+	l.active = append(l.active, int32(id))
 }
 
 func (l *labState) block(id int) {
@@ -404,8 +417,7 @@ func RunScenario(sc Scenario) (*ScenarioReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := pl.Tasks()
-	total := len(specs)
+	total := pl.TotalTasks() + pl.TotalRingers()
 
 	z := cfg.EstimatorZ
 	if z == 0 {
@@ -418,7 +430,7 @@ func RunScenario(sc Scenario) (*ScenarioReport, error) {
 	est := adapt.NewEstimator(z, decay)
 
 	lab := &labState{
-		detected:       make([]bool, total),
+		task:           make([]uint8, total),
 		strikeProgress: -1,
 		strikeTime:     -1,
 		qBounds: [4]int{
@@ -430,12 +442,13 @@ func RunScenario(sc Scenario) (*ScenarioReport, error) {
 	churn := cfg.Template == TemplateSybilChurn
 	var h hooks
 	if churn {
-		lab.active = make([]int, 0, cfg.Participants)
+		lab.active = make([]int32, 0, cfg.Participants)
+		lab.pos = make([]int32, 0, cfg.Participants)
 		for i := 0; i < cfg.Participants; i++ {
 			lab.admit(i)
 		}
 		h.pickWorker = func(rt *runtime) int {
-			return lab.active[rt.rDeal.Intn(len(lab.active))]
+			return int(lab.active[rt.rDeal.Intn(len(lab.active))])
 		}
 	}
 	if cfg.DealFraction > 0 {
@@ -446,14 +459,13 @@ func RunScenario(sc Scenario) (*ScenarioReport, error) {
 		h.dealGate = func(rt *runtime) bool { return rt.queue.Outstanding() < window }
 	}
 	h.onSubmit = func(rt *runtime, w int, a sched.Assignment, cheated bool) {
-		lab.rt = rt
 		if cheated && lab.strikeProgress < 0 {
 			lab.strikeProgress = rt.progress()
 			lab.strikeTime = rt.now
 		}
 	}
 	h.onVerdict = func(rt *runtime, v *verify.Verdict) {
-		lab.rt = rt
+		lab.co = rt.coalition
 		est.Observe(v.Copies, len(v.Suspects))
 		lab.credits += v.Copies
 		lab.badCredits += len(v.Suspects)
@@ -467,8 +479,20 @@ func RunScenario(sc Scenario) (*ScenarioReport, error) {
 				lab.qPhat[i] = lab.last.PHat
 			}
 		}
-		if v.TaskID < len(lab.detected) {
-			lab.detected[v.TaskID] = v.MismatchDetected
+		if v.TaskID < len(lab.task) {
+			// A verdict comes after every copy was dealt, so the
+			// coalition's holding of the task is final here.
+			var f uint8
+			if v.MismatchDetected {
+				f |= taskDetected
+			}
+			if v.Ringer {
+				f |= taskRinger
+			}
+			if rt.coalition.CopiesHeld(v.TaskID) < v.Copies {
+				f |= taskPartial
+			}
+			lab.task[v.TaskID] = f
 		}
 		if churn {
 			// The supervisor blocks every implicated identity; the
@@ -551,27 +575,28 @@ func RunScenario(sc Scenario) (*ScenarioReport, error) {
 	}
 
 	// Ground-truth cheat census over the coalition's holdings.
-	if lab.rt != nil {
-		co := lab.rt.coalition
+	if co := lab.co; co != nil {
 		for _, t := range co.HeldTasks() {
 			if !co.CheatsOn(t) {
 				continue
 			}
 			out.CheatedTasks++
-			det := t < len(lab.detected) && lab.detected[t]
+			var f uint8
+			if t < len(lab.task) {
+				f = lab.task[t]
+			}
+			det := f&taskDetected != 0
 			if det {
 				out.DetectedCheats++
 			} else {
 				out.UndetectedCheats++
 			}
-			held := co.CopiesHeld(t)
-			spec := specs[t]
-			if held < spec.Copies {
+			if f&taskPartial != 0 {
 				out.PartialTupleCheats++
 				if det {
 					out.PartialTupleDetected++
 				}
-			} else if !spec.Ringer {
+			} else if f&taskRinger == 0 {
 				out.FullyHeldCheats++
 			}
 			if cfg.Template == TemplatePocket {

@@ -123,14 +123,38 @@ func (r *Report) DetectionRate(k int) (rate float64, ok bool) {
 	return float64(pt.Detected) / float64(pt.Cheated), true
 }
 
-// simWorker is the per-participant state of a run: a FIFO backlog each
-// (an intrusive list through the run's shared assignment arena, so a
-// million workers cost no per-worker allocations); busy participants have
-// a completion event in flight for the assignment in cur.
+// simWorker is the per-participant state of a run in 12 bytes: a FIFO
+// backlog each (an intrusive list through the run's shared assignment
+// arena, so a million workers cost no per-worker allocations), and the
+// arena index of the assignment in service. A worker with cur >= 0 is
+// busy and has a completion event in flight for that entry.
 type simWorker struct {
 	head, tail int32 // backlog list through runtime.nextOf (-1 = empty)
-	busy       bool
-	cur        sched.Assignment // assignment in service while busy
+	cur        int32 // backlogA index in service (-1 = idle)
+}
+
+func (wk *simWorker) busy() bool { return wk.cur >= 0 }
+
+// entry is one dealt assignment in 8 bytes, laid out as sched's queue
+// slot: a uint32 task ID, and a uint32 whose low 31 bits are the copy
+// index and whose top bit is Ringer. The queue deals only copies whose ID
+// and index lie in 0..MaxInt32, so every dealt assignment packs.
+type entry struct {
+	id, word uint32
+}
+
+const ringerBit = 1 << 31
+
+func packEntry(a sched.Assignment) entry {
+	e := entry{id: uint32(a.TaskID), word: uint32(a.Copy)}
+	if a.Ringer {
+		e.word |= ringerBit
+	}
+	return e
+}
+
+func (e entry) assignment() sched.Assignment {
+	return sched.Assignment{TaskID: int(e.id), Copy: int(e.word &^ ringerBit), Ringer: e.word&ringerBit != 0}
 }
 
 // runtime is the live state of one discrete-event run, exposed to the
@@ -146,9 +170,11 @@ type runtime struct {
 	report    *Report
 	workers   []simWorker
 
-	// backlogA/nextOf form the shared backlog arena: dealt assignments
-	// append to backlogA, nextOf threads each worker's FIFO through it.
-	backlogA []sched.Assignment
+	// backlogA/nextOf form the shared backlog arena, 12 bytes an
+	// assignment: dealt assignments append to backlogA, nextOf threads
+	// each worker's FIFO through it. Entries are never removed, so an
+	// index names its assignment for the whole run.
+	backlogA []entry
 	nextOf   []int32
 
 	// submitted counts results returned to the supervisor so far; with
@@ -156,7 +182,7 @@ type runtime struct {
 	submitted int
 	// honestReturned[taskID] counts results returned by non-coalition
 	// participants, the straggler-cover observable.
-	honestReturned []int
+	honestReturned []int32
 	// maxHeld is the coalition's largest holding of any single task, the
 	// sleeper-agent trigger observable.
 	maxHeld int
@@ -170,14 +196,14 @@ type runtime struct {
 // caller decides whether it joins the coalition and whether the supervisor
 // will deal to it.
 func (rt *runtime) addParticipant() int {
-	rt.workers = append(rt.workers, simWorker{head: -1, tail: -1})
+	rt.workers = append(rt.workers, simWorker{head: -1, tail: -1, cur: -1})
 	return len(rt.workers) - 1
 }
 
 // enqueue appends assignment a to worker w's backlog via the shared arena.
 func (rt *runtime) enqueue(w int, a sched.Assignment) {
 	idx := int32(len(rt.backlogA))
-	rt.backlogA = append(rt.backlogA, a)
+	rt.backlogA = append(rt.backlogA, packEntry(a))
 	rt.nextOf = append(rt.nextOf, -1)
 	wk := &rt.workers[w]
 	if wk.tail >= 0 {
@@ -188,18 +214,18 @@ func (rt *runtime) enqueue(w int, a sched.Assignment) {
 	wk.tail = idx
 }
 
-// dequeue pops the head of worker w's backlog; ok=false when empty.
-func (rt *runtime) dequeue(w int) (a sched.Assignment, ok bool) {
+// dequeue pops the head of worker w's backlog and returns its arena
+// index, -1 when the backlog is empty.
+func (rt *runtime) dequeue(w int) int32 {
 	wk := &rt.workers[w]
-	if wk.head < 0 {
-		return sched.Assignment{}, false
+	i := wk.head
+	if i >= 0 {
+		wk.head = rt.nextOf[i]
+		if wk.head < 0 {
+			wk.tail = -1
+		}
 	}
-	a = rt.backlogA[wk.head]
-	wk.head = rt.nextOf[wk.head]
-	if wk.head < 0 {
-		wk.tail = -1
-	}
-	return a, true
+	return i
 }
 
 // progress returns the fraction of all assignments already submitted.
@@ -236,6 +262,20 @@ type hooks struct {
 // Run executes one full discrete-event simulation.
 func Run(cfg Config) (*Report, error) { return runWithHooks(cfg, hooks{}) }
 
+// expandPlan builds a run's queue and collector from the plan's task
+// specs and returns how many tasks it holds. The specs (24 bytes a task)
+// die on return: nothing holds them through the event loop.
+func expandPlan(p *plan.Plan, policy sched.Policy, r *rng.Source) (*sched.Queue, *verify.Collector, int, error) {
+	specs := p.Tasks()
+	queue, err := sched.NewQueue(specs, policy, r)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	collector := verify.NewCollector(HonestValue)
+	collector.ExpectAll(specs)
+	return queue, collector, len(specs), nil
+}
+
 // runWithHooks is the instrumented core shared by Run and the scenario
 // lab. The hot path is identical to the historical Run loop; hooks add
 // observability without forking the logic.
@@ -243,8 +283,16 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 	if cfg.Plan == nil {
 		return nil, fmt.Errorf("sim: nil plan")
 	}
-	if cfg.Participants < 1 {
-		return nil, fmt.Errorf("sim: need at least one participant, got %d", cfg.Participants)
+	if cfg.Participants < 1 || cfg.Participants > math.MaxInt32 {
+		return nil, fmt.Errorf("sim: participants must lie in [1,%d], got %d", math.MaxInt32, cfg.Participants)
+	}
+	// Every assignment takes one backlog entry, named by an int32 index,
+	// and one event push, numbered by the heap's 32-bit seq; the int32
+	// bound is the tighter. The plan counts its assignments without
+	// expanding itself, so an unpackable run is refused before it costs
+	// anything.
+	if n := cfg.Plan.TotalAssignments(); n > math.MaxInt32 {
+		return nil, fmt.Errorf("sim: %d assignments exceed the run's int32 arena (at most %d)", n, math.MaxInt32)
 	}
 	if cfg.AdversaryProportion < 0 || cfg.AdversaryProportion >= 1 {
 		return nil, fmt.Errorf("sim: adversary proportion must lie in [0,1), got %v", cfg.AdversaryProportion)
@@ -272,14 +320,10 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 	rService := root.Split(3)
 	rMembers := root.Split(4)
 
-	specs := cfg.Plan.Tasks()
-	queue, err := sched.NewQueue(specs, cfg.Policy, rQueue)
+	queue, collector, nTasks, err := expandPlan(cfg.Plan, cfg.Policy, rQueue)
 	if err != nil {
 		return nil, err
 	}
-
-	collector := verify.NewCollector(HonestValue)
-	collector.ExpectAll(specs)
 
 	strategy := cfg.Strategy
 	if strategy == nil {
@@ -301,25 +345,25 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 		coalition:      coalition,
 		report:         report,
 		workers:        make([]simWorker, cfg.Participants),
-		backlogA:       make([]sched.Assignment, 0, queue.Total()),
+		backlogA:       make([]entry, 0, queue.Total()),
 		nextOf:         make([]int32, 0, queue.Total()),
-		honestReturned: make([]int, len(specs)),
+		honestReturned: make([]int32, nTasks),
 		rDeal:          rDeal,
 	}
 	for w := range rt.workers {
-		rt.workers[w].head, rt.workers[w].tail = -1, -1
+		rt.workers[w] = simWorker{head: -1, tail: -1, cur: -1}
 	}
 	// Context-aware strategies (the scenario lab's pathological templates)
 	// see the run-time observables; plain strategies ignore the provider.
 	coalition.SetContext(func(taskID, held int) adversary.Context {
 		honest := 0
 		if taskID >= 0 && taskID < len(rt.honestReturned) {
-			honest = rt.honestReturned[taskID]
+			honest = int(rt.honestReturned[taskID])
 		}
 		return adversary.Context{
 			TaskID:         taskID,
 			CopiesHeld:     held,
-			Tasks:          len(specs),
+			Tasks:          nTasks,
 			Progress:       rt.progress(),
 			HonestReturned: honest,
 			MaxHeldAnyTask: rt.maxHeld,
@@ -401,7 +445,7 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 				h.onDeal(rt, w, a)
 			}
 			rt.enqueue(w, a)
-			if !rt.workers[w].busy {
+			if !rt.workers[w].busy() {
 				startNext(w)
 			}
 		}
@@ -409,10 +453,13 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 	rt.deal = deal
 
 	// Completion events go through a typed min-heap keyed by worker id —
-	// the worker's in-service assignment lives in its simWorker.cur — so
-	// the hot loop schedules no closures and allocates nothing. Events pop
-	// in (time, then insertion seq) order.
-	events := newEventHeap(256)
+	// the worker's in-service assignment is the backlog entry its
+	// simWorker.cur names — so the hot loop schedules no closures and
+	// allocates nothing. Events pop in (time, then insertion seq) order.
+	// Only a busy worker has an event in flight, so the heap never holds
+	// more than min(participants, assignments) of them and never grows
+	// (save for Sybil identities the scenario lab adds mid-run).
+	events := newEventHeap(min(cfg.Participants, queue.Total()) + 1)
 	// replArmed marks that the root event has been consumed and the next
 	// scheduled completion may overwrite it via replaceTop — one sift
 	// instead of a pop and a push. Which worker's completion takes the
@@ -421,13 +468,9 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 	replArmed := false
 	startNext = func(w int) {
 		wk := &rt.workers[w]
-		a, ok := rt.dequeue(w)
-		if !ok {
-			wk.busy = false
+		if wk.cur = rt.dequeue(w); !wk.busy() {
 			return
 		}
-		wk.busy = true
-		wk.cur = a
 		if replArmed {
 			replArmed = false
 			events.replaceTop(rt.now+serviceTime(), 0, int32(w))
@@ -447,7 +490,7 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 		rt.now = at
 		w := int(arg)
 		replArmed = true
-		submit(w, rt.workers[w].cur)
+		submit(w, rt.backlogA[rt.workers[w].cur].assignment())
 		// Completion may release held-back copies (one-outstanding,
 		// phase two); hand them out before continuing.
 		deal()
@@ -458,6 +501,11 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 		}
 	}
 	report.Makespan = rt.now
+	// Every held task's cheat decision is memoized by now (a member
+	// returned each copy it held), so the context provider is done with.
+	// Dropped, it no longer pins the runtime to a coalition that outlives
+	// the run.
+	coalition.SetContext(nil)
 
 	if !queue.Done() {
 		return nil, fmt.Errorf("sim: queue not drained (%d of %d issued)", queue.Issued(), queue.Total())
@@ -469,7 +517,7 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 	// Task IDs are dense (plans number from 0), so a flat slice of the one
 	// fact PerTuple needs replaces the verdict map a 10^6-task run paid
 	// dearly for.
-	detectedByTask := make([]bool, len(specs))
+	detectedByTask := make([]bool, nTasks)
 	for i := range collector.NumVerdicts() {
 		v := collector.VerdictAt(i)
 		if v.TaskID < len(detectedByTask) {

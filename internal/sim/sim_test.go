@@ -279,6 +279,16 @@ func TestRunConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Plan: pl, Participants: 10, AdversaryProportion: -0.1}); err == nil {
 		t.Error("negative p accepted")
 	}
+	// Worker ids and backlog indices are int32 and event seqs 32-bit, so
+	// more workers or assignments than they can name are refused, before
+	// a worker is allocated or the plan expanded, rather than truncated.
+	if _, err := Run(Config{Plan: pl, Participants: math.MaxInt32 + 1}); err == nil {
+		t.Error("MaxInt32+1 participants accepted")
+	}
+	huge := &plan.Plan{Epsilon: 0.5, N: math.MaxInt32 + 1, Counts: []int{math.MaxInt32 + 1}}
+	if _, err := Run(Config{Plan: huge, Participants: 10}); err == nil {
+		t.Error("MaxInt32+1 assignments accepted")
+	}
 }
 
 func TestDetectionRateAccessor(t *testing.T) {

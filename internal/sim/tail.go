@@ -104,11 +104,16 @@ func (c *TailConfig) Validate() error {
 	if tasks == 0 {
 		return errors.New("tail: zero tasks")
 	}
+	// Copies and worker ids are int32 arena indices, and the event heap
+	// numbers a trial's pushes with 32-bit seqs. A trial pushes at most
+	// one completion per copy and per clone (each copy is cloned at most
+	// once) plus one spawn per copy: below 1.5*MaxInt32 < 2^32 pushes
+	// under this bound.
 	if copies > math.MaxInt32/2 {
 		return fmt.Errorf("tail: %d copies exceeds the int32 arena limit", copies)
 	}
-	if c.Participants <= 0 {
-		return fmt.Errorf("tail: Participants %d must be positive", c.Participants)
+	if c.Participants <= 0 || c.Participants > math.MaxInt32 {
+		return fmt.Errorf("tail: Participants %d outside [1,%d]", c.Participants, math.MaxInt32)
 	}
 	for name, v := range map[string]float64{
 		"SpeedBase": c.SpeedBase, "SpeedJitter": c.SpeedJitter,

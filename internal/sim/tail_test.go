@@ -27,6 +27,7 @@ func TestTailConfigValidate(t *testing.T) {
 		{Classes: []TailClass{{Copies: 256, Tasks: 5}}, Participants: 1, SpeedBase: 1},
 		{Classes: []TailClass{{Copies: 1, Tasks: -5}}, Participants: 1, SpeedBase: 1},
 		{Classes: []TailClass{{Copies: 1, Tasks: 5}}, Participants: 0, SpeedBase: 1},
+		{Classes: []TailClass{{Copies: 1, Tasks: 5}}, Participants: math.MaxInt32 + 1, SpeedBase: 1},
 		{Classes: []TailClass{{Copies: 1, Tasks: 5}}, Participants: 1, SpeedBase: 0},
 		{Classes: []TailClass{{Copies: 1, Tasks: 5}}, Participants: 1, SpeedBase: math.NaN()},
 		{Classes: []TailClass{{Copies: 1, Tasks: 5}}, Participants: 1, SpeedBase: 1, StragglerP: 1.5},
