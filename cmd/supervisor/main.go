@@ -36,47 +36,14 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
 	"redundancy"
+	"redundancy/internal/obs/diag"
 )
-
-// serveMetrics exposes reg at http://addr/metrics — plus the net/http/pprof
-// endpoints under /debug/pprof/ — and returns the bound address (addr may
-// use port 0). The profiling surface rides the metrics listener on purpose:
-// it is on only when the operator opted into a diagnostics port, never on
-// the worker-facing protocol address.
-func serveMetrics(addr string, reg *redundancy.MetricsRegistry) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", reg.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	go func() { _ = http.Serve(ln, mux) }()
-	return ln.Addr().String(), nil
-}
-
-// enableContentionProfiles turns on the runtime's lock-contention
-// samplers so /debug/pprof/mutex and /debug/pprof/block return data:
-// mutex contention sampled 1-in-5, block events recorded from 10µs up.
-// Off by default — both add steady-state bookkeeping cost.
-func enableContentionProfiles() {
-	runtime.SetMutexProfileFraction(5)
-	runtime.SetBlockProfileRate(int(10 * time.Microsecond / time.Nanosecond))
-}
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9090", "TCP listen address")
@@ -219,14 +186,9 @@ func main() {
 		cfg.WrapListener = inj.Listener
 	}
 	cfg.Metrics = redundancy.NewMetricsRegistry()
-	if *profile {
-		enableContentionProfiles()
-	}
-	if *metricsAddr != "" {
-		bound, err := serveMetrics(*metricsAddr, cfg.Metrics)
-		if err != nil {
-			log.Fatal("supervisor: metrics: ", err)
-		}
+	if bound, err := diag.Serve(*metricsAddr, cfg.Metrics, *profile); err != nil {
+		log.Fatal("supervisor: metrics: ", err)
+	} else if bound != "" {
 		fmt.Printf("supervisor: metrics on http://%s/metrics (pprof on /debug/pprof)\n", bound)
 	}
 	if *events != "" {

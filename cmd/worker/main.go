@@ -29,13 +29,11 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"runtime"
 	"time"
 
 	"redundancy"
+	"redundancy/internal/obs/diag"
 )
 
 func main() {
@@ -103,27 +101,15 @@ func main() {
 		}
 		cfg.Dial = func(a string) (net.Conn, error) { return inj.Dial("tcp", a) }
 	}
-	if *profile {
-		// Same sampling rates as the supervisor's -profile flag: mutex
-		// contention 1-in-5, block events from 10µs up.
-		runtime.SetMutexProfileFraction(5)
-		runtime.SetBlockProfileRate(int(10 * time.Microsecond / time.Nanosecond))
-	}
 	if *metricsAddr != "" {
 		cfg.Metrics = redundancy.NewMetricsRegistry()
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			log.Fatal("worker: metrics: ", err)
-		}
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", cfg.Metrics.Handler())
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		go func() { _ = http.Serve(ln, mux) }()
-		fmt.Printf("worker %s: metrics on http://%s/metrics (pprof on /debug/pprof)\n", *name, ln.Addr())
+	}
+	bound, err := diag.Serve(*metricsAddr, cfg.Metrics, *profile)
+	if err != nil {
+		log.Fatal("worker: metrics: ", err)
+	}
+	if bound != "" {
+		fmt.Printf("worker %s: metrics on http://%s/metrics (pprof on /debug/pprof)\n", *name, bound)
 	}
 	if *events != "" {
 		f, err := os.OpenFile(*events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

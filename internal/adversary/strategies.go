@@ -1,6 +1,10 @@
 package adversary
 
-import "fmt"
+import (
+	"fmt"
+
+	"redundancy/internal/rng"
+)
 
 // Context carries the run-time observables a state- or time-aware strategy
 // may consult at decision time. The basic Strategy interface sees only the
@@ -47,10 +51,7 @@ type ContextStrategy interface {
 // scheduling interleaving: the same task draws the same coin whenever its
 // decision happens.
 func hashUnit(taskID int, salt uint64) float64 {
-	z := uint64(int64(taskID)) + 0x9E3779B97F4A7C15 + salt*0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
+	z := rng.Mix64(uint64(int64(taskID)) + 0x9E3779B97F4A7C15 + salt*0xBF58476D1CE4E5B9)
 	return float64(z>>11) / (1 << 53)
 }
 

@@ -277,26 +277,46 @@ type Summary struct {
 func (s *Supervisor) Summary() Summary {
 	participants := s.participantCount()
 	s.audit.mu.Lock()
-	defer s.audit.mu.Unlock()
+	col := s.audit.collector
 	sum := Summary{
 		Participants: participants,
-		Verify:       s.audit.collector.Stats(),
-		Blacklist:    s.audit.collector.Blacklist(),
-		Convicted:    s.audit.collector.ConvictedList(),
+		Verify:       col.Stats(),
+		Blacklist:    col.Blacklist(),
+		Convicted:    col.ConvictedList(),
 		Credits:      s.audit.credits.Leaderboard(),
 		Resolved:     len(s.audit.resolved),
 		Restored:     s.replayed.restored,
 	}
+	n := col.NumVerdicts()
+	s.audit.mu.Unlock()
+
 	var cmp verify.Comparator = verify.Exact{}
 	if s.cfg.ResultDigits > 0 {
 		cmp = verify.Quantize{Digits: s.cfg.ResultDigits}
 	}
-	col := s.audit.collector
-	for i := range col.NumVerdicts() {
-		v := col.VerdictAt(i)
-		truth := s.work(TaskSeed(v.TaskID), s.cfg.Iters)
-		if v.Accepted && cmp.Canonical(v.Value) != cmp.Canonical(truth) {
-			sum.WrongResults++
+	// The accepted values are judged against the work function outside
+	// audit.mu, so a long recomputation never stalls the result path. The
+	// verdict list only grows, so its first n entries are the ones counted
+	// above; they are copied out a fixed-size chunk at a time, which keeps
+	// the copy off the heap.
+	var chunk [256]struct {
+		task  int
+		value uint64
+	}
+	for i := 0; i < n; {
+		k := 0
+		s.audit.mu.Lock()
+		for ; i < n && k < len(chunk); i++ {
+			if v := col.VerdictAt(i); v.Accepted {
+				chunk[k].task, chunk[k].value = v.TaskID, v.Value
+				k++
+			}
+		}
+		s.audit.mu.Unlock()
+		for _, c := range chunk[:k] {
+			if cmp.Canonical(c.value) != cmp.Canonical(s.work(TaskSeed(c.task), s.cfg.Iters)) {
+				sum.WrongResults++
+			}
 		}
 	}
 	return sum

@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -705,27 +704,21 @@ func (s *session) leaseLoop(r *rng.Source) error {
 
 // Coalition is the client-side analogue of the adversary model: a group of
 // workers that share one cheat policy and return identical wrong values.
-// It decides per task, on first contact, whether that task will be cheated
-// on (with probability CheatProbability), and every member follows the
-// shared decision thereafter.
+// Whether a task is cheated on (with probability CheatProbability) is a
+// coin fixed by (seed, task), so every member that meets the task makes
+// the same decision without sharing any state.
 type Coalition struct {
-	// CheatProbability is the chance a newly seen task is marked for
-	// cheating. 1 reproduces the paper's always-cheat coalition.
+	// CheatProbability is the chance a task is marked for cheating. 1
+	// reproduces the paper's always-cheat coalition.
 	CheatProbability float64
 
-	mu       sync.Mutex
-	decision map[int]bool
-	seed     uint64
+	seed uint64
 }
 
 // NewCoalition builds a coalition with the given per-task cheat
 // probability, deterministic in seed.
 func NewCoalition(cheatProbability float64, seed uint64) *Coalition {
-	return &Coalition{
-		CheatProbability: cheatProbability,
-		decision:         make(map[int]bool),
-		seed:             seed,
-	}
+	return &Coalition{CheatProbability: cheatProbability, seed: seed}
 }
 
 // CheatFunc returns the shared cheat function to install in each member's
@@ -740,39 +733,12 @@ func (c *Coalition) CheatFunc() CheatFunc {
 }
 
 func (c *Coalition) cheatsOn(taskID int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d, ok := c.decision[taskID]; ok {
-		return d
-	}
-	var d bool
 	switch {
 	case c.CheatProbability >= 1:
-		d = true
+		return true
 	case c.CheatProbability <= 0:
-		d = false
-	default:
-		// Deterministic per-task coin derived from (seed, taskID).
-		z := c.seed ^ (uint64(taskID)+1)*0x9E3779B97F4A7C15
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		z ^= z >> 31
-		d = float64(z>>11)/(1<<53) < c.CheatProbability
+		return false
 	}
-	c.decision[taskID] = d
-	return d
-}
-
-// Decisions returns how many tasks were marked for cheating so far.
-func (c *Coalition) Decisions() (cheat, honest int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, d := range c.decision {
-		if d {
-			cheat++
-		} else {
-			honest++
-		}
-	}
-	return
+	z := rng.Mix64(c.seed ^ (uint64(taskID)+1)*0x9E3779B97F4A7C15)
+	return float64(z>>11)/(1<<53) < c.CheatProbability
 }

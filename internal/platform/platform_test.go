@@ -179,6 +179,55 @@ func TestConvictedWorkerRefusedWork(t *testing.T) {
 	}
 }
 
+// TestSummaryCountsWrongResults pins a nonzero WrongResults: a plan of
+// two-copy tasks and no ringers, served only to two members of one
+// always-cheat coalition, certifies every task with the coalition's
+// unanimous wrong value, and Summary counts each of them (600 verdicts,
+// so its chunked walk of the verdict list crosses chunk boundaries).
+// Summary is also called throughout the run, concurrently with the
+// submissions it releases audit.mu to between chunks.
+func TestSummaryCountsWrongResults(t *testing.T) {
+	p := &plan.Plan{Epsilon: 0.5, N: 600, Counts: []int{0, 600}, TailMultiplicity: 2, RingerMultiplicity: 2}
+	sup, addr := startSupervisor(t, p, sched.Free)
+	coal := NewCoalition(1, 5)
+	stop := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if sum := sup.Summary(); sum.WrongResults > sum.Verify.Accepted {
+				t.Errorf("live Summary: %d wrong of %d accepted", sum.WrongResults, sum.Verify.Accepted)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for _, name := range []string{"mallory", "mordred"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := RunWorker(WorkerConfig{Addr: addr, Name: name, Cheat: coal.CheatFunc()}); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		}()
+	}
+	wg.Wait()
+	sup.Wait()
+	close(stop)
+	<-polled
+	sum := sup.Summary()
+	if sum.Verify.Tasks != p.N || sum.Verify.MismatchDetected != 0 {
+		t.Fatalf("adjudicated %d of %d tasks, %d mismatches", sum.Verify.Tasks, p.N, sum.Verify.MismatchDetected)
+	}
+	if sum.WrongResults != p.N {
+		t.Errorf("WrongResults = %d, want every one of the %d unanimous lies", sum.WrongResults, p.N)
+	}
+}
+
 func TestOneOutstandingOverTCP(t *testing.T) {
 	p, err := plan.FromDistribution(dist.Simple(40), 0.5)
 	if err != nil {
@@ -246,20 +295,20 @@ func TestSupervisorConfigValidation(t *testing.T) {
 }
 
 func TestCoalitionDecisionsShared(t *testing.T) {
+	// Two members' cheat functions, and a coalition built apart from the
+	// same seed, agree on every task: the coin is a function of (seed,
+	// task) alone.
 	c := NewCoalition(0.5, 42)
-	f1, f2 := c.CheatFunc(), c.CheatFunc()
-	agree := true
+	f1, f2, f3 := c.CheatFunc(), c.CheatFunc(), NewCoalition(0.5, 42).CheatFunc()
+	cheat := 0
 	for task := 0; task < 200; task++ {
-		if f1(task, 1) != f2(task, 1) {
-			agree = false
+		v := f1(task, 1)
+		if f2(task, 1) != v || f3(task, 1) != v {
+			t.Fatalf("coalition members disagreed on task %d", task)
 		}
-	}
-	if !agree {
-		t.Error("coalition members disagreed on cheat values")
-	}
-	cheat, honest := c.Decisions()
-	if cheat+honest != 200 {
-		t.Errorf("decisions = %d+%d", cheat, honest)
+		if v != 1 {
+			cheat++
+		}
 	}
 	if cheat < 60 || cheat > 140 {
 		t.Errorf("cheat rate %d/200 far from 0.5", cheat)

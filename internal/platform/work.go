@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"redundancy/internal/rng"
 )
 
 // WorkFunc is an actual computation executed by workers: deterministic in
@@ -48,10 +50,7 @@ func WorkKinds() []string {
 func HashChain(seed uint64, iters int) uint64 {
 	z := seed
 	for i := 0; i < iters; i++ {
-		z += 0x9E3779B97F4A7C15
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		z ^= z >> 31
+		z = rng.Mix64(z + 0x9E3779B97F4A7C15)
 	}
 	return z
 }

@@ -59,7 +59,14 @@ func (r *Source) Split(id uint64) *Source {
 
 func splitmix64(state *uint64) uint64 {
 	*state += 0x9E3779B97F4A7C15
-	z := *state
+	return Mix64(*state)
+}
+
+// Mix64 is splitmix64's output finalizer: a bijective 64-bit mix in which
+// every input bit affects every output bit. The simulator's and the
+// platform's work functions, and the per-task coins of the adversaries,
+// are built on it.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)

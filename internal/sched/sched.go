@@ -54,8 +54,9 @@ func (p Policy) String() string {
 	}
 }
 
-// slot is one queued copy in 8 bytes, laid out as Queue describes.
-type slot struct {
+// Slot is one queued copy in 8 bytes, laid out as Queue describes. The
+// simulator's worker backlogs hold dealt copies in the same form.
+type Slot struct {
 	id   uint32
 	word uint32
 }
@@ -68,19 +69,20 @@ func fits(taskID, index int) bool {
 }
 
 // newSlot packs a copy that fits.
-func newSlot(taskID, index int, ringer bool) slot {
-	s := slot{id: uint32(taskID), word: uint32(index)}
+func newSlot(taskID, index int, ringer bool) Slot {
+	s := Slot{id: uint32(taskID), word: uint32(index)}
 	if ringer {
 		s.word |= ringerBit
 	}
 	return s
 }
 
-// pack returns a's slot, or false when a does not fit: a copy the queue
-// never holds, rather than an alias of one it does.
-func pack(a Assignment) (slot, bool) {
+// Pack returns a's slot, or false when a does not fit: a copy the queue
+// never holds, rather than an alias of one it does. Every copy a queue
+// deals fits.
+func Pack(a Assignment) (Slot, bool) {
 	if !fits(a.TaskID, a.Copy) {
-		return slot{}, false
+		return Slot{}, false
 	}
 	return newSlot(a.TaskID, a.Copy, a.Ringer), true
 }
@@ -94,9 +96,11 @@ func checkFits(taskID, copies int) error {
 	return nil
 }
 
-func (s slot) taskID() int  { return int(s.id) }
-func (s slot) ringer() bool { return s.word&ringerBit != 0 }
-func (s slot) assignment() Assignment {
+func (s Slot) taskID() int  { return int(s.id) }
+func (s Slot) ringer() bool { return s.word&ringerBit != 0 }
+
+// Assignment unpacks the copy the slot holds.
+func (s Slot) Assignment() Assignment {
 	return Assignment{TaskID: int(s.id), Copy: int(s.word &^ ringerBit), Ringer: s.ringer()}
 }
 
@@ -114,13 +118,13 @@ type Queue struct {
 	policy Policy
 
 	// ready copies, dealt from the front.
-	ready []slot
+	ready []Slot
 	// pending[taskID] holds the copies OneOutstanding has not yet released
 	// (each waits for the one before it to complete), in copy order. The
 	// per-task slices are cut from one array sized by NewQueue.
-	pending [][]slot
+	pending [][]Slot
 	// phase2 buffers the second copies under TwoPhase.
-	phase2 []slot
+	phase2 []Slot
 
 	outstanding int
 	issued      int
@@ -136,7 +140,7 @@ type Queue struct {
 	// replayed indexes the queued copies while a journal replays: false
 	// for a copy still queued, true once MarkCompleted has marked it for
 	// the next Settle. marked counts the true entries.
-	replayed map[slot]bool
+	replayed map[Slot]bool
 	marked   int
 }
 
@@ -174,7 +178,7 @@ func NewQueue(specs []plan.TaskSpec, policy Policy, r *rng.Source) (*Queue, erro
 	q.everIssued = make([]bool, top+1)
 	switch policy {
 	case Free:
-		q.ready = make([]slot, 0, q.total)
+		q.ready = make([]Slot, 0, q.total)
 		for _, s := range specs {
 			for c := 0; c < s.Copies; c++ {
 				q.ready = append(q.ready, newSlot(s.ID, c, s.Ringer))
@@ -182,9 +186,9 @@ func NewQueue(specs []plan.TaskSpec, policy Policy, r *rng.Source) (*Queue, erro
 		}
 		shuffle(q.ready, r)
 	case OneOutstanding:
-		q.ready = make([]slot, 0, q.total)
-		q.pending = make([][]slot, top+1)
-		held := make([]slot, 0, max(q.total-len(specs), 0))
+		q.ready = make([]Slot, 0, q.total)
+		q.pending = make([][]Slot, top+1)
+		held := make([]Slot, 0, max(q.total-len(specs), 0))
 		for _, s := range specs {
 			q.ready = append(q.ready, newSlot(s.ID, 0, s.Ringer))
 			from := len(held)
@@ -195,8 +199,8 @@ func NewQueue(specs []plan.TaskSpec, policy Policy, r *rng.Source) (*Queue, erro
 		}
 		shuffle(q.ready, r)
 	case TwoPhase:
-		q.ready = make([]slot, 0, len(specs))
-		q.phase2 = make([]slot, 0, len(specs))
+		q.ready = make([]Slot, 0, len(specs))
+		q.phase2 = make([]Slot, 0, len(specs))
 		for _, s := range specs {
 			if s.Copies != 2 {
 				return nil, fmt.Errorf("sched: two-phase requires exactly 2 copies per task, task %d has %d", s.ID, s.Copies)
@@ -214,7 +218,7 @@ func NewQueue(specs []plan.TaskSpec, policy Policy, r *rng.Source) (*Queue, erro
 
 // heldBack returns the copies of taskID the policy has yet to release (none
 // outside OneOutstanding, the only policy that allocates the table).
-func (q *Queue) heldBack(taskID int) []slot {
+func (q *Queue) heldBack(taskID int) []Slot {
 	if taskID < 0 || taskID >= len(q.pending) {
 		return nil
 	}
@@ -224,7 +228,7 @@ func (q *Queue) heldBack(taskID int) []slot {
 // shuffle permutes a by Fisher–Yates, drawing r.Intn(i+1) for i from
 // len(a)-1 down to 1: rng.Shuffle's draws in rng.Shuffle's order, so a seed
 // deals the same permutation, without Shuffle's indirect call per element.
-func shuffle(a []slot, r *rng.Source) {
+func shuffle(a []Slot, r *rng.Source) {
 	for i := len(a) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		a[i], a[j] = a[j], a[i]
@@ -252,7 +256,7 @@ func (q *Queue) Next() (a Assignment, ok bool) {
 	q.outstanding++
 	q.issued++
 	q.markIssued(s.taskID())
-	return s.assignment(), true
+	return s.Assignment(), true
 }
 
 // NextBatch appends up to n assignments to dst and returns it — one
@@ -269,7 +273,7 @@ func (q *Queue) NextBatch(dst []Assignment, n int) []Assignment {
 	}
 	dst = slices.Grow(dst, k)
 	for _, s := range q.ready[:k] {
-		dst = append(dst, s.assignment())
+		dst = append(dst, s.Assignment())
 	}
 	q.ready = q.ready[k:]
 	q.outstanding += k
@@ -295,7 +299,7 @@ func (q *Queue) NextRinger() (Assignment, bool) {
 		q.outstanding++
 		q.issued++
 		q.markIssued(s.taskID())
-		return s.assignment(), true
+		return s.Assignment(), true
 	}
 	return Assignment{}, false
 }
@@ -330,7 +334,7 @@ func (q *Queue) Abandon(a Assignment) {
 	if q.outstanding <= 0 {
 		panic("sched: Abandon without outstanding assignment")
 	}
-	s, ok := pack(a)
+	s, ok := Pack(a)
 	if !ok {
 		panic("sched: Abandon of an assignment outside the queue's range")
 	}
@@ -347,13 +351,13 @@ func (q *Queue) Abandon(a Assignment) {
 // Queue) is never queued. The first mark after a Settle indexes every
 // queued copy, ready and held back alike.
 func (q *Queue) MarkCompleted(a Assignment) bool {
-	s, ok := pack(a)
+	s, ok := Pack(a)
 	if !ok {
 		return false
 	}
 	if q.replayed == nil {
-		q.replayed = make(map[slot]bool, q.total-q.issued)
-		for _, pool := range append([][]slot{q.ready, q.phase2}, q.pending...) {
+		q.replayed = make(map[Slot]bool, q.total-q.issued)
+		for _, pool := range append([][]Slot{q.ready, q.phase2}, q.pending...) {
 			for _, x := range pool {
 				q.replayed[x] = false
 			}
@@ -374,9 +378,9 @@ func (q *Queue) MarkCompleted(a Assignment) bool {
 // marked held copy completes in turn. It fails if a marked copy was left
 // queued — one held behind a copy that is neither marked nor issued.
 func (q *Queue) Settle() error {
-	var released []slot
+	var released []Slot
 	n := 0
-	settle := func(pool []slot) []slot {
+	settle := func(pool []Slot) []Slot {
 		kept := pool[:0]
 		for _, s := range pool {
 			if !q.replayed[s] {

@@ -407,7 +407,7 @@ func TestSettleReleasesAlongTheChain(t *testing.T) {
 	if err := q.Settle(); err != nil {
 		t.Fatal(err)
 	}
-	if want := []slot{newSlot(1, 0, false), newSlot(0, 2, false)}; !slices.Equal(q.ready, want) {
+	if want := []Slot{newSlot(1, 0, false), newSlot(0, 2, false)}; !slices.Equal(q.ready, want) {
 		t.Fatalf("ready pool %+v, want %+v", q.ready, want)
 	}
 	if len(q.heldBack(0)) != 0 || q.Issued() != 2 {
@@ -840,8 +840,8 @@ func TestQueueRefusesUnpackable(t *testing.T) {
 
 	// The edges fit: ID and copy index MaxInt32, with the ringer bit beside.
 	edge := Assignment{TaskID: math.MaxInt32, Copy: math.MaxInt32, Ringer: true}
-	if s, ok := pack(edge); !ok || s.assignment() != edge {
-		t.Errorf("pack(%+v) = %+v, %v", edge, s, ok)
+	if s, ok := Pack(edge); !ok || s.Assignment() != edge {
+		t.Errorf("Pack(%+v) = %+v, %v", edge, s, ok)
 	}
 	if err := q.AddTask(plan.TaskSpec{ID: math.MaxInt32, Copies: 1}); err != nil {
 		t.Errorf("AddTask at ID MaxInt32: %v", err)

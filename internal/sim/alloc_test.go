@@ -69,7 +69,7 @@ func TestRunStateSizes(t *testing.T) {
 		got, want uintptr
 	}{
 		{"simWorker", unsafe.Sizeof(simWorker{}), 12},
-		{"entry", unsafe.Sizeof(entry{}), 8},
+		{"sched.Slot", unsafe.Sizeof(sched.Slot{}), 8},
 		{"heapNode", unsafe.Sizeof(heapNode{}), 16},
 	} {
 		if c.got != c.want {
@@ -78,9 +78,9 @@ func TestRunStateSizes(t *testing.T) {
 	}
 }
 
-// TestBacklogEntryRoundTrip: a backlog entry gives back the assignment it
-// packed, at the widest task ID and copy index the queue deals and with
-// the Ringer bit beside the copy index.
+// TestBacklogEntryRoundTrip: a backlog entry (sched's queue slot) gives
+// back the assignment it packed, at the widest task ID and copy index the
+// queue deals and with the Ringer bit beside the copy index.
 func TestBacklogEntryRoundTrip(t *testing.T) {
 	for _, a := range []sched.Assignment{
 		{},
@@ -89,8 +89,8 @@ func TestBacklogEntryRoundTrip(t *testing.T) {
 		{TaskID: math.MaxInt32, Copy: math.MaxInt32},
 		{TaskID: math.MaxInt32, Copy: 0, Ringer: true},
 	} {
-		if got := packEntry(a).assignment(); got != a {
-			t.Errorf("packEntry(%+v) unpacks to %+v", a, got)
+		if s, ok := sched.Pack(a); !ok || s.Assignment() != a {
+			t.Errorf("sched.Pack(%+v) = %+v, %v; unpacks to %+v", a, s, ok, s.Assignment())
 		}
 	}
 }

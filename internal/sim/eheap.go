@@ -18,13 +18,14 @@ package sim
 //
 // The payload is a kind of 0 or 1 and a non-negative int32 arg. The seq
 // has 32 bits, so a heap takes at most maxSeq+1 pushes between resets;
-// push and replaceTop panic past that, and on a payload outside those
-// bounds, rather than let a field spill into its neighbour and the order
-// or the payload go silently wrong. The engines refuse, up front, a run
+// push panics past that, and on a payload outside those bounds, rather
+// than let a field spill into its neighbour and the order or the payload
+// go silently wrong. The engines refuse, up front, a run
 // or trial that could push more.
 type eventHeap struct {
 	nodes []heapNode
 	next  uint64 // seq of the next push
+	open  bool   // nodes[0] was popped and awaits a push or the next pop
 }
 
 type heapNode struct {
@@ -50,8 +51,6 @@ func newEventHeap(capHint int) *eventHeap {
 	return &eventHeap{nodes: make([]heapNode, 0, capHint)}
 }
 
-func (h *eventHeap) len() int { return len(h.nodes) }
-
 // node builds the next event's node and takes its seq.
 func (h *eventHeap) node(at float64, kind int8, arg int32) heapNode {
 	if h.next > maxSeq || uint8(kind) > 1 || arg < 0 {
@@ -62,40 +61,47 @@ func (h *eventHeap) node(at float64, kind int8, arg int32) heapNode {
 	return n
 }
 
-// push schedules an event.
+// push schedules an event. Into an open root slot (see pop) it goes with
+// one sift down, which fuses the engines' dominant cycle, a completion
+// popped and its worker's next completion pushed, into a single descent;
+// otherwise it is appended and sifted up. Either way it takes the next
+// seq, so pop order is the total (time, seq) order whatever the layout.
 func (h *eventHeap) push(at float64, kind int8, arg int32) {
-	h.nodes = append(h.nodes, h.node(at, kind, arg))
+	n := h.node(at, kind, arg)
+	if h.open {
+		h.open = false
+		h.nodes[0] = n
+		h.down(0)
+		return
+	}
+	h.nodes = append(h.nodes, n)
 	h.up(len(h.nodes) - 1)
 }
 
-// peekMin returns the earliest event without removing it.
-func (h *eventHeap) peekMin() (at float64, kind int8, arg int32, ok bool) {
+// pop returns the earliest event, ok=false on an empty heap. The event's
+// root slot stays open until the next push fills it or the next pop
+// closes it.
+func (h *eventHeap) pop() (at float64, kind int8, arg int32, ok bool) {
+	if h.open {
+		h.close()
+	}
 	if len(h.nodes) == 0 {
 		return 0, 0, 0, false
 	}
 	root := h.nodes[0]
+	h.open = true
 	return root.at, int8(root.key & 1), int32(uint32(root.key) >> 1), true
 }
 
-// dropMin removes the earliest event (the peekMin companion). Must not be
-// called on an empty heap.
-func (h *eventHeap) dropMin() {
+// close removes the open root slot by moving the last event into it.
+func (h *eventHeap) close() {
+	h.open = false
 	last := len(h.nodes) - 1
 	h.nodes[0] = h.nodes[last]
 	h.nodes = h.nodes[:last]
 	if last > 0 {
 		h.down(0)
 	}
-}
-
-// replaceTop replaces the earliest event with a new one in a single sift.
-// This fuses the Monte-Carlo loop's dominant pop-completion/push-next-
-// completion cycle: one descent instead of a removal sift plus an
-// insertion sift. The new event takes a fresh seq, exactly as if it had
-// been pushed after the pop. Must not be called on an empty heap.
-func (h *eventHeap) replaceTop(at float64, kind int8, arg int32) {
-	h.nodes[0] = h.node(at, kind, arg)
-	h.down(0)
 }
 
 // up sifts slot i toward the root with the hole technique (one final
@@ -156,4 +162,5 @@ func (h *eventHeap) down(i int) {
 func (h *eventHeap) reset() {
 	h.nodes = h.nodes[:0]
 	h.next = 0
+	h.open = false
 }

@@ -19,14 +19,12 @@ type refEvent struct {
 	arg  int32
 }
 
-// popMin removes and returns the earliest event the way the engines do:
-// peekMin, then dropMin.
-func popMin(h *eventHeap) (at float64, arg int32, ok bool) {
-	at, _, arg, ok = h.peekMin()
-	if ok {
-		h.dropMin()
+// len counts the queued events; an open slot holds none.
+func (h *eventHeap) len() int {
+	if h.open {
+		return len(h.nodes) - 1
 	}
-	return at, arg, ok
+	return len(h.nodes)
 }
 
 func TestEventHeapOrdering(t *testing.T) {
@@ -40,7 +38,7 @@ func TestEventHeapOrdering(t *testing.T) {
 
 	wantArgs := []int32{10, 11, 12, 20, 30}
 	for i, want := range wantArgs {
-		at, arg, ok := popMin(h)
+		at, _, arg, ok := h.pop()
 		if !ok {
 			t.Fatalf("pop %d: heap empty", i)
 		}
@@ -48,7 +46,7 @@ func TestEventHeapOrdering(t *testing.T) {
 			t.Fatalf("pop %d: got arg %d at t=%v, want %d", i, arg, at, want)
 		}
 	}
-	if _, _, ok := popMin(h); ok {
+	if _, _, _, ok := h.pop(); ok {
 		t.Fatalf("expected empty heap")
 	}
 }
@@ -74,25 +72,25 @@ func TestEventHeapPayloadRoundTrip(t *testing.T) {
 		h.push(7.5, e.kind, e.arg)
 	}
 	for i, e := range want {
-		at, kind, arg, ok := h.peekMin()
+		at, kind, arg, ok := h.pop()
 		if !ok || at != 7.5 || kind != e.kind || arg != e.arg {
 			t.Fatalf("pop %d: got (%v, kind %d, arg %d, %v), want (7.5, kind %d, arg %d)",
 				i, at, kind, arg, ok, e.kind, e.arg)
 		}
-		h.dropMin()
 	}
-	// replaceTop carries its payload the same way.
+	// A push into the open root slot carries its payload the same way.
 	h.push(1, evComplete, 1)
-	h.replaceTop(2, evSpawn, math.MaxInt32)
-	if at, kind, arg, _ := h.peekMin(); at != 2 || kind != evSpawn || arg != math.MaxInt32 {
-		t.Fatalf("replaceTop gave (%v, kind %d, arg %d)", at, kind, arg)
+	h.pop()
+	h.push(2, evSpawn, math.MaxInt32)
+	if at, kind, arg, _ := h.pop(); at != 2 || kind != evSpawn || arg != math.MaxInt32 {
+		t.Fatalf("push into the open slot gave (%v, kind %d, arg %d)", at, kind, arg)
 	}
 }
 
 // TestEventHeapRefusesUnpackable: the seq has 32 bits, so the push after
-// seq maxSeq panics instead of wrapping into a wrong order, through push
-// and replaceTop alike; and a payload the key cannot hold panics rather
-// than bleed into its neighbour's bits.
+// seq maxSeq panics instead of wrapping into a wrong order, whether it
+// would append or fill an open root slot; and a payload the key cannot
+// hold panics rather than bleed into its neighbour's bits.
 func TestEventHeapRefusesUnpackable(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -106,11 +104,14 @@ func TestEventHeapRefusesUnpackable(t *testing.T) {
 	h := newEventHeap(4)
 	h.next = maxSeq
 	h.push(1, evComplete, 1) // takes the last seq
-	if _, _, arg, _ := h.peekMin(); arg != 1 {
+	mustPanic("push past maxSeq", func() { h.push(2, evComplete, 2) })
+	if _, _, arg, _ := h.pop(); arg != 1 {
 		t.Fatalf("last seq: got arg %d, want 1", arg)
 	}
-	mustPanic("push past maxSeq", func() { h.push(2, evComplete, 2) })
-	mustPanic("replaceTop past maxSeq", func() { h.replaceTop(2, evComplete, 2) })
+	mustPanic("push into the open slot past maxSeq", func() { h.push(2, evComplete, 2) })
+	if h.len() != 0 {
+		t.Fatalf("refused pushes left %d events", h.len())
+	}
 
 	h.reset()
 	mustPanic("kind 2", func() { h.push(1, 2, 0) })
@@ -124,11 +125,11 @@ func TestEventHeapRefusesUnpackable(t *testing.T) {
 // TestEventHeapMatchesStableSortOrder cross-checks the typed heap against
 // a sort.SliceStable reference on (time, insertion order) — the contract
 // the scenario goldens depend on. The second half schedules events
-// mid-run, between pops, the way running events schedule followers: a
-// replaceTop of the root (a completion scheduling its worker's next), or
-// an equal-timestamp push and a later one. A replaced root takes a fresh
-// seq, so the reference records it as pushed after the pop; either way it
-// must still pop after every earlier-pushed tie.
+// mid-run, between pops, the way running events schedule followers: one
+// push into the popped root's open slot (a completion scheduling its
+// worker's next), or an equal-timestamp push and a later one, the first
+// filling the slot. A push into the slot takes a fresh seq, so it must
+// still pop after every earlier-pushed tie.
 func TestEventHeapMatchesStableSortOrder(t *testing.T) {
 	r := rng.New(4242)
 	h := newEventHeap(8)
@@ -156,7 +157,7 @@ func TestEventHeapMatchesStableSortOrder(t *testing.T) {
 		// sequence.
 		want := sorted()
 		for ; n > 0; n-- {
-			at, _, arg, ok := h.peekMin()
+			at, _, arg, ok := h.pop()
 			if !ok {
 				t.Fatalf("heap drained early at pop %d", popped)
 			}
@@ -167,16 +168,12 @@ func TestEventHeapMatchesStableSortOrder(t *testing.T) {
 			popped++
 			switch op := r.Intn(8); {
 			case op == 0 && len(ref) < 1000:
-				next := at + float64(r.Intn(3))
-				h.replaceTop(next, 0, add(next))
+				push(at + float64(r.Intn(3)))
 				want = sorted()
 			case op == 1 && len(ref) < 1000:
-				h.dropMin()
 				push(at)
 				push(at + float64(r.Intn(3)))
 				want = sorted()
-			default:
-				h.dropMin()
 			}
 		}
 	}
@@ -199,7 +196,7 @@ func TestEventHeapSteadyStateAllocFree(t *testing.T) {
 		h.push(r.Float64()*100, 0, i)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		at, arg, _ := popMin(h)
+		at, _, arg, _ := h.pop()
 		h.push(at+r.Float64()*10, 0, arg)
 	})
 	if allocs != 0 {
@@ -218,8 +215,65 @@ func TestEventHeapReset(t *testing.T) {
 	}
 	h.push(2, 0, 20)
 	h.push(1, 0, 10)
-	if _, arg, _ := popMin(h); arg != 10 {
+	if _, _, arg, _ := h.pop(); arg != 10 {
 		t.Fatalf("after reset: got %d want 10", arg)
+	}
+	// A reset closes an open slot: the popped event does not come back,
+	// and the next push appends.
+	h.reset()
+	h.push(5, 0, 50)
+	h.pop()
+	h.reset()
+	h.push(3, 0, 30)
+	if _, _, arg, _ := h.pop(); arg != 30 || h.len() != 0 {
+		t.Fatalf("after reset with an open slot: got %d, len %d", arg, h.len())
+	}
+	if _, _, _, ok := h.pop(); ok {
+		t.Fatal("reset heap popped a stale event")
+	}
+}
+
+// TestEventHeapMatchesReference is the open slot's differential test:
+// random interleavings of pushes and pops, at arbitrary times (earlier
+// than the last pop too) drawn from few values so ties abound, must pop
+// exactly what a linear scan for the least (time, seq) of the live events
+// pops, and len must count the live events, never the open slot.
+func TestEventHeapMatchesReference(t *testing.T) {
+	r := rng.New(77)
+	for round := 0; round < 50; round++ {
+		h := newEventHeap(4)
+		var live []refEvent
+		seq := uint64(0)
+		for op := 0; op < 2000; op++ {
+			if r.Intn(100) < 52 {
+				at := float64(r.Intn(16))
+				arg := int32(r.Intn(1 << 20))
+				h.push(at, evComplete, arg)
+				live = append(live, refEvent{at: at, seq: seq, arg: arg})
+				seq++
+			} else {
+				at, _, arg, ok := h.pop()
+				if ok != (len(live) > 0) {
+					t.Fatalf("round %d op %d: pop ok=%v with %d live events", round, op, ok, len(live))
+				}
+				if ok {
+					m := 0
+					for i, e := range live {
+						if e.at < live[m].at || (e.at == live[m].at && e.seq < live[m].seq) {
+							m = i
+						}
+					}
+					if at != live[m].at || arg != live[m].arg {
+						t.Fatalf("round %d op %d: heap popped (%v,%d), reference (%v,%d)",
+							round, op, at, arg, live[m].at, live[m].arg)
+					}
+					live = append(live[:m], live[m+1:]...)
+				}
+			}
+			if h.len() != len(live) {
+				t.Fatalf("round %d op %d: len %d, %d live events", round, op, h.len(), len(live))
+			}
+		}
 	}
 }
 
@@ -238,7 +292,7 @@ func BenchmarkEventHeap(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				at, arg, _ := popMin(h)
+				at, _, arg, _ := h.pop()
 				h.push(at+r.Float64()*10, 0, arg)
 			}
 		})

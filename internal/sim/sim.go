@@ -24,12 +24,7 @@ import (
 // HonestValue is the deterministic "work function" of the simulated
 // computation: the correct result of a task is a hash of its ID. Any
 // collision-free mixing works; the verifier only compares values.
-func HonestValue(taskID int) uint64 {
-	z := uint64(taskID) + 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
+func HonestValue(taskID int) uint64 { return rng.Mix64(uint64(taskID) + 0x9E3779B97F4A7C15) }
 
 // Config parameterizes one full discrete-event run of a volunteer
 // computation.
@@ -42,9 +37,9 @@ type Config struct {
 	// coalition members).
 	Participants int
 	// AdversaryProportion is the fraction of participants the coalition
-	// controls. Because assignments land on uniformly random participants,
-	// this is also the expected fraction of assignments it holds — the
-	// paper's p.
+	// controls. Because each assignment lands on a participant drawn at
+	// random, all equally likely, this is also the expected fraction of
+	// assignments it holds — the paper's p.
 	AdversaryProportion float64
 	// Strategy drives the coalition's cheat decisions. Nil means a fully
 	// honest run.
@@ -110,13 +105,14 @@ type Report struct {
 	HonestBlacklisted         int // honest participants falsely implicated
 }
 
-// DetectionRate returns the empirical detection probability among cheats at
-// tuple size k, and ok=false if no such cheats occurred.
-func (r *Report) DetectionRate(k int) (rate float64, ok bool) {
-	if k < 1 || k > len(r.PerTuple) {
+// DetectionRate returns the empirical detection probability among cheats
+// at tuple size k in a PerTuple table (a Report's or a ThinningReport's),
+// and ok=false if no such cheats occurred.
+func DetectionRate(perTuple []PerTuple, k int) (rate float64, ok bool) {
+	if k < 1 || k > len(perTuple) {
 		return 0, false
 	}
-	pt := r.PerTuple[k-1]
+	pt := perTuple[k-1]
 	if pt.Cheated == 0 {
 		return 0, false
 	}
@@ -135,46 +131,22 @@ type simWorker struct {
 
 func (wk *simWorker) busy() bool { return wk.cur >= 0 }
 
-// entry is one dealt assignment in 8 bytes, laid out as sched's queue
-// slot: a uint32 task ID, and a uint32 whose low 31 bits are the copy
-// index and whose top bit is Ringer. The queue deals only copies whose ID
-// and index lie in 0..MaxInt32, so every dealt assignment packs.
-type entry struct {
-	id, word uint32
-}
-
-const ringerBit = 1 << 31
-
-func packEntry(a sched.Assignment) entry {
-	e := entry{id: uint32(a.TaskID), word: uint32(a.Copy)}
-	if a.Ringer {
-		e.word |= ringerBit
-	}
-	return e
-}
-
-func (e entry) assignment() sched.Assignment {
-	return sched.Assignment{TaskID: int(e.id), Copy: int(e.word &^ ringerBit), Ringer: e.word&ringerBit != 0}
-}
-
 // runtime is the live state of one discrete-event run, exposed to the
 // scenario lab's hooks. It wires the real production components together:
-// the virtual clock, the sched queue, the verify collector, and the
-// adversary coalition — the scenario layer only observes and steers.
+// the virtual clock, the sched queue and the adversary coalition (the
+// verify collector reports to it through OnVerdict) — the scenario layer
+// only observes and steers.
 type runtime struct {
-	cfg       Config
 	now       float64 // virtual clock: the time of the event in progress
 	queue     *sched.Queue
-	collector *verify.Collector
 	coalition *adversary.Coalition
-	report    *Report
 	workers   []simWorker
 
 	// backlogA/nextOf form the shared backlog arena, 12 bytes an
-	// assignment: dealt assignments append to backlogA, nextOf threads
-	// each worker's FIFO through it. Entries are never removed, so an
-	// index names its assignment for the whole run.
-	backlogA []entry
+	// assignment: dealt assignments append to backlogA in sched's 8-byte
+	// slot, nextOf threads each worker's FIFO through it. Entries are
+	// never removed, so an index names its assignment for the whole run.
+	backlogA []sched.Slot
 	nextOf   []int32
 
 	// submitted counts results returned to the supervisor so far; with
@@ -188,7 +160,6 @@ type runtime struct {
 	maxHeld int
 
 	rDeal *rng.Source
-	deal  func()
 }
 
 // addParticipant registers a fresh identity mid-run (Sybil churn) and
@@ -203,7 +174,8 @@ func (rt *runtime) addParticipant() int {
 // enqueue appends assignment a to worker w's backlog via the shared arena.
 func (rt *runtime) enqueue(w int, a sched.Assignment) {
 	idx := int32(len(rt.backlogA))
-	rt.backlogA = append(rt.backlogA, packEntry(a))
+	s, _ := sched.Pack(a) // every copy the queue deals fits its slot
+	rt.backlogA = append(rt.backlogA, s)
 	rt.nextOf = append(rt.nextOf, -1)
 	wk := &rt.workers[w]
 	if wk.tail >= 0 {
@@ -240,17 +212,14 @@ func (rt *runtime) progress() float64 {
 // is optional; the zero value reproduces plain Run exactly (same rng
 // streams, same event order).
 type hooks struct {
-	// pickWorker selects the recipient of an assignment. Default: uniform
-	// over the configured participant count.
+	// pickWorker selects the recipient of an assignment. Default: a draw
+	// over the configured participant count, each equally likely.
 	pickWorker func(rt *runtime) int
 	// dealGate, when set, is consulted before each hand-out; returning
 	// false pauses dealing until the next completion re-opens the loop.
 	// Scenarios use it to throttle the supervisor's release window so
 	// holdings accrue over virtual time instead of all at t=0.
 	dealGate func(rt *runtime) bool
-	// onDeal observes every assignment hand-out, after coalition
-	// bookkeeping.
-	onDeal func(rt *runtime, w int, a sched.Assignment)
 	// onSubmit observes every returned result; cheated reports whether
 	// the returned value differs from the honest one.
 	onSubmit func(rt *runtime, w int, a sched.Assignment, cheated bool)
@@ -339,13 +308,10 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 
 	report := &Report{Assignments: queue.Total(), FirstDetectionTime: -1}
 	rt := &runtime{
-		cfg:            cfg,
 		queue:          queue,
-		collector:      collector,
 		coalition:      coalition,
-		report:         report,
 		workers:        make([]simWorker, cfg.Participants),
-		backlogA:       make([]entry, 0, queue.Total()),
+		backlogA:       make([]sched.Slot, 0, queue.Total()),
 		nextOf:         make([]int32, 0, queue.Total()),
 		honestReturned: make([]int32, nTasks),
 		rDeal:          rDeal,
@@ -441,16 +407,12 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 					rt.maxHeld = held
 				}
 			}
-			if h.onDeal != nil {
-				h.onDeal(rt, w, a)
-			}
 			rt.enqueue(w, a)
 			if !rt.workers[w].busy() {
 				startNext(w)
 			}
 		}
 	}
-	rt.deal = deal
 
 	// Completion events go through a typed min-heap keyed by worker id —
 	// the worker's in-service assignment is the backlog entry its
@@ -460,21 +422,9 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 	// more than min(participants, assignments) of them and never grows
 	// (save for Sybil identities the scenario lab adds mid-run).
 	events := newEventHeap(min(cfg.Participants, queue.Total()) + 1)
-	// replArmed marks that the root event has been consumed and the next
-	// scheduled completion may overwrite it via replaceTop — one sift
-	// instead of a pop and a push. Which worker's completion takes the
-	// slot is immaterial: seq order still follows push order, and pop
-	// order is the total (time, seq) order whatever the heap layout.
-	replArmed := false
 	startNext = func(w int) {
 		wk := &rt.workers[w]
-		if wk.cur = rt.dequeue(w); !wk.busy() {
-			return
-		}
-		if replArmed {
-			replArmed = false
-			events.replaceTop(rt.now+serviceTime(), 0, int32(w))
-		} else {
+		if wk.cur = rt.dequeue(w); wk.busy() {
 			events.push(rt.now+serviceTime(), 0, int32(w))
 		}
 	}
@@ -483,22 +433,17 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 	// the event loop dry.
 	deal()
 	for {
-		at, _, arg, ok := events.peekMin()
+		at, _, arg, ok := events.pop()
 		if !ok {
 			break
 		}
 		rt.now = at
 		w := int(arg)
-		replArmed = true
-		submit(w, rt.backlogA[rt.workers[w].cur].assignment())
+		submit(w, rt.backlogA[rt.workers[w].cur].Assignment())
 		// Completion may release held-back copies (one-outstanding,
 		// phase two); hand them out before continuing.
 		deal()
 		startNext(w)
-		if replArmed {
-			replArmed = false
-			events.dropMin()
-		}
 	}
 	report.Makespan = rt.now
 	// Every held task's cheat decision is memoized by now (a member
@@ -514,15 +459,8 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 	// Ground-truth bookkeeping.
 	report.ControlledProportion =
 		float64(report.AdversaryAssignments) / float64(report.Assignments)
-	// Task IDs are dense (plans number from 0), so a flat slice of the one
-	// fact PerTuple needs replaces the verdict map a 10^6-task run paid
-	// dearly for.
-	detectedByTask := make([]bool, nTasks)
 	for i := range collector.NumVerdicts() {
 		v := collector.VerdictAt(i)
-		if v.TaskID < len(detectedByTask) {
-			detectedByTask[v.TaskID] = v.MismatchDetected
-		}
 		report.Tasks++
 		if v.MismatchDetected {
 			report.MismatchDetections++
@@ -553,7 +491,7 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 		pt.Held++
 		if coalition.CheatsOn(t) {
 			pt.Cheated++
-			if t < len(detectedByTask) && detectedByTask[t] {
+			if v, ok := collector.VerdictFor(t); ok && v.MismatchDetected {
 				pt.Detected++
 			} else {
 				pt.Undetected++

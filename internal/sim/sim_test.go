@@ -293,13 +293,13 @@ func TestRunConfigValidation(t *testing.T) {
 
 func TestDetectionRateAccessor(t *testing.T) {
 	rep := &Report{PerTuple: []PerTuple{{K: 1, Cheated: 4, Detected: 3}}}
-	if r, ok := rep.DetectionRate(1); !ok || r != 0.75 {
+	if r, ok := DetectionRate(rep.PerTuple, 1); !ok || r != 0.75 {
 		t.Errorf("rate = %v ok=%v", r, ok)
 	}
-	if _, ok := rep.DetectionRate(2); ok {
+	if _, ok := DetectionRate(rep.PerTuple, 2); ok {
 		t.Error("out-of-range k should report !ok")
 	}
-	if _, ok := rep.DetectionRate(0); ok {
+	if _, ok := DetectionRate(rep.PerTuple, 0); ok {
 		t.Error("k=0 should report !ok")
 	}
 }

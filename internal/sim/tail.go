@@ -17,12 +17,12 @@ import (
 // redundancy factor) at Monte-Carlo scale. Everything lives in
 // preallocated arenas indexed by dense int32 ids; the steady-state event
 // loop performs zero heap allocations, which is what lifts throughput to
-// the 10^7-completions/sec range the tail sweeps need.
+// the millions of completions per second the tail sweeps need.
 //
-// The model matches the PR 7 platform semantics: workers PULL copies from
-// a shared queue as they free up (so a straggler delays only its own
-// copy, not a private backlog behind it); per-copy compute time is Base
-// plus uniform jitter, scaled by a per-worker heterogeneity factor, plus
+// The model matches the platform's semantics: workers PULL copies from a
+// shared queue as they free up (so a straggler delays only its own copy,
+// not a private backlog behind it); per-copy compute time is Base plus an
+// even draw of jitter, scaled by a per-worker heterogeneity factor, plus
 // a Bernoulli straggler episode's additive delay; and the optional
 // speculative tier clones a copy still in service past the fleet's
 // completion-time quantile to the head of the queue — exactly the
@@ -31,6 +31,7 @@ import (
 // work. A task is certified when its LAST copy returns — the full-quorum
 // redundancy-verification rule — so per-task latency is the max over its
 // copies, and redundancy buys tail diversity only at the price of load.
+// Every workload takes the same path, single-copy tasks included.
 
 // TailClass is one multiplicity class of the workload: Tasks tasks that
 // each get Copies redundant copies. A workload is a histogram of classes,
@@ -48,9 +49,10 @@ type TailConfig struct {
 	Participants int
 
 	// SpeedBase is the base per-copy compute time in virtual time units;
-	// SpeedJitter widens it uniformly to [Base, Base+Jitter). SpeedSpread
-	// makes the fleet heterogeneous: each worker's compute times are
-	// scaled by a per-trial factor drawn uniformly from [1, 1+Spread].
+	// SpeedJitter widens it to an even draw from [Base, Base+Jitter).
+	// SpeedSpread makes the fleet heterogeneous: each worker's compute
+	// times are scaled by a per-trial factor drawn evenly from
+	// [1, 1+Spread].
 	SpeedBase   float64
 	SpeedJitter float64
 	SpeedSpread float64
@@ -168,7 +170,6 @@ type TailEngine struct {
 	cfg     TailConfig
 	nTasks  int
 	nAssign int // base copy slots
-	uniform bool
 
 	taskOf []int32 // by base slot: the task this copy certifies
 	copyOf []int32 // by slot (base or clone): base copy it resolves
@@ -198,9 +199,6 @@ type TailEngine struct {
 	latency *stats.Sketch
 	copySvc *stats.Sketch
 	now     float64
-	// replArmed marks that the event at the heap root has been consumed
-	// and the next scheduled completion may overwrite it via replaceTop.
-	replArmed bool
 
 	theta      float64
 	thetaCount int
@@ -222,13 +220,9 @@ func NewTailEngine(cfg TailConfig) (*TailEngine, error) {
 		alpha = 0.01
 	}
 	nTasks, nAssign := 0, 0
-	uniform := true
 	for _, cl := range cfg.Classes {
 		nTasks += cl.Tasks
 		nAssign += cl.Tasks * cl.Copies
-		if cl.Tasks > 0 && cl.Copies != 1 {
-			uniform = false
-		}
 	}
 	slotCap := nAssign
 	if cfg.Speculate {
@@ -241,7 +235,6 @@ func NewTailEngine(cfg TailConfig) (*TailEngine, error) {
 		cfg:     cfg,
 		nTasks:  nTasks,
 		nAssign: nAssign,
-		uniform: uniform,
 
 		taskOf: make([]int32, nAssign),
 		copyOf: make([]int32, slotCap),
@@ -309,23 +302,17 @@ func (e *TailEngine) RunTrial(trial int) TailTrial {
 	e.cursor = 0
 	e.cqHead, e.cqLen, e.nIdle = 0, 0, 0
 	e.now = 0
-	e.replArmed = false
 	e.theta = math.Inf(1)
 	e.thetaCount = 0
 	e.completions, e.specIssued, e.specWins, e.specWasted = 0, 0, 0, 0
-	// The uniform-no-speculation fast path never touches the quorum
-	// arenas, so their O(tasks) reset is skipped along with the per-event
-	// bookkeeping.
-	if !e.uniform || e.cfg.Speculate {
-		for i := range e.resolved {
-			e.resolved[i] = false
-		}
-		task := 0
-		for _, cl := range e.cfg.Classes {
-			for t := 0; t < cl.Tasks; t++ {
-				e.rem[task] = uint8(cl.Copies)
-				task++
-			}
+	for i := range e.resolved {
+		e.resolved[i] = false
+	}
+	task := 0
+	for _, cl := range e.cfg.Classes {
+		for t := 0; t < cl.Tasks; t++ {
+			e.rem[task] = uint8(cl.Copies)
+			task++
 		}
 	}
 	if e.cloned != nil {
@@ -340,33 +327,24 @@ func (e *TailEngine) RunTrial(trial int) TailTrial {
 
 	// The pull order: globally shuffled so a task's copies are pulled at
 	// independent points of the run (the platform's Free queue shuffles
-	// the same way). When every task has exactly one copy the shuffle
-	// cannot change the latency distribution — there is no cross-copy
-	// correlation to break — so the uniform-multiplicity fast path skips
-	// it. A reused engine still holds the previous trial's permutation,
-	// so the arena returns to identity first.
-	if !e.uniform {
-		for i := range e.order {
-			e.order[i] = int32(i)
-		}
-		rDeal.Shuffle(len(e.order), func(i, j int) {
-			e.order[i], e.order[j] = e.order[j], e.order[i]
-		})
+	// the same way). A reused engine still holds the previous trial's
+	// permutation, so the arena returns to identity first.
+	for i := range e.order {
+		e.order[i] = int32(i)
 	}
+	rDeal.Shuffle(len(e.order), func(i, j int) {
+		e.order[i], e.order[j] = e.order[j], e.order[i]
+	})
 	for w := 0; w < e.cfg.Participants; w++ {
 		e.startNext(w, rService)
 	}
 
-	// The steady-state loop: peek, resolve, refill. Zero heap allocations.
-	// A completion "arms" a root replacement: the refill's serve almost
-	// always schedules the worker's next completion, and replaceTop folds
-	// that pop/push pair into a single sift. Events pushed while the root
-	// is still in place (clone spawns) are safe — they carry later
-	// timestamps and higher seqs, so the root stays minimal.
+	// The steady-state loop: pop, resolve, refill. Zero heap allocations.
+	// The refill's completion push lands in the popped root's slot (see
+	// eventHeap.pop), one sift for the pop and the push together.
 	spec := e.cfg.Speculate
-	fast := e.uniform && !spec
 	for {
-		at, kind, arg, ok := e.heap.peekMin()
+		at, kind, arg, ok := e.heap.pop()
 		if !ok {
 			break
 		}
@@ -374,21 +352,6 @@ func (e *TailEngine) RunTrial(trial int) TailTrial {
 		switch kind {
 		case evComplete:
 			w := int(arg)
-			if fast {
-				// Uniform multiplicity-1, no speculation: every completion
-				// certifies its own task, so the quorum bookkeeping
-				// (copyOf/resolved/rem) provably cannot change anything and
-				// is skipped wholesale.
-				e.completions++
-				e.latency.Add(at)
-				e.replArmed = true
-				e.startNext(w, rService)
-				if e.replArmed {
-					e.replArmed = false
-					e.heap.dropMin()
-				}
-				continue
-			}
 			slot := e.cur[w]
 			base := e.copyOf[slot]
 			if spec {
@@ -412,16 +375,8 @@ func (e *TailEngine) RunTrial(trial int) TailTrial {
 				e.specWasted++
 			}
 			e.cur[w] = -1
-			e.replArmed = true
 			e.startNext(w, rService)
-			if e.replArmed {
-				// The worker went idle: nothing consumed the replacement,
-				// so the completion event really does pop.
-				e.replArmed = false
-				e.heap.dropMin()
-			}
 		case evSpawn:
-			e.heap.dropMin()
 			base := arg
 			if e.resolved[base] {
 				break
@@ -478,7 +433,7 @@ func (e *TailEngine) startNext(w int, rService *rng.Source) {
 }
 
 // serve starts one copy on worker w and schedules its completion,
-// mirroring platform.SpeedModel.delay: base plus uniform jitter (scaled
+// mirroring platform.SpeedModel.delay: base plus an even draw of jitter (scaled
 // by the worker's heterogeneity factor), plus a straggler episode's
 // additive delay.
 func (e *TailEngine) serve(w int, slot int32, rService *rng.Source) {
@@ -494,12 +449,7 @@ func (e *TailEngine) serve(w int, slot int32, rService *rng.Source) {
 	e.cur[w] = slot
 	e.curSvc[w] = s
 	e.curStart[w] = e.now
-	if e.replArmed {
-		e.replArmed = false
-		e.heap.replaceTop(e.now+s, evComplete, int32(w))
-	} else {
-		e.heap.push(e.now+s, evComplete, int32(w))
-	}
+	e.heap.push(e.now+s, evComplete, int32(w))
 	if slot >= int32(e.nAssign) {
 		e.specIssued++
 		return

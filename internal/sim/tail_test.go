@@ -1,9 +1,10 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"testing"
+
+	"redundancy/internal/plan"
 )
 
 func tailCfg(tasks int) TailConfig {
@@ -214,6 +215,47 @@ func TestTailSpeculationCutsTail(t *testing.T) {
 	}
 }
 
+// TestTailUniformGolden pins a multiplicity-1 workload, with speculation
+// off and on, to the figures the engine gave when it still ran such
+// workloads on a path of their own that skipped the quorum bookkeeping
+// and the pull-order shuffle: the one path must reproduce them exactly.
+func TestTailUniformGolden(t *testing.T) {
+	for _, c := range []struct {
+		spec                      bool
+		q50, q90, q99, q999, mean float64
+		makespan                  float64
+		completions, issued, wins int
+	}{
+		{false, 38.75, 71.5, 79.5, 96.5, 38.77975151723849, 295.98105619402816, 60000, 0, 0},
+		{true, 44.25, 80.5, 88.5, 89.5, 44.21917227208266, 330.245927330254, 67853, 7853, 1736},
+	} {
+		cfg := TailConfig{
+			Classes: []TailClass{{Copies: 1, Tasks: 20000}}, Participants: 500,
+			SpeedBase: 1, SpeedJitter: 0.5, SpeedSpread: 0.3, StragglerP: 0.03, StragglerDelay: 20,
+			Speculate: c.spec, SpeculatePct: 0.9, Seed: 9,
+		}
+		r, err := RunTailTrials(cfg, 3, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := r.Latency
+		got := []float64{l.Quantile(0.5), l.Quantile(0.9), l.Quantile(0.99), l.Quantile(0.999), l.Mean(), r.MakespanSum}
+		want := []float64{c.q50, c.q90, c.q99, c.q999, c.mean, c.makespan}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("speculate=%v: q50/q90/q99/q999/mean/makespan-sum %v, want %v", c.spec, got, want)
+				break
+			}
+		}
+		if l.Count() != 60000 || r.Completions != c.completions || r.SpecIssued != c.issued ||
+			r.SpecWins != c.wins || r.SpecWasted != c.issued {
+			t.Errorf("speculate=%v: %d latencies, %d completions, %d/%d/%d issued/wins/wasted; want 60000, %d, %d/%d/%d",
+				c.spec, l.Count(), r.Completions, r.SpecIssued, r.SpecWins, r.SpecWasted,
+				c.completions, c.issued, c.wins, c.issued)
+		}
+	}
+}
+
 // TestTailRedundancyRaisesLatency: at fixed fleet size, full-quorum
 // certification means more copies cost latency (the price the tail
 // analysis quantifies).
@@ -282,21 +324,53 @@ func TestRunTailTrialsErrors(t *testing.T) {
 
 // BenchmarkTailEngine measures single-threaded engine throughput in
 // copy-completions per second (b.N = completions). The event-queue depth
-// is the fleet size, so throughput is reported at two fleet scales: 256
-// workers (the 4KB heap stays L1-resident) and 1000 workers.
+// is the fleet size, so the multiplicity-1 workload is reported at two
+// fleet scales: 256 workers (the 4KB heap stays L1-resident) and 1000
+// workers. The Balanced arm is the cell the tail sweep and bench/'s
+// tail-sim run: plan.Balanced's multiplicity classes on the sweep's
+// 256-worker fleet with speculation on.
 func BenchmarkTailEngine(b *testing.B) {
-	for _, p := range []int{256, 1000} {
-		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
+	uniform := func(p int) TailConfig {
+		return TailConfig{
+			Classes:      []TailClass{{Copies: 1, Tasks: 200000}},
+			Participants: p,
+			SpeedBase:    1.0,
+			SpeedJitter:  0.5,
+			SpeedSpread:  0.3,
+			Seed:         11,
+		}
+	}
+	p, err := plan.Balanced(100000, 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var balanced []TailClass
+	for i, c := range p.Counts {
+		if c > 0 {
+			balanced = append(balanced, TailClass{Copies: i + 1, Tasks: c})
+		}
+	}
+	if p.TailTasks > 0 {
+		balanced = append(balanced, TailClass{Copies: p.TailMultiplicity, Tasks: p.TailTasks})
+	}
+	if p.Ringers > 0 {
+		balanced = append(balanced, TailClass{Copies: p.RingerMultiplicity, Tasks: p.Ringers})
+	}
+	for _, arm := range []struct {
+		name string
+		cfg  TailConfig
+	}{
+		{"P256", uniform(256)},
+		{"P1000", uniform(1000)},
+		{"Balanced", TailConfig{
+			Classes: balanced, Participants: 256,
+			SpeedBase: 1.0, SpeedJitter: 0.5, SpeedSpread: 0.5, StragglerP: 0.02, StragglerDelay: 20,
+			Speculate: true, SpeculatePct: 0.95, Seed: 2005,
+		}},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
-			cfg := TailConfig{
-				Classes:      []TailClass{{Copies: 1, Tasks: 200000}},
-				Participants: p,
-				SpeedBase:    1.0,
-				SpeedJitter:  0.5,
-				SpeedSpread:  0.3,
-				Seed:         11,
-			}
-			e, err := NewTailEngine(cfg)
+			e, err := NewTailEngine(arm.cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -14,19 +14,6 @@ type ThinningReport struct {
 	PerTuple []PerTuple
 }
 
-// DetectionRate returns the empirical detection probability among cheats at
-// tuple size k (ok=false if no cheats happened at that size).
-func (r *ThinningReport) DetectionRate(k int) (rate float64, ok bool) {
-	if k < 1 || k > len(r.PerTuple) {
-		return 0, false
-	}
-	pt := r.PerTuple[k-1]
-	if pt.Cheated == 0 {
-		return 0, false
-	}
-	return float64(pt.Detected) / float64(pt.Cheated), true
-}
-
 // Thinning runs one fast Monte-Carlo trial of the exact probabilistic model
 // used in the paper's proofs (Propositions 2 and 3): each copy of each task
 // independently lands with the adversary with probability p, so the number

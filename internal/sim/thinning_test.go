@@ -134,10 +134,10 @@ func TestThinningMerge(t *testing.T) {
 	if a.PerTuple[0].Held != 4 || a.PerTuple[0].Detected != 2 || a.PerTuple[1].K != 2 {
 		t.Errorf("merge tallies wrong: %+v", a.PerTuple)
 	}
-	if r, ok := a.DetectionRate(1); !ok || math.Abs(r-2.0/3.0) > 1e-12 {
+	if r, ok := DetectionRate(a.PerTuple, 1); !ok || math.Abs(r-2.0/3.0) > 1e-12 {
 		t.Errorf("rate = %v ok=%v", r, ok)
 	}
-	if _, ok := a.DetectionRate(5); ok {
+	if _, ok := DetectionRate(a.PerTuple, 5); ok {
 		t.Error("missing k should be !ok")
 	}
 }
@@ -282,7 +282,7 @@ func TestPaperScaleMillionTasks(t *testing.T) {
 		t.Errorf("damage %d, closed form %v", undetected, want)
 	}
 	// Detection rate at k=2 within a percent of Proposition 3.
-	if rate, ok := rep.DetectionRate(2); !ok ||
+	if rate, ok := DetectionRate(rep.PerTuple, 2); !ok ||
 		math.Abs(rate-dist.BalancedDetectionAt(eps, p)) > 0.01 {
 		t.Errorf("k=2 rate %v, closed form %v", rate, dist.BalancedDetectionAt(eps, p))
 	}

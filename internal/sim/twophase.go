@@ -14,8 +14,8 @@ import (
 // phase. It returns the number of tasks of which she received both copies.
 //
 // As in the appendix, her phase-one tasks can be taken to be a fixed set
-// without loss of generality; her phase-two units are a uniform random
-// subset, so the overlap is hypergeometric with mean ℓ²/n ≈ p²·n.
+// without loss of generality; her phase-two units are a random subset,
+// every one equally likely, so the overlap is hypergeometric with mean ℓ²/n ≈ p²·n.
 func TwoPhaseFullyControlled(n int, p float64, r *rng.Source) int {
 	if n < 1 {
 		panic("sim: two-phase experiment needs at least one task")
@@ -27,7 +27,7 @@ func TwoPhaseFullyControlled(n int, p float64, r *rng.Source) int {
 	if l == 0 {
 		return 0
 	}
-	// Her phase-one holdings are tasks 0..l-1; the overlap of a uniform
+	// Her phase-one holdings are tasks 0..l-1; the overlap of a random
 	// l-subset of all n tasks with that set is hypergeometric.
 	return r.Hypergeometric(n, l, l)
 }

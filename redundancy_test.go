@@ -120,7 +120,7 @@ func TestFacadeThinningAndTwoPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rate, ok := rep.DetectionRate(1); !ok || math.Abs(rate-BalancedDetection(0.5, 0.1)) > 0.05 {
+	if rate, ok := DetectionRate(rep.PerTuple, 1); !ok || math.Abs(rate-BalancedDetection(0.5, 0.1)) > 0.05 {
 		t.Errorf("thinning rate %v ok=%v", rate, ok)
 	}
 	tp, err := TwoPhaseExperiment(10_000, 0.02, 50, 4)

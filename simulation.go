@@ -80,6 +80,13 @@ type SimReport = sim.Report
 // PerTuple aggregates per-tuple-size outcomes in simulation reports.
 type PerTuple = sim.PerTuple
 
+// DetectionRate returns the empirical detection probability among cheats
+// at tuple size k of a SimReport's or ThinningReport's PerTuple table, and
+// ok=false if no such cheats occurred.
+func DetectionRate(perTuple []PerTuple, k int) (rate float64, ok bool) {
+	return sim.DetectionRate(perTuple, k)
+}
+
 // Simulate runs one full discrete-event simulation: a supervisor deals the
 // plan's assignments to participants over virtual time, a coalition
 // controlling a fraction of participants cheats per its strategy, and the
