@@ -13,13 +13,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"strings"
 
 	"redundancy/internal/experiments"
 	"redundancy/internal/obs"
+	"redundancy/internal/obs/diag"
 	"redundancy/internal/report"
 )
 
@@ -35,15 +34,12 @@ func main() {
 	if *metricsAddr != "" {
 		reg := obs.NewRegistry()
 		experiments.InstrumentMetrics(reg)
-		ln, err := net.Listen("tcp", *metricsAddr)
+		bound, err := diag.Serve(*metricsAddr, reg, false)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "figures: metrics:", err)
 			os.Exit(1)
 		}
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg.Handler())
-		go func() { _ = http.Serve(ln, mux) }()
-		fmt.Printf("figures: progress metrics on http://%s/metrics\n", ln.Addr())
+		fmt.Printf("figures: progress metrics on http://%s/metrics\n", bound)
 	}
 
 	wanted := map[string]bool{}

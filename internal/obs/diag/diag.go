@@ -1,5 +1,5 @@
 // Package diag is the diagnostics listener the supervisor and worker
-// daemons share. It stands apart from package obs so that net/http/pprof,
+// daemons and the figures command share. It stands apart from package obs so that net/http/pprof,
 // and the handlers it registers on http.DefaultServeMux when imported,
 // reach only the programs that serve it.
 package diag

@@ -5,11 +5,13 @@ package platform
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"redundancy/internal/adapt"
 	"redundancy/internal/agg"
+	"redundancy/internal/health"
 	"redundancy/internal/plan"
 	"redundancy/internal/verify"
 )
@@ -43,17 +45,19 @@ func (s *Supervisor) withLeaseAndAudit(fn func()) {
 	fn()
 }
 
-// onVerdict is the collector's verdict callback. Credit is awarded only at
-// certification, so claiming credit for uncompleted or rejected work is
-// structurally impossible; a conviction revokes a participant's standing
-// entirely. It fires inside Collector.Submit, i.e. under audit.mu (or during
-// single-threaded construction replay), which is what makes the estimator
-// and ledger updates safe.
-func (s *Supervisor) onVerdict(v *verify.Verdict) {
+// applyVerdict applies every state effect of one verdict; no other code
+// does. Live adjudicate, journal replay and snapshot restore all call it,
+// with now the request's time or the restore's start. Each copy is one p̂
+// observation, attributed copies the bad ones. Credit is awarded only at
+// certification, and a conviction revokes it. Each contributor is one
+// health observation. With ResolveMismatches a disputed task is recomputed.
+// It returns the health transitions the verdict caused; a restore drops
+// them. So a restore does not rebuild the estimator evidence noteQuarantine
+// adds on a live quarantine entry: with Health and Adapt both on, a
+// restored p̂ omits one bad observation per quarantine. Callers hold
+// audit.mu or are single-threaded construction.
+func (s *Supervisor) applyVerdict(v *verify.Verdict, now time.Time) []health.Transition {
 	if s.audit.est != nil {
-		// Adaptive evidence: every adjudicated copy is one Bernoulli
-		// observation, attributed copies are the bad ones. Fed during
-		// replay too, so p̂ survives a restart along with the plan.
 		s.audit.est.Observe(v.Copies, len(v.Suspects))
 	}
 	if v.Accepted {
@@ -64,45 +68,18 @@ func (s *Supervisor) onVerdict(v *verify.Verdict) {
 			s.audit.credits.Revoke(p)
 		}
 	}
+	var trs []health.Transition
 	if s.cfg.Health != nil {
-		// Health evidence: every contributor gets one verdict
-		// observation, implicated or clean. Fed during replay too, so a
-		// participant quarantined before a crash is still quarantined
-		// after restore (pushTransition suppresses the side effects).
-		now := time.Now()
-		suspect := make(map[int]bool, len(v.Suspects))
-		for _, p := range v.Suspects {
-			suspect[p] = true
-		}
 		for _, p := range v.Contributors {
-			if tr := s.roster.ObserveVerdict(p, suspect[p], v.Ringer, now); tr != nil {
-				s.pushTransition(*tr, true)
+			if tr := s.roster.ObserveVerdict(p, slices.Contains(v.Suspects, p), v.Ringer, now); tr != nil {
+				trs = append(trs, *tr)
 			}
 		}
 	}
-	if s.replaying {
-		return // restored verdicts were counted by the previous process
+	if s.cfg.ResolveMismatches && v.MismatchDetected && !v.Ringer {
+		s.audit.resolved[v.TaskID] = s.work(TaskSeed(v.TaskID), s.cfg.Iters)
 	}
-	if v.Accepted {
-		s.metrics.tasksCertified.Inc()
-	}
-	if v.MismatchDetected {
-		s.metrics.mismatchDetected.Inc()
-		if s.events != nil {
-			s.events.Emit(EvMismatchDetected, map[string]any{
-				"task": v.TaskID, "ringer": v.Ringer, "suspects": v.Suspects,
-			})
-		}
-		if v.Ringer {
-			s.metrics.ringerFailures.Inc()
-			s.metrics.convictions.Add(uint64(len(v.Suspects)))
-			if s.events != nil {
-				s.events.Emit(EvRingerFailed, map[string]any{
-					"task": v.TaskID, "suspects": v.Suspects,
-				})
-			}
-		}
-	}
+	return trs
 }
 
 // convicted answers the blacklist question under audit.mu. Only
@@ -129,6 +106,39 @@ func (s *Supervisor) noteQuarantine(underAudit bool) {
 	s.audit.est.Observe(1, 1)
 }
 
+// observeVerdict emits what only a live process observes of one applied
+// verdict: its health transitions (trs), then counters, events and logs.
+func (s *Supervisor) observeVerdict(v *verify.Verdict, trs []health.Transition) {
+	for _, tr := range trs {
+		s.pushTransition(tr, true)
+	}
+	if v.Accepted {
+		s.metrics.tasksCertified.Inc()
+	}
+	if !v.MismatchDetected {
+		return
+	}
+	s.metrics.mismatchDetected.Inc()
+	if s.events != nil {
+		s.events.Emit(EvMismatchDetected, map[string]any{
+			"task": v.TaskID, "ringer": v.Ringer, "suspects": v.Suspects,
+		})
+	}
+	if v.Ringer {
+		s.metrics.ringerFailures.Inc()
+		s.metrics.convictions.Add(uint64(len(v.Suspects)))
+		if s.events != nil {
+			s.events.Emit(EvRingerFailed, map[string]any{
+				"task": v.TaskID, "suspects": v.Suspects,
+			})
+		}
+	}
+	s.logf("CHEAT DETECTED on task %d (suspects %v)", v.TaskID, v.Suspects)
+	if s.cfg.ResolveMismatches && !v.Ringer {
+		s.logf("task %d resolved by supervisor recomputation", v.TaskID)
+	}
+}
+
 // pendingResult carries one claimed result between resultBatch's phases,
 // next to the verify.Result at the same index of the submission's subs.
 type pendingResult struct {
@@ -144,9 +154,8 @@ func (s *Supervisor) adjudicate(pid int, cs *connState, d *deferredAck, now time
 	pend, subs, acks := cs.pend, cs.subs, d.acks
 	recs := d.recs[:0]
 	s.audit.mu.Lock()
-	// One call adjudicates the whole submission, in order. Credits and
-	// the adaptive estimator update inside the collector's verdict
-	// callback, result by result.
+	// One call adjudicates the whole submission; its verdicts are then
+	// applied and observed in order.
 	outs := s.audit.collector.SubmitBatch(subs, cs.outs[:0])
 	for i := range pend {
 		p := &pend[i]
@@ -157,14 +166,8 @@ func (s *Supervisor) adjudicate(pid int, cs *connState, d *deferredAck, now time
 			acks[p.idx].Error = err.Error()
 			continue
 		}
-		if v := outs[i].Verdict; v != nil && v.MismatchDetected {
-			s.logf("CHEAT DETECTED on task %d (suspects %v)", v.TaskID, v.Suspects)
-			if s.cfg.ResolveMismatches && !v.Ringer {
-				// Reactive measure: the supervisor recomputes the
-				// disputed task on trusted hardware.
-				s.audit.resolved[v.TaskID] = s.work(TaskSeed(v.TaskID), s.cfg.Iters)
-				s.logf("task %d resolved by supervisor recomputation", v.TaskID)
-			}
+		if v := outs[i].Verdict; v != nil {
+			s.observeVerdict(v, s.applyVerdict(v, now))
 		}
 		if s.committer != nil {
 			a := &subs[i].Assignment

@@ -36,16 +36,11 @@ func (s *Supervisor) every(interval time.Duration, fn func()) {
 // pushTransition reacts to one health-state transition: metrics, events,
 // the adaptive estimator (noteQuarantine), and — for quarantine entries —
 // parking the lease-level reclaim on qpend until a lease.mu holder drains
-// it. underAudit says whether the caller already holds audit.mu (the
-// verdict callback does; the sweeper holds lease.mu instead, and lease.mu →
-// audit.mu is the legal nesting order). During journal replay the roster
-// still moves but every side effect is suppressed: counters describe live
-// observations, and a restored supervisor has no outstanding leases to
-// reclaim.
+// it. underAudit says whether the caller already holds audit.mu
+// (adjudicate does; the sweeper holds lease.mu instead, and lease.mu →
+// audit.mu is the legal nesting order). Only the live path calls it: a
+// restore drops the transitions applyVerdict returns.
 func (s *Supervisor) pushTransition(tr health.Transition, underAudit bool) {
-	if s.replaying {
-		return
-	}
 	switch tr.To {
 	case health.Quarantined:
 		s.metrics.quarantinesEntered.Inc()

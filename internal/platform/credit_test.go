@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -95,22 +96,37 @@ func TestResolveMismatchesSalvagesResults(t *testing.T) {
 	// Simple redundancy + one cheater out of two participants, driven in a
 	// fixed order so each provably holds copies of shared tasks: mismatches
 	// abound. With ResolveMismatches on, every disputed task ends with the
-	// supervisor's own correct value.
+	// supervisor's own correct value, and so does a supervisor restored
+	// from the run's journal or from its snapshot alone: replay applies
+	// each verdict as the live path did, recomputation included.
 	for _, v := range bothVerbs {
 		t.Run(string(v), func(t *testing.T) {
-			p, err := plan.FromDistribution(dist.Simple(40), 0.5)
-			if err != nil {
-				t.Fatal(err)
+			newSup := func(journal *syncBuffer, restore []byte) *Supervisor {
+				t.Helper()
+				p, err := plan.FromDistribution(dist.Simple(40), 0.5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := SupervisorConfig{
+					Plan:              p,
+					WorkKind:          "hashchain",
+					Iters:             10,
+					ResolveMismatches: true,
+				}
+				if journal != nil {
+					cfg.Journal = journal
+				}
+				if restore != nil {
+					cfg.Restore = bytes.NewReader(restore)
+				}
+				sup, err := NewSupervisor(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sup
 			}
-			sup, err := NewSupervisor(SupervisorConfig{
-				Plan:              p,
-				WorkKind:          "hashchain",
-				Iters:             10,
-				ResolveMismatches: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			journal := &syncBuffer{}
+			sup := newSup(journal, nil)
 			addr, err := sup.Start("127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -153,6 +169,30 @@ func TestResolveMismatchesSalvagesResults(t *testing.T) {
 			if sum.Resolved != sum.Verify.MismatchDetected-sum.Verify.RingersCaught {
 				t.Errorf("resolved %d of %d disputed tasks",
 					sum.Resolved, sum.Verify.MismatchDetected-sum.Verify.RingersCaught)
+			}
+
+			snap, err := sup.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, restore := range []struct {
+				name string
+				data []byte
+			}{{"journal", journal.Bytes()}, {"snapshot", snap}} {
+				restored := newSup(nil, restore.data)
+				if got := restored.Summary().Resolved; got != sum.Resolved {
+					t.Errorf("restored from the %s: resolved %d, live %d", restore.name, got, sum.Resolved)
+				}
+				differ := 0
+				for task := 0; task < 40; task++ {
+					want, wantOK := sup.CertifiedValue(task)
+					if got, ok := restored.CertifiedValue(task); got != want || ok != wantOK {
+						differ++
+					}
+				}
+				if differ > 0 {
+					t.Errorf("restored from the %s: %d of 40 certified values differ from live", restore.name, differ)
+				}
 			}
 		})
 	}

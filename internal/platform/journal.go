@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"time"
 
 	"redundancy/internal/plan"
 	"redundancy/internal/sched"
@@ -312,9 +313,11 @@ func (e replayTornError) Error() string { return e.err.Error() }
 // supReplayer adapts a Supervisor to journalReplayer. Each replayed copy is
 // marked in the queue, which refuses an unknown or duplicate record at its
 // own line; Settle completes the marked copies in one pass before a
-// revision applies and once the journal has replayed.
+// revision applies and once the journal has replayed. Verdicts apply at
+// now, the restore's start time.
 type supReplayer struct {
-	s *Supervisor
+	s   *Supervisor
+	now time.Time
 }
 
 func (r *supReplayer) replayResult(a sched.Assignment, participant int, value uint64) error {
@@ -322,12 +325,12 @@ func (r *supReplayer) replayResult(a sched.Assignment, participant int, value ui
 		return replayTornError{fmt.Errorf("platform: journal replays unknown assignment task=%d copy=%d",
 			a.TaskID, a.Copy)}
 	}
-	if _, _, err := r.s.audit.collector.Submit(verify.Result{
-		Assignment:  a,
-		Participant: participant,
-		Value:       value,
-	}); err != nil {
+	v, done, err := r.s.audit.collector.Submit(verify.Result{Assignment: a, Participant: participant, Value: value})
+	if err != nil {
 		return fmt.Errorf("platform: journal replay: %w", err)
+	}
+	if done {
+		r.s.applyVerdict(&v, r.now)
 	}
 	return nil
 }

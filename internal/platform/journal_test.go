@@ -3,11 +3,14 @@ package platform
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"redundancy/internal/adapt"
 	"redundancy/internal/dist"
+	"redundancy/internal/health"
 	"redundancy/internal/obs"
 	"redundancy/internal/plan"
 	"redundancy/internal/sched"
@@ -362,4 +365,154 @@ func TestRestoreScalesLinearly(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReplayAppliesStateObservesNothing: a restore applies every verdict
+// as the live path did, and observes none of them. A two-member
+// always-cheat coalition and one honest participant take turns on a plan
+// with a ringer until the coalition is refused work; the journal of that
+// run is restored into a supervisor with a fresh registry and event sink.
+// With Health on, the verification tallies, the blacklist, the
+// convictions, the credits and the quarantined participants match the
+// live supervisor's, while the restored counters read 0 and the sink
+// stays empty. With Adapt on, p̂ matches bit for bit.
+func TestReplayAppliesStateObservesNothing(t *testing.T) {
+	t.Run("health", func(t *testing.T) {
+		live, restored, reg, events := liveAndRestored(t, func(cfg *SupervisorConfig) {
+			cfg.Health = &health.Config{SuspectLimit: 2}
+		})
+		sumL, sumR := live.Summary(), restored.Summary()
+		if len(sumL.Convicted) == 0 || sumL.Verify.Accepted == 0 || sumL.Verify.MismatchDetected == 0 {
+			t.Fatalf("the live run convicted %v and certified %+v; the test needs all three nonzero",
+				sumL.Convicted, sumL.Verify)
+		}
+		if sumL.Verify != sumR.Verify {
+			t.Errorf("verification tallies: live %+v, restored %+v", sumL.Verify, sumR.Verify)
+		}
+		if !reflect.DeepEqual(sumL.Blacklist, sumR.Blacklist) || !reflect.DeepEqual(sumL.Convicted, sumR.Convicted) {
+			t.Errorf("blacklist %v convicted %v live, %v and %v restored",
+				sumL.Blacklist, sumL.Convicted, sumR.Blacklist, sumR.Convicted)
+		}
+		if !reflect.DeepEqual(sumL.Credits, sumR.Credits) {
+			t.Errorf("credits: live %v, restored %v", sumL.Credits, sumR.Credits)
+		}
+		quarantined := func(sup *Supervisor) (out []int) {
+			for _, ph := range sup.HealthSnapshot() {
+				if ph.State == health.Quarantined {
+					out = append(out, ph.Participant)
+				}
+			}
+			return out
+		}
+		qL, qR := quarantined(live), quarantined(restored)
+		if len(qL) == 0 {
+			t.Fatal("the live run quarantined nobody; the test needs a quarantine")
+		}
+		if !reflect.DeepEqual(qL, qR) {
+			t.Errorf("quarantined: live %v, restored %v", qL, qR)
+		}
+		for _, name := range []string{
+			"redundancy_tasks_certified_total", "redundancy_mismatch_detected_total",
+			"redundancy_ringer_failures_total", "redundancy_convictions_total",
+			"redundancy_quarantines_entered_total",
+		} {
+			if v, _ := reg.Snapshot().Value(name); v != 0 {
+				t.Errorf("the restore counted %s = %v", name, v)
+			}
+			if v, _ := live.registry.Snapshot().Value(name); v == 0 {
+				t.Errorf("the live run never counted %s", name)
+			}
+		}
+		if events.String() != "" {
+			t.Errorf("the restore emitted events:\n%s", events.String())
+		}
+	})
+	t.Run("adapt", func(t *testing.T) {
+		live, restored, _, _ := liveAndRestored(t, func(cfg *SupervisorConfig) {
+			cfg.Adapt = &adapt.Config{TargetEpsilon: 0.5}
+		})
+		estL, _ := live.AdaptiveEstimate()
+		estR, _ := restored.AdaptiveEstimate()
+		if estL.Samples == 0 || estL.PHat == 0 {
+			t.Fatalf("the live estimator saw no bad evidence: %+v", estL)
+		}
+		if estL != estR {
+			t.Errorf("p̂: live %+v, restored %+v", estL, estR)
+		}
+	})
+}
+
+// liveAndRestored runs the coalition of TestReplayAppliesStateObservesNothing
+// under the configuration set shapes, then restores its journal into a
+// supervisor with a fresh registry and event sink, which it returns too.
+func liveAndRestored(t *testing.T, shape func(*SupervisorConfig)) (live, restored *Supervisor, reg *obs.Registry, events *syncBuffer) {
+	t.Helper()
+	newSup := func(journal *syncBuffer, restore []byte, reg *obs.Registry, events *syncBuffer) *Supervisor {
+		t.Helper()
+		p, err := plan.Balanced(60, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Ringers == 0 {
+			t.Fatal("the plan has no ringer")
+		}
+		cfg := SupervisorConfig{Plan: p, WorkKind: "hashchain", Iters: 10, Seed: 3, Metrics: reg}
+		if journal != nil {
+			cfg.Journal = journal
+		}
+		if restore != nil {
+			cfg.Restore = bytes.NewReader(restore)
+		}
+		if events != nil {
+			cfg.Events = obs.NewSink(events)
+		}
+		shape(&cfg)
+		sup, err := NewSupervisor(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sup
+	}
+	journal := &syncBuffer{}
+	live = newSup(journal, nil, nil, nil)
+	addr, err := live.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { live.Close() }) // after the connections below close
+
+	// Turns go round until the coalition is refused work (convicted or
+	// quarantined) or the plan runs out; the honest participant stops
+	// with it.
+	coal := NewCoalition(1, 7).CheatFunc()
+	cheats := []CheatFunc{nil, coal, coal}
+	codecs := make([]*Codec, len(cheats))
+	ids := make([]int, len(cheats))
+	for i := range cheats {
+		_, codecs[i] = dialCodec(t, dialTCP, addr)
+		w := roundTrip(t, codecs[i], Message{Type: MsgRegister, Name: fmt.Sprintf("p%d", i)})
+		if w.Type != MsgRegistered {
+			t.Fatalf("register p%d: %+v", i, w)
+		}
+		ids[i] = w.ParticipantID
+	}
+	for cheating := 2; cheating > 0; {
+		for i, c := range codecs {
+			if c == nil {
+				continue
+			}
+			m := batchVerbs.lease(t, c, ids[i], 4)
+			if m.Type != MsgWorkBatch {
+				codecs[i] = nil
+				if cheats[i] != nil {
+					cheating--
+				}
+				continue
+			}
+			batchVerbs.submit(t, c, ids[i], answer(t, m, cheats[i]))
+		}
+	}
+
+	reg, events = obs.NewRegistry(), &syncBuffer{}
+	return live, newSup(nil, journal.Bytes(), reg, events), reg, events
 }

@@ -10,8 +10,8 @@ import (
 	"redundancy/internal/sched"
 )
 
-// syncBuffer lets the test read the event stream after the run without
-// racing the deadline sweeper's last write.
+// syncBuffer lets a test read an event stream or a journal after the run
+// without racing the last write of the sweeper or the committer.
 type syncBuffer struct {
 	mu  sync.Mutex
 	buf bytes.Buffer
@@ -21,6 +21,12 @@ func (b *syncBuffer) Write(p []byte) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) Bytes() []byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return bytes.Clone(b.buf.Bytes())
 }
 
 func (b *syncBuffer) String() string {

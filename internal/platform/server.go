@@ -97,6 +97,8 @@ type SupervisorConfig struct {
 	// supervisor recomputes the task itself on trusted hardware, salvaging
 	// a correct certified value at precompute cost. Off by default — it is
 	// exactly the expensive fallback static redundancy tries to avoid.
+	// Resolutions survive a restore: replay recomputes every disputed
+	// task its verdicts name, from a journal or a snapshot alike.
 	ResolveMismatches bool
 	// Logf, when set, receives progress lines (e.g. log.Printf). The
 	// supervisor invokes it from multiple goroutines (connection handlers
@@ -184,10 +186,6 @@ type Supervisor struct {
 	registry *obs.Registry
 	metrics  *supMetrics
 	events   *obs.Sink
-	// replaying suppresses metric and event emission while journaled
-	// results are fed back through the verification pipeline at
-	// construction: counters describe what this process observed live.
-	replaying bool
 
 	lease leaseState
 	audit auditState
@@ -360,7 +358,6 @@ func newSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	if cfg.ResultDigits > 0 {
 		s.audit.collector.SetComparator(verify.Quantize{Digits: cfg.ResultDigits})
 	}
-	s.audit.collector.OnVerdict(s.onVerdict)
 	if cfg.shardID != "" {
 		s.metrics.bindShard(cfg.shardID)
 	}
@@ -380,12 +377,10 @@ func newSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	s.lease.byTask = make([]int32, top+1)
 	if cfg.Restore != nil {
 		start := time.Now()
-		s.replaying = true
-		st, err := replayJournal(cfg.Restore, &supReplayer{s: s})
+		st, err := replayJournal(cfg.Restore, &supReplayer{s: s, now: start})
 		if err == nil {
 			err = s.lease.queue.Settle()
 		}
-		s.replaying = false
 		if err != nil {
 			return nil, err
 		}

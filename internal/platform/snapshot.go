@@ -80,8 +80,8 @@ func (s *Supervisor) captureSnapshot() *snapshotRecord {
 // replaySnapshot installs a captured state wholesale: revisions first (in
 // sequence order, onto a fresh queue whose promoted tasks were never
 // issued — exactly the precondition the live apply checked), then every
-// verdict through RestoreVerdict (firing estimator and credit updates in
-// the original adjudication order) with its copies marked completed, then
+// verdict through RestoreVerdict and applyVerdict (in the original
+// adjudication order) with its copies marked completed, then
 // the partial results through the ordinary replay path. Every copy is
 // marked in the queue, so the replay's Settle takes them all out at once.
 // The resulting state is byte-identical to replaying the uncompacted
@@ -99,7 +99,7 @@ func (r *supReplayer) replaySnapshot(rec snapshotRecord) error {
 	}
 	total := 0
 	for _, v := range rec.Verdicts {
-		if err := s.audit.collector.RestoreVerdict(verify.Verdict{
+		verdict := verify.Verdict{
 			TaskID:           v.TaskID,
 			Ringer:           v.Ringer,
 			Copies:           v.Copies,
@@ -108,9 +108,11 @@ func (r *supReplayer) replaySnapshot(rec snapshotRecord) error {
 			MismatchDetected: v.Mismatch,
 			Suspects:         v.Suspects,
 			Contributors:     v.Contributors,
-		}); err != nil {
+		}
+		if err := s.audit.collector.RestoreVerdict(verdict); err != nil {
 			return err
 		}
+		s.applyVerdict(&verdict, r.now)
 		for c := 0; c < v.Copies; c++ {
 			if !s.lease.queue.MarkCompleted(sched.Assignment{TaskID: v.TaskID, Copy: c, Ringer: v.Ringer}) {
 				return fmt.Errorf("verdict copy task=%d copy=%d is not queued", v.TaskID, c)

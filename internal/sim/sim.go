@@ -133,9 +133,8 @@ func (wk *simWorker) busy() bool { return wk.cur >= 0 }
 
 // runtime is the live state of one discrete-event run, exposed to the
 // scenario lab's hooks. It wires the real production components together:
-// the virtual clock, the sched queue and the adversary coalition (the
-// verify collector reports to it through OnVerdict) — the scenario layer
-// only observes and steers.
+// the virtual clock, the sched queue, the verify collector and the
+// adversary coalition — the scenario layer only observes and steers.
 type runtime struct {
 	now       float64 // virtual clock: the time of the event in progress
 	queue     *sched.Queue
@@ -338,17 +337,10 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 
 	var taskTimeSum float64
 	adjudicated := 0
-	collector.OnVerdict(func(v *verify.Verdict) {
-		taskTimeSum += rt.now
-		adjudicated++
-		if v.MismatchDetected && report.FirstDetectionTime < 0 {
-			report.FirstDetectionTime = rt.now
-			report.TasksBeforeFirstDetection = adjudicated - 1
-		}
-		if h.onVerdict != nil {
-			h.onVerdict(rt, v)
-		}
-	})
+	// verdict holds the verdict the latest result completed. It lives
+	// beside the closures, so handing its address to the hook allocates
+	// nothing per verdict.
+	var verdict verify.Verdict
 
 	var serviceTime func() float64
 	switch cfg.Service {
@@ -378,8 +370,21 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 		if h.onSubmit != nil {
 			h.onSubmit(rt, w, a, value != honest)
 		}
-		if _, _, err := collector.Submit(verify.Result{Assignment: a, Participant: w, Value: value}); err != nil {
+		var done bool
+		var err error
+		if verdict, done, err = collector.Submit(verify.Result{Assignment: a, Participant: w, Value: value}); err != nil {
 			panic("sim: " + err.Error()) // invariant: plan and queue agree
+		}
+		if done {
+			taskTimeSum += rt.now
+			adjudicated++
+			if verdict.MismatchDetected && report.FirstDetectionTime < 0 {
+				report.FirstDetectionTime = rt.now
+				report.TasksBeforeFirstDetection = adjudicated - 1
+			}
+			if h.onVerdict != nil {
+				h.onVerdict(rt, &verdict)
+			}
 		}
 		queue.Complete(a)
 	}

@@ -366,14 +366,12 @@ func TestRestoreVerdictCopiesLists(t *testing.T) {
 	c.ExpectAll([]plan.TaskSpec{{ID: 0, Copies: 3}, {ID: 1, Copies: 2}})
 	contributors, suspects := []int{4, 5, 6}, []int{6}
 	v := Verdict{TaskID: 0, Copies: 3, MismatchDetected: true, Contributors: contributors, Suspects: suspects}
-	var seen Verdict
-	c.OnVerdict(func(v *Verdict) { seen = *v })
 	if err := c.RestoreVerdict(v); err != nil {
 		t.Fatal(err)
 	}
 	want := Verdict{TaskID: 0, Copies: 3, MismatchDetected: true, Contributors: []int{4, 5, 6}, Suspects: []int{6}}
-	if !reflect.DeepEqual(seen, want) {
-		t.Fatalf("the callback saw %+v, want %+v", seen, want)
+	if got, ok := c.VerdictFor(0); !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("the stored verdict reads %+v (ok=%v), want %+v", got, ok, want)
 	}
 	contributors[0], contributors[2], suspects[0] = 40, 60, 60
 	if got, _ := c.VerdictFor(0); !reflect.DeepEqual(got, want) {
@@ -513,8 +511,8 @@ func (s *submitStream) stray(upTo int) Result {
 
 // TestSubmitBatchMatchesSubmit feeds one randomized stream to a collector
 // through SubmitBatch, in batches of 1 to 70, and to another through Submit
-// one result at a time: every result's error and verdict, the callback
-// order, and the collectors' verdicts, tallies, blacklists, convictions and
+// one result at a time: every result's error and verdict, the order the
+// verdicts are handed out in, and the collectors' verdicts, tallies, blacklists, convictions and
 // pending results must be identical. The batches carry duplicate copies
 // and late results of tasks the same batch adjudicated, and the run mints
 // tasks past the chunks Reserve presized.
@@ -529,8 +527,6 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 	}
 	batched, single := NewCollector(truthOf), NewCollector(truthOf)
 	var batchedSeen, singleSeen []int
-	batched.OnVerdict(func(v *Verdict) { batchedSeen = append(batchedSeen, v.TaskID) })
-	single.OnVerdict(func(v *Verdict) { singleSeen = append(singleSeen, v.TaskID) })
 	for _, c := range []*Collector{batched, single} {
 		c.ExpectAll(s.specs)
 		c.Expect(7, s.specs[7].Copies+2) // promoted before its first result
@@ -571,8 +567,16 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 		if len(out) != len(batch) {
 			t.Fatalf("SubmitBatch reported %d outcomes for %d results", len(out), len(batch))
 		}
+		for i := range out {
+			if out[i].Verdict != nil {
+				batchedSeen = append(batchedSeen, out[i].Verdict.TaskID)
+			}
+		}
 		for i := range batch {
 			v, done, err := single.Submit(batch[i])
+			if done {
+				singleSeen = append(singleSeen, v.TaskID)
+			}
 			if fmt.Sprint(err) != fmt.Sprint(out[i].Err) {
 				t.Fatalf("result %+v: SubmitBatch err %v, Submit err %v", batch[i], out[i].Err, err)
 			}
@@ -596,7 +600,7 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 		t.Errorf("after the stream: %d pending, %+v over %d tasks", batched.PendingTasks(), batched.Stats(), minted)
 	}
 	if !reflect.DeepEqual(verdicts(batched), verdicts(single)) || !slices.Equal(batchedSeen, singleSeen) {
-		t.Error("the verdict lists or the callback order differ")
+		t.Error("the verdict lists or the order the verdicts were handed out in differ")
 	}
 	if batched.Stats() != single.Stats() || batched.Stats().RingersCaught == 0 {
 		t.Errorf("stats: %+v vs %+v", batched.Stats(), single.Stats())

@@ -50,8 +50,8 @@ type Outcome struct {
 	// Err is the error Submit would have returned for the result.
 	Err error
 	// Verdict is the verdict the result completed, nil if it completed none.
-	// It is owned by the collector and valid until the next Submit,
-	// SubmitBatch or RestoreVerdict; callers must not retain or mutate it.
+	// It is owned by the collector and valid until the next Submit or
+	// SubmitBatch; callers must not retain or mutate it.
 	Verdict *Verdict
 }
 
@@ -188,9 +188,8 @@ type Collector struct {
 	// a built Verdict's lists alias them.
 	runs  chunked[entry]
 	lists chunked[int]
-	// built holds the verdicts the last Submit, SubmitBatch or
-	// RestoreVerdict handed out, each built once from its stored record;
-	// Submit and RestoreVerdict use its first.
+	// built holds the verdicts the last Submit or SubmitBatch handed out,
+	// each built once from its stored record; Submit uses its first.
 	built []Verdict
 	// sink takes a value from every load SubmitBatch's resolve passes make,
 	// so the compiler cannot drop the loads as unused.
@@ -201,8 +200,6 @@ type Collector struct {
 	// suspects on regular tasks are circumstantial (an even split cannot
 	// say who lied) and only reach the blacklist.
 	convicted map[int]bool
-	// onVerdict, when set, observes each verdict as it is issued.
-	onVerdict func(*Verdict)
 }
 
 // NewCollector creates a collector. truth supplies precomputed values for
@@ -338,8 +335,8 @@ func (c *Collector) build(s *stored, v *Verdict) {
 	}
 }
 
-// issue publishes the newest verdict, built into v: the task's index
-// entry, the tallies, blacklist and convictions, then the callback.
+// issue publishes the newest verdict, v: the task's index entry, the
+// tallies, blacklist and convictions.
 func (c *Collector) issue(v *Verdict) {
 	c.tasks[v.TaskID].verdict = int32(len(c.verdicts))
 	c.stats.Tasks++
@@ -358,15 +355,7 @@ func (c *Collector) issue(v *Verdict) {
 			c.convicted[s] = true
 		}
 	}
-	if c.onVerdict != nil {
-		c.onVerdict(v)
-	}
 }
-
-// OnVerdict registers a callback invoked for every adjudicated task. The
-// verdict is passed by pointer (the copy is measurable at simulation scale)
-// and stays owned by the collector: callbacks must not retain or mutate it.
-func (c *Collector) OnVerdict(fn func(*Verdict)) { c.onVerdict = fn }
 
 // SetComparator installs the value comparator (Exact by default). It must
 // be called before the first Submit.
@@ -572,12 +561,13 @@ func (c *Collector) VerdictFor(taskID int) (v Verdict, ok bool) {
 func (c *Collector) VerdictCapacity() int { return cap(c.verdicts) }
 
 // RestoreVerdict reinstates a previously-issued verdict during snapshot
-// restore: the task is marked adjudicated and every downstream effect of
-// the original adjudication (verdict list, tallies, blacklist, convictions,
-// the OnVerdict callback) replays exactly as the live Submit performed it,
-// without the per-copy results. The task must be registered, not collected,
-// and the verdict must have the task's copies and one contributor each.
-// Its lists are copied: the caller keeps v's slices.
+// restore: the task is marked adjudicated and the collector's effects of
+// the original adjudication (verdict list, tallies, blacklist, convictions)
+// replay exactly as the live Submit performed them, without the per-copy
+// results; the caller holds v and applies its own effects from it. The
+// task must be registered, not collected, and the verdict must have the
+// task's copies and one contributor each. Its lists are copied: the caller
+// keeps v's slices.
 func (c *Collector) RestoreVerdict(v Verdict) error {
 	if v.TaskID < 0 || v.TaskID >= len(c.tasks) || c.tasks[v.TaskID].expected == 0 {
 		return fmt.Errorf("verify: restored verdict for unregistered task %d", v.TaskID)
@@ -614,8 +604,7 @@ func (c *Collector) RestoreVerdict(v Verdict) error {
 	contributors, suspects := c.cutLists(s, v.Copies)
 	copy(contributors, v.Contributors)
 	copy(suspects, v.Suspects)
-	c.build(s, &c.built[0])
-	c.issue(&c.built[0])
+	c.issue(&v)
 	return nil
 }
 

@@ -198,27 +198,33 @@ func TestStatsAndCallback(t *testing.T) {
 	truth := func(int) uint64 { return 0 }
 	c := NewCollector(truth)
 	var seen []Verdict
-	c.OnVerdict(func(v *Verdict) { seen = append(seen, *v) })
+	submit := func(r Result) {
+		if v, done, err := c.Submit(r); err != nil {
+			t.Fatal(err)
+		} else if done {
+			seen = append(seen, v)
+		}
+	}
 
 	c.Expect(1, 2)
 	c.Expect(2, 2)
 	c.Expect(3, 1)
-	c.Submit(res(1, 0, 1, 5, false))
-	c.Submit(res(1, 1, 2, 5, false)) // accepted
-	c.Submit(res(2, 0, 3, 5, false))
-	c.Submit(res(2, 1, 4, 6, false)) // mismatch
-	c.Submit(res(3, 0, 5, 9, true))  // ringer caught
+	submit(res(1, 0, 1, 5, false))
+	submit(res(1, 1, 2, 5, false)) // accepted
+	submit(res(2, 0, 3, 5, false))
+	submit(res(2, 1, 4, 6, false)) // mismatch
+	submit(res(3, 0, 5, 9, true))  // ringer caught
 
 	s := c.Stats()
 	if s.Tasks != 3 || s.Accepted != 1 || s.MismatchDetected != 2 || s.RingersCaught != 1 {
 		t.Errorf("stats = %+v", s)
 	}
 	if len(seen) != 3 || c.NumVerdicts() != 3 {
-		t.Errorf("verdict stream: callback %d, stored %d", len(seen), c.NumVerdicts())
+		t.Errorf("verdict stream: returned %d, stored %d", len(seen), c.NumVerdicts())
 	}
 	for i := range seen {
 		if v := c.VerdictAt(i); !reflect.DeepEqual(v, seen[i]) {
-			t.Errorf("verdict %d reads %+v, the callback saw %+v", i, v, seen[i])
+			t.Errorf("verdict %d reads %+v, Submit returned %+v", i, v, seen[i])
 		}
 	}
 	if c.PendingTasks() != 0 {
