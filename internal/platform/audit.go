@@ -50,11 +50,10 @@ func (s *Supervisor) withLeaseAndAudit(fn func()) {
 // with now the request's time or the restore's start. Each copy is one p̂
 // observation, attributed copies the bad ones. Credit is awarded only at
 // certification, and a conviction revokes it. Each contributor is one
-// health observation. With ResolveMismatches a disputed task is recomputed.
-// It returns the health transitions the verdict caused; a restore drops
-// them. So a restore does not rebuild the estimator evidence noteQuarantine
-// adds on a live quarantine entry: with Health and Adapt both on, a
-// restored p̂ omits one bad observation per quarantine. Callers hold
+// health observation, and each quarantine that causes is one more bad p̂
+// observation, so a restore rebuilds that evidence too. With
+// ResolveMismatches a disputed task is recomputed. It returns the health
+// transitions the verdict caused; a restore drops them. Callers hold
 // audit.mu or are single-threaded construction.
 func (s *Supervisor) applyVerdict(v *verify.Verdict, now time.Time) []health.Transition {
 	if s.audit.est != nil {
@@ -73,6 +72,9 @@ func (s *Supervisor) applyVerdict(v *verify.Verdict, now time.Time) []health.Tra
 		for _, p := range v.Contributors {
 			if tr := s.roster.ObserveVerdict(p, slices.Contains(v.Suspects, p), v.Ringer, now); tr != nil {
 				trs = append(trs, *tr)
+				if tr.To == health.Quarantined && s.audit.est != nil {
+					s.audit.est.Observe(1, 1)
+				}
 			}
 		}
 	}
@@ -92,17 +94,18 @@ func (s *Supervisor) convicted(participant int) bool {
 	return s.audit.collector.Convicted(participant)
 }
 
-// noteQuarantine feeds a quarantine entry to the adaptive estimator as one
-// bad observation: quarantine is cheat/stall evidence the planner should
-// see. underAudit says whether the caller already holds audit.mu.
-func (s *Supervisor) noteQuarantine(underAudit bool) {
+// noteQuarantine feeds a lease-path quarantine entry (a reclaim past a
+// deadline or a speculation) to the adaptive estimator as one bad
+// observation: quarantine is cheat/stall evidence the planner should see.
+// The failures behind it are not journaled, so this evidence is live-only;
+// applyVerdict feeds a verdict-caused quarantine itself. Callers do not
+// hold audit.mu.
+func (s *Supervisor) noteQuarantine() {
 	if s.audit.est == nil {
 		return
 	}
-	if !underAudit {
-		s.audit.mu.Lock()
-		defer s.audit.mu.Unlock()
-	}
+	s.audit.mu.Lock()
+	defer s.audit.mu.Unlock()
 	s.audit.est.Observe(1, 1)
 }
 

@@ -34,17 +34,20 @@ func (s *Supervisor) every(interval time.Duration, fn func()) {
 }
 
 // pushTransition reacts to one health-state transition: metrics, events,
-// the adaptive estimator (noteQuarantine), and — for quarantine entries —
-// parking the lease-level reclaim on qpend until a lease.mu holder drains
-// it. underAudit says whether the caller already holds audit.mu
-// (adjudicate does; the sweeper holds lease.mu instead, and lease.mu →
-// audit.mu is the legal nesting order). Only the live path calls it: a
+// the adaptive estimator for a lease-path quarantine (noteQuarantine), and
+// — for quarantine entries — parking the lease-level reclaim on qpend
+// until a lease.mu holder drains it. fromVerdict says the transition came
+// from applyVerdict, which has fed the estimator already and whose caller
+// holds audit.mu; the lease path holds lease.mu instead, and lease.mu →
+// audit.mu is the legal nesting order. Only the live path calls it: a
 // restore drops the transitions applyVerdict returns.
-func (s *Supervisor) pushTransition(tr health.Transition, underAudit bool) {
+func (s *Supervisor) pushTransition(tr health.Transition, fromVerdict bool) {
 	switch tr.To {
 	case health.Quarantined:
 		s.metrics.quarantinesEntered.Inc()
-		s.noteQuarantine(underAudit)
+		if !fromVerdict {
+			s.noteQuarantine()
+		}
 		s.qmu.Lock()
 		s.qpend = append(s.qpend, tr)
 		s.qmu.Unlock()

@@ -375,7 +375,8 @@ func TestRestoreScalesLinearly(t *testing.T) {
 // With Health on, the verification tallies, the blacklist, the
 // convictions, the credits and the quarantined participants match the
 // live supervisor's, while the restored counters read 0 and the sink
-// stays empty. With Adapt on, p̂ matches bit for bit.
+// stays empty. With Adapt on, p̂ matches bit for bit, and so it does with
+// Health and Adapt both on, quarantines counted in.
 func TestReplayAppliesStateObservesNothing(t *testing.T) {
 	t.Run("health", func(t *testing.T) {
 		live, restored, reg, events := liveAndRestored(t, func(cfg *SupervisorConfig) {
@@ -435,6 +436,35 @@ func TestReplayAppliesStateObservesNothing(t *testing.T) {
 		estR, _ := restored.AdaptiveEstimate()
 		if estL.Samples == 0 || estL.PHat == 0 {
 			t.Fatalf("the live estimator saw no bad evidence: %+v", estL)
+		}
+		if estL != estR {
+			t.Errorf("p̂: live %+v, restored %+v", estL, estR)
+		}
+	})
+	// With both on, a verdict that quarantines a participant is one more
+	// bad p̂ observation, which the restore must rebuild from the verdict.
+	t.Run("health+adapt", func(t *testing.T) {
+		live, restored, _, _ := liveAndRestored(t, func(cfg *SupervisorConfig) {
+			cfg.Health = &health.Config{SuspectLimit: 2}
+			cfg.Adapt = &adapt.Config{TargetEpsilon: 0.5}
+		})
+		quarantines, _ := live.registry.Snapshot().Value("redundancy_quarantines_entered_total")
+		if quarantines == 0 {
+			t.Fatal("the live run quarantined nobody; the test needs a quarantine")
+		}
+		estL, _ := live.AdaptiveEstimate()
+		estR, _ := restored.AdaptiveEstimate()
+		// Live p̂ saw each verdict's copies and one more sample per
+		// quarantine.
+		copies := 0
+		live.audit.mu.Lock()
+		for i := range live.audit.collector.NumVerdicts() {
+			copies += live.audit.collector.VerdictAt(i).Copies
+		}
+		live.audit.mu.Unlock()
+		if estL.Samples != float64(copies)+quarantines {
+			t.Errorf("live p̂ has %v samples; %d copies were adjudicated and %v participants quarantined",
+				estL.Samples, copies, quarantines)
 		}
 		if estL != estR {
 			t.Errorf("p̂: live %+v, restored %+v", estL, estR)

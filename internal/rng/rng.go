@@ -144,13 +144,23 @@ func (r *Source) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
+// ShuffleSlice permutes a in place by Fisher–Yates: Shuffle's draws in
+// Shuffle's order, so a seed deals the same permutation, without its
+// indirect call per element.
+func ShuffleSlice[T any](r *Source, a []T) {
+	for i := len(a) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		a[i], a[j] = a[j], a[i]
+	}
+}
+
 // Perm returns a random permutation of [0, n).
 func (r *Source) Perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {
 		p[i] = i
 	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	ShuffleSlice(r, p)
 	return p
 }
 

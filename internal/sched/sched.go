@@ -184,7 +184,7 @@ func NewQueue(specs []plan.TaskSpec, policy Policy, r *rng.Source) (*Queue, erro
 				q.ready = append(q.ready, newSlot(s.ID, c, s.Ringer))
 			}
 		}
-		shuffle(q.ready, r)
+		rng.ShuffleSlice(r, q.ready)
 	case OneOutstanding:
 		q.ready = make([]Slot, 0, q.total)
 		q.pending = make([][]Slot, top+1)
@@ -197,7 +197,7 @@ func NewQueue(specs []plan.TaskSpec, policy Policy, r *rng.Source) (*Queue, erro
 			}
 			q.pending[s.ID] = held[from:len(held):len(held)]
 		}
-		shuffle(q.ready, r)
+		rng.ShuffleSlice(r, q.ready)
 	case TwoPhase:
 		q.ready = make([]Slot, 0, len(specs))
 		q.phase2 = make([]Slot, 0, len(specs))
@@ -208,8 +208,8 @@ func NewQueue(specs []plan.TaskSpec, policy Policy, r *rng.Source) (*Queue, erro
 			q.ready = append(q.ready, newSlot(s.ID, 0, s.Ringer))
 			q.phase2 = append(q.phase2, newSlot(s.ID, 1, s.Ringer))
 		}
-		shuffle(q.ready, r)
-		shuffle(q.phase2, r)
+		rng.ShuffleSlice(r, q.ready)
+		rng.ShuffleSlice(r, q.phase2)
 	default:
 		return nil, fmt.Errorf("sched: unknown policy %v", policy)
 	}
@@ -223,16 +223,6 @@ func (q *Queue) heldBack(taskID int) []Slot {
 		return nil
 	}
 	return q.pending[taskID]
-}
-
-// shuffle permutes a by Fisher–Yates, drawing r.Intn(i+1) for i from
-// len(a)-1 down to 1: rng.Shuffle's draws in rng.Shuffle's order, so a seed
-// deals the same permutation, without Shuffle's indirect call per element.
-func shuffle(a []Slot, r *rng.Source) {
-	for i := len(a) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		a[i], a[j] = a[j], a[i]
-	}
 }
 
 // phaseTurnDue reports whether phase one is fully collected and phase two

@@ -1,27 +1,37 @@
 package sim
 
+import (
+	"math"
+	"math/bits"
+)
+
 // eventHeap is a binary min-heap of simulation events, built for the
 // allocation-free Monte-Carlo hot loop. A node is 16 bytes and carries the
-// whole event: its time, and one key word that packs the insertion seq
-// above the payload,
+// whole event: its time, as the IEEE bits of a non-negative float64, and
+// one key word that packs the insertion seq above the payload,
 //
 //	key = seq<<32 | arg<<1 | kind
 //
 // so sifting compares contiguous heap memory, a fleet-sized heap stays in
-// L1, and reading an event touches nothing but the root. Seqs are unique,
-// so comparing keys compares seqs: equal-timestamp events pop in insertion
+// L1, and reading an event touches nothing but the root. The bits of a
+// non-negative float64 order as the float does, so (at, key) is one
+// 128-bit unsigned number and a comparison is the borrow out of its
+// subtraction: sift-down picks the min child by adding that borrow to the
+// child's index, with no data-dependent branch. Seqs are unique, so
+// comparing keys compares seqs: equal-timestamp events pop in insertion
 // order, the tie-break the scenario goldens depend on, and the payload
 // bits never decide. A queued event is never moved or cancelled (handlers
 // re-check state instead), so the heap keeps no index of where an event
 // sits, and a push/pop cycle allocates nothing once nodes has reached the
 // live-event high-water mark.
 //
-// The payload is a kind of 0 or 1 and a non-negative int32 arg. The seq
-// has 32 bits, so a heap takes at most maxSeq+1 pushes between resets;
-// push panics past that, and on a payload outside those bounds, rather
-// than let a field spill into its neighbour and the order or the payload
-// go silently wrong. The engines refuse, up front, a run
-// or trial that could push more.
+// The payload is a kind of 0 or 1 and a non-negative int32 arg, and the
+// time is non-negative and not NaN (+Inf is allowed; −0 is stored as +0).
+// The seq has 32 bits, so a heap takes at most maxSeq+1 pushes between
+// resets; push panics past that, and on a payload or time outside those
+// bounds, rather than let a field spill into its neighbour and the order
+// or the payload go silently wrong. The engines refuse, up front, a run
+// or trial that could push more, and a service law that could draw NaN.
 type eventHeap struct {
 	nodes []heapNode
 	next  uint64 // seq of the next push
@@ -29,18 +39,19 @@ type eventHeap struct {
 }
 
 type heapNode struct {
-	at  float64
+	at  uint64 // math.Float64bits of the event's non-negative time
 	key uint64 // seq<<32 | arg<<1 | kind
 }
 
 // maxSeq is the last seq a push may take.
 const maxSeq = 1<<32 - 1
 
-func (a heapNode) before(b heapNode) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.key < b.key
+// before is 1 if a orders before b and 0 otherwise: the borrow out of the
+// 128-bit subtraction (a.at, a.key) − (b.at, b.key).
+func (a heapNode) before(b heapNode) uint64 {
+	_, borrow := bits.Sub64(a.key, b.key, 0)
+	_, borrow = bits.Sub64(a.at, b.at, borrow)
+	return borrow
 }
 
 // newEventHeap returns an empty heap with room for capHint events.
@@ -51,12 +62,13 @@ func newEventHeap(capHint int) *eventHeap {
 	return &eventHeap{nodes: make([]heapNode, 0, capHint)}
 }
 
-// node builds the next event's node and takes its seq.
+// node builds the next event's node and takes its seq. Clearing the sign
+// bit stores −0 as +0, the only time that passes the check with it set.
 func (h *eventHeap) node(at float64, kind int8, arg int32) heapNode {
-	if h.next > maxSeq || uint8(kind) > 1 || arg < 0 {
-		panic("sim: event does not pack: past 2^32 pushes since the last reset, or a kind other than 0 and 1, or a negative arg")
+	if h.next > maxSeq || uint8(kind) > 1 || arg < 0 || !(at >= 0) {
+		panic("sim: event does not pack: past 2^32 pushes since the last reset, or a kind other than 0 and 1, or a negative arg, or a NaN or negative time")
 	}
-	n := heapNode{at: at, key: h.next<<32 | uint64(arg)<<1 | uint64(kind)}
+	n := heapNode{at: math.Float64bits(at) &^ (1 << 63), key: h.next<<32 | uint64(arg)<<1 | uint64(kind)}
 	h.next++
 	return n
 }
@@ -90,7 +102,7 @@ func (h *eventHeap) pop() (at float64, kind int8, arg int32, ok bool) {
 	}
 	root := h.nodes[0]
 	h.open = true
-	return root.at, int8(root.key & 1), int32(uint32(root.key) >> 1), true
+	return math.Float64frombits(root.at), int8(root.key & 1), int32(uint32(root.key) >> 1), true
 }
 
 // close removes the open root slot by moving the last event into it.
@@ -110,7 +122,7 @@ func (h *eventHeap) up(i int) {
 	node := h.nodes[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !node.before(h.nodes[parent]) {
+		if node.before(h.nodes[parent]) == 0 {
 			break
 		}
 		h.nodes[i] = h.nodes[parent]
@@ -121,7 +133,8 @@ func (h *eventHeap) up(i int) {
 
 // down sifts slot i toward the leaves with the bottom-up ("bounce")
 // variant: descend the min-child path to a leaf with ONE comparison per
-// level (min of the two children, never against the sifted node), then
+// level (min of the two children, never against the sifted node, taken
+// as the right child's borrow added to the left child's index), then
 // sift the node up from that leaf. The node being sifted came from the
 // heap bottom on the pop path, so it nearly always belongs at a leaf and
 // the ascent terminates immediately — halving the comparisons of the
@@ -133,23 +146,25 @@ func (h *eventHeap) down(i int) {
 	n := len(nodes)
 	node := nodes[i]
 	start := i
-	// Descend: pull the min child up into the hole, unconditionally.
+	// Descend: pull the min child up into the hole, unconditionally. Only
+	// the last level can hold a lone left child.
 	for {
 		l := 2*i + 1
-		if l >= n {
+		if l+1 >= n {
+			if l < n {
+				nodes[i] = nodes[l]
+				i = l
+			}
 			break
 		}
-		m := l
-		if r := l + 1; r < n && nodes[r].before(nodes[l]) {
-			m = r
-		}
+		m := l + int(nodes[l+1].before(nodes[l]))
 		nodes[i] = nodes[m]
 		i = m
 	}
 	// Ascend from the leaf hole back toward start as far as node belongs.
 	for i > start {
 		parent := (i - 1) / 2
-		if !node.before(nodes[parent]) {
+		if node.before(nodes[parent]) == 0 {
 			break
 		}
 		nodes[i] = nodes[parent]

@@ -89,8 +89,9 @@ func TestEventHeapPayloadRoundTrip(t *testing.T) {
 
 // TestEventHeapRefusesUnpackable: the seq has 32 bits, so the push after
 // seq maxSeq panics instead of wrapping into a wrong order, whether it
-// would append or fill an open root slot; and a payload the key cannot
-// hold panics rather than bleed into its neighbour's bits.
+// would append or fill an open root slot; a payload the key cannot hold
+// panics rather than bleed into its neighbour's bits; and so does a NaN
+// or negative time, whose bits would not order as the time does.
 func TestEventHeapRefusesUnpackable(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -117,6 +118,9 @@ func TestEventHeapRefusesUnpackable(t *testing.T) {
 	mustPanic("kind 2", func() { h.push(1, 2, 0) })
 	mustPanic("negative kind", func() { h.push(1, -1, 0) })
 	mustPanic("negative arg", func() { h.push(1, evComplete, -1) })
+	mustPanic("NaN time", func() { h.push(math.NaN(), evComplete, 0) })
+	mustPanic("time -1", func() { h.push(-1, evComplete, 0) })
+	mustPanic("time -Inf", func() { h.push(math.Inf(-1), evComplete, 0) })
 	if h.len() != 0 {
 		t.Fatalf("refused pushes left %d events", h.len())
 	}
@@ -237,7 +241,9 @@ func TestEventHeapReset(t *testing.T) {
 // random interleavings of pushes and pops, at arbitrary times (earlier
 // than the last pop too) drawn from few values so ties abound, must pop
 // exactly what a linear scan for the least (time, seq) of the live events
-// pops, and len must count the live events, never the open slot.
+// pops, and len must count the live events, never the open slot. The
+// times include −0, which ties +0 and pops as +0 in seq order, and +Inf,
+// which orders after every finite time.
 func TestEventHeapMatchesReference(t *testing.T) {
 	r := rng.New(77)
 	for round := 0; round < 50; round++ {
@@ -246,7 +252,13 @@ func TestEventHeapMatchesReference(t *testing.T) {
 		seq := uint64(0)
 		for op := 0; op < 2000; op++ {
 			if r.Intn(100) < 52 {
-				at := float64(r.Intn(16))
+				at := float64(r.Intn(18))
+				switch at {
+				case 16:
+					at = math.Copysign(0, -1)
+				case 17:
+					at = math.Inf(1)
+				}
 				arg := int32(r.Intn(1 << 20))
 				h.push(at, evComplete, arg)
 				live = append(live, refEvent{at: at, seq: seq, arg: arg})
@@ -263,7 +275,7 @@ func TestEventHeapMatchesReference(t *testing.T) {
 							m = i
 						}
 					}
-					if at != live[m].at || arg != live[m].arg {
+					if at != live[m].at || arg != live[m].arg || math.Signbit(at) {
 						t.Fatalf("round %d op %d: heap popped (%v,%d), reference (%v,%d)",
 							round, op, at, arg, live[m].at, live[m].arg)
 					}

@@ -265,6 +265,11 @@ func runWithHooks(cfg Config, h hooks) (*Report, error) {
 	if cfg.AdversaryProportion < 0 || cfg.AdversaryProportion >= 1 {
 		return nil, fmt.Errorf("sim: adversary proportion must lie in [0,1), got %v", cfg.AdversaryProportion)
 	}
+	// ScenarioConfig.Validate refuses a non-finite law, and so must a raw
+	// Config: its draws could be NaN, a time the event heap refuses.
+	if !finite(cfg.MeanServiceTime) || !finite(cfg.ServiceShape) {
+		return nil, fmt.Errorf("sim: service mean %v and shape %v must be finite", cfg.MeanServiceTime, cfg.ServiceShape)
+	}
 	mean := cfg.MeanServiceTime
 	if mean <= 0 {
 		mean = 1

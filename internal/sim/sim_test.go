@@ -453,6 +453,18 @@ func TestServiceValidation(t *testing.T) {
 	if _, err := Run(Config{Plan: p, Participants: 4, Service: ServiceDist(99)}); err == nil {
 		t.Error("unknown service law accepted")
 	}
+	// A non-finite law is refused up front: its draws would be NaN or
+	// infinite times, which the event heap cannot order.
+	for _, c := range []Config{
+		{Plan: p, Participants: 4, MeanServiceTime: math.NaN()},
+		{Plan: p, Participants: 4, MeanServiceTime: math.Inf(1)},
+		{Plan: p, Participants: 4, Service: ServiceLogNormal, ServiceShape: math.NaN()},
+		{Plan: p, Participants: 4, Service: ServicePareto, ServiceShape: math.Inf(1)},
+	} {
+		if _, err := Run(c); err == nil {
+			t.Errorf("mean %v shape %v accepted", c.MeanServiceTime, c.ServiceShape)
+		}
+	}
 }
 
 // TestExpectedDamageMatchesSimulation ties dist.ExpectedDamage to the full

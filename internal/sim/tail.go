@@ -172,7 +172,6 @@ type TailEngine struct {
 	nAssign int // base copy slots
 
 	taskOf []int32 // by base slot: the task this copy certifies
-	copyOf []int32 // by slot (base or clone): base copy it resolves
 	order  []int32 // pull order of base slots, shuffled per trial
 	cursor int
 
@@ -180,17 +179,19 @@ type TailEngine struct {
 	resolved []bool  // by base slot: a result has been accepted
 	cloned   []bool  // by base slot: a speculative clone exists
 
-	// cloneQ is a FIFO ring of spawned clone slots waiting to be pulled
-	// (clones are served ahead of fresh pops); idle is a stack of workers
-	// that found the queue empty and wait for clones.
+	// cloneQ is a FIFO ring of the base slots of spawned clones waiting
+	// to be pulled (clones are served ahead of fresh pops); idle is a
+	// stack of workers that found the queue empty and wait for clones.
 	cloneQ        []int32
 	cqHead, cqLen int
 	idle          []int32
 	nIdle         int
-	nextClone     int32
 
-	// Per worker.
-	cur      []int32 // slot in service (-1 idle)
+	// Per worker. A completion reads only these, resolved[base] and
+	// rem[task]: the copy's base slot and task are recorded when it starts.
+	cur      []int32 // base slot of the copy in service (-1 idle)
+	curTask  []int32 // task of the copy in service
+	curClone []bool  // the copy in service is a speculative clone
 	curSvc   []float64
 	curStart []float64
 	speed    []float64
@@ -224,12 +225,6 @@ func NewTailEngine(cfg TailConfig) (*TailEngine, error) {
 		nTasks += cl.Tasks
 		nAssign += cl.Tasks * cl.Copies
 	}
-	slotCap := nAssign
-	if cfg.Speculate {
-		// Every base copy is cloned at most once, so this bound is exact
-		// and the clone arena never grows mid-loop.
-		slotCap = 2 * nAssign
-	}
 	p := cfg.Participants
 	e := &TailEngine{
 		cfg:     cfg,
@@ -237,13 +232,14 @@ func NewTailEngine(cfg TailConfig) (*TailEngine, error) {
 		nAssign: nAssign,
 
 		taskOf: make([]int32, nAssign),
-		copyOf: make([]int32, slotCap),
 		order:  make([]int32, nAssign),
 
 		rem:      make([]uint8, nTasks),
 		resolved: make([]bool, nAssign),
 
 		cur:      make([]int32, p),
+		curTask:  make([]int32, p),
+		curClone: make([]bool, p),
 		curSvc:   make([]float64, p),
 		curStart: make([]float64, p),
 		speed:    make([]float64, p),
@@ -254,18 +250,18 @@ func NewTailEngine(cfg TailConfig) (*TailEngine, error) {
 		copySvc: stats.NewSketchAlpha(alpha),
 	}
 	if cfg.Speculate {
+		// Every base copy is cloned at most once, so the clone queue
+		// never holds more than nAssign entries and never grows mid-loop.
 		e.cloned = make([]bool, nAssign)
 		e.cloneQ = make([]int32, nAssign)
 	}
-	// Base slots are laid out task-major; taskOf/copyOf never change for
-	// base slots.
+	// Base slots are laid out task-major; taskOf never changes.
 	slot := int32(0)
 	task := int32(0)
 	for _, cl := range cfg.Classes {
 		for t := 0; t < cl.Tasks; t++ {
 			for c := 0; c < cl.Copies; c++ {
 				e.taskOf[slot] = task
-				e.copyOf[slot] = slot
 				e.order[slot] = slot
 				slot++
 			}
@@ -298,7 +294,6 @@ func (e *TailEngine) RunTrial(trial int) TailTrial {
 	e.heap.reset()
 	e.latency.Reset()
 	e.copySvc.Reset()
-	e.nextClone = int32(e.nAssign)
 	e.cursor = 0
 	e.cqHead, e.cqLen, e.nIdle = 0, 0, 0
 	e.now = 0
@@ -332,9 +327,7 @@ func (e *TailEngine) RunTrial(trial int) TailTrial {
 	for i := range e.order {
 		e.order[i] = int32(i)
 	}
-	rDeal.Shuffle(len(e.order), func(i, j int) {
-		e.order[i], e.order[j] = e.order[j], e.order[i]
-	})
+	rng.ShuffleSlice(rDeal, e.order)
 	for w := 0; w < e.cfg.Participants; w++ {
 		e.startNext(w, rService)
 	}
@@ -352,8 +345,6 @@ func (e *TailEngine) RunTrial(trial int) TailTrial {
 		switch kind {
 		case evComplete:
 			w := int(arg)
-			slot := e.cur[w]
-			base := e.copyOf[slot]
 			if spec {
 				// The copy-service sketch only exists to feed the
 				// speculation quantile; spec-off runs skip it.
@@ -361,12 +352,12 @@ func (e *TailEngine) RunTrial(trial int) TailTrial {
 				e.maybeRefreshTheta()
 			}
 			e.completions++
-			if !e.resolved[base] {
+			if base := e.cur[w]; !e.resolved[base] {
 				e.resolved[base] = true
-				if slot >= int32(e.nAssign) {
+				if e.curClone[w] {
 					e.specWins++
 				}
-				t := e.taskOf[base]
+				t := e.curTask[w]
 				e.rem[t]--
 				if e.rem[t] == 0 {
 					e.latency.Add(at)
@@ -381,17 +372,14 @@ func (e *TailEngine) RunTrial(trial int) TailTrial {
 			if e.resolved[base] {
 				break
 			}
-			clone := e.nextClone
-			e.nextClone++
-			e.copyOf[clone] = base
 			if e.nIdle > 0 {
 				// An idle worker grabs the clone immediately. It cannot
 				// be the primary's own worker — that one is still busy
 				// computing the straggler.
 				e.nIdle--
-				e.serve(int(e.idle[e.nIdle]), clone, rService)
+				e.serve(int(e.idle[e.nIdle]), base, true, rService)
 			} else {
-				e.cloneQ[(e.cqHead+e.cqLen)%len(e.cloneQ)] = clone
+				e.cloneQ[(e.cqHead+e.cqLen)%len(e.cloneQ)] = base
 				e.cqLen++
 			}
 		}
@@ -411,32 +399,33 @@ func (e *TailEngine) RunTrial(trial int) TailTrial {
 // slot — or parks the worker idle.
 func (e *TailEngine) startNext(w int, rService *rng.Source) {
 	for e.cqLen > 0 {
-		clone := e.cloneQ[e.cqHead]
+		base := e.cloneQ[e.cqHead]
 		e.cqHead = (e.cqHead + 1) % len(e.cloneQ)
 		e.cqLen--
 		// A clone whose race was settled while it waited is dropped, as
 		// the platform clears the speculation flag when the primary
 		// returns first.
-		if !e.resolved[e.copyOf[clone]] {
-			e.serve(w, clone, rService)
+		if !e.resolved[base] {
+			e.serve(w, base, true, rService)
 			return
 		}
 	}
 	if e.cursor < e.nAssign {
-		slot := e.order[e.cursor]
+		base := e.order[e.cursor]
 		e.cursor++
-		e.serve(w, slot, rService)
+		e.serve(w, base, false, rService)
 		return
 	}
 	e.idle[e.nIdle] = int32(w)
 	e.nIdle++
 }
 
-// serve starts one copy on worker w and schedules its completion,
-// mirroring platform.SpeedModel.delay: base plus an even draw of jitter (scaled
-// by the worker's heterogeneity factor), plus a straggler episode's
-// additive delay.
-func (e *TailEngine) serve(w int, slot int32, rService *rng.Source) {
+// serve starts a copy of base slot base on worker w, the base copy itself
+// or its speculative clone, and schedules its completion, mirroring
+// platform.SpeedModel.delay: base plus an even draw of jitter (scaled by
+// the worker's heterogeneity factor), plus a straggler episode's additive
+// delay.
+func (e *TailEngine) serve(w int, base int32, clone bool, rService *rng.Source) {
 	c := &e.cfg
 	s := c.SpeedBase
 	if c.SpeedJitter > 0 {
@@ -446,11 +435,13 @@ func (e *TailEngine) serve(w int, slot int32, rService *rng.Source) {
 	if c.StragglerP > 0 && rService.Float64() < c.StragglerP {
 		s += c.StragglerDelay
 	}
-	e.cur[w] = slot
+	e.cur[w] = base
+	e.curTask[w] = e.taskOf[base]
+	e.curClone[w] = clone
 	e.curSvc[w] = s
 	e.curStart[w] = e.now
 	e.heap.push(e.now+s, evComplete, int32(w))
-	if slot >= int32(e.nAssign) {
+	if clone {
 		e.specIssued++
 		return
 	}
@@ -458,9 +449,9 @@ func (e *TailEngine) serve(w int, slot int32, rService *rng.Source) {
 	// be scheduled up front: it fires only if the copy would still be in
 	// service past theta, and needs no cancellation — the spawn handler
 	// re-checks resolution.
-	if c.Speculate && !e.cloned[slot] && s > e.theta {
-		e.cloned[slot] = true
-		e.heap.push(e.now+e.theta, evSpawn, slot)
+	if c.Speculate && !e.cloned[base] && s > e.theta {
+		e.cloned[base] = true
+		e.heap.push(e.now+e.theta, evSpawn, base)
 	}
 }
 
@@ -490,17 +481,19 @@ func (e *TailEngine) sweepSpeculate() {
 	if math.IsInf(e.theta, 1) {
 		return
 	}
-	for w, slot := range e.cur {
-		if slot < 0 || slot >= int32(e.nAssign) || e.cloned[slot] {
+	// A worker serving a clone is skipped by cloned[base], which its
+	// spawn set.
+	for w, base := range e.cur {
+		if base < 0 || e.cloned[base] {
 			continue
 		}
 		if e.curSvc[w] > e.theta {
-			e.cloned[slot] = true
+			e.cloned[base] = true
 			at := e.curStart[w] + e.theta
 			if at < e.now {
 				at = e.now
 			}
-			e.heap.push(at, evSpawn, slot)
+			e.heap.push(at, evSpawn, base)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"redundancy/internal/plan"
@@ -313,6 +314,45 @@ func TestTailRunTrialAllocConstant(t *testing.T) {
 	}
 }
 
+// TestTailEngineBytesPerCopy pins the engine's arena bytes per base copy,
+// read from the capacities of its slice fields: two engines on the same
+// fleet and task count, one with four more copies a task than the other,
+// differ by exactly those copies' arenas, so per-worker and per-task
+// arrays cancel. A base copy holds its task (taskOf), its place in the
+// pull order and its resolved flag: 9 B. Speculation adds its cloned flag
+// and a clone-queue entry, which names the base slot itself: 14 B.
+func TestTailEngineBytesPerCopy(t *testing.T) {
+	arena := func(cfg TailConfig) int {
+		e, err := NewTailEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes := 0
+		v := reflect.ValueOf(e).Elem()
+		for i := range v.NumField() {
+			if f := v.Field(i); f.Kind() == reflect.Slice {
+				bytes += f.Cap() * int(f.Type().Elem().Size())
+			}
+		}
+		return bytes
+	}
+	const tasks = 1000
+	for _, c := range []struct {
+		speculate bool
+		want      int
+	}{{false, 9}, {true, 14}} {
+		cfg := tailCfg(tasks)
+		cfg.Speculate, cfg.SpeculatePct = c.speculate, 0.9
+		cfg.Classes = []TailClass{{Copies: 2, Tasks: tasks}}
+		small := arena(cfg)
+		cfg.Classes = []TailClass{{Copies: 6, Tasks: tasks}}
+		large := arena(cfg)
+		if got := float64(large-small) / (4 * tasks); got != float64(c.want) {
+			t.Errorf("speculate=%v: %.2f arena bytes per base copy, want %d", c.speculate, got, c.want)
+		}
+	}
+}
+
 func TestRunTailTrialsErrors(t *testing.T) {
 	if _, err := RunTailTrials(tailCfg(100), 0, 1); err == nil {
 		t.Errorf("zero trials must error")
@@ -323,7 +363,9 @@ func TestRunTailTrialsErrors(t *testing.T) {
 }
 
 // BenchmarkTailEngine measures single-threaded engine throughput in
-// copy-completions per second (b.N = completions). The event-queue depth
+// copy-completions per second. It runs whole trials until at least b.N
+// completions are done, so the rate divides the completions it ran, not
+// b.N, by the elapsed time. The event-queue depth
 // is the fleet size, so the multiplicity-1 workload is reported at two
 // fleet scales: 256 workers (the 4KB heap stays L1-resident) and 1000
 // workers. The Balanced arm is the cell the tail sweep and bench/'s
@@ -382,7 +424,7 @@ func BenchmarkTailEngine(b *testing.B) {
 			}
 			b.StopTimer()
 			if done > 0 {
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "completions/s")
+				b.ReportMetric(float64(done)/b.Elapsed().Seconds(), "completions/s")
 			}
 		})
 	}
