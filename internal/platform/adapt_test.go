@@ -381,7 +381,7 @@ func TestRevisionGrowsPastPresizedTables(t *testing.T) {
 
 	cs := newConnState(nil) // nothing is flushed: the lease finds work
 	stale := sup.register(Message{Type: MsgRegister, Name: "stale"}, cs).ParticipantID
-	lease := sup.leaseBatch(stale, 1<<10, false, cs)
+	lease := sup.leaseBatch(stale, 1<<10, false, cs, time.Now())
 	ringer := rev.Minted[mint-1].TaskID
 	leased := 0
 	for _, w := range lease.Work {
@@ -392,7 +392,7 @@ func TestRevisionGrowsPastPresizedTables(t *testing.T) {
 	if lease.Type != MsgWorkBatch || leased != 2 {
 		t.Fatalf("the stale lease holds %d copies of minted ringer %d: %+v", leased, ringer, lease)
 	}
-	acks, _ := sup.resultBatch(stale, []ResultItem{{TaskID: ringer, Copy: 0, Value: sup.work(TaskSeed(ringer), sup.cfg.Iters)}}, false, cs)
+	acks, _ := sup.resultBatch(stale, []ResultItem{{TaskID: ringer, Copy: 0, Value: sup.work(TaskSeed(ringer), sup.cfg.Iters)}}, false, cs, time.Now())
 	if len(acks) != 1 || !acks[0].OK {
 		t.Fatalf("claim of minted ringer %d copy 0: %+v", ringer, acks)
 	}
@@ -403,7 +403,7 @@ func TestRevisionGrowsPastPresizedTables(t *testing.T) {
 		}
 	}
 	sup.lease.mu.Unlock()
-	sup.sweepExpired()
+	sup.sweepExpired(time.Now())
 	sup.lease.mu.Lock()
 	out, outstanding := len(sup.leasesOf(ringer)), sup.lease.queue.Outstanding()
 	sup.lease.mu.Unlock()

@@ -98,8 +98,9 @@ func (s *Supervisor) convicted(participant int) bool {
 // deadline or a speculation) to the adaptive estimator as one bad
 // observation: quarantine is cheat/stall evidence the planner should see.
 // The failures behind it are not journaled, so this evidence is live-only;
-// applyVerdict feeds a verdict-caused quarantine itself. Callers do not
-// hold audit.mu.
+// applyVerdict feeds a verdict-caused quarantine itself. Its one caller,
+// expireHoldLocked, holds lease.mu, and lease.mu → audit.mu is the legal
+// nesting order.
 func (s *Supervisor) noteQuarantine() {
 	if s.audit.est == nil {
 		return
@@ -113,7 +114,7 @@ func (s *Supervisor) noteQuarantine() {
 // verdict: its health transitions (trs), then counters, events and logs.
 func (s *Supervisor) observeVerdict(v *verify.Verdict, trs []health.Transition) {
 	for _, tr := range trs {
-		s.pushTransition(tr, true)
+		s.pushTransition(tr)
 	}
 	if v.Accepted {
 		s.metrics.tasksCertified.Inc()

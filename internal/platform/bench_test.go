@@ -3,6 +3,7 @@ package platform
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"redundancy/internal/plan"
 )
@@ -85,7 +86,7 @@ func BenchmarkBatchPipeline(b *testing.B) {
 			reset()
 			b.StartTimer()
 		}
-		lease := sup.leaseBatch(id, batch, false, cs)
+		lease := sup.leaseBatch(id, batch, false, cs, time.Now())
 		if lease.Type != MsgWorkBatch || len(lease.Work) == 0 {
 			b.Fatalf("lease: %+v", lease)
 		}
@@ -94,7 +95,7 @@ func BenchmarkBatchPipeline(b *testing.B) {
 		for _, w := range lease.Work {
 			results = append(results, ResultItem{TaskID: w.TaskID, Copy: w.Copy, Value: fn(w.Seed, iters)})
 		}
-		if acks, _ := sup.resultBatch(id, results, false, cs); len(acks) != len(results) {
+		if acks, _ := sup.resultBatch(id, results, false, cs, time.Now()); len(acks) != len(results) {
 			b.Fatalf("acks: %+v", acks)
 		}
 	}

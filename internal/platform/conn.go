@@ -187,23 +187,25 @@ func (s *Supervisor) serve(conn net.Conn) error {
 			}
 			// The single-item verbs are size-1 leases translated here, at
 			// the connection edge: one item in, one item out, same core.
+			// The clock is read once per request, here.
+			now := time.Now()
 			switch m.Type {
 			case MsgRequestWork:
-				reply = s.leaseBatch(m.ParticipantID, 1, true, cs)
+				reply = s.leaseBatch(m.ParticipantID, 1, true, cs, now)
 				if reply.Type == MsgWorkBatch {
 					it := reply.Work[0]
 					reply = Message{Type: MsgWork, TaskID: it.TaskID, Copy: it.Copy,
 						Kind: reply.Kind, Seed: it.Seed, Iters: reply.Iters}
 				}
 			case MsgGetWork:
-				reply = s.leaseBatch(m.ParticipantID, m.Batch, false, cs)
+				reply = s.leaseBatch(m.ParticipantID, m.Batch, false, cs, now)
 			case MsgResult, MsgResultBatch:
 				single := m.Type == MsgResult
 				if single {
 					cs.one[0] = ResultItem{TaskID: m.TaskID, Copy: m.Copy, Value: m.Value}
 					m.Results = cs.one[:]
 				}
-				acks, deferred := s.resultBatch(m.ParticipantID, m.Results, single, cs)
+				acks, deferred := s.resultBatch(m.ParticipantID, m.Results, single, cs, now)
 				if deferred {
 					continue // the ack follows its commit; the request stays busy till then
 				}
@@ -263,11 +265,11 @@ func ackReply(acks []ResultAck, single bool) Message {
 // they were built in, and the ack is encoded and written only after the
 // window is down (queueDurableLocked), so an acked result survives a crash.
 // One that journaled nothing is answered inline, after the acks of the
-// submissions ahead of it, so acks stay in submission order. The clock is
-// read once per submission. The returned acks alias the slot and are valid
-// until the next call.
-func (s *Supervisor) resultBatch(pid int, results []ResultItem, single bool, cs *connState) (acks []ResultAck, deferred bool) {
-	now := time.Now()
+// submissions ahead of it, so acks stay in submission order. now is the
+// caller's one clock reading for the submission: every phase stamps and
+// measures with it. The returned acks alias the slot and are valid until
+// the next call.
+func (s *Supervisor) resultBatch(pid int, results []ResultItem, single bool, cs *connState, now time.Time) (acks []ResultAck, deferred bool) {
 	// Free by the run-ahead bound: beforeRecv let this request in with at
 	// most maxDeferredAcks-1 slots taken.
 	d := &cs.deferred[cs.dtail%maxDeferredAcks]

@@ -33,24 +33,17 @@ func (s *Supervisor) every(interval time.Duration, fn func()) {
 	}()
 }
 
-// pushTransition reacts to one health-state transition: metrics, events,
-// the adaptive estimator for a lease-path quarantine (noteQuarantine), and
-// — for quarantine entries — parking the lease-level reclaim on qpend
-// until a lease.mu holder drains it. fromVerdict says the transition came
-// from applyVerdict, which has fed the estimator already and whose caller
-// holds audit.mu; the lease path holds lease.mu instead, and lease.mu →
-// audit.mu is the legal nesting order. Only the live path calls it: a
-// restore drops the transitions applyVerdict returns.
-func (s *Supervisor) pushTransition(tr health.Transition, fromVerdict bool) {
+// pushTransition observes one health-state transition: metrics, events
+// and a log line. It changes no state: the roster has recorded the
+// transition already, a quarantined participant's holds end at the next
+// sweep (sweepExpired reads the roster), and the caller that caused a
+// quarantine has fed the estimator (applyVerdict, expireHoldLocked). Only
+// the live path calls it: a restore drops the transitions applyVerdict
+// returns.
+func (s *Supervisor) pushTransition(tr health.Transition) {
 	switch tr.To {
 	case health.Quarantined:
 		s.metrics.quarantinesEntered.Inc()
-		if !fromVerdict {
-			s.noteQuarantine()
-		}
-		s.qmu.Lock()
-		s.qpend = append(s.qpend, tr)
-		s.qmu.Unlock()
 		if s.events != nil {
 			s.events.Emit(EvParticipantQuarantined, map[string]any{
 				"participant": tr.Participant, "reason": tr.Reason, "from": tr.From.String(),
@@ -75,22 +68,6 @@ func (s *Supervisor) pushTransition(tr health.Transition, fromVerdict bool) {
 	}
 	s.metrics.participantHealth.With(strconv.Itoa(tr.Participant)).Set(s.roster.Score(tr.Participant))
 	s.logf("participant %d: %s -> %s (%s)", tr.Participant, tr.From, tr.To, tr.Reason)
-}
-
-// drainHealthLocked applies the lease-level consequence of pending
-// quarantine transitions: every outstanding lease (and speculative
-// duplicate) of a newly quarantined participant is reclaimed. Callers
-// hold lease.mu.
-func (s *Supervisor) drainHealthLocked() {
-	s.qmu.Lock()
-	pend := s.qpend
-	s.qpend = nil
-	s.qmu.Unlock()
-	for _, tr := range pend {
-		if tr.To == health.Quarantined {
-			s.reclaimParticipantLocked(tr.Participant)
-		}
-	}
 }
 
 // HealthSnapshot returns the health roster's per-participant view (state,

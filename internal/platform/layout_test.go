@@ -77,7 +77,8 @@ func TestNoPolls(t *testing.T) {
 			}
 			ast.Inspect(fn, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
-					if w := clockWait(call); w != "" {
+					switch w := timeCall(call); w {
+					case "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker":
 						t.Errorf("%s: %s calls time.%s; wait on a signal, or add it to clockWaiters", fset.Position(call.Pos()), fn.Name.Name, w)
 					}
 				}
@@ -87,9 +88,69 @@ func TestNoPolls(t *testing.T) {
 	}
 }
 
-// clockWait returns the function's name when call is time.Sleep, After,
-// AfterFunc, Tick, NewTimer or NewTicker, and "" for any other call.
-func clockWait(call *ast.CallExpr) string {
+// clockReaders are the functions that may read the clock, each with its
+// file: the connection edge (one reading per request) and its IO
+// deadlines, the sweep's ticker (Start), the committer, the restore timer
+// in construction, the cluster's merge timer, the worker client, and
+// leaseBatch's park wake and lease_wait timer. Everything else, the rest of
+// lease.go included, takes its time from its caller.
+var clockReaders = map[string]string{
+	"serve":         "conn.go",
+	"beforeRecv":    "conn.go",
+	"flushLocked":   "conn.go",
+	"Start":         "server.go",
+	"commitWindow":  "groupcommit.go",
+	"newSupervisor": "server.go",
+	"Aggregate":     "cluster.go",
+	"flush":         "client.go",
+	"roundTrip":     "client.go",
+	"recvLease":     "client.go",
+	"settle":        "client.go",
+	"leaseLoop":     "client.go",
+	"leaseBatch":    "lease.go",
+}
+
+// maxClockReads caps the time.Now calls in the package's non-test source.
+const maxClockReads = 10
+
+// TestClockReads: every time.Now and time.Since call in the package's
+// non-test source sits in a clockReader, in that reader's file, and there
+// are at most maxClockReads time.Now calls.
+func TestClockReads(t *testing.T) {
+	fset := token.NewFileSet()
+	reads := 0
+	for name, f := range parseSources(t, fset) {
+		for _, decl := range f.Decls {
+			fn := "" // a package-level declaration
+			if d, ok := decl.(*ast.FuncDecl); ok {
+				fn = d.Name.Name
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				switch r := timeCall(call); r {
+				case "Now":
+					reads++
+					fallthrough
+				case "Since":
+					if clockReaders[fn] != name {
+						t.Errorf("%s: %s calls time.%s; take now from the caller, or add it to clockReaders", fset.Position(call.Pos()), fn, r)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if reads > maxClockReads {
+		t.Errorf("%d time.Now calls, over %d", reads, maxClockReads)
+	}
+}
+
+// timeCall returns the function's name when call is to package time, and
+// "" for any other call.
+func timeCall(call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return ""
@@ -97,11 +158,7 @@ func clockWait(call *ast.CallExpr) string {
 	if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "time" {
 		return ""
 	}
-	switch sel.Sel.Name {
-	case "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker":
-		return sel.Sel.Name
-	}
-	return ""
+	return sel.Sel.Name
 }
 
 // parseSources parses the package's non-test source files, by file name.

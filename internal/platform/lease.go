@@ -267,10 +267,9 @@ func (s *Supervisor) claimLocked(participant, taskID, copy int, now time.Time) (
 // A dropped clone leaves the primary holding the copy, free to be flagged
 // again; a dropped primary hands the copy to its live clone, or, with none,
 // returns it to the queue. Each drop is one reclaimed{reason} count, one
-// assignment_reclaimed event and one log line, and a deadline or
-// speculative drop is also health evidence against pid. A free record, or
-// one pid holds nothing of, is left alone. Callers hold lease.mu.
-func (s *Supervisor) releaseLocked(i int32, pid int, reason string, now time.Time) {
+// assignment_reclaimed event and one log line. A free record, or one pid
+// holds nothing of, is left alone. Callers hold lease.mu.
+func (s *Supervisor) releaseLocked(i int32, pid int, reason string) {
 	r := &s.lease.recs[i]
 	if !r.primary.live() {
 		return
@@ -301,13 +300,6 @@ func (s *Supervisor) releaseLocked(i int32, pid int, reason string, now time.Tim
 			"task": key.task, "copy": key.copy, "participant": pid, "reason": reason,
 		})
 	}
-	// Holding a lease silently past its deadline is the health signal;
-	// disconnect churn and quarantine deliberately are not.
-	if (reason == "deadline" || reason == "speculative") && s.cfg.Health != nil {
-		if tr := s.roster.ObserveReclaim(pid, now); tr != nil {
-			s.pushTransition(*tr, false)
-		}
-	}
 }
 
 // reclaim ends every hold a dead connection still has and records the
@@ -316,18 +308,17 @@ func (s *Supervisor) releaseLocked(i int32, pid int, reason string, now time.Tim
 // queue rather than passing from one to the other; then every primary
 // leaves cs.held, which therefore drains from the back.
 func (s *Supervisor) reclaim(cs *connState) {
-	now := time.Now()
 	s.lease.mu.Lock()
 	if s.cfg.SpeculatePct > 0 {
 		for i := range s.lease.recs {
 			if c := s.lease.recs[i].clone; c.live() && c.owner == cs {
-				s.releaseLocked(int32(i), c.participant, "disconnect", now)
+				s.releaseLocked(int32(i), c.participant, "disconnect")
 			}
 		}
 	}
 	for n := len(cs.held); n > 0; n = len(cs.held) {
 		i := cs.held[n-1]
-		s.releaseLocked(i, s.lease.recs[i].primary.participant, "disconnect", now)
+		s.releaseLocked(i, s.lease.recs[i].primary.participant, "disconnect")
 	}
 	s.lease.mu.Unlock()
 	if s.events != nil {
@@ -340,8 +331,11 @@ func (s *Supervisor) reclaim(cs *connState) {
 // expireLocked ends every hold older than the deadline: an expired clone
 // first, as speculative, then an expired primary, as deadline. A copy
 // whose two holders both expired therefore returns to the queue, and an
-// expired primary with a live clone passes the copy to it. Resolved races
-// older than two deadlines can no longer produce a meaningful "duplicate"
+// expired primary with a live clone passes the copy to it. Holding a lease
+// silently past its deadline is the lease path's one piece of health
+// evidence (disconnect churn deliberately is not), and the quarantine it
+// may cause is cheat evidence for the estimator too. Resolved races older
+// than two deadlines can no longer produce a meaningful "duplicate"
 // rejection and are forgotten. Callers hold lease.mu.
 func (s *Supervisor) expireLocked(now time.Time) {
 	cutoff := now.Add(-s.cfg.Deadline)
@@ -351,10 +345,10 @@ func (s *Supervisor) expireLocked(now time.Time) {
 			continue
 		}
 		if r.clone.live() && r.clone.issuedAt.Before(cutoff) {
-			s.releaseLocked(int32(i), r.clone.participant, "speculative", now)
+			s.expireHoldLocked(int32(i), r.clone.participant, "speculative", now)
 		}
 		if r.primary.issuedAt.Before(cutoff) {
-			s.releaseLocked(int32(i), r.primary.participant, "deadline", now)
+			s.expireHoldLocked(int32(i), r.primary.participant, "deadline", now)
 		}
 	}
 	gc := now.Add(-2 * s.cfg.Deadline)
@@ -365,12 +359,19 @@ func (s *Supervisor) expireLocked(now time.Time) {
 	}
 }
 
-// reclaimParticipantLocked ends every hold of a newly quarantined
-// participant. Callers hold lease.mu.
-func (s *Supervisor) reclaimParticipantLocked(pid int) {
-	now := time.Now()
-	for i := range s.lease.recs {
-		s.releaseLocked(int32(i), pid, "quarantine", now)
+// expireHoldLocked ends pid's expired hold on record i and records it on
+// pid's health record; a quarantine that follows (the only transition
+// ObserveReclaim returns) is also fed to the estimator, live only, since
+// the journal does not record the failures behind it. Callers hold
+// lease.mu.
+func (s *Supervisor) expireHoldLocked(i int32, pid int, reason string, now time.Time) {
+	s.releaseLocked(i, pid, reason)
+	if s.cfg.Health == nil {
+		return
+	}
+	if tr := s.roster.ObserveReclaim(pid, now); tr != nil {
+		s.noteQuarantine()
+		s.pushTransition(*tr)
 	}
 }
 
@@ -462,10 +463,10 @@ func (s *Supervisor) kickLeaseLocked() {
 // and revisions kick parked requests awake. single marks a request_work,
 // whose reply has room for exactly one item. The time the request spends
 // in here, queue wait and parking included, is the lease-wait histogram.
-// The clock is read once on entry and again only after a park wakes, so
-// the copies of one reply, re-issued or fresh, share one issue time.
-func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState) Message {
-	now := time.Now()
+// now is the caller's one clock reading for the request; the clock is read
+// again only after a park wakes, so the copies of one reply, re-issued or
+// fresh, share one issue time.
+func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState, now time.Time) Message {
 	defer func(start time.Time) {
 		s.metrics.leaseWait.Observe(time.Since(start).Seconds())
 	}(now)
@@ -570,7 +571,7 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState) Messa
 			// quarantine deadlocks the run with work still queued. On
 			// re-admission, fall through to the regular pool this pass.
 			if tr := s.roster.ObserveRingerStarved(pid, now); tr != nil {
-				s.pushTransition(*tr, false)
+				s.pushTransition(*tr)
 				probation = false
 				continue
 			}
@@ -689,13 +690,19 @@ func (s *Supervisor) completeResults(pid int, cs *connState) (accepted int) {
 	return accepted
 }
 
-// sweepExpired is the periodic sweep: it reclaims assignments held past the
-// deadline, flags straggling leases for speculative reissue, and advances
-// the health roster's time-driven transitions.
-func (s *Supervisor) sweepExpired() {
-	now := time.Now()
+// sweepExpired is the periodic sweep at now: it reclaims assignments held
+// past the deadline, flags straggling leases for speculative reissue, ends
+// every hold of a quarantined participant, advances the health roster's
+// time-driven transitions, and then, outside lease.mu, refreshes the
+// health gauges.
+//
+// The quarantine pass runs after expiry, whose reclaims can quarantine the
+// holder of an earlier record, and before roster.Tick, the one way out of
+// Quarantined. So every participant quarantined since the last sweep, by a
+// verdict or by this sweep's expiry, loses its holds here, and one
+// quarantined earlier already holds nothing.
+func (s *Supervisor) sweepExpired(now time.Time) {
 	s.lease.mu.Lock()
-	defer s.lease.mu.Unlock()
 	if s.cfg.Deadline > 0 {
 		s.expireLocked(now)
 	}
@@ -707,13 +714,22 @@ func (s *Supervisor) sweepExpired() {
 			s.kickLeaseLocked() // parked leases can serve the new candidates
 		}
 	}
-	if s.roster != nil {
-		if s.cfg.Health != nil {
-			for _, tr := range s.roster.Tick(now) {
-				s.pushTransition(tr, false)
+	if s.cfg.Health != nil && s.roster.AnyUnhealthy() {
+		for i := range s.lease.recs {
+			r := &s.lease.recs[i]
+			if c := r.clone; c.live() && s.roster.State(c.participant) == health.Quarantined {
+				s.releaseLocked(int32(i), c.participant, "quarantine")
+			}
+			if r.primary.live() && s.roster.State(r.primary.participant) == health.Quarantined {
+				s.releaseLocked(int32(i), r.primary.participant, "quarantine")
 			}
 		}
-		s.drainHealthLocked()
+		for _, tr := range s.roster.Tick(now) {
+			s.pushTransition(tr)
+		}
+	}
+	s.lease.mu.Unlock()
+	if s.roster != nil {
 		for _, ph := range s.roster.Snapshot() {
 			s.metrics.participantHealth.With(strconv.Itoa(ph.Participant)).Set(ph.Score)
 		}

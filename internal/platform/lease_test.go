@@ -42,12 +42,15 @@ func (s *Supervisor) heldBy(cs *connState) []outstandingKey {
 // (disconnect, deadline, quarantine) for each holder of a copy (its primary
 // p, its clone c) against each state of the other holder (none, live, or
 // past its deadline; a clone never exists without its primary, so the
-// clone rows start at live), on a supervisor with one single-copy task and no
-// goroutines: time is moved by backdating issue times and the sweeper is
-// called by hand. After the cause, after the sweep that follows it, and
-// after a second release of the same hold, it checks who holds the copy,
-// the connection index, the queue, reclaimed{reason}, the
-// assignment_reclaimed events and the deadline-failure evidence.
+// clone rows start at live), on a supervisor with one single-copy task and
+// no goroutines: the sweeper is called by hand at a chosen now, and a hold
+// is made older than the other by backdating its issue time. A quarantine
+// is a suspect verdict and the sweep that follows it, as in production, so
+// that sweep also reclaims an expired other holder. After the cause, after
+// the sweep that follows it, and after a second release of the same hold,
+// it checks who holds the copy, the connection index, the queue,
+// reclaimed{reason}, the assignment_reclaimed events and the
+// deadline-failure evidence.
 func TestLeaseRelease(t *testing.T) {
 	type state struct {
 		holds    string // "p", "c", "p+c" (primary+clone), or "" when the copy is back in the queue
@@ -70,9 +73,9 @@ func TestLeaseRelease(t *testing.T) {
 		{"deadline", "c", "expired", [2]state{{"", "speculative:c deadline:p", "c p"}, {"", "speculative:c deadline:p", "c p"}}},
 		{"quarantine", "p", "none", [2]state{{"", "quarantine:p", ""}, {"", "quarantine:p", ""}}},
 		{"quarantine", "p", "live", [2]state{{"c", "quarantine:p", ""}, {"c", "quarantine:p", ""}}},
-		{"quarantine", "p", "expired", [2]state{{"c", "quarantine:p", ""}, {"", "quarantine:p deadline:c", "c"}}},
+		{"quarantine", "p", "expired", [2]state{{"", "speculative:c quarantine:p", "c"}, {"", "speculative:c quarantine:p", "c"}}},
 		{"quarantine", "c", "live", [2]state{{"p", "quarantine:c", ""}, {"p", "quarantine:c", ""}}},
-		{"quarantine", "c", "expired", [2]state{{"p", "quarantine:c", ""}, {"", "quarantine:c deadline:p", "p"}}},
+		{"quarantine", "c", "expired", [2]state{{"", "deadline:p quarantine:c", "p"}, {"", "deadline:p quarantine:c", "p"}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.cause+"/"+tc.holder+"/other-"+tc.other, func(t *testing.T) {
@@ -81,10 +84,10 @@ func TestLeaseRelease(t *testing.T) {
 			sup, err := NewSupervisor(SupervisorConfig{
 				Plan: simplePlan(t, 1), tasks: []plan.TaskSpec{{ID: 0, Copies: 1}}, Iters: 1,
 				Deadline: time.Hour, SpeculatePct: 0.5,
-				// One latency sample arms speculation, and one deadline or
-				// speculative drop quarantines its holder, who by then holds
-				// nothing more for the quarantine to reclaim.
-				Health:  &health.Config{MinLatencySamples: 1, MinEvents: 1},
+				// One latency sample arms speculation, one suspect verdict
+				// quarantines, and so does one deadline or speculative drop,
+				// whose holder by then holds nothing more to reclaim.
+				Health:  &health.Config{MinLatencySamples: 1, MinEvents: 1, SuspectLimit: 1},
 				Metrics: reg, Events: obs.NewSink(&events),
 			})
 			if err != nil {
@@ -99,9 +102,10 @@ func TestLeaseRelease(t *testing.T) {
 				m := sup.register(Message{Type: MsgRegister, Name: who}, cs)
 				conns[who], pids[who], names[m.ParticipantID] = cs, m.ParticipantID, who
 			}
+			now := time.Now()
 			lease := func(who string) outstandingKey {
 				t.Helper()
-				m := sup.leaseBatch(pids[who], 1, false, conns[who])
+				m := sup.leaseBatch(pids[who], 1, false, conns[who], now)
 				if m.Type != MsgWorkBatch || len(m.Work) != 1 {
 					t.Fatalf("%s's lease: %+v", who, m)
 				}
@@ -127,8 +131,7 @@ func TestLeaseRelease(t *testing.T) {
 				// A straggling primary: the sweep flags it, and c's next
 				// lease is its clone.
 				sup.roster.ObserveCompletion(pids["c"], time.Millisecond)
-				age(key, "p", time.Second)
-				sup.sweepExpired()
+				sup.sweepExpired(now.Add(time.Second))
 				if clone := lease("c"); clone != key {
 					t.Fatalf("c leased %v, want the clone of %v", clone, key)
 				}
@@ -210,23 +213,149 @@ func TestLeaseRelease(t *testing.T) {
 				sup.reclaim(conns[tc.holder])
 			case "deadline":
 				age(key, tc.holder, 2*time.Hour)
-				sup.sweepExpired()
+				sup.sweepExpired(now)
 			case "quarantine":
-				sup.lease.mu.Lock()
-				sup.reclaimParticipantLocked(pids[tc.holder])
-				sup.lease.mu.Unlock()
+				sup.pushTransition(*sup.roster.ObserveVerdict(pids[tc.holder], true, false, now))
+				sup.sweepExpired(now)
 			}
 			check(tc.cause, tc.after[0])
-			sup.sweepExpired()
+			sup.sweepExpired(now)
 			check("sweep", tc.after[1])
 			// The hold has ended; releasing it again, as a racing second
 			// cause would, changes nothing.
 			sup.lease.mu.Lock()
-			sup.releaseLocked(idx, pids[tc.holder], tc.cause, time.Now())
+			sup.releaseLocked(idx, pids[tc.holder], tc.cause)
 			sup.lease.mu.Unlock()
 			check("second release", tc.after[1])
 		})
 	}
+}
+
+// TestSweepReclaimsQuarantined pins what one sweep reclaims as quarantine,
+// on a supervisor with five single-copy tasks and no goroutines. v, whom a
+// verdict quarantined since the last sweep, loses its clone and its
+// primary, though its probation is due and this same sweep starts it
+// (roster.Tick runs after the pass). d, whom this sweep's deadline reclaim
+// of a later record quarantines, loses its unexpired hold on an earlier
+// one. h, healthy, keeps the primary v was racing. o, reclaimed at the
+// previous sweep and quarantined still, is not counted again. A supervisor
+// with SpeculatePct and no Health never reclaims as quarantine, whatever
+// its roster says.
+func TestSweepReclaimsQuarantined(t *testing.T) {
+	tasks := make([]plan.TaskSpec, 5)
+	for i := range tasks {
+		tasks[i] = plan.TaskSpec{ID: i, Copies: 1}
+	}
+	newSup := func(hc *health.Config) *Supervisor {
+		sup, err := NewSupervisor(SupervisorConfig{
+			Plan: simplePlan(t, 5), tasks: tasks, Iters: 1,
+			Deadline: time.Hour, SpeculatePct: 0.5, Health: hc,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sup.Close() })
+		return sup
+	}
+	now := time.Now()
+	join := func(sup *Supervisor, who string) (int, *connState) {
+		cs := newConnState(nil) // nothing is flushed: every lease finds work
+		return sup.register(Message{Type: MsgRegister, Name: who}, cs).ParticipantID, cs
+	}
+	lease := func(sup *Supervisor, pid int, cs *connState, want int) []outstandingKey {
+		t.Helper()
+		m := sup.leaseBatch(pid, want, false, cs, now)
+		if m.Type != MsgWorkBatch || len(m.Work) != want {
+			t.Fatalf("participant %d's lease of %d: %+v", pid, want, m)
+		}
+		var keys []outstandingKey
+		for _, w := range m.Work {
+			keys = append(keys, outstandingKey{w.TaskID, w.Copy})
+		}
+		return keys
+	}
+	quarantines := func(sup *Supervisor) int {
+		v, _ := sup.Metrics().Snapshot().Value("redundancy_assignments_reclaimed_total", "quarantine")
+		return int(v)
+	}
+
+	sup := newSup(&health.Config{MinLatencySamples: 1, MinEvents: 1, SuspectLimit: 1})
+	h, hc := join(sup, "h")
+	v, vc := join(sup, "v")
+	d, dc := join(sup, "d")
+	o, oc := join(sup, "o")
+	names := map[int]string{h: "h", v: "v", d: "d", o: "o"}
+	// h's primary straggles, so v's lease is its clone and one fresh copy.
+	hKey := lease(sup, h, hc, 1)[0]
+	sup.roster.ObserveCompletion(h, time.Millisecond)
+	sup.sweepExpired(now.Add(time.Second))
+	if vKeys := lease(sup, v, vc, 2); vKeys[0] != hKey {
+		t.Fatalf("v leased %v, want the clone of %v first", vKeys, hKey)
+	}
+	dKeys := lease(sup, d, dc, 2)
+	lease(sup, o, oc, 1)
+	sup.pushTransition(*sup.roster.ObserveVerdict(o, true, false, now))
+	sup.sweepExpired(now)
+	if n := quarantines(sup); n != 1 {
+		t.Fatalf("the sweep after o's quarantine reclaimed %d holds as quarantine, want 1", n)
+	}
+
+	// v was quarantined by a verdict a minute ago, past its 10 s
+	// probation, and d's later record expires.
+	sup.pushTransition(*sup.roster.ObserveVerdict(v, true, false, now.Add(-time.Minute)))
+	sup.lease.mu.Lock()
+	early, late := sup.findLocked(dKeys[0]), sup.findLocked(dKeys[1])
+	if early > late {
+		early, late = late, early
+	}
+	sup.lease.recs[late].primary.issuedAt = now.Add(-2 * time.Hour)
+	sup.lease.mu.Unlock()
+	sup.sweepExpired(now)
+
+	sup.lease.mu.Lock()
+	var holds []string // "task/copy:primary[+clone]"
+	for i := range sup.lease.recs {
+		if r := &sup.lease.recs[i]; r.primary.live() {
+			hold := fmt.Sprintf("%d/%d:%s", r.a.TaskID, r.a.Copy, names[r.primary.participant])
+			if r.clone.live() {
+				hold += "+" + names[r.clone.participant]
+			}
+			holds = append(holds, hold)
+		}
+	}
+	sup.lease.mu.Unlock()
+	if want := fmt.Sprintf("%d/%d:h", hKey.task, hKey.copy); len(holds) != 1 || holds[0] != want {
+		t.Errorf("after the sweep the holds are %v, want [%s]", holds, want)
+	}
+	for pid, want := range map[int]health.State{v: health.Probation, d: health.Quarantined, o: health.Quarantined} {
+		if st := sup.roster.State(pid); st != want {
+			t.Errorf("%s is %v, want %v", names[pid], st, want)
+		}
+	}
+	if n := quarantines(sup); n != 1+3 {
+		t.Errorf("%d holds reclaimed as quarantine, want o's 1 and then v's 2 and d's 1", n)
+	}
+
+	// No Health: the roster only tracks latency, and nothing it records
+	// quarantines a hold.
+	sup = newSup(nil)
+	x, xc := join(sup, "x")
+	lease(sup, x, xc, 1)
+	for range 3 { // the default SuspectLimit
+		sup.roster.ObserveVerdict(x, true, false, now)
+	}
+	if st := sup.roster.State(x); st != health.Quarantined {
+		t.Fatalf("x is %v, want quarantined", st)
+	}
+	sup.sweepExpired(now)
+	if n := quarantines(sup); n != 0 {
+		t.Errorf("a supervisor without Health reclaimed %d holds as quarantine", n)
+	}
+	sup.lease.mu.Lock()
+	if held := len(xc.held); held != 1 {
+		t.Errorf("x holds %d copies after the sweep, want 1", held)
+	}
+	sup.lease.mu.Unlock()
 }
 
 // TestLeaseTableMatchesReference drives every writer of the lease table
@@ -456,7 +585,7 @@ func TestLeaseTableMatchesReference(t *testing.T) {
 			reason := reasons[r.Intn(len(reasons))]
 			if len(sup.lease.free) > 0 && r.Intn(4) == 0 {
 				op = "release of a free record"
-				sup.releaseLocked(sup.lease.free[r.Intn(len(sup.lease.free))], pid, reason, now)
+				sup.releaseLocked(sup.lease.free[r.Intn(len(sup.lease.free))], pid, reason)
 				break
 			}
 			if len(ks) == 0 {
@@ -471,7 +600,7 @@ func TestLeaseTableMatchesReference(t *testing.T) {
 					pid = c.clone.pid
 				}
 			}
-			sup.releaseLocked(sup.findLocked(k), pid, reason, now)
+			sup.releaseLocked(sup.findLocked(k), pid, reason)
 			release(k, pid)
 		case roll < 70:
 			op = "transfer"

@@ -506,7 +506,7 @@ func TestPipelinedAckSettledBeforeLeaseRead(t *testing.T) {
 					r.primary.issuedAt = r.primary.issuedAt.Add(-2 * time.Hour)
 				}
 				sup.lease.mu.Unlock()
-				sup.sweepExpired()
+				sup.sweepExpired(time.Now())
 				jw.block()
 			case 4:
 				jw.unblock()

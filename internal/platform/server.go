@@ -201,14 +201,6 @@ type Supervisor struct {
 	// quarantine only when cfg.Health was given.
 	roster *health.Roster
 
-	// qmu guards qpend, the health transitions awaiting their lease-level
-	// consequence. A quarantine entry found under audit.mu (verdict
-	// evidence), where lease.mu cannot be taken, parks here until the next
-	// sweep reclaims the participant's leases (drainHealthLocked). qmu is a
-	// leaf lock: taken under audit.mu and lease.mu, never above them.
-	qmu   sync.Mutex
-	qpend []health.Transition
-
 	// replayed is what the Restore replay at construction recovered (zero
 	// without Restore): the results, the clean prefix length for tail
 	// truncation, and the journal's length in records.
@@ -462,7 +454,7 @@ func (s *Supervisor) Start(addr string) (string, error) {
 		if interval <= 0 {
 			interval = 100 * time.Millisecond
 		}
-		s.every(interval, s.sweepExpired)
+		s.every(interval, func() { s.sweepExpired(time.Now()) })
 	}
 	if s.audit.est != nil {
 		s.every(s.adaptCfg.Interval, s.adaptTick)

@@ -1068,17 +1068,19 @@ func testQuarantineLifecycle(t *testing.T, n *vnet, v verbs) {
 }
 
 // TestQuarantineFeedsEstimator checks the control-plane coupling: a
-// quarantine transition counts as adversary evidence in the adaptive p̂
-// estimator, exactly like a caught cheat.
+// quarantine the lease path causes (a hold reclaimed past its deadline)
+// counts as adversary evidence in the adaptive p̂ estimator, exactly like a
+// caught cheat.
 func TestQuarantineFeedsEstimator(t *testing.T) {
 	bubble(t, func(n *vnet) {
 		p, err := plan.Balanced(50, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
+		const deadline = time.Minute
 		sup, err := NewSupervisor(SupervisorConfig{
-			Plan: p, WorkKind: "hashchain", Iters: 10, Seed: 1,
-			Health: &health.Config{SuspectLimit: 3},
+			Plan: p, WorkKind: "hashchain", Iters: 10, Seed: 1, Deadline: deadline,
+			Health: &health.Config{MinEvents: 1},
 			Adapt:  &adapt.Config{TargetEpsilon: 0.5},
 		})
 		if err != nil {
@@ -1089,9 +1091,16 @@ func TestQuarantineFeedsEstimator(t *testing.T) {
 		if !on {
 			t.Fatal("adaptive estimator not enabled")
 		}
-		sup.pushTransition(health.Transition{
-			Participant: 7, From: health.Healthy, To: health.Quarantined, Reason: "suspects",
-		}, false)
+		cs := newConnState(nil) // nothing is flushed: the lease finds work
+		pid := sup.register(Message{Type: MsgRegister, Name: "stall"}, cs).ParticipantID
+		t0 := time.Now()
+		if m := sup.leaseBatch(pid, 1, false, cs, t0); m.Type != MsgWorkBatch {
+			t.Fatalf("lease: %+v", m)
+		}
+		sup.sweepExpired(t0.Add(2 * deadline))
+		if st := sup.roster.State(pid); st != health.Quarantined {
+			t.Fatalf("the stalled holder is %v after its deadline reclaim, want quarantined", st)
+		}
 		after, _ := sup.AdaptiveEstimate()
 		if !(after.PHat > before.PHat) {
 			t.Errorf("quarantine did not move p̂: before %v after %v", before.PHat, after.PHat)
