@@ -100,13 +100,17 @@ flake-check:
 
 # The straggler/health acceptance tests alone, under the race detector:
 # the lease release table (every cause of a hold ending without a result,
-# for primary and clone), what one sweep reclaims as quarantine, the lease
-# table against its reference model (every writer, clones and minted
-# ringers included), speculative first-result-wins, the disconnect/deadline
-# reclaim overlap, the quarantine lifecycle, the ringer-starved
-# probation-expiry deadlock regression, and the stall-mode chaos soak.
+# for primary and clone), what one sweep reclaims as quarantine, that a
+# hold follows its participant across a resume (and a shared connection's
+# end returns a raced copy to the queue), the lease table against its
+# reference model (every writer, clones and minted ringers included), the
+# guard that keeps connections out of the lease table's record helpers
+# (holds are keyed by participant, so the table runs without one),
+# speculative first-result-wins, the disconnect/deadline reclaim overlap,
+# the quarantine lifecycle, the ringer-starved probation-expiry deadlock
+# regression, and the stall-mode chaos soak.
 straggler-smoke:
-	$(SYNCTEST) $(GO) test -race -run 'TestLeaseRelease|TestSweepReclaimsQuarantined|TestLeaseTableMatchesReference|TestSpeculative|TestDisconnectDeadlineReclaimOverlap|TestQuarantine|TestProbationExpires|TestStallChaosSoak' -count=1 -v ./internal/platform
+	$(SYNCTEST) $(GO) test -race -run 'TestLeaseRelease|TestSweepReclaimsQuarantined|TestHoldsFollowTheirParticipant|TestLeaseTableMatchesReference|TestLeaseTableKnowsNoConnection|TestSpeculative|TestDisconnectDeadlineReclaimOverlap|TestQuarantine|TestProbationExpires|TestStallChaosSoak' -count=1 -v ./internal/platform
 
 # The scenario lab's five pathological adversary templates at the fast
 # smoke tier (10^4 tasks each): every expected counter bound, the

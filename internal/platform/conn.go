@@ -16,14 +16,12 @@ import (
 	"redundancy/internal/verify"
 )
 
-// connState is one worker connection. held lists the indices of the lease
-// records whose primary holder this connection owns (each record's at is
-// its position here), so a resumed lease can be re-sent and a dropped
-// connection's work re-issued; it is shared state, guarded by lease.mu and
-// written only by lease.go. The write side is guarded by wmu; everything
-// else is touched only by this connection's serve goroutine.
+// connState is one worker connection. The lease table holds no part of
+// it: holds are their participants', and lease.conns binds each
+// participant to the connection it is served over. The write side is
+// guarded by wmu; everything else is touched only by this connection's
+// serve goroutine.
 type connState struct {
-	held []int32
 	// names holds the participants created (or resumed) over this
 	// connection, with their display names. Work requests and results must
 	// name one of them, so a client cannot impersonate another participant

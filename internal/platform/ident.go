@@ -35,9 +35,10 @@ func newToken() uint64 {
 }
 
 // register mints a new identity, or — with Resume set and a valid token —
-// re-attaches an existing one to this connection, transferring any
-// in-flight assignments so they are re-issued here instead of reclaimed
-// when the old connection's goroutine notices the drop.
+// re-attaches an existing one to this connection. Either way it binds the
+// participant to this connection (bind): a resumed participant's in-flight
+// assignments stay its own, are re-issued here, and are not reclaimed when
+// the old connection's goroutine notices the drop.
 func (s *Supervisor) register(m Message, cs *connState) Message {
 	id, name := m.ParticipantID, m.Name
 	var tok uint64
@@ -53,14 +54,14 @@ func (s *Supervisor) register(m Message, cs *connState) Message {
 			return Message{Type: MsgError, Reason: ReasonBlacklisted,
 				Error: "participant is blacklisted"}
 		}
-		moved := s.transfer(id, cs)
+		held := s.bind(id, cs)
 		s.metrics.workersResumed.Inc()
 		if s.events != nil {
 			s.events.Emit(EvWorkerResumed, map[string]any{
-				"participant": id, "name": name, "inflight": moved,
+				"participant": id, "name": name, "inflight": held,
 			})
 		}
-		s.logf("participant %d (%s) resumed with %d in-flight assignment(s)", id, name, moved)
+		s.logf("participant %d (%s) resumed with %d in-flight assignment(s)", id, name, held)
 	} else {
 		tok = newToken()
 		s.ident.mu.Lock()
@@ -69,6 +70,7 @@ func (s *Supervisor) register(m Message, cs *connState) Message {
 		s.ident.names[id] = name
 		s.ident.tokens[id] = tok
 		s.ident.mu.Unlock()
+		s.bind(id, cs)
 		s.metrics.workersRegistered.Inc()
 		if s.events != nil {
 			s.events.Emit(EvWorkerJoined, map[string]any{"participant": id, "name": name})

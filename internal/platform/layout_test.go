@@ -148,6 +148,62 @@ func TestClockReads(t *testing.T) {
 	}
 }
 
+// leaseShell are the declarations of lease.go that may know a connection:
+// the table's binding of participants to connections (leaseState.conns)
+// and the calls a connection's requests and its end come in by. The record
+// helpers (holder, leaseRecord, findLocked, issueLocked, claimLocked,
+// releaseLocked, endHoldsLocked, expireLocked, flagStragglersLocked,
+// fillSpeculativeLocked and the rest) know participants only, so the table
+// can be driven without one.
+var leaseShell = map[string]bool{
+	"leaseState":      true,
+	"leaseBatch":      true,
+	"claimResults":    true,
+	"completeResults": true,
+	"reclaim":         true,
+	"bind":            true,
+}
+
+// TestLeaseTableKnowsNoConnection: in lease.go only the leaseShell
+// declarations name connState or read lease.conns.
+func TestLeaseTableKnowsNoConnection(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, decl := range parseSources(t, fset)["lease.go"].Decls {
+		named := map[string]ast.Node{}
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			named[d.Name.Name] = d
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					named[sp.Name.Name] = sp
+				case *ast.ValueSpec:
+					named[sp.Names[0].Name] = sp
+				}
+			}
+		}
+		for name, n := range named {
+			if leaseShell[name] {
+				continue
+			}
+			ast.Inspect(n, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if n.Name == "connState" {
+						t.Errorf("%s: %s names connState; key it by participant, or add it to leaseShell", fset.Position(n.Pos()), name)
+					}
+				case *ast.SelectorExpr:
+					if lease, ok := n.X.(*ast.SelectorExpr); ok && lease.Sel.Name == "lease" && n.Sel.Name == "conns" {
+						t.Errorf("%s: %s reads lease.conns; key it by participant, or add it to leaseShell", fset.Position(n.Pos()), name)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
 // timeCall returns the function's name when call is to package time, and
 // "" for any other call.
 func timeCall(call *ast.CallExpr) string {

@@ -2,15 +2,17 @@ package platform
 
 // The lease domain: who holds each outstanding copy. Every copy out is one
 // record naming its primary holder and, while the speculative tier races
-// it, a clone holder. Records live in a pool (lease.recs, with its free
-// list) bounded by the copies out at once; lease.byTask finds a task's
-// first record and the records of one task are chained through
-// leaseRecord.next, so issue, claim and release touch no hash map. A copy
-// enters the table at issue and leaves it by claim (a result) or by
-// releaseLocked (every other way a hold ends), and connState.held lists the
-// record indices whose primary a connection owns, written only here.
-// DESIGN.md §13 has the rules. lease.mu is locked only in this file (and by
-// withLeaseAndAudit, the one function that locks it and audit.mu).
+// it, a clone holder; a holder is a participant and an issue time. Records
+// live in a pool (lease.recs, with its free list) bounded by the copies out
+// at once; lease.byTask finds a task's first record and the records of one
+// task are chained through leaseRecord.next, so issue, claim and release
+// touch no hash map. A copy enters the table at issue and leaves it by
+// claim (a result) or by releaseLocked (every other way a hold ends). The
+// table's one link to a connection is lease.conns, the connection each
+// participant is served over, and only the shell (leaseBatch, the result
+// phases, reclaim and bind) names a connection. DESIGN.md §13 has the
+// rules. lease.mu is locked only in this file (and by withLeaseAndAudit,
+// the one function that locks it and audit.mu).
 
 import (
 	"context"
@@ -42,6 +44,12 @@ type leaseState struct {
 	free   []int32
 	live   int
 	byTask []int32
+	// primaries[pid] counts the records whose primary pid holds, so a lease
+	// walks the pool to re-issue only when its requester holds something.
+	// conns[pid] is the connection pid was last registered or resumed on:
+	// a disconnect ends the holds of the participants still bound to it.
+	primaries []int32
+	conns     map[int]*connState
 
 	finished bool
 	draining atomic.Bool   // Shutdown in progress: no new assignments; set under mu, read by unbusy too
@@ -52,12 +60,13 @@ type leaseState struct {
 	// most of the no_work/sleep/retry polling near queue exhaustion.
 	waiters []chan struct{}
 
-	// Speculative reissue (SpeculatePct): specq holds copies the sweeper
-	// flagged as straggling, waiting for a second participant to lease a
-	// clone; specLosers remembers, for a grace window, which participant
-	// lost each resolved race so a late submission gets a precise
-	// "duplicate" rejection instead of "unassigned".
-	specq      []outstandingKey
+	// Speculative reissue (SpeculatePct): flagged counts the records whose
+	// clone is a flag (the sweeper found the primary straggling), each
+	// waiting for a second participant to lease a clone; specLosers
+	// remembers, for a grace window, which participant lost each resolved
+	// race so a late submission gets a precise "duplicate" rejection
+	// instead of "unassigned".
+	flagged    int
 	specLosers map[outstandingKey]specLoser
 }
 
@@ -78,22 +87,21 @@ type specLoser struct {
 // back. Keyed by (task, copy).
 type outstandingKey struct{ task, copy int }
 
-// holder is one participant's hold on a copy: who, over which connection
-// (rewritten when the participant resumes on another), and since when.
+// holder is one participant's hold on a copy, since issuedAt: a caller's
+// clock reading, which is never the zero time.
 type holder struct {
 	participant int
-	owner       *connState
 	issuedAt    time.Time
 }
 
 // live reports whether h holds the copy: a clone that is only a flag has
-// no owner yet, and neither has the primary of a free record.
-func (h *holder) live() bool { return h != nil && h.owner != nil }
+// no issue time yet, and neither has the primary of a free record.
+func (h *holder) live() bool { return h != nil && !h.issuedAt.IsZero() }
 
 // leaseRecord is one outstanding copy. The primary is the holder the queue
 // issued it to. clone stays nil unless the speculative tier races the
-// copy: without an owner it is a flag (the sweeper found the primary
-// straggling and the copy waits in specq), with one it is a duplicate held
+// copy: without an issue time it is a flag (the sweeper found the primary
+// straggling, and lease.flagged counts it), with one it is a duplicate held
 // by a participant other than the primary. A clone lives outside the
 // queue's accounting: whichever holder submits first claims the copy, and
 // the queue sees one Complete or one Abandon for it either way.
@@ -102,7 +110,6 @@ type leaseRecord struct {
 	primary holder
 	clone   *holder
 	next    int32 // 1 + the index of the task's next record, 0 ends the chain
-	at      int32 // this record's position in primary.owner.held
 }
 
 // findLocked returns the index of the record of the copy at key, or -1
@@ -129,38 +136,30 @@ func (s *Supervisor) growByTaskLocked(top int) {
 	}
 }
 
-// holdLocked lists record i in cs's held index and makes cs its primary's
-// owner. Callers hold lease.mu.
-func (s *Supervisor) holdLocked(i int32, cs *connState) {
-	r := &s.lease.recs[i]
-	r.primary.owner = cs
-	r.at = int32(len(cs.held))
-	cs.held = append(cs.held, i)
+// countLocked adds d to pid's count of primaries, growing the counts to
+// cover pid. Callers hold lease.mu.
+func (s *Supervisor) countLocked(pid int, d int32) {
+	if n := pid + 1; n > len(s.lease.primaries) {
+		s.lease.primaries = append(s.lease.primaries, make([]int32, n-len(s.lease.primaries))...)
+	}
+	s.lease.primaries[pid] += d
 }
 
-// unholdLocked removes record i from its primary owner's held index by
-// moving the index's last entry into its place. Callers hold lease.mu.
-func (s *Supervisor) unholdLocked(i int32) {
-	r := &s.lease.recs[i]
-	held := r.primary.owner.held
-	last := held[len(held)-1]
-	held[r.at] = last
-	s.lease.recs[last].at = r.at
-	r.primary.owner.held = held[:len(held)-1]
-}
-
-// dropLocked removes record i from the table: off its owner's held index,
-// out of its task's chain, and back on the free list. Callers hold
-// lease.mu.
+// dropLocked removes record i from the table: out of its primary's count
+// (and the flag count, if its clone is a flag), out of its task's chain,
+// and back on the free list. Callers hold lease.mu.
 func (s *Supervisor) dropLocked(i int32) {
-	s.unholdLocked(i)
 	r := &s.lease.recs[i]
+	s.lease.primaries[r.primary.participant]--
+	if r.clone != nil && !r.clone.live() {
+		s.lease.flagged--
+	}
 	link := &s.lease.byTask[r.a.TaskID]
 	for *link != i+1 {
 		link = &s.lease.recs[*link-1].next
 	}
 	*link = r.next
-	*r = leaseRecord{} // free, and holding no connection or clone alive
+	*r = leaseRecord{} // free, and holding no clone alive
 	s.lease.free = append(s.lease.free, i)
 	s.lease.live--
 	if s.lease.live == 0 && s.lease.draining.Load() {
@@ -168,9 +167,9 @@ func (s *Supervisor) dropLocked(i int32) {
 	}
 }
 
-// issueLocked records a fresh queue pop as held by pid over cs. Callers
-// hold lease.mu.
-func (s *Supervisor) issueLocked(a sched.Assignment, pid int, cs *connState, now time.Time) {
+// issueLocked records a fresh queue pop as held by pid. Callers hold
+// lease.mu.
+func (s *Supervisor) issueLocked(a sched.Assignment, pid int, now time.Time) {
 	var i int32
 	if n := len(s.lease.free); n > 0 {
 		i = s.lease.free[n-1]
@@ -186,7 +185,7 @@ func (s *Supervisor) issueLocked(a sched.Assignment, pid int, cs *connState, now
 	r.primary.participant, r.primary.issuedAt = pid, now
 	*head = i + 1
 	s.lease.live++
-	s.holdLocked(i, cs)
+	s.countLocked(pid, 1)
 }
 
 // reissueLocked restarts the clock of record i, a copy its primary holder
@@ -198,28 +197,23 @@ func (s *Supervisor) reissueLocked(i int32, now time.Time) sched.Assignment {
 	return r.a
 }
 
-// transfer re-attaches every hold of pid to cs, the connection pid has just
-// resumed on, and reports how many it moved: the copies stay out, only
-// their owner changes.
-func (s *Supervisor) transfer(pid int, cs *connState) (moved int) {
+// bind makes cs the connection pid is served over, at its registration
+// and at every resume, and reports how many copies pid holds, as primary
+// or clone. A resume moves no hold: the copies stay pid's, its next lease
+// re-sends its primaries over cs, and the end of the connection it left
+// reclaims none of them.
+func (s *Supervisor) bind(pid int, cs *connState) (holds int) {
 	s.lease.mu.Lock()
 	defer s.lease.mu.Unlock()
+	s.lease.conns[pid] = cs
+	s.countLocked(pid, 0) // pid's leases read its count
 	for i := range s.lease.recs {
 		r := &s.lease.recs[i]
-		switch {
-		case !r.primary.live():
-			continue
-		case r.primary.participant == pid:
-			s.unholdLocked(int32(i))
-			s.holdLocked(int32(i), cs)
-		case r.clone.live() && r.clone.participant == pid:
-			r.clone.owner = cs
-		default:
-			continue
+		if r.primary.live() && r.primary.participant == pid || r.clone.live() && r.clone.participant == pid {
+			holds++
 		}
-		moved++
 	}
-	return moved
+	return holds
 }
 
 // claimLocked validates one submitted result and removes its copy's
@@ -282,9 +276,9 @@ func (s *Supervisor) releaseLocked(i int32, pid int, reason string) {
 	case r.primary.participant != pid:
 		return
 	case r.clone.live():
-		s.unholdLocked(i)
+		s.countLocked(pid, -1)
 		r.primary, r.clone = *r.clone, nil
-		s.holdLocked(i, r.primary.owner)
+		s.countLocked(r.primary.participant, 1)
 		s.logf("%s: task %d copy %d passed from participant %d to its clone holder %d",
 			reason, key.task, key.copy, pid, r.primary.participant)
 	default:
@@ -302,28 +296,42 @@ func (s *Supervisor) releaseLocked(i int32, pid int, reason string) {
 	}
 }
 
-// reclaim ends every hold a dead connection still has and records the
-// departure of every participant registered on it. Clones go first, so a
-// copy whose two holders were both on this connection returns to the
-// queue rather than passing from one to the other; then every primary
-// leaves cs.held, which therefore drains from the back.
+// reclaim ends every hold of the participants a dead connection was still
+// serving (those still bound to it), unbinds them and records their
+// departure; cs.names is cut down to them. One that has resumed on another
+// connection has not left, and its holds stay out.
 func (s *Supervisor) reclaim(cs *connState) {
 	s.lease.mu.Lock()
-	if s.cfg.SpeculatePct > 0 {
-		for i := range s.lease.recs {
-			if c := s.lease.recs[i].clone; c.live() && c.owner == cs {
-				s.releaseLocked(int32(i), c.participant, "disconnect")
-			}
+	for pid := range cs.names {
+		if s.lease.conns[pid] == cs {
+			delete(s.lease.conns, pid)
+		} else {
+			delete(cs.names, pid)
 		}
 	}
-	for n := len(cs.held); n > 0; n = len(cs.held) {
-		i := cs.held[n-1]
-		s.releaseLocked(i, s.lease.recs[i].primary.participant, "disconnect")
+	if len(cs.names) > 0 {
+		s.endHoldsLocked(func(pid int) bool { _, ok := cs.names[pid]; return ok }, "disconnect")
 	}
 	s.lease.mu.Unlock()
 	if s.events != nil {
 		for id, name := range cs.names {
 			s.events.Emit(EvWorkerLeft, map[string]any{"participant": id, "name": name})
+		}
+	}
+}
+
+// endHoldsLocked ends, as reason, every hold of each participant gone
+// reports: record by record, the clone before the primary, so a copy whose
+// two holders are both gone returns to the queue rather than passing from
+// one to the other. Callers hold lease.mu.
+func (s *Supervisor) endHoldsLocked(gone func(pid int) bool, reason string) {
+	for i := range s.lease.recs {
+		r := &s.lease.recs[i]
+		if c := r.clone; c.live() && gone(c.participant) {
+			s.releaseLocked(int32(i), c.participant, reason)
+		}
+		if r.primary.live() && gone(r.primary.participant) {
+			s.releaseLocked(int32(i), r.primary.participant, reason)
 		}
 	}
 }
@@ -391,42 +399,32 @@ func (s *Supervisor) flagStragglersLocked(now time.Time) (flagged int) {
 			continue
 		}
 		r.clone = &holder{}
-		s.lease.specq = append(s.lease.specq, outstandingKey{r.a.TaskID, r.a.Copy})
 		flagged++
 	}
+	s.lease.flagged += flagged
 	return flagged
 }
 
 // fillSpeculativeLocked serves flagged copies as clones to pid, issued at
-// now, up to the lease's capacity and ahead of fresh queue work
-// (leaseBatch calls it first). Stale candidates (resolved, released, or
-// already cloned since flagging) are dropped; candidates pid cannot take
-// (its own straggling lease) are kept for other requesters. Callers hold
-// lease.mu. Returns the number of clones issued.
-func (s *Supervisor) fillSpeculativeLocked(pid int, cs *connState, want int, items *[]WorkItem, now time.Time) int {
-	if len(s.lease.specq) == 0 {
-		return 0
-	}
-	issued := 0
-	kept := s.lease.specq[:0]
-	for _, key := range s.lease.specq {
-		if len(*items) >= want {
-			kept = append(kept, key)
-			continue
-		}
-		i := s.findLocked(key)
-		if i < 0 {
-			continue
+// now, in record order, up to the lease's capacity and ahead of fresh queue
+// work (leaseBatch calls it first). A flag on pid's own straggling lease is
+// left for other requesters. Callers hold lease.mu. Returns the number of
+// clones issued.
+func (s *Supervisor) fillSpeculativeLocked(pid, want int, items *[]WorkItem, now time.Time) (issued int) {
+	left := s.lease.flagged
+	for i := range s.lease.recs {
+		if left == 0 || len(*items) >= want {
+			break
 		}
 		r := &s.lease.recs[i]
 		if r.clone == nil || r.clone.live() {
 			continue
 		}
-		if r.primary.participant == pid {
-			kept = append(kept, key)
+		if left--; r.primary.participant == pid {
 			continue
 		}
-		*r.clone = holder{participant: pid, owner: cs, issuedAt: now}
+		*r.clone = holder{participant: pid, issuedAt: now}
+		s.lease.flagged--
 		issued++
 		if s.events != nil {
 			s.events.Emit(EvAssignmentSpeculated, map[string]any{
@@ -436,7 +434,6 @@ func (s *Supervisor) fillSpeculativeLocked(pid int, cs *connState, want int, ite
 		}
 		*items = append(*items, WorkItem{TaskID: r.a.TaskID, Copy: r.a.Copy, Seed: TaskSeed(r.a.TaskID)})
 	}
-	s.lease.specq = kept
 	return issued
 }
 
@@ -456,16 +453,17 @@ func (s *Supervisor) kickLeaseLocked() {
 // leaseBatch fills one lease: under lease.mu it first re-issues every
 // surviving assignment this participant already holds — the whole lease
 // comes back after a resume, so a reconnect never duplicates queue state —
-// then fills the remainder with fresh queue pops, up to min(want,
-// MaxBatch). A request that finds the queue empty parks on a waiter
-// channel (up to leaseParkMax) instead of immediately bouncing a
-// no_work/sleep/retry cycle off the supervisor; completions, reclaims,
-// and revisions kick parked requests awake. single marks a request_work,
-// whose reply has room for exactly one item. The time the request spends
-// in here, queue wait and parking included, is the lease-wait histogram.
-// now is the caller's one clock reading for the request; the clock is read
-// again only after a park wakes, so the copies of one reply, re-issued or
-// fresh, share one issue time.
+// then fills the remainder with clones and fresh queue pops, up to
+// min(want, MaxBatch); over a connection the participant has since left
+// (resumed elsewhere) it re-issues only. A request that finds the queue
+// empty parks on a waiter channel (up to leaseParkMax) instead of
+// immediately bouncing a no_work/sleep/retry cycle off the supervisor;
+// completions, reclaims, and revisions kick parked requests awake. single
+// marks a request_work, whose reply has room for exactly one item. The
+// time the request spends in here, queue wait and parking included, is the
+// lease-wait histogram. now is the caller's one clock reading for the
+// request; the clock is read again only after a park wakes, so the copies
+// of one reply, re-issued or fresh, share one issue time.
 func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState, now time.Time) Message {
 	defer func(start time.Time) {
 		s.metrics.leaseWait.Observe(time.Since(start).Seconds())
@@ -503,15 +501,19 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState, now t
 	// Re-issues are not capped by want: the worker must learn about every
 	// assignment it still holds, or a resumed lease could silently shrink.
 	// A request_work reply carries one item, so there the rest of the held
-	// set comes back on the following requests.
-	for _, i := range cs.held {
-		if single && len(items) == 1 {
+	// set comes back on the following requests. A pipelining worker's
+	// results are claimed before its request is served, so it mostly holds
+	// nothing here and the pool is not walked.
+	left := s.lease.primaries[pid]
+	for i := range s.lease.recs {
+		if left == 0 || single && len(items) == 1 {
 			break
 		}
-		if s.lease.recs[i].primary.participant != pid {
+		if r := &s.lease.recs[i]; !r.primary.live() || r.primary.participant != pid {
 			continue
 		}
-		a := s.reissueLocked(i, now)
+		left--
+		a := s.reissueLocked(int32(i), now)
 		reissues++
 		if s.events != nil {
 			s.events.Emit(EvAssignmentIssued, map[string]any{
@@ -526,14 +528,17 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState, now t
 			empty = Message{Type: MsgDone}
 			break
 		}
+		// Nothing new goes out while draining, or over a connection the
+		// participant has left.
+		issuing := !s.lease.draining.Load() && s.lease.conns[pid] == cs
 		// Straggler clones go out ahead of fresh queue pops — a flagged copy
 		// is the work blocking a task's certification, so it is the most
 		// valuable lease in the system. Healthy requesters only, and never
 		// back to the straggler itself.
-		if !s.lease.draining.Load() && !probation && len(items) < want {
-			specIssued += s.fillSpeculativeLocked(pid, cs, want, &items, now)
+		if issuing && !probation && len(items) < want {
+			specIssued += s.fillSpeculativeLocked(pid, want, &items, now)
 		}
-		if !s.lease.draining.Load() && len(items) < want {
+		if issuing && len(items) < want {
 			fill := cs.fill[:0]
 			if probation {
 				for len(items)+len(fill) < want {
@@ -548,7 +553,7 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState, now t
 			}
 			cs.fill = fill[:0]
 			for _, a := range fill {
-				s.issueLocked(a, pid, cs, now)
+				s.issueLocked(a, pid, now)
 				fresh++
 				if s.events != nil {
 					ev := map[string]any{"task": a.TaskID, "copy": a.Copy, "participant": pid, "ringer": a.Ringer}
@@ -580,7 +585,7 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState, now t
 			empty = Message{Type: MsgNoWork, Wait: 0.5}
 			break
 		}
-		if s.lease.draining.Load() {
+		if !issuing {
 			empty = Message{Type: MsgNoWork, Wait: 0.2}
 			break
 		}
@@ -715,15 +720,7 @@ func (s *Supervisor) sweepExpired(now time.Time) {
 		}
 	}
 	if s.cfg.Health != nil && s.roster.AnyUnhealthy() {
-		for i := range s.lease.recs {
-			r := &s.lease.recs[i]
-			if c := r.clone; c.live() && s.roster.State(c.participant) == health.Quarantined {
-				s.releaseLocked(int32(i), c.participant, "quarantine")
-			}
-			if r.primary.live() && s.roster.State(r.primary.participant) == health.Quarantined {
-				s.releaseLocked(int32(i), r.primary.participant, "quarantine")
-			}
-		}
+		s.endHoldsLocked(func(pid int) bool { return s.roster.State(pid) == health.Quarantined }, "quarantine")
 		for _, tr := range s.roster.Tick(now) {
 			s.pushTransition(tr)
 		}

@@ -29,11 +29,14 @@ func (s *Supervisor) leasesOf(task int) []*leaseRecord {
 	return out
 }
 
-// heldBy returns the copies cs's held index lists. Callers hold lease.mu.
-func (s *Supervisor) heldBy(cs *connState) []outstandingKey {
+// heldBy returns the copies whose primary pid holds, in record order.
+// Callers hold lease.mu.
+func (s *Supervisor) heldBy(pid int) []outstandingKey {
 	var out []outstandingKey
-	for _, i := range cs.held {
-		out = append(out, outstandingKey{s.lease.recs[i].a.TaskID, s.lease.recs[i].a.Copy})
+	for i := range s.lease.recs {
+		if r := &s.lease.recs[i]; r.primary.live() && r.primary.participant == pid {
+			out = append(out, outstandingKey{r.a.TaskID, r.a.Copy})
+		}
 	}
 	return out
 }
@@ -48,7 +51,7 @@ func (s *Supervisor) heldBy(cs *connState) []outstandingKey {
 // is a suspect verdict and the sweep that follows it, as in production, so
 // that sweep also reclaims an expired other holder. After the cause, after
 // the sweep that follows it, and after a second release of the same hold,
-// it checks who holds the copy, the connection index, the queue,
+// it checks who holds the copy, the primary counts, the queue,
 // reclaimed{reason}, the assignment_reclaimed events and the
 // deadline-failure evidence.
 func TestLeaseRelease(t *testing.T) {
@@ -154,10 +157,9 @@ func TestLeaseRelease(t *testing.T) {
 						holds += "+" + names[r.clone.participant]
 					}
 				}
-				for who, cs := range conns {
-					indexed := slices.Contains(sup.heldBy(cs), key)
-					if owns := ok && out[0].primary.owner == cs; indexed != owns {
-						t.Errorf("%s: %s's connection indexes the copy %v, owns its primary %v", step, who, indexed, owns)
+				for who, pid := range pids {
+					if n, held := len(sup.heldBy(pid)), sup.lease.primaries[pid]; int(held) != n {
+						t.Errorf("%s: %s's primary count is %d, it holds %d primaries", step, who, held, n)
 					}
 				}
 				issued, available := sup.lease.queue.Issued(), sup.lease.queue.Available()
@@ -352,23 +354,178 @@ func TestSweepReclaimsQuarantined(t *testing.T) {
 		t.Errorf("a supervisor without Health reclaimed %d holds as quarantine", n)
 	}
 	sup.lease.mu.Lock()
-	if held := len(xc.held); held != 1 {
+	if held := len(sup.heldBy(x)); held != 1 {
 		t.Errorf("x holds %d copies after the sweep, want 1", held)
 	}
 	sup.lease.mu.Unlock()
 }
 
+// TestHoldsFollowTheirParticipant pins that a hold is its participant's,
+// whatever connection the participant is served over, on supervisors with
+// no goroutines. resume: after p resumes on c2 its two copies stay out and
+// stay its own; a lease request that still arrives on c1 re-sends them and
+// pops nothing fresh, c1's end reclaims none of them, p's lease on c2
+// re-sends them again, and c2's end reclaims both. shared connection: a
+// connection serving two participants, one racing the other's copy as a
+// clone, returns that copy to the queue when it ends rather than passing it
+// from one to the other. worker_left: a participant leaves at the end of
+// the connection it was last served over, never at the end of one it left.
+func TestHoldsFollowTheirParticipant(t *testing.T) {
+	now := time.Now()
+	start := func(t *testing.T, tasks int, cfg SupervisorConfig) (*Supervisor, *bytes.Buffer) {
+		t.Helper()
+		var events bytes.Buffer
+		cfg.Plan, cfg.Iters, cfg.Events = simplePlan(t, float64(tasks)), 1, obs.NewSink(&events)
+		for i := range tasks {
+			cfg.tasks = append(cfg.tasks, plan.TaskSpec{ID: i, Copies: 1})
+		}
+		sup, err := NewSupervisor(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sup.Close() })
+		return sup, &events
+	}
+	names := map[int]string{}
+	join := func(sup *Supervisor, who string, cs *connState) Message {
+		m := sup.register(Message{Type: MsgRegister, Name: who}, cs)
+		names[m.ParticipantID] = who
+		return m
+	}
+	lease := func(t *testing.T, sup *Supervisor, pid, want int, cs *connState) []outstandingKey {
+		t.Helper()
+		var keys []outstandingKey
+		for _, w := range sup.leaseBatch(pid, want, false, cs, now).Work {
+			keys = append(keys, outstandingKey{w.TaskID, w.Copy})
+		}
+		return keys
+	}
+	// eventsOf lists the named participant of every kind event so far,
+	// after its reason when it has one, oldest first.
+	eventsOf := func(t *testing.T, events *bytes.Buffer, kind string) string {
+		t.Helper()
+		var got []string
+		for _, line := range strings.Split(strings.TrimSpace(events.String()), "\n") {
+			var ev struct {
+				Event       string `json:"event"`
+				Participant int    `json:"participant"`
+				Reason      string `json:"reason"`
+			}
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("event line %q: %v", line, err)
+			}
+			if ev.Event == kind {
+				got = append(got, strings.TrimPrefix(ev.Reason+":", ":")+names[ev.Participant])
+			}
+		}
+		return strings.Join(got, " ")
+	}
+
+	t.Run("resume", func(t *testing.T) {
+		sup, events := start(t, 4, SupervisorConfig{})
+		c1, c2 := newConnState(nil), newConnState(nil)
+		reg := join(sup, "p", c1)
+		p := reg.ParticipantID
+		held := lease(t, sup, p, 2, c1)
+		if m := sup.register(Message{Type: MsgRegister, Resume: true, ParticipantID: p, Token: reg.Token}, c2); m.Type != MsgRegistered {
+			t.Fatalf("p's resume: %+v", m)
+		}
+		// totals reads the re-sent, popped and disconnect-reclaimed copies
+		// so far.
+		totals := func() string {
+			snap := sup.Metrics().Snapshot()
+			resent, _ := snap.Value("redundancy_assignments_reissued_total")
+			popped, _ := snap.Value("redundancy_assignments_issued_total")
+			reclaimed, _ := snap.Value("redundancy_assignments_reclaimed_total", "disconnect")
+			return fmt.Sprintf("re-sent %v popped %v reclaimed %v", resent, popped, reclaimed)
+		}
+		var got []string
+		if keys := lease(t, sup, p, 1, c1); !slices.Equal(keys, held) {
+			t.Errorf("p's lease over c1, which it left, sent %v, want its holds %v", keys, held)
+		}
+		got = append(got, "c1 lease: "+totals())
+		sup.reclaim(c1)
+		got = append(got, "c1 ends: "+totals())
+		if keys := lease(t, sup, p, 1, c2); !slices.Equal(keys, held) {
+			t.Errorf("p's lease over c2 sent %v, want its holds %v", keys, held)
+		}
+		got = append(got, "c2 lease: "+totals())
+		sup.reclaim(c2)
+		got = append(got, "c2 ends: "+totals())
+		want := []string{
+			"c1 lease: re-sent 2 popped 2 reclaimed 0",
+			"c1 ends: re-sent 2 popped 2 reclaimed 0",
+			"c2 lease: re-sent 4 popped 2 reclaimed 0",
+			"c2 ends: re-sent 4 popped 2 reclaimed 2",
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("steps:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+		if !strings.Contains(events.String(), `"event":"worker_resumed","inflight":2,`) {
+			t.Errorf("no worker_resumed with 2 in flight in %s", events)
+		}
+		sup.lease.mu.Lock()
+		live, issued := sup.lease.live, sup.lease.queue.Issued()
+		sup.lease.mu.Unlock()
+		if live != 0 || issued != 0 {
+			t.Errorf("after both ends %d records live and %d copies issued, want 0 and 0", live, issued)
+		}
+	})
+
+	t.Run("shared connection", func(t *testing.T) {
+		sup, events := start(t, 1, SupervisorConfig{
+			Deadline: time.Hour, SpeculatePct: 0.5, Health: &health.Config{MinLatencySamples: 1},
+		})
+		cs := newConnState(nil)
+		p, c := join(sup, "p", cs).ParticipantID, join(sup, "c", cs).ParticipantID
+		key := lease(t, sup, p, 1, cs)
+		sup.roster.ObserveCompletion(c, time.Millisecond)
+		sup.sweepExpired(now.Add(time.Second))
+		if clone := lease(t, sup, c, 1, cs); !slices.Equal(clone, key) {
+			t.Fatalf("c leased %v, want the clone of %v", clone, key)
+		}
+		sup.reclaim(cs)
+		sup.lease.mu.Lock()
+		out, available := len(sup.leasesOf(key[0].task)), sup.lease.queue.Available()
+		sup.lease.mu.Unlock()
+		if out != 0 || !available {
+			t.Errorf("after the connection ends %d records of the copy are out and the queue has it %v, want 0 and true", out, available)
+		}
+		if got := eventsOf(t, events, EvAssignmentReclaimed); got != "disconnect:c disconnect:p" {
+			t.Errorf("assignment_reclaimed %q, want the clone's and then the primary's disconnect", got)
+		}
+	})
+
+	t.Run("worker_left", func(t *testing.T) {
+		sup, events := start(t, 1, SupervisorConfig{})
+		c1, c2 := newConnState(nil), newConnState(nil)
+		reg := join(sup, "p", c1)
+		join(sup, "q", c1)
+		sup.register(Message{Type: MsgRegister, Resume: true, ParticipantID: reg.ParticipantID, Token: reg.Token}, c2)
+		sup.reclaim(c1)
+		if got := eventsOf(t, events, EvWorkerLeft); got != "q" {
+			t.Errorf("c1's end: worker_left for %q, want q alone", got)
+		}
+		sup.reclaim(c2)
+		if got := eventsOf(t, events, EvWorkerLeft); got != "q p" {
+			t.Errorf("c2's end: worker_left for %q, want q and then p", got)
+		}
+	})
+}
+
 // TestLeaseTableMatchesReference drives every writer of the lease table
 // (issue, reissue, claim by primary and by clone, release for every
-// reason, resume transfer, disconnect, straggler flagging and clone
-// serving) in a seeded random order over three connections and four
-// participants, against a plain map from (task, copy) to its holders.
-// Whenever the queue runs dry a revision mints ringers past the end of
-// byTask, so the chains of grown task IDs are walked too. After every step
-// the table must agree with the map: every copy out is found with the
-// same holders and nothing else is out, every held entry is a live record
-// owned by that connection that knows its position there, the pool
-// accounts for every record, and every task chain is acyclic.
+// reason, resume, disconnect, straggler flagging, clone serving, and a
+// lease served over a connection its participant has since left) in a
+// seeded random order over three connections and four participants,
+// against a plain map from (task, copy) to its holders and a binding of
+// each participant to its connection. Whenever the queue runs dry a
+// revision mints ringers past the end of byTask, so the chains of grown
+// task IDs are walked too. After every step the table must agree with the
+// reference: every copy out is found with the same holders and nothing
+// else is out, each participant's primary count and binding match, the
+// flag count is the number of flagged copies, the pool accounts for every
+// record, and every task chain is acyclic.
 func TestLeaseTableMatchesReference(t *testing.T) {
 	const tasks, steps = 60, 4000
 	p := simplePlan(t, tasks)
@@ -397,7 +554,16 @@ func TestLeaseTableMatchesReference(t *testing.T) {
 	}
 	ref := map[outstandingKey]*copyOut{}
 	conns := []*connState{newConnState(nil), newConnState(nil), newConnState(nil)}
-	connOf := map[int]int{1: 0, 2: 1, 3: 2, 4: 0} // every hold of a participant is on its connection
+	connOf := map[int]int{1: 0, 2: 1, 3: 2, 4: 0} // -1: unbound, its connection ended
+	// join registers pid on connection c, as a resume does.
+	join := func(pid, c int) (holds int) {
+		conns[c].names[pid] = ""
+		connOf[pid] = c
+		return sup.bind(pid, conns[c])
+	}
+	for pid, c := range connOf {
+		join(pid, c)
+	}
 	reasons := []string{"disconnect", "deadline", "quarantine", "speculative"}
 	r := rng.New(11)
 	now := time.Unix(1_000_000, 0)
@@ -443,14 +609,18 @@ func TestLeaseTableMatchesReference(t *testing.T) {
 		if n := l.queue.Outstanding(); n != len(ref) {
 			fail("queue has %d outstanding, the reference %d", n, len(ref))
 		}
+		primaries, flagged := map[int]int{}, 0
 		for k, want := range ref {
+			primaries[want.primary.pid]++
+			if want.clone != nil && want.clone.pid == 0 {
+				flagged++
+			}
 			i := sup.findLocked(k)
 			if i < 0 {
 				fail("copy %v is out but not found", k)
 			}
 			rec := &l.recs[i]
-			if rec.a != want.a || rec.primary.participant != want.primary.pid ||
-				rec.primary.owner != conns[connOf[want.primary.pid]] || !rec.primary.issuedAt.Equal(want.primary.at) {
+			if rec.a != want.a || rec.primary.participant != want.primary.pid || !rec.primary.issuedAt.Equal(want.primary.at) {
 				fail("copy %v: primary %+v of %+v, want participant %d since %v", k, rec.primary, rec.a, want.primary.pid, want.primary.at)
 			}
 			switch {
@@ -463,23 +633,21 @@ func TestLeaseTableMatchesReference(t *testing.T) {
 					fail("copy %v: clone %v, want a flag", k, rec.clone)
 				}
 			default:
-				if !rec.clone.live() || rec.clone.participant != want.clone.pid ||
-					rec.clone.owner != conns[connOf[want.clone.pid]] || !rec.clone.issuedAt.Equal(want.clone.at) {
+				if !rec.clone.live() || rec.clone.participant != want.clone.pid || !rec.clone.issuedAt.Equal(want.clone.at) {
 					fail("copy %v: clone %v, want participant %d since %v", k, rec.clone, want.clone.pid, want.clone.at)
 				}
 			}
 		}
-		held := 0
-		for c, cs := range conns {
-			for pos, i := range cs.held {
-				if rec := &l.recs[i]; !rec.primary.live() || rec.primary.owner != cs || int(rec.at) != pos {
-					fail("connection %d lists record %d at %d: owned by its own connection %v, at %d", c, i, pos, rec.primary.owner == cs, rec.at)
-				}
+		for pid, c := range connOf {
+			if n := int(l.primaries[pid]); n != primaries[pid] {
+				fail("participant %d counts %d primaries, holds %d", pid, n, primaries[pid])
 			}
-			held += len(cs.held)
+			if cs, bound := l.conns[pid]; c < 0 && bound || c >= 0 && cs != conns[c] {
+				fail("participant %d is bound %v, want connection %d", pid, bound, c)
+			}
 		}
-		if held != l.live {
-			fail("the connections list %d records, %d are live", held, l.live)
+		if l.flagged != flagged {
+			fail("%d flags counted, %d copies flagged", l.flagged, flagged)
 		}
 		chained := 0
 		for task, head := range l.byTask {
@@ -497,7 +665,7 @@ func TestLeaseTableMatchesReference(t *testing.T) {
 		}
 	}
 
-	revisions := 0
+	revisions, resent := 0, 0
 	sup.lease.mu.Lock()
 	defer sup.lease.mu.Unlock()
 	for step := 0; step < steps; step++ {
@@ -526,7 +694,7 @@ func TestLeaseTableMatchesReference(t *testing.T) {
 		case roll < 22:
 			op = "issue"
 			for _, a := range sup.lease.queue.NextBatch(nil, 1+r.Intn(6)) {
-				sup.issueLocked(a, pid, conns[connOf[pid]], now)
+				sup.issueLocked(a, pid, now)
 				ref[outstandingKey{a.TaskID, a.Copy}] = &copyOut{a: a, primary: hold{pid, now}}
 			}
 		case roll < 25:
@@ -602,9 +770,8 @@ func TestLeaseTableMatchesReference(t *testing.T) {
 			}
 			sup.releaseLocked(sup.findLocked(k), pid, reason)
 			release(k, pid)
-		case roll < 70:
-			op = "transfer"
-			to := r.Intn(len(conns))
+		case roll < 68:
+			op = "resume"
 			want := 0
 			for _, c := range ref {
 				if c.primary.pid == pid || liveClone(c) && c.clone.pid == pid {
@@ -612,28 +779,62 @@ func TestLeaseTableMatchesReference(t *testing.T) {
 				}
 			}
 			sup.lease.mu.Unlock()
-			moved := sup.transfer(pid, conns[to])
+			holds := join(pid, r.Intn(len(conns)))
 			sup.lease.mu.Lock()
-			if moved != want {
-				t.Fatalf("step %d: transfer moved %d holds of participant %d, want %d", step, moved, pid, want)
+			if holds != want {
+				t.Fatalf("step %d: participant %d resumed holding %d copies, want %d", step, pid, holds, want)
 			}
-			connOf[pid] = to
+		case roll < 70:
+			op = "lease over a connection left"
+			c := r.Intn(len(conns))
+			if c == connOf[pid] {
+				c = (c + 1) % len(conns)
+			}
+			var want []outstandingKey
+			for _, k := range ks {
+				if ref[k].primary.pid == pid {
+					want = append(want, k)
+					ref[k].primary.at = now
+				}
+			}
+			sup.lease.mu.Unlock()
+			m := sup.leaseBatch(pid, 1+r.Intn(4), false, conns[c], now)
+			sup.lease.mu.Lock()
+			var got []outstandingKey
+			for _, w := range m.Work {
+				got = append(got, outstandingKey{w.TaskID, w.Copy})
+			}
+			slices.SortFunc(got, func(a, b outstandingKey) int {
+				if a.task != b.task {
+					return a.task - b.task
+				}
+				return a.copy - b.copy
+			})
+			if wantType := map[bool]string{true: MsgNoWork, false: MsgWorkBatch}[len(want) == 0]; m.Type != wantType || !slices.Equal(got, want) {
+				t.Fatalf("step %d: participant %d's lease over connection %d: %s %v, want %s %v", step, pid, c, m.Type, got, wantType, want)
+			}
+			resent += len(got)
 		case roll < 73:
 			op = "disconnect"
 			gone := r.Intn(len(conns))
 			for _, k := range ks {
-				if c := ref[k]; liveClone(c) && connOf[c.clone.pid] == gone {
+				c := ref[k]
+				if liveClone(c) && connOf[c.clone.pid] == gone {
 					c.clone = nil
 				}
-			}
-			for _, k := range ks {
-				if c := ref[k]; connOf[c.primary.pid] == gone {
+				if connOf[c.primary.pid] == gone {
 					release(k, c.primary.pid)
 				}
 			}
 			sup.lease.mu.Unlock()
 			sup.reclaim(conns[gone])
 			sup.lease.mu.Lock()
+			conns[gone] = newConnState(nil) // an ended connection serves no more
+			for p, c := range connOf {
+				if c == gone {
+					connOf[p] = -1
+				}
+			}
 		case roll < 83:
 			op = "flag"
 			now = now.Add(2 * time.Millisecond)
@@ -656,7 +857,7 @@ func TestLeaseTableMatchesReference(t *testing.T) {
 				}
 			}
 			var items []WorkItem
-			issued := sup.fillSpeculativeLocked(pid, conns[connOf[pid]], want, &items, now)
+			issued := sup.fillSpeculativeLocked(pid, want, &items, now)
 			if issued != min(want, eligible) || len(items) != issued {
 				t.Fatalf("step %d: %d clones for %d items, want %d of %d eligible", step, issued, len(items), min(want, eligible), eligible)
 			}
@@ -673,11 +874,14 @@ func TestLeaseTableMatchesReference(t *testing.T) {
 	if revisions == 0 {
 		t.Fatal("no revision grew byTask")
 	}
+	if resent == 0 {
+		t.Fatal("no lease over a connection left re-sent a hold")
+	}
 }
 
-// TestLeaseCycleAllocFree: once the record pool, its free list and the
-// connection's held index have reached a lease's size, issuing and
-// claiming a 64-copy lease allocates nothing.
+// TestLeaseCycleAllocFree: once the record pool and its free list have
+// reached a lease's size, issuing and claiming a 64-copy lease allocates
+// nothing.
 func TestLeaseCycleAllocFree(t *testing.T) {
 	const batch = 64
 	sup, err := NewSupervisor(SupervisorConfig{Plan: simplePlan(t, batch), Iters: 1})
@@ -690,11 +894,10 @@ func TestLeaseCycleAllocFree(t *testing.T) {
 	for i := range lease {
 		lease[i] = sched.Assignment{TaskID: i / 2, Copy: i % 2}
 	}
-	cs := newConnState(nil)
 	now := time.Now()
 	cycle := func() {
 		for _, a := range lease {
-			sup.issueLocked(a, 1, cs, now)
+			sup.issueLocked(a, 1, now)
 		}
 		for _, a := range lease {
 			if _, _, reason, _ := sup.claimLocked(1, a.TaskID, a.Copy, now); reason != "" {

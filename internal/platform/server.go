@@ -331,6 +331,7 @@ func newSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		conns:    make(map[net.Conn]struct{}),
 	}
 	s.lease.drained = make(chan struct{}, 1)
+	s.lease.conns = make(map[int]*connState)
 	s.roster = roster
 	if cfg.SpeculatePct > 0 {
 		s.lease.specLosers = make(map[outstandingKey]specLoser)
