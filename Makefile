@@ -58,7 +58,7 @@ cover:
 COVER_FLOOR ?= 75.0
 
 cover-check:
-	@for pkg in ./internal/dist ./internal/platform ./internal/adapt ./internal/health ./internal/sim ./internal/adversary ./internal/ring ./internal/stats ./internal/verify ./internal/sched; do \
+	@for pkg in ./internal/dist ./internal/platform ./internal/lease ./internal/adapt ./internal/health ./internal/sim ./internal/adversary ./internal/ring ./internal/stats ./internal/verify ./internal/sched; do \
 		$(SYNCTEST) $(GO) test -coverprofile=cover-check.out $$pkg >/dev/null || exit 1; \
 		pct=$$($(GO) tool cover -func=cover-check.out | tail -1 | awk '{sub(/%/, "", $$3); print $$3}'); \
 		echo "coverage $$pkg: $$pct% (floor $(COVER_FLOOR)%)"; \
@@ -102,15 +102,17 @@ flake-check:
 # the lease release table (every cause of a hold ending without a result,
 # for primary and clone), what one sweep reclaims as quarantine, that a
 # hold follows its participant across a resume (and a shared connection's
-# end returns a raced copy to the queue), the lease table against its
-# reference model (every writer, clones and minted ringers included), the
-# guard that keeps connections out of the lease table's record helpers
-# (holds are keyed by participant, so the table runs without one),
-# speculative first-result-wins, the disconnect/deadline reclaim overlap,
-# the quarantine lifecycle, the ringer-starved probation-expiry deadlock
-# regression, and the stall-mode chaos soak.
+# end returns a raced copy to the queue; resumes, leases over a connection
+# left and disconnects against a reference), speculative
+# first-result-wins, the disconnect/deadline reclaim overlap, the
+# quarantine lifecycle, the ringer-starved probation-expiry deadlock
+# regression, and the stall-mode chaos soak; then every test of the lease
+# table itself (internal/lease: the table against its reference model,
+# every writer, clones and grown task IDs included, and its allocation
+# guard).
 straggler-smoke:
-	$(SYNCTEST) $(GO) test -race -run 'TestLeaseRelease|TestSweepReclaimsQuarantined|TestHoldsFollowTheirParticipant|TestLeaseTableMatchesReference|TestLeaseTableKnowsNoConnection|TestSpeculative|TestDisconnectDeadlineReclaimOverlap|TestQuarantine|TestProbationExpires|TestStallChaosSoak' -count=1 -v ./internal/platform
+	$(SYNCTEST) $(GO) test -race -run 'TestLeaseRelease|TestSweepReclaimsQuarantined|TestHoldsFollowTheirParticipant|TestSpeculative|TestDisconnectDeadlineReclaimOverlap|TestQuarantine|TestProbationExpires|TestStallChaosSoak' -count=1 -v ./internal/platform
+	$(GO) test -race -count=1 -v ./internal/lease
 
 # The scenario lab's five pathological adversary templates at the fast
 # smoke tier (10^4 tasks each): every expected counter bound, the
@@ -141,7 +143,8 @@ tail-smoke:
 # in Summary's and Export's loops) without allocating, and a restored one
 # copies the caller's lists; a collector that has adjudicated 100 000
 # Balanced tasks holds its per-task byte budget; a warm lease table
-# issues and claims a 64-copy lease without allocating; a warm codec
+# issues a 64-copy lease and ends it by claim, or by deadline through its
+# observer, without allocating; a warm codec
 # encodes, flushes and decodes every lease-cycle frame (single-item and
 # 16-item batch, JSON and binary) without allocating, and decodes verbs,
 # reasons, protos and the work kind into strings it already holds. The
@@ -165,7 +168,7 @@ tail-smoke:
 BATCH_PIPELINE_ALLOCS ?= 4
 
 alloc-check:
-	$(GO) test -count=1 -run 'TestSubmitDoesNotAllocatePerResult|TestSubmitBatchAllocFree|TestReserveIsTheSamePath|TestCarved|TestRestoreVerdictGrowsOnce|TestNewQueueAllocatesOnce|TestQueueOrderMatchesClosureShuffle|TestQueueBytesPerCopy|TestQueueRefusesUnpackable|TestSnapshotRestoreAllocatesVerdictsOnce|TestRevisionGrowsPastPresizedTables|TestVerdictReadsAllocFree|TestRestoreVerdictCopiesLists|TestCollectorBytesPerTask|TestLeaseCycleAllocFree|TestCodecFramesAllocFree|TestJSONDecodeInternsStrings|TestScenarioAllocsPerTask|TestScenarioBytesPerTask|TestRunStateSizes|TestEventHeapPayloadRoundTrip|TestBacklogEntryRoundTrip|TestEventHeapSteadyStateAllocFree|TestEventHeapMatchesReference|TestTailUniformGolden|TestTailEngineBytesPerCopy|TestSummaryCountsWrongResults' ./internal/verify ./internal/sched ./internal/platform ./internal/sim
+	$(GO) test -count=1 -run 'TestSubmitDoesNotAllocatePerResult|TestSubmitBatchAllocFree|TestReserveIsTheSamePath|TestCarved|TestRestoreVerdictGrowsOnce|TestNewQueueAllocatesOnce|TestQueueOrderMatchesClosureShuffle|TestQueueBytesPerCopy|TestQueueRefusesUnpackable|TestSnapshotRestoreAllocatesVerdictsOnce|TestRevisionGrowsPastPresizedTables|TestVerdictReadsAllocFree|TestRestoreVerdictCopiesLists|TestCollectorBytesPerTask|TestLeaseCycleAllocFree|TestCodecFramesAllocFree|TestJSONDecodeInternsStrings|TestScenarioAllocsPerTask|TestScenarioBytesPerTask|TestRunStateSizes|TestEventHeapPayloadRoundTrip|TestBacklogEntryRoundTrip|TestEventHeapSteadyStateAllocFree|TestEventHeapMatchesReference|TestTailUniformGolden|TestTailEngineBytesPerCopy|TestSummaryCountsWrongResults' ./internal/verify ./internal/sched ./internal/platform ./internal/lease ./internal/sim
 	$(GO) test -run '^$$' -bench BenchmarkBatchPipeline -benchmem ./internal/platform | awk -v max=$(BATCH_PIPELINE_ALLOCS) \
 		'{ print } /^BenchmarkBatchPipeline/ { seen = 1; for (i = 2; i <= NF; i++) if ($$i == "allocs/op" && $$(i-1) + 0 > max) over = $$(i-1) } \
 		END { if (!seen) { print "FAIL: BenchmarkBatchPipeline did not run"; exit 1 } \

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,13 @@ import (
 	"redundancy/internal/plan"
 	"redundancy/internal/sched"
 )
+
+// indexed returns how many task IDs the lease table's index covers, read
+// through reflection since only the table's own tests see its fields.
+// Callers hold lease.mu.
+func indexed(sup *Supervisor) int {
+	return reflect.ValueOf(sup.lease.Table).Elem().FieldByName("byTask").Len()
+}
 
 // minDetectionAt is the weakest per-class detection guarantee a plan
 // offers when the adversary holds share p of the assignments: the minimum
@@ -327,10 +335,10 @@ func TestAdaptiveChaosResumesRevisedPlan(t *testing.T) {
 // (promotions, and more minted ringers than either has room for) must
 // still be leased, reclaimed, collected and adjudicated: the growth behind
 // the pre-sized tables is a path a live run takes, not dead code. One
-// participant leases everything left, minted ringers included, claims one
-// copy of a minted ringer and sits on the rest past the deadline; the
-// sweep returns them, the second copy of that ringer among them, and a
-// second participant finishes the run.
+// participant leases everything left, minted ringers included, which
+// grows the index, claims one copy of a minted ringer and sits on the rest
+// past the deadline; the sweep returns them, the second copy of that
+// ringer among them, and a second participant finishes the run.
 func TestRevisionGrowsPastPresizedTables(t *testing.T) {
 	const tasks, mint = 40, 30
 	p := simplePlan(t, tasks)
@@ -353,11 +361,11 @@ func TestRevisionGrowsPastPresizedTables(t *testing.T) {
 	}
 	sup.lease.mu.Lock()
 	sup.audit.mu.Lock()
-	presized := len(sup.lease.byTask)
+	presized := indexed(sup)
 	before, beforeCap := sup.audit.collector.NumVerdicts(), sup.audit.collector.VerdictCapacity()
 	var rev plan.Revision
 	for id := 0; id < tasks; id++ {
-		if !sup.lease.queue.EverIssued(id) {
+		if !sup.lease.Queue().EverIssued(id) {
 			rev.Promotions = append(rev.Promotions, plan.Promotion{TaskID: id, From: 2, To: 3})
 		}
 	}
@@ -365,7 +373,7 @@ func TestRevisionGrowsPastPresizedTables(t *testing.T) {
 		rev.Minted = append(rev.Minted, plan.Mint{TaskID: tasks + i, Copies: 2})
 	}
 	err = sup.applyRevisionLocked(revisionRecord{Promotions: rev.Promotions, Minted: rev.Minted})
-	grown := len(sup.lease.byTask)
+	revised := indexed(sup)
 	sup.audit.mu.Unlock()
 	sup.lease.mu.Unlock()
 	if err != nil {
@@ -375,8 +383,8 @@ func TestRevisionGrowsPastPresizedTables(t *testing.T) {
 		t.Fatalf("before the revision: %d verdicts in a list of capacity %d (want some, in %d), %d tasks left to promote",
 			before, beforeCap, tasks, len(rev.Promotions))
 	}
-	if presized != tasks || grown != tasks+mint {
-		t.Fatalf("byTask covers %d tasks at construction and %d after the revision, want %d and %d", presized, grown, tasks, tasks+mint)
+	if presized != tasks || revised != tasks {
+		t.Fatalf("the lease index covers %d tasks at construction and %d after the revision, want %d for both", presized, revised, tasks)
 	}
 
 	cs := newConnState(nil) // nothing is flushed: the lease finds work
@@ -392,23 +400,22 @@ func TestRevisionGrowsPastPresizedTables(t *testing.T) {
 	if lease.Type != MsgWorkBatch || leased != 2 {
 		t.Fatalf("the stale lease holds %d copies of minted ringer %d: %+v", leased, ringer, lease)
 	}
+	sup.lease.mu.Lock()
+	grown := indexed(sup)
+	sup.lease.mu.Unlock()
+	if grown != tasks+mint {
+		t.Fatalf("after the stale lease the lease index covers %d tasks, want %d", grown, tasks+mint)
+	}
 	acks, _ := sup.resultBatch(stale, []ResultItem{{TaskID: ringer, Copy: 0, Value: sup.work(TaskSeed(ringer), sup.cfg.Iters)}}, false, cs, time.Now())
 	if len(acks) != 1 || !acks[0].OK {
 		t.Fatalf("claim of minted ringer %d copy 0: %+v", ringer, acks)
 	}
+	sup.sweepExpired(time.Now().Add(2 * time.Hour)) // past the stale lease's deadline
 	sup.lease.mu.Lock()
-	for id := 0; id < tasks+mint; id++ {
-		for _, r := range sup.leasesOf(id) { // all of them the stale lease
-			r.primary.issuedAt = r.primary.issuedAt.Add(-2 * time.Hour)
-		}
-	}
-	sup.lease.mu.Unlock()
-	sup.sweepExpired(time.Now())
-	sup.lease.mu.Lock()
-	out, outstanding := len(sup.leasesOf(ringer)), sup.lease.queue.Outstanding()
+	out, outstanding := sup.lease.Live(), sup.lease.Queue().Outstanding()
 	sup.lease.mu.Unlock()
 	if out != 0 || outstanding != 0 {
-		t.Fatalf("after the sweep %d copies of minted ringer %d and %d assignments are still out", out, ringer, outstanding)
+		t.Fatalf("after the sweep %d copies and %d assignments are still out", out, outstanding)
 	}
 	if v, _ := sup.Metrics().Snapshot().Value("redundancy_assignments_reclaimed_total", "deadline"); int(v) != len(lease.Work)-1 {
 		t.Fatalf("%v copies reclaimed by deadline, want the %d left unclaimed", v, len(lease.Work)-1)

@@ -99,8 +99,8 @@ func (s *Supervisor) convicted(participant int) bool {
 // observation: quarantine is cheat/stall evidence the planner should see.
 // The failures behind it are not journaled, so this evidence is live-only;
 // applyVerdict feeds a verdict-caused quarantine itself. Its one caller,
-// expireHoldLocked, holds lease.mu, and lease.mu → audit.mu is the legal
-// nesting order.
+// the lease table's observer (released), holds lease.mu, and lease.mu →
+// audit.mu is the legal nesting order.
 func (s *Supervisor) noteQuarantine() {
 	if s.audit.est == nil {
 		return
@@ -195,8 +195,7 @@ func (s *Supervisor) adjudicate(pid int, cs *connState, d *deferredAck, now time
 }
 
 // applyRevisionLocked applies one plan revision to the supervisor's live
-// state — plan, queue, and verification expectations (and the lease
-// table's task index, for minted ringers past its end) — in that order,
+// state — plan, queue, and verification expectations, in that order —
 // and retains its record in audit.revisions. It does NOT journal; the
 // caller either just queued the record (live tick) or is replaying it
 // (restore). Callers hold lease.mu and audit.mu (or are single-threaded
@@ -216,7 +215,7 @@ func (s *Supervisor) applyRevisionLocked(rec revisionRecord) error {
 	// still queued. The controller only proposes such tasks; this guards
 	// replay against a journal that disagrees with the queue.
 	for _, pr := range rev.Promotions {
-		if s.lease.queue.EverIssued(pr.TaskID) {
+		if s.lease.Queue().EverIssued(pr.TaskID) {
 			return fmt.Errorf("platform: revision promotes issued task %d", pr.TaskID)
 		}
 	}
@@ -224,17 +223,16 @@ func (s *Supervisor) applyRevisionLocked(rec revisionRecord) error {
 		return err
 	}
 	for _, pr := range rev.Promotions {
-		if err := s.lease.queue.Promote(pr.TaskID, pr.From, pr.To); err != nil {
+		if err := s.lease.Queue().Promote(pr.TaskID, pr.From, pr.To); err != nil {
 			return fmt.Errorf("platform: revision %d: %w", seq, err)
 		}
 		s.audit.collector.Expect(pr.TaskID, pr.To)
 	}
 	for _, m := range rev.Minted {
-		if err := s.lease.queue.AddTask(plan.TaskSpec{ID: m.TaskID, Copies: m.Copies, Ringer: true}); err != nil {
+		if err := s.lease.Queue().AddTask(plan.TaskSpec{ID: m.TaskID, Copies: m.Copies, Ringer: true}); err != nil {
 			return fmt.Errorf("platform: revision %d: %w", seq, err)
 		}
 		s.audit.collector.Expect(m.TaskID, m.Copies)
-		s.growByTaskLocked(m.TaskID)
 	}
 	s.audit.revisions = append(s.audit.revisions, rec)
 	return nil

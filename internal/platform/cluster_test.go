@@ -507,7 +507,7 @@ func TestClusterShardsTakeEveryOption(t *testing.T) {
 	defer c.Close()
 	for i := 0; i < 2; i++ {
 		s := c.Supervisor(i)
-		if s.roster == nil || s.lease.specLosers == nil || !s.cfg.ResolveMismatches || s.cfg.Deadline == 0 {
+		if s.roster == nil || s.cfg.SpeculatePct == 0 || !s.cfg.ResolveMismatches || s.cfg.Deadline == 0 {
 			t.Fatalf("shard %d lost a supervisor option: %+v", i, s.cfg)
 		}
 	}

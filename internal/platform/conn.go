@@ -16,11 +16,8 @@ import (
 	"redundancy/internal/verify"
 )
 
-// connState is one worker connection. The lease table holds no part of
-// it: holds are their participants', and lease.conns binds each
-// participant to the connection it is served over. The write side is
-// guarded by wmu; everything else is touched only by this connection's
-// serve goroutine.
+// connState is one worker connection. The write side is guarded by wmu;
+// everything else is touched only by this connection's serve goroutine.
 type connState struct {
 	// names holds the participants created (or resumed) over this
 	// connection, with their display names. Work requests and results must

@@ -37,7 +37,7 @@ func (s *Supervisor) every(interval time.Duration, fn func()) {
 // and a log line. It changes no state: the roster has recorded the
 // transition already, a quarantined participant's holds end at the next
 // sweep (sweepExpired reads the roster), and the caller that caused a
-// quarantine has fed the estimator (applyVerdict, expireHoldLocked). Only
+// quarantine has fed the estimator (applyVerdict, released). Only
 // the live path calls it: a restore drops the transitions applyVerdict
 // returns.
 func (s *Supervisor) pushTransition(tr health.Transition) {
@@ -99,7 +99,7 @@ func (s *Supervisor) adaptTick() {
 		for _, sp := range specs {
 			tasks = append(tasks, adapt.TaskState{
 				ID: sp.ID, Copies: sp.Copies, Ringer: sp.Ringer,
-				Eligible: !sp.Ringer && !s.lease.queue.EverIssued(sp.ID),
+				Eligible: !sp.Ringer && !s.lease.Queue().EverIssued(sp.ID),
 			})
 		}
 		rev, ok := adapt.Replan(tasks, s.cfg.Plan.NextTaskID(), s.adaptCfg.TargetEpsilon, est.Upper)

@@ -321,7 +321,7 @@ type supReplayer struct {
 }
 
 func (r *supReplayer) replayResult(a sched.Assignment, participant int, value uint64) error {
-	if !r.s.lease.queue.MarkCompleted(a) {
+	if !r.s.lease.Queue().MarkCompleted(a) {
 		return replayTornError{fmt.Errorf("platform: journal replays unknown assignment task=%d copy=%d",
 			a.TaskID, a.Copy)}
 	}
@@ -337,7 +337,7 @@ func (r *supReplayer) replayResult(a sched.Assignment, participant int, value ui
 
 func (r *supReplayer) replayRevision(rec revisionRecord) error {
 	// The revision reads EverIssued and appends to the pool.
-	if err := r.s.lease.queue.Settle(); err != nil {
+	if err := r.s.lease.Queue().Settle(); err != nil {
 		return err
 	}
 	return r.s.applyRevisionLocked(rec)

@@ -349,8 +349,8 @@ func TestRestoreScalesLinearly(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if sup.replayed.restored != 2*tasks || !sup.lease.queue.Done() {
-						t.Fatalf("restored %d of %d results, queue done=%v", sup.replayed.restored, 2*tasks, sup.lease.queue.Done())
+					if sup.replayed.restored != 2*tasks || !sup.lease.Queue().Done() {
+						t.Fatalf("restored %d of %d results, queue done=%v", sup.replayed.restored, 2*tasks, sup.lease.Queue().Done())
 					}
 					if best < 0 || d < best {
 						best = d

@@ -23,7 +23,7 @@ const maxSourceLines = 800
 func TestLockDomainLayout(t *testing.T) {
 	fset := token.NewFileSet()
 	nesters := 0
-	for name, f := range parseSources(t, fset) {
+	for name, f := range parseSources(t, fset, ".") {
 		if n := fset.File(f.Pos()).LineCount(); n > maxSourceLines {
 			t.Errorf("%s is %d lines, over %d", name, n, maxSourceLines)
 		}
@@ -69,7 +69,7 @@ var clockWaiters = map[string]bool{
 // NewTicker call in the package's non-test source sits in a clockWaiter.
 func TestNoPolls(t *testing.T) {
 	fset := token.NewFileSet()
-	for _, f := range parseSources(t, fset) {
+	for _, f := range parseSources(t, fset, ".") {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || clockWaiters[fn.Name.Name] {
@@ -119,7 +119,7 @@ const maxClockReads = 10
 func TestClockReads(t *testing.T) {
 	fset := token.NewFileSet()
 	reads := 0
-	for name, f := range parseSources(t, fset) {
+	for name, f := range parseSources(t, fset, ".") {
 		for _, decl := range f.Decls {
 			fn := "" // a package-level declaration
 			if d, ok := decl.(*ast.FuncDecl); ok {
@@ -148,59 +148,27 @@ func TestClockReads(t *testing.T) {
 	}
 }
 
-// leaseShell are the declarations of lease.go that may know a connection:
-// the table's binding of participants to connections (leaseState.conns)
-// and the calls a connection's requests and its end come in by. The record
-// helpers (holder, leaseRecord, findLocked, issueLocked, claimLocked,
-// releaseLocked, endHoldsLocked, expireLocked, flagStragglersLocked,
-// fillSpeculativeLocked and the rest) know participants only, so the table
-// can be driven without one.
-var leaseShell = map[string]bool{
-	"leaseState":      true,
-	"leaseBatch":      true,
-	"claimResults":    true,
-	"completeResults": true,
-	"reclaim":         true,
-	"bind":            true,
-}
-
-// TestLeaseTableKnowsNoConnection: in lease.go only the leaseShell
-// declarations name connState or read lease.conns.
-func TestLeaseTableKnowsNoConnection(t *testing.T) {
+// TestLeaseTableIsAValue: the lease table's package (internal/lease)
+// imports no net, os, sync or sync/atomic, and calls no clock or timer in
+// package time: its owner serializes it and hands it every time.
+func TestLeaseTableIsAValue(t *testing.T) {
 	fset := token.NewFileSet()
-	for _, decl := range parseSources(t, fset)["lease.go"].Decls {
-		named := map[string]ast.Node{}
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			named[d.Name.Name] = d
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				switch sp := spec.(type) {
-				case *ast.TypeSpec:
-					named[sp.Name.Name] = sp
-				case *ast.ValueSpec:
-					named[sp.Names[0].Name] = sp
-				}
+	for name, f := range parseSources(t, fset, "../lease") {
+		for _, imp := range f.Imports {
+			switch path := strings.Trim(imp.Path.Value, `"`); path {
+			case "net", "os", "sync", "sync/atomic":
+				t.Errorf("%s imports %s", name, path)
 			}
 		}
-		for name, n := range named {
-			if leaseShell[name] {
-				continue
-			}
-			ast.Inspect(n, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.Ident:
-					if n.Name == "connState" {
-						t.Errorf("%s: %s names connState; key it by participant, or add it to leaseShell", fset.Position(n.Pos()), name)
-					}
-				case *ast.SelectorExpr:
-					if lease, ok := n.X.(*ast.SelectorExpr); ok && lease.Sel.Name == "lease" && n.Sel.Name == "conns" {
-						t.Errorf("%s: %s reads lease.conns; key it by participant, or add it to leaseShell", fset.Position(n.Pos()), name)
-					}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				switch c := timeCall(call); c {
+				case "Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker":
+					t.Errorf("%s: calls time.%s", fset.Position(call.Pos()), c)
 				}
-				return true
-			})
-		}
+			}
+			return true
+		})
 	}
 }
 
@@ -217,10 +185,11 @@ func timeCall(call *ast.CallExpr) string {
 	return sel.Sel.Name
 }
 
-// parseSources parses the package's non-test source files, by file name.
-func parseSources(t *testing.T, fset *token.FileSet) map[string]*ast.File {
+// parseSources parses the non-test source files of the package in dir, by
+// file name.
+func parseSources(t *testing.T, fset *token.FileSet, dir string) map[string]*ast.File {
 	t.Helper()
-	names, err := filepath.Glob("*.go")
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -13,32 +14,18 @@ import (
 	"redundancy/internal/obs"
 	"redundancy/internal/plan"
 	"redundancy/internal/rng"
-	"redundancy/internal/sched"
 )
 
-// leasesOf returns the record of every copy of task that is out, so a test
-// can read or backdate a hold without knowing how the table is laid out.
-// Callers hold lease.mu.
-func (s *Supervisor) leasesOf(task int) []*leaseRecord {
-	var out []*leaseRecord
-	for i := range s.lease.recs {
-		if r := &s.lease.recs[i]; r.primary.live() && r.a.TaskID == task {
-			out = append(out, r)
-		}
-	}
-	return out
-}
+// outstandingKey identifies one issued copy by task and copy.
+type outstandingKey struct{ task, copy int }
 
-// heldBy returns the copies whose primary pid holds, in record order.
-// Callers hold lease.mu.
-func (s *Supervisor) heldBy(pid int) []outstandingKey {
-	var out []outstandingKey
-	for i := range s.lease.recs {
-		if r := &s.lease.recs[i]; r.primary.live() && r.primary.participant == pid {
-			out = append(out, outstandingKey{r.a.TaskID, r.a.Copy})
-		}
+// workKeys lists the copies of a lease reply, in its order.
+func workKeys(m Message) []outstandingKey {
+	var keys []outstandingKey
+	for _, w := range m.Work {
+		keys = append(keys, outstandingKey{w.TaskID, w.Copy})
 	}
-	return out
+	return keys
 }
 
 // TestLeaseRelease walks every way a hold ends without a result
@@ -47,16 +34,15 @@ func (s *Supervisor) heldBy(pid int) []outstandingKey {
 // past its deadline; a clone never exists without its primary, so the
 // clone rows start at live), on a supervisor with one single-copy task and
 // no goroutines: the sweeper is called by hand at a chosen now, and a hold
-// is made older than the other by backdating its issue time. A quarantine
-// is a suspect verdict and the sweep that follows it, as in production, so
-// that sweep also reclaims an expired other holder. After the cause, after
-// the sweep that follows it, and after a second release of the same hold,
-// it checks who holds the copy, the primary counts, the queue,
-// reclaimed{reason}, the assignment_reclaimed events and the
-// deadline-failure evidence.
+// past its deadline there is leased two hours before it. A quarantine is a
+// suspect verdict and the sweep that follows it, as in production, so that
+// sweep also reclaims an expired other holder. After the cause, after the
+// sweep that follows it, and after the end of the same holder's holds
+// again, it checks who holds the copy, the queue, reclaimed{reason}, the
+// assignment_reclaimed events and the deadline-failure evidence.
 func TestLeaseRelease(t *testing.T) {
 	type state struct {
-		holds    string // "p", "c", "p+c" (primary+clone), or "" when the copy is back in the queue
+		holds    string // "p", "c", "p+c" (both), or "" when the copy is back in the queue
 		events   string // every assignment_reclaimed so far, "reason:holder", oldest first
 		observed string // every ObserveReclaim so far, by holder
 	}
@@ -106,63 +92,45 @@ func TestLeaseRelease(t *testing.T) {
 				conns[who], pids[who], names[m.ParticipantID] = cs, m.ParticipantID, who
 			}
 			now := time.Now()
+			// issuedAt is when who leases: two hours back for a hold past
+			// its deadline at the cause.
+			issuedAt := func(who string) time.Time {
+				if who == tc.holder && tc.cause == "deadline" || who != tc.holder && tc.other == "expired" {
+					return now.Add(-2 * time.Hour)
+				}
+				return now
+			}
 			lease := func(who string) outstandingKey {
 				t.Helper()
-				m := sup.leaseBatch(pids[who], 1, false, conns[who], now)
+				m := sup.leaseBatch(pids[who], 1, false, conns[who], issuedAt(who))
 				if m.Type != MsgWorkBatch || len(m.Work) != 1 {
 					t.Fatalf("%s's lease: %+v", who, m)
 				}
 				return outstandingKey{m.Work[0].TaskID, m.Work[0].Copy}
 			}
-			// age moves who's hold on the copy back by d.
-			age := func(key outstandingKey, who string, d time.Duration) {
-				sup.lease.mu.Lock()
-				defer sup.lease.mu.Unlock()
-				r := sup.leasesOf(key.task)[0]
-				if r.clone.live() && r.clone.participant == pids[who] {
-					r.clone.issuedAt = r.clone.issuedAt.Add(-d)
-				} else {
-					r.primary.issuedAt = r.primary.issuedAt.Add(-d)
-				}
-			}
 
 			key := lease("p")
-			sup.lease.mu.Lock()
-			idx := sup.findLocked(key) // the copy's one record, for the second release
-			sup.lease.mu.Unlock()
 			if tc.other != "none" {
-				// A straggling primary: the sweep flags it, and c's next
-				// lease is its clone.
+				// A straggling primary: the sweep a second after its lease
+				// flags it, and c's next lease is its clone.
 				sup.roster.ObserveCompletion(pids["c"], time.Millisecond)
-				sup.sweepExpired(now.Add(time.Second))
+				sup.sweepExpired(issuedAt("p").Add(time.Second))
 				if clone := lease("c"); clone != key {
 					t.Fatalf("c leased %v, want the clone of %v", clone, key)
 				}
-			}
-			other := map[string]string{"p": "c", "c": "p"}[tc.holder]
-			if tc.other == "expired" {
-				age(key, other, 2*time.Hour)
 			}
 
 			check := func(step string, want state) {
 				t.Helper()
 				sup.lease.mu.Lock()
-				out := sup.leasesOf(key.task)
-				ok := len(out) == 1
-				holds := ""
-				if ok {
-					r := out[0]
-					holds = names[r.primary.participant]
-					if r.clone.live() {
-						holds += "+" + names[r.clone.participant]
+				var holders []string
+				for _, who := range []string{"p", "c"} {
+					if sup.lease.Holds(pids[who]) > 0 {
+						holders = append(holders, who)
 					}
 				}
-				for who, pid := range pids {
-					if n, held := len(sup.heldBy(pid)), sup.lease.primaries[pid]; int(held) != n {
-						t.Errorf("%s: %s's primary count is %d, it holds %d primaries", step, who, held, n)
-					}
-				}
-				issued, available := sup.lease.queue.Issued(), sup.lease.queue.Available()
+				holds := strings.Join(holders, "+")
+				issued, available := sup.lease.Queue().Issued(), sup.lease.Queue().Available()
 				sup.lease.mu.Unlock()
 				if holds != want.holds {
 					t.Errorf("%s: copy held by %q, want %q", step, holds, want.holds)
@@ -214,7 +182,6 @@ func TestLeaseRelease(t *testing.T) {
 			case "disconnect":
 				sup.reclaim(conns[tc.holder])
 			case "deadline":
-				age(key, tc.holder, 2*time.Hour)
 				sup.sweepExpired(now)
 			case "quarantine":
 				sup.pushTransition(*sup.roster.ObserveVerdict(pids[tc.holder], true, false, now))
@@ -223,10 +190,10 @@ func TestLeaseRelease(t *testing.T) {
 			check(tc.cause, tc.after[0])
 			sup.sweepExpired(now)
 			check("sweep", tc.after[1])
-			// The hold has ended; releasing it again, as a racing second
-			// cause would, changes nothing.
+			// The hold has ended; ending the holder's holds again, as a
+			// racing second cause would, changes nothing.
 			sup.lease.mu.Lock()
-			sup.releaseLocked(idx, pids[tc.holder], tc.cause)
+			sup.lease.EndHolds(func(pid int) bool { return pid == pids[tc.holder] }, tc.cause)
 			sup.lease.mu.Unlock()
 			check("second release", tc.after[1])
 		})
@@ -239,10 +206,11 @@ func TestLeaseRelease(t *testing.T) {
 // primary, though its probation is due and this same sweep starts it
 // (roster.Tick runs after the pass). d, whom this sweep's deadline reclaim
 // of a later record quarantines, loses its unexpired hold on an earlier
-// one. h, healthy, keeps the primary v was racing. o, reclaimed at the
-// previous sweep and quarantined still, is not counted again. A supervisor
-// with SpeculatePct and no Health never reclaims as quarantine, whatever
-// its roster says.
+// one: d leased both two hours back and then re-sent the earlier one, as
+// a request_work reply does. h, healthy, keeps the primary v was racing.
+// o, reclaimed at the previous sweep and quarantined still, is not
+// counted again. A supervisor with SpeculatePct and no Health never
+// reclaims as quarantine, whatever its roster says.
 func TestSweepReclaimsQuarantined(t *testing.T) {
 	tasks := make([]plan.TaskSpec, 5)
 	for i := range tasks {
@@ -264,17 +232,13 @@ func TestSweepReclaimsQuarantined(t *testing.T) {
 		cs := newConnState(nil) // nothing is flushed: every lease finds work
 		return sup.register(Message{Type: MsgRegister, Name: who}, cs).ParticipantID, cs
 	}
-	lease := func(sup *Supervisor, pid int, cs *connState, want int) []outstandingKey {
+	lease := func(sup *Supervisor, pid int, cs *connState, want int, at time.Time) []outstandingKey {
 		t.Helper()
-		m := sup.leaseBatch(pid, want, false, cs, now)
+		m := sup.leaseBatch(pid, want, false, cs, at)
 		if m.Type != MsgWorkBatch || len(m.Work) != want {
 			t.Fatalf("participant %d's lease of %d: %+v", pid, want, m)
 		}
-		var keys []outstandingKey
-		for _, w := range m.Work {
-			keys = append(keys, outstandingKey{w.TaskID, w.Copy})
-		}
-		return keys
+		return workKeys(m)
 	}
 	quarantines := func(sup *Supervisor) int {
 		v, _ := sup.Metrics().Snapshot().Value("redundancy_assignments_reclaimed_total", "quarantine")
@@ -288,46 +252,37 @@ func TestSweepReclaimsQuarantined(t *testing.T) {
 	o, oc := join(sup, "o")
 	names := map[int]string{h: "h", v: "v", d: "d", o: "o"}
 	// h's primary straggles, so v's lease is its clone and one fresh copy.
-	hKey := lease(sup, h, hc, 1)[0]
+	hKey := lease(sup, h, hc, 1, now)[0]
 	sup.roster.ObserveCompletion(h, time.Millisecond)
 	sup.sweepExpired(now.Add(time.Second))
-	if vKeys := lease(sup, v, vc, 2); vKeys[0] != hKey {
+	if vKeys := lease(sup, v, vc, 2, now); vKeys[0] != hKey {
 		t.Fatalf("v leased %v, want the clone of %v first", vKeys, hKey)
 	}
-	dKeys := lease(sup, d, dc, 2)
-	lease(sup, o, oc, 1)
+	lease(sup, o, oc, 1, now)
 	sup.pushTransition(*sup.roster.ObserveVerdict(o, true, false, now))
 	sup.sweepExpired(now)
 	if n := quarantines(sup); n != 1 {
 		t.Fatalf("the sweep after o's quarantine reclaimed %d holds as quarantine, want 1", n)
 	}
 
-	// v was quarantined by a verdict a minute ago, past its 10 s
-	// probation, and d's later record expires.
-	sup.pushTransition(*sup.roster.ObserveVerdict(v, true, false, now.Add(-time.Minute)))
-	sup.lease.mu.Lock()
-	early, late := sup.findLocked(dKeys[0]), sup.findLocked(dKeys[1])
-	if early > late {
-		early, late = late, early
+	// d's later record expires, and v was quarantined by a verdict a
+	// minute ago, past its 10 s probation.
+	dKeys := lease(sup, d, dc, 2, now.Add(-2*time.Hour))
+	if m := sup.leaseBatch(d, 1, true, dc, now); !slices.Equal(workKeys(m), dKeys[:1]) {
+		t.Fatalf("d's request_work re-sent %+v, want %v", m, dKeys[0])
 	}
-	sup.lease.recs[late].primary.issuedAt = now.Add(-2 * time.Hour)
-	sup.lease.mu.Unlock()
+	sup.pushTransition(*sup.roster.ObserveVerdict(v, true, false, now.Add(-time.Minute)))
 	sup.sweepExpired(now)
 
 	sup.lease.mu.Lock()
-	var holds []string // "task/copy:primary[+clone]"
-	for i := range sup.lease.recs {
-		if r := &sup.lease.recs[i]; r.primary.live() {
-			hold := fmt.Sprintf("%d/%d:%s", r.a.TaskID, r.a.Copy, names[r.primary.participant])
-			if r.clone.live() {
-				hold += "+" + names[r.clone.participant]
-			}
-			holds = append(holds, hold)
-		}
+	live := sup.lease.Live()
+	holds := map[string]int{}
+	for pid, name := range names {
+		holds[name] = sup.lease.Holds(pid)
 	}
 	sup.lease.mu.Unlock()
-	if want := fmt.Sprintf("%d/%d:h", hKey.task, hKey.copy); len(holds) != 1 || holds[0] != want {
-		t.Errorf("after the sweep the holds are %v, want [%s]", holds, want)
+	if live != 1 || holds["h"] != 1 || holds["v"]+holds["d"]+holds["o"] != 0 {
+		t.Errorf("after the sweep %d copies are out, held %v, want h's %v alone", live, holds, hKey)
 	}
 	for pid, want := range map[int]health.State{v: health.Probation, d: health.Quarantined, o: health.Quarantined} {
 		if st := sup.roster.State(pid); st != want {
@@ -342,7 +297,7 @@ func TestSweepReclaimsQuarantined(t *testing.T) {
 	// quarantines a hold.
 	sup = newSup(nil)
 	x, xc := join(sup, "x")
-	lease(sup, x, xc, 1)
+	lease(sup, x, xc, 1, now)
 	for range 3 { // the default SuspectLimit
 		sup.roster.ObserveVerdict(x, true, false, now)
 	}
@@ -354,7 +309,7 @@ func TestSweepReclaimsQuarantined(t *testing.T) {
 		t.Errorf("a supervisor without Health reclaimed %d holds as quarantine", n)
 	}
 	sup.lease.mu.Lock()
-	if held := len(sup.heldBy(x)); held != 1 {
+	if held := sup.lease.Holds(x); held != 1 {
 		t.Errorf("x holds %d copies after the sweep, want 1", held)
 	}
 	sup.lease.mu.Unlock()
@@ -370,6 +325,11 @@ func TestSweepReclaimsQuarantined(t *testing.T) {
 // clone, returns that copy to the queue when it ends rather than passing it
 // from one to the other. worker_left: a participant leaves at the end of
 // the connection it was last served over, never at the end of one it left.
+// reference: the three operations of the lease table's shell that need a
+// connection (a resume, a lease over a connection its participant has
+// left, and a disconnect), with fresh leases between them, in a seeded
+// random order over three connections and four participants, against each
+// participant's set of holds and its binding.
 func TestHoldsFollowTheirParticipant(t *testing.T) {
 	now := time.Now()
 	start := func(t *testing.T, tasks int, cfg SupervisorConfig) (*Supervisor, *bytes.Buffer) {
@@ -393,12 +353,7 @@ func TestHoldsFollowTheirParticipant(t *testing.T) {
 		return m
 	}
 	lease := func(t *testing.T, sup *Supervisor, pid, want int, cs *connState) []outstandingKey {
-		t.Helper()
-		var keys []outstandingKey
-		for _, w := range sup.leaseBatch(pid, want, false, cs, now).Work {
-			keys = append(keys, outstandingKey{w.TaskID, w.Copy})
-		}
-		return keys
+		return workKeys(sup.leaseBatch(pid, want, false, cs, now))
 	}
 	// eventsOf lists the named participant of every kind event so far,
 	// after its reason when it has one, oldest first.
@@ -465,7 +420,7 @@ func TestHoldsFollowTheirParticipant(t *testing.T) {
 			t.Errorf("no worker_resumed with 2 in flight in %s", events)
 		}
 		sup.lease.mu.Lock()
-		live, issued := sup.lease.live, sup.lease.queue.Issued()
+		live, issued := sup.lease.Live(), sup.lease.Queue().Issued()
 		sup.lease.mu.Unlock()
 		if live != 0 || issued != 0 {
 			t.Errorf("after both ends %d records live and %d copies issued, want 0 and 0", live, issued)
@@ -486,7 +441,7 @@ func TestHoldsFollowTheirParticipant(t *testing.T) {
 		}
 		sup.reclaim(cs)
 		sup.lease.mu.Lock()
-		out, available := len(sup.leasesOf(key[0].task)), sup.lease.queue.Available()
+		out, available := sup.lease.Live(), sup.lease.Queue().Available()
 		sup.lease.mu.Unlock()
 		if out != 0 || !available {
 			t.Errorf("after the connection ends %d records of the copy are out and the queue has it %v, want 0 and true", out, available)
@@ -511,404 +466,92 @@ func TestHoldsFollowTheirParticipant(t *testing.T) {
 			t.Errorf("c2's end: worker_left for %q, want q and then p", got)
 		}
 	})
-}
 
-// TestLeaseTableMatchesReference drives every writer of the lease table
-// (issue, reissue, claim by primary and by clone, release for every
-// reason, resume, disconnect, straggler flagging, clone serving, and a
-// lease served over a connection its participant has since left) in a
-// seeded random order over three connections and four participants,
-// against a plain map from (task, copy) to its holders and a binding of
-// each participant to its connection. Whenever the queue runs dry a
-// revision mints ringers past the end of byTask, so the chains of grown
-// task IDs are walked too. After every step the table must agree with the
-// reference: every copy out is found with the same holders and nothing
-// else is out, each participant's primary count and binding match, the
-// flag count is the number of flagged copies, the pool accounts for every
-// record, and every task chain is acyclic.
-func TestLeaseTableMatchesReference(t *testing.T) {
-	const tasks, steps = 60, 4000
-	p := simplePlan(t, tasks)
-	sup, err := NewSupervisor(SupervisorConfig{Plan: p, Iters: 1, Seed: 3, Deadline: time.Hour, SpeculatePct: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sup.Close() })
-	for i := 0; i < 20; i++ {
-		sup.roster.ObserveCompletion(1, time.Millisecond)
-	}
-	q, ok := sup.roster.Quantile(sup.cfg.SpeculatePct)
-	if !ok {
-		t.Fatal("the completion quantile is not armed")
-	}
-
-	// A reference hold; a clone with participant 0 is a flag.
-	type hold struct {
-		pid int
-		at  time.Time
-	}
-	type copyOut struct {
-		a       sched.Assignment
-		primary hold
-		clone   *hold
-	}
-	ref := map[outstandingKey]*copyOut{}
-	conns := []*connState{newConnState(nil), newConnState(nil), newConnState(nil)}
-	connOf := map[int]int{1: 0, 2: 1, 3: 2, 4: 0} // -1: unbound, its connection ended
-	// join registers pid on connection c, as a resume does.
-	join := func(pid, c int) (holds int) {
-		conns[c].names[pid] = ""
-		connOf[pid] = c
-		return sup.bind(pid, conns[c])
-	}
-	for pid, c := range connOf {
-		join(pid, c)
-	}
-	reasons := []string{"disconnect", "deadline", "quarantine", "speculative"}
-	r := rng.New(11)
-	now := time.Unix(1_000_000, 0)
-
-	keys := func() []outstandingKey {
-		ks := make([]outstandingKey, 0, len(ref))
-		for k := range ref {
-			ks = append(ks, k)
+	t.Run("reference", func(t *testing.T) {
+		sup, _ := start(t, 60, SupervisorConfig{})
+		conns := []*connState{newConnState(nil), newConnState(nil), newConnState(nil)}
+		connOf := map[int]int{} // -1: unbound, its connection ended
+		held := map[int][]outstandingKey{}
+		// join registers pid on connection c, as a resume does.
+		join := func(pid, c int) (holds int) {
+			conns[c].names[pid] = ""
+			connOf[pid] = c
+			return sup.bind(pid, conns[c])
 		}
-		slices.SortFunc(ks, func(a, b outstandingKey) int {
-			if a.task != b.task {
-				return a.task - b.task
-			}
-			return a.copy - b.copy
-		})
-		return ks
-	}
-	liveClone := func(c *copyOut) bool { return c.clone != nil && c.clone.pid != 0 }
-	// release mirrors releaseLocked on the reference.
-	release := func(k outstandingKey, pid int) {
-		c := ref[k]
-		switch {
-		case liveClone(c) && c.clone.pid == pid:
-			c.clone = nil
-		case c.primary.pid != pid:
-		case liveClone(c):
-			c.primary, c.clone = *c.clone, nil
-		default:
-			delete(ref, k)
+		for pid := 1; pid <= 4; pid++ {
+			join(pid, pid%len(conns))
 		}
-	}
-
-	check := func(step int, op string) {
-		t.Helper()
-		l := &sup.lease
-		fail := func(format string, args ...any) {
-			t.Helper()
-			t.Fatalf("step %d (%s): %s", step, op, fmt.Sprintf(format, args...))
+		sameSet := func(a, b []outstandingKey) bool {
+			byKey := func(x, y outstandingKey) int { return cmp.Or(x.task-y.task, x.copy-y.copy) }
+			a, b = slices.Clone(a), slices.Clone(b)
+			slices.SortFunc(a, byKey)
+			slices.SortFunc(b, byKey)
+			return slices.Equal(a, b)
 		}
-		if l.live != len(ref) || l.live+len(l.free) != len(l.recs) {
-			fail("%d records live, %d free, pool of %d; the reference has %d copies out", l.live, len(l.free), len(l.recs), len(ref))
-		}
-		if n := l.queue.Outstanding(); n != len(ref) {
-			fail("queue has %d outstanding, the reference %d", n, len(ref))
-		}
-		primaries, flagged := map[int]int{}, 0
-		for k, want := range ref {
-			primaries[want.primary.pid]++
-			if want.clone != nil && want.clone.pid == 0 {
-				flagged++
-			}
-			i := sup.findLocked(k)
-			if i < 0 {
-				fail("copy %v is out but not found", k)
-			}
-			rec := &l.recs[i]
-			if rec.a != want.a || rec.primary.participant != want.primary.pid || !rec.primary.issuedAt.Equal(want.primary.at) {
-				fail("copy %v: primary %+v of %+v, want participant %d since %v", k, rec.primary, rec.a, want.primary.pid, want.primary.at)
-			}
-			switch {
-			case want.clone == nil:
-				if rec.clone != nil {
-					fail("copy %v has a clone %+v, want none", k, *rec.clone)
+		r := rng.New(11)
+		resent := 0
+		for step := 0; step < 400; step++ {
+			pid := 1 + r.Intn(4)
+			var op string
+			switch roll := r.Intn(10); {
+			case roll < 4:
+				op = "lease"
+				c := connOf[pid]
+				if c < 0 || len(held[pid]) == 0 && !sup.lease.Queue().Available() {
+					break // an unbound participant has no connection, and an empty-handed one would park
 				}
-			case want.clone.pid == 0:
-				if rec.clone == nil || rec.clone.live() {
-					fail("copy %v: clone %v, want a flag", k, rec.clone)
+				got, n := workKeys(sup.leaseBatch(pid, 1+r.Intn(4), false, conns[c], now)), len(held[pid])
+				if len(got) < n || !sameSet(got[:n], held[pid]) {
+					t.Fatalf("step %d: participant %d's lease sent %v, want its holds %v first", step, pid, got, held[pid])
 				}
+				held[pid] = got
+			case roll < 6:
+				op = "resume"
+				if holds := join(pid, r.Intn(len(conns))); holds != len(held[pid]) {
+					t.Fatalf("step %d: participant %d resumed holding %d copies, want %d", step, pid, holds, len(held[pid]))
+				}
+			case roll < 8:
+				op = "lease over a connection left"
+				c := r.Intn(len(conns))
+				if c == connOf[pid] {
+					c = (c + 1) % len(conns)
+				}
+				m := sup.leaseBatch(pid, 1+r.Intn(4), false, conns[c], now)
+				wantType := map[bool]string{true: MsgNoWork, false: MsgWorkBatch}[len(held[pid]) == 0]
+				if got := workKeys(m); m.Type != wantType || !sameSet(got, held[pid]) {
+					t.Fatalf("step %d: participant %d's lease over connection %d: %s %v, want %s %v", step, pid, c, m.Type, got, wantType, held[pid])
+				}
+				resent += len(m.Work)
 			default:
-				if !rec.clone.live() || rec.clone.participant != want.clone.pid || !rec.clone.issuedAt.Equal(want.clone.at) {
-					fail("copy %v: clone %v, want participant %d since %v", k, rec.clone, want.clone.pid, want.clone.at)
+				op = "disconnect"
+				gone := r.Intn(len(conns))
+				sup.reclaim(conns[gone])
+				conns[gone] = newConnState(nil) // an ended connection serves no more
+				for p, c := range connOf {
+					if c == gone {
+						connOf[p] = -1
+						delete(held, p)
+					}
 				}
 			}
-		}
-		for pid, c := range connOf {
-			if n := int(l.primaries[pid]); n != primaries[pid] {
-				fail("participant %d counts %d primaries, holds %d", pid, n, primaries[pid])
-			}
-			if cs, bound := l.conns[pid]; c < 0 && bound || c >= 0 && cs != conns[c] {
-				fail("participant %d is bound %v, want connection %d", pid, bound, c)
-			}
-		}
-		if l.flagged != flagged {
-			fail("%d flags counted, %d copies flagged", l.flagged, flagged)
-		}
-		chained := 0
-		for task, head := range l.byTask {
-			for j := head; j != 0; j = l.recs[j-1].next {
-				if chained++; chained > len(l.recs) {
-					fail("the chain of task %d does not end", task)
+			sup.lease.mu.Lock()
+			out := 0
+			for pid, c := range connOf {
+				out += len(held[pid])
+				if n := sup.lease.Holds(pid); n != len(held[pid]) {
+					t.Fatalf("step %d (%s): participant %d holds %d copies, want %d", step, op, pid, n, len(held[pid]))
 				}
-				if rec := &l.recs[j-1]; !rec.primary.live() || rec.a.TaskID != task {
-					fail("the chain of task %d reaches record %d of %+v, live %v", task, j-1, rec.a, rec.primary.live())
+				if cs, bound := sup.lease.conns[pid]; c < 0 && bound || c >= 0 && cs != conns[c] {
+					t.Fatalf("step %d (%s): participant %d is bound %v, want connection %d", step, op, pid, bound, c)
 				}
 			}
-		}
-		if chained != l.live {
-			fail("the task chains hold %d records, %d are live", chained, l.live)
-		}
-	}
-
-	revisions, resent := 0, 0
-	sup.lease.mu.Lock()
-	defer sup.lease.mu.Unlock()
-	for step := 0; step < steps; step++ {
-		now = now.Add(time.Duration(r.Intn(3)) * time.Millisecond)
-		if !sup.lease.queue.Available() && revisions < 12 {
-			next := p.NextTaskID()
-			if next != len(sup.lease.byTask) {
-				t.Fatalf("step %d: byTask covers %d tasks, the plan's next ID is %d", step, len(sup.lease.byTask), next)
-			}
-			rec := revisionRecord{Seq: revisions}
-			for i := 0; i < 6; i++ {
-				rec.Minted = append(rec.Minted, plan.Mint{TaskID: next + i, Copies: 3})
-			}
-			sup.audit.mu.Lock()
-			err := sup.applyRevisionLocked(rec)
-			sup.audit.mu.Unlock()
-			if err != nil {
-				t.Fatal(err)
-			}
-			revisions++
-		}
-		ks := keys()
-		pid := 1 + r.Intn(4)
-		var op string
-		switch roll := r.Intn(100); {
-		case roll < 22:
-			op = "issue"
-			for _, a := range sup.lease.queue.NextBatch(nil, 1+r.Intn(6)) {
-				sup.issueLocked(a, pid, now)
-				ref[outstandingKey{a.TaskID, a.Copy}] = &copyOut{a: a, primary: hold{pid, now}}
-			}
-		case roll < 25:
-			op = "reissue"
-			if len(ks) > 0 {
-				k := ks[r.Intn(len(ks))]
-				if a := sup.reissueLocked(sup.findLocked(k), now); a != ref[k].a {
-					t.Fatalf("step %d: reissued %+v for %v", step, a, k)
-				}
-				ref[k].primary.at = now
-			}
-		case roll < 40:
-			op = "claim"
-			if len(ks) == 0 {
-				break
-			}
-			k := ks[r.Intn(len(ks))]
-			c := ref[k]
-			won, lost := c.primary, (*hold)(nil)
-			if liveClone(c) {
-				lost = c.clone
-				if r.Bool() {
-					won, lost = *c.clone, &c.primary
-				}
-			}
-			a, issuedAt, reason, _ := sup.claimLocked(won.pid, k.task, k.copy, now)
-			if reason != "" || a != c.a || !issuedAt.Equal(won.at) {
-				t.Fatalf("step %d: participant %d's claim of %v: %+v issued %v, refused %q", step, won.pid, k, a, issuedAt, reason)
-			}
-			sup.lease.queue.Complete(a)
-			delete(ref, k)
-			if lost != nil {
-				if _, _, reason, _ := sup.claimLocked(lost.pid, k.task, k.copy, now); reason != ReasonDuplicate {
-					t.Fatalf("step %d: the loser's claim of %v refused %q, want %q", step, k, reason, ReasonDuplicate)
-				}
-			}
-		case roll < 45:
-			op = "claim refused"
-			k := outstandingKey{-1 - r.Intn(2), 0} // never out, and off byTask's either end
-			if r.Bool() {
-				k.task = len(sup.lease.byTask) + r.Intn(2)
-			}
-			want := ReasonUnassigned
-			if len(ks) > 0 && r.Bool() {
-				k = ks[r.Intn(len(ks))]
-				if c := ref[k]; c.primary.pid == pid || liveClone(c) && c.clone.pid == pid {
-					break
-				}
-				want = ReasonWrongParticipant
-			}
-			if _, _, reason, _ := sup.claimLocked(pid, k.task, k.copy, now); reason != want {
-				t.Fatalf("step %d: participant %d's claim of %v refused %q, want %q", step, pid, k, reason, want)
-			}
-		case roll < 65:
-			op = "release"
-			reason := reasons[r.Intn(len(reasons))]
-			if len(sup.lease.free) > 0 && r.Intn(4) == 0 {
-				op = "release of a free record"
-				sup.releaseLocked(sup.lease.free[r.Intn(len(sup.lease.free))], pid, reason)
-				break
-			}
-			if len(ks) == 0 {
-				break
-			}
-			k := ks[r.Intn(len(ks))]
-			switch c := ref[k]; r.Intn(3) {
-			case 0:
-				pid = c.primary.pid
-			case 1:
-				if liveClone(c) {
-					pid = c.clone.pid
-				}
-			}
-			sup.releaseLocked(sup.findLocked(k), pid, reason)
-			release(k, pid)
-		case roll < 68:
-			op = "resume"
-			want := 0
-			for _, c := range ref {
-				if c.primary.pid == pid || liveClone(c) && c.clone.pid == pid {
-					want++
-				}
+			if live, issued := sup.lease.Live(), sup.lease.Queue().Outstanding(); live != out || issued != out {
+				t.Fatalf("step %d (%s): %d records live and %d copies issued, want %d", step, op, live, issued, out)
 			}
 			sup.lease.mu.Unlock()
-			holds := join(pid, r.Intn(len(conns)))
-			sup.lease.mu.Lock()
-			if holds != want {
-				t.Fatalf("step %d: participant %d resumed holding %d copies, want %d", step, pid, holds, want)
-			}
-		case roll < 70:
-			op = "lease over a connection left"
-			c := r.Intn(len(conns))
-			if c == connOf[pid] {
-				c = (c + 1) % len(conns)
-			}
-			var want []outstandingKey
-			for _, k := range ks {
-				if ref[k].primary.pid == pid {
-					want = append(want, k)
-					ref[k].primary.at = now
-				}
-			}
-			sup.lease.mu.Unlock()
-			m := sup.leaseBatch(pid, 1+r.Intn(4), false, conns[c], now)
-			sup.lease.mu.Lock()
-			var got []outstandingKey
-			for _, w := range m.Work {
-				got = append(got, outstandingKey{w.TaskID, w.Copy})
-			}
-			slices.SortFunc(got, func(a, b outstandingKey) int {
-				if a.task != b.task {
-					return a.task - b.task
-				}
-				return a.copy - b.copy
-			})
-			if wantType := map[bool]string{true: MsgNoWork, false: MsgWorkBatch}[len(want) == 0]; m.Type != wantType || !slices.Equal(got, want) {
-				t.Fatalf("step %d: participant %d's lease over connection %d: %s %v, want %s %v", step, pid, c, m.Type, got, wantType, want)
-			}
-			resent += len(got)
-		case roll < 73:
-			op = "disconnect"
-			gone := r.Intn(len(conns))
-			for _, k := range ks {
-				c := ref[k]
-				if liveClone(c) && connOf[c.clone.pid] == gone {
-					c.clone = nil
-				}
-				if connOf[c.primary.pid] == gone {
-					release(k, c.primary.pid)
-				}
-			}
-			sup.lease.mu.Unlock()
-			sup.reclaim(conns[gone])
-			sup.lease.mu.Lock()
-			conns[gone] = newConnState(nil) // an ended connection serves no more
-			for p, c := range connOf {
-				if c == gone {
-					connOf[p] = -1
-				}
-			}
-		case roll < 83:
-			op = "flag"
-			now = now.Add(2 * time.Millisecond)
-			want := 0
-			for _, c := range ref {
-				if c.clone == nil && c.primary.at.Before(now.Add(-q)) {
-					c.clone = &hold{}
-					want++
-				}
-			}
-			if flagged := sup.flagStragglersLocked(now); flagged != want {
-				t.Fatalf("step %d: flagged %d stragglers, want %d", step, flagged, want)
-			}
-		default:
-			op = "fill"
-			want, eligible := 1+r.Intn(3), 0
-			for _, c := range ref {
-				if c.clone != nil && c.clone.pid == 0 && c.primary.pid != pid {
-					eligible++
-				}
-			}
-			var items []WorkItem
-			issued := sup.fillSpeculativeLocked(pid, want, &items, now)
-			if issued != min(want, eligible) || len(items) != issued {
-				t.Fatalf("step %d: %d clones for %d items, want %d of %d eligible", step, issued, len(items), min(want, eligible), eligible)
-			}
-			for _, w := range items {
-				c := ref[outstandingKey{w.TaskID, w.Copy}]
-				if c == nil || c.clone == nil || c.clone.pid != 0 || c.primary.pid == pid {
-					t.Fatalf("step %d: participant %d was served a clone of %+v", step, pid, w)
-				}
-				c.clone = &hold{pid, now}
-			}
 		}
-		check(step, op)
-	}
-	if revisions == 0 {
-		t.Fatal("no revision grew byTask")
-	}
-	if resent == 0 {
-		t.Fatal("no lease over a connection left re-sent a hold")
-	}
-}
-
-// TestLeaseCycleAllocFree: once the record pool and its free list have
-// reached a lease's size, issuing and claiming a 64-copy lease allocates
-// nothing.
-func TestLeaseCycleAllocFree(t *testing.T) {
-	const batch = 64
-	sup, err := NewSupervisor(SupervisorConfig{Plan: simplePlan(t, batch), Iters: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sup.Close() })
-	// Two copies each of 32 tasks, so every claim also walks a chain.
-	lease := make([]sched.Assignment, batch)
-	for i := range lease {
-		lease[i] = sched.Assignment{TaskID: i / 2, Copy: i % 2}
-	}
-	now := time.Now()
-	cycle := func() {
-		for _, a := range lease {
-			sup.issueLocked(a, 1, now)
+		if resent == 0 {
+			t.Fatal("no lease over a connection left re-sent a hold")
 		}
-		for _, a := range lease {
-			if _, _, reason, _ := sup.claimLocked(1, a.TaskID, a.Copy, now); reason != "" {
-				t.Fatalf("claim of %+v refused: %s", a, reason)
-			}
-		}
-	}
-	sup.lease.mu.Lock()
-	defer sup.lease.mu.Unlock()
-	cycle() // the warm-up lease
-	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
-		t.Errorf("a %d-copy issue and claim cycle allocates %v times, want 0", batch, n)
-	}
+	})
 }

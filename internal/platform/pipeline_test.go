@@ -494,19 +494,24 @@ func TestPipelinedAckSettledBeforeLeaseRead(t *testing.T) {
 		Addr: addr, Name: "robbed", Proto: ProtoBinary, BatchSize: 3, Reconnect: true,
 		// The hook runs on the worker's goroutine between computing an item
 		// and submitting the lease. On the second of the first lease's three
-		// items, age that copy past the deadline and sweep, and freeze the
-		// journal: the first submission's ack cannot leave. On the first
-		// item of the second lease (the lease overtook that ack) thaw it, so
-		// the ack with the refusal in it arrives behind the second lease.
+		// items, reclaim that copy (copy 0, as nothing has completed, from
+		// participant 0, the only one): out of the lease table, as a claim
+		// takes it, and back into the queue. Then freeze the journal: the
+		// first submission's ack cannot leave. On the first item of the
+		// second lease (the lease overtook that ack) thaw it, so the ack
+		// with the refusal in it arrives behind the second lease.
 		Cheat: func(taskID int, honest uint64) uint64 {
 			switch calls++; calls {
 			case 2:
 				sup.lease.mu.Lock()
-				for _, r := range sup.leasesOf(taskID) {
-					r.primary.issuedAt = r.primary.issuedAt.Add(-2 * time.Hour)
+				a, _, refused, _ := sup.lease.Claim(0, taskID, 0, time.Now())
+				if refused == 0 {
+					sup.lease.Queue().Abandon(a)
 				}
 				sup.lease.mu.Unlock()
-				sup.sweepExpired(time.Now())
+				if refused != 0 {
+					t.Errorf("reclaiming task %d copy 0 from participant 0: refused %d", taskID, refused)
+				}
 				jw.block()
 			case 4:
 				jw.unblock()

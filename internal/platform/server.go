@@ -12,6 +12,7 @@ import (
 
 	"redundancy/internal/adapt"
 	"redundancy/internal/health"
+	"redundancy/internal/lease"
 	"redundancy/internal/obs"
 	"redundancy/internal/plan"
 	"redundancy/internal/rng"
@@ -333,9 +334,6 @@ func newSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	s.lease.drained = make(chan struct{}, 1)
 	s.lease.conns = make(map[int]*connState)
 	s.roster = roster
-	if cfg.SpeculatePct > 0 {
-		s.lease.specLosers = make(map[outstandingKey]specLoser)
-	}
 	s.audit.credits = NewCreditLedger()
 	s.audit.resolved = make(map[int]uint64)
 	s.ident.names = make(map[int]string)
@@ -359,7 +357,7 @@ func newSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		specs = cfg.Plan.Tasks()
 	}
 	s.audit.collector.ExpectAll(specs)
-	s.lease.queue, err = sched.NewQueue(specs, cfg.Policy, rng.New(cfg.Seed))
+	q, err := sched.NewQueue(specs, cfg.Policy, rng.New(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -367,12 +365,12 @@ func newSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	for i := range specs {
 		top = max(top, specs[i].ID)
 	}
-	s.lease.byTask = make([]int32, top+1)
+	s.lease.Table = lease.New(q, top+1, s.released)
 	if cfg.Restore != nil {
 		start := time.Now()
 		st, err := replayJournal(cfg.Restore, &supReplayer{s: s, now: start})
 		if err == nil {
-			err = s.lease.queue.Settle()
+			err = s.lease.Queue().Settle()
 		}
 		if err != nil {
 			return nil, err
@@ -393,8 +391,8 @@ func newSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		s.metrics.journalRestored.Add(uint64(st.restored))
 		s.ident.nextID = st.maxParticipant + 1 // never reuse a journaled participant ID
 		s.logf("restored %d results from journal (%d assignments remain)",
-			st.restored, s.lease.queue.Total()-s.lease.queue.Issued())
-		if s.lease.queue.Done() {
+			st.restored, s.lease.Queue().Total()-s.lease.Queue().Issued())
+		if s.lease.Queue().Done() {
 			s.lease.finished = true
 			close(s.done)
 		}
@@ -461,7 +459,7 @@ func (s *Supervisor) Start(addr string) (string, error) {
 		s.every(s.adaptCfg.Interval, s.adaptTick)
 	}
 	s.logf("supervisor listening on %s (%d assignments, %d tasks)",
-		ln.Addr(), s.lease.queue.Total(), s.cfg.Plan.N+s.cfg.Plan.Ringers)
+		ln.Addr(), s.lease.Queue().Total(), s.cfg.Plan.N+s.cfg.Plan.Ringers)
 	return ln.Addr().String(), nil
 }
 

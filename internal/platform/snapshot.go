@@ -114,7 +114,7 @@ func (r *supReplayer) replaySnapshot(rec snapshotRecord) error {
 		}
 		s.applyVerdict(&verdict, r.now)
 		for c := 0; c < v.Copies; c++ {
-			if !s.lease.queue.MarkCompleted(sched.Assignment{TaskID: v.TaskID, Copy: c, Ringer: v.Ringer}) {
+			if !s.lease.Queue().MarkCompleted(sched.Assignment{TaskID: v.TaskID, Copy: c, Ringer: v.Ringer}) {
 				return fmt.Errorf("verdict copy task=%d copy=%d is not queued", v.TaskID, c)
 			}
 		}

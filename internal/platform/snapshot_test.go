@@ -99,7 +99,7 @@ func testSnapshotRestoreEquivalence(t *testing.T, pol sched.Policy) {
 	// The remaining assignments must come out of both queues in the same
 	// order — the ready pools are identical, not merely equal as sets. Each
 	// copy is completed as it pops, so the holdback policies drain too.
-	qa, qb := supA.lease.queue, supB.lease.queue
+	qa, qb := supA.lease.Queue(), supB.lease.Queue()
 	if qa.Issued() != qb.Issued() || qa.Total() != qb.Total() {
 		t.Fatalf("queue accounting diverges: issued %d/%d, total %d/%d",
 			qa.Issued(), qb.Issued(), qa.Total(), qb.Total())
@@ -306,7 +306,7 @@ func TestLiveCompactionEndToEnd(t *testing.T) {
 			if sup2.replayed.restored != 2*tasks {
 				t.Errorf("restored %d results from compacted journal, want %d", sup2.replayed.restored, 2*tasks)
 			}
-			if !sup2.lease.queue.Done() {
+			if !sup2.lease.Queue().Done() {
 				t.Error("compacted restore left assignments outstanding on a finished run")
 			}
 		})
