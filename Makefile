@@ -136,7 +136,10 @@ tail-smoke:
 # The result path's allocation guards: a collector's allocations are its
 # tables and chunks and not one per result, with or without Reserve; a
 # warm 64-result SubmitBatch allocates nothing; a queue's do not depend on
-# the task count, drained through Next or NextBatch; a queue deals, seed
+# the task count, drained through Next or NextBatch; a queue that deals
+# copies and takes them back through Abandon reuses the room dealing freed
+# at the front of its ready pool, allocating nothing
+# (TestAbandonCycleAllocFree); a queue deals, seed
 # for seed, the permutation the closure shuffle dealt, holds 8 B per queued
 # copy, and refuses a copy its 8-byte slot cannot hold; a snapshot restore allocates the verdict list once;
 # carved storage never aliases; a verdict is read (by index, by task, and
@@ -155,7 +158,12 @@ tail-smoke:
 # out of their packing at the widest values; a warm event heap's push/pop
 # cycle allocates nothing, and its pops, a push filling the popped root's
 # slot among them, match a sorted reference under random interleavings
-# (ties of −0 and +0 and +Inf times among them); a single-copy tail
+# (ties of −0 and +0 and +Inf times among them); the tail engine's
+# per-worker winner tree, merged with the heap as the engine pops them,
+# matches a linear-scan reference under random sets, clears and pushes at
+# 1, 3, 256 and 1000 slots, never pops an idle slot's sentinel
+# (TestEventTreeMatchesReference), and its pop/set cycle allocates nothing
+# (TestEventTreeSteadyStateAllocFree); a single-copy tail
 # workload reproduces its pinned quantiles and counters on the engine's
 # one path; the tail engine holds 9 arena bytes per base copy, 14 under
 # speculation, now that a completion reads per-worker state instead of a
@@ -168,7 +176,7 @@ tail-smoke:
 BATCH_PIPELINE_ALLOCS ?= 4
 
 alloc-check:
-	$(GO) test -count=1 -run 'TestSubmitDoesNotAllocatePerResult|TestSubmitBatchAllocFree|TestReserveIsTheSamePath|TestCarved|TestRestoreVerdictGrowsOnce|TestNewQueueAllocatesOnce|TestQueueOrderMatchesClosureShuffle|TestQueueBytesPerCopy|TestQueueRefusesUnpackable|TestSnapshotRestoreAllocatesVerdictsOnce|TestRevisionGrowsPastPresizedTables|TestVerdictReadsAllocFree|TestRestoreVerdictCopiesLists|TestCollectorBytesPerTask|TestLeaseCycleAllocFree|TestCodecFramesAllocFree|TestJSONDecodeInternsStrings|TestScenarioAllocsPerTask|TestScenarioBytesPerTask|TestRunStateSizes|TestEventHeapPayloadRoundTrip|TestBacklogEntryRoundTrip|TestEventHeapSteadyStateAllocFree|TestEventHeapMatchesReference|TestTailUniformGolden|TestTailEngineBytesPerCopy|TestSummaryCountsWrongResults' ./internal/verify ./internal/sched ./internal/platform ./internal/lease ./internal/sim
+	$(GO) test -count=1 -run 'TestSubmitDoesNotAllocatePerResult|TestSubmitBatchAllocFree|TestReserveIsTheSamePath|TestCarved|TestRestoreVerdictGrowsOnce|TestNewQueueAllocatesOnce|TestAbandonCycleAllocFree|TestQueueOrderMatchesClosureShuffle|TestQueueBytesPerCopy|TestQueueRefusesUnpackable|TestSnapshotRestoreAllocatesVerdictsOnce|TestRevisionGrowsPastPresizedTables|TestVerdictReadsAllocFree|TestRestoreVerdictCopiesLists|TestCollectorBytesPerTask|TestLeaseCycleAllocFree|TestCodecFramesAllocFree|TestJSONDecodeInternsStrings|TestScenarioAllocsPerTask|TestScenarioBytesPerTask|TestRunStateSizes|TestEventHeapPayloadRoundTrip|TestBacklogEntryRoundTrip|TestEventHeapSteadyStateAllocFree|TestEventHeapMatchesReference|TestEventTreeMatchesReference|TestEventTreeSteadyStateAllocFree|TestTailUniformGolden|TestTailEngineBytesPerCopy|TestSummaryCountsWrongResults' ./internal/verify ./internal/sched ./internal/platform ./internal/lease ./internal/sim
 	$(GO) test -run '^$$' -bench BenchmarkBatchPipeline -benchmem ./internal/platform | awk -v max=$(BATCH_PIPELINE_ALLOCS) \
 		'{ print } /^BenchmarkBatchPipeline/ { seen = 1; for (i = 2; i <= NF; i++) if ($$i == "allocs/op" && $$(i-1) + 0 > max) over = $$(i-1) } \
 		END { if (!seen) { print "FAIL: BenchmarkBatchPipeline did not run"; exit 1 } \

@@ -342,12 +342,14 @@ func byKey(a, b key) int { return cmp.Or(a.task-b.task, a.copy-b.copy) }
 
 // TestLeaseCycleAllocFree: once the record pool and its free list have
 // reached a lease's size, a 64-copy lease allocates nothing, whether its
-// holds end by claim or by deadline through the observer. The queue
-// holds a thousand leases' worth of copies, so the expired copies it takes
-// back go into room its ready pool's one growth, in the warm-up, left.
+// holds end by claim or by deadline through the observer. The queue holds
+// the 102 leases the claim cycles (a warm-up and AllocsPerRun's 101)
+// consume and one more, which the expiry cycles deal and take back: its
+// ready pool has no room left at the back, so the expired copies go into
+// the room dealing them freed at the front.
 func TestLeaseCycleAllocFree(t *testing.T) {
 	const batch = 64
-	tab, ends := newTable(t, 512*batch)
+	tab, ends := newTable(t, 103*batch/2)
 	lease := make([]sched.Assignment, 0, batch)
 	now := time.Unix(1_000_000, 0)
 	issue := func() {

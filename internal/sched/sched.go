@@ -117,8 +117,12 @@ func (s Slot) Assignment() Assignment {
 type Queue struct {
 	policy Policy
 
-	// ready copies, dealt from the front.
-	ready []Slot
+	// ready copies, dealt from the front. readyBuf is ready's backing
+	// array from its first element: when ready's back is full, release
+	// moves the queued copies down into the room dealing freed at the
+	// front instead of growing the array.
+	ready    []Slot
+	readyBuf []Slot
 	// pending[taskID] holds the copies OneOutstanding has not yet released
 	// (each waits for the one before it to complete), in copy order. The
 	// per-task slices are cut from one array sized by NewQueue.
@@ -213,7 +217,27 @@ func NewQueue(specs []plan.TaskSpec, policy Policy, r *rng.Source) (*Queue, erro
 	default:
 		return nil, fmt.Errorf("sched: unknown policy %v", policy)
 	}
+	q.readyBuf = q.ready
 	return q, nil
+}
+
+// release appends copies at the back of the ready pool.
+func (q *Queue) release(s ...Slot) {
+	if len(q.ready)+len(s) > cap(q.ready) && cap(q.ready) < cap(q.readyBuf) {
+		q.ready = q.readyBuf[:copy(q.readyBuf[:cap(q.readyBuf)], q.ready)]
+	}
+	q.ready = append(q.ready, s...)
+	if cap(q.ready) > cap(q.readyBuf) {
+		q.readyBuf = q.ready
+	}
+}
+
+// turnPhase releases phase two once phase one is fully collected (only
+// TwoPhase buffers one).
+func (q *Queue) turnPhase() {
+	if q.phaseTurnDue() {
+		q.ready, q.readyBuf, q.phase2 = q.phase2, q.phase2, nil
+	}
 }
 
 // heldBack returns the copies of taskID the policy has yet to release (none
@@ -235,9 +259,7 @@ func (q *Queue) phaseTurnDue() bool {
 // currently available — either the computation is finished (Done) or the
 // policy is holding copies back until outstanding work completes.
 func (q *Queue) Next() (a Assignment, ok bool) {
-	if q.phaseTurnDue() {
-		q.ready, q.phase2 = q.phase2, nil
-	}
+	q.turnPhase()
 	if len(q.ready) == 0 {
 		return Assignment{}, false
 	}
@@ -254,9 +276,7 @@ func (q *Queue) Next() (a Assignment, ok bool) {
 // under any policy, so the batch is the ready pool's prefix, cut once: the
 // same copies n calls of Next would pop.
 func (q *Queue) NextBatch(dst []Assignment, n int) []Assignment {
-	if q.phaseTurnDue() {
-		q.ready, q.phase2 = q.phase2, nil
-	}
+	q.turnPhase()
 	k := min(n, len(q.ready))
 	for _, s := range q.ready[:k] {
 		q.markIssued(s.taskID())
@@ -310,7 +330,7 @@ func (q *Queue) Complete(a Assignment) {
 	}
 	q.outstanding--
 	if rest := q.heldBack(a.TaskID); len(rest) > 0 {
-		q.ready = append(q.ready, rest[0])
+		q.release(rest[0])
 		q.pending[a.TaskID] = rest[1:]
 	}
 }
@@ -330,7 +350,7 @@ func (q *Queue) Abandon(a Assignment) {
 	}
 	q.outstanding--
 	q.issued--
-	q.ready = append(q.ready, s)
+	q.release(s)
 }
 
 // MarkCompleted records that assignment a was already issued and completed
@@ -396,7 +416,7 @@ func (q *Queue) Settle() error {
 	}
 	if q.marked > 0 {
 		q.ready = settle(q.ready)
-		q.ready = append(q.ready, released...)
+		q.release(released...)
 		q.phase2 = settle(q.phase2)
 	}
 	q.issued += n
@@ -443,7 +463,7 @@ func (q *Queue) Promote(taskID, from, to int) error {
 		return fmt.Errorf("sched: Promote task %d: %d copies queued, revision expects %d", taskID, queued, from)
 	}
 	for c := from; c < to; c++ {
-		q.ready = append(q.ready, newSlot(taskID, c, false))
+		q.release(newSlot(taskID, c, false))
 	}
 	q.total += to - from
 	return nil
@@ -465,7 +485,7 @@ func (q *Queue) AddTask(spec plan.TaskSpec) error {
 		return fmt.Errorf("sched: AddTask task %d: ID already in use", spec.ID)
 	}
 	for c := 0; c < spec.Copies; c++ {
-		q.ready = append(q.ready, newSlot(spec.ID, c, spec.Ringer))
+		q.release(newSlot(spec.ID, c, spec.Ringer))
 	}
 	q.total += spec.Copies
 	return nil

@@ -692,6 +692,63 @@ func TestNewQueueAllocatesOnce(t *testing.T) {
 	}
 }
 
+// TestAbandonCycleAllocFree: a 32-task, 64-copy queue that deals copies
+// and takes them back through Abandon reuses the room dealing freed at the
+// front of its ready pool, so a warm cycle allocates nothing, whether it
+// deals every copy (through Next, or NextBatch into a reused dst) or half
+// of them. Moving the queued copies down keeps their order: a model that
+// deals from the front of a plain slice and appends abandoned copies at
+// its back deals the same copies.
+func TestAbandonCycleAllocFree(t *testing.T) {
+	sp := make([]plan.TaskSpec, 32)
+	for i := range sp {
+		sp[i] = plan.TaskSpec{ID: i, Copies: 2}
+	}
+	for _, c := range []struct {
+		name        string
+		deal, batch int // batch 0 deals through Next
+	}{{"Next", 64, 0}, {"NextBatch", 64, 64}, {"half", 32, 16}} {
+		q, err := NewQueue(sp, Free, rng.New(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := make([]Assignment, 0, 64)
+		for _, s := range q.ready {
+			model = append(model, s.Assignment())
+		}
+		dst := make([]Assignment, 0, 64)
+		cycle := func() {
+			dst = dst[:0]
+			for len(dst) < c.deal {
+				if c.batch == 0 {
+					a, _ := q.Next()
+					dst = append(dst, a)
+				} else {
+					dst = q.NextBatch(dst, c.batch)
+				}
+			}
+			for _, a := range dst {
+				q.Abandon(a)
+			}
+		}
+		cycle() // the warm-up
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Errorf("%s: a deal-and-abandon cycle allocates %v times, want 0", c.name, n)
+		}
+		// The model catches up with the 102 cycles run so far, then
+		// checks five more.
+		for i := 0; i < 107; i++ {
+			if i >= 102 {
+				cycle()
+				if !slices.Equal(dst, model[:c.deal]) {
+					t.Fatalf("%s cycle %d: dealt %v, the model deals %v", c.name, i, dst, model[:c.deal])
+				}
+			}
+			model = slices.Concat(model[c.deal:], model[:c.deal])
+		}
+	}
+}
+
 // closureShuffleDrain is the queue as it was built with 24-byte
 // Assignments: the copies laid out in spec order, each pool permuted by
 // rng.Shuffle through a swap closure (ready, then phase2 under TwoPhase),

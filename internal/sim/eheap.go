@@ -6,9 +6,12 @@ import (
 )
 
 // eventHeap is a binary min-heap of simulation events, built for the
-// allocation-free Monte-Carlo hot loop. A node is 16 bytes and carries the
-// whole event: its time, as the IEEE bits of a non-negative float64, and
-// one key word that packs the insertion seq above the payload,
+// allocation-free Monte-Carlo hot loop. The scenario engine queues every
+// event in one; the tail engine queues only its clone spawns there and
+// keeps each worker's in-flight completion in an eventTree (below), whose
+// nodes take their seqs from the same heap. A node is 16 bytes and
+// carries the whole event: its time, as the IEEE bits of a non-negative
+// float64, and one key word that packs the insertion seq above the payload,
 //
 //	key = seq<<32 | arg<<1 | kind
 //
@@ -27,11 +30,12 @@ import (
 //
 // The payload is a kind of 0 or 1 and a non-negative int32 arg, and the
 // time is non-negative and not NaN (+Inf is allowed; −0 is stored as +0).
-// The seq has 32 bits, so a heap takes at most maxSeq+1 pushes between
-// resets; push panics past that, and on a payload or time outside those
-// bounds, rather than let a field spill into its neighbour and the order
-// or the payload go silently wrong. The engines refuse, up front, a run
-// or trial that could push more, and a service law that could draw NaN.
+// The seq has 32 bits, so a heap numbers at most maxSeq+1 nodes between
+// resets, its pushes and the tree's together; node panics past that, and
+// on a payload or time outside those bounds, rather than let a field
+// spill into its neighbour and the order or the payload go silently
+// wrong. The engines refuse, up front, a run or trial that could number
+// more, and a service law that could draw NaN.
 type eventHeap struct {
 	nodes []heapNode
 	next  uint64 // seq of the next push
@@ -74,10 +78,11 @@ func (h *eventHeap) node(at float64, kind int8, arg int32) heapNode {
 }
 
 // push schedules an event. Into an open root slot (see pop) it goes with
-// one sift down, which fuses the engines' dominant cycle, a completion
-// popped and its worker's next completion pushed, into a single descent;
-// otherwise it is appended and sifted up. Either way it takes the next
-// seq, so pop order is the total (time, seq) order whatever the layout.
+// one sift down, which fuses the scenario engine's dominant cycle, a
+// completion popped and its worker's next completion pushed, into a
+// single descent; otherwise it is appended and sifted up. Either way it
+// takes the next seq, so pop order is the total (time, seq) order
+// whatever the layout.
 func (h *eventHeap) push(at float64, kind int8, arg int32) {
 	n := h.node(at, kind, arg)
 	if h.open {
@@ -100,9 +105,14 @@ func (h *eventHeap) pop() (at float64, kind int8, arg int32, ok bool) {
 	if len(h.nodes) == 0 {
 		return 0, 0, 0, false
 	}
-	root := h.nodes[0]
 	h.open = true
-	return math.Float64frombits(root.at), int8(root.key & 1), int32(uint32(root.key) >> 1), true
+	at, kind, arg = h.nodes[0].event()
+	return at, kind, arg, true
+}
+
+// event unpacks a node's time and payload.
+func (n heapNode) event() (at float64, kind int8, arg int32) {
+	return math.Float64frombits(n.at), int8(n.key & 1), int32(uint32(n.key) >> 1)
 }
 
 // close removes the open root slot by moving the last event into it.
@@ -178,4 +188,78 @@ func (h *eventHeap) reset() {
 	h.nodes = h.nodes[:0]
 	h.next = 0
 	h.open = false
+}
+
+// eventTree is a winner tree over a fixed set of P slots, each holding at
+// most one event: the tail engine's workers, each with at most one
+// completion in flight. Leaves sit at nodes[P:2P], so any P works, and
+// every internal node i in [1, P) holds the earlier of nodes[2i] and
+// nodes[2i+1], so nodes[1] is the earliest event of all: 32 B per slot.
+// A leaf holds the same 16-byte node as the heap, its seq taken from the
+// heap's counter (eventHeap.node), so one counter numbers every event and
+// pop, over the tree and the heap together, keeps the total (time, seq)
+// order. An empty slot holds idle, whose all-ones at no real node reaches
+// (a node's at has its sign bit clear), so it orders after every event.
+//
+// Where the heap's sift descends along the comparisons it makes, set
+// replays a slot's fixed leaf-to-root path: each level loads the sibling,
+// whose address no comparison decides, and takes the earlier of it and the
+// running winner with the branch-free 128-bit min.
+type eventTree struct {
+	nodes []heapNode
+}
+
+// idle marks an empty slot.
+var idle = heapNode{at: math.MaxUint64, key: math.MaxUint64}
+
+// newEventTree returns a tree of p empty slots, p >= 1.
+func newEventTree(p int) *eventTree {
+	t := &eventTree{nodes: make([]heapNode, 2*p)}
+	t.reset()
+	return t
+}
+
+// set puts event n in slot w, replacing what it held, and replays w's path
+// to the root.
+func (t *eventTree) set(w int, n heapNode) {
+	nodes := t.nodes
+	i := len(nodes)/2 + w
+	nodes[i] = n
+	for ; i > 1; i >>= 1 {
+		s := nodes[i^1]
+		mask := -s.before(n)
+		n.at ^= (n.at ^ s.at) & mask
+		n.key ^= (n.key ^ s.key) & mask
+		nodes[i>>1] = n
+	}
+}
+
+// clear empties slot w.
+func (t *eventTree) clear(w int) { t.set(w, idle) }
+
+// pop returns the earlier of the tree's earliest event and the heap's, by
+// before, ok=false when the heap is empty and every slot idle. It first
+// closes the heap's open root slot; a heap pop opens it again, as
+// eventHeap.pop does. A tree pop leaves the event in its slot: the caller
+// sets or clears that slot before the next pop.
+func (t *eventTree) pop(h *eventHeap) (at float64, kind int8, arg int32, ok bool) {
+	if h.open {
+		h.close()
+	}
+	n := t.nodes[1]
+	if len(h.nodes) > 0 && h.nodes[0].before(n) == 1 {
+		n = h.nodes[0]
+		h.open = true
+	} else if n == idle {
+		return 0, 0, 0, false
+	}
+	at, kind, arg = n.event()
+	return at, kind, arg, true
+}
+
+// reset empties every slot.
+func (t *eventTree) reset() {
+	for i := range t.nodes {
+		t.nodes[i] = idle
+	}
 }

@@ -289,6 +289,126 @@ func TestEventHeapMatchesReference(t *testing.T) {
 	}
 }
 
+// TestEventTreeMatchesReference is the tree's differential test, run the
+// way the tail engine drives it: random interleavings of per-slot sets
+// (replacing a slot's event or filling an idle one) and clears with heap
+// pushes, merged by eventTree.pop, must pop exactly what a linear scan for
+// the least (time, seq) of the live events pops, and nothing once none is
+// live; an idle slot's sentinel never pops. A tree pop leaves its event in
+// the slot, so, as in the engine, the slot is set or cleared before the
+// next pop. Times are drawn from few values, so ties abound, between slots
+// and between a slot and the heap, and include −0 (which ties +0 and pops
+// as +0 in seq order) and +Inf. P covers the single-leaf tree, an odd one
+// and the tail engine's fleet sizes.
+func TestEventTreeMatchesReference(t *testing.T) {
+	r := rng.New(91)
+	drawAt := func() float64 {
+		switch at := float64(r.Intn(18)); at {
+		case 16:
+			return math.Copysign(0, -1)
+		case 17:
+			return math.Inf(1)
+		default:
+			return at
+		}
+	}
+	for _, p := range []int{1, 3, 256, 1000} {
+		for round := 0; round < 10; round++ {
+			h, tr := newEventHeap(4), newEventTree(p)
+			// slots[w] is slot w's live event; the heap's live events
+			// are kept in heapLive.
+			slots := make([]*refEvent, p)
+			var heapLive []refEvent
+			popped := -1 // the slot a tree pop left its event in
+			set := func(w int) {
+				at := drawAt()
+				slots[w] = &refEvent{at: at, seq: h.next, kind: evComplete, arg: int32(w)}
+				tr.set(w, h.node(at, evComplete, int32(w)))
+			}
+			empty := func(w int) {
+				slots[w] = nil
+				tr.clear(w)
+			}
+			for op := 0; op < 4*p+2000; op++ {
+				switch c := r.Intn(100); {
+				case c < 40:
+					set(r.Intn(p))
+				case c < 48:
+					empty(r.Intn(p))
+				case c < 62:
+					at, arg := drawAt(), int32(r.Intn(1<<20))
+					heapLive = append(heapLive, refEvent{at: at, seq: h.next, kind: evSpawn, arg: arg})
+					h.push(at, evSpawn, arg)
+				default:
+					if popped >= 0 {
+						if r.Intn(3) == 0 {
+							empty(popped)
+						} else {
+							set(popped)
+						}
+						popped = -1
+					}
+					var want *refEvent
+					for _, e := range slots {
+						if e != nil && (want == nil || e.at < want.at || (e.at == want.at && e.seq < want.seq)) {
+							want = e
+						}
+					}
+					inHeap := -1
+					for i := range heapLive {
+						if e := &heapLive[i]; want == nil || e.at < want.at || (e.at == want.at && e.seq < want.seq) {
+							want, inHeap = e, i
+						}
+					}
+					at, kind, arg, ok := tr.pop(h)
+					if ok != (want != nil) {
+						t.Fatalf("P=%d round %d op %d: pop ok=%v (%v, kind %d, arg %d), reference has live events: %v",
+							p, round, op, ok, at, kind, arg, want != nil)
+					}
+					if !ok {
+						continue
+					}
+					if math.IsNaN(at) || at != want.at || math.Signbit(at) || kind != want.kind || arg != want.arg {
+						t.Fatalf("P=%d round %d op %d: popped (%v, kind %d, arg %d), reference (%v, kind %d, arg %d)",
+							p, round, op, at, kind, arg, want.at, want.kind, want.arg)
+					}
+					if inHeap >= 0 {
+						heapLive = append(heapLive[:inHeap], heapLive[inHeap+1:]...)
+					} else {
+						slots[arg] = nil
+						popped = int(arg)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEventTreeSteadyStateAllocFree: the tail engine's cycle, a pop and
+// the popped slot's next event set, or a spawn popped and pushed again,
+// allocates nothing.
+func TestEventTreeSteadyStateAllocFree(t *testing.T) {
+	h, tr := newEventHeap(64), newEventTree(256)
+	r := rng.New(5)
+	for w := 0; w < 256; w++ {
+		tr.set(w, h.node(r.Float64()*100, evComplete, int32(w)))
+	}
+	for i := int32(0); i < 8; i++ {
+		h.push(r.Float64()*100, evSpawn, i)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		at, kind, arg, _ := tr.pop(h)
+		if kind == evComplete {
+			tr.set(int(arg), h.node(at+r.Float64()*10, evComplete, arg))
+		} else {
+			h.push(at+r.Float64()*10, evSpawn, arg)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state tree cycle allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
 // BenchmarkEventHeap measures the steady-state push/pop cycle at a
 // fleet-sized depth and at the scenario lab's (one completion in flight
 // per busy worker, 10^5 of them); compare BenchmarkContainerHeapBaseline
@@ -306,6 +426,28 @@ func BenchmarkEventHeap(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				at, _, arg, _ := h.pop()
 				h.push(at+r.Float64()*10, 0, arg)
+			}
+		})
+	}
+}
+
+// BenchmarkEventTree measures the tail engine's completion cycle on the
+// tree at its fleet sizes: pop the earliest slot's event and set the slot's
+// next, with every slot busy and no spawns queued. Compare
+// BenchmarkEventHeap's N256 on the same cycle.
+func BenchmarkEventTree(b *testing.B) {
+	for _, p := range []int{256, 1000} {
+		b.Run(fmt.Sprintf("N%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			h, tr := newEventHeap(16), newEventTree(p)
+			r := rng.New(5)
+			for w := 0; w < p; w++ {
+				tr.set(w, h.node(r.Float64()*100, evComplete, int32(w)))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at, _, arg, _ := tr.pop(h)
+				tr.set(int(arg), h.node(at+r.Float64()*10, evComplete, arg))
 			}
 		})
 	}

@@ -107,10 +107,10 @@ func (c *TailConfig) Validate() error {
 		return errors.New("tail: zero tasks")
 	}
 	// Copies and worker ids are int32 arena indices, and the event heap
-	// numbers a trial's pushes with 32-bit seqs. A trial pushes at most
-	// one completion per copy and per clone (each copy is cloned at most
-	// once) plus one spawn per copy: below 1.5*MaxInt32 < 2^32 pushes
-	// under this bound.
+	// numbers a trial's events with 32-bit seqs. A trial schedules at
+	// most one completion per copy and per clone (each copy is cloned at
+	// most once) plus one spawn per copy: below 1.5*MaxInt32 < 2^32
+	// events under this bound.
 	if copies > math.MaxInt32/2 {
 		return fmt.Errorf("tail: %d copies exceeds the int32 arena limit", copies)
 	}
@@ -155,7 +155,7 @@ type TailTrial struct {
 	SpecWasted  int
 }
 
-// Event kinds in the tail engine's heap.
+// Event kinds in the tail engine's event queue.
 const (
 	evComplete int8 = iota // arg: worker id
 	evSpawn                // arg: base copy slot to clone
@@ -196,6 +196,10 @@ type TailEngine struct {
 	curStart []float64
 	speed    []float64
 
+	// Each worker's in-flight completion sits in its slot of tree; the
+	// heap holds only clone spawns, a few percent of events. Both take
+	// their seqs from the heap's counter (see eventTree).
+	tree    *eventTree
 	heap    *eventHeap
 	latency *stats.Sketch
 	copySvc *stats.Sketch
@@ -245,6 +249,7 @@ func NewTailEngine(cfg TailConfig) (*TailEngine, error) {
 		speed:    make([]float64, p),
 		idle:     make([]int32, p),
 
+		tree:    newEventTree(p),
 		heap:    newEventHeap(p + 1),
 		latency: stats.NewSketchAlpha(alpha),
 		copySvc: stats.NewSketchAlpha(alpha),
@@ -291,6 +296,7 @@ func (e *TailEngine) RunTrial(trial int) TailTrial {
 	rSpeed := src.Split(3)
 
 	// Reset arenas.
+	e.tree.reset()
 	e.heap.reset()
 	e.latency.Reset()
 	e.copySvc.Reset()
@@ -333,11 +339,12 @@ func (e *TailEngine) RunTrial(trial int) TailTrial {
 	}
 
 	// The steady-state loop: pop, resolve, refill. Zero heap allocations.
-	// The refill's completion push lands in the popped root's slot (see
-	// eventHeap.pop), one sift for the pop and the push together.
+	// A completion pops from the tree and leaves its event in the worker's
+	// slot, so every completion handler rewrites that slot (startNext
+	// serves the worker or clears it) before the next pop.
 	spec := e.cfg.Speculate
 	for {
-		at, kind, arg, ok := e.heap.pop()
+		at, kind, arg, ok := e.tree.pop(e.heap)
 		if !ok {
 			break
 		}
@@ -416,6 +423,7 @@ func (e *TailEngine) startNext(w int, rService *rng.Source) {
 		e.serve(w, base, false, rService)
 		return
 	}
+	e.tree.clear(w)
 	e.idle[e.nIdle] = int32(w)
 	e.nIdle++
 }
@@ -440,7 +448,7 @@ func (e *TailEngine) serve(w int, base int32, clone bool, rService *rng.Source) 
 	e.curClone[w] = clone
 	e.curSvc[w] = s
 	e.curStart[w] = e.now
-	e.heap.push(e.now+s, evComplete, int32(w))
+	e.tree.set(w, e.heap.node(e.now+s, evComplete, int32(w)))
 	if clone {
 		e.specIssued++
 		return
