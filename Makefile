@@ -193,9 +193,16 @@ alloc-check:
 # from one SupervisorConfig: health, speculation, deadlines, mismatch
 # resolution and a fault-injecting listener on every shard; compacted
 # shard journals restored to the live state; a shard journal missing its
-# final newline restored twice with nothing lost.
+# final newline restored twice with nothing lost. The shards are built
+# concurrently, so beside them run the checks on that build: the user's
+# Logf called one call at a time across shards, a shard whose journal
+# cannot open failing the build with nothing left running, and 20 builds
+# rendering the same metric families in the same order. First, the ring
+# package under the race detector: its bucketed lookup held to a binary
+# search over every point.
 shard-smoke:
-	$(SYNCTEST) $(GO) test -race -run 'TestShardedSmoke|TestShardChaosSoak|TestShardedWorkerBanned|TestClusterPartition|TestClusterRoutingStateConcurrent|TestClusterLifecycleSerialized|TestClusterShardsTakeEveryOption|TestClusterSnapshotsRestore|TestClusterRestoreUnterminatedJournal' -count=1 -v ./internal/platform
+	$(GO) test -race -count=1 ./internal/ring
+	$(SYNCTEST) $(GO) test -race -run 'TestShardedSmoke|TestShardChaosSoak|TestShardedWorkerBanned|TestClusterPartition|TestClusterRoutingStateConcurrent|TestClusterLifecycleSerialized|TestClusterShardsTakeEveryOption|TestClusterSnapshotsRestore|TestClusterRestoreUnterminatedJournal|TestClusterLogfSerialized|TestClusterFailedBuildLeavesNothing|TestClusterMetricsFamilyOrder' -count=1 -v ./internal/platform
 
 # The crash-tolerance acceptance test alone, under the race detector:
 # full plan to certification with every fault mode injected and the
@@ -215,7 +222,8 @@ chaos:
 # parameters (NaN, infinities, negatives) at the scenario lab — which
 # must error, never panic or hang — and FuzzRingLookup hostile member
 # sets and arbitrary keys at the consistent-hash ring, whose lookup must
-# stay total and deterministic.
+# stay total and deterministic, answer exactly what a binary search over
+# the ring's points answers, and index at most two int32 per point.
 fuzz:
 	$(GO) test -fuzz=FuzzCodecRecv -fuzztime=30s -run '^$$' ./internal/platform
 	$(GO) test -fuzz=FuzzCodecSend -fuzztime=30s -run '^$$' ./internal/platform

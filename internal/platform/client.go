@@ -233,12 +233,13 @@ func reconnectDelay(attempt int, cfg WorkerConfig, r *rng.Source) time.Duration 
 }
 
 // workDelay sleeps for one assignment's simulated compute time under the
-// Speed model, when one is configured.
-func workDelay(cfg WorkerConfig, r *rng.Source) {
-	if cfg.Speed == nil {
+// worker's Speed model, when one is configured. It takes the model, not
+// the WorkerConfig, so the work loop copies one pointer per item.
+func workDelay(speed *SpeedModel, r *rng.Source) {
+	if speed == nil {
 		return
 	}
-	if d := cfg.Speed.delay(r); d > 0 {
+	if d := speed.delay(r); d > 0 {
 		time.Sleep(d)
 	}
 }
@@ -661,7 +662,7 @@ func (s *session) leaseLoop(r *rng.Source) error {
 				})
 			}
 			st.progressed = true
-			workDelay(cfg, r)
+			workDelay(cfg.Speed, r)
 			value := work(item.Seed, m.Iters)
 			cheated := false
 			if cfg.Cheat != nil {

@@ -80,8 +80,10 @@ type Cluster struct {
 func ShardName(i int) string { return fmt.Sprintf("shard-%d", i) }
 
 // NewCluster partitions cfg.Plan across cfg.Shards supervisors and starts
-// each one on a loopback address. The returned cluster is serving; callers
-// route workers with ShardMap and finish with Wait + Close.
+// each one on a loopback address, all of them concurrently. The returned
+// cluster is serving; callers route workers with ShardMap and finish with
+// Wait + Close. If a shard fails to start, NewCluster closes the ones that
+// did and returns the lowest failing shard's error.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	switch {
 	case cfg.Plan == nil:
@@ -104,6 +106,16 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
+	if lg := cfg.Logf; lg != nil {
+		// Each shard serializes its own calls; this lock serializes the
+		// shards', so the user's hook sees one call at a time.
+		var mu sync.Mutex
+		cfg.Logf = func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			lg(format, args...)
+		}
+	}
 	c := &Cluster{
 		cfg:     cfg,
 		ring:    r,
@@ -120,9 +132,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// subset, and moving a task would fork that authority.
 	//
 	// The plan is expanded once and walked twice: count each shard's tasks,
-	// then fill parts allocated at exactly that size. shardOf turns the
-	// ring's member index into the shard ordinal (Members() is sorted by
-	// name, where "shard-10" comes before "shard-2").
+	// then fill the parts, each a capped window of one backing array.
+	// shardOf turns the ring's member index into the shard ordinal
+	// (Members() is sorted by name, where "shard-10" comes before
+	// "shard-2").
 	shardOf := make([]int, r.Len())
 	for i, n := range names {
 		shardOf[sort.SearchStrings(r.Members(), n)] = i
@@ -138,20 +151,36 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		owner[t] = int32(shardOf[mi])
 		counts[owner[t]]++
 	}
+	backing := make([]plan.TaskSpec, len(specs))
+	off := 0
 	for i, n := range counts {
 		if n == 0 {
 			return nil, fmt.Errorf(
 				"platform: shard %d owns no tasks (%d tasks over %d shards); use fewer shards, more tasks, or more vnodes",
 				i, len(specs), cfg.Shards)
 		}
-		c.parts[i] = make([]plan.TaskSpec, 0, n)
+		c.parts[i] = backing[off : off : off+n]
+		off += n
 	}
 	for t, i := range owner {
 		c.parts[i] = append(c.parts[i], specs[t])
 	}
 
+	// A shard shares only what is read-only (the plan) or locks itself (the
+	// registry, the events sink, the Logf above), so the shards are built
+	// and started at once.
+	errs := make([]error, cfg.Shards)
+	var wg sync.WaitGroup
 	for i := range c.sups {
-		if err := c.startShard(i, nil); err != nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = c.startShard(i, nil)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			c.Close()
 			return nil, err
 		}

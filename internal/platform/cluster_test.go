@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -690,5 +692,168 @@ func TestClusterRestoreUnterminatedJournal(t *testing.T) {
 	}
 	if credit != p.TotalAssignments() {
 		t.Errorf("merged credit %d, want %d", credit, p.TotalAssignments())
+	}
+}
+
+// TestClusterLogfSerialized: a cluster calls the user's Logf one call at a
+// time, as SupervisorConfig.Logf promises, though each shard logs from its
+// own goroutines: its listening line, and a registration line for every
+// worker that reaches it. The hook sleeps, so two callers that are not
+// serialized overlap in it.
+func TestClusterLogfSerialized(t *testing.T) {
+	p := mustClusterPlan(t, 120)
+	var inFlight, calls, overlaps atomic.Int32
+	c, err := NewCluster(ClusterConfig{
+		Plan: p, Shards: 4, Seed: 7, WorkKind: "hashchain", Iters: 10,
+		Logf: func(string, ...any) {
+			calls.Add(1)
+			if inFlight.Add(1) > 1 {
+				overlaps.Add(1)
+			}
+			time.Sleep(200 * time.Microsecond)
+			inFlight.Add(-1)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const workers = 4
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = RunShardedWorker(WorkerConfig{
+				Name: fmt.Sprintf("log-%d", i), BatchSize: 4, Seed: uint64(i + 1),
+			}, c.ShardMap)
+		}(i)
+	}
+	c.Wait()
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("worker %d: %v", i, err)
+		}
+	}
+	if n := calls.Load(); n < 4 {
+		t.Fatalf("Logf called %d times, want a listening line from each of 4 shards at least", n)
+	}
+	if n := overlaps.Load(); n != 0 {
+		t.Errorf("%d of %d Logf calls began while another was running", n, calls.Load())
+	}
+}
+
+// TestClusterFailedBuildLeavesNothing: when one shard cannot open its
+// journal, NewCluster returns that shard's error and leaves nothing
+// running: the shards built beside it are closed, their addresses refuse
+// a dial, and the goroutine count returns to where it started.
+func TestClusterFailedBuildLeavesNothing(t *testing.T) {
+	p := mustClusterPlan(t, 120)
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "shard-1.jnl"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	var mu sync.Mutex
+	var addrs []string
+	c, err := NewCluster(ClusterConfig{
+		Plan: p, Shards: 4, Seed: 7, WorkKind: "hashchain", Iters: 10, JournalDir: dir,
+		WrapListener: func(ln net.Listener) net.Listener {
+			mu.Lock()
+			defer mu.Unlock()
+			addrs = append(addrs, ln.Addr().String())
+			return ln
+		},
+	})
+	if err == nil {
+		c.Close()
+		t.Fatal("NewCluster built a cluster whose shard-1 journal is a directory")
+	}
+	var pathErr *fs.PathError
+	if !errors.As(err, &pathErr) || filepath.Base(pathErr.Path) != "shard-1.jnl" {
+		t.Fatalf("NewCluster: %v, want shard-1's journal open error", err)
+	}
+	if len(addrs) > 3 {
+		t.Fatalf("%d shards bound a listener, want at most the 3 with a journal", len(addrs))
+	}
+	for _, a := range addrs {
+		if conn, err := net.DialTimeout("tcp", a, time.Second); err == nil {
+			conn.Close()
+			t.Errorf("shard address %s still accepts connections", a)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left running after the failed build, %d before it",
+				runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestClusterMetricsFamilyOrder: the shards register their metrics at
+// once, yet every build renders the same /metrics families in the same
+// order, since family order is registration order and every shard
+// registers the same families in the same sequence.
+func TestClusterMetricsFamilyOrder(t *testing.T) {
+	p := mustClusterPlan(t, 120)
+	families := func() string {
+		reg := obs.NewRegistry()
+		c, err := NewCluster(ClusterConfig{
+			Plan: p, Shards: 4, Seed: 7, WorkKind: "hashchain", Iters: 10, Metrics: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var types []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(line, "# TYPE ") {
+				types = append(types, line)
+			}
+		}
+		return strings.Join(types, "\n")
+	}
+	want := families()
+	if want == "" {
+		t.Fatal("a fresh cluster rendered no metric families")
+	}
+	for build := 1; build < 20; build++ {
+		if got := families(); got != want {
+			t.Fatalf("build %d renders families\n%s\nwhere build 0 rendered\n%s", build, got, want)
+		}
+	}
+}
+
+// BenchmarkNewCluster times building and closing a 2-shard cluster over a
+// Balanced plan, per task of the plan: the ring routing every task, the
+// partition, and the shards' construction and start-up.
+func BenchmarkNewCluster(b *testing.B) {
+	for _, n := range []int{200_000, 1_000_000} {
+		b.Run(fmt.Sprintf("Balanced%d", n), func(b *testing.B) {
+			p, err := plan.Balanced(n, 0.5)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tasks := len(p.Tasks())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c, err := NewCluster(ClusterConfig{
+					Plan: p, Shards: 2, Seed: 1, WorkKind: "hashchain", Iters: 10,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				c.Close()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tasks), "ns/task")
+		})
 	}
 }

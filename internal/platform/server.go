@@ -105,7 +105,9 @@ type SupervisorConfig struct {
 	// supervisor invokes it from multiple goroutines (connection handlers
 	// and the deadline sweeper) but serializes every call under its own
 	// mutex and recovers panics, so a nil, non-reentrant, or faulty Logf
-	// can never take a run down. Nil suppresses logging.
+	// can never take a run down. A cluster's shards call it through one
+	// more mutex that they share, so its calls are serialized across the
+	// cluster too. Nil suppresses logging.
 	Logf func(format string, args ...any)
 	// Metrics, when non-nil, is the registry the supervisor instruments;
 	// serve it with Registry.Handler to expose /metrics. When nil the
@@ -154,6 +156,8 @@ type SupervisorConfig struct {
 	// restore reader, and a "[shard-i] " Logf prefix, so every other option
 	// reaches every shard. Metrics, Events and WrapListener are shared by
 	// the shards (a nil Metrics gives the cluster one private registry).
+	// The shards are built and started concurrently, so WrapListener may
+	// be called from several goroutines at once.
 	Shards int
 	// JournalDir, when non-empty, gives every cluster shard a JournalFile at
 	// <dir>/shard-<i>.jnl; KillShard/RestoreShard then support crash

@@ -9,8 +9,10 @@ import (
 // construction and lookup: construction must reject only out-of-range
 // VNodes (never panic or over-allocate), and on any ring that builds,
 // lookup must be total (ok=true iff the ring has members, the answer
-// always a real member) and deterministic (an independently rebuilt ring
-// gives the same answer for every probed key).
+// always a real member), deterministic (an independently rebuilt ring
+// gives the same answer for every probed key), exactly the binary
+// search's answer (checkAgainstSearch, at the keys' hashes and around the
+// ring's points), and indexed at no more than two int32 per point.
 func FuzzRingLookup(f *testing.F) {
 	f.Add("a,b,c", uint16(128), uint64(1), "task-1", uint64(7))
 	f.Add("", uint16(0), uint64(0), "", uint64(0))
@@ -49,6 +51,16 @@ func FuzzRingLookup(f *testing.F) {
 				t.Fatalf("nondeterministic lookup: (%q,%v) vs (%q,%v)", m, ok, m2, ok2)
 			}
 		}
+		if len(r.bucket) > 2*len(r.points) {
+			t.Fatalf("%d points indexed by %d table entries", len(r.points), len(r.bucket))
+		}
+		for _, h := range []uint64{ikey, hashString(seed, key), hashUint64(seed, ikey)} {
+			got, gok := r.ownerIndex(h)
+			if want, wok := searchOwner(r, h); got != want || gok != wok {
+				t.Fatalf("ownerIndex(%#x) = (%d, %v), binary search says (%d, %v)", h, got, gok, want, wok)
+			}
+		}
+		checkAgainstSearch(t, r, 1+len(r.points)>>10)
 		m, ok := r.Lookup(key)
 		m2, ok2 := r2.Lookup(key)
 		check(m, ok, m2, ok2)

@@ -13,15 +13,23 @@
 // Placement is fully deterministic in (Config, member set): two
 // processes building a ring from the same inputs agree on every lookup,
 // which is what lets workers route requests to shards without any
-// coordination beyond knowing the member list. Construction and lookup
-// are hostile-input-safe — duplicate members collapse, arbitrary byte
-// strings hash fine, an empty ring answers ok=false, and a hostile
-// VNodes is rejected rather than allocating unbounded memory
+// coordination beyond knowing the member list.
+//
+// A lookup is O(1) in the number of points: New indexes the sorted points
+// by the top bits of their hash, so resolving a key is one table load and
+// a short forward scan, not a binary search over every point. It answers
+// exactly what that search answers (TestRingLookupMatchesSearch).
+//
+// Construction and lookup are hostile-input-safe — duplicate members
+// collapse, arbitrary byte strings hash fine, an empty ring answers
+// ok=false, a hostile VNodes is rejected rather than allocating unbounded
+// memory, and the index adds at most two int32 per point
 // (FuzzRingLookup drives all of this).
 package ring
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -59,7 +67,17 @@ type point struct {
 type Ring struct {
 	cfg     Config
 	members []string // sorted, deduplicated
-	points  []point  // sorted by (hash, member)
+	// points is sorted by (hash, member). One sentinel point of hash
+	// MaxUint64 sits past its end, at points[:len(points)+1][len(points)],
+	// so a forward scan stops without a bounds test.
+	points []point
+	// bucket indexes points by the top bits of the hash: bucket b holds
+	// the hashes h with h>>shift == b, and bucket[b] is the index of the
+	// first point at or past its start. The last entry is len(points).
+	// There are 2^k buckets for the least 2^k >= len(points), so a bucket
+	// holds about one point and the table at most two int32 per point.
+	bucket []int32
+	shift  uint // 64 - k
 }
 
 // splitmix64 is the finalizing mixer used for every placement hash — the
@@ -112,7 +130,7 @@ func New(cfg Config, members ...string) (*Ring, error) {
 	}
 	sort.Strings(uniq)
 	r := &Ring{cfg: cfg, members: uniq}
-	r.points = make([]point, 0, len(uniq)*cfg.VNodes)
+	r.points = make([]point, 0, len(uniq)*cfg.VNodes+1)
 	for mi, m := range uniq {
 		base := hashString(cfg.Seed, m)
 		for v := 0; v < cfg.VNodes; v++ {
@@ -130,7 +148,30 @@ func New(cfg Config, members ...string) (*Ring, error) {
 		}
 		return r.points[i].member < r.points[j].member
 	})
+	r.index()
 	return r, nil
+}
+
+// index builds the bucket table over the sorted points and writes the
+// sentinel past their end.
+func (r *Ring) index() {
+	n := len(r.points)
+	if n == 0 {
+		return
+	}
+	k := uint(bits.Len(uint(n - 1)))
+	r.shift = 64 - k
+	r.bucket = make([]int32, 1<<k+1)
+	i := 0
+	for b := range r.bucket[:1<<k] {
+		start := uint64(b) << r.shift // 0 for every b when k = 0
+		for i < n && r.points[i].hash < start {
+			i++
+		}
+		r.bucket[b] = int32(i)
+	}
+	r.bucket[1<<k] = int32(n)
+	r.points[:n+1][n] = point{hash: ^uint64(0)}
 }
 
 // Members returns the ring's deduplicated, sorted member list. The
@@ -148,17 +189,41 @@ func (r *Ring) Seed() uint64 { return r.cfg.Seed }
 
 // ownerIndex resolves a position on the circle to the index in Members()
 // of the owning member: the first point with hash >= h, wrapping past the
-// top back to the first point. O(log n) in the total virtual-node count.
+// top back to the first point; among equal hashes, the lowest member.
+// Every point before bucket[h>>shift] lies below h's bucket, so the answer
+// is found scanning forward from there, and lies no further than the next
+// bucket's first point. The scan's first two steps add a borrow bit
+// rather than branch, since whether zero, one or two points lie below h
+// is a coin toss a branch predictor loses; a bucket crowded past
+// scanLimit is binary-searched, so a hostile placement still costs
+// O(log n).
 func (r *Ring) ownerIndex(h uint64) (int, bool) {
 	if len(r.points) == 0 {
 		return 0, false
 	}
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	b := h >> r.shift
+	i, end := int(r.bucket[b]), int(r.bucket[b+1])
+	if end-i > scanLimit {
+		i += sort.Search(end-i, func(j int) bool { return r.points[i+j].hash >= h })
+	} else {
+		ps := r.points[:len(r.points)+1]
+		_, c := bits.Sub64(ps[i].hash, h, 0)
+		i += int(c)
+		_, c = bits.Sub64(ps[i].hash, h, 0)
+		i += int(c)
+		for ps[i].hash < h {
+			i++
+		}
+	}
 	if i == len(r.points) {
 		i = 0
 	}
 	return int(r.points[i].member), true
 }
+
+// scanLimit is the most points ownerIndex scans in one bucket before it
+// binary-searches the bucket instead.
+const scanLimit = 8
 
 func (r *Ring) owner(h uint64) (string, bool) {
 	i, ok := r.ownerIndex(h)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -271,6 +273,119 @@ func TestRingPlacementGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("placement drifted from golden:\n--- got ---\n%s--- want ---\n%s", buf.Bytes(), want)
+	}
+}
+
+// searchOwner is the reference ownerIndex: a binary search for the first
+// point with hash >= h, wrapping past the top to the first point.
+func searchOwner(r *Ring, h uint64) (int, bool) {
+	if len(r.points) == 0 {
+		return 0, false
+	}
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	if i == len(r.points) {
+		i = 0
+	}
+	return int(r.points[i].member), true
+}
+
+// checkAgainstSearch holds ownerIndex to searchOwner at 0, MaxUint64 (the
+// wrap), and at each probed point's hash and one on either side of it.
+// stride thins the probed points on large rings.
+func checkAgainstSearch(t testing.TB, r *Ring, stride int) {
+	t.Helper()
+	check := func(h uint64) {
+		got, gok := r.ownerIndex(h)
+		want, wok := searchOwner(r, h)
+		if got != want || gok != wok {
+			t.Fatalf("%d points: ownerIndex(%#x) = (%d, %v), binary search says (%d, %v)",
+				len(r.points), h, got, gok, want, wok)
+		}
+	}
+	check(0)
+	check(math.MaxUint64)
+	for i := 0; i < len(r.points); i += stride {
+		h := r.points[i].hash
+		check(h - 1)
+		check(h)
+		check(h + 1)
+	}
+}
+
+// ringOfPoints builds a ring straight from a point list, so a test can
+// place points where no member name would hash: colliding, or crowded
+// into one bucket.
+func ringOfPoints(members []string, pts []point) *Ring {
+	r := &Ring{cfg: Config{VNodes: 1}, members: members}
+	r.points = append(make([]point, 0, len(pts)+1), pts...)
+	sort.Slice(r.points, func(i, j int) bool {
+		if r.points[i].hash != r.points[j].hash {
+			return r.points[i].hash < r.points[j].hash
+		}
+		return r.points[i].member < r.points[j].member
+	})
+	r.index()
+	return r
+}
+
+// TestRingLookupMatchesSearch: the bucketed lookup answers exactly what
+// the binary search over the sorted points answers, at every point of
+// rings from 1 to 64 members and 1 to MaxVNodes virtual nodes, and on
+// hand-placed points that collide (the member tie-break) or crowd one
+// bucket past the scan limit.
+func TestRingLookupMatchesSearch(t *testing.T) {
+	for _, members := range []int{1, 2, 16, 64} {
+		names := make([]string, members)
+		for i := range names {
+			names[i] = fmt.Sprintf("shard-%d", i)
+		}
+		for _, vnodes := range []int{1, 2, 128, MaxVNodes} {
+			r := mustRing(t, Config{VNodes: vnodes, Seed: uint64(members*vnodes + 1)}, names...)
+			checkAgainstSearch(t, r, 1)
+			for k := uint64(0); k < 1000; k++ {
+				m, _ := r.LookupIndexUint64(k)
+				if want, _ := searchOwner(r, hashUint64(r.Seed(), k)); m != want {
+					t.Fatalf("%d members, %d vnodes: key %d routes to %d, binary search says %d",
+						members, vnodes, k, m, want)
+				}
+			}
+		}
+	}
+	names := []string{"a", "b", "c", "d"}
+	var pts []point
+	for i := 0; i < 64; i++ {
+		// Pairs of members share each position; the top half of the
+		// points crowd into the last bucket.
+		h := uint64(i) << 58
+		if i >= 32 {
+			h = math.MaxUint64 - uint64(64-i)
+		}
+		pts = append(pts, point{hash: h, member: int32(i % 2 * 2)}, point{hash: h, member: int32(i%2*2 + 1)})
+	}
+	checkAgainstSearch(t, ringOfPoints(names, pts), 1)
+	checkAgainstSearch(t, ringOfPoints(names, pts[:1]), 1)
+	checkAgainstSearch(t, ringOfPoints(names, []point{{math.MaxUint64, 3}, {math.MaxUint64, 1}}), 1)
+}
+
+// TestRingIndexBytesPerPoint pins the bucket table's cost: at most two
+// int32 per point on every ring, so the largest ring VNodes allows stays
+// within 8 B of table per point on top of its 16 B points.
+func TestRingIndexBytesPerPoint(t *testing.T) {
+	names := make([]string, 64)
+	for i := range names {
+		names[i] = fmt.Sprintf("shard-%d", i)
+	}
+	for _, members := range []int{1, 2, 3, 64} {
+		for _, vnodes := range []int{1, 3, 128, MaxVNodes} {
+			r := mustRing(t, Config{VNodes: vnodes}, names[:members]...)
+			if n := len(r.points); cap(r.bucket) > 2*n || cap(r.points) != n+1 {
+				t.Fatalf("%d members, %d vnodes: %d points carry %d table entries and %d point slots, want at most %d and exactly %d",
+					members, vnodes, n, cap(r.bucket), cap(r.points), 2*n, n+1)
+			}
+		}
+	}
+	if empty := mustRing(t, Config{}); empty.bucket != nil {
+		t.Fatalf("empty ring built a %d-entry table", len(empty.bucket))
 	}
 }
 
