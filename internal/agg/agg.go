@@ -25,7 +25,7 @@ import (
 )
 
 // ShardExport is one shard's order-independent audit summary, produced
-// by (*platform.Supervisor).Export under the shard's audit lock. Every
+// by (*platform.Supervisor).Export under the shard's state lock. Every
 // field is a sum or count over the shard's adjudicated verdicts, so
 // exports survive crash/replay unchanged (journal replay rebuilds the
 // same verdicts) and merge by addition.

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 
 	"redundancy/internal/adapt"
-	"redundancy/internal/dist"
+	"redundancy/internal/agg"
 	"redundancy/internal/plan"
 	"redundancy/internal/report"
 )
@@ -35,22 +35,6 @@ type DriftRow struct {
 	// Factor is the adaptive plan's current redundancy factor — the price
 	// paid for holding the guarantee.
 	Factor float64
-}
-
-// minDetection is the weakest per-class guarantee min_k P_{k,p} a plan
-// offers at adversary share p.
-func minDetection(pl *plan.Plan, p float64) float64 {
-	reg, ring := pl.SplitDistribution()
-	min := 1.0
-	for k := 1; k <= len(reg.Counts); k++ {
-		if reg.Count(k) == 0 {
-			continue
-		}
-		if d := dist.DetectionAtSplit(reg, ring, k, p); d < min {
-			min = d
-		}
-	}
-	return min
 }
 
 // Drift reproduces the control plane's central claim offline: a static
@@ -117,14 +101,16 @@ func Drift(n int, eps float64, steps []DriftStep, decay float64, seed uint64) ([
 			}
 			revisions++
 		}
+		staticMin, _, _ := agg.MinDetection(static, step.P)
+		adaptiveMin, _, _ := agg.MinDetection(adaptive, step.P)
 		rows = append(rows, DriftRow{
 			Step:         i + 1,
 			TrueP:        step.P,
 			PHat:         e.PHat,
 			Upper:        e.Upper,
 			Revisions:    revisions,
-			StaticMinP:   minDetection(static, step.P),
-			AdaptiveMinP: minDetection(adaptive, step.P),
+			StaticMinP:   staticMin,
+			AdaptiveMinP: adaptiveMin,
 			Factor:       adaptive.RedundancyFactor(),
 		})
 	}

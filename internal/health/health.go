@@ -30,13 +30,15 @@
 // separate, permanent mechanism owned by internal/verify.
 //
 // A Roster is safe for concurrent use and takes no other locks; in the
-// supervisor's lock hierarchy it is a leaf, callable from under lease.mu
-// or audit.mu alike.
+// supervisor's lock hierarchy it is a leaf, callable from under the
+// supervisor's state mutex.
 package health
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -390,15 +392,20 @@ func (r *Roster) Score(id int) float64 {
 	if !ok {
 		return 1
 	}
-	return r.scoreLocked(p)
+	med, _ := r.quantileLocked(0.5)
+	return scoreOf(p, med)
 }
 
-func (r *Roster) scoreLocked(p *participant) float64 {
+// scoreOf is Score's formula for p, given the window's median latency in
+// seconds (0 while the window is below MinLatencySamples). The caller
+// computes the median once, however many participants it scores: each
+// computation sorts a copy of the whole window.
+func scoreOf(p *participant, med float64) float64 {
 	if p.state == Quarantined {
 		return 0
 	}
 	score := float64(p.completions+1) / float64(p.completions+1+4*p.suspects+p.reclaims)
-	if med, ok := r.quantileLocked(0.5); ok && p.latEWMA > med && med > 0 {
+	if med > 0 && p.latEWMA > med {
 		score *= med / p.latEWMA
 	}
 	if p.state == Probation && score > 0.5 {
@@ -459,17 +466,18 @@ func (r *Roster) Snapshot() []ParticipantHealth {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]ParticipantHealth, 0, len(r.parts))
+	med, _ := r.quantileLocked(0.5)
 	for id, p := range r.parts {
 		out = append(out, ParticipantHealth{
 			Participant: id,
 			State:       p.state,
-			Score:       r.scoreLocked(p),
+			Score:       scoreOf(p, med),
 			Completions: p.completions,
 			Reclaims:    p.reclaims,
 			Suspects:    p.suspects,
 			LatencyEWMA: time.Duration(p.latEWMA * float64(time.Second)),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Participant < out[j].Participant })
+	slices.SortFunc(out, func(a, b ParticipantHealth) int { return cmp.Compare(a.Participant, b.Participant) })
 	return out
 }

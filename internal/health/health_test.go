@@ -262,6 +262,22 @@ func TestSnapshotOrderedAndComplete(t *testing.T) {
 	}
 }
 
+// TestSnapshotAllocsFlat: a Snapshot scores every participant against one
+// median of the latency window, so it allocates the same at 1 participant
+// and at 64.
+func TestSnapshotAllocsFlat(t *testing.T) {
+	allocs := func(participants int) float64 {
+		r := mustRoster(t, Config{})
+		for i := 0; i < 1024; i++ {
+			r.ObserveCompletion(i%participants, time.Duration(1+i%7)*time.Millisecond)
+		}
+		return testing.AllocsPerRun(20, func() { r.Snapshot() })
+	}
+	if one, many := allocs(1), allocs(64); many != one {
+		t.Errorf("Snapshot allocates %v times at 64 participants and %v at 1, want the same", many, one)
+	}
+}
+
 func TestStateString(t *testing.T) {
 	for s, want := range map[State]string{Healthy: "healthy", Quarantined: "quarantined", Probation: "probation", State(9): "State(9)"} {
 		if got := s.String(); got != want {

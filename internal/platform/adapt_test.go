@@ -20,7 +20,7 @@ import (
 
 // indexed returns how many task IDs the lease table's index covers, read
 // through reflection since only the table's own tests see its fields.
-// Callers hold lease.mu.
+// Callers hold stateMu.
 func indexed(sup *Supervisor) int {
 	return reflect.ValueOf(sup.lease.Table).Elem().FieldByName("byTask").Len()
 }
@@ -224,9 +224,9 @@ func TestAdaptiveChaosResumesRevisedPlan(t *testing.T) {
 	wg.Wait()
 
 	// Plant adversary evidence and force a revision.
-	sup1.audit.mu.Lock()
+	sup1.stateMu.Lock()
 	sup1.audit.est.Observe(200, 30)
-	sup1.audit.mu.Unlock()
+	sup1.stateMu.Unlock()
 	sup1.adaptTick()
 	if got := sup1.RevisionsApplied(); got != 1 {
 		t.Fatalf("revisions applied before kill = %d, want 1", got)
@@ -359,8 +359,7 @@ func TestRevisionGrowsPastPresizedTables(t *testing.T) {
 	if _, err := RunWorker(WorkerConfig{Addr: addr, Name: "before", MaxAssignments: tasks}); err != nil {
 		t.Fatal(err)
 	}
-	sup.lease.mu.Lock()
-	sup.audit.mu.Lock()
+	sup.stateMu.Lock()
 	presized := indexed(sup)
 	before, beforeCap := sup.audit.collector.NumVerdicts(), sup.audit.collector.VerdictCapacity()
 	var rev plan.Revision
@@ -374,8 +373,7 @@ func TestRevisionGrowsPastPresizedTables(t *testing.T) {
 	}
 	err = sup.applyRevisionLocked(revisionRecord{Promotions: rev.Promotions, Minted: rev.Minted})
 	revised := indexed(sup)
-	sup.audit.mu.Unlock()
-	sup.lease.mu.Unlock()
+	sup.stateMu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,9 +398,9 @@ func TestRevisionGrowsPastPresizedTables(t *testing.T) {
 	if lease.Type != MsgWorkBatch || leased != 2 {
 		t.Fatalf("the stale lease holds %d copies of minted ringer %d: %+v", leased, ringer, lease)
 	}
-	sup.lease.mu.Lock()
+	sup.stateMu.Lock()
 	grown := indexed(sup)
-	sup.lease.mu.Unlock()
+	sup.stateMu.Unlock()
 	if grown != tasks+mint {
 		t.Fatalf("after the stale lease the lease index covers %d tasks, want %d", grown, tasks+mint)
 	}
@@ -411,9 +409,9 @@ func TestRevisionGrowsPastPresizedTables(t *testing.T) {
 		t.Fatalf("claim of minted ringer %d copy 0: %+v", ringer, acks)
 	}
 	sup.sweepExpired(time.Now().Add(2 * time.Hour)) // past the stale lease's deadline
-	sup.lease.mu.Lock()
+	sup.stateMu.Lock()
 	out, outstanding := sup.lease.Live(), sup.lease.Queue().Outstanding()
-	sup.lease.mu.Unlock()
+	sup.stateMu.Unlock()
 	if out != 0 || outstanding != 0 {
 		t.Fatalf("after the sweep %d copies and %d assignments are still out", out, outstanding)
 	}
@@ -429,8 +427,8 @@ func TestRevisionGrowsPastPresizedTables(t *testing.T) {
 	if sum.Verify.Tasks != tasks+mint || sum.Verify.Accepted != tasks+mint || sum.WrongResults != 0 {
 		t.Fatalf("summary after the revised run: %+v", sum)
 	}
-	sup.audit.mu.Lock()
-	defer sup.audit.mu.Unlock()
+	sup.stateMu.Lock()
+	defer sup.stateMu.Unlock()
 	for _, pr := range rev.Promotions {
 		if v, ok := sup.audit.collector.VerdictFor(pr.TaskID); !ok || v.Copies != pr.To {
 			t.Errorf("promoted task %d: verdict %+v, %v; want %d copies", pr.TaskID, v, ok, pr.To)

@@ -1,12 +1,12 @@
 package platform
 
-// The audit domain: verification and everything verdicts feed. audit.mu is
-// locked only in this file; withLeaseAndAudit locks it together with lease.mu.
+// The audit domain: verification and everything verdicts feed. It is
+// guarded by the state mutex (stateMu), which lease.go locks; this file's
+// readers take it through withState.
 
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"redundancy/internal/adapt"
@@ -16,11 +16,10 @@ import (
 	"redundancy/internal/verify"
 )
 
-// auditState guards verification and everything verdicts feed: the
-// credit ledger, supervisor-resolved disputes, the adaptive estimator and
-// the applied plan revisions.
+// auditState is verification and everything verdicts feed: the credit
+// ledger, supervisor-resolved disputes, the adaptive estimator and the
+// applied plan revisions. stateMu guards it.
 type auditState struct {
-	mu        sync.Mutex
 	collector *verify.Collector
 	credits   *CreditLedger
 	resolved  map[int]uint64 // taskID → supervisor-recomputed value
@@ -32,21 +31,8 @@ type auditState struct {
 	revisions []revisionRecord
 }
 
-// withLeaseAndAudit runs fn holding lease.mu and then audit.mu, the one
-// function that locks both: a plan revision (adaptTick) re-shapes the
-// queue and the verification expectations atomically, and a snapshot
-// (captureSnapshot) sees no revision half-applied. Everything else crosses
-// domains through their methods, in the same order (DESIGN.md §11).
-func (s *Supervisor) withLeaseAndAudit(fn func()) {
-	s.lease.mu.Lock()
-	defer s.lease.mu.Unlock()
-	s.audit.mu.Lock()
-	defer s.audit.mu.Unlock()
-	fn()
-}
-
 // applyVerdict applies every state effect of one verdict; no other code
-// does. Live adjudicate, journal replay and snapshot restore all call it,
+// does. Live adjudication, journal replay and snapshot restore all call it,
 // with now the request's time or the restore's start. Each copy is one p̂
 // observation, attributed copies the bad ones. Credit is awarded only at
 // certification, and a conviction revokes it. Each contributor is one
@@ -54,7 +40,7 @@ func (s *Supervisor) withLeaseAndAudit(fn func()) {
 // observation, so a restore rebuilds that evidence too. With
 // ResolveMismatches a disputed task is recomputed. It returns the health
 // transitions the verdict caused; a restore drops them. Callers hold
-// audit.mu or are single-threaded construction.
+// stateMu or are single-threaded construction.
 func (s *Supervisor) applyVerdict(v *verify.Verdict, now time.Time) []health.Transition {
 	if s.audit.est != nil {
 		s.audit.est.Observe(v.Copies, len(v.Suspects))
@@ -82,32 +68,6 @@ func (s *Supervisor) applyVerdict(v *verify.Verdict, now time.Time) []health.Tra
 		s.audit.resolved[v.TaskID] = s.work(TaskSeed(v.TaskID), s.cfg.Iters)
 	}
 	return trs
-}
-
-// convicted answers the blacklist question under audit.mu. Only
-// conclusive (ringer) evidence denies further work: a 2-way mismatch
-// cannot say which party lied, and refusing every suspect would let an
-// adversary starve the computation by framing honest participants.
-func (s *Supervisor) convicted(participant int) bool {
-	s.audit.mu.Lock()
-	defer s.audit.mu.Unlock()
-	return s.audit.collector.Convicted(participant)
-}
-
-// noteQuarantine feeds a lease-path quarantine entry (a reclaim past a
-// deadline or a speculation) to the adaptive estimator as one bad
-// observation: quarantine is cheat/stall evidence the planner should see.
-// The failures behind it are not journaled, so this evidence is live-only;
-// applyVerdict feeds a verdict-caused quarantine itself. Its one caller,
-// the lease table's observer (released), holds lease.mu, and lease.mu →
-// audit.mu is the legal nesting order.
-func (s *Supervisor) noteQuarantine() {
-	if s.audit.est == nil {
-		return
-	}
-	s.audit.mu.Lock()
-	defer s.audit.mu.Unlock()
-	s.audit.est.Observe(1, 1)
 }
 
 // observeVerdict emits what only a live process observes of one applied
@@ -143,21 +103,22 @@ func (s *Supervisor) observeVerdict(v *verify.Verdict, trs []health.Transition) 
 	}
 }
 
-// pendingResult carries one claimed result between resultBatch's phases,
-// next to the verify.Result at the same index of the submission's subs.
+// pendingResult is one claimed result of a submission, next to the
+// verify.Result at the same index of the submission's subs.
 type pendingResult struct {
 	idx      int       // index of this result's ack in the reply
 	issuedAt time.Time // when the claiming holder was issued the copy
-	failed   bool      // verification refused it in phase B
+	failed   bool      // verification refused it
 }
 
-// adjudicate is phase B of resultBatch: it submits cs.subs, marks the
-// refused ones failed (in cs.pend and d.acks), and queues the records of
-// the rest with the committer, reporting whether the ack must wait for them.
-func (s *Supervisor) adjudicate(pid int, cs *connState, d *deferredAck, now time.Time) (deferred bool) {
+// adjudicateLocked is the audit step of settleResults: it submits cs.subs,
+// marks the refused ones failed (in cs.pend and d.acks), and queues the
+// records of the rest with the committer, reporting whether the ack must
+// wait for them. Queueing under stateMu makes journal order adjudication
+// order across connections. Callers hold stateMu.
+func (s *Supervisor) adjudicateLocked(pid int, cs *connState, d *deferredAck, now time.Time) (deferred bool) {
 	pend, subs, acks := cs.pend, cs.subs, d.acks
 	recs := d.recs[:0]
-	s.audit.mu.Lock()
 	// One call adjudicates the whole submission; its verdicts are then
 	// applied and observed in order.
 	outs := s.audit.collector.SubmitBatch(subs, cs.outs[:0])
@@ -189,7 +150,6 @@ func (s *Supervisor) adjudicate(pid int, cs *connState, d *deferredAck, now time
 			s.logf("journal write failed: committer closed")
 		}
 	}
-	s.audit.mu.Unlock()
 	cs.outs, d.recs = outs, recs
 	return deferred
 }
@@ -198,9 +158,9 @@ func (s *Supervisor) adjudicate(pid int, cs *connState, d *deferredAck, now time
 // state — plan, queue, and verification expectations, in that order —
 // and retains its record in audit.revisions. It does NOT journal; the
 // caller either just queued the record (live tick) or is replaying it
-// (restore). Callers hold lease.mu and audit.mu (or are single-threaded
-// construction). Revisions are validated against the plan before anything
-// mutates, so a failure leaves state untouched.
+// (restore). Callers hold stateMu (or are single-threaded construction).
+// Revisions are validated against the plan before anything mutates, so a
+// failure leaves state untouched.
 func (s *Supervisor) applyRevisionLocked(rec revisionRecord) error {
 	seq := len(s.audit.revisions)
 	if rec.Seq != seq {
@@ -240,21 +200,19 @@ func (s *Supervisor) applyRevisionLocked(rec revisionRecord) error {
 
 // AdaptiveEstimate returns the current p̂ estimate and true when the
 // adaptive control plane is enabled.
-func (s *Supervisor) AdaptiveEstimate() (adapt.Estimate, bool) {
+func (s *Supervisor) AdaptiveEstimate() (est adapt.Estimate, ok bool) {
 	if s.audit.est == nil {
 		return adapt.Estimate{}, false
 	}
-	s.audit.mu.Lock()
-	defer s.audit.mu.Unlock()
-	return s.audit.est.Estimate(), true
+	s.withState(func() { est = s.audit.est.Estimate() })
+	return est, true
 }
 
 // RevisionsApplied reports how many plan revisions this supervisor has
 // applied, including revisions restored from the journal.
-func (s *Supervisor) RevisionsApplied() int {
-	s.audit.mu.Lock()
-	defer s.audit.mu.Unlock()
-	return len(s.audit.revisions)
+func (s *Supervisor) RevisionsApplied() (n int) {
+	s.withState(func() { n = len(s.audit.revisions) })
+	return n
 }
 
 // Summary is a snapshot of the platform's verification state.
@@ -280,27 +238,24 @@ type Summary struct {
 
 // Summary reports current progress; safe to call at any time.
 func (s *Supervisor) Summary() Summary {
-	participants := s.participantCount()
-	s.audit.mu.Lock()
+	sum := Summary{Participants: s.participantCount(), Restored: s.replayed.restored}
 	col := s.audit.collector
-	sum := Summary{
-		Participants: participants,
-		Verify:       col.Stats(),
-		Blacklist:    col.Blacklist(),
-		Convicted:    col.ConvictedList(),
-		Credits:      s.audit.credits.Leaderboard(),
-		Resolved:     len(s.audit.resolved),
-		Restored:     s.replayed.restored,
-	}
-	n := col.NumVerdicts()
-	s.audit.mu.Unlock()
+	var n int
+	s.withState(func() {
+		sum.Verify = col.Stats()
+		sum.Blacklist = col.Blacklist()
+		sum.Convicted = col.ConvictedList()
+		sum.Credits = s.audit.credits.Leaderboard()
+		sum.Resolved = len(s.audit.resolved)
+		n = col.NumVerdicts()
+	})
 
 	var cmp verify.Comparator = verify.Exact{}
 	if s.cfg.ResultDigits > 0 {
 		cmp = verify.Quantize{Digits: s.cfg.ResultDigits}
 	}
 	// The accepted values are judged against the work function outside
-	// audit.mu, so a long recomputation never stalls the result path. The
+	// stateMu, so a long recomputation never stalls the result path. The
 	// verdict list only grows, so its first n entries are the ones counted
 	// above; they are copied out a fixed-size chunk at a time, which keeps
 	// the copy off the heap.
@@ -310,14 +265,14 @@ func (s *Supervisor) Summary() Summary {
 	}
 	for i := 0; i < n; {
 		k := 0
-		s.audit.mu.Lock()
-		for ; i < n && k < len(chunk); i++ {
-			if v := col.VerdictAt(i); v.Accepted {
-				chunk[k].task, chunk[k].value = v.TaskID, v.Value
-				k++
+		s.withState(func() {
+			for ; i < n && k < len(chunk); i++ {
+				if v := col.VerdictAt(i); v.Accepted {
+					chunk[k].task, chunk[k].value = v.TaskID, v.Value
+					k++
+				}
 			}
-		}
-		s.audit.mu.Unlock()
+		})
 		for _, c := range chunk[:k] {
 			if cmp.Canonical(c.value) != cmp.Canonical(s.work(TaskSeed(c.task), s.cfg.Iters)) {
 				sum.WrongResults++
@@ -330,16 +285,16 @@ func (s *Supervisor) Summary() Summary {
 // CertifiedValue returns the final value of a task and whether one exists:
 // the redundancy-certified value, or the supervisor's own recomputation for
 // resolved disputes.
-func (s *Supervisor) CertifiedValue(taskID int) (uint64, bool) {
-	s.audit.mu.Lock()
-	defer s.audit.mu.Unlock()
-	if v, ok := s.audit.resolved[taskID]; ok {
-		return v, true
-	}
-	if v, ok := s.audit.collector.VerdictFor(taskID); ok && v.Accepted {
-		return v.Value, true
-	}
-	return 0, false
+func (s *Supervisor) CertifiedValue(taskID int) (value uint64, ok bool) {
+	s.withState(func() {
+		if value, ok = s.audit.resolved[taskID]; ok {
+			return
+		}
+		if v, found := s.audit.collector.VerdictFor(taskID); found && v.Accepted {
+			value, ok = v.Value, true
+		}
+	})
+	return value, ok
 }
 
 // Export snapshots this supervisor's audit state in the form the cluster
@@ -348,18 +303,19 @@ func (s *Supervisor) CertifiedValue(taskID int) (uint64, bool) {
 // cross-shard identity).
 func (s *Supervisor) Export() agg.ShardExport {
 	ex := agg.ShardExport{Shard: s.cfg.shardID, Credits: map[string]int{}}
-	s.audit.mu.Lock()
-	st := s.audit.collector.Stats()
-	ex.Tasks, ex.Accepted = st.Tasks, st.Accepted
-	ex.Mismatches, ex.RingersCaught = st.MismatchDetected, st.RingersCaught
-	col := s.audit.collector
-	for i := range col.NumVerdicts() {
-		v := col.VerdictAt(i)
-		ex.Assignments += v.Copies
-		ex.Bad += len(v.Suspects)
-	}
-	board := s.audit.credits.Leaderboard()
-	s.audit.mu.Unlock()
+	var board []CreditEntry
+	s.withState(func() {
+		col := s.audit.collector
+		st := col.Stats()
+		ex.Tasks, ex.Accepted = st.Tasks, st.Accepted
+		ex.Mismatches, ex.RingersCaught = st.MismatchDetected, st.RingersCaught
+		for i := range col.NumVerdicts() {
+			v := col.VerdictAt(i)
+			ex.Assignments += v.Copies
+			ex.Bad += len(v.Suspects)
+		}
+		board = s.audit.credits.Leaderboard()
+	})
 	for _, e := range board {
 		ex.Credits[s.creditName(e.Participant)] += e.Credit
 	}

@@ -2,6 +2,8 @@ package platform
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -98,5 +100,61 @@ func BenchmarkBatchPipeline(b *testing.B) {
 		if acks, _ := sup.resultBatch(id, results, false, cs, time.Now()); len(acks) != len(results) {
 			b.Fatalf("acks: %+v", acks)
 		}
+	}
+}
+
+// BenchmarkContendedWorkers serves a Balanced(100 000, 0.5) plan per op to
+// 2 or 32 closed-loop binary workers at batch 16 over loopback TCP, with one
+// hashchain step of work per assignment, so the supervisor and its state
+// mutex set the pace. It reports assignments/s over the serve phase,
+// connecting the workers included; building and closing the supervisor are
+// not timed. It measures contention and gates nothing.
+func BenchmarkContendedWorkers(b *testing.B) {
+	const tasks, batch = 100_000, 16
+	for _, workers := range []int{2, 32} {
+		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+			served, serving := 0, time.Duration(0)
+			errs := make([]error, workers)
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p, err := plan.Balanced(tasks, 0.5)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sup, err := NewSupervisor(SupervisorConfig{Plan: p, Iters: 1, Seed: 1, MaxBatch: batch})
+				if err != nil {
+					b.Fatal(err)
+				}
+				addr, err := sup.Start("127.0.0.1:0")
+				if err != nil {
+					b.Fatal(err)
+				}
+				var wg sync.WaitGroup
+				b.StartTimer()
+				start := time.Now()
+				for w := range workers {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						_, errs[w] = RunWorker(WorkerConfig{
+							Addr: addr, Name: fmt.Sprintf("w%d", w), BatchSize: batch, Proto: ProtoBinary,
+						})
+					}()
+				}
+				sup.Wait()
+				serving += time.Since(start)
+				b.StopTimer()
+				wg.Wait()
+				sup.Close()
+				for w, err := range errs {
+					if err != nil {
+						b.Fatalf("worker %d: %v", w, err)
+					}
+				}
+				served += p.TotalAssignments()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(served)/serving.Seconds(), "assignments/s")
+		})
 	}
 }

@@ -232,28 +232,16 @@ func ackReply(acks []ResultAck, single bool) Message {
 	return Message{Type: MsgAck}
 }
 
-// resultBatch serves one participant's results in three phases so no
-// phase holds more than one lock and each critical section is the minimal
-// mutation:
-//
-//	A (lease.mu)  claimResults — validate ownership and delete the
-//	              in-flight entries, so no other connection, sweep, or
-//	              duplicate submission can race on these copies;
-//	B (audit.mu)  adjudicate — feed the claimed results through the
-//	              verification pipeline in one SubmitBatch, which resolves
-//	              their task slots before adjudicating any, and build
-//	              their journal records from its outcomes in order;
-//	C (lease.mu)  completeResults — mark the queue, emit the accepted
-//	              events (under the lease lock, preserving the event-stream
-//	              serialization the chaos test replays), and wake parked
-//	              leases if copies were released or the run finished.
-//
-// Between A and C the copies have no lease record and are not in the
-// queue's ready pool, so nothing can issue, reclaim, or double-accept
-// them. Journal records are queued with the committer at the end of B,
-// still under audit.mu, so journal order is adjudication order across connections;
-// the committer's window covers them with one buffered write and, with
-// JournalSync, one fsync amortized over every submission queued meanwhile.
+// resultBatch serves one participant's results. One critical section
+// (settleResults) claims each result's copy from the lease table, feeds the
+// claimed results through the verification pipeline in one SubmitBatch,
+// which resolves their task slots before adjudicating any, queues their
+// journal records with the committer in adjudication order, and completes
+// the accepted copies, emitting every lease and verdict event under the
+// one lock the chaos soak's event replay relies on. The committer's window
+// covers the records with one buffered write and, with JournalSync, one
+// fsync amortized over every submission queued meanwhile. Metrics, the
+// roster's latency samples and the rejection events follow outside it.
 //
 // The handler never waits for that commit. A submission that journaled
 // something returns deferred: its acks and records stay in the ring slot
@@ -261,31 +249,28 @@ func ackReply(acks []ResultAck, single bool) Message {
 // window is down (queueDurableLocked), so an acked result survives a crash.
 // One that journaled nothing is answered inline, after the acks of the
 // submissions ahead of it, so acks stay in submission order. now is the
-// caller's one clock reading for the submission: every phase stamps and
+// caller's one clock reading for the submission: every step stamps and
 // measures with it. The returned acks alias the slot and are valid until
 // the next call.
 func (s *Supervisor) resultBatch(pid int, results []ResultItem, single bool, cs *connState, now time.Time) (acks []ResultAck, deferred bool) {
 	// Free by the run-ahead bound: beforeRecv let this request in with at
 	// most maxDeferredAcks-1 slots taken.
 	d := &cs.deferred[cs.dtail%maxDeferredAcks]
-	s.claimResults(pid, results, cs, d, now)
-	if len(cs.pend) > 0 {
-		deferred = s.adjudicate(pid, cs, d, now)
-		if accepted := s.completeResults(pid, cs); accepted > 0 {
-			s.metrics.resultsAccepted.Add(uint64(accepted))
-			if s.metrics.shardAccepted != nil {
-				s.metrics.shardAccepted.Add(uint64(accepted))
+	accepted, deferred := s.settleResults(pid, results, cs, d, now)
+	if accepted > 0 {
+		s.metrics.resultsAccepted.Add(uint64(accepted))
+		if s.metrics.shardAccepted != nil {
+			s.metrics.shardAccepted.Add(uint64(accepted))
+		}
+		tn := s.metrics.turnaround.With(cs.names[pid])
+		for _, p := range cs.pend {
+			if p.failed {
+				continue
 			}
-			tn := s.metrics.turnaround.With(cs.names[pid])
-			for _, p := range cs.pend {
-				if p.failed {
-					continue
-				}
-				took := now.Sub(p.issuedAt)
-				tn.Observe(took.Seconds())
-				if s.roster != nil {
-					s.roster.ObserveCompletion(pid, took)
-				}
+			took := now.Sub(p.issuedAt)
+			tn.Observe(took.Seconds())
+			if s.roster != nil {
+				s.roster.ObserveCompletion(pid, took)
 			}
 		}
 	}

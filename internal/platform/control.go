@@ -83,11 +83,11 @@ func (s *Supervisor) HealthSnapshot() []health.ParticipantHealth {
 // adaptTick is one evaluation of the control loop: refresh the p̂ gauges,
 // and if the interval's upper bound leaves any active class below the
 // target ε, journal and apply a revision, without waiting for the disk
-// (revisionRecord has the ordering argument). It runs under
-// withLeaseAndAudit: a revision must re-shape the queue and the
-// verification expectations atomically.
+// (revisionRecord has the ordering argument). It runs under withState: a
+// revision must re-shape the queue and the verification expectations
+// atomically.
 func (s *Supervisor) adaptTick() {
-	s.withLeaseAndAudit(func() {
+	s.withState(func() {
 		est := s.audit.est.Estimate()
 		s.metrics.adaptPHat.Set(est.PHat)
 		s.metrics.adaptIntervalWidth.Set(est.Width())

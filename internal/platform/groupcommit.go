@@ -42,18 +42,18 @@ type commitReq struct {
 // and does not wait either.
 //
 // Requests are written in the order they were enqueued, and both kinds are
-// enqueued under audit.mu, so journal order is the order the live
+// enqueued under stateMu, so journal order is the order the live
 // supervisor applied them: replay feeds the verifier the sequence the live
 // run fed it, a revision lands ahead of every result that depends on it,
 // and a restored supervisor equals the live one however many connections
 // raced. enqueue therefore must never block: the queue is a slice under
 // its own leaf mutex, not a bounded channel (the committer's snapshot
-// takes audit.mu, so a handler blocked on a full channel under audit.mu
+// takes stateMu, so a handler blocked on a full channel under stateMu
 // would deadlock it).
 type journalCommitter struct {
 	s *Supervisor
 
-	mu       sync.Mutex // leaf: taken under audit.mu, never above anything
+	mu       sync.Mutex // leaf: taken under stateMu, never above anything
 	queue    []commitReq
 	enqueued uint64 // requests accepted so far; the newest one's number
 	closed   bool
@@ -229,7 +229,7 @@ func (c *journalCommitter) commitWindow(batch []commitReq, upto uint64) {
 	c.tick = make(chan struct{})
 	c.mu.Unlock()
 	// Snapshot trigger, after the window is published: takeSnapshot takes
-	// lease.mu → audit.mu, which nothing waits for a commit under.
+	// stateMu, which nothing waits for a commit under.
 	if err == nil {
 		c.noteJournaled(lines)
 	}

@@ -213,9 +213,9 @@ func startRevising(t *testing.T, jw *cacheSimWriter) (*Supervisor, *rawWorker) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sup.Close() })
-	sup.audit.mu.Lock()
+	sup.stateMu.Lock()
 	sup.audit.est.Observe(200, 30)
-	sup.audit.mu.Unlock()
+	sup.stateMu.Unlock()
 	w := dialRaw(t, dialTCP, addr, batchVerbs, ProtoBinary)
 	w.conn.SetReadDeadline(time.Now().Add(10 * time.Second)) // fail, not hang
 	return sup, w

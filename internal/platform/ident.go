@@ -50,11 +50,11 @@ func (s *Supervisor) register(m Message, cs *connState) Message {
 			return Message{Type: MsgError, Reason: ReasonResumeRefused,
 				Error: "unknown participant or bad token"}
 		}
-		if s.convicted(id) {
+		held, ok := s.bind(id, cs)
+		if !ok {
 			return Message{Type: MsgError, Reason: ReasonBlacklisted,
 				Error: "participant is blacklisted"}
 		}
-		held := s.bind(id, cs)
 		s.metrics.workersResumed.Inc()
 		if s.events != nil {
 			s.events.Emit(EvWorkerResumed, map[string]any{

@@ -27,7 +27,7 @@ type journalRecord struct {
 }
 
 // revisionRecord journals one adaptive plan revision. The supervisor
-// queues the record with the journal committer under audit.mu, as it
+// queues the record with the journal committer under stateMu, as it
 // queues results, and then applies the revision to its in-memory plan,
 // queue, and collector. The committer writes in queue order, so the record
 // lands after every result adjudicated before it and ahead of every record

@@ -457,11 +457,11 @@ func TestReplayAppliesStateObservesNothing(t *testing.T) {
 		// Live p̂ saw each verdict's copies and one more sample per
 		// quarantine.
 		copies := 0
-		live.audit.mu.Lock()
+		live.stateMu.Lock()
 		for i := range live.audit.collector.NumVerdicts() {
 			copies += live.audit.collector.VerdictAt(i).Copies
 		}
-		live.audit.mu.Unlock()
+		live.stateMu.Unlock()
 		if estL.Samples != float64(copies)+quarantines {
 			t.Errorf("live p̂ has %v samples; %d copies were adjudicated and %v participants quarantined",
 				estL.Samples, copies, quarantines)

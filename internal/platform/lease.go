@@ -1,14 +1,13 @@
 package platform
 
-// The lease domain's shell around its lease.Table: lease.mu, parking,
-// draining, the binding of participants to connections, and the calls
-// requests and sweeps come in by. lease.mu is locked only in this file
-// (and by withLeaseAndAudit, which locks it and audit.mu).
+// The lease domain's shell around its lease.Table: parking, draining, the
+// binding of participants to connections, and the calls requests and sweeps
+// come in by. The state mutex (stateMu), which guards this shell, the table
+// and the audit state, is locked only in this file.
 
 import (
 	"context"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,18 +17,17 @@ import (
 	"redundancy/internal/verify"
 )
 
-// leaseState is the shell and its table, both guarded by mu. Lease
-// lifecycle events are emitted under mu, so the event stream witnesses
-// the lease history in order; the chaos soak replays it.
+// leaseState is the shell and its table, both guarded by stateMu. Lease
+// lifecycle and verdict events are emitted under stateMu, so the event
+// stream witnesses the history in order; the chaos soak replays it.
 type leaseState struct {
-	mu sync.Mutex
 	*lease.Table
 	// conns[pid] is the connection pid was last registered or resumed on:
 	// a disconnect ends the holds of the participants still bound to it.
 	conns map[int]*connState
 
 	finished bool
-	draining atomic.Bool   // Shutdown in progress: no new assignments; set under mu, read by unbusy too
+	draining atomic.Bool   // Shutdown in progress: no new assignments; set under stateMu, read by unbusy too
 	drained  chan struct{} // one slot: raised as live or busy reaches 0 while draining
 	// waiters parks the get_work requests that found the queue empty, until
 	// kickLeaseLocked closes their channels.
@@ -50,12 +48,13 @@ var refusals = [...]struct{ reason, detail string }{
 	lease.Duplicate:        {ReasonDuplicate, "copy already completed by the other racer"},
 }
 
-// released observes, under lease.mu, a hold the table ended without a
+// released observes, under stateMu, a hold the table ended without a
 // result: one reclaimed{reason} count, one assignment_reclaimed event and
 // one log line, and a copy back in the queue wakes parked leases. An
 // expired hold is also health evidence (disconnect churn deliberately is
-// not), and a quarantine it causes feeds the estimator, live only: the
-// journal does not record the failures behind it.
+// not), and a quarantine it causes is one bad observation for the adaptive
+// estimator, live only: the journal does not record the failures behind
+// it (applyVerdict feeds a verdict-caused quarantine itself).
 func (s *Supervisor) released(e lease.End) {
 	a, pid := e.Assignment, e.Participant
 	switch e.Outcome {
@@ -81,21 +80,36 @@ func (s *Supervisor) released(e lease.End) {
 		return
 	}
 	if tr := s.roster.ObserveReclaim(pid, e.Now); tr != nil {
-		s.noteQuarantine()
+		if s.audit.est != nil {
+			s.audit.est.Observe(1, 1)
+		}
 		s.pushTransition(*tr)
 	}
 }
 
 // bind makes cs the connection pid is served over, at its registration
 // and at every resume, and reports how many copies pid holds, as primary
-// or clone. A resume moves no hold: the copies stay pid's, its next lease
+// or clone; it refuses (ok false) a participant convicted on ringer
+// evidence. A resume moves no hold: the copies stay pid's, its next lease
 // re-sends its primaries over cs, and the end of the connection it left
 // reclaims none of them.
-func (s *Supervisor) bind(pid int, cs *connState) (holds int) {
-	s.lease.mu.Lock()
-	defer s.lease.mu.Unlock()
+func (s *Supervisor) bind(pid int, cs *connState) (holds int, ok bool) {
+	s.stateMu.Lock()
+	defer s.stateMu.Unlock()
+	if s.audit.collector.Convicted(pid) {
+		return 0, false
+	}
 	s.lease.conns[pid] = cs
-	return s.lease.Holds(pid)
+	return s.lease.Holds(pid), true
+}
+
+// withState runs fn holding stateMu: the way in for the code off the
+// request path that reads or changes state outside this file (the
+// adaptive tick, snapshot capture and the audit readers).
+func (s *Supervisor) withState(fn func()) {
+	s.stateMu.Lock()
+	defer s.stateMu.Unlock()
+	fn()
 }
 
 // reclaim ends every hold of the participants a dead connection was still
@@ -103,7 +117,7 @@ func (s *Supervisor) bind(pid int, cs *connState) (holds int) {
 // departure; cs.names is cut down to them. One that has resumed on another
 // connection has not left, and its holds stay out.
 func (s *Supervisor) reclaim(cs *connState) {
-	s.lease.mu.Lock()
+	s.stateMu.Lock()
 	for pid := range cs.names {
 		if s.lease.conns[pid] == cs {
 			delete(s.lease.conns, pid)
@@ -114,7 +128,7 @@ func (s *Supervisor) reclaim(cs *connState) {
 	if len(cs.names) > 0 {
 		s.lease.EndHolds(func(pid int) bool { _, ok := cs.names[pid]; return ok }, "disconnect")
 	}
-	s.lease.mu.Unlock()
+	s.stateMu.Unlock()
 	if s.events != nil {
 		for id, name := range cs.names {
 			s.events.Emit(EvWorkerLeft, map[string]any{"participant": id, "name": name})
@@ -133,16 +147,17 @@ func (s *Supervisor) kickLeaseLocked() {
 	s.lease.waiters = s.lease.waiters[:0]
 }
 
-// leaseBatch fills one lease: under lease.mu it first re-issues every
-// copy this participant holds — the whole lease comes back after a resume
-// — then fills the remainder with clones and fresh queue pops, up to
-// min(want, MaxBatch); over a connection the participant has since left
-// it re-issues only. A request that finds the queue empty parks (up to
-// leaseParkMax) until a kick instead of bouncing a no_work retry off the
-// supervisor. single marks a request_work, whose reply has room for one
-// item. Its time in here, parking included, is the lease-wait histogram.
-// now is the caller's one clock reading, read again only after a park, so
-// the copies of one reply share one issue time.
+// leaseBatch fills one lease: under stateMu it refuses a participant
+// convicted on ringer evidence, then re-issues every copy this participant
+// holds — the whole lease comes back after a resume — then fills the
+// remainder with clones and fresh queue pops, up to min(want, MaxBatch);
+// over a connection the participant has since left it re-issues only. A
+// request that finds the queue empty parks (up to leaseParkMax) until a
+// kick instead of bouncing a no_work retry off the supervisor. single
+// marks a request_work, whose reply has room for one item. Its time in
+// here, parking included, is the lease-wait histogram. now is the caller's
+// one clock reading, read again only after a park, so the copies of one
+// reply share one issue time.
 func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState, now time.Time) Message {
 	defer func(start time.Time) {
 		s.metrics.leaseWait.Observe(time.Since(start).Seconds())
@@ -150,7 +165,19 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState, now t
 	if s.metrics.shardRouted != nil {
 		s.metrics.shardRouted.Inc()
 	}
-	if s.convicted(pid) {
+	if want < 1 {
+		want = 1
+	}
+	if want > s.cfg.MaxBatch {
+		want = s.cfg.MaxBatch
+	}
+	s.stateMu.Lock()
+	// Only conclusive (ringer) evidence denies further work: a 2-way
+	// mismatch cannot say which party lied, and refusing every suspect
+	// would let an adversary starve the computation by framing honest
+	// participants.
+	if s.audit.collector.Convicted(pid) {
+		s.stateMu.Unlock()
 		return Message{Type: MsgError, Reason: ReasonBlacklisted, Error: "participant is blacklisted"}
 	}
 	// Health gate: quarantined participants lease nothing; probationary
@@ -161,22 +188,16 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState, now t
 	if s.roster != nil && s.roster.AnyUnhealthy() {
 		switch s.roster.State(pid) {
 		case health.Quarantined:
+			s.stateMu.Unlock()
 			return Message{Type: MsgNoWork, Wait: 0.5}
 		case health.Probation:
 			probation = true
 		}
 	}
-	if want < 1 {
-		want = 1
-	}
-	if want > s.cfg.MaxBatch {
-		want = s.cfg.MaxBatch
-	}
 	items := cs.items[:0]
 	fresh, specIssued := 0, 0
 	var deadline time.Time // parking budget; set on first empty pass
 	var empty Message      // the reply when the request ends empty-handed
-	s.lease.mu.Lock()
 	// Re-issues are not capped by want: the worker must learn about every
 	// copy it still holds, or a resumed lease could silently shrink. A
 	// request_work reply carries one; the rest follow on later requests.
@@ -277,7 +298,7 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState, now t
 		}
 		ch := make(chan struct{})
 		s.lease.waiters = append(s.lease.waiters, ch)
-		s.lease.mu.Unlock()
+		s.stateMu.Unlock()
 		// The replies queued ahead of this request (the ack of the results
 		// it was pipelined behind) must not wait out the park.
 		if s.flushReplies(cs) != nil {
@@ -296,10 +317,10 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState, now t
 			// Teardown in progress; the connection is about to be closed.
 			return Message{Type: MsgNoWork, Wait: 0.2}
 		}
-		s.lease.mu.Lock()
+		s.stateMu.Lock()
 		now = time.Now()
 	}
-	s.lease.mu.Unlock()
+	s.stateMu.Unlock()
 	if len(items) == 0 {
 		return empty
 	}
@@ -321,12 +342,17 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState, now t
 	return Message{Type: MsgWorkBatch, Kind: s.cfg.WorkKind, Iters: s.cfg.Iters, Work: items}
 }
 
-// claimResults is phase A of resultBatch: it claims every result's copy
-// from the lease table, answers each in d.acks, and lists the claimed
-// ones in cs.pend and cs.subs.
-func (s *Supervisor) claimResults(pid int, results []ResultItem, cs *connState, d *deferredAck, now time.Time) {
+// settleResults is resultBatch's one critical section. Under stateMu it
+// claims every result's copy from the lease table, answering each in
+// d.acks, adjudicates the claimed ones (adjudicateLocked), completes those
+// verification accepted, and wakes parked leases if copies were released
+// or the run finished. It reports how many it accepted (the rest are
+// marked failed in cs.pend) and whether the ack must wait for the records
+// it queued with the committer.
+func (s *Supervisor) settleResults(pid int, results []ResultItem, cs *connState, d *deferredAck, now time.Time) (accepted int, deferred bool) {
 	acks, pend, subs := d.acks[:0], cs.pend[:0], cs.subs[:0]
-	s.lease.mu.Lock()
+	s.stateMu.Lock()
+	defer s.stateMu.Unlock()
 	for _, r := range results {
 		a, issuedAt, refused, cloneWon := s.lease.Claim(pid, r.TaskID, r.Copy, now)
 		if cloneWon {
@@ -342,20 +368,16 @@ func (s *Supervisor) claimResults(pid int, results []ResultItem, cs *connState, 
 		why := refusals[refused]
 		acks = append(acks, ResultAck{TaskID: r.TaskID, Copy: r.Copy, OK: refused == 0, Reason: why.reason, Error: why.detail})
 	}
-	s.lease.mu.Unlock()
 	d.acks, cs.pend, cs.subs = acks, pend, subs
-}
-
-// completeResults is phase C of resultBatch: it completes every copy the
-// audit phase accepted and reports how many.
-func (s *Supervisor) completeResults(pid int, cs *connState) (accepted int) {
-	s.lease.mu.Lock()
-	defer s.lease.mu.Unlock()
-	for i := range cs.pend {
-		if cs.pend[i].failed {
+	if len(pend) == 0 {
+		return 0, false
+	}
+	deferred = s.adjudicateLocked(pid, cs, d, now)
+	for i := range pend {
+		if pend[i].failed {
 			continue
 		}
-		a := cs.subs[i].Assignment
+		a := subs[i].Assignment
 		s.lease.Queue().Complete(a)
 		accepted++
 		if s.events != nil {
@@ -373,20 +395,20 @@ func (s *Supervisor) completeResults(pid int, cs *connState) (accepted int) {
 	} else if len(s.lease.waiters) > 0 && s.lease.Queue().Available() {
 		s.kickLeaseLocked()
 	}
-	return accepted
+	return accepted, deferred
 }
 
 // sweepExpired is the periodic sweep at now: it reclaims assignments held
 // past the deadline, flags straggling leases for speculative reissue, ends
 // every hold of a quarantined participant, advances the roster's timed
-// transitions, and then, outside lease.mu, refreshes the health gauges.
+// transitions, and then, outside stateMu, refreshes the health gauges.
 // The quarantine pass runs after expiry, whose reclaims can quarantine the
 // holder of an earlier record, and before roster.Tick, the one way out of
 // Quarantined. So every participant quarantined since the last sweep, by a
 // verdict or by this sweep's expiry, loses its holds here, and one
 // quarantined earlier already holds nothing.
 func (s *Supervisor) sweepExpired(now time.Time) {
-	s.lease.mu.Lock()
+	s.stateMu.Lock()
 	if s.cfg.Deadline > 0 {
 		s.lease.Expire(now, s.cfg.Deadline)
 	}
@@ -403,7 +425,7 @@ func (s *Supervisor) sweepExpired(now time.Time) {
 			s.pushTransition(tr)
 		}
 	}
-	s.lease.mu.Unlock()
+	s.stateMu.Unlock()
 	if s.roster != nil {
 		for _, ph := range s.roster.Snapshot() {
 			s.metrics.participantHealth.With(strconv.Itoa(ph.Participant)).Set(ph.Score)
@@ -418,12 +440,12 @@ func (s *Supervisor) sweepExpired(now time.Time) {
 // it (raising drained) only once its ack has been flushed, which is after
 // its commit; a release that empties the table raises drained itself.
 func (s *Supervisor) drainLeases(ctx context.Context) bool {
-	s.lease.mu.Lock()
+	s.stateMu.Lock()
 	s.lease.draining.Store(true)
 	s.kickLeaseLocked()
 	for {
 		n := s.lease.Live()
-		s.lease.mu.Unlock()
+		s.stateMu.Unlock()
 		if n == 0 && s.busy.Load() == 0 {
 			return true
 		}
@@ -432,7 +454,7 @@ func (s *Supervisor) drainLeases(ctx context.Context) bool {
 			return false
 		case <-s.lease.drained:
 		}
-		s.lease.mu.Lock()
+		s.stateMu.Lock()
 	}
 }
 

@@ -122,7 +122,7 @@ func TestLeaseRelease(t *testing.T) {
 
 			check := func(step string, want state) {
 				t.Helper()
-				sup.lease.mu.Lock()
+				sup.stateMu.Lock()
 				var holders []string
 				for _, who := range []string{"p", "c"} {
 					if sup.lease.Holds(pids[who]) > 0 {
@@ -131,7 +131,7 @@ func TestLeaseRelease(t *testing.T) {
 				}
 				holds := strings.Join(holders, "+")
 				issued, available := sup.lease.Queue().Issued(), sup.lease.Queue().Available()
-				sup.lease.mu.Unlock()
+				sup.stateMu.Unlock()
 				if holds != want.holds {
 					t.Errorf("%s: copy held by %q, want %q", step, holds, want.holds)
 				}
@@ -192,9 +192,9 @@ func TestLeaseRelease(t *testing.T) {
 			check("sweep", tc.after[1])
 			// The hold has ended; ending the holder's holds again, as a
 			// racing second cause would, changes nothing.
-			sup.lease.mu.Lock()
+			sup.stateMu.Lock()
 			sup.lease.EndHolds(func(pid int) bool { return pid == pids[tc.holder] }, tc.cause)
-			sup.lease.mu.Unlock()
+			sup.stateMu.Unlock()
 			check("second release", tc.after[1])
 		})
 	}
@@ -274,13 +274,13 @@ func TestSweepReclaimsQuarantined(t *testing.T) {
 	sup.pushTransition(*sup.roster.ObserveVerdict(v, true, false, now.Add(-time.Minute)))
 	sup.sweepExpired(now)
 
-	sup.lease.mu.Lock()
+	sup.stateMu.Lock()
 	live := sup.lease.Live()
 	holds := map[string]int{}
 	for pid, name := range names {
 		holds[name] = sup.lease.Holds(pid)
 	}
-	sup.lease.mu.Unlock()
+	sup.stateMu.Unlock()
 	if live != 1 || holds["h"] != 1 || holds["v"]+holds["d"]+holds["o"] != 0 {
 		t.Errorf("after the sweep %d copies are out, held %v, want h's %v alone", live, holds, hKey)
 	}
@@ -308,11 +308,11 @@ func TestSweepReclaimsQuarantined(t *testing.T) {
 	if n := quarantines(sup); n != 0 {
 		t.Errorf("a supervisor without Health reclaimed %d holds as quarantine", n)
 	}
-	sup.lease.mu.Lock()
+	sup.stateMu.Lock()
 	if held := sup.lease.Holds(x); held != 1 {
 		t.Errorf("x holds %d copies after the sweep, want 1", held)
 	}
-	sup.lease.mu.Unlock()
+	sup.stateMu.Unlock()
 }
 
 // TestHoldsFollowTheirParticipant pins that a hold is its participant's,
@@ -419,9 +419,9 @@ func TestHoldsFollowTheirParticipant(t *testing.T) {
 		if !strings.Contains(events.String(), `"event":"worker_resumed","inflight":2,`) {
 			t.Errorf("no worker_resumed with 2 in flight in %s", events)
 		}
-		sup.lease.mu.Lock()
+		sup.stateMu.Lock()
 		live, issued := sup.lease.Live(), sup.lease.Queue().Issued()
-		sup.lease.mu.Unlock()
+		sup.stateMu.Unlock()
 		if live != 0 || issued != 0 {
 			t.Errorf("after both ends %d records live and %d copies issued, want 0 and 0", live, issued)
 		}
@@ -440,9 +440,9 @@ func TestHoldsFollowTheirParticipant(t *testing.T) {
 			t.Fatalf("c leased %v, want the clone of %v", clone, key)
 		}
 		sup.reclaim(cs)
-		sup.lease.mu.Lock()
+		sup.stateMu.Lock()
 		out, available := sup.lease.Live(), sup.lease.Queue().Available()
-		sup.lease.mu.Unlock()
+		sup.stateMu.Unlock()
 		if out != 0 || !available {
 			t.Errorf("after the connection ends %d records of the copy are out and the queue has it %v, want 0 and true", out, available)
 		}
@@ -476,7 +476,8 @@ func TestHoldsFollowTheirParticipant(t *testing.T) {
 		join := func(pid, c int) (holds int) {
 			conns[c].names[pid] = ""
 			connOf[pid] = c
-			return sup.bind(pid, conns[c])
+			holds, _ = sup.bind(pid, conns[c])
+			return holds
 		}
 		for pid := 1; pid <= 4; pid++ {
 			join(pid, pid%len(conns))
@@ -534,7 +535,7 @@ func TestHoldsFollowTheirParticipant(t *testing.T) {
 					}
 				}
 			}
-			sup.lease.mu.Lock()
+			sup.stateMu.Lock()
 			out := 0
 			for pid, c := range connOf {
 				out += len(held[pid])
@@ -548,7 +549,7 @@ func TestHoldsFollowTheirParticipant(t *testing.T) {
 			if live, issued := sup.lease.Live(), sup.lease.Queue().Outstanding(); live != out || issued != out {
 				t.Fatalf("step %d (%s): %d records live and %d copies issued, want %d", step, op, live, issued, out)
 			}
-			sup.lease.mu.Unlock()
+			sup.stateMu.Unlock()
 		}
 		if resent == 0 {
 			t.Fatal("no lease over a connection left re-sent a hold")

@@ -503,12 +503,12 @@ func TestPipelinedAckSettledBeforeLeaseRead(t *testing.T) {
 		Cheat: func(taskID int, honest uint64) uint64 {
 			switch calls++; calls {
 			case 2:
-				sup.lease.mu.Lock()
+				sup.stateMu.Lock()
 				a, _, refused, _ := sup.lease.Claim(0, taskID, 0, time.Now())
 				if refused == 0 {
 					sup.lease.Queue().Abandon(a)
 				}
-				sup.lease.mu.Unlock()
+				sup.stateMu.Unlock()
 				if refused != 0 {
 					t.Errorf("reclaiming task %d copy 0 from participant 0: refused %d", taskID, refused)
 				}

@@ -185,7 +185,7 @@ func TestConvictedWorkerRefusedWork(t *testing.T) {
 // unanimous wrong value, and Summary counts each of them (600 verdicts,
 // so its chunked walk of the verdict list crosses chunk boundaries).
 // Summary is also called throughout the run, concurrently with the
-// submissions it releases audit.mu to between chunks.
+// submissions it releases stateMu to between chunks.
 func TestSummaryCountsWrongResults(t *testing.T) {
 	p := &plan.Plan{Epsilon: 0.5, N: 600, Counts: []int{0, 600}, TailMultiplicity: 2, RingerMultiplicity: 2}
 	sup, addr := startSupervisor(t, p, sched.Free)

@@ -178,9 +178,10 @@ type SupervisorConfig struct {
 }
 
 // Supervisor is the trusted coordinator: it owns the assignment queue and
-// the verification pipeline and serves workers over TCP. Its state is split
-// into lock domains — lease.go, audit.go, ident.go — and only a domain's
-// file locks its mutex; DESIGN.md §11 has the ownership map and lock order.
+// the verification pipeline and serves workers over TCP. Its lease and audit
+// state share one mutex, stateMu, which only lease.go locks; the participant
+// directory has its own, which only ident.go locks. DESIGN.md §11 has the
+// ownership map.
 type Supervisor struct {
 	cfg  SupervisorConfig
 	work WorkFunc
@@ -192,16 +193,18 @@ type Supervisor struct {
 	metrics  *supMetrics
 	events   *obs.Sink
 
-	lease leaseState
-	audit auditState
-	ident identState
+	// stateMu is the state mutex: it guards lease and audit.
+	stateMu sync.Mutex
+	lease   leaseState
+	audit   auditState
+	ident   identState
 
 	// adaptCfg is immutable after construction (cfg.Adapt != nil).
 	adaptCfg adapt.Config
 
 	// roster is the participant health subsystem (nil when neither Health
-	// nor SpeculatePct is configured). It locks itself and sits below every
-	// state lock, so any handler may feed it observations directly. Latency
+	// nor SpeculatePct is configured). It locks itself and sits below
+	// stateMu, so any handler may feed it observations directly. Latency
 	// tracking runs whenever roster is non-nil; verdict/reclaim evidence and
 	// quarantine only when cfg.Health was given.
 	roster *health.Roster

@@ -28,14 +28,14 @@ type journalReplacer interface {
 }
 
 // captureSnapshot captures the supervisor's certification state under
-// withLeaseAndAudit, so the capture is a consistent cut: no result can be
+// withState, so the capture is a consistent cut: no result can be
 // adjudicated and no revision applied while it runs. The capture shares no
-// memory that changes once the locks are released — issued verdicts'
+// memory that changes once the lock is released — issued verdicts'
 // contributor and suspect lists and applied revisions are never written
 // again, and the rest is copied — so callers encode it with no lock held.
 func (s *Supervisor) captureSnapshot() *snapshotRecord {
 	rec := &snapshotRecord{MaxParticipant: -1}
-	s.withLeaseAndAudit(func() {
+	s.withState(func() {
 		rec.Revisions = append([]revisionRecord(nil), s.audit.revisions...)
 		col := s.audit.collector
 		rec.Verdicts = make([]snapshotVerdict, 0, col.NumVerdicts())

@@ -66,25 +66,21 @@ type TailConfig struct {
 	// service past the fleet's SpeculatePct completion-time quantile is
 	// cloned ahead of fresh queue pops; the first of the pair to finish
 	// resolves the copy and the other is wasted work. The quantile is
-	// gated on SpecMinSamples completed copies (default 20, matching
-	// health.Config.MinLatencySamples) and refreshed every 256
-	// completions, re-sweeping live copies on each refresh.
-	Speculate      bool
-	SpeculatePct   float64
-	SpecMinSamples int
+	// gated on specMinSamples completed copies (20, health.Config's
+	// default MinLatencySamples) and refreshed every 256 completions,
+	// re-sweeping live copies on each refresh.
+	Speculate    bool
+	SpeculatePct float64
 
 	// Seed roots the per-trial RNG streams: trial i draws from
 	// rng.New(Seed).Split(i), so any subset of trials can run on any
 	// worker in any order and produce identical results.
 	Seed uint64
-	// SketchAlpha overrides the latency sketches' relative accuracy
-	// (default 1%).
-	SketchAlpha float64
 }
 
 const (
-	defaultSpecMinSamples = 20
-	thetaRefreshEvery     = 256
+	specMinSamples    = 20
+	thetaRefreshEvery = 256
 )
 
 // Validate checks the configuration, filling no defaults.
@@ -134,9 +130,6 @@ func (c *TailConfig) Validate() error {
 	}
 	if c.Speculate && (c.SpeculatePct <= 0 || c.SpeculatePct >= 1) {
 		return fmt.Errorf("tail: SpeculatePct %v outside (0,1)", c.SpeculatePct)
-	}
-	if c.SpecMinSamples < 0 {
-		return fmt.Errorf("tail: SpecMinSamples %d must be non-negative", c.SpecMinSamples)
 	}
 	return nil
 }
@@ -217,13 +210,6 @@ func NewTailEngine(cfg TailConfig) (*TailEngine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.SpecMinSamples == 0 {
-		cfg.SpecMinSamples = defaultSpecMinSamples
-	}
-	alpha := cfg.SketchAlpha
-	if alpha == 0 {
-		alpha = 0.01
-	}
 	nTasks, nAssign := 0, 0
 	for _, cl := range cfg.Classes {
 		nTasks += cl.Tasks
@@ -251,8 +237,8 @@ func NewTailEngine(cfg TailConfig) (*TailEngine, error) {
 
 		tree:    newEventTree(p),
 		heap:    newEventHeap(p + 1),
-		latency: stats.NewSketchAlpha(alpha),
-		copySvc: stats.NewSketchAlpha(alpha),
+		latency: stats.NewSketch(),
+		copySvc: stats.NewSketch(),
 	}
 	if cfg.Speculate {
 		// Every base copy is cloned at most once, so the clone queue
@@ -471,10 +457,10 @@ func (e *TailEngine) maybeRefreshTheta() {
 	// Refresh as soon as the min-sample gate opens, then every
 	// thetaRefreshEvery completions (the platform's sweeper recomputes
 	// the roster quantile on every deadline tick).
-	if e.thetaCount != e.cfg.SpecMinSamples && e.thetaCount%thetaRefreshEvery != 0 {
+	if e.thetaCount != specMinSamples && e.thetaCount%thetaRefreshEvery != 0 {
 		return
 	}
-	if e.copySvc.Count() >= e.cfg.SpecMinSamples {
+	if e.copySvc.Count() >= specMinSamples {
 		e.theta = e.copySvc.Quantile(e.cfg.SpeculatePct)
 		e.sweepSpeculate()
 	}
@@ -558,7 +544,7 @@ func RunTailTrials(cfg TailConfig, trials, workers int) (*TailResult, error) {
 		Trials:  trials,
 		Tasks:   proto.nTasks,
 		Copies:  proto.nAssign,
-		Latency: stats.NewSketchAlpha(results[0].Latency.Alpha()),
+		Latency: stats.NewSketch(),
 	}
 	for _, tr := range results {
 		out.Latency.Merge(tr.Latency)

@@ -37,7 +37,6 @@ func TestTailConfigValidate(t *testing.T) {
 		{Classes: []TailClass{{Copies: 1, Tasks: 5}}, Participants: 1, SpeedBase: 1, StragglerDelay: -1},
 		{Classes: []TailClass{{Copies: 1, Tasks: 5}}, Participants: 1, SpeedBase: 1, Speculate: true},
 		{Classes: []TailClass{{Copies: 1, Tasks: 5}}, Participants: 1, SpeedBase: 1, Speculate: true, SpeculatePct: 1},
-		{Classes: []TailClass{{Copies: 1, Tasks: 5}}, Participants: 1, SpeedBase: 1, SpecMinSamples: -1},
 		{Classes: []TailClass{{Copies: 200, Tasks: 20_000_000}}, Participants: 1, SpeedBase: 1},
 	}
 	for i, cfg := range bad {
