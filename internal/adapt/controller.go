@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"redundancy/internal/dist"
@@ -38,6 +39,9 @@ const (
 	// against. Above it the (1−p)^{i−k} attenuation makes every
 	// denominator vanish and no finite revision helps.
 	maxDefendableP = 0.9
+	// histBuf is the class count Replan's histograms hold without
+	// allocating; a plan with more classes grows them on the heap.
+	histBuf = 32
 )
 
 // replanner carries the mutable sweep state of one Replan call.
@@ -89,27 +93,39 @@ func Replan(tasks []TaskState, nextID int, eps, pUpper float64) (rev plan.Revisi
 	if pUpper > maxDefendableP {
 		pUpper = maxDefendableP
 	}
+	// The class histograms are counted into stack buffers, and the
+	// replanner (whose promotion bookkeeping is heap-bound) is built only
+	// once a class falls short, so a tick whose deployment already meets
+	// eps allocates nothing.
+	var regBuf, ringBuf [histBuf]float64
+	regC, ringC := regBuf[:0], ringBuf[:0]
+	for _, t := range tasks {
+		switch {
+		case t.Copies < 1:
+		case t.Ringer:
+			ringC = cover(ringC, t.Copies)
+			ringC[t.Copies-1]++
+		default:
+			regC = cover(regC, t.Copies)
+			regC[t.Copies-1]++
+		}
+	}
+	if meets(&dist.Distribution{Counts: regC}, &dist.Distribution{Counts: ringC}, eps, pUpper) {
+		return plan.Revision{}, true
+	}
 	r := &replanner{
 		eps:      eps,
 		pUpper:   pUpper,
 		q:        1 - pUpper,
-		reg:      &dist.Distribution{Name: "replan-regular"},
-		ring:     &dist.Distribution{Name: "replan-ringers"},
+		reg:      &dist.Distribution{Name: "replan-regular", Counts: slices.Clone(regC)},
+		ring:     &dist.Distribution{Name: "replan-ringers", Counts: slices.Clone(ringC)},
 		eligible: make(map[int][]int),
 		promoted: make(map[int]int),
 		origFrom: make(map[int]int),
 		nextID:   nextID,
 	}
 	for _, t := range tasks {
-		if t.Copies < 1 {
-			continue
-		}
-		if t.Ringer {
-			r.ring.SetCount(t.Copies, r.ring.Count(t.Copies)+1)
-			continue
-		}
-		r.reg.SetCount(t.Copies, r.reg.Count(t.Copies)+1)
-		if t.Eligible {
+		if t.Copies >= 1 && !t.Ringer && t.Eligible {
 			r.eligible[t.Copies] = append(r.eligible[t.Copies], t.ID)
 		}
 	}
@@ -213,16 +229,28 @@ func (r *replanner) mintFor(k int) bool {
 	return true
 }
 
-func (r *replanner) allSatisfied() bool {
-	for k := 1; k <= r.maxClass(); k++ {
-		if r.reg.Count(k) == 0 {
+func (r *replanner) allSatisfied() bool { return meets(r.reg, r.ring, r.eps, r.pUpper) }
+
+// meets reports whether every class holding regular tasks keeps
+// P_{k,p} >= eps (to within replanTol).
+func meets(reg, ring *dist.Distribution, eps, p float64) bool {
+	for k := 1; k <= max(len(reg.Counts), len(ring.Counts)); k++ {
+		if reg.Count(k) == 0 {
 			continue
 		}
-		if r.detection(k) < r.eps-replanTol {
+		if dist.DetectionAtSplit(reg, ring, k, p) < eps-replanTol {
 			return false
 		}
 	}
 	return true
+}
+
+// cover returns c extended with zeros to hold class k.
+func cover(c []float64, k int) []float64 {
+	for len(c) < k {
+		c = append(c, 0)
+	}
+	return c
 }
 
 func insertSorted(ids []int, id int) []int {

@@ -20,6 +20,7 @@ import (
 	"math"
 	"regexp"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -138,35 +139,39 @@ func equalFloats(a, b []float64) bool {
 }
 
 // child returns the metric for the given label values, creating it on
-// first use. make builds a fresh metric value.
+// first use. make builds a fresh metric value. The key is built in a stack
+// buffer and looked up without a copy, so only a child's creation
+// allocates its key string.
 func (f *family) child(labelValues []string, make func() any) any {
 	if len(labelValues) != len(f.labelNames) {
 		panic(fmt.Sprintf("obs: metric %q expects %d label values, got %d",
 			f.name, len(f.labelNames), len(labelValues)))
 	}
-	key := labelKey(labelValues)
+	var buf [64]byte
+	key := appendLabelKey(buf[:0], labelValues)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if c, ok := f.children[key]; ok {
+	if c, ok := f.children[string(key)]; ok {
 		return c
 	}
 	c := make()
-	f.children[key] = c
-	f.order = append(f.order, key)
+	k := string(key)
+	f.children[k] = c
+	f.order = append(f.order, k)
 	return c
 }
 
-// labelKey serializes label values unambiguously (values may contain any
-// byte, so a separator alone would not do).
-func labelKey(values []string) string {
-	if len(values) == 0 {
-		return ""
-	}
-	key := ""
+// appendLabelKey appends the serialization of label values to dst,
+// unambiguously (values may contain any byte, so a separator alone would
+// not do): each value as its length, a colon, the value and a comma.
+func appendLabelKey(dst []byte, values []string) []byte {
 	for _, v := range values {
-		key += fmt.Sprintf("%d:%s,", len(v), v)
+		dst = strconv.AppendInt(dst, int64(len(v)), 10)
+		dst = append(dst, ':')
+		dst = append(dst, v...)
+		dst = append(dst, ',')
 	}
-	return key
+	return dst
 }
 
 // Counter registers (or returns) an unlabeled monotonically increasing
@@ -425,14 +430,14 @@ func (r *Registry) Snapshot() Snapshot {
 	return snap
 }
 
-// labelValuesFromKey inverts labelKey.
+// labelValuesFromKey inverts appendLabelKey.
 func labelValuesFromKey(key string) []string {
 	var out []string
 	for len(key) > 0 {
 		var n int
 		var rest string
 		if _, err := fmt.Sscanf(key, "%d:", &n); err != nil {
-			return out // cannot happen for keys built by labelKey
+			return out // cannot happen for keys built by appendLabelKey
 		}
 		rest = key[len(fmt.Sprintf("%d:", n)):]
 		out = append(out, rest[:n])

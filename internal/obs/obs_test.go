@@ -242,3 +242,54 @@ func TestMetricNamesSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestWithExistingChildAllocFree: With on a label set that already has a
+// child builds its key on the stack and allocates nothing, for every
+// family kind and one label or several; a key longer than the stack
+// buffer still finds its child.
+func TestWithExistingChildAllocFree(t *testing.T) {
+	r := NewRegistry()
+	cv := r.CounterVec("c_total", "help", "participant")
+	gv := r.GaugeVec("g", "help", "shard", "participant")
+	hv := r.HistogramVec("h_seconds", "help", nil, "participant")
+	for _, v := range []string{"7", "participant-1234567"} {
+		cv.With(v)
+		gv.With("shard-0", v)
+		hv.With(v)
+		if n := testing.AllocsPerRun(100, func() {
+			cv.With(v).Inc()
+			gv.With("shard-0", v).Set(1)
+			hv.With(v).Observe(0.5)
+		}); n != 0 {
+			t.Errorf("With(%q) on existing children allocates %v times", v, n)
+		}
+		if got := cv.With(v).Value(); got != 101 {
+			t.Errorf("the counter child of %q read %d, want 101: With did not find the existing child", v, got)
+		}
+	}
+	long := string(make([]byte, 100))
+	cv.With(long).Inc()
+	cv.With(long).Inc()
+	if got := cv.With(long).Value(); got != 2 {
+		t.Errorf("the counter child of a 100-byte value read %d, want 2", got)
+	}
+}
+
+// TestLabelKeyFormat: the key is each value's length, a colon, the value
+// and a comma, so values holding the separators stay apart.
+func TestLabelKeyFormat(t *testing.T) {
+	for _, tc := range []struct {
+		values []string
+		want   string
+	}{
+		{nil, ""},
+		{[]string{""}, "0:,"},
+		{[]string{"a,1:b"}, "5:a,1:b,"},
+		{[]string{"a", "1:b"}, "1:a,3:1:b,"},
+		{[]string{string(make([]byte, 70)), "x"}, "70:" + string(make([]byte, 70)) + ",1:x,"},
+	} {
+		if got := string(appendLabelKey(nil, tc.values)); got != tc.want {
+			t.Errorf("key of %q = %q, want %q", tc.values, got, tc.want)
+		}
+	}
+}

@@ -288,29 +288,92 @@ type TaskSpec struct {
 	Ringer bool
 }
 
-// Tasks expands the plan into one TaskSpec per task (real tasks first, then
-// base ringers, then revision effects in order), the form consumed by the
-// scheduler.
-func (p *Plan) Tasks() []TaskSpec {
+// Run is a stretch of tasks with consecutive IDs that share a multiplicity
+// and a kind: tasks First..First+Count-1, each assigned Copies times. A
+// plan's multiplicity histogram is a handful of runs however many tasks it
+// holds, so tables sized per task are filled from runs, never from a list
+// of TaskSpecs.
+type Run struct {
+	First  int
+	Count  int
+	Copies int
+	Ringer bool
+}
+
+// End returns the ID after the run's last task.
+func (r Run) End() int { return r.First + r.Count }
+
+// Runs returns the plan's layout as runs in ID order: real tasks class by
+// class, then the tail partition, then base ringers, then what revisions
+// promoted and minted. An unrevised plan gives one run per non-empty class;
+// a revised one gives the runs of its replayed state, so a promotion splits
+// the run it lands in. It is the one definition of the layout: Tasks is its
+// expansion.
+func (p *Plan) Runs() []Run {
 	if len(p.Revisions) > 0 {
 		s, _ := p.revisedState()
-		return s.specs()
+		return s.runs()
 	}
-	specs := make([]TaskSpec, 0, p.N+p.Ringers)
+	return p.baseRuns()
+}
+
+// baseRuns lays out the unrevised plan.
+func (p *Plan) baseRuns() []Run {
+	runs := make([]Run, 0, len(p.Counts)+2)
 	id := 0
-	for i, c := range p.Counts {
-		for t := 0; t < c; t++ {
-			specs = append(specs, TaskSpec{ID: id, Copies: i + 1})
-			id++
+	add := func(count, copies int, ringer bool) {
+		if count > 0 {
+			runs = append(runs, Run{First: id, Count: count, Copies: copies, Ringer: ringer})
+			id += count
 		}
 	}
-	for t := 0; t < p.TailTasks; t++ {
-		specs = append(specs, TaskSpec{ID: id, Copies: p.TailMultiplicity})
-		id++
+	for i, c := range p.Counts {
+		add(c, i+1, false)
 	}
-	for t := 0; t < p.Ringers; t++ {
-		specs = append(specs, TaskSpec{ID: id, Copies: p.RingerMultiplicity, Ringer: true})
-		id++
+	add(p.TailTasks, p.TailMultiplicity, false)
+	add(p.Ringers, p.RingerMultiplicity, true)
+	return runs
+}
+
+// Expand returns one TaskSpec per task of runs, in run order.
+func Expand(runs []Run) []TaskSpec {
+	n := 0
+	for _, r := range runs {
+		n += max(r.Count, 0)
+	}
+	specs := make([]TaskSpec, 0, n)
+	for _, r := range runs {
+		for id := r.First; id < r.End(); id++ {
+			specs = append(specs, TaskSpec{ID: id, Copies: r.Copies, Ringer: r.Ringer})
+		}
 	}
 	return specs
 }
+
+// Compress returns the fewest runs that expand to specs, in the same
+// order, allocated once.
+func Compress(specs []TaskSpec) []Run {
+	n := 0
+	for i := range specs {
+		if i == 0 || !continues(specs[i-1], specs[i]) {
+			n++
+		}
+	}
+	runs := make([]Run, 0, n)
+	for i, s := range specs {
+		if i > 0 && continues(specs[i-1], s) {
+			runs[len(runs)-1].Count++
+			continue
+		}
+		runs = append(runs, Run{First: s.ID, Count: 1, Copies: s.Copies, Ringer: s.Ringer})
+	}
+	return runs
+}
+
+// continues reports whether b extends a run that ends with a.
+func continues(a, b TaskSpec) bool {
+	return b.ID == a.ID+1 && b.Copies == a.Copies && b.Ringer == a.Ringer
+}
+
+// Tasks expands the plan into one TaskSpec per task, in the order of Runs.
+func (p *Plan) Tasks() []TaskSpec { return Expand(p.Runs()) }

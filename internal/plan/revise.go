@@ -68,23 +68,15 @@ type revState struct {
 	ringer []bool
 }
 
-// baseState lays out the unrevised plan exactly as Tasks orders it:
-// class-by-class regular tasks, then the tail partition, then ringers.
+// baseState lays out the unrevised plan task by task, as baseRuns orders
+// it.
 func (p *Plan) baseState() *revState {
 	s := &revState{}
-	for i, c := range p.Counts {
-		for t := 0; t < c; t++ {
-			s.copies = append(s.copies, i+1)
-			s.ringer = append(s.ringer, false)
+	for _, r := range p.baseRuns() {
+		for range r.Count {
+			s.copies = append(s.copies, r.Copies)
+			s.ringer = append(s.ringer, r.Ringer)
 		}
-	}
-	for t := 0; t < p.TailTasks; t++ {
-		s.copies = append(s.copies, p.TailMultiplicity)
-		s.ringer = append(s.ringer, false)
-	}
-	for t := 0; t < p.Ringers; t++ {
-		s.copies = append(s.copies, p.RingerMultiplicity)
-		s.ringer = append(s.ringer, true)
 	}
 	return s
 }
@@ -137,13 +129,17 @@ func (s *revState) apply(rev Revision) error {
 	return nil
 }
 
-// specs renders the state as the scheduler-facing task list.
-func (s *revState) specs() []TaskSpec {
-	out := make([]TaskSpec, len(s.copies))
-	for id := range s.copies {
-		out[id] = TaskSpec{ID: id, Copies: s.copies[id], Ringer: s.ringer[id]}
+// runs compresses the state into the runs it expands from.
+func (s *revState) runs() []Run {
+	var runs []Run
+	for id, c := range s.copies {
+		if n := len(runs); n > 0 && runs[n-1].Copies == c && runs[n-1].Ringer == s.ringer[id] {
+			runs[n-1].Count++
+			continue
+		}
+		runs = append(runs, Run{First: id, Count: 1, Copies: c, Ringer: s.ringer[id]})
 	}
-	return out
+	return runs
 }
 
 // maxRevisableTasks bounds the plans whose revisions we will replay:

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -438,5 +439,129 @@ func TestRevisionGrowsPastPresizedTables(t *testing.T) {
 		if v, ok := sup.audit.collector.VerdictFor(m.TaskID); !ok || !v.Ringer || !v.Accepted {
 			t.Errorf("minted ringer %d: verdict %+v, %v", m.TaskID, v, ok)
 		}
+	}
+}
+
+// controllerView strips the per-tick Eligible bit from the supervisor's
+// kept controller state.
+func controllerView(tasks []adapt.TaskState) []plan.TaskSpec {
+	out := make([]plan.TaskSpec, len(tasks))
+	for i, t := range tasks {
+		out[i] = plan.TaskSpec{ID: t.ID, Copies: t.Copies, Ringer: t.Ringer}
+	}
+	return out
+}
+
+// TestAdaptTasksFollowRevisions: the controller state a supervisor keeps
+// is the expansion of its plan's runs at construction, after a live
+// revision, and after a restore that replays revisions from the journal.
+func TestAdaptTasksFollowRevisions(t *testing.T) {
+	mk := func() *plan.Plan {
+		p, err := plan.Balanced(300, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	acfg := &adapt.Config{TargetEpsilon: 0.5, Interval: time.Hour, MinSamples: 1 << 30}
+	base := mk()
+	next := base.NextTaskID()
+	recs := []revisionRecord{
+		{Seq: 0, Promotions: []plan.Promotion{{TaskID: 3, From: 1, To: 3}}, Minted: []plan.Mint{{TaskID: next, Copies: 4}}},
+		{Seq: 1, Promotions: []plan.Promotion{{TaskID: 3, From: 3, To: 4}, {TaskID: 4, From: 1, To: 2}}, Minted: []plan.Mint{{TaskID: next + 1, Copies: 3}, {TaskID: next + 2, Copies: 3}}},
+	}
+	check := func(when string, sup *Supervisor, p *plan.Plan) {
+		t.Helper()
+		sup.stateMu.Lock()
+		got := controllerView(sup.audit.tasks)
+		sup.stateMu.Unlock()
+		if want := plan.Expand(p.Runs()); !slices.Equal(got, want) {
+			t.Fatalf("%s: the kept controller state (%d tasks) is not the expansion of the plan's runs (%d tasks)", when, len(got), len(want))
+		}
+	}
+
+	live := mk()
+	sup, err := NewSupervisor(SupervisorConfig{Plan: live, WorkKind: "hashchain", Iters: 5, Seed: 2, Adapt: acfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("at construction", sup, live)
+	for _, rec := range recs {
+		sup.stateMu.Lock()
+		err := sup.applyRevisionLocked(rec)
+		sup.stateMu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("after live revision %d", rec.Seq), sup, live)
+	}
+	sup.Close()
+
+	var journal bytes.Buffer
+	for i := range recs {
+		if err := encodeJournalRevision(&journal, &recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restored := mk()
+	sup, err = NewSupervisor(SupervisorConfig{
+		Plan: restored, WorkKind: "hashchain", Iters: 5, Seed: 2, Adapt: acfg,
+		Restore: bytes.NewReader(journal.Bytes()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	if got := sup.RevisionsApplied(); got != len(recs) {
+		t.Fatalf("the restore replayed %d revisions, want %d", got, len(recs))
+	}
+	check("after the restore", sup, restored)
+	if !slices.Equal(restored.Tasks(), live.Tasks()) {
+		t.Fatal("the restored plan differs from the live one")
+	}
+}
+
+// TestAdaptTickAllocFree: a controller tick that evaluates the estimate
+// and revises nothing allocates nothing, before and after a revision has
+// applied; the same supervisor, fed adverse evidence, then revises, so the
+// ticks measured did reach the controller.
+func TestAdaptTickAllocFree(t *testing.T) {
+	p, err := plan.Balanced(400, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := NewSupervisor(SupervisorConfig{
+		Plan: p, Policy: sched.Free, WorkKind: "hashchain", Iters: 5, Seed: 3,
+		Adapt: &adapt.Config{TargetEpsilon: 0.3, Interval: time.Hour, MinSamples: 40},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	sup.withState(func() { sup.audit.est.Observe(10_000, 0) })
+	quiet := func(when string, revisions int) {
+		t.Helper()
+		if n := testing.AllocsPerRun(20, sup.adaptTick); n != 0 {
+			t.Errorf("%s: a tick that revises nothing allocates %v times", when, n)
+		}
+		if got := sup.RevisionsApplied(); got != revisions {
+			t.Fatalf("%s: %d revisions applied, want %d", when, got, revisions)
+		}
+	}
+	quiet("before a revision", 0)
+	sup.stateMu.Lock()
+	err = sup.applyRevisionLocked(revisionRecord{
+		Promotions: []plan.Promotion{{TaskID: 0, From: 1, To: 2}},
+		Minted:     []plan.Mint{{TaskID: p.NextTaskID(), Copies: 3}},
+	})
+	sup.stateMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet("after a revision", 1)
+	sup.withState(func() { sup.audit.est.Observe(100_000, 90_000) })
+	sup.adaptTick()
+	if got := sup.RevisionsApplied(); got != 2 {
+		t.Fatalf("adverse evidence: %d revisions applied, want 2", got)
 	}
 }

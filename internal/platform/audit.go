@@ -29,6 +29,11 @@ type auditState struct {
 	// still rebuild the revised plan. Its length is the next revision's
 	// journal sequence number.
 	revisions []revisionRecord
+	// tasks is the adaptive controller's view of the plan, one entry per
+	// task with tasks[id].ID == id: built from the plan's runs at
+	// construction and kept in step with the plan by applyRevisionLocked,
+	// so adaptTick refreshes only Eligible. Nil without Adapt.
+	tasks []adapt.TaskState
 }
 
 // applyVerdict applies every state effect of one verdict; no other code
@@ -181,6 +186,14 @@ func (s *Supervisor) applyRevisionLocked(rec revisionRecord) error {
 	}
 	if err := s.cfg.Plan.ApplyRevision(rev); err != nil {
 		return err
+	}
+	if s.audit.tasks != nil {
+		for _, pr := range rev.Promotions {
+			s.audit.tasks[pr.TaskID].Copies = pr.To
+		}
+		for _, m := range rev.Minted {
+			s.audit.tasks = append(s.audit.tasks, adapt.TaskState{ID: m.TaskID, Copies: m.Copies, Ringer: true})
+		}
 	}
 	for _, pr := range rev.Promotions {
 		if err := s.lease.Queue().Promote(pr.TaskID, pr.From, pr.To); err != nil {

@@ -60,8 +60,8 @@ type Cluster struct {
 	cfg     SupervisorConfig // Metrics always set: the shards share it
 	ring    *ring.Ring
 	metrics *clusterMetrics
-	// parts[i] is the global-ID task subset shard i owns.
-	parts [][]plan.TaskSpec
+	// parts[i] is the global-ID task subset shard i owns, as runs.
+	parts [][]plan.Run
 
 	// life serializes KillShard, RestoreShard and Close, each for its
 	// whole body, so a shard changes state by one of them at a time. It is
@@ -74,6 +74,14 @@ type Cluster struct {
 	addrs   []string
 	epoch   uint64
 	changed chan struct{} // closed and replaced at each epoch bump; nil once closed
+}
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // ShardName returns the ring member name of shard i.
@@ -120,7 +128,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		cfg:     cfg,
 		ring:    r,
 		metrics: newClusterMetrics(cfg.Metrics),
-		parts:   make([][]plan.TaskSpec, cfg.Shards),
+		parts:   make([][]plan.Run, cfg.Shards),
 		sups:    make([]*Supervisor, cfg.Shards),
 		addrs:   make([]string, cfg.Shards),
 		changed: make(chan struct{}),
@@ -131,39 +139,62 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// a task between shards — the shard's journal is the authority for its
 	// subset, and moving a task would fork that authority.
 	//
-	// The plan is expanded once and walked twice: count each shard's tasks,
-	// then fill the parts, each a capped window of one backing array.
-	// shardOf turns the ring's member index into the shard ordinal
-	// (Members() is sorted by name, where "shard-10" comes before
-	// "shard-2").
-	shardOf := make([]int, r.Len())
+	// The plan's runs are walked twice: route every task and count each
+	// shard's tasks and runs, then fill the parts, each a capped window of
+	// one backing array. A shard's run is a stretch of one global run that
+	// the shard owns whole. shardOf turns the ring's member index into the
+	// shard ordinal (Members() is sorted by name, where "shard-10" comes
+	// before "shard-2").
+	shardOf := make([]int32, r.Len())
 	for i, n := range names {
-		shardOf[sort.SearchStrings(r.Members(), n)] = i
+		shardOf[sort.SearchStrings(r.Members(), n)] = int32(i)
 	}
-	specs := cfg.Plan.Tasks()
-	owner := make([]int32, len(specs))
-	counts := make([]int, cfg.Shards)
-	for t := range specs {
-		mi, ok := r.LookupIndexUint64(uint64(specs[t].ID))
-		if !ok {
-			return nil, errors.New("platform: ring lookup failed on non-empty ring")
+	runs := cfg.Plan.Runs()
+	total := 0
+	if len(runs) > 0 {
+		total = runs[len(runs)-1].End()
+	}
+	owner := make([]int32, total)
+	tasks := make([]int, cfg.Shards)
+	nruns := make([]int, cfg.Shards)
+	for _, run := range runs {
+		prev := int32(-1)
+		for id := run.First; id < run.End(); id++ {
+			mi, ok := r.LookupIndexUint64(uint64(id))
+			if !ok {
+				return nil, errors.New("platform: ring lookup failed on non-empty ring")
+			}
+			i := shardOf[mi]
+			owner[id] = i
+			tasks[i]++
+			nruns[i] += b2i(i != prev)
+			prev = i
 		}
-		owner[t] = int32(shardOf[mi])
-		counts[owner[t]]++
 	}
-	backing := make([]plan.TaskSpec, len(specs))
+	all := 0
+	for _, n := range nruns {
+		all += n
+	}
+	backing := make([]plan.Run, all)
 	off := 0
-	for i, n := range counts {
+	for i, n := range tasks {
 		if n == 0 {
 			return nil, fmt.Errorf(
 				"platform: shard %d owns no tasks (%d tasks over %d shards); use fewer shards, more tasks, or more vnodes",
-				i, len(specs), cfg.Shards)
+				i, total, cfg.Shards)
 		}
-		c.parts[i] = backing[off : off : off+n]
-		off += n
+		c.parts[i] = backing[off : off : off+nruns[i]]
+		off += nruns[i]
 	}
-	for t, i := range owner {
-		c.parts[i] = append(c.parts[i], specs[t])
+	for _, run := range runs {
+		for id := run.First; id < run.End(); {
+			i, end := owner[id], id+1
+			for end < run.End() && owner[end] == i {
+				end++
+			}
+			c.parts[i] = append(c.parts[i], plan.Run{First: id, Count: end - id, Copies: run.Copies, Ringer: run.Ringer})
+			id = end
+		}
 	}
 
 	// A shard shares only what is read-only (the plan) or locks itself (the
@@ -202,7 +233,7 @@ func (c *Cluster) journalPath(i int) string {
 // shard is published.
 func (c *Cluster) startShard(i int, restore io.Reader) error {
 	scfg := c.cfg
-	scfg.tasks, scfg.shardID = c.parts[i], ShardName(i)
+	scfg.runs, scfg.shardID = c.parts[i], ShardName(i)
 	scfg.Seed += uint64(i)
 	scfg.Restore = restore
 	if lg := c.cfg.Logf; lg != nil {

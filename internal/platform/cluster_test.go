@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,7 +41,7 @@ func TestClusterPartition(t *testing.T) {
 
 	seen := make(map[int]int)
 	for i, part := range c.parts {
-		for _, sp := range part {
+		for _, sp := range plan.Expand(part) {
 			if prev, dup := seen[sp.ID]; dup {
 				t.Fatalf("task %d on shards %d and %d", sp.ID, prev, i)
 			}
@@ -56,7 +57,7 @@ func TestClusterPartition(t *testing.T) {
 	for _, sp := range specs {
 		shard := seen[sp.ID]
 		found := false
-		for _, got := range c.parts[shard] {
+		for _, got := range plan.Expand(c.parts[shard]) {
 			if got == sp {
 				found = true
 				break
@@ -79,6 +80,44 @@ func TestClusterPartition(t *testing.T) {
 			t.Fatalf("task %d: worker ring says %s, cluster put it on %s",
 				sp.ID, owner, ShardName(seen[sp.ID]))
 		}
+	}
+}
+
+// TestClusterPartsAreTaskPartition: each shard's runs expand to exactly
+// the specs the per-task partition gives it (the plan's tasks in order,
+// each appended to its ring owner's part), and are the fewest runs that
+// do, for several shard counts.
+func TestClusterPartsAreTaskPartition(t *testing.T) {
+	p := mustClusterPlan(t, 3_000)
+	for _, shards := range []int{1, 2, 3, 5} {
+		c, err := NewCluster(ClusterConfig{
+			Plan: p, Shards: shards, Seed: 42, WorkKind: "hashchain", Iters: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([][]plan.TaskSpec, shards)
+		for _, sp := range p.Tasks() {
+			name, ok := c.ring.LookupUint64(uint64(sp.ID))
+			if !ok {
+				t.Fatal("ring lookup failed")
+			}
+			var i int
+			if _, err := fmt.Sscanf(name, "shard-%d", &i); err != nil {
+				t.Fatal(err)
+			}
+			want[i] = append(want[i], sp)
+		}
+		for i, part := range c.parts {
+			if got := plan.Expand(part); !slices.Equal(got, want[i]) {
+				t.Errorf("%d shards: shard %d's %d runs expand to %d tasks, the per-task partition gives it %d",
+					shards, i, len(part), len(got), len(want[i]))
+			}
+			if fewest := plan.Compress(want[i]); !slices.Equal(part, fewest) {
+				t.Errorf("%d shards: shard %d has %d runs, its tasks compress to %d", shards, i, len(part), len(fewest))
+			}
+		}
+		c.Close()
 	}
 }
 
@@ -854,6 +893,67 @@ func BenchmarkNewCluster(b *testing.B) {
 				c.Close()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tasks), "ns/task")
+		})
+	}
+}
+
+// newSupervisorBytes builds a supervisor over p and returns the bytes the
+// construction allocated per task of the plan.
+func newSupervisorBytes(tb testing.TB, p *plan.Plan) float64 {
+	tb.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sup, err := NewSupervisor(SupervisorConfig{Plan: p, WorkKind: "hashchain", Iters: 10, Seed: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sup.Close()
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(p.N+p.Ringers)
+}
+
+// TestNewSupervisorBytesPerTask: a supervisor is built from the plan's
+// runs, so its construction allocates the tables it keeps (the
+// collector's 16-byte task slots, the queue's 8-byte slots, the lease
+// index and the issued marks) and no per-task list on the way.
+func TestNewSupervisorBytesPerTask(t *testing.T) {
+	const budget = 34.0
+	for _, n := range []int{100_000, 1_000_000} {
+		p := mustClusterPlan(t, n)
+		got := newSupervisorBytes(t, p)
+		if got > budget {
+			t.Errorf("NewSupervisor on Balanced(%d, 0.5) allocates %.1f B per task, budget %.0f", n, got, budget)
+		}
+		t.Logf("Balanced(%d, 0.5): %.1f B per task", n, got)
+	}
+}
+
+// BenchmarkNewSupervisor times building and closing a supervisor over a
+// Balanced plan, per task of the plan: the queue's fill and shuffle, the
+// collector's and the lease table's task tables.
+func BenchmarkNewSupervisor(b *testing.B) {
+	for _, n := range []int{250_000, 1_000_000} {
+		b.Run(fmt.Sprintf("Balanced%d", n), func(b *testing.B) {
+			p, err := plan.Balanced(n, 0.5)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tasks := p.N + p.Ringers
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sup, err := NewSupervisor(SupervisorConfig{Plan: p, WorkKind: "hashchain", Iters: 10, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sup.Close()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tasks), "ns/task")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*tasks), "B/task")
 		})
 	}
 }

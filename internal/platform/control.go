@@ -10,6 +10,7 @@ import (
 
 	"redundancy/internal/adapt"
 	"redundancy/internal/health"
+	"redundancy/internal/plan"
 )
 
 // every runs fn once per interval on a loop goroutine until the supervisor
@@ -80,6 +81,22 @@ func (s *Supervisor) HealthSnapshot() []health.ParticipantHealth {
 	return s.roster.Snapshot()
 }
 
+// adaptTasks lays out the adaptive controller's view of runs, one entry
+// per task in ID order; adaptTick fills in Eligible before each use.
+func adaptTasks(runs []plan.Run) []adapt.TaskState {
+	n := 0
+	for _, r := range runs {
+		n += r.Count
+	}
+	tasks := make([]adapt.TaskState, 0, n)
+	for _, r := range runs {
+		for id := r.First; id < r.End(); id++ {
+			tasks = append(tasks, adapt.TaskState{ID: id, Copies: r.Copies, Ringer: r.Ringer})
+		}
+	}
+	return tasks
+}
+
 // adaptTick is one evaluation of the control loop: refresh the p̂ gauges,
 // and if the interval's upper bound leaves any active class below the
 // target ε, journal and apply a revision, without waiting for the disk
@@ -94,13 +111,9 @@ func (s *Supervisor) adaptTick() {
 		if est.Samples < float64(s.adaptCfg.MinSamples) || s.lease.finished || s.lease.draining.Load() {
 			return
 		}
-		specs := s.cfg.Plan.Tasks()
-		tasks := make([]adapt.TaskState, 0, len(specs))
-		for _, sp := range specs {
-			tasks = append(tasks, adapt.TaskState{
-				ID: sp.ID, Copies: sp.Copies, Ringer: sp.Ringer,
-				Eligible: !sp.Ringer && !s.lease.Queue().EverIssued(sp.ID),
-			})
+		tasks, q := s.audit.tasks, s.lease.Queue()
+		for i := range tasks {
+			tasks[i].Eligible = !tasks[i].Ringer && !q.EverIssued(tasks[i].ID)
 		}
 		rev, ok := adapt.Replan(tasks, s.cfg.Plan.NextTaskID(), s.adaptCfg.TargetEpsilon, est.Upper)
 		if rev.Empty() {

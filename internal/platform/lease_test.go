@@ -71,7 +71,7 @@ func TestLeaseRelease(t *testing.T) {
 			var events bytes.Buffer
 			reg := obs.NewRegistry()
 			sup, err := NewSupervisor(SupervisorConfig{
-				Plan: simplePlan(t, 1), tasks: []plan.TaskSpec{{ID: 0, Copies: 1}}, Iters: 1,
+				Plan: simplePlan(t, 1), runs: []plan.Run{{First: 0, Count: 1, Copies: 1}}, Iters: 1,
 				Deadline: time.Hour, SpeculatePct: 0.5,
 				// One latency sample arms speculation, one suspect verdict
 				// quarantines, and so does one deadline or speculative drop,
@@ -212,13 +212,10 @@ func TestLeaseRelease(t *testing.T) {
 // counted again. A supervisor with SpeculatePct and no Health never
 // reclaims as quarantine, whatever its roster says.
 func TestSweepReclaimsQuarantined(t *testing.T) {
-	tasks := make([]plan.TaskSpec, 5)
-	for i := range tasks {
-		tasks[i] = plan.TaskSpec{ID: i, Copies: 1}
-	}
+	tasks := []plan.Run{{First: 0, Count: 5, Copies: 1}}
 	newSup := func(hc *health.Config) *Supervisor {
 		sup, err := NewSupervisor(SupervisorConfig{
-			Plan: simplePlan(t, 5), tasks: tasks, Iters: 1,
+			Plan: simplePlan(t, 5), runs: tasks, Iters: 1,
 			Deadline: time.Hour, SpeculatePct: 0.5, Health: hc,
 		})
 		if err != nil {
@@ -336,9 +333,7 @@ func TestHoldsFollowTheirParticipant(t *testing.T) {
 		t.Helper()
 		var events bytes.Buffer
 		cfg.Plan, cfg.Iters, cfg.Events = simplePlan(t, float64(tasks)), 1, obs.NewSink(&events)
-		for i := range tasks {
-			cfg.tasks = append(cfg.tasks, plan.TaskSpec{ID: i, Copies: 1})
-		}
+		cfg.runs = []plan.Run{{First: 0, Count: tasks, Copies: 1}}
 		sup, err := NewSupervisor(cfg)
 		if err != nil {
 			t.Fatal(err)

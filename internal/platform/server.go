@@ -165,11 +165,11 @@ type SupervisorConfig struct {
 	// supervisor journals to Journal and restores from Restore.
 	JournalDir string
 
-	// tasks, when non-nil, is a cluster shard's subset of Plan.Tasks(), set
+	// runs, when non-nil, is a cluster shard's subset of Plan.Runs(), set
 	// by NewCluster. The subset keeps global task IDs, so TaskSeed inputs,
 	// ringer truth and journal records are the same on any shard; Plan
 	// still carries the run-wide ε bookkeeping the aggregator evaluates.
-	tasks []plan.TaskSpec
+	runs []plan.Run
 	// shardID names a cluster shard, set by NewCluster: hot-path counters
 	// gain shard_id-labeled series (redundancy_shard_* in
 	// OBSERVABILITY.md), the audit export carries the name, and every reply
@@ -359,20 +359,25 @@ func newSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	if cfg.shardID != "" {
 		s.metrics.bindShard(cfg.shardID)
 	}
-	specs := cfg.tasks
-	if specs == nil {
-		specs = cfg.Plan.Tasks()
+	// Every per-task table is filled from the plan's runs; no per-task
+	// list is built on the way.
+	runs := cfg.runs
+	if runs == nil {
+		runs = cfg.Plan.Runs()
 	}
-	s.audit.collector.ExpectAll(specs)
-	q, err := sched.NewQueue(specs, cfg.Policy, rng.New(cfg.Seed))
+	s.audit.collector.ExpectAll(runs)
+	q, err := sched.NewRunQueue(runs, cfg.Policy, rng.New(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
-	top := -1
-	for i := range specs {
-		top = max(top, specs[i].ID)
+	tasks := 0
+	if len(runs) > 0 {
+		tasks = runs[len(runs)-1].End()
 	}
-	s.lease.Table = lease.New(q, top+1, s.released)
+	s.lease.Table = lease.New(q, tasks, s.released)
+	if cfg.Adapt != nil {
+		s.audit.tasks = adaptTasks(runs)
+	}
 	if cfg.Restore != nil {
 		start := time.Now()
 		st, err := replayJournal(cfg.Restore, &supReplayer{s: s, now: start})

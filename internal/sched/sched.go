@@ -163,54 +163,88 @@ func (q *Queue) markIssued(taskID int) {
 	q.everIssued[taskID] = true
 }
 
-// NewQueue builds a queue over the tasks of a plan, shuffled with r.
-// Under TwoPhase every task must have exactly two copies (the Appendix-A
-// setting); other multiplicities cause an error. Every table is allocated
-// once, at its final size, from a first pass that counts the copies: ready
-// has room for every assignment the policy will ever release into it, so
-// only Abandon, Promote and AddTask can make it grow.
+// NewQueue builds a queue over specs, shuffled with r: NewRunQueue over
+// the runs the specs compress to, so a spec list and its runs deal the
+// same copies in the same order.
 func NewQueue(specs []plan.TaskSpec, policy Policy, r *rng.Source) (*Queue, error) {
+	return NewRunQueue(plan.Compress(specs), policy, r)
+}
+
+// checkRun refuses a run holding a task checkFits refuses, naming the
+// first such task.
+func checkRun(r plan.Run) error {
+	if err := checkFits(r.First, r.Copies); err != nil {
+		return err
+	}
+	if r.End()-1 > math.MaxInt32 {
+		return checkFits(math.MaxInt32+1, r.Copies)
+	}
+	return nil
+}
+
+// NewRunQueue builds a queue over the tasks of runs (a plan's Runs, or a
+// subset of them), shuffled with r. Under TwoPhase every task must have
+// exactly two copies (the Appendix-A setting); other multiplicities cause
+// an error. Every table is allocated once, at its final size, from a first
+// pass that counts the copies run by run: ready has room for every
+// assignment the policy will ever release into it, so only Abandon,
+// Promote and AddTask can make it grow. The pools are filled in run order,
+// task by task and copy by copy, before the shuffle.
+func NewRunQueue(runs []plan.Run, policy Policy, r *rng.Source) (*Queue, error) {
 	q := &Queue{policy: policy}
-	top := -1
-	for i := range specs {
-		if err := checkFits(specs[i].ID, specs[i].Copies); err != nil {
+	top, tasks := -1, 0
+	for _, run := range runs {
+		if run.Count <= 0 {
+			continue
+		}
+		if err := checkRun(run); err != nil {
 			return nil, err
 		}
-		q.total += specs[i].Copies
-		top = max(top, specs[i].ID)
+		q.total += run.Count * run.Copies
+		tasks += run.Count
+		top = max(top, run.End()-1)
 	}
 	q.everIssued = make([]bool, top+1)
 	switch policy {
 	case Free:
 		q.ready = make([]Slot, 0, q.total)
-		for _, s := range specs {
-			for c := 0; c < s.Copies; c++ {
-				q.ready = append(q.ready, newSlot(s.ID, c, s.Ringer))
+		for _, run := range runs {
+			for id := run.First; id < run.End(); id++ {
+				for c := 0; c < run.Copies; c++ {
+					q.ready = append(q.ready, newSlot(id, c, run.Ringer))
+				}
 			}
 		}
 		rng.ShuffleSlice(r, q.ready)
 	case OneOutstanding:
 		q.ready = make([]Slot, 0, q.total)
 		q.pending = make([][]Slot, top+1)
-		held := make([]Slot, 0, max(q.total-len(specs), 0))
-		for _, s := range specs {
-			q.ready = append(q.ready, newSlot(s.ID, 0, s.Ringer))
-			from := len(held)
-			for c := 1; c < s.Copies; c++ {
-				held = append(held, newSlot(s.ID, c, s.Ringer))
+		held := make([]Slot, 0, max(q.total-tasks, 0))
+		for _, run := range runs {
+			for id := run.First; id < run.End(); id++ {
+				q.ready = append(q.ready, newSlot(id, 0, run.Ringer))
+				from := len(held)
+				for c := 1; c < run.Copies; c++ {
+					held = append(held, newSlot(id, c, run.Ringer))
+				}
+				q.pending[id] = held[from:len(held):len(held)]
 			}
-			q.pending[s.ID] = held[from:len(held):len(held)]
 		}
 		rng.ShuffleSlice(r, q.ready)
 	case TwoPhase:
-		q.ready = make([]Slot, 0, len(specs))
-		q.phase2 = make([]Slot, 0, len(specs))
-		for _, s := range specs {
-			if s.Copies != 2 {
-				return nil, fmt.Errorf("sched: two-phase requires exactly 2 copies per task, task %d has %d", s.ID, s.Copies)
+		q.ready = make([]Slot, 0, tasks)
+		q.phase2 = make([]Slot, 0, tasks)
+		for _, run := range runs {
+			if run.Count <= 0 {
+				continue
 			}
-			q.ready = append(q.ready, newSlot(s.ID, 0, s.Ringer))
-			q.phase2 = append(q.phase2, newSlot(s.ID, 1, s.Ringer))
+			if run.Copies != 2 {
+				return nil, fmt.Errorf("sched: two-phase requires exactly 2 copies per task, task %d has %d", run.First, run.Copies)
+			}
+			for id := run.First; id < run.End(); id++ {
+				q.ready = append(q.ready, newSlot(id, 0, run.Ringer))
+				q.phase2 = append(q.phase2, newSlot(id, 1, run.Ringer))
+			}
 		}
 		rng.ShuffleSlice(r, q.ready)
 		rng.ShuffleSlice(r, q.phase2)

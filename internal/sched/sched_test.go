@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"redundancy/internal/dist"
 	"redundancy/internal/plan"
 	"redundancy/internal/rng"
 )
@@ -1001,6 +1002,72 @@ func TestNextBatchMatchesNext(t *testing.T) {
 			}
 			if !batched.Done() || len(got) != len(want) {
 				t.Fatalf("%v batch %d: batched queue popped %d of %d", pol, batch, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestRunQueueDealsAsSpecQueue: a queue built from runs deals, seed for
+// seed and policy for policy, the sequence a queue built from the same
+// tasks as specs deals, and the closure-shuffle reference with it: for a
+// whole plan, for a subset with gaps (as a cluster shard holds), and for a
+// two-copy plan under TwoPhase.
+func TestRunQueueDealsAsSpecQueue(t *testing.T) {
+	balanced, err := plan.Balanced(2_000, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var subset []plan.TaskSpec
+	for _, sp := range balanced.Tasks() {
+		if sp.ID%3 != 0 && sp.ID%7 != 1 {
+			subset = append(subset, sp)
+		}
+	}
+	simple, err := plan.FromDistribution(dist.Simple(1_500), 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deal := func(q *Queue, batch int) []Assignment {
+		var got []Assignment
+		for !q.Done() {
+			n := len(got)
+			got = q.NextBatch(got, batch)
+			if len(got) == n {
+				t.Fatalf("stalled after %d copies", n)
+			}
+			for _, a := range got[n:] {
+				q.Complete(a)
+			}
+		}
+		return got
+	}
+	for _, tc := range []struct {
+		name string
+		runs []plan.Run
+		pols []Policy
+	}{
+		{"balanced", balanced.Runs(), []Policy{Free, OneOutstanding}},
+		{"subset", plan.Compress(subset), []Policy{Free, OneOutstanding}},
+		{"simple-x2", simple.Runs(), []Policy{Free, OneOutstanding, TwoPhase}},
+	} {
+		specs := plan.Expand(tc.runs)
+		for _, pol := range tc.pols {
+			for seed := uint64(1); seed <= 4; seed++ {
+				fromRuns, err := NewRunQueue(tc.runs, pol, rng.New(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fromSpecs, err := NewQueue(specs, pol, rng.New(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, want := deal(fromRuns, 16), deal(fromSpecs, 16)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s %v seed %d: the run queue deals %d copies, the spec queue %d, in another order", tc.name, pol, seed, len(got), len(want))
+				}
+				if ref := closureShuffleDrain(specs, pol, seed, 16); !slices.Equal(got, ref) {
+					t.Fatalf("%s %v seed %d: the run queue departs from the closure-shuffle reference", tc.name, pol, seed)
+				}
 			}
 		}
 	}

@@ -230,18 +230,21 @@ type hooks struct {
 // Run executes one full discrete-event simulation.
 func Run(cfg Config) (*Report, error) { return runWithHooks(cfg, hooks{}) }
 
-// expandPlan builds a run's queue and collector from the plan's task
-// specs and returns how many tasks it holds. The specs (24 bytes a task)
-// die on return: nothing holds them through the event loop.
+// expandPlan builds a run's queue and collector from the plan's runs and
+// returns how many tasks it holds.
 func expandPlan(p *plan.Plan, policy sched.Policy, r *rng.Source) (*sched.Queue, *verify.Collector, int, error) {
-	specs := p.Tasks()
-	queue, err := sched.NewQueue(specs, policy, r)
+	runs := p.Runs()
+	queue, err := sched.NewRunQueue(runs, policy, r)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	collector := verify.NewCollector(HonestValue)
-	collector.ExpectAll(specs)
-	return queue, collector, len(specs), nil
+	collector.ExpectAll(runs)
+	tasks := 0
+	for _, run := range runs {
+		tasks += run.Count
+	}
+	return queue, collector, tasks, nil
 }
 
 // runWithHooks is the instrumented core shared by Run and the scenario

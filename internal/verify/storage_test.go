@@ -42,7 +42,7 @@ func balancedRun(t testing.TB, n int, seed uint64) ([]plan.TaskSpec, []Result) {
 // collect registers specs in bulk and submits results, without Reserve.
 func collect(t testing.TB, specs []plan.TaskSpec, results []Result) *Collector {
 	c := NewCollector(truthOf)
-	c.ExpectAll(specs)
+	c.ExpectAll(plan.Compress(specs))
 	for i := range results {
 		if _, _, err := c.Submit(results[i]); err != nil {
 			t.Fatal(err)
@@ -203,7 +203,7 @@ func TestCompactLayout(t *testing.T) {
 // run cut after it.
 func TestCarvedBufferCannotReachItsNeighbour(t *testing.T) {
 	c := NewCollector(nil)
-	c.ExpectAll([]plan.TaskSpec{{ID: 0, Copies: 2}, {ID: 1, Copies: 2}})
+	c.ExpectAll(plan.Compress([]plan.TaskSpec{{ID: 0, Copies: 2}, {ID: 1, Copies: 2}}))
 	c.Submit(res(0, 0, 10, 5, false)) // cuts task 0's two entries
 	c.Submit(res(1, 0, 20, 6, false)) // and task 1's right behind them
 	if c.tasks[1].at != c.tasks[0].at+2 {
@@ -255,7 +255,7 @@ func TestCarvedStorageNeverAliases(t *testing.T) {
 		specs[i] = plan.TaskSpec{ID: i, Copies: 1 + r.Intn(5), Ringer: r.Intn(20) == 0}
 	}
 	c := NewCollector(truthOf)
-	c.ExpectAll(specs)
+	c.ExpectAll(plan.Compress(specs))
 	specs[7].Copies += 2 // a revision promotes task 7 before its first result
 	c.Expect(7, specs[7].Copies)
 	ref := &refCollector{}
@@ -334,7 +334,7 @@ func TestCarvedStorageNeverAliases(t *testing.T) {
 func TestRestoreVerdictGrowsOnce(t *testing.T) {
 	specs, _ := balancedRun(t, 5000, 3)
 	c := NewCollector(truthOf)
-	c.ExpectAll(specs)
+	c.ExpectAll(plan.Compress(specs))
 	accepted := func(sp plan.TaskSpec) Verdict {
 		v := Verdict{TaskID: sp.ID, Ringer: sp.Ringer, Copies: sp.Copies, Accepted: true}
 		for k := 0; k < sp.Copies; k++ {
@@ -363,7 +363,7 @@ func TestRestoreVerdictGrowsOnce(t *testing.T) {
 // snapshot's) without changing anything stored.
 func TestRestoreVerdictCopiesLists(t *testing.T) {
 	c := NewCollector(truthOf)
-	c.ExpectAll([]plan.TaskSpec{{ID: 0, Copies: 3}, {ID: 1, Copies: 2}})
+	c.ExpectAll(plan.Compress([]plan.TaskSpec{{ID: 0, Copies: 3}, {ID: 1, Copies: 2}}))
 	contributors, suspects := []int{4, 5, 6}, []int{6}
 	v := Verdict{TaskID: 0, Copies: 3, MismatchDetected: true, Contributors: contributors, Suspects: suspects}
 	if err := c.RestoreVerdict(v); err != nil {
@@ -403,7 +403,7 @@ func TestCollectorBytesPerTask(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	c := NewCollector(truthOf)
-	c.ExpectAll(specs)
+	c.ExpectAll(plan.Compress(specs))
 	out := make([]Outcome, 0, 64)
 	for i := 0; i < len(results); i += 64 {
 		out = c.SubmitBatch(results[i:min(i+64, len(results))], out[:0])
@@ -432,7 +432,7 @@ func TestCollectorBytesPerTask(t *testing.T) {
 // copy; a short contributor list would silently under-credit.
 func TestRestoreVerdictRejects(t *testing.T) {
 	c := NewCollector(nil)
-	c.ExpectAll([]plan.TaskSpec{{ID: 0, Copies: 2}, {ID: 1, Copies: 2}, {ID: 2, Copies: 2}, {ID: 4, Copies: 1}})
+	c.ExpectAll(plan.Compress([]plan.TaskSpec{{ID: 0, Copies: 2}, {ID: 1, Copies: 2}, {ID: 2, Copies: 2}, {ID: 4, Copies: 1}}))
 	c.Submit(res(1, 0, 10, 5, false)) // task 1 is partial
 	c.Submit(res(4, 0, 10, 5, false)) // task 4 is adjudicated
 	for _, row := range []struct {
@@ -528,7 +528,7 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 	batched, single := NewCollector(truthOf), NewCollector(truthOf)
 	var batchedSeen, singleSeen []int
 	for _, c := range []*Collector{batched, single} {
-		c.ExpectAll(s.specs)
+		c.ExpectAll(plan.Compress(s.specs))
 		c.Expect(7, s.specs[7].Copies+2) // promoted before its first result
 	}
 	s.specs[7].Copies += 2
@@ -618,7 +618,7 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 func TestSubmitBatchAllocFree(t *testing.T) {
 	specs, results := balancedRun(t, 20_000, 7)
 	c := NewCollector(truthOf)
-	c.ExpectAll(specs)
+	c.ExpectAll(plan.Compress(specs))
 	c.Reserve(len(results))
 	out := make([]Outcome, 0, 64)
 	next := 0
@@ -672,7 +672,7 @@ func BenchmarkSubmit(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				c := NewCollector(truthOf)
-				c.ExpectAll(specs)
+				c.ExpectAll(plan.Compress(specs))
 				b.StartTimer()
 				if err := bm.submit(c); err != nil {
 					b.Fatal(err)

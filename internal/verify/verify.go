@@ -262,17 +262,39 @@ func (c *Collector) Expect(taskID, copies int) {
 	ts.expected = int32(copies)
 }
 
-// ExpectAll registers a plan's tasks, allocating the task table once at
-// the highest ID; Expect remains for tasks a revision mints later. Run
+// ExpectAll registers the tasks of runs (a plan's Runs, or a subset of
+// them), allocating the task table once at the highest ID and filling it
+// one run at a time; Expect remains for tasks a revision mints later. Run
 // storage is left to the first result.
-func (c *Collector) ExpectAll(specs []plan.TaskSpec) {
+func (c *Collector) ExpectAll(runs []plan.Run) {
 	top := 0
-	for i := range specs {
-		top = max(top, specs[i].ID)
+	for _, r := range runs {
+		if r.Count > 0 {
+			top = max(top, r.End()-1)
+		}
 	}
 	c.task(top)
-	for i := range specs {
-		c.Expect(specs[i].ID, specs[i].Copies)
+	for _, r := range runs {
+		if r.Count <= 0 {
+			continue
+		}
+		c.task(r.First) // refuses a negative ID as Expect would
+		if r.Copies < 1 {
+			panic("verify: task must expect at least one copy")
+		}
+		if r.Copies > math.MaxInt32 {
+			panic("verify: copies above MaxInt32")
+		}
+		copies := int32(r.Copies)
+		for id := r.First; id < r.End(); id++ {
+			ts := &c.tasks[id]
+			if *ts != (taskState{}) {
+				c.Expect(id, r.Copies) // seen before: Expect's own checks apply
+				continue
+			}
+			ts.expected = copies
+			c.registered++
+		}
 	}
 }
 
