@@ -106,12 +106,14 @@ flake-check:
 # left and disconnects against a reference), speculative
 # first-result-wins, the disconnect/deadline reclaim overlap, the
 # quarantine lifecycle, the ringer-starved probation-expiry deadlock
-# regression, and the stall-mode chaos soak; then every test of the lease
-# table itself (internal/lease: the table against its reference model,
-# every writer, clones and grown task IDs included, and its allocation
-# guard).
+# regression, the stall-mode chaos soak, and the health roster, which has
+# no lock of its own, read and swept in a loop while two workers serve
+# (TestRosterBehindStateMu: any roster access outside stateMu is a race);
+# then every test of the lease table itself (internal/lease: the table
+# against its reference model, every writer, clones and grown task IDs
+# included, and its allocation guard).
 straggler-smoke:
-	$(SYNCTEST) $(GO) test -race -run 'TestLeaseRelease|TestSweepReclaimsQuarantined|TestHoldsFollowTheirParticipant|TestSpeculative|TestDisconnectDeadlineReclaimOverlap|TestQuarantine|TestProbationExpires|TestStallChaosSoak' -count=1 -v ./internal/platform
+	$(SYNCTEST) $(GO) test -race -run 'TestLeaseRelease|TestSweepReclaimsQuarantined|TestHoldsFollowTheirParticipant|TestSpeculative|TestDisconnectDeadlineReclaimOverlap|TestQuarantine|TestProbationExpires|TestStallChaosSoak|TestRosterBehindStateMu' -count=1 -v ./internal/platform
 	$(GO) test -race -count=1 -v ./internal/lease
 
 # The scenario lab's five pathological adversary templates at the fast
@@ -175,17 +177,20 @@ tail-smoke:
 # from a Balanced plan's runs allocates at most 34 B per task at 10^5 and
 # 10^6 tasks, its tables and no per-task list (TestNewSupervisorBytesPerTask);
 # a metric family's With on a label set that already has a child
-# allocates nothing (TestWithExistingChildAllocFree); and an adaptive
+# allocates nothing (TestWithExistingChildAllocFree); an adaptive
 # controller tick that revises nothing allocates nothing, before and after
-# a revision (TestAdaptTickAllocFree). Then the in-process
-# lease/compute/submit cycle at batch 16 (BenchmarkBatchPipeline) under
-# -benchmem: 0 allocs/op now that Submit, adjudicate and the turnaround
-# histogram's With allocate nothing (25 before), failing above the
-# ceiling below.
+# a revision (TestAdaptTickAllocFree); a warm sweep with speculation and
+# health on allocates nothing, its gauge labels past 100 included
+# (TestSweepAllocFree); and the clone-threshold window's Add, through its
+# rotations, and its Quantile allocate nothing (TestWindowAllocFree).
+# Then the in-process lease/compute/submit cycle at batch 16
+# (BenchmarkBatchPipeline) under -benchmem: 0 allocs/op now that Submit,
+# adjudicate and the turnaround histogram's With allocate nothing (25
+# before), failing above the ceiling below.
 BATCH_PIPELINE_ALLOCS ?= 0
 
 alloc-check:
-	$(GO) test -count=1 -run 'TestSubmitDoesNotAllocatePerResult|TestSubmitBatchAllocFree|TestReserveIsTheSamePath|TestCarved|TestRestoreVerdictGrowsOnce|TestNewQueueAllocatesOnce|TestAbandonCycleAllocFree|TestQueueOrderMatchesClosureShuffle|TestQueueBytesPerCopy|TestQueueRefusesUnpackable|TestSnapshotRestoreAllocatesVerdictsOnce|TestRevisionGrowsPastPresizedTables|TestVerdictReadsAllocFree|TestRestoreVerdictCopiesLists|TestCollectorBytesPerTask|TestLeaseCycleAllocFree|TestCodecFramesAllocFree|TestJSONDecodeInternsStrings|TestScenarioAllocsPerTask|TestScenarioBytesPerTask|TestRunStateSizes|TestEventHeapPayloadRoundTrip|TestBacklogEntryRoundTrip|TestEventHeapSteadyStateAllocFree|TestEventHeapMatchesReference|TestEventTreeMatchesReference|TestEventTreeSteadyStateAllocFree|TestTailUniformGolden|TestTailEngineBytesPerCopy|TestSummaryCountsWrongResults|TestSnapshotAllocsFlat|TestNewSupervisorBytesPerTask|TestWithExistingChildAllocFree|TestAdaptTickAllocFree' ./internal/verify ./internal/sched ./internal/platform ./internal/lease ./internal/sim ./internal/health ./internal/obs
+	$(GO) test -count=1 -run 'TestSubmitDoesNotAllocatePerResult|TestSubmitBatchAllocFree|TestReserveIsTheSamePath|TestCarved|TestRestoreVerdictGrowsOnce|TestNewQueueAllocatesOnce|TestAbandonCycleAllocFree|TestQueueOrderMatchesClosureShuffle|TestQueueBytesPerCopy|TestQueueRefusesUnpackable|TestSnapshotRestoreAllocatesVerdictsOnce|TestRevisionGrowsPastPresizedTables|TestVerdictReadsAllocFree|TestRestoreVerdictCopiesLists|TestCollectorBytesPerTask|TestLeaseCycleAllocFree|TestCodecFramesAllocFree|TestJSONDecodeInternsStrings|TestScenarioAllocsPerTask|TestScenarioBytesPerTask|TestRunStateSizes|TestEventHeapPayloadRoundTrip|TestBacklogEntryRoundTrip|TestEventHeapSteadyStateAllocFree|TestEventHeapMatchesReference|TestEventTreeMatchesReference|TestEventTreeSteadyStateAllocFree|TestTailUniformGolden|TestTailEngineBytesPerCopy|TestSummaryCountsWrongResults|TestSnapshotAllocsFlat|TestNewSupervisorBytesPerTask|TestWithExistingChildAllocFree|TestAdaptTickAllocFree|TestSweepAllocFree|TestWindowAllocFree' ./internal/verify ./internal/sched ./internal/platform ./internal/lease ./internal/sim ./internal/health ./internal/obs ./internal/stats
 	$(GO) test -run '^$$' -bench BenchmarkBatchPipeline -benchmem ./internal/platform | awk -v max=$(BATCH_PIPELINE_ALLOCS) \
 		'{ print } /^BenchmarkBatchPipeline/ { seen = 1; for (i = 2; i <= NF; i++) if ($$i == "allocs/op" && $$(i-1) + 0 > max) over = $$(i-1) } \
 		END { if (!seen) { print "FAIL: BenchmarkBatchPipeline did not run"; exit 1 } \

@@ -29,9 +29,9 @@
 // is how they earn their way out. Conclusive (ringer) convictions are a
 // separate, permanent mechanism owned by internal/verify.
 //
-// A Roster is safe for concurrent use and takes no other locks; in the
-// supervisor's lock hierarchy it is a leaf, callable from under the
-// supervisor's state mutex.
+// A Roster is a value: it has no lock and reads no clock. Its owner
+// serializes every call (the supervisor holds its state mutex) and hands
+// it every time.
 package health
 
 import (
@@ -39,9 +39,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
-	"sync"
 	"time"
+
+	"redundancy/internal/stats"
 )
 
 // State is a participant's standing in the roster.
@@ -89,12 +89,15 @@ type Config struct {
 	// ProbationRingers is how many clean ringer verdicts a probation
 	// participant must contribute to to be re-admitted. Default 3.
 	ProbationRingers int
-	// LatencyWindow is the size of the global completion-latency ring the
-	// speculation percentile is computed over. Default 1024.
+	// LatencyWindow is the size of the global completion-latency window
+	// (a stats.Window) the speculation percentile is computed over. Once
+	// full it holds between ceil(LatencyWindow/2) and LatencyWindow of
+	// the latest completions; a window under twice MinLatencySamples
+	// holds between MinLatencySamples and twice that. Default 1024.
 	LatencyWindow int
 	// MinLatencySamples gates Quantile: below this many observations it
 	// reports no answer, so speculation cannot trigger off noise.
-	// Default 20.
+	// Default stats.MinQuantileSamples (20).
 	MinLatencySamples int
 	// EWMAAlpha is the smoothing factor of the per-participant latency
 	// EWMA (weight of the newest observation). Default 0.2.
@@ -123,7 +126,7 @@ func (c Config) Normalized() (Config, error) {
 		c.LatencyWindow = 1024
 	}
 	if c.MinLatencySamples == 0 {
-		c.MinLatencySamples = 20
+		c.MinLatencySamples = stats.MinQuantileSamples
 	}
 	if c.EWMAAlpha == 0 {
 		c.EWMAAlpha = 0.2
@@ -161,6 +164,7 @@ type Transition struct {
 
 // participant is one host's accumulated evidence.
 type participant struct {
+	id    int
 	state State
 	since time.Time // entered current state
 
@@ -174,19 +178,19 @@ type participant struct {
 }
 
 // Roster tracks the health of every participant the supervisor has
-// observed. All methods are safe for concurrent use.
+// observed. It is not safe for concurrent use: its owner serializes it.
 type Roster struct {
-	mu    sync.Mutex
 	cfg   Config
 	parts map[int]*participant
+	order []*participant // parts' values ascending by id, for Tick and Snapshot
 
-	// Global completion-latency ring (seconds), the distribution behind
-	// Quantile.
-	window []float64
-	wpos   int
-	wlen   int
+	// lat is the global completion-latency window (seconds), the
+	// distribution behind Quantile and the median Score reads.
+	lat *stats.Window
 
 	quarantined int // currently not Healthy (Quarantined or Probation)
+
+	snap []ParticipantHealth // Snapshot's reused result
 }
 
 // NewRoster validates cfg (zero fields default) and builds a roster.
@@ -196,9 +200,9 @@ func NewRoster(cfg Config) (*Roster, error) {
 		return nil, err
 	}
 	return &Roster{
-		cfg:    norm,
-		parts:  make(map[int]*participant),
-		window: make([]float64, norm.LatencyWindow),
+		cfg:   norm,
+		parts: make(map[int]*participant),
+		lat:   stats.NewWindow(norm.LatencyWindow, norm.MinLatencySamples),
 	}, nil
 }
 
@@ -208,8 +212,11 @@ func (r *Roster) Config() Config { return r.cfg }
 func (r *Roster) part(id int) *participant {
 	p, ok := r.parts[id]
 	if !ok {
-		p = &participant{}
+		p = &participant{id: id}
 		r.parts[id] = p
+		// IDs mostly arrive ascending, so this is usually an append.
+		i, _ := slices.BinarySearchFunc(r.order, id, func(p *participant, id int) int { return cmp.Compare(p.id, id) })
+		r.order = slices.Insert(r.order, i, p)
 	}
 	return p
 }
@@ -223,8 +230,6 @@ func (r *Roster) ObserveCompletion(id int, d time.Duration) {
 	if sec < 0 {
 		sec = 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	p := r.part(id)
 	p.completions++
 	if p.latEWMA == 0 {
@@ -232,11 +237,7 @@ func (r *Roster) ObserveCompletion(id int, d time.Duration) {
 	} else {
 		p.latEWMA += r.cfg.EWMAAlpha * (sec - p.latEWMA)
 	}
-	r.window[r.wpos] = sec
-	r.wpos = (r.wpos + 1) % len(r.window)
-	if r.wlen < len(r.window) {
-		r.wlen++
-	}
+	r.lat.Add(sec)
 }
 
 // ObserveVerdict records one adjudicated task's implication for a
@@ -246,25 +247,23 @@ func (r *Roster) ObserveCompletion(id int, d time.Duration) {
 // accumulate toward quarantine. It returns a non-nil Transition when the
 // observation changed the participant's state.
 func (r *Roster) ObserveVerdict(id int, suspect, ringer bool, now time.Time) *Transition {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	p := r.part(id)
 	if suspect && !ringer {
 		p.suspects++
 		if p.state == Healthy && p.suspects >= r.cfg.SuspectLimit {
-			return r.enterLocked(id, p, Quarantined, "suspects", now)
+			return r.enter(id, p, Quarantined, "suspects", now)
 		}
 		if p.state == Probation {
 			// Implicated again while on probation: back to full quarantine,
 			// clock restarted.
-			return r.enterLocked(id, p, Quarantined, "suspects", now)
+			return r.enter(id, p, Quarantined, "suspects", now)
 		}
 		return nil
 	}
 	if ringer && !suspect && p.state == Probation {
 		p.cleanRingers++
 		if p.cleanRingers >= r.cfg.ProbationRingers {
-			return r.enterLocked(id, p, Healthy, "readmitted", now)
+			return r.enter(id, p, Healthy, "readmitted", now)
 		}
 	}
 	return nil
@@ -277,8 +276,6 @@ func (r *Roster) ObserveVerdict(id int, suspect, ringer bool, now time.Time) *Tr
 // returns a non-nil Transition when the failure rate quarantined the
 // participant.
 func (r *Roster) ObserveReclaim(id int, now time.Time) *Transition {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	p := r.part(id)
 	p.reclaims++
 	if p.state != Healthy {
@@ -289,7 +286,7 @@ func (r *Roster) ObserveReclaim(id int, now time.Time) *Transition {
 		return nil
 	}
 	if rate := float64(p.reclaims) / float64(events); rate >= r.cfg.FailureRate {
-		return r.enterLocked(id, p, Quarantined, "failure_rate", now)
+		return r.enter(id, p, Quarantined, "failure_rate", now)
 	}
 	return nil
 }
@@ -307,36 +304,31 @@ func (r *Roster) ObserveReclaim(id int, now time.Time) *Transition {
 // than the ringer path could have been, and a suspect verdict during the
 // wait still re-quarantines as usual.
 func (r *Roster) ObserveRingerStarved(id int, now time.Time) *Transition {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	p := r.part(id)
 	if p.state != Probation || now.Sub(p.since) < r.cfg.Probation {
 		return nil
 	}
-	return r.enterLocked(id, p, Healthy, "probation_expired", now)
+	return r.enter(id, p, Healthy, "probation_expired", now)
 }
 
 // Tick advances time-driven transitions: every participant quarantined
 // for at least Probation moves to ringer-only probation. The supervisor's
 // deadline sweeper calls it once per sweep.
 func (r *Roster) Tick(now time.Time) []Transition {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var out []Transition
-	for id, p := range r.parts {
+	for _, p := range r.order {
 		if p.state == Quarantined && now.Sub(p.since) >= r.cfg.Probation {
-			if tr := r.enterLocked(id, p, Probation, "probation", now); tr != nil {
+			if tr := r.enter(p.id, p, Probation, "probation", now); tr != nil {
 				out = append(out, *tr)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Participant < out[j].Participant })
 	return out
 }
 
-// enterLocked moves p to state, resetting the evidence the new state
-// restarts from. Callers hold r.mu.
-func (r *Roster) enterLocked(id int, p *participant, state State, reason string, now time.Time) *Transition {
+// enter moves p to state, resetting the evidence the new state restarts
+// from.
+func (r *Roster) enter(id int, p *participant, state State, reason string, now time.Time) *Transition {
 	from := p.state
 	if from == state {
 		return nil
@@ -362,8 +354,6 @@ func (r *Roster) enterLocked(id int, p *participant, state State, reason string,
 
 // State returns a participant's standing (Healthy if never observed).
 func (r *Roster) State(id int) State {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if p, ok := r.parts[id]; ok {
 		return p.state
 	}
@@ -374,8 +364,6 @@ func (r *Roster) State(id int) State {
 // or on probation — a cheap guard so the hot lease path can skip
 // per-participant gate checks entirely while everyone is healthy.
 func (r *Roster) AnyUnhealthy() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.quarantined > 0
 }
 
@@ -386,20 +374,17 @@ func (r *Roster) AnyUnhealthy() bool {
 // host's latency EWMA sits above the global median. Probation caps the
 // score at 0.5 so dashboards can see re-admission in progress.
 func (r *Roster) Score(id int) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	p, ok := r.parts[id]
 	if !ok {
 		return 1
 	}
-	med, _ := r.quantileLocked(0.5)
+	med, _ := r.lat.Quantile(0.5)
 	return scoreOf(p, med)
 }
 
 // scoreOf is Score's formula for p, given the window's median latency in
 // seconds (0 while the window is below MinLatencySamples). The caller
-// computes the median once, however many participants it scores: each
-// computation sorts a copy of the whole window.
+// reads the median once, however many participants it scores.
 func scoreOf(p *participant, med float64) float64 {
 	if p.state == Quarantined {
 		return 0
@@ -414,37 +399,16 @@ func scoreOf(p *participant, med float64) float64 {
 	return score
 }
 
-// Quantile returns the q-th completion-time quantile (nearest-rank) of
-// the global latency window, and false until MinLatencySamples
-// observations have accumulated.
+// Quantile returns the q-th completion-time quantile of the global
+// latency window (stats.Window.Quantile: q clamps to [0,1], and q = 1 is
+// the exact maximum), and false until MinLatencySamples observations are
+// held.
 func (r *Roster) Quantile(q float64) (time.Duration, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sec, ok := r.quantileLocked(q)
+	sec, ok := r.lat.Quantile(q)
 	if !ok {
 		return 0, false
 	}
 	return time.Duration(sec * float64(time.Second)), true
-}
-
-func (r *Roster) quantileLocked(q float64) (float64, bool) {
-	if r.wlen < r.cfg.MinLatencySamples {
-		return 0, false
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	sorted := make([]float64, r.wlen)
-	copy(sorted, r.window[:r.wlen])
-	sort.Float64s(sorted)
-	rank := int(q * float64(r.wlen))
-	if rank >= r.wlen {
-		rank = r.wlen - 1
-	}
-	return sorted[rank], true
 }
 
 // ParticipantHealth is one roster entry in a Snapshot.
@@ -461,15 +425,14 @@ type ParticipantHealth struct {
 
 // Snapshot returns every observed participant's health, ascending by ID —
 // the export surface for the per-participant gauge and operator
-// summaries.
+// summaries. The slice is the roster's own, reused by the next Snapshot,
+// so a warm Snapshot allocates nothing.
 func (r *Roster) Snapshot() []ParticipantHealth {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]ParticipantHealth, 0, len(r.parts))
-	med, _ := r.quantileLocked(0.5)
-	for id, p := range r.parts {
+	out := r.snap[:0]
+	med, _ := r.lat.Quantile(0.5)
+	for _, p := range r.order {
 		out = append(out, ParticipantHealth{
-			Participant: id,
+			Participant: p.id,
 			State:       p.state,
 			Score:       scoreOf(p, med),
 			Completions: p.completions,
@@ -478,6 +441,6 @@ func (r *Roster) Snapshot() []ParticipantHealth {
 			LatencyEWMA: time.Duration(p.latEWMA * float64(time.Second)),
 		})
 	}
-	slices.SortFunc(out, func(a, b ParticipantHealth) int { return cmp.Compare(a.Participant, b.Participant) })
+	r.snap = out
 	return out
 }

@@ -1,9 +1,18 @@
 package health
 
 import (
+	"math"
 	"testing"
 	"time"
+
+	"redundancy/internal/stats"
 )
+
+// withinAlpha reports whether got is within the latency window's relative
+// accuracy of want: its quantiles are sketch bucket midpoints.
+func withinAlpha(got, want time.Duration) bool {
+	return math.Abs(float64(got-want)) <= stats.NewSketch().Alpha()*float64(want)
+}
 
 func mustRoster(t *testing.T, cfg Config) *Roster {
 	t.Helper()
@@ -178,7 +187,7 @@ func TestQuantileGatedByMinSamples(t *testing.T) {
 		t.Fatal("quantile answered below MinLatencySamples")
 	}
 	r.ObserveCompletion(1, 10*time.Millisecond)
-	if q, ok := r.Quantile(0.9); !ok || q != 10*time.Millisecond {
+	if q, ok := r.Quantile(0.9); !ok || !withinAlpha(q, 10*time.Millisecond) {
 		t.Fatalf("quantile = %v ok=%v, want 10ms", q, ok)
 	}
 }
@@ -188,13 +197,18 @@ func TestQuantileNearestRank(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		r.ObserveCompletion(i%5, time.Duration(i)*time.Millisecond)
 	}
-	q50, _ := r.Quantile(0.5)
-	q99, _ := r.Quantile(0.99)
-	if q50 < 50*time.Millisecond || q50 > 52*time.Millisecond {
-		t.Errorf("p50 = %v", q50)
+	// A window of 100 is two sketches of 50; the 100th sample rotated
+	// them, so it holds the latest 50, 51 .. 100 ms, and a quantile is the
+	// floor(q·(n-1)) order statistic among them.
+	n := r.lat.Count()
+	if n != 50 {
+		t.Fatalf("a window of 100 holds %d samples after 100, want 50", n)
 	}
-	if q99 < 99*time.Millisecond || q99 > 100*time.Millisecond {
-		t.Errorf("p99 = %v", q99)
+	for _, q := range []float64{0.5, 0.99} {
+		want := time.Duration(101-n+int(q*float64(n-1))) * time.Millisecond
+		if got, _ := r.Quantile(q); !withinAlpha(got, want) {
+			t.Errorf("p%v = %v over the latest %d samples, want %v", 100*q, got, n, want)
+		}
 	}
 	// Clamped arguments do not panic or overflow the window.
 	if _, ok := r.Quantile(1.5); !ok {
@@ -202,6 +216,19 @@ func TestQuantileNearestRank(t *testing.T) {
 	}
 	if _, ok := r.Quantile(-1); !ok {
 		t.Error("clamped quantile q<0 failed")
+	}
+}
+
+// TestSmallWindowKeepsItsGate: a window under twice the gate, here 30
+// with the default gate of 20, answers from the 20th completion on and
+// never stops answering, however the window's halves rotate.
+func TestSmallWindowKeepsItsGate(t *testing.T) {
+	r := mustRoster(t, Config{LatencyWindow: 30})
+	for i := 1; i <= 1000; i++ {
+		r.ObserveCompletion(1, time.Millisecond)
+		if _, ok := r.Quantile(0.9); ok != (i >= stats.MinQuantileSamples) {
+			t.Fatalf("after %d completions ok = %v", i, ok)
+		}
 	}
 }
 

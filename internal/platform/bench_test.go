@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"redundancy/internal/health"
+	"redundancy/internal/obs"
 	"redundancy/internal/plan"
 )
 
@@ -155,6 +157,40 @@ func BenchmarkContendedWorkers(b *testing.B) {
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(served)/serving.Seconds(), "assignments/s")
+		})
+	}
+}
+
+// BenchmarkSweepExpired times one deadline sweep with speculation and
+// health on, over a roster of 10 or 1,000 participants whose completions
+// fill the default latency window: the speculation quantile, the roster's
+// Tick and Snapshot and one health gauge per participant. Nothing is
+// leased, so no copy is flagged or reclaimed.
+func BenchmarkSweepExpired(b *testing.B) {
+	for _, parts := range []int{10, 1000} {
+		b.Run(fmt.Sprintf("participants-%d", parts), func(b *testing.B) {
+			p, err := plan.Balanced(64, 0.5)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sup, err := NewSupervisor(SupervisorConfig{
+				Plan: p, Iters: 1, Deadline: time.Hour, SpeculatePct: 0.9,
+				Health: &health.Config{}, Metrics: obs.NewRegistry(),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sup.Close()
+			for i := range 2048 {
+				sup.roster.ObserveCompletion(i%parts, time.Duration(1+i)*time.Microsecond)
+			}
+			now := time.Now().Add(time.Minute)
+			sup.sweepExpired(now) // creates the gauges
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				sup.sweepExpired(now)
+			}
 		})
 	}
 }

@@ -240,8 +240,8 @@ func ackReply(acks []ResultAck, single bool) Message {
 // the accepted copies, emitting every lease and verdict event under the
 // one lock the chaos soak's event replay relies on. The committer's window
 // covers the records with one buffered write and, with JournalSync, one
-// fsync amortized over every submission queued meanwhile. Metrics, the
-// roster's latency samples and the rejection events follow outside it.
+// fsync amortized over every submission queued meanwhile. Metrics and the
+// rejection events follow outside it.
 //
 // The handler never waits for that commit. A submission that journaled
 // something returns deferred: its acks and records stay in the ring slot
@@ -267,11 +267,7 @@ func (s *Supervisor) resultBatch(pid int, results []ResultItem, single bool, cs 
 			if p.failed {
 				continue
 			}
-			took := now.Sub(p.issuedAt)
-			tn.Observe(took.Seconds())
-			if s.roster != nil {
-				s.roster.ObserveCompletion(pid, took)
-			}
+			tn.Observe(now.Sub(p.issuedAt).Seconds())
 		}
 	}
 	for _, ack := range d.acks {

@@ -5,11 +5,13 @@ package platform
 // no state mutex itself.
 
 import (
+	"slices"
 	"strconv"
 	"time"
 
 	"redundancy/internal/adapt"
 	"redundancy/internal/health"
+	"redundancy/internal/obs"
 	"redundancy/internal/plan"
 )
 
@@ -67,18 +69,26 @@ func (s *Supervisor) pushTransition(tr health.Transition) {
 			})
 		}
 	}
-	s.metrics.participantHealth.With(strconv.Itoa(tr.Participant)).Set(s.roster.Score(tr.Participant))
+	s.healthGauge(tr.Participant).Set(s.roster.Score(tr.Participant))
 	s.logf("participant %d: %s -> %s (%s)", tr.Participant, tr.From, tr.To, tr.Reason)
+}
+
+// healthGauge returns pid's health gauge. The label is formatted on the
+// stack, so a gauge that exists costs no allocation.
+func (s *Supervisor) healthGauge(pid int) *obs.Gauge {
+	var buf [20]byte
+	return s.metrics.participantHealth.With(string(strconv.AppendInt(buf[:0], int64(pid), 10)))
 }
 
 // HealthSnapshot returns the health roster's per-participant view (state,
 // score, counters), or nil when neither Health nor SpeculatePct is
-// configured. The roster locks itself, so this is safe from any goroutine.
-func (s *Supervisor) HealthSnapshot() []health.ParticipantHealth {
-	if s.roster == nil {
-		return nil
+// configured. It reads the roster under stateMu and returns a copy, so it
+// is safe from any goroutine.
+func (s *Supervisor) HealthSnapshot() (out []health.ParticipantHealth) {
+	if s.roster != nil {
+		s.withState(func() { out = slices.Clone(s.roster.Snapshot()) })
 	}
-	return s.roster.Snapshot()
+	return out
 }
 
 // adaptTasks lays out the adaptive controller's view of runs, one entry

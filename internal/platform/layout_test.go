@@ -143,27 +143,30 @@ func TestClockReads(t *testing.T) {
 	}
 }
 
-// TestLeaseTableIsAValue: the lease table's package (internal/lease)
-// imports no net, os, sync or sync/atomic, and calls no clock or timer in
-// package time: its owner serializes it and hands it every time.
+// TestLeaseTableIsAValue: the lease table's package (internal/lease) and
+// the health roster's (internal/health) import no net, os, sync or
+// sync/atomic, and call no clock or timer in package time: their owner
+// serializes them under stateMu and hands them every time.
 func TestLeaseTableIsAValue(t *testing.T) {
 	fset := token.NewFileSet()
-	for name, f := range parseSources(t, fset, "../lease") {
-		for _, imp := range f.Imports {
-			switch path := strings.Trim(imp.Path.Value, `"`); path {
-			case "net", "os", "sync", "sync/atomic":
-				t.Errorf("%s imports %s", name, path)
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				switch c := timeCall(call); c {
-				case "Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker":
-					t.Errorf("%s: calls time.%s", fset.Position(call.Pos()), c)
+	for _, dir := range []string{"../lease", "../health"} {
+		for name, f := range parseSources(t, fset, dir) {
+			for _, imp := range f.Imports {
+				switch path := strings.Trim(imp.Path.Value, `"`); path {
+				case "net", "os", "sync", "sync/atomic":
+					t.Errorf("%s imports %s", name, path)
 				}
 			}
-			return true
-		})
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					switch c := timeCall(call); c {
+					case "Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker":
+						t.Errorf("%s: calls time.%s", fset.Position(call.Pos()), c)
+					}
+				}
+				return true
+			})
+		}
 	}
 }
 

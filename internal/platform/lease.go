@@ -7,7 +7,6 @@ package platform
 
 import (
 	"context"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -380,6 +379,9 @@ func (s *Supervisor) settleResults(pid int, results []ResultItem, cs *connState,
 		a := subs[i].Assignment
 		s.lease.Queue().Complete(a)
 		accepted++
+		if s.roster != nil {
+			s.roster.ObserveCompletion(pid, now.Sub(pend[i].issuedAt))
+		}
 		if s.events != nil {
 			s.events.Emit(EvResultAccepted, map[string]any{
 				"task": a.TaskID, "copy": a.Copy, "participant": pid,
@@ -401,7 +403,7 @@ func (s *Supervisor) settleResults(pid int, results []ResultItem, cs *connState,
 // sweepExpired is the periodic sweep at now: it reclaims assignments held
 // past the deadline, flags straggling leases for speculative reissue, ends
 // every hold of a quarantined participant, advances the roster's timed
-// transitions, and then, outside stateMu, refreshes the health gauges.
+// transitions and refreshes the health gauges.
 // The quarantine pass runs after expiry, whose reclaims can quarantine the
 // holder of an earlier record, and before roster.Tick, the one way out of
 // Quarantined. So every participant quarantined since the last sweep, by a
@@ -425,12 +427,12 @@ func (s *Supervisor) sweepExpired(now time.Time) {
 			s.pushTransition(tr)
 		}
 	}
-	s.stateMu.Unlock()
 	if s.roster != nil {
 		for _, ph := range s.roster.Snapshot() {
-			s.metrics.participantHealth.With(strconv.Itoa(ph.Participant)).Set(ph.Score)
+			s.healthGauge(ph.Participant).Set(ph.Score)
 		}
 	}
+	s.stateMu.Unlock()
 }
 
 // drainLeases stops issuing assignments, wakes parked leases to observe

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +15,8 @@ import (
 	"redundancy/internal/obs"
 	"redundancy/internal/plan"
 	"redundancy/internal/rng"
+	"redundancy/internal/sched"
+	"redundancy/internal/stats"
 )
 
 // outstandingKey identifies one issued copy by task and copy.
@@ -550,4 +553,97 @@ func TestHoldsFollowTheirParticipant(t *testing.T) {
 			t.Fatal("no lease over a connection left re-sent a hold")
 		}
 	})
+}
+
+// TestSweepAllocFree: a warm sweep with speculation and health on
+// allocates nothing. The speculation quantile reads the latency window in
+// place, the roster's Snapshot reuses its slice, Tick sorts without
+// boxing, and each health gauge's label is formatted on the stack. The
+// roster holds participants on both sides of 100, past which
+// strconv.Itoa allocates, and a quarantined one, so the quarantine pass
+// and Tick run too.
+func TestSweepAllocFree(t *testing.T) {
+	sup, err := NewSupervisor(SupervisorConfig{
+		Plan: simplePlan(t, 64), runs: []plan.Run{{First: 0, Count: 64, Copies: 1}}, Iters: 1,
+		Deadline: time.Hour, SpeculatePct: 0.9, Health: &health.Config{SuspectLimit: 1, Probation: time.Hour},
+		Metrics: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sup.Close() })
+	now := time.Now()
+	cs := newConnState(nil) // nothing is flushed: no lease parks
+	pid := sup.register(Message{Type: MsgRegister, Name: "w"}, cs).ParticipantID
+	if m := sup.leaseBatch(pid, 8, false, cs, now); len(m.Work) != 8 {
+		t.Fatalf("lease of 8: %+v", m)
+	}
+	for _, id := range []int{pid, 7, 99, 100, 101, 4711} {
+		for range stats.MinQuantileSamples {
+			sup.roster.ObserveCompletion(id, time.Millisecond)
+		}
+	}
+	if tr := sup.roster.ObserveVerdict(4711, true, false, now); tr == nil || tr.To != health.Quarantined {
+		t.Fatalf("4711's suspect verdict: %+v, want quarantine", tr)
+	}
+	sweep := func() { sup.sweepExpired(now.Add(time.Minute)) }
+	sweep()
+	if n := testing.AllocsPerRun(20, sweep); n != 0 {
+		t.Errorf("a warm sweep allocates %v times, want 0", n)
+	}
+	if v, ok := sup.Metrics().Snapshot().Value("redundancy_participant_health", "4711"); !ok || v != 0 {
+		t.Errorf("quarantined 4711's health gauge = %v (present %v), want 0", v, ok)
+	}
+}
+
+// TestRosterBehindStateMu: the health roster has no lock of its own, so
+// every access must hold stateMu. Two workers serve with health and
+// speculation on while the test reads HealthSnapshot and sweeps in a
+// loop; under -race any roster access outside the lock is reported.
+func TestRosterBehindStateMu(t *testing.T) {
+	p, err := plan.Balanced(300, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := NewSupervisor(SupervisorConfig{
+		Plan: p, Policy: sched.Free, WorkKind: "hashchain", Iters: 25, Seed: 1,
+		Deadline: time.Minute, SpeculatePct: 0.5, Health: &health.Config{MinLatencySamples: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := sup.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sup.Close() })
+	var wg sync.WaitGroup
+	for w := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := RunWorker(WorkerConfig{Addr: addr, Name: fmt.Sprint("w", w), BatchSize: 4, Reconnect: true}); err != nil {
+				t.Errorf("worker %d: %v", w, err)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { sup.Wait(); close(done) }()
+	completions := 0
+	for serving := true; serving; {
+		select {
+		case <-done:
+			serving = false
+		default:
+		}
+		sup.sweepExpired(time.Now())
+		completions = 0
+		for _, ph := range sup.HealthSnapshot() {
+			completions += ph.Completions
+		}
+	}
+	wg.Wait()
+	if completions != p.TotalAssignments() {
+		t.Errorf("the roster observed %d completions, want the plan's %d assignments", completions, p.TotalAssignments())
+	}
 }

@@ -203,8 +203,7 @@ type Supervisor struct {
 	adaptCfg adapt.Config
 
 	// roster is the participant health subsystem (nil when neither Health
-	// nor SpeculatePct is configured). It locks itself and sits below
-	// stateMu, so any handler may feed it observations directly. Latency
+	// nor SpeculatePct is configured), guarded by stateMu. Latency
 	// tracking runs whenever roster is non-nil; verdict/reclaim evidence and
 	// quarantine only when cfg.Health was given.
 	roster *health.Roster

@@ -65,10 +65,10 @@ type TailConfig struct {
 	// Speculate enables the speculative-reissue tier: a copy still in
 	// service past the fleet's SpeculatePct completion-time quantile is
 	// cloned ahead of fresh queue pops; the first of the pair to finish
-	// resolves the copy and the other is wasted work. The quantile is
-	// gated on specMinSamples completed copies (20, health.Config's
-	// default MinLatencySamples) and refreshed every 256 completions,
-	// re-sweeping live copies on each refresh.
+	// resolves the copy and the other is wasted work. The quantile is the
+	// platform's clone threshold, a stats.Window, over every completed
+	// copy: gated on stats.MinQuantileSamples of them and refreshed every
+	// 256 completions, re-sweeping live copies on each refresh.
 	Speculate    bool
 	SpeculatePct float64
 
@@ -78,10 +78,7 @@ type TailConfig struct {
 	Seed uint64
 }
 
-const (
-	specMinSamples    = 20
-	thetaRefreshEvery = 256
-)
+const thetaRefreshEvery = 256
 
 // Validate checks the configuration, filling no defaults.
 func (c *TailConfig) Validate() error {
@@ -195,11 +192,10 @@ type TailEngine struct {
 	tree    *eventTree
 	heap    *eventHeap
 	latency *stats.Sketch
-	copySvc *stats.Sketch
+	copySvc *stats.Window // unbounded: every completed copy's service time
 	now     float64
 
-	theta      float64
-	thetaCount int
+	theta float64
 
 	completions, specIssued, specWins, specWasted int
 }
@@ -238,7 +234,7 @@ func NewTailEngine(cfg TailConfig) (*TailEngine, error) {
 		tree:    newEventTree(p),
 		heap:    newEventHeap(p + 1),
 		latency: stats.NewSketch(),
-		copySvc: stats.NewSketch(),
+		copySvc: stats.NewWindow(0, stats.MinQuantileSamples),
 	}
 	if cfg.Speculate {
 		// Every base copy is cloned at most once, so the clone queue
@@ -290,7 +286,6 @@ func (e *TailEngine) RunTrial(trial int) TailTrial {
 	e.cqHead, e.cqLen, e.nIdle = 0, 0, 0
 	e.now = 0
 	e.theta = math.Inf(1)
-	e.thetaCount = 0
 	e.completions, e.specIssued, e.specWins, e.specWasted = 0, 0, 0, 0
 	for i := range e.resolved {
 		e.resolved[i] = false
@@ -339,7 +334,7 @@ func (e *TailEngine) RunTrial(trial int) TailTrial {
 		case evComplete:
 			w := int(arg)
 			if spec {
-				// The copy-service sketch only exists to feed the
+				// The copy-service window only exists to feed the
 				// speculation quantile; spec-off runs skip it.
 				e.copySvc.Add(e.curSvc[w])
 				e.maybeRefreshTheta()
@@ -449,19 +444,15 @@ func (e *TailEngine) serve(w int, base int32, clone bool, rService *rng.Source) 
 	}
 }
 
+// maybeRefreshTheta re-reads theta as soon as the window's min-sample gate
+// opens, then every thetaRefreshEvery completions (the platform's sweeper
+// re-reads the roster's quantile on every deadline tick).
 func (e *TailEngine) maybeRefreshTheta() {
-	if !e.cfg.Speculate {
+	if n := e.copySvc.Count(); n != stats.MinQuantileSamples && n%thetaRefreshEvery != 0 {
 		return
 	}
-	e.thetaCount++
-	// Refresh as soon as the min-sample gate opens, then every
-	// thetaRefreshEvery completions (the platform's sweeper recomputes
-	// the roster quantile on every deadline tick).
-	if e.thetaCount != specMinSamples && e.thetaCount%thetaRefreshEvery != 0 {
-		return
-	}
-	if e.copySvc.Count() >= specMinSamples {
-		e.theta = e.copySvc.Quantile(e.cfg.SpeculatePct)
+	if theta, ok := e.copySvc.Quantile(e.cfg.SpeculatePct); ok {
+		e.theta = theta
 		e.sweepSpeculate()
 	}
 }
@@ -472,9 +463,6 @@ func (e *TailEngine) maybeRefreshTheta() {
 // before theta first became available (the very stragglers the tier
 // exists for) would never be cloned.
 func (e *TailEngine) sweepSpeculate() {
-	if math.IsInf(e.theta, 1) {
-		return
-	}
 	// A worker serving a clone is skipped by cloned[base], which its
 	// spawn set.
 	for w, base := range e.cur {

@@ -87,49 +87,6 @@ func (z ZeroTruncPoisson) TailProb(m int) float64 {
 	return math.Exp(numeric.PoissonTailLog(z.Gamma, m)) / math.Expm1(z.Gamma)
 }
 
-// Histogram counts observations into fixed-width bins over [Lo, Hi); values
-// outside the range go to dedicated underflow/overflow counters.
-type Histogram struct {
-	Lo, Hi    float64
-	Bins      []int
-	Underflow int
-	Overflow  int
-	width     float64
-}
-
-// NewHistogram creates a histogram with n bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if !(hi > lo) || n <= 0 {
-		panic("stats: invalid histogram range")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, n), width: (hi - lo) / float64(n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Underflow++
-	case x >= h.Hi:
-		h.Overflow++
-	default:
-		i := int((x - h.Lo) / h.width)
-		if i >= len(h.Bins) { // guard against float rounding at the edge
-			i = len(h.Bins) - 1
-		}
-		h.Bins[i]++
-	}
-}
-
-// Total returns the number of observations recorded, including out-of-range.
-func (h *Histogram) Total() int {
-	t := h.Underflow + h.Overflow
-	for _, c := range h.Bins {
-		t += c
-	}
-	return t
-}
-
 // ChiSquareGOF performs a chi-square goodness-of-fit test of observed counts
 // against expected counts (which must be positive and of equal length). It
 // returns the test statistic and p-value with len(observed)−1−ddof degrees

@@ -110,12 +110,7 @@ func (s *Sketch) Add(x float64) {
 		s.zeros++
 		return
 	}
-	// The bucket index straight from the float bits: biased exponent
-	// octave, top k mantissa bits subbucket. Subnormals have biased
-	// exponent 0 and land below the low clamp like any tiny value.
-	bits := math.Float64bits(x)
-	i := int(bits>>s.shift) - ((1023 + minSketchExp) << (52 - s.shift))
-	switch {
+	switch i := s.index(x); {
 	case i < 0:
 		s.low++
 	case i >= len(s.bins):
@@ -123,6 +118,14 @@ func (s *Sketch) Add(x float64) {
 	default:
 		s.bins[i]++
 	}
+}
+
+// index is the bucket of a positive x straight from its float bits:
+// biased exponent octave, top k mantissa bits subbucket. It is below 0 or
+// past the last bucket when x clamps. Subnormals have biased exponent 0
+// and land below the low clamp like any tiny value.
+func (s *Sketch) index(x float64) int {
+	return int(math.Float64bits(x)>>s.shift) - ((1023 + minSketchExp) << (52 - s.shift))
 }
 
 // Count returns the number of observations.
@@ -169,8 +172,20 @@ func (s *Sketch) value(i int) float64 {
 // convention matches sorting the sample and indexing at floor(q·(n-1)),
 // so Quantile(0) is the minimum bucket; Quantile(1) is the exact maximum.
 // An empty sketch returns 0.
-func (s *Sketch) Quantile(q float64) float64 {
-	if s.count == 0 {
+func (s *Sketch) Quantile(q float64) float64 { return s.quantile(q, nil) }
+
+// quantile is Quantile over the observations of s and, when o is not nil,
+// of o as well: it walks both sets of bins as one sketch, with no merged
+// copy. o must share s's alpha.
+func (s *Sketch) quantile(q float64, o *Sketch) float64 {
+	count, zeros, low, lo, hi := s.count, s.zeros, s.low, s.min, s.max
+	var obins []uint64
+	if o != nil {
+		count, zeros, low = count+o.count, zeros+o.zeros, low+o.low
+		lo, hi = math.Min(lo, o.min), math.Max(hi, o.max)
+		obins = o.bins[:len(s.bins)]
+	}
+	if count == 0 {
 		return 0
 	}
 	if math.IsNaN(q) {
@@ -180,25 +195,34 @@ func (s *Sketch) Quantile(q float64) float64 {
 		q = 0
 	}
 	if q >= 1 {
-		return s.max // the maximum is tracked exactly
+		return hi // the maximum is tracked exactly
 	}
-	rank := uint64(q * float64(s.count-1)) // 0-based target rank
-	cum := s.zeros
+	rank := uint64(q * float64(count-1)) // 0-based target rank
+	cum := zeros
 	if rank < cum {
 		return 0
 	}
-	cum += s.low
+	cum += low
 	if rank < cum {
 		return s.value(0) // clamped-low observations report the first bucket
 	}
-	for i, n := range s.bins {
-		cum += n
-		if rank < cum {
+	// Past the zero and low mass hi is positive, and no bucket outside
+	// the ones of lo and hi holds an observation.
+	from, to := 0, min(s.index(hi), len(s.bins)-1)
+	if lo > 0 {
+		from = max(s.index(lo), 0)
+	}
+	for i := from; i <= to; i++ {
+		n := s.bins[i]
+		if obins != nil {
+			n += obins[i]
+		}
+		if cum += n; rank < cum {
 			return s.value(i)
 		}
 	}
 	// Remaining mass is the clamped-high bucket; its exact max is tracked.
-	return s.max
+	return hi
 }
 
 // Merge folds o into s, exactly as if every observation of o had been
@@ -249,4 +273,61 @@ func (s *Sketch) Clone() *Sketch {
 	c.bins = make([]uint64, len(s.bins))
 	copy(c.bins, s.bins)
 	return &c
+}
+
+// MinQuantileSamples is the fewest held observations a Window answers a
+// quantile from, so a clone threshold does not trigger off noise: the
+// health roster's default MinLatencySamples and the tail engine's gate.
+const MinQuantileSamples = 20
+
+// Window is the q-quantile of recent observations, the clone threshold of
+// the platform's speculative tier and of the tail engine. A window of w is
+// two sketches of h = max(ceil(w/2), minSamples) observations each: when
+// the current one fills it becomes the previous one, and the old previous
+// one is emptied to take the next. So once h observations have arrived it
+// holds between h and 2h-1 of the latest, at most w when the gate is at
+// most ceil(w/2), and never fewer than the gate. An unbounded window
+// (w <= 0) never rotates: its previous sketch stays empty. Neither Add nor
+// Quantile allocates.
+type Window struct {
+	cur, prev  *Sketch
+	half, gate int // observations per sketch (0 when unbounded); the gate
+}
+
+// NewWindow returns a window over the latest w observations (all of them
+// when w <= 0) that answers from minSamples held observations on.
+func NewWindow(w, minSamples int) *Window {
+	win := &Window{cur: NewSketch(), prev: NewSketch(), gate: minSamples}
+	if w > 0 {
+		win.half = max((w+1)/2, minSamples)
+	}
+	return win
+}
+
+// Add incorporates one observation, as Sketch.Add does.
+func (w *Window) Add(x float64) {
+	w.cur.Add(x)
+	if w.cur.Count() == w.half {
+		w.cur, w.prev = w.prev, w.cur
+		w.cur.Reset()
+	}
+}
+
+// Count returns the number of held observations.
+func (w *Window) Count() int { return w.cur.Count() + w.prev.Count() }
+
+// Quantile is Sketch.Quantile over the held observations, reading both
+// sketches' bins in place; ok is false while fewer than minSamples are
+// held.
+func (w *Window) Quantile(q float64) (v float64, ok bool) {
+	if w.Count() < w.gate {
+		return 0, false
+	}
+	return w.cur.quantile(q, w.prev), true
+}
+
+// Reset empties the window.
+func (w *Window) Reset() {
+	w.cur.Reset()
+	w.prev.Reset()
 }

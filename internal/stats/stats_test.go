@@ -237,34 +237,6 @@ func TestZeroTruncPoisson(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	for _, x := range []float64{-0.1, 0, 0.1, 0.3, 0.6, 0.9, 1.0, 5} {
-		h.Add(x)
-	}
-	if h.Underflow != 1 || h.Overflow != 2 {
-		t.Errorf("under/over = %d/%d", h.Underflow, h.Overflow)
-	}
-	if h.Total() != 8 {
-		t.Errorf("total = %d", h.Total())
-	}
-	wantBins := []int{2, 1, 1, 1}
-	for i, w := range wantBins {
-		if h.Bins[i] != w {
-			t.Errorf("bin %d = %d, want %d", i, h.Bins[i], w)
-		}
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid range should panic")
-		}
-	}()
-	NewHistogram(1, 0, 3)
-}
-
 func TestChiSquareGOFUniform(t *testing.T) {
 	// Uniform draws binned uniformly should not be rejected.
 	r := rng.New(12)

@@ -2,7 +2,8 @@
 // experiments: streaming summary statistics, confidence intervals, normal
 // and chi-square distribution functions, discrete distributions (binomial,
 // Poisson and the zero-truncated Poisson underlying the Balanced
-// distribution), histograms, and a chi-square goodness-of-fit test.
+// distribution), a mergeable quantile sketch and the windowed clone
+// threshold on it, and a chi-square goodness-of-fit test.
 package stats
 
 import (
