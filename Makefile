@@ -176,6 +176,9 @@ tail-smoke:
 # participant and at 64 (TestSnapshotAllocsFlat); a supervisor built
 # from a Balanced plan's runs allocates at most 34 B per task at 10^5 and
 # 10^6 tasks, its tables and no per-task list (TestNewSupervisorBytesPerTask);
+# a 2-shard cluster, its shards' tables sized to the tasks each owns under
+# dense local IDs, allocates at most 48 B per task at 2x10^5 and 10^6 tasks
+# (TestNewClusterBytesPerTask);
 # a metric family's With on a label set that already has a child
 # allocates nothing (TestWithExistingChildAllocFree); an adaptive
 # controller tick that revises nothing allocates nothing, before and after
@@ -190,7 +193,7 @@ tail-smoke:
 BATCH_PIPELINE_ALLOCS ?= 0
 
 alloc-check:
-	$(GO) test -count=1 -run 'TestSubmitDoesNotAllocatePerResult|TestSubmitBatchAllocFree|TestReserveIsTheSamePath|TestCarved|TestRestoreVerdictGrowsOnce|TestNewQueueAllocatesOnce|TestAbandonCycleAllocFree|TestQueueOrderMatchesClosureShuffle|TestQueueBytesPerCopy|TestQueueRefusesUnpackable|TestSnapshotRestoreAllocatesVerdictsOnce|TestRevisionGrowsPastPresizedTables|TestVerdictReadsAllocFree|TestRestoreVerdictCopiesLists|TestCollectorBytesPerTask|TestLeaseCycleAllocFree|TestCodecFramesAllocFree|TestJSONDecodeInternsStrings|TestScenarioAllocsPerTask|TestScenarioBytesPerTask|TestRunStateSizes|TestEventHeapPayloadRoundTrip|TestBacklogEntryRoundTrip|TestEventHeapSteadyStateAllocFree|TestEventHeapMatchesReference|TestEventTreeMatchesReference|TestEventTreeSteadyStateAllocFree|TestTailUniformGolden|TestTailEngineBytesPerCopy|TestSummaryCountsWrongResults|TestSnapshotAllocsFlat|TestNewSupervisorBytesPerTask|TestWithExistingChildAllocFree|TestAdaptTickAllocFree|TestSweepAllocFree|TestWindowAllocFree' ./internal/verify ./internal/sched ./internal/platform ./internal/lease ./internal/sim ./internal/health ./internal/obs ./internal/stats
+	$(GO) test -count=1 -run 'TestSubmitDoesNotAllocatePerResult|TestSubmitBatchAllocFree|TestReserveIsTheSamePath|TestCarved|TestRestoreVerdictGrowsOnce|TestNewQueueAllocatesOnce|TestAbandonCycleAllocFree|TestQueueOrderMatchesClosureShuffle|TestQueueBytesPerCopy|TestQueueRefusesUnpackable|TestSnapshotRestoreAllocatesVerdictsOnce|TestRevisionGrowsPastPresizedTables|TestVerdictReadsAllocFree|TestRestoreVerdictCopiesLists|TestCollectorBytesPerTask|TestLeaseCycleAllocFree|TestCodecFramesAllocFree|TestJSONDecodeInternsStrings|TestScenarioAllocsPerTask|TestScenarioBytesPerTask|TestRunStateSizes|TestEventHeapPayloadRoundTrip|TestBacklogEntryRoundTrip|TestEventHeapSteadyStateAllocFree|TestEventHeapMatchesReference|TestEventTreeMatchesReference|TestEventTreeSteadyStateAllocFree|TestTailUniformGolden|TestTailEngineBytesPerCopy|TestSummaryCountsWrongResults|TestSnapshotAllocsFlat|TestNewSupervisorBytesPerTask|TestNewClusterBytesPerTask|TestWithExistingChildAllocFree|TestAdaptTickAllocFree|TestSweepAllocFree|TestWindowAllocFree' ./internal/verify ./internal/sched ./internal/platform ./internal/lease ./internal/sim ./internal/health ./internal/obs ./internal/stats
 	$(GO) test -run '^$$' -bench BenchmarkBatchPipeline -benchmem ./internal/platform | awk -v max=$(BATCH_PIPELINE_ALLOCS) \
 		'{ print } /^BenchmarkBatchPipeline/ { seen = 1; for (i = 2; i <= NF; i++) if ($$i == "allocs/op" && $$(i-1) + 0 > max) over = $$(i-1) } \
 		END { if (!seen) { print "FAIL: BenchmarkBatchPipeline did not run"; exit 1 } \
@@ -211,12 +214,18 @@ alloc-check:
 # concurrently, so beside them run the checks on that build: the user's
 # Logf called one call at a time across shards, a shard whose journal
 # cannot open failing the build with nothing left running, and 20 builds
-# rendering the same metric families in the same order. First, the ring
-# package under the race detector: its bucketed lookup held to a binary
-# search over every point.
+# rendering the same metric families in the same order. Each shard keeps
+# dense local task IDs behind one ID map, so beside them run the checks on
+# that map: every task on one shard under a local ID that maps back, one
+# run per global run a shard has tasks in, each shard dealing the (global
+# task, copy) sequence of a queue built over its global-ID runs, and a
+# result for another shard's task, past the plan or negative refused with
+# the same ack bytes, and a shard journal holding a plan revision refused
+# at restore. First, the ring package under the race detector: its
+# bucketed lookup held to a binary search over every point.
 shard-smoke:
 	$(GO) test -race -count=1 ./internal/ring
-	$(SYNCTEST) $(GO) test -race -run 'TestShardedSmoke|TestShardChaosSoak|TestShardedWorkerBanned|TestClusterPartition|TestClusterRoutingStateConcurrent|TestClusterLifecycleSerialized|TestClusterShardsTakeEveryOption|TestClusterSnapshotsRestore|TestClusterRestoreUnterminatedJournal|TestClusterLogfSerialized|TestClusterFailedBuildLeavesNothing|TestClusterMetricsFamilyOrder' -count=1 -v ./internal/platform
+	$(SYNCTEST) $(GO) test -race -run 'TestShardedSmoke|TestShardChaosSoak|TestShardedWorkerBanned|TestClusterPartition|TestClusterPartsAreTaskPartition|TestClusterShardsDealTheParentSequence|TestClusterRefusesForeignResults|TestClusterShardRefusesRevisionRecord|TestClusterRoutingStateConcurrent|TestClusterLifecycleSerialized|TestClusterShardsTakeEveryOption|TestClusterSnapshotsRestore|TestClusterRestoreUnterminatedJournal|TestClusterLogfSerialized|TestClusterFailedBuildLeavesNothing|TestClusterMetricsFamilyOrder' -count=1 -v ./internal/platform
 
 # The crash-tolerance acceptance test alone, under the race detector:
 # full plan to certification with every fault mode injected and the

@@ -18,7 +18,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"regexp"
 	"sort"
 	"strconv"
 	"sync"
@@ -42,9 +41,20 @@ func DoublingBuckets(first float64, n int) []float64 {
 	return b
 }
 
-// metricName validates metric and label names against the Prometheus
-// data-model grammar.
-var metricName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+// validName reports whether s is a metric or label name of the Prometheus
+// data-model grammar, [a-zA-Z_:][a-zA-Z0-9_:]*: a byte loop, since every
+// family of every supervisor is checked at its construction.
+func validName(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', c == '_', c == ':':
+		case '0' <= c && c <= '9' && i > 0:
+		default:
+			return false
+		}
+	}
+	return s != ""
+}
 
 // Metric family types, as rendered in Prometheus TYPE lines.
 const (
@@ -85,11 +95,11 @@ type family struct {
 
 // register looks up or creates a family, enforcing shape consistency.
 func (r *Registry) register(name, help, typ string, labelNames []string, buckets []float64) *family {
-	if !metricName.MatchString(name) {
+	if !validName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
 	for _, l := range labelNames {
-		if !metricName.MatchString(l) || l == "le" {
+		if !validName(l) || l == "le" {
 			panic(fmt.Sprintf("obs: invalid label name %q on metric %q", l, name))
 		}
 	}

@@ -1,7 +1,11 @@
 package obs
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"regexp"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -93,6 +97,65 @@ func TestRegistryPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestValidNameMatchesRegexp holds the byte loop that checks metric and
+// label names to the Prometheus grammar's regular expression, its
+// reference, on a generated corpus: every name of up to three bytes over
+// an alphabet of each class's edges and their neighbours (the empty name,
+// a leading digit, colons, non-ASCII and invalid UTF-8 among them), and
+// longer random names over the same alphabet. Registering each as a
+// metric and as a label panics exactly when the reference refuses it, or
+// when the label is the reserved le.
+func TestValidNameMatchesRegexp(t *testing.T) {
+	ref := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	alphabet := []string{"a", "z", "A", "Z", "_", ":", "0", "9", "/", "@", "[", "`", "{", "-", " ", "\n", "é", "\xff", "l", "e"}
+	corpus := []string{"", "le", "le_", "_le", "Le", "9lives", "::", "a:b:c", "résumé", "metric\n", "\x00"}
+	var grow func(prefix string, n int)
+	grow = func(prefix string, n int) {
+		corpus = append(corpus, prefix)
+		if n == 0 {
+			return
+		}
+		for _, c := range alphabet {
+			grow(prefix+c, n-1)
+		}
+	}
+	grow("", 3)
+	rnd := rand.New(rand.NewPCG(1, 2))
+	for range 2000 {
+		var b strings.Builder
+		for range 4 + rnd.IntN(20) {
+			b.WriteString(alphabet[rnd.IntN(len(alphabet))])
+		}
+		corpus = append(corpus, b.String())
+	}
+	panics := func(fn func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		fn()
+		return false
+	}
+	valid := 0
+	for i, name := range corpus {
+		want := ref.MatchString(name)
+		if got := validName(name); got != want {
+			t.Fatalf("validName(%q) = %v, the grammar's regexp says %v", name, got, want)
+		}
+		if want {
+			valid++
+		}
+		r := NewRegistry()
+		if p := panics(func() { r.Gauge(name, "help") }); p != !want {
+			t.Errorf("registering metric %q: panic %v, want %v", name, p, !want)
+		}
+		label := fmt.Sprintf("m%d", i)
+		if p := panics(func() { r.CounterVec(label, "help", name) }); p != (!want || name == "le") {
+			t.Errorf("registering label %q: panic %v, want %v", name, p, !want || name == "le")
+		}
+	}
+	if valid == 0 || valid == len(corpus) {
+		t.Fatalf("%d of %d names valid: the corpus does not split", valid, len(corpus))
 	}
 }
 

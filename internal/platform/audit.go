@@ -22,7 +22,7 @@ import (
 type auditState struct {
 	collector *verify.Collector
 	credits   *CreditLedger
-	resolved  map[int]uint64 // taskID → supervisor-recomputed value
+	resolved  map[int]uint64 // local task ID → supervisor-recomputed value
 	est       *adapt.Estimator
 	// revisions retains every applied revision record (live and replayed),
 	// in sequence order — snapshots carry them so a compacted journal can
@@ -70,7 +70,7 @@ func (s *Supervisor) applyVerdict(v *verify.Verdict, now time.Time) []health.Tra
 		}
 	}
 	if s.cfg.ResolveMismatches && v.MismatchDetected && !v.Ringer {
-		s.audit.resolved[v.TaskID] = s.work(TaskSeed(v.TaskID), s.cfg.Iters)
+		s.audit.resolved[v.TaskID] = s.work(TaskSeed(s.cfg.ids.global(v.TaskID)), s.cfg.Iters)
 	}
 	return trs
 }
@@ -88,9 +88,10 @@ func (s *Supervisor) observeVerdict(v *verify.Verdict, trs []health.Transition) 
 		return
 	}
 	s.metrics.mismatchDetected.Inc()
+	task := s.cfg.ids.global(v.TaskID)
 	if s.events != nil {
 		s.events.Emit(EvMismatchDetected, map[string]any{
-			"task": v.TaskID, "ringer": v.Ringer, "suspects": v.Suspects,
+			"task": task, "ringer": v.Ringer, "suspects": v.Suspects,
 		})
 	}
 	if v.Ringer {
@@ -98,13 +99,13 @@ func (s *Supervisor) observeVerdict(v *verify.Verdict, trs []health.Transition) 
 		s.metrics.convictions.Add(uint64(len(v.Suspects)))
 		if s.events != nil {
 			s.events.Emit(EvRingerFailed, map[string]any{
-				"task": v.TaskID, "suspects": v.Suspects,
+				"task": task, "suspects": v.Suspects,
 			})
 		}
 	}
-	s.logf("CHEAT DETECTED on task %d (suspects %v)", v.TaskID, v.Suspects)
+	s.logf("CHEAT DETECTED on task %d (suspects %v)", task, v.Suspects)
 	if s.cfg.ResolveMismatches && !v.Ringer {
-		s.logf("task %d resolved by supervisor recomputation", v.TaskID)
+		s.logf("task %d resolved by supervisor recomputation", task)
 	}
 }
 
@@ -142,7 +143,7 @@ func (s *Supervisor) adjudicateLocked(pid int, cs *connState, d *deferredAck, no
 		if s.committer != nil {
 			a := &subs[i].Assignment
 			recs = append(recs, journalRecord{
-				TaskID:      a.TaskID,
+				TaskID:      s.cfg.ids.global(a.TaskID),
 				Copy:        a.Copy,
 				Ringer:      a.Ringer,
 				Participant: pid,
@@ -281,7 +282,7 @@ func (s *Supervisor) Summary() Summary {
 		s.withState(func() {
 			for ; i < n && k < len(chunk); i++ {
 				if v := col.VerdictAt(i); v.Accepted {
-					chunk[k].task, chunk[k].value = v.TaskID, v.Value
+					chunk[k].task, chunk[k].value = s.cfg.ids.global(v.TaskID), v.Value
 					k++
 				}
 			}
@@ -297,8 +298,11 @@ func (s *Supervisor) Summary() Summary {
 
 // CertifiedValue returns the final value of a task and whether one exists:
 // the redundancy-certified value, or the supervisor's own recomputation for
-// resolved disputes.
+// resolved disputes. A cluster shard has none for another shard's task.
 func (s *Supervisor) CertifiedValue(taskID int) (value uint64, ok bool) {
+	if taskID = s.cfg.ids.local(taskID); taskID < 0 {
+		return 0, false
+	}
 	s.withState(func() {
 		if value, ok = s.audit.resolved[taskID]; ok {
 			return

@@ -60,8 +60,10 @@ type Cluster struct {
 	cfg     SupervisorConfig // Metrics always set: the shards share it
 	ring    *ring.Ring
 	metrics *clusterMetrics
-	// parts[i] is the global-ID task subset shard i owns, as runs.
+	// parts[i] is shard i's tasks as runs over its local IDs, and ids[i]
+	// maps those to the plan's global IDs and back.
 	parts [][]plan.Run
+	ids   []*idMap
 
 	// life serializes KillShard, RestoreShard and Close, each for its
 	// whole body, so a shard changes state by one of them at a time. It is
@@ -76,12 +78,39 @@ type Cluster struct {
 	changed chan struct{} // closed and replaced at each epoch bump; nil once closed
 }
 
-// b2i is 1 for true and 0 for false, without a branch.
-func b2i(b bool) int {
-	if b {
-		return 1
+// idMap is the one translation between a cluster shard's dense local task
+// IDs, which its tables are indexed by, and the plan's global IDs, which
+// every edge of a supervisor speaks (DESIGN.md §14). The nil map, a lone
+// supervisor's, is the identity.
+type idMap struct {
+	globals []int32 // globals[l] is local task l's global ID, ascending
+	// locals[g] is global task g's local ID on the shard that owns it:
+	// the cluster's one table, read by every shard.
+	locals []int32
+}
+
+// global returns local task l's global ID.
+func (m *idMap) global(l int) int {
+	if m == nil {
+		return l
 	}
-	return 0
+	return int(m.globals[l])
+}
+
+// local returns global task g's local ID, or -1 when g is not this shard's:
+// another shard's task, or no task of the plan. The lone supervisor's
+// identity passes every g through, and its tables refuse one they lack.
+func (m *idMap) local(g int) int {
+	if m == nil {
+		return g
+	}
+	if uint(g) >= uint(len(m.locals)) {
+		return -1
+	}
+	if l := m.locals[g]; int(l) < len(m.globals) && int(m.globals[l]) == g {
+		return int(l)
+	}
+	return -1
 }
 
 // ShardName returns the ring member name of shard i.
@@ -129,6 +158,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		ring:    r,
 		metrics: newClusterMetrics(cfg.Metrics),
 		parts:   make([][]plan.Run, cfg.Shards),
+		ids:     make([]*idMap, cfg.Shards),
 		sups:    make([]*Supervisor, cfg.Shards),
 		addrs:   make([]string, cfg.Shards),
 		changed: make(chan struct{}),
@@ -139,12 +169,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// a task between shards — the shard's journal is the authority for its
 	// subset, and moving a task would fork that authority.
 	//
-	// The plan's runs are walked twice: route every task and count each
-	// shard's tasks and runs, then fill the parts, each a capped window of
-	// one backing array. A shard's run is a stretch of one global run that
-	// the shard owns whole. shardOf turns the ring's member index into the
-	// shard ordinal (Members() is sorted by name, where "shard-10" comes
-	// before "shard-2").
+	// One pass over the plan's runs routes every task and numbers it in
+	// its shard: local IDs are dense and follow global order. locals maps
+	// a global ID to its local ID on the shard that owns it, and every
+	// shard reads it; globals[i] maps shard i's local IDs back. A shard's
+	// runs are one per global run it has tasks in, over its local IDs.
+	// shardOf turns the ring's member index into the shard ordinal
+	// (Members() is sorted by name, where "shard-10" comes before "shard-2").
 	shardOf := make([]int32, r.Len())
 	for i, n := range names {
 		shardOf[sort.SearchStrings(r.Members(), n)] = int32(i)
@@ -154,52 +185,45 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if len(runs) > 0 {
 		total = runs[len(runs)-1].End()
 	}
-	owner := make([]int32, total)
-	tasks := make([]int, cfg.Shards)
-	nruns := make([]int, cfg.Shards)
+	locals := make([]int32, total)
+	globals := make([][]int32, cfg.Shards)
+	for i := range globals {
+		// An even share and a quarter more: the ring's imbalance (up to
+		// 13 % over an even share on 2 shards) rarely makes one regrow.
+		globals[i] = make([]int32, 0, total/cfg.Shards+total/(4*cfg.Shards)+16)
+	}
 	for _, run := range runs {
-		prev := int32(-1)
-		for id := run.First; id < run.End(); id++ {
+		for i := range globals {
+			c.parts[i] = append(c.parts[i], plan.Run{First: len(globals[i]), Copies: run.Copies, Ringer: run.Ringer})
+		}
+		for id, end := run.First, run.End(); id < end; id++ {
 			mi, ok := r.LookupIndexUint64(uint64(id))
 			if !ok {
 				return nil, errors.New("platform: ring lookup failed on non-empty ring")
 			}
-			i := shardOf[mi]
-			owner[id] = i
-			tasks[i]++
-			nruns[i] += b2i(i != prev)
-			prev = i
+			g := &globals[shardOf[mi]]
+			locals[id] = int32(len(*g))
+			*g = append(*g, int32(id))
+		}
+		for i, g := range globals {
+			last := &c.parts[i][len(c.parts[i])-1]
+			if last.Count = len(g) - last.First; last.Count == 0 {
+				c.parts[i] = c.parts[i][:len(c.parts[i])-1]
+			}
 		}
 	}
-	all := 0
-	for _, n := range nruns {
-		all += n
-	}
-	backing := make([]plan.Run, all)
-	off := 0
-	for i, n := range tasks {
-		if n == 0 {
+	for i, g := range globals {
+		if len(g) == 0 {
 			return nil, fmt.Errorf(
 				"platform: shard %d owns no tasks (%d tasks over %d shards); use fewer shards, more tasks, or more vnodes",
 				i, total, cfg.Shards)
 		}
-		c.parts[i] = backing[off : off : off+nruns[i]]
-		off += nruns[i]
-	}
-	for _, run := range runs {
-		for id := run.First; id < run.End(); {
-			i, end := owner[id], id+1
-			for end < run.End() && owner[end] == i {
-				end++
-			}
-			c.parts[i] = append(c.parts[i], plan.Run{First: id, Count: end - id, Copies: run.Copies, Ringer: run.Ringer})
-			id = end
-		}
+		c.ids[i] = &idMap{globals: g, locals: locals}
 	}
 
-	// A shard shares only what is read-only (the plan) or locks itself (the
-	// registry, the events sink, the Logf above), so the shards are built
-	// and started at once.
+	// A shard shares only what is read-only (the plan, locals) or locks
+	// itself (the registry, the events sink, the Logf above), so the
+	// shards are built and started at once.
 	errs := make([]error, cfg.Shards)
 	var wg sync.WaitGroup
 	for i := range c.sups {
@@ -233,7 +257,7 @@ func (c *Cluster) journalPath(i int) string {
 // shard is published.
 func (c *Cluster) startShard(i int, restore io.Reader) error {
 	scfg := c.cfg
-	scfg.runs, scfg.shardID = c.parts[i], ShardName(i)
+	scfg.runs, scfg.ids, scfg.shardID = c.parts[i], c.ids[i], ShardName(i)
 	scfg.Seed += uint64(i)
 	scfg.Restore = restore
 	if lg := c.cfg.Logf; lg != nil {

@@ -23,12 +23,15 @@ import (
 	"redundancy/internal/obs"
 	"redundancy/internal/plan"
 	"redundancy/internal/ring"
+	"redundancy/internal/rng"
+	"redundancy/internal/sched"
 )
 
 // TestClusterPartition pins the sharding invariants everything else rests
 // on: every global task lands on exactly one shard (disjoint and covering),
-// the partition is a pure function of (plan, shards, vnodes, seed), and it
-// matches what an independent ring rebuild — the worker's view — computes.
+// under a dense local ID that maps back to it, the partition is a pure
+// function of (plan, shards, vnodes, seed), and it matches what an
+// independent ring rebuild — the worker's view — computes.
 func TestClusterPartition(t *testing.T) {
 	p := mustClusterPlan(t, 200)
 	c, err := NewCluster(ClusterConfig{
@@ -40,31 +43,40 @@ func TestClusterPartition(t *testing.T) {
 	defer c.Close()
 
 	seen := make(map[int]int)
+	specs := p.Tasks()
 	for i, part := range c.parts {
+		ids := c.ids[i]
 		for _, sp := range plan.Expand(part) {
-			if prev, dup := seen[sp.ID]; dup {
-				t.Fatalf("task %d on shards %d and %d", sp.ID, prev, i)
+			g := ids.global(sp.ID)
+			if prev, dup := seen[g]; dup {
+				t.Fatalf("task %d on shards %d and %d", g, prev, i)
 			}
-			seen[sp.ID] = i
+			seen[g] = i
+			if l := ids.local(g); l != sp.ID {
+				t.Fatalf("shard %d: local %d maps to global %d, which maps back to %d", i, sp.ID, g, l)
+			}
+			// The shard's runs carry the plan's spec verbatim under the
+			// local ID, or TaskSeed/ringer truth would diverge across shards.
+			if want := specs[g]; want.ID != g || want.Copies != sp.Copies || want.Ringer != sp.Ringer {
+				t.Fatalf("shard %d local %d is %+v, the plan's task %d is %+v", i, sp.ID, sp, g, want)
+			}
 		}
 	}
-	specs := p.Tasks()
 	if len(seen) != len(specs) {
 		t.Fatalf("partition covers %d of %d tasks", len(seen), len(specs))
 	}
-	// Global IDs, global copies: the subset must carry the plan's spec
-	// verbatim, or TaskSeed/ringer truth would diverge across shards.
-	for _, sp := range specs {
-		shard := seen[sp.ID]
-		found := false
-		for _, got := range plan.Expand(c.parts[shard]) {
-			if got == sp {
-				found = true
-				break
+	// A shard translates no ID it does not own: another shard's task, one
+	// past the plan, a negative one.
+	for g, owner := range seen {
+		for i, ids := range c.ids {
+			if i != owner && ids.local(g) != -1 {
+				t.Fatalf("shard %d translates shard %d's task %d to %d", i, owner, g, ids.local(g))
 			}
 		}
-		if !found {
-			t.Fatalf("task %d spec mutated in shard %d partition", sp.ID, shard)
+	}
+	for _, g := range []int{-1, len(specs), len(specs) + 7} {
+		if l := c.ids[0].local(g); l != -1 {
+			t.Fatalf("shard 0 translates task %d, outside the plan, to %d", g, l)
 		}
 	}
 
@@ -83,12 +95,28 @@ func TestClusterPartition(t *testing.T) {
 	}
 }
 
-// TestClusterPartsAreTaskPartition: each shard's runs expand to exactly
-// the specs the per-task partition gives it (the plan's tasks in order,
-// each appended to its ring owner's part), and are the fewest runs that
-// do, for several shard counts.
+// ringShard returns the shard c's ring puts global task id on.
+func ringShard(t *testing.T, c *Cluster, id int) int {
+	t.Helper()
+	name, ok := c.ring.LookupUint64(uint64(id))
+	if !ok {
+		t.Fatal("ring lookup failed")
+	}
+	var i int
+	if _, err := fmt.Sscanf(name, "shard-%d", &i); err != nil {
+		t.Fatal(err)
+	}
+	return i
+}
+
+// TestClusterPartsAreTaskPartition: each shard's local IDs map, in order,
+// onto exactly the global tasks the per-task partition gives it (the plan's
+// tasks in order, each appended to its ring owner's list), and its runs
+// expand to those tasks' specs, one run per global run it has tasks in,
+// for several shard counts.
 func TestClusterPartsAreTaskPartition(t *testing.T) {
 	p := mustClusterPlan(t, 3_000)
+	runs := p.Runs()
 	for _, shards := range []int{1, 2, 3, 5} {
 		c, err := NewCluster(ClusterConfig{
 			Plan: p, Shards: shards, Seed: 42, WorkKind: "hashchain", Iters: 5,
@@ -97,27 +125,138 @@ func TestClusterPartsAreTaskPartition(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := make([][]plan.TaskSpec, shards)
-		for _, sp := range p.Tasks() {
-			name, ok := c.ring.LookupUint64(uint64(sp.ID))
-			if !ok {
-				t.Fatal("ring lookup failed")
+		inRuns := make([]int, shards)
+		for _, run := range runs {
+			has := make([]bool, shards)
+			for _, sp := range plan.Expand([]plan.Run{run}) {
+				i := ringShard(t, c, sp.ID)
+				want[i] = append(want[i], sp)
+				has[i] = true
 			}
-			var i int
-			if _, err := fmt.Sscanf(name, "shard-%d", &i); err != nil {
-				t.Fatal(err)
+			for i, h := range has {
+				if h {
+					inRuns[i]++
+				}
 			}
-			want[i] = append(want[i], sp)
 		}
 		for i, part := range c.parts {
-			if got := plan.Expand(part); !slices.Equal(got, want[i]) {
+			got := plan.Expand(part)
+			for l := range got {
+				if got[l].ID != l {
+					t.Fatalf("%d shards: shard %d's runs skip local ID %d", shards, i, l)
+				}
+				got[l].ID = c.ids[i].global(l)
+			}
+			if !slices.Equal(got, want[i]) {
 				t.Errorf("%d shards: shard %d's %d runs expand to %d tasks, the per-task partition gives it %d",
 					shards, i, len(part), len(got), len(want[i]))
 			}
-			if fewest := plan.Compress(want[i]); !slices.Equal(part, fewest) {
-				t.Errorf("%d shards: shard %d has %d runs, its tasks compress to %d", shards, i, len(part), len(fewest))
+			if len(part) != inRuns[i] {
+				t.Errorf("%d shards: shard %d has %d runs, it has tasks in %d of the plan's", shards, i, len(part), inRuns[i])
 			}
 		}
 		c.Close()
+	}
+}
+
+// TestClusterShardsDealTheParentSequence: a shard dealt over its local IDs
+// hands out, copy for copy, the (global task, copy) sequence of a queue
+// built as a shard's was before local IDs: over the stretches of each
+// global run the shard owns, under the plan's own IDs, with the shard's
+// seed. Each item's seed is the global task's.
+func TestClusterShardsDealTheParentSequence(t *testing.T) {
+	p := mustClusterPlan(t, 2_000)
+	for _, policy := range []sched.Policy{sched.Free, sched.OneOutstanding} {
+		c, err := NewCluster(ClusterConfig{
+			Plan: p, Shards: 3, Seed: 11, Policy: policy, WorkKind: "hashchain", Iters: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range c.ids {
+			var ref []plan.Run // the global-ID runs the shard was once given
+			for _, run := range p.Runs() {
+				for id := run.First; id < run.End(); id++ {
+					if ringShard(t, c, id) != i {
+						continue
+					}
+					if n := len(ref); n > 0 && ref[n-1].End() == id && ref[n-1].Copies == run.Copies && ref[n-1].Ringer == run.Ringer {
+						ref[n-1].Count++
+					} else {
+						ref = append(ref, plan.Run{First: id, Count: 1, Copies: run.Copies, Ringer: run.Ringer})
+					}
+				}
+			}
+			rq, err := sched.NewRunQueue(ref, policy, rng.New(11+uint64(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sup := c.Supervisor(i)
+			var got []WorkItem
+			sup.withState(func() {
+				for _, a := range sup.lease.Queue().NextBatch(nil, sup.lease.Queue().Total()) {
+					got = append(got, sup.workItem(a))
+				}
+			})
+			want := rq.NextBatch(nil, rq.Total())
+			if len(got) != len(want) || len(got) == 0 {
+				t.Fatalf("%v shard %d deals %d copies, the reference %d", policy, i, len(got), len(want))
+			}
+			for k, a := range want {
+				if w := (WorkItem{TaskID: a.TaskID, Copy: a.Copy, Seed: TaskSeed(a.TaskID)}); got[k] != w {
+					t.Fatalf("%v shard %d copy %d: dealt %+v, the reference %+v", policy, i, k, got[k], w)
+				}
+			}
+		}
+		c.Close()
+	}
+}
+
+// TestClusterRefusesForeignResults: a result batch naming another shard's
+// task, a task past the plan or a negative task ID is refused as
+// unassigned, each ack under the ID the worker sent, and the reply's bytes
+// are the ones a shard answered with before it kept local IDs (every ack
+// refused "unassigned"), over both protocols.
+func TestClusterRefusesForeignResults(t *testing.T) {
+	p := mustClusterPlan(t, 200)
+	c, err := NewCluster(ClusterConfig{Plan: p, Shards: 2, Seed: 3, WorkKind: "hashchain", Iters: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	total := p.N + p.Ringers
+	for i := range c.ids {
+		foreign := slices.IndexFunc(c.ids[1-i].globals, func(g int32) bool { return g > 0 })
+		results := []ResultItem{
+			{TaskID: int(c.ids[1-i].globals[foreign]), Copy: 0, Value: 1},
+			{TaskID: total, Copy: 0, Value: 2},
+			{TaskID: total + 1000, Copy: 1, Value: 3},
+			{TaskID: -3, Copy: 0, Value: 4},
+		}
+		want := Message{Type: MsgBatchAck}
+		for _, r := range results {
+			want.Acks = append(want.Acks, ResultAck{TaskID: r.TaskID, Copy: r.Copy, Reason: ReasonUnassigned, Error: "result for unassigned work"})
+		}
+		for _, proto := range []string{"", ProtoBinary} {
+			var read bytes.Buffer
+			w := dialRaw(t, func(a string) (net.Conn, error) {
+				conn, err := net.Dial("tcp", a)
+				return &teeConn{Conn: conn, r: &read}, err
+			}, c.Addr(i), batchVerbs, proto)
+			from := read.Len()
+			w.exchange(Message{Type: MsgResultBatch, ParticipantID: w.id, Results: results})
+			var buf bytes.Buffer
+			enc := NewCodec(&buf)
+			if proto == ProtoBinary {
+				enc.EnableBinary()
+			}
+			if err := enc.Send(want); err != nil {
+				t.Fatal(err)
+			}
+			if got := read.Bytes()[from:]; !bytes.Equal(got, buf.Bytes()) {
+				t.Errorf("shard %d over %s acked\n%q\nwant\n%q", i, proto, got, buf.Bytes())
+			}
+		}
 	}
 }
 
@@ -648,6 +787,36 @@ func TestClusterSnapshotsRestore(t *testing.T) {
 	}
 }
 
+// TestClusterShardRefusesRevisionRecord: a revision names global IDs of
+// the one plan the shards share, and no shard revises, so a shard journal
+// that holds a revision record is refused at restore and the plan is left
+// as it was.
+func TestClusterShardRefusesRevisionRecord(t *testing.T) {
+	p := mustClusterPlan(t, 40)
+	dir := t.TempDir()
+	c, err := NewCluster(SupervisorConfig{
+		Plan: p, Shards: 2, Seed: 5, WorkKind: "hashchain", Iters: 5, JournalDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.KillShard(0); err != nil {
+		t.Fatal(err)
+	}
+	next := p.NextTaskID()
+	rev := fmt.Sprintf(`{"revision":{"seq":0,"phat":0.1,"upper":0.2,"minted":[{"task":%d,"copies":2}]}}`+"\n", next)
+	if err := os.WriteFile(filepath.Join(dir, "shard-0.jnl"), []byte(rev), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestoreShard(0); err == nil || !strings.Contains(err.Error(), "plan revision") {
+		t.Fatalf("restoring a shard journal holding a revision: err %v", err)
+	}
+	if p.NextTaskID() != next {
+		t.Errorf("the shared plan moved: next task %d, was %d", p.NextTaskID(), next)
+	}
+}
+
 // TestClusterRestoreUnterminatedJournal kills and restores a shard whose
 // journal lost the newline after its last record, twice, with work
 // appended in between. The first restore must keep that record and leave
@@ -872,8 +1041,9 @@ func TestClusterMetricsFamilyOrder(t *testing.T) {
 }
 
 // BenchmarkNewCluster times building and closing a 2-shard cluster over a
-// Balanced plan, per task of the plan: the ring routing every task, the
-// partition, and the shards' construction and start-up.
+// Balanced plan, per task of the plan: the ring routing every task to its
+// shard and local ID, and the shards' construction and start-up. It
+// reports the bytes allocated per task as BenchmarkNewSupervisor does.
 func BenchmarkNewCluster(b *testing.B) {
 	for _, n := range []int{200_000, 1_000_000} {
 		b.Run(fmt.Sprintf("Balanced%d", n), func(b *testing.B) {
@@ -881,7 +1051,9 @@ func BenchmarkNewCluster(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			tasks := len(p.Tasks())
+			tasks := p.N + p.Ringers
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c, err := NewCluster(ClusterConfig{
@@ -892,8 +1064,36 @@ func BenchmarkNewCluster(b *testing.B) {
 				}
 				c.Close()
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tasks), "ns/task")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*tasks), "B/task")
 		})
+	}
+}
+
+// TestNewClusterBytesPerTask: a 2-shard cluster keeps one global table (a
+// task's local ID) and, per shard, its local IDs' global ones and tables
+// sized to the tasks it owns, so its construction allocates little more
+// per task than one supervisor's.
+func TestNewClusterBytesPerTask(t *testing.T) {
+	const budget = 48.0
+	for _, n := range []int{200_000, 1_000_000} {
+		p := mustClusterPlan(t, n)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c, err := NewCluster(ClusterConfig{Plan: p, Shards: 2, Seed: 1, WorkKind: "hashchain", Iters: 10})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		got := float64(after.TotalAlloc-before.TotalAlloc) / float64(p.N+p.Ringers)
+		if got > budget {
+			t.Errorf("NewCluster on Balanced(%d, 0.5) over 2 shards allocates %.1f B per task, budget %.0f", n, got, budget)
+		}
+		t.Logf("Balanced(%d, 0.5) over 2 shards: %.1f B per task", n, got)
 	}
 }
 

@@ -73,11 +73,18 @@ func (s *Supervisor) pushTransition(tr health.Transition) {
 	s.logf("participant %d: %s -> %s (%s)", tr.Participant, tr.From, tr.To, tr.Reason)
 }
 
-// healthGauge returns pid's health gauge. The label is formatted on the
-// stack, so a gauge that exists costs no allocation.
+// healthGauge returns pid's health gauge: the family's child, looked up
+// once per participant and then kept in gauges. Callers hold stateMu.
 func (s *Supervisor) healthGauge(pid int) *obs.Gauge {
+	if pid < len(s.gauges) && s.gauges[pid] != nil {
+		return s.gauges[pid]
+	}
+	if pid >= len(s.gauges) {
+		s.gauges = append(s.gauges, make([]*obs.Gauge, pid+1-len(s.gauges))...)
+	}
 	var buf [20]byte
-	return s.metrics.participantHealth.With(string(strconv.AppendInt(buf[:0], int64(pid), 10)))
+	s.gauges[pid] = s.metrics.participantHealth.With(string(strconv.AppendInt(buf[:0], int64(pid), 10)))
+	return s.gauges[pid]
 }
 
 // HealthSnapshot returns the health roster's per-participant view (state,

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -321,9 +322,10 @@ type supReplayer struct {
 }
 
 func (r *supReplayer) replayResult(a sched.Assignment, participant int, value uint64) error {
-	if !r.s.lease.Queue().MarkCompleted(a) {
+	task := a.TaskID
+	if a.TaskID = r.s.cfg.ids.local(task); !r.s.lease.Queue().MarkCompleted(a) {
 		return replayTornError{fmt.Errorf("platform: journal replays unknown assignment task=%d copy=%d",
-			a.TaskID, a.Copy)}
+			task, a.Copy)}
 	}
 	v, done, err := r.s.audit.collector.Submit(verify.Result{Assignment: a, Participant: participant, Value: value})
 	if err != nil {
@@ -336,6 +338,11 @@ func (r *supReplayer) replayResult(a sched.Assignment, participant int, value ui
 }
 
 func (r *supReplayer) replayRevision(rec revisionRecord) error {
+	// A revision names global IDs of the one shared plan, and a cluster
+	// shard never revises (NewCluster refuses Adapt).
+	if r.s.cfg.ids != nil {
+		return errors.New("platform: a cluster shard's journal holds a plan revision")
+	}
 	// The revision reads EverIssued and appends to the pool.
 	if err := r.s.lease.Queue().Settle(); err != nil {
 		return err

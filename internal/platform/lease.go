@@ -56,6 +56,7 @@ var refusals = [...]struct{ reason, detail string }{
 // it (applyVerdict feeds a verdict-caused quarantine itself).
 func (s *Supervisor) released(e lease.End) {
 	a, pid := e.Assignment, e.Participant
+	a.TaskID = s.cfg.ids.global(a.TaskID)
 	switch e.Outcome {
 	case lease.CloneDropped:
 		s.logf("%s: dropped participant %d's clone of task %d copy %d", e.Reason, pid, a.TaskID, a.Copy)
@@ -146,6 +147,12 @@ func (s *Supervisor) kickLeaseLocked() {
 	s.lease.waiters = s.lease.waiters[:0]
 }
 
+// workItem is copy a as a lease carries it, under its global task ID.
+func (s *Supervisor) workItem(a sched.Assignment) WorkItem {
+	id := s.cfg.ids.global(a.TaskID)
+	return WorkItem{TaskID: id, Copy: a.Copy, Seed: TaskSeed(id)}
+}
+
 // leaseBatch fills one lease: under stateMu it refuses a participant
 // convicted on ringer evidence, then re-issues every copy this participant
 // holds — the whole lease comes back after a resume — then fills the
@@ -201,13 +208,14 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState, now t
 	// copy it still holds, or a resumed lease could silently shrink. A
 	// request_work reply carries one; the rest follow on later requests.
 	reissues := s.lease.Reissue(pid, now, func(a sched.Assignment) bool {
+		it := s.workItem(a)
+		items = append(items, it)
 		if s.events != nil {
 			s.events.Emit(EvAssignmentIssued, map[string]any{
-				"task": a.TaskID, "copy": a.Copy,
+				"task": it.TaskID, "copy": a.Copy,
 				"participant": pid, "ringer": a.Ringer, "reissue": true,
 			})
 		}
-		items = append(items, WorkItem{TaskID: a.TaskID, Copy: a.Copy, Seed: TaskSeed(a.TaskID)})
 		return !single
 	})
 	for {
@@ -223,12 +231,13 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState, now t
 		// certification, the most valuable lease in the system.
 		if issuing && !probation && len(items) < want {
 			specIssued += s.lease.Clones(pid, now, func(a sched.Assignment, straggler int) bool {
+				it := s.workItem(a)
+				items = append(items, it)
 				if s.events != nil {
 					s.events.Emit(EvAssignmentSpeculated, map[string]any{
-						"task": a.TaskID, "copy": a.Copy, "participant": pid, "straggler": straggler,
+						"task": it.TaskID, "copy": a.Copy, "participant": pid, "straggler": straggler,
 					})
 				}
-				items = append(items, WorkItem{TaskID: a.TaskID, Copy: a.Copy, Seed: TaskSeed(a.TaskID)})
 				return len(items) < want
 			})
 		}
@@ -249,14 +258,15 @@ func (s *Supervisor) leaseBatch(pid, want int, single bool, cs *connState, now t
 			for _, a := range fill {
 				s.lease.Issue(a, pid, now)
 				fresh++
+				it := s.workItem(a)
+				items = append(items, it)
 				if s.events != nil {
-					ev := map[string]any{"task": a.TaskID, "copy": a.Copy, "participant": pid, "ringer": a.Ringer}
+					ev := map[string]any{"task": it.TaskID, "copy": a.Copy, "participant": pid, "ringer": a.Ringer}
 					if probation {
 						ev["probation"] = true
 					}
 					s.events.Emit(EvAssignmentIssued, ev)
 				}
-				items = append(items, WorkItem{TaskID: a.TaskID, Copy: a.Copy, Seed: TaskSeed(a.TaskID)})
 			}
 		}
 		if len(items) > 0 {
@@ -353,7 +363,7 @@ func (s *Supervisor) settleResults(pid int, results []ResultItem, cs *connState,
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
 	for _, r := range results {
-		a, issuedAt, refused, cloneWon := s.lease.Claim(pid, r.TaskID, r.Copy, now)
+		a, issuedAt, refused, cloneWon := s.lease.Claim(pid, s.cfg.ids.local(r.TaskID), r.Copy, now)
 		if cloneWon {
 			s.metrics.speculativeWins.Inc()
 		}
@@ -384,7 +394,7 @@ func (s *Supervisor) settleResults(pid int, results []ResultItem, cs *connState,
 		}
 		if s.events != nil {
 			s.events.Emit(EvResultAccepted, map[string]any{
-				"task": a.TaskID, "copy": a.Copy, "participant": pid,
+				"task": s.cfg.ids.global(a.TaskID), "copy": a.Copy, "participant": pid,
 			})
 		}
 	}

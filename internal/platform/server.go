@@ -165,11 +165,14 @@ type SupervisorConfig struct {
 	// supervisor journals to Journal and restores from Restore.
 	JournalDir string
 
-	// runs, when non-nil, is a cluster shard's subset of Plan.Runs(), set
-	// by NewCluster. The subset keeps global task IDs, so TaskSeed inputs,
-	// ringer truth and journal records are the same on any shard; Plan
+	// runs and ids, set by NewCluster, are a cluster shard's tasks: runs
+	// over dense local IDs, which number the shard's tasks in global order,
+	// and the map between those and the plan's global IDs. Every table is
+	// sized to the shard's tasks; every edge (wire, journal, snapshot,
+	// events, TaskSeed, ringer truth) speaks global IDs through ids. Plan
 	// still carries the run-wide ε bookkeeping the aggregator evaluates.
 	runs []plan.Run
+	ids  *idMap
 	// shardID names a cluster shard, set by NewCluster: hot-path counters
 	// gain shard_id-labeled series (redundancy_shard_* in
 	// OBSERVABILITY.md), the audit export carries the name, and every reply
@@ -207,6 +210,10 @@ type Supervisor struct {
 	// tracking runs whenever roster is non-nil; verdict/reclaim evidence and
 	// quarantine only when cfg.Health was given.
 	roster *health.Roster
+	// gauges[pid] is pid's health gauge once it has one, kept beside the
+	// roster so a sweep's refresh is one Set per participant; guarded by
+	// stateMu.
+	gauges []*obs.Gauge
 
 	// replayed is what the Restore replay at construction recovered (zero
 	// without Restore): the results, the clean prefix length for tail
@@ -257,8 +264,8 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	return newSupervisor(cfg)
 }
 
-// newSupervisor builds a supervisor, or one cluster shard when cfg.tasks
-// is set.
+// newSupervisor builds a supervisor, or one cluster shard when cfg.runs
+// and cfg.ids are set.
 func newSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	if cfg.Plan == nil {
 		return nil, errors.New("platform: nil plan")
@@ -350,7 +357,7 @@ func newSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	}
 	// Ringer truth: the supervisor precomputes the work function itself.
 	s.audit.collector = verify.NewCollector(func(taskID int) uint64 {
-		return work(TaskSeed(taskID), cfg.Iters)
+		return work(TaskSeed(cfg.ids.global(taskID)), cfg.Iters)
 	})
 	if cfg.ResultDigits > 0 {
 		s.audit.collector.SetComparator(verify.Quantize{Digits: cfg.ResultDigits})

@@ -42,7 +42,7 @@ func (s *Supervisor) captureSnapshot() *snapshotRecord {
 		for i := range col.NumVerdicts() {
 			v := col.VerdictAt(i)
 			rec.Verdicts = append(rec.Verdicts, snapshotVerdict{
-				TaskID:       v.TaskID,
+				TaskID:       s.cfg.ids.global(v.TaskID),
 				Ringer:       v.Ringer,
 				Copies:       v.Copies,
 				Accepted:     v.Accepted,
@@ -62,7 +62,7 @@ func (s *Supervisor) captureSnapshot() *snapshotRecord {
 		rec.Pending = make([]journalRecord, 0, len(pending))
 		for _, r := range pending {
 			rec.Pending = append(rec.Pending, journalRecord{
-				TaskID:      r.Assignment.TaskID,
+				TaskID:      s.cfg.ids.global(r.Assignment.TaskID),
 				Copy:        r.Assignment.Copy,
 				Ringer:      r.Assignment.Ringer,
 				Participant: r.Participant,
@@ -99,8 +99,12 @@ func (r *supReplayer) replaySnapshot(rec snapshotRecord) error {
 	}
 	total := 0
 	for _, v := range rec.Verdicts {
+		id := s.cfg.ids.local(v.TaskID)
+		if id < 0 {
+			return fmt.Errorf("verdict for task %d, not this supervisor's", v.TaskID)
+		}
 		verdict := verify.Verdict{
-			TaskID:           v.TaskID,
+			TaskID:           id,
 			Ringer:           v.Ringer,
 			Copies:           v.Copies,
 			Accepted:         v.Accepted,
@@ -114,7 +118,7 @@ func (r *supReplayer) replaySnapshot(rec snapshotRecord) error {
 		}
 		s.applyVerdict(&verdict, r.now)
 		for c := 0; c < v.Copies; c++ {
-			if !s.lease.Queue().MarkCompleted(sched.Assignment{TaskID: v.TaskID, Copy: c, Ringer: v.Ringer}) {
+			if !s.lease.Queue().MarkCompleted(sched.Assignment{TaskID: id, Copy: c, Ringer: v.Ringer}) {
 				return fmt.Errorf("verdict copy task=%d copy=%d is not queued", v.TaskID, c)
 			}
 		}
